@@ -143,7 +143,7 @@ def cmd_preprocess(args) -> None:
         with open(args.input, encoding="utf-8") as fh:
             parsed, id_map = records.parse_checkins(fh, delimiter=args.delimiter)
     except records.CheckinFormatError as exc:
-        raise CliValidationError(f"{args.input}: {exc}") from None
+        raise CliValidationError(_at_line(args.input, exc)) from None
     if not parsed:
         raise CliValidationError(f"no records parsed from {args.input}")
     try:
@@ -195,33 +195,41 @@ def cmd_synth(args) -> None:
     write_manifest(args.out_dir, "synth", config, [args.config] if args.config else [])
 
 
-def _load_split(path, label):
+def _at_line(path, exc: records.CheckinFormatError) -> str:
+    return f"{path}:{exc.line_no}: field '{exc.field_name}': {exc.detail}"
+
+
+def _load_split(path, label, n_locations: int, slots: int | None = None):
+    """Read a trajectory file whose ids all lie in [0, n_locations) and whose
+    lines all hold ``slots`` ids (one common count when omitted)."""
     _require_file(path, label)
-    trajectories = records.read_trajectories(path)
+    try:
+        trajectories = records.read_trajectories(path, n_locations, slots)
+    except records.CheckinFormatError as exc:
+        raise CliValidationError(_at_line(path, exc)) from None
     if not trajectories:
         raise CliValidationError(f"{label} file {path} holds no trajectories")
     return trajectories
 
 
-def cmd_build_graphs(args) -> None:
-    _require_file(args.locations, "locations")
-    coords = records.read_locations(args.locations)
-    trajectories = _load_split(args.train, "train")
-    if args.observed:
-        _require_file(args.observed, "observed")
-        records.attach_observed(trajectories, args.observed)
+def _build_graphs(coords, trajectories, k: int, metric: str, slots: int) -> dict:
+    """The weighted sdg, ttg and stg channels of a train split."""
     n = len(coords)
-    bad = [int(t.slots.max()) for t in trajectories if t.slots.max() >= n]
-    if bad:
-        raise CliValidationError(f"trajectory location ids exceed the table size {n}")
-    if not 1 <= args.k <= n - 1:
-        raise CliValidationError(f"k must be in [1, {n - 1}], got {args.k}")
-    built = {
-        "sdg": graphs.build_sdg(coords, k=args.k, metric=args.metric),
+    if not 1 <= k <= n - 1:
+        raise CliValidationError(f"k must be in [1, {n - 1}], got {k}")
+    return {
+        "sdg": graphs.build_sdg(coords, k=k, metric=metric),
         "ttg": graphs.build_ttg(trajectories, n),
-        "stg": graphs.build_stg(
-            graphs.visit_profile_matrix(trajectories, n, args.slots), k=args.k),
+        "stg": graphs.build_stg(graphs.visit_profile_matrix(trajectories, n, slots), k=k),
     }
+
+
+def cmd_build_graphs(args) -> None:
+    coords = records.read_locations(_require_file(args.locations, "locations"))
+    trajectories = _load_split(args.train, "train", len(coords), args.slots)
+    if args.observed:
+        records.attach_observed(trajectories, _require_file(args.observed, "observed"))
+    built = _build_graphs(coords, trajectories, args.k, args.metric, args.slots)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, graph in built.items():
         if args.mode == "vanilla":
@@ -271,13 +279,14 @@ def _model_flags(parser: _Parser):
     parser.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int)
 
 
-def _resolve_train_config(args) -> dict:
-    flags = {k: getattr(args, k) for k in TRAIN_DEFAULTS}
-    if flags["dwell"] is not None:
-        flags["dwell"] = bool(flags["dwell"])
-    if flags["baseline"] is not None:
-        flags["baseline"] = bool(flags["baseline"])
-    config = resolve_config(TRAIN_DEFAULTS, args.config, flags)
+def _resolve_train_config(args, extra_defaults=None) -> dict:
+    """TRAIN_DEFAULTS plus ``extra_defaults``, resolved flag > file > default."""
+    defaults = dict(TRAIN_DEFAULTS, **(extra_defaults or {}))
+    flags = {k: getattr(args, k) for k in defaults}
+    for key in ("dwell", "baseline"):
+        if flags[key] is not None:
+            flags[key] = bool(flags[key])
+    config = resolve_config(defaults, args.config, flags)
     if not config["channels"]:
         raise CliValidationError("at least one graph channel must stay enabled")
     return config
@@ -321,26 +330,23 @@ def _run_training(args, adversarial: bool) -> None:
     config = _resolve_train_config(args)
     coords = records.read_locations(_require_file(args.locations, "locations"))
     n = len(coords)
-    train_trajs = _load_split(args.train, "train")
+    train_trajs = _load_split(args.train, "train", n)
+    train_ids = trajectory_matrix(train_trajs)
+    if adversarial:
+        valid_trajs = _load_split(args.valid, "valid", n, train_ids.shape[1])
     channel_graphs = _load_graphs(args.graphs_dir, config["channels"], n)
     gen, disc = _build_models(config, channel_graphs, n)
     tc = _train_config(config)
-    train_ids = trajectory_matrix(train_trajs)
-    if train_ids.max() >= n:
-        raise CliValidationError(f"trajectory location ids exceed the table size {n}")
-    log = pretrain_log = training.pretrain_generator(gen, train_ids, tc)
+    log = training.pretrain_generator(gen, train_ids, tc)
     log += training.pretrain_discriminator(disc, gen, train_ids, tc)
     inputs = [args.train, args.locations] + [
         os.path.join(args.graphs_dir, f"{c}.csv") for c in config["channels"]]
     if adversarial:
-        valid_trajs = _load_split(args.valid, "valid")
-        train_ds = Dataset(train_trajs, coords)
-        valid_ds = Dataset(valid_trajs, coords)
-        best_gen, best_disc, adv_log = training.adversarial_train(gen, disc, train_ds,
-                                                                  valid_ds, tc)
+        best_gen, best_disc, adv_log = training.adversarial_train(
+            gen, disc, Dataset(train_trajs, coords), Dataset(valid_trajs, coords), tc)
         gen.params.load_values(best_gen)
         disc.params.load_values(best_disc)
-        log = log + adv_log
+        log += adv_log
         inputs.append(args.valid)
     os.makedirs(args.out_dir, exist_ok=True)
     seed_dist = seed_distribution(train_ids, n)
@@ -390,12 +396,8 @@ def cmd_generate(args) -> None:
 
 def cmd_evaluate(args) -> None:
     coords = records.read_locations(_require_file(args.locations, "locations"))
-    real = _load_split(args.real, "real")
-    generated = _load_split(args.generated, "generated")
-    for label, trajs in (("real", real), ("generated", generated)):
-        for t in trajs:
-            if t.slots.max() >= len(coords):
-                raise CliValidationError(f"{label} trajectories reference unknown locations")
+    real = _load_split(args.real, "real", len(coords), args.slots)
+    generated = _load_split(args.generated, "generated", len(coords), args.slots)
     report = metrics.evaluate(Dataset(real, coords, args.slots), generated,
                               include_zero_steps=not args.exclude_zero_steps,
                               bins=args.bins, top=args.top)
@@ -424,29 +426,16 @@ def _ablation_variants(config) -> list:
 
 
 def cmd_ablation(args) -> None:
-    defaults = dict(TRAIN_DEFAULTS, k=20, metric="haversine", edge_mode="weighted")
-    flags = {k: getattr(args, k) for k in TRAIN_DEFAULTS}
-    flags.update(k=args.k, metric=args.metric, edge_mode=args.edge_mode)
-    if flags["dwell"] is not None:
-        flags["dwell"] = bool(flags["dwell"])
-    if flags["baseline"] is not None:
-        flags["baseline"] = bool(flags["baseline"])
-    config = resolve_config(defaults, args.config, flags)
-    if not config["channels"]:
-        raise CliValidationError("at least one graph channel must stay enabled")
+    config = _resolve_train_config(
+        args, {"k": 20, "metric": "haversine", "edge_mode": "weighted"})
     coords = records.read_locations(_require_file(args.locations, "locations"))
     n = len(coords)
-    train_trajs = _load_split(args.train, "train")
-    valid_trajs = _load_split(args.valid, "valid")
-    test_trajs = _load_split(args.test, "test")
+    train_trajs = _load_split(args.train, "train", n, args.slots)
+    valid_trajs = _load_split(args.valid, "valid", n, args.slots)
+    test_trajs = _load_split(args.test, "test", n, args.slots)
     if args.observed:
         records.attach_observed(train_trajs, _require_file(args.observed, "observed"))
-    weighted = {
-        "sdg": graphs.build_sdg(coords, k=config["k"], metric=config["metric"]),
-        "ttg": graphs.build_ttg(train_trajs, n),
-        "stg": graphs.build_stg(
-            graphs.visit_profile_matrix(train_trajs, n, args.slots), k=config["k"]),
-    }
+    weighted = _build_graphs(coords, train_trajs, config["k"], config["metric"], args.slots)
     by_mode = {"weighted": weighted,
                "vanilla": {name: graphs.binarize(g) for name, g in weighted.items()}}
     train_ds = Dataset(train_trajs, coords, args.slots)

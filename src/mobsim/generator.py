@@ -16,13 +16,13 @@ softmax when it does not fire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .nn import Tensor, no_grad
-from .rng import stream
+from .rng import categorical, stream
 
 _ALLOWED_LAYERS = (1, 2)
 _ALLOWED_HEADS = (1, 2, 4)
@@ -123,8 +123,22 @@ class Generator:
         out = nn.linear(hidden, self.params["dwell/weight"], self.params["dwell/bias"])
         return nn.reshape(nn.sigmoid(out), (hidden.shape[0],))
 
+    def stay_probs(self, hidden: Tensor, counts: np.ndarray, current: np.ndarray) -> Tensor:
+        """Damped stay probability sigmoid(h . w + b) * exp(-beta * C) per row,
+        C being the (B, N) prefix ``counts`` at each row's ``current`` location."""
+        damp = np.exp(-self.config.beta * counts[np.arange(len(current)), current])
+        return nn.mul(self.dwell_sigmoid(hidden), nn.constant(damp))
+
     def zero_hidden(self, batch: int) -> Tensor:
         return nn.constant(np.zeros((batch, self.config.hidden_dim)))
+
+    def unroll(self, table: Tensor, batch_ids: np.ndarray) -> list:
+        """Teacher-forced GRU pass over a (B, L) id matrix: L + 1 hidden
+        states, entry l after the first l columns (entry 0 is all zeros)."""
+        states = [self.zero_hidden(len(batch_ids))]
+        for column in batch_ids.T:
+            states.append(self.gru_step(table, column, states[-1]))
+        return states
 
     def sequence_nll(self, batch_ids: np.ndarray, training: bool = False, rng=None):
         """Teacher-forced losses over a (B, L) id matrix.
@@ -138,13 +152,9 @@ class Generator:
         if batch_ids.ndim != 2 or batch_ids.shape[1] < 2:
             raise ValueError("need a (B, L>=2) id matrix")
         self._check_ids(batch_ids)
-        b, length = batch_ids.shape
         table = self.embed_locations(training=training, rng=rng)
-        hidden = self.zero_hidden(b)
-        nll_total = None
-        bce_total = None
-        for l in range(length - 1):
-            hidden = self.gru_step(table, batch_ids[:, l], hidden)
+        nll_total = bce_total = None
+        for l, hidden in enumerate(self.unroll(table, batch_ids[:, :-1])[1:]):
             step_nll = nn.cross_entropy(self.explore_probs(hidden), batch_ids[:, l + 1])
             nll_total = step_nll if nll_total is None else nn.add(nll_total, step_nll)
             stay = (batch_ids[:, l + 1] == batch_ids[:, l]).astype(np.float64)
@@ -174,71 +184,6 @@ def sample_streams(master_seed: int, tag: str) -> SampleStreams:
     )
 
 
-def categorical(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row of a (B, N) probability matrix."""
-    cdf = np.cumsum(probs, axis=-1)
-    return np.clip((uniforms[:, None] >= cdf).sum(axis=-1), 0, probs.shape[-1] - 1)
-
-
-@dataclass
-class GenState:
-    """Single-trajectory sampling state.
-
-    ``hidden`` is the GRU state after consuming every prefix location except
-    the newest one; ``explore_step`` consumes that newest location.  ``counts``
-    always equals a recount of the full prefix.
-    """
-
-    prefix: list
-    hidden: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def from_prefix(cls, gen: Generator, table: Tensor, prefix) -> "GenState":
-        prefix = [int(p) for p in prefix]
-        if not prefix:
-            raise ValueError("prefix must be non-empty")
-        gen._check_ids(np.array(prefix))
-        with no_grad():
-            hidden = gen.zero_hidden(1)
-            for loc in prefix[:-1]:
-                hidden = gen.gru_step(table, np.array([loc]), hidden)
-        counts = np.zeros(gen.config.n_locations, dtype=np.int64)
-        for loc in prefix:
-            counts[loc] += 1
-        return cls(prefix, hidden.values, counts)
-
-
-def explore_step(gen: Generator, table: Tensor, state: GenState):
-    """Advance the GRU over the newest prefix location.
-
-    Returns ``(probs, advanced_state)`` where ``probs`` is the exploration
-    distribution over all locations; pure in its inputs.
-    """
-    with no_grad():
-        hidden = gen.gru_step(table, np.array([state.prefix[-1]]), nn.constant(state.hidden))
-        probs = gen.explore_probs(hidden).values[0]
-    return probs, replace(state, hidden=hidden.values)
-
-
-def dwell_prob(gen: Generator, hidden: np.ndarray, state: GenState) -> float:
-    """Stay probability sigmoid(h . w + b) * exp(-beta * C) at the current location."""
-    with no_grad():
-        base = gen.dwell_sigmoid(nn.constant(hidden)).values[0]
-    count = state.counts[state.prefix[-1]]
-    return float(base * math.exp(-gen.config.beta * count))
-
-
-def next_location(probs: np.ndarray, dwell_y: float, prefix_len: int, current: int,
-                  streams: SampleStreams) -> int:
-    """Sample the next location: dwell Bernoulli first (once the prefix is
-    longer than one), exploration draw otherwise."""
-    if prefix_len > 1:
-        if streams.dwell.random() < dwell_y:
-            return current
-    return int(categorical(probs[None, :], streams.explore.random(1))[0])
-
-
 def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length: int,
                    streams: SampleStreams, record: bool = False):
     """Extend a (B, l0) prefix batch to ``length`` slots by sampling.
@@ -259,21 +204,17 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     np.add.at(counts, (np.repeat(np.arange(b), start), prefix_ids.reshape(-1)), 1)
     fired = np.zeros((b, length - start), dtype=bool)
     rows = np.arange(b)
-    dwell_active = gen.config.dwell
     with no_grad():
-        hidden = gen.zero_hidden(b)
-        for l in prefix_ids.T[:-1]:
-            hidden = gen.gru_step(table, l, hidden)
+        hidden = gen.unroll(table, prefix_ids[:, :-1])[-1]
         current = out[:, start - 1]
         for pos in range(start, length):
             hidden = gen.gru_step(table, current, hidden)
-            probs = gen.explore_probs(hidden).values
+            cdf = np.cumsum(gen.explore_probs(hidden).values, axis=-1)
             stay = np.zeros(b, dtype=bool)
-            if dwell_active and pos > 1:
-                base = gen.dwell_sigmoid(hidden).values
-                dwell_y = base * np.exp(-gen.config.beta * counts[rows, current])
+            if gen.config.dwell and pos > 1:
+                dwell_y = gen.stay_probs(hidden, counts, current).values
                 stay = streams.dwell.random(b) < dwell_y
-            drawn = categorical(probs, streams.explore.random(b))
+            drawn = categorical(cdf, streams.explore.random(b))
             chosen = np.where(stay, current, drawn)
             out[:, pos] = chosen
             fired[:, pos - start] = stay
@@ -282,15 +223,6 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     if record:
         return out, fired
     return out
-
-
-def rollout(gen: Generator, table: Tensor, prefix, length: int,
-            streams: SampleStreams) -> np.ndarray:
-    """Complete one prefix to ``length`` slots; the prefix is preserved."""
-    prefix = np.asarray(prefix, dtype=np.int64).reshape(1, -1)
-    if prefix.shape[1] == length:
-        return prefix[0].copy()
-    return complete_batch(gen, table, prefix, length, streams)[0]
 
 
 def seed_distribution(batch_ids: np.ndarray, n_locations: int) -> np.ndarray:
@@ -309,6 +241,5 @@ def generate_batch(gen: Generator, count: int, length: int, seed_dist: np.ndarra
     if table is None:
         with no_grad():
             table = gen.embed_locations(training=False)
-    seeds = categorical(np.broadcast_to(seed_dist, (count, len(seed_dist))),
-                        streams.seed.random(count))
+    seeds = categorical(np.cumsum(seed_dist), streams.seed.random(count))
     return complete_batch(gen, table, seeds[:, None], length, streams, record=record)

@@ -33,38 +33,18 @@ def haversine_km(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-@dataclass(frozen=True)
-class VisitDistribution:
-    """A distribution over the T slots of the day for one location."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1:
-            raise ValueError("visit distribution must be 1-D")
-        if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("visit distribution must be non-negative and sum to 1")
-        object.__setattr__(self, "probs", probs)
-
-    def positions(self) -> np.ndarray:
-        """Support positions (t + 0.5) / T on the unit interval."""
-        t = len(self.probs)
-        return (np.arange(t) + 0.5) / t
-
-
-def wasserstein_1d(a, b) -> float:
-    """1-D earth mover's distance between two slot distributions.
+def wasserstein_1d(a, b):
+    """1-D earth mover's distance between slot distributions on the last axis.
 
     Both distributions live on the equispaced support (t + 0.5) / T, so the
     transport cost reduces to the mean absolute difference of the CDFs.  The
-    result lies in [0, (T - 1) / T].
+    result lies in [0, (T - 1) / T]; leading axes broadcast.
     """
-    pa = a.probs if isinstance(a, VisitDistribution) else np.asarray(a, dtype=np.float64)
-    pb = b.probs if isinstance(b, VisitDistribution) else np.asarray(b, dtype=np.float64)
-    if pa.shape != pb.shape:
+    pa = np.asarray(a, dtype=np.float64)
+    pb = np.asarray(b, dtype=np.float64)
+    if pa.shape[-1] != pb.shape[-1]:
         raise ValueError(f"support sizes differ: {pa.shape} vs {pb.shape}")
-    return float(np.abs(np.cumsum(pa - pb)).sum() / len(pa))
+    return np.abs(np.cumsum(pa, axis=-1) - np.cumsum(pb, axis=-1)).sum(axis=-1) / pa.shape[-1]
 
 
 @dataclass
@@ -162,29 +142,13 @@ def build_ttg(trajectories, n_locations: int) -> LocationGraph:
     return LocationGraph("ttg", "weighted", n_locations, src, dst, weight)
 
 
-def visit_distribution(trajectories, location: int, slots_per_day: int = 24) -> VisitDistribution:
-    """Hour-of-day visit profile of one location over the given trajectories.
+def visit_profile_matrix(trajectories, n_locations: int, slots_per_day: int = 24) -> np.ndarray:
+    """(N, T) matrix of visit profiles, one hour-of-day distribution per location.
 
     Counts the raw pre-fill observations when a trajectory carries them and
-    falls back to its filled slots otherwise.  Raises for a location that
-    never appears.
+    falls back to its filled slots otherwise; unvisited locations get a
+    uniform row.
     """
-    counts = np.zeros(slots_per_day)
-    for traj in trajectories:
-        if traj.observed:
-            for slot, loc in traj.observed:
-                if loc == location:
-                    counts[slot] += 1
-        else:
-            counts[traj.slots == location] += 1
-    total = counts.sum()
-    if total == 0:
-        raise ValueError(f"location {location} never visited")
-    return VisitDistribution(counts / total)
-
-
-def visit_profile_matrix(trajectories, n_locations: int, slots_per_day: int = 24) -> np.ndarray:
-    """(N, T) matrix of visit profiles; unvisited locations get a uniform row."""
     counts = np.zeros((n_locations, slots_per_day))
     for traj in trajectories:
         if traj.observed:
@@ -205,15 +169,13 @@ def build_stg(profiles: np.ndarray, k: int = 20, block: int = 256) -> LocationGr
     each location keeps its k highest-scoring peers (ties to the lower id).
     """
     profiles = np.asarray(profiles, dtype=np.float64)
-    n, t = profiles.shape
+    n, _ = profiles.shape
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    cdf = np.cumsum(profiles, axis=1)
     src_all, dst_all, w_all = [], [], []
     for start in range(0, n, block):
         stop = min(start + block, n)
-        dist = np.abs(cdf[start:stop, None, :] - cdf[None, :, :]).sum(axis=2) / t
-        score = 1.0 - dist
+        score = 1.0 - wasserstein_1d(profiles[start:stop, None, :], profiles[None, :, :])
         for local, i in enumerate(range(start, stop)):
             score[local, i] = -np.inf
         picks = _top_k_rows(score, k, largest=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .graphs import haversine_km
 from .records import Dataset, Trajectory, trajectory_matrix
-from .rng import stream
+from .rng import categorical, stream
 
 LN2 = float(np.log(2.0))
 
@@ -284,13 +284,9 @@ class MarkovBaseline:
         length = self.slots_per_day
         cdf = np.cumsum(self.transitions, axis=1)
         states = np.empty((count, length), dtype=np.int64)
-        init_cdf = np.cumsum(self.initial)
-        states[:, 0] = np.clip((rng.random(count)[:, None] >= init_cdf).sum(axis=1),
-                               0, self.n_locations - 1)
+        states[:, 0] = categorical(np.cumsum(self.initial), rng.random(count))
         for t in range(1, length):
-            rows = cdf[states[:, t - 1]]
-            states[:, t] = np.clip((rng.random(count)[:, None] >= rows).sum(axis=1),
-                                   0, self.n_locations - 1)
+            states[:, t] = categorical(cdf[states[:, t - 1]], rng.random(count))
         return matrix_to_trajectories(states, prefix="markov")
 
 

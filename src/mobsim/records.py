@@ -31,6 +31,7 @@ class CheckinFormatError(ValueError):
         super().__init__(f"line {line_no}, field '{field_name}': {message}")
         self.line_no = line_no
         self.field_name = field_name
+        self.detail = message
 
 
 @dataclass(frozen=True)
@@ -259,8 +260,16 @@ def write_trajectories(path, trajectories):
             fh.write(f"{t.user},{t.day.isoformat()},{' '.join(str(s) for s in t.slots)}\n")
 
 
-def read_trajectories(path):
+def read_trajectories(path, n_locations: int | None = None, slots: int | None = None):
+    """Read a trajectory file.
+
+    Every line holds the same number of ids (``slots`` when given, else the
+    first line's count), each id lies in [0, ``n_locations``) (any
+    non-negative id when omitted); anything else raises
+    :class:`CheckinFormatError` naming the line and field.
+    """
     trajectories = []
+    limit = np.inf if n_locations is None else n_locations
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
@@ -270,9 +279,23 @@ def read_trajectories(path):
             if len(parts) != 3:
                 raise CheckinFormatError(line_no, "record", "expected 'user,day,slots'")
             user, day_text, slot_text = parts
-            day = dt.date.fromisoformat(day_text)
-            slots = np.array([int(tok) for tok in slot_text.split()], dtype=np.int64)
-            trajectories.append(Trajectory(user, day, slots))
+            try:
+                day = dt.date.fromisoformat(day_text)
+            except ValueError:
+                raise CheckinFormatError(line_no, "day", f"not YYYY-MM-DD: {day_text!r}") from None
+            try:
+                ids = [int(tok) for tok in slot_text.split()]
+            except ValueError:
+                raise CheckinFormatError(line_no, "slots", "ids must be integers") from None
+            if not ids:
+                raise CheckinFormatError(line_no, "slots", "no location ids")
+            if slots is None:
+                slots = len(ids)
+            if len(ids) != slots:
+                raise CheckinFormatError(line_no, "slots", f"{len(ids)} ids, expected {slots}")
+            if min(ids) < 0 or max(ids) >= limit:
+                raise CheckinFormatError(line_no, "slots", f"location id outside [0, {limit})")
+            trajectories.append(Trajectory(user, day, np.array(ids, dtype=np.int64)))
     return trajectories
 
 

@@ -23,3 +23,10 @@ def stream(master_seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = int.from_bytes(digest[:16], "little")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, key])))
+
+
+def categorical(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row of a (B, N) cumulative-probability matrix (or
+    one (N,) row shared by all B draws): draw b takes the first index whose
+    cumulative mass exceeds ``uniforms[b]``."""
+    return np.clip((uniforms[:, None] >= cdf).sum(axis=-1), 0, cdf.shape[-1] - 1)

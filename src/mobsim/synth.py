@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import Dataset, Trajectory
-from .rng import stream
+from .rng import categorical, stream
 
 _FIRST_DAY = dt.date(2012, 1, 2)
 
@@ -88,11 +88,6 @@ def grid_coordinates(n: int, step_deg: float, origin) -> np.ndarray:
     return np.column_stack([lat, lon]).astype(np.float64)
 
 
-def _draw_rows(kernel_cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    rows = kernel_cdf[states]
-    return np.clip((u[:, None] >= rows).sum(axis=1), 0, kernel_cdf.shape[1] - 1)
-
-
 def synth_generate(config: SynthConfig, kernel: np.ndarray | None = None) -> SynthDataset:
     """Generate a dataset from the planted chain; reproducible from the seed."""
     n = config.n_locations
@@ -109,7 +104,7 @@ def synth_generate(config: SynthConfig, kernel: np.ndarray | None = None) -> Syn
     states[:, 0] = rng.integers(0, n, size=m)
     for t in range(1, t_slots):
         stay = rng.random(m) < config.stay_prob
-        drawn = _draw_rows(kernel_cdf, states[:, t - 1], rng.random(m))
+        drawn = categorical(kernel_cdf[states[:, t - 1]], rng.random(m))
         states[:, t] = np.where(stay, states[:, t - 1], drawn)
     trajectories = []
     for u in range(config.users):

@@ -179,26 +179,21 @@ def sequence_log_prob(gen: Generator, batch_ids: np.ndarray, fired: np.ndarray,
     one coefficient per step; returns the batch-mean weighted sum.
     """
     batch_ids = np.asarray(batch_ids, dtype=np.int64)
-    b, length = batch_ids.shape
+    b = len(batch_ids)
     table = gen.embed_locations(training=training, rng=rng)
-    hidden = gen.zero_hidden(b)
     counts = np.zeros((b, gen.config.n_locations), dtype=np.int64)
     rows = np.arange(b)
     counts[rows, batch_ids[:, 0]] += 1
     total = None
-    for pos in range(1, length):
-        hidden = gen.gru_step(table, batch_ids[:, pos - 1], hidden)
-        step_fired = fired[:, pos - 1]
-        chosen = batch_ids[:, pos]
+    for l, hidden in enumerate(gen.unroll(table, batch_ids[:, :-1])[1:]):
+        chosen = batch_ids[:, l + 1]
         explore_lp = nn.neg(nn.cross_entropy(gen.explore_probs(hidden), chosen))
-        dwell_count = counts[rows, batch_ids[:, pos - 1]]
-        damp = np.exp(-gen.config.beta * dwell_count)
-        stay_prob = nn.mul(gen.dwell_sigmoid(hidden), nn.constant(damp))
+        stay_prob = gen.stay_probs(hidden, counts, batch_ids[:, l])
         dwell_lp = nn.neg(nn.binary_cross_entropy(stay_prob, np.ones(b)))
-        mask = step_fired.astype(np.float64)
+        mask = fired[:, l].astype(np.float64)
         step_lp = nn.add(nn.mul(dwell_lp, nn.constant(mask)),
                          nn.mul(explore_lp, nn.constant(1.0 - mask)))
-        term = nn.mul(step_lp, nn.constant(weights[:, pos - 1]))
+        term = nn.mul(step_lp, nn.constant(weights[:, l]))
         total = term if total is None else nn.add(total, term)
         counts[rows, chosen] += 1
     return nn.tmean(total)

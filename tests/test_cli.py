@@ -236,3 +236,49 @@ def test_evaluate_vocabulary_check_is_exit_1(pipeline, tmp_path):
                  "--generated", str(rogue),
                  "--locations", str(pipeline / "data" / "locations.csv"),
                  "--out-dir", str(tmp_path / "o")]) == 1
+
+
+def _ids(values):
+    return " ".join(str(v) for v in values)
+
+
+GOOD_LINE = "u,2012-01-01," + _ids([0] * 24)
+
+
+@pytest.mark.parametrize("line, field", [
+    ("u,2012-01-01," + _ids([-1] + [0] * 23), "slots"),
+    ("u,2012-01-01," + _ids([0] * 30), "slots"),
+], ids=["negative_id", "thirty_slots"])
+def test_evaluate_bad_generated_line_is_exit_1(pipeline, tmp_path, capsys, line, field):
+    rogue = tmp_path / "rogue.txt"
+    rogue.write_text(f"{GOOD_LINE}\n{line}\n")
+    assert main(["evaluate", "--real", str(pipeline / "data" / "test.txt"),
+                 "--generated", str(rogue),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert f"{rogue}:2: field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, field", [
+    ("u,2020-13-01," + _ids([0] * 24), "day"),
+    ("u,2012-01-01," + _ids(["x"] + [0] * 23), "slots"),
+    ("u,2012-01-01", "record"),
+], ids=["bad_day", "bad_token", "two_fields"])
+def test_build_graphs_bad_split_line_is_exit_1(pipeline, tmp_path, capsys, line, field):
+    split = tmp_path / "train.txt"
+    split.write_text(f"{GOOD_LINE}\n\n{line}\n")
+    assert main(["build-graphs", "--train", str(split),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--out-dir", str(tmp_path / "g"), "--k", "4"]) == 1
+    assert f"{split}:3: field '{field}'" in capsys.readouterr().err
+
+
+def test_train_valid_length_must_match_train_is_exit_1(pipeline, tmp_path, capsys):
+    data = pipeline / "data"
+    valid = tmp_path / "valid.txt"
+    valid.write_text("u,2012-01-01," + _ids([0] * 12) + "\n")
+    assert main(["train", "--train", str(data / "train.txt"), "--valid", str(valid),
+                 "--locations", str(data / "locations.csv"),
+                 "--graphs-dir", str(pipeline / "graphs"),
+                 "--out-dir", str(tmp_path / "m")]) == 1
+    assert f"{valid}:1: field 'slots': 12 ids, expected 24" in capsys.readouterr().err

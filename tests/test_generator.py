@@ -7,14 +7,8 @@ from mobsim import graphs, nn
 from mobsim.generator import (
     Generator,
     GeneratorConfig,
-    GenState,
-    categorical,
     complete_batch,
-    dwell_prob,
-    explore_step,
     generate_batch,
-    next_location,
-    rollout,
     sample_streams,
     seed_distribution,
 )
@@ -138,16 +132,18 @@ def test_explore_probs_rows_sum_to_one():
     assert np.all(probs > 0)
 
 
-def test_dwell_prob_decays_with_visit_count():
-    gen = _gen(beta=1.0)
+def _stay_probs(gen, visit_counts):
+    """Stay probabilities at location 0 from a zero hidden state, one row per
+    prefix count of location 0."""
+    counts = np.zeros((len(visit_counts), 8), dtype=np.int64)
+    counts[:, 0] = visit_counts
+    hidden = gen.zero_hidden(len(visit_counts))
     with nn.no_grad():
-        table = gen.embed_locations()
-    hidden = np.zeros((1, 4))
-    values = []
-    for count in (1, 2, 3):
-        state = GenState([0] * count, hidden, None)
-        state.counts = np.bincount(state.prefix, minlength=8)
-        values.append(dwell_prob(gen, hidden, state))
+        return gen.stay_probs(hidden, counts, np.zeros(len(visit_counts), dtype=np.int64)).values
+
+
+def test_dwell_prob_decays_with_visit_count():
+    values = _stay_probs(_gen(beta=1.0), [1, 2, 3])
     # sigma(b) * exp(-C): each extra visit divides the stay chance by e.
     assert values[0] == pytest.approx(0.5 * math.exp(-1))
     assert values[1] == pytest.approx(values[0] / math.e)
@@ -155,9 +151,7 @@ def test_dwell_prob_decays_with_visit_count():
 
 
 def test_beta_zero_removes_damping():
-    gen = _gen(beta=0.0)
-    state = GenState([0, 0, 0], np.zeros((1, 4)), np.bincount([0, 0, 0], minlength=8))
-    assert dwell_prob(gen, np.zeros((1, 4)), state) == pytest.approx(0.5)
+    assert np.allclose(_stay_probs(_gen(beta=0.0), [1, 3, 7]), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -192,63 +186,6 @@ def test_sequence_nll_gradients():
 
     err = nn.grad_check(op, gen.params.tensors())
     assert err < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# sampling building blocks
-
-
-def test_categorical_inverse_cdf_convention():
-    probs = np.array([[0.2, 0.3, 0.5]])
-    assert categorical(probs, np.array([0.0]))[0] == 0
-    assert categorical(probs, np.array([0.1999]))[0] == 0
-    assert categorical(probs, np.array([0.2]))[0] == 1
-    assert categorical(probs, np.array([0.4999]))[0] == 1
-    assert categorical(probs, np.array([0.5]))[0] == 2
-    assert categorical(probs, np.array([0.999999]))[0] == 2
-
-
-def test_categorical_matches_empirical_frequencies():
-    rng = np.random.default_rng(21)
-    probs = np.array([0.1, 0.6, 0.3])
-    draws = categorical(np.tile(probs, (20000, 1)), rng.random(20000))
-    freq = np.bincount(draws, minlength=3) / 20000
-    assert np.allclose(freq, probs, atol=0.02)
-
-
-def test_state_from_prefix_counts_everything():
-    gen = _gen()
-    with nn.no_grad():
-        table = gen.embed_locations()
-    state = GenState.from_prefix(gen, table, [2, 2, 5])
-    assert state.counts[2] == 2 and state.counts[5] == 1
-    assert state.prefix == [2, 2, 5]
-
-
-def test_explore_step_is_pure():
-    gen = _gen()
-    with nn.no_grad():
-        table = gen.embed_locations()
-    state = GenState.from_prefix(gen, table, [1, 4])
-    before = state.hidden.copy()
-    probs1, advanced = explore_step(gen, table, state)
-    probs2, _ = explore_step(gen, table, state)
-    assert np.array_equal(state.hidden, before)
-    assert np.array_equal(probs1, probs2)
-    assert not np.array_equal(advanced.hidden, state.hidden)
-
-
-def test_next_location_gate():
-    streams = sample_streams(0, "gate")
-    probs = np.full(8, 1 / 8)
-    # Certain dwell, but a length-1 prefix: must explore.
-    first = next_location(probs, 1.0, 1, current=3, streams=streams)
-    assert isinstance(first, int)
-    # Longer prefix with certain dwell: must stay.
-    assert next_location(probs, 1.0, 2, current=3, streams=streams) == 3
-    # Longer prefix with impossible dwell: must leave via exploration draw.
-    val = next_location(probs, 0.0, 2, current=3, streams=streams)
-    assert 0 <= val < 8
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +250,70 @@ def test_rollout_returns_prefix_copy_at_full_length():
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
-    prefix = np.array([3, 1, 4])
-    out = rollout(gen, table, prefix, 3, sample_streams(0, "r"))
+    prefix = np.array([[3, 1, 4]])
+    out = complete_batch(gen, table, prefix, 3, sample_streams(0, "r"))
     assert np.array_equal(out, prefix)
-    out[0] = 7
-    assert prefix[0] == 3                        # caller's array untouched
+    out[0, 0] = 7
+    assert prefix[0, 0] == 3                     # caller's array untouched
 
 
 def test_rollout_extends():
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
-    out = rollout(gen, table, [3, 1], 8, sample_streams(0, "r"))
-    assert out.shape == (8,)
-    assert out[0] == 3 and out[1] == 1
+    out = complete_batch(gen, table, [[3, 1]], 8, sample_streams(0, "r"))
+    assert out.shape == (1, 8)
+    assert out[0, 0] == 3 and out[0, 1] == 1
+
+
+def test_complete_batch_is_pure():
+    gen = _gen()
+    with nn.no_grad():
+        table = gen.embed_locations()
+    prefix = np.array([[1, 4], [6, 6]])
+    before = prefix.copy()
+    table_before = table.values.copy()
+    a = complete_batch(gen, table, prefix, 9, sample_streams(2, "p"))
+    b = complete_batch(gen, table, prefix, 9, sample_streams(2, "p"))
+    assert np.array_equal(prefix, before)
+    assert np.array_equal(table.values, table_before)
+    assert np.array_equal(a, b)
+
+
+def test_state_from_prefix_counts_everything():
+    # The damping count C of the first sampled step covers every prefix slot,
+    # the newest one included.
+    gen = _gen()
+    with nn.no_grad():
+        table = gen.embed_locations()
+    seen = []
+    stay_probs = gen.stay_probs
+
+    def spy(hidden, counts, current):
+        seen.append((counts.copy(), current.copy()))
+        return stay_probs(hidden, counts, current)
+
+    gen.stay_probs = spy
+    complete_batch(gen, table, np.array([[2, 2, 5]]), 4, sample_streams(0, "c"))
+    counts, current = seen[0]
+    assert counts[0, 2] == 2 and counts[0, 5] == 1 and counts.sum() == 3
+    assert current[0] == 5
+
+
+def test_next_location_gate():
+    gen = _gen(beta=0.0)
+    gen.params["dwell/bias"].values[:] = 1e9     # certain dwell: the sigmoid is exactly 1
+    with nn.no_grad():
+        table = gen.embed_locations()
+    streams = sample_streams(0, "gate")
+    out, fired = complete_batch(gen, table, np.arange(8)[:, None], 6, streams, record=True)
+    # A length-1 prefix keeps the gate closed: the first step explores.
+    assert not fired[:, 0].any()
+    # Once the prefix is longer, a certain dwell stays at every step.
+    assert fired[:, 1:].all()
+    assert np.all(out[:, 2:] == out[:, 1:2])
+    out, fired = complete_batch(gen, table, np.array([[3, 5]]), 5, streams, record=True)
+    assert fired.all() and np.all(out[0, 2:] == 5)
 
 
 # ---------------------------------------------------------------------------

@@ -117,13 +117,15 @@ def test_wasserstein_rejects_mismatched_shapes():
         graphs.wasserstein_1d(np.full(4, 0.25), np.full(5, 0.2))
 
 
-def test_visit_distribution_validation():
-    with pytest.raises(ValueError):
-        graphs.VisitDistribution(np.array([0.5, 0.6]))    # does not sum to 1
-    with pytest.raises(ValueError):
-        graphs.VisitDistribution(np.array([1.5, -0.5]))   # negative mass
-    vd = graphs.VisitDistribution(np.full(24, 1 / 24))
-    assert vd.positions()[0] == pytest.approx(0.5 / 24)
+def test_wasserstein_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(7)
+    a = np.stack([_random_pmf(rng, 6) for _ in range(4)])
+    b = np.stack([_random_pmf(rng, 6) for _ in range(3)])
+    table = graphs.wasserstein_1d(a[:, None, :], b[None, :, :])
+    assert table.shape == (4, 3)
+    for i in range(4):
+        for j in range(3):
+            assert table[i, j] == graphs.wasserstein_1d(a[i], b[j])
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +215,20 @@ def test_ttg_empty_when_everyone_stays():
 
 
 def test_visit_distribution_prefers_raw_observations():
+    # The filled slots say location 0 all day; the raw observations win.
     traj = Trajectory("u", dt.date(2012, 1, 1),
                       np.zeros(24, dtype=np.int64), ((5, 0), (7, 0)))
-    vd = graphs.visit_distribution([traj], 0)
+    profiles = graphs.visit_profile_matrix([traj], 2, 24)
     expected = np.zeros(24)
     expected[5] = expected[7] = 0.5
-    assert np.allclose(vd.probs, expected)
+    assert np.allclose(profiles[0], expected)
 
 
 def test_visit_distribution_falls_back_to_slots():
     traj = _traj([1] * 12 + [0] * 12)
-    vd = graphs.visit_distribution([traj], 0)
-    assert vd.probs[:12].sum() == 0.0
-    assert vd.probs[12:].sum() == pytest.approx(1.0)
-
-
-def test_visit_distribution_unvisited_raises():
-    with pytest.raises(ValueError):
-        graphs.visit_distribution([_traj([0] * 24)], 3)
+    profiles = graphs.visit_profile_matrix([traj], 2, 24)
+    assert profiles[0, :12].sum() == 0.0
+    assert profiles[0, 12:].sum() == pytest.approx(1.0)
 
 
 def test_visit_profile_matrix_uniform_for_unvisited():

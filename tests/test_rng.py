@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobsim.rng import stream
+from mobsim.rng import categorical, stream
 
 
 def test_same_name_same_draws():
@@ -31,3 +31,24 @@ def test_name_is_not_prefix_sensitive():
     # "ab"+"c" and "a"+"bc" must not collide: the whole name is hashed.
     assert stream(0, "abc").random() == stream(0, "abc").random()
     assert stream(0, "ab/c").random() != stream(0, "a/bc").random()
+
+
+def test_categorical_inverse_cdf_convention():
+    cdf = np.cumsum([[0.2, 0.3, 0.5]], axis=-1)
+    assert categorical(cdf, np.array([0.0]))[0] == 0
+    assert categorical(cdf, np.array([0.1999]))[0] == 0
+    assert categorical(cdf, np.array([0.2]))[0] == 1
+    assert categorical(cdf, np.array([0.4999]))[0] == 1
+    assert categorical(cdf, np.array([0.5]))[0] == 2
+    assert categorical(cdf, np.array([0.999999]))[0] == 2
+    # One shared (N,) row draws like the same row repeated per draw.
+    u = np.array([0.0, 0.3, 0.7])
+    assert np.array_equal(categorical(cdf[0], u), categorical(np.repeat(cdf, 3, axis=0), u))
+
+
+def test_categorical_matches_empirical_frequencies():
+    rng = np.random.default_rng(21)
+    probs = np.array([0.1, 0.6, 0.3])
+    draws = categorical(np.cumsum(probs), rng.random(20000))
+    freq = np.bincount(draws, minlength=3) / 20000
+    assert np.allclose(freq, probs, atol=0.02)

@@ -291,6 +291,35 @@ def test_dwell_credit_goes_to_dwell_branch():
     assert np.abs(gen.params["explore/weight"].grad).sum() > 0.0
 
 
+def test_log_prob_without_dwell_equals_negative_nll():
+    # With no dwell step fired and unit weights the policy objective is the
+    # teacher-forced explore log-likelihood: both losses share one unroll.
+    gen = _gen(seed=13)
+    ids, _ = generate_batch(gen, 5, 7, np.full(8, 1 / 8), sample_streams(3, "a"),
+                            record=True)
+    fired = np.zeros((5, 6), dtype=bool)
+    objective = sequence_log_prob(gen, ids, fired, np.ones((5, 6)))
+    nll, _ = gen.sequence_nll(ids)
+    np.testing.assert_array_equal(-objective.values, nll.values)
+
+
+def test_log_prob_damping_counts_every_prefix_slot():
+    # Step l is damped by the count of its current location over slots 0..l,
+    # the same convention the sampler uses.
+    gen = _gen(seed=14)
+    ids = np.array([[2, 2, 5, 2]])
+    seen = []
+    stay_probs = gen.stay_probs
+
+    def spy(hidden, counts, current):
+        seen.append(int(counts[0, current[0]]))
+        return stay_probs(hidden, counts, current)
+
+    gen.stay_probs = spy
+    sequence_log_prob(gen, ids, np.zeros((1, 3), dtype=bool), np.ones((1, 3)))
+    assert seen == [1, 2, 1]
+
+
 # ---------------------------------------------------------------------------
 # adversarial loop
 
