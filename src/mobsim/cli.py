@@ -14,6 +14,7 @@ configuration or input, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -41,6 +42,17 @@ def _require_file(path, label):
     if not os.path.isfile(path):
         raise CliValidationError(f"{label} file not found: {path}")
     return path
+
+
+@contextlib.contextmanager
+def _input_file(path):
+    """Report a malformed line of ``path`` read inside the block as exit 1
+    with ``path:line``."""
+    try:
+        yield
+    except records.CheckinFormatError as exc:
+        raise CliValidationError(
+            f"{path}:{exc.line_no}: field '{exc.field_name}': {exc.detail}") from None
 
 
 def _sha256(path) -> str:
@@ -139,11 +151,8 @@ def _write_split_outputs(out_dir, dataset: Dataset, ratios, seed):
 def cmd_preprocess(args) -> None:
     _require_file(args.input, "input")
     ratios = _parse_ratios(args.ratios)
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            parsed, id_map = records.parse_checkins(fh, delimiter=args.delimiter)
-    except records.CheckinFormatError as exc:
-        raise CliValidationError(_at_line(args.input, exc)) from None
+    with _input_file(args.input), open(args.input, encoding="utf-8") as fh:
+        parsed, id_map = records.parse_checkins(fh, delimiter=args.delimiter)
     if not parsed:
         raise CliValidationError(f"no records parsed from {args.input}")
     try:
@@ -195,18 +204,21 @@ def cmd_synth(args) -> None:
     write_manifest(args.out_dir, "synth", config, [args.config] if args.config else [])
 
 
-def _at_line(path, exc: records.CheckinFormatError) -> str:
-    return f"{path}:{exc.line_no}: field '{exc.field_name}': {exc.detail}"
+def _load_locations(path) -> np.ndarray:
+    with _input_file(_require_file(path, "locations")):
+        return records.read_locations(path)
+
+
+def _attach_observed(trajectories, path, n_locations: int, slots: int):
+    with _input_file(_require_file(path, "observed")):
+        records.attach_observed(trajectories, path, n_locations, slots)
 
 
 def _load_split(path, label, n_locations: int, slots: int | None = None):
     """Read a trajectory file whose ids all lie in [0, n_locations) and whose
     lines all hold ``slots`` ids (one common count when omitted)."""
-    _require_file(path, label)
-    try:
+    with _input_file(_require_file(path, label)):
         trajectories = records.read_trajectories(path, n_locations, slots)
-    except records.CheckinFormatError as exc:
-        raise CliValidationError(_at_line(path, exc)) from None
     if not trajectories:
         raise CliValidationError(f"{label} file {path} holds no trajectories")
     return trajectories
@@ -225,10 +237,10 @@ def _build_graphs(coords, trajectories, k: int, metric: str, slots: int) -> dict
 
 
 def cmd_build_graphs(args) -> None:
-    coords = records.read_locations(_require_file(args.locations, "locations"))
+    coords = _load_locations(args.locations)
     trajectories = _load_split(args.train, "train", len(coords), args.slots)
     if args.observed:
-        records.attach_observed(trajectories, _require_file(args.observed, "observed"))
+        _attach_observed(trajectories, args.observed, len(coords), args.slots)
     built = _build_graphs(coords, trajectories, args.k, args.metric, args.slots)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, graph in built.items():
@@ -328,7 +340,7 @@ def _train_config(config) -> training.TrainConfig:
 
 def _run_training(args, adversarial: bool) -> None:
     config = _resolve_train_config(args)
-    coords = records.read_locations(_require_file(args.locations, "locations"))
+    coords = _load_locations(args.locations)
     n = len(coords)
     train_trajs = _load_split(args.train, "train", n)
     train_ids = trajectory_matrix(train_trajs)
@@ -350,7 +362,8 @@ def _run_training(args, adversarial: bool) -> None:
         inputs.append(args.valid)
     os.makedirs(args.out_dir, exist_ok=True)
     seed_dist = seed_distribution(train_ids, n)
-    persist.save_generator(os.path.join(args.out_dir, "gen"), gen, seed_dist)
+    persist.save_generator(os.path.join(args.out_dir, "gen"), gen, seed_dist,
+                           train_ids.shape[1])
     persist.save_discriminator(os.path.join(args.out_dir, "disc"), disc)
     with open(os.path.join(args.out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(log) + "\n")
@@ -374,15 +387,20 @@ def cmd_train(args) -> None:
 def cmd_generate(args) -> None:
     if args.count < 1:
         raise CliValidationError("count must be positive")
-    coords = records.read_locations(_require_file(args.locations, "locations"))
+    coords = _load_locations(args.locations)
     meta_path = _require_file(f"{args.model}.meta", "model meta")
     ckpt_path = _require_file(f"{args.model}.ckpt", "model checkpoint")
-    meta = persist._read_meta(meta_path)
+    meta = persist.read_meta(meta_path)
+    # Metas written before the trained length was recorded get a full day.
+    slots = args.slots if args.slots is not None else int(
+        meta.get("slots", records.HOURS_PER_DAY))
+    if slots < 1:
+        raise CliValidationError(f"slots must be positive, got {slots}")
     channels = tuple(meta.get("channels", "").split(","))
     channel_graphs = _load_graphs(args.graphs_dir, channels, len(coords))
     gen, seed_dist = persist.load_generator(args.model, channel_graphs)
     streams = sample_streams(args.seed, "generate")
-    ids = generate_batch(gen, args.count, args.slots, seed_dist, streams)
+    ids = generate_batch(gen, args.count, slots, seed_dist, streams)
     os.makedirs(args.out_dir, exist_ok=True)
     trajectories = metrics.matrix_to_trajectories(ids)
     records.write_trajectories(os.path.join(args.out_dir, "generated.txt"), trajectories)
@@ -390,12 +408,12 @@ def cmd_generate(args) -> None:
         os.path.join(args.graphs_dir, f"{c}.csv") for c in channels]
     write_manifest(args.out_dir, "generate", {
         "model": args.model, "locations": args.locations, "graphs_dir": args.graphs_dir,
-        "count": args.count, "slots": args.slots, "seed": args.seed,
+        "count": args.count, "slots": slots, "seed": args.seed,
     }, inputs)
 
 
 def cmd_evaluate(args) -> None:
-    coords = records.read_locations(_require_file(args.locations, "locations"))
+    coords = _load_locations(args.locations)
     real = _load_split(args.real, "real", len(coords), args.slots)
     generated = _load_split(args.generated, "generated", len(coords), args.slots)
     report = metrics.evaluate(Dataset(real, coords, args.slots), generated,
@@ -428,13 +446,13 @@ def _ablation_variants(config) -> list:
 def cmd_ablation(args) -> None:
     config = _resolve_train_config(
         args, {"k": 20, "metric": "haversine", "edge_mode": "weighted"})
-    coords = records.read_locations(_require_file(args.locations, "locations"))
+    coords = _load_locations(args.locations)
     n = len(coords)
     train_trajs = _load_split(args.train, "train", n, args.slots)
     valid_trajs = _load_split(args.valid, "valid", n, args.slots)
     test_trajs = _load_split(args.test, "test", n, args.slots)
     if args.observed:
-        records.attach_observed(train_trajs, _require_file(args.observed, "observed"))
+        _attach_observed(train_trajs, args.observed, n, args.slots)
     weighted = _build_graphs(coords, train_trajs, config["k"], config["metric"], args.slots)
     by_mode = {"weighted": weighted,
                "vanilla": {name: graphs.binarize(g) for name, g in weighted.items()}}
@@ -548,7 +566,7 @@ def build_parser() -> _Parser:
     p.add_argument("--locations", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--slots", type=int, default=24)
+    p.add_argument("--slots", type=int, help="trajectory length (default: the trained length)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 

@@ -2,7 +2,9 @@
 
 Embeds each location (its own table, not shared with the generator), runs a
 GRU across the full sequence, and maps the final hidden state through a
-sigmoid to the probability that the sequence is real.
+sigmoid to the probability that the sequence is real.  A sequence can be
+scored from the GRU state of a shared prefix, so Monte Carlo completions of
+one prefix run the prefix once.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ class Discriminator:
         params.register("head/bias", np.zeros(1))
         self.params = params
 
-    def classify(self, batch_ids: np.ndarray) -> Tensor:
-        """Probability that each row of a (B, L) id matrix is a real trajectory."""
+    def unroll(self, batch_ids: np.ndarray, hidden: Tensor | None = None) -> list:
+        """GRU pass over a (B, L) id matrix starting from ``hidden`` (zeros
+        when omitted): L + 1 states, entry l after the first l columns."""
         batch_ids = np.asarray(batch_ids, dtype=np.int64)
         if batch_ids.ndim == 1:
             batch_ids = batch_ids[None, :]
@@ -50,13 +53,25 @@ class Discriminator:
             raise ValueError("empty batch")
         if batch_ids.min() < 0 or batch_ids.max() >= self.config.n_locations:
             raise ValueError(f"location ids outside [0, {self.config.n_locations})")
-        b = batch_ids.shape[0]
-        hidden = nn.constant(np.zeros((b, self.config.hidden_dim)))
-        for l in range(batch_ids.shape[1]):
-            hidden = nn.gru_cell(nn.gather_rows(self.params["embed"], batch_ids[:, l]),
-                                 hidden, self.gru)
+        if hidden is None:
+            hidden = nn.constant(np.zeros((batch_ids.shape[0], self.config.hidden_dim)))
+        states = [hidden]
+        for column in batch_ids.T:
+            states.append(nn.gru_cell(nn.gather_rows(self.params["embed"], column),
+                                      states[-1], self.gru))
+        return states
+
+    def score(self, hidden: Tensor) -> Tensor:
+        """Probability of being real for each row of a final GRU state."""
         out = nn.linear(hidden, self.params["head/weight"], self.params["head/bias"])
-        return nn.reshape(nn.sigmoid(out), (b,))
+        return nn.reshape(nn.sigmoid(out), (hidden.shape[0],))
+
+    def classify(self, batch_ids: np.ndarray, hidden: Tensor | None = None) -> Tensor:
+        """Probability that each row of a (B, L) id matrix is a real trajectory.
+
+        With ``hidden`` the rows are the tails of longer sequences and
+        ``hidden`` is the GRU state after their heads."""
+        return self.score(self.unroll(batch_ids, hidden)[-1])
 
 
 CLAMP = 1e-7

@@ -185,8 +185,12 @@ def sample_streams(master_seed: int, tag: str) -> SampleStreams:
 
 
 def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length: int,
-                   streams: SampleStreams, record: bool = False):
+                   streams: SampleStreams, record: bool = False,
+                   hidden: Tensor | None = None):
     """Extend a (B, l0) prefix batch to ``length`` slots by sampling.
+
+    ``hidden`` is the GRU state after ``prefix_ids[:, :-1]``; it is computed
+    by a teacher-forced pass when omitted.
 
     The dwell stream is consumed only at steps where the dwell branch is
     active; the exploration stream is consumed at every step, so disabling
@@ -205,7 +209,8 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     fired = np.zeros((b, length - start), dtype=bool)
     rows = np.arange(b)
     with no_grad():
-        hidden = gen.unroll(table, prefix_ids[:, :-1])[-1]
+        if hidden is None:
+            hidden = gen.unroll(table, prefix_ids[:, :-1])[-1]
         current = out[:, start - 1]
         for pos in range(start, length):
             hidden = gen.gru_step(table, current, hidden)

@@ -218,13 +218,17 @@ def tanh(a) -> Tensor:
     return _result(values, (a,), backward)
 
 
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function of an array: 1/(1+e^-x) for x >= 0,
+    e^x/(1+e^x) below, both through e = exp(-|x|) <= 1 (taken as
+    exp(min(x, -x)), which also keeps the sign of a NaN input)."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    values = np.empty_like(a.values)
-    pos = a.values >= 0
-    values[pos] = 1.0 / (1.0 + np.exp(-a.values[pos]))
-    ez = np.exp(a.values[~pos])
-    values[~pos] = ez / (1.0 + ez)
+    values = sigmoid_values(a.values)
 
     def backward(out):
         def run(g):

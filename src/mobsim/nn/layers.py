@@ -1,4 +1,4 @@
-"""Dense and recurrent layers composed from the autodiff primitives."""
+"""Dense and recurrent layers built on the autodiff primitives."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParamSet, Tensor, add, matmul, mul, sigmoid, sub, tanh
+from .core import ParamSet, Tensor, _result, add, matmul, sigmoid_values
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -50,13 +50,42 @@ def init_gru(params: ParamSet, prefix: str, in_dim: int, hidden_dim: int, rng) -
 
 
 def gru_cell(x: Tensor, z_prev: Tensor, p: GruParams) -> Tensor:
-    """One GRU step.
+    """One GRU step, recorded as a single tape op with an analytic backward.
 
     u = sigmoid(x Wu + z Uu + bu), r = sigmoid(x Wr + z Ur + br),
     candidate = tanh(x Wc + (r * z) Uc + bc),
     z_new = (1 - u) * z + u * candidate.
     """
-    u = sigmoid(add(add(matmul(x, p.w_update), matmul(z_prev, p.u_update)), p.b_update))
-    r = sigmoid(add(add(matmul(x, p.w_reset), matmul(z_prev, p.u_reset)), p.b_reset))
-    cand = tanh(add(add(matmul(x, p.w_cand), matmul(mul(r, z_prev), p.u_cand)), p.b_cand))
-    return add(mul(sub(1.0, u), z_prev), mul(u, cand))
+    weights = p.tensors()
+    wu, uu, bu, wr, ur, br, wc, uc, bc = (t.values for t in weights)
+    xv, z = x.values, z_prev.values
+    u = sigmoid_values(xv @ wu + z @ uu + bu)
+    r = sigmoid_values(xv @ wr + z @ ur + br)
+    rz = r * z
+    c = np.tanh(xv @ wc + rz @ uc + bc)
+
+    def backward(out):
+        def run(g):
+            du = g * c - g * z
+            dau = du * u * (1.0 - u)
+            dac = g * u * (1.0 - c ** 2)
+            drz = dac @ uc.T
+            dar = drz * z * r * (1.0 - r)
+            # Sums in the order the composed tape accumulated them, so one
+            # cell's gradients match it bit for bit.
+            if x.requires_grad:
+                x._accumulate(dau @ wu.T + dac @ wc.T + dar @ wr.T)
+            if z_prev.requires_grad:
+                z_prev._accumulate(g * (1.0 - u) + dau @ uu.T + drz * r + dar @ ur.T)
+            for w, uh, b, d_pre, h in ((p.w_update, p.u_update, p.b_update, dau, z),
+                                       (p.w_reset, p.u_reset, p.b_reset, dar, z),
+                                       (p.w_cand, p.u_cand, p.b_cand, dac, rz)):
+                if w.requires_grad:
+                    w._accumulate(xv.T @ d_pre)
+                if uh.requires_grad:
+                    uh._accumulate(h.T @ d_pre)
+                if b.requires_grad:
+                    b._accumulate(d_pre.sum(axis=0))
+        return run
+
+    return _result((1.0 - u) * z + u * c, (x, z_prev, *weights), backward)

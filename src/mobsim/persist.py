@@ -2,8 +2,9 @@
 
 A model is a parameter checkpoint (see :mod:`mobsim.nn.checkpoint`) plus a
 ``.meta`` sidecar of key=value lines carrying the architecture config and,
-for the generator, the training-split seed distribution needed to start new
-trajectories.  Floats are written with repr and round-trip exactly.
+for the generator, the trajectory length it was trained on and the
+training-split seed distribution needed to start new trajectories.  Floats
+are written with repr and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ def _write_meta(path, fields: dict):
             fh.write(f"{key}={text}\n")
 
 
-def _read_meta(path) -> dict:
+def read_meta(path) -> dict:
+    """The key=value fields of a ``.meta`` file, values as strings."""
     fields = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -39,8 +41,9 @@ def _read_meta(path) -> dict:
     return fields
 
 
-def save_generator(prefix, gen: Generator, seed_dist: np.ndarray):
-    """Write ``<prefix>.ckpt`` and ``<prefix>.meta``."""
+def save_generator(prefix, gen: Generator, seed_dist: np.ndarray, slots: int):
+    """Write ``<prefix>.ckpt`` and ``<prefix>.meta``; ``slots`` is the
+    trajectory length the generator was trained on."""
     save_checkpoint(f"{prefix}.ckpt", gen.params)
     c = gen.config
     _write_meta(f"{prefix}.meta", {
@@ -55,6 +58,7 @@ def save_generator(prefix, gen: Generator, seed_dist: np.ndarray):
         "beta": c.beta,
         "dwell": int(c.dwell),
         "attn_slope": c.attn_slope,
+        "slots": slots,
         "seed_distribution": seed_dist,
     })
 
@@ -65,7 +69,7 @@ def load_generator(prefix, graphs: dict):
     ``graphs`` must contain the channels named in the meta file.  Returns
     ``(generator, seed_distribution)``.
     """
-    meta = _read_meta(f"{prefix}.meta")
+    meta = read_meta(f"{prefix}.meta")
     if meta.get("kind") != "generator":
         raise ValueError(f"{prefix}.meta does not describe a generator")
     config = GeneratorConfig(
@@ -98,7 +102,7 @@ def save_discriminator(prefix, disc: Discriminator):
 
 
 def load_discriminator(prefix) -> Discriminator:
-    meta = _read_meta(f"{prefix}.meta")
+    meta = read_meta(f"{prefix}.meta")
     if meta.get("kind") != "discriminator":
         raise ValueError(f"{prefix}.meta does not describe a discriminator")
     config = DiscriminatorConfig(

@@ -322,16 +322,44 @@ def write_locations(path, table):
 
 
 def read_locations(path) -> np.ndarray:
-    rows = []
+    """Read a locations file into an (N, 2) table indexed by dense id.
+
+    Every line holds an integer id and a finite lat and lon, and the ids are
+    0..N-1 in any order; anything else raises :class:`CheckinFormatError`
+    naming the line and field.
+    """
+    rows = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                idx, lat, lon = line.strip().split(",")
-                rows.append((int(idx), float(lat), float(lon)))
-    rows.sort()
-    if [r[0] for r in rows] != list(range(len(rows))):
-        raise ValueError("locations file ids are not dense 0..N-1")
-    return np.array([(lat, lon) for _, lat, lon in rows])
+        for line_no, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            parts = text.split(",")
+            if len(parts) != 3:
+                raise CheckinFormatError(line_no, "record",
+                                         f"expected 'id,lat,lon', got {len(parts)} fields")
+            try:
+                idx = int(parts[0])
+            except ValueError:
+                raise CheckinFormatError(line_no, "id", f"not an integer: {parts[0]!r}") from None
+            if idx in rows:
+                raise CheckinFormatError(line_no, "id",
+                                         f"duplicate id {idx} (first on line {rows[idx][0]})")
+            coords = []
+            for name, raw in zip(("lat", "lon"), parts[1:]):
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise CheckinFormatError(line_no, name, f"not a number: {raw!r}") from None
+                if not np.isfinite(value):
+                    raise CheckinFormatError(line_no, name, f"not finite: {raw!r}")
+                coords.append(value)
+            rows[idx] = (line_no, *coords)
+    for idx, (line_no, _, _) in rows.items():
+        if not 0 <= idx < len(rows):
+            raise CheckinFormatError(line_no, "id", f"id {idx} outside [0, {len(rows)}): "
+                                     "ids must be dense 0..N-1")
+    return np.array([rows[idx][1:] for idx in range(len(rows))])
 
 
 def write_observed(path, trajectories):
@@ -341,18 +369,46 @@ def write_observed(path, trajectories):
             fh.write(f"{t.user},{t.day.isoformat()},{pairs}\n")
 
 
-def attach_observed(trajectories, path):
-    """Re-attach raw observations from an observed sidecar file, in place."""
+def attach_observed(trajectories, path, n_locations: int | None = None,
+                    slots: int | None = None):
+    """Re-attach raw observations from an observed sidecar file, in place.
+
+    Every line holds a user, an ISO day and ``slot:loc`` integer pairs, each
+    slot in [0, ``slots``) and each location in [0, ``n_locations``) (any
+    non-negative value when omitted); anything else raises
+    :class:`CheckinFormatError` naming the line and field.
+    """
+    slot_limit = np.inf if slots is None else slots
+    loc_limit = np.inf if n_locations is None else n_locations
     table = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            user, day_text, pair_text = line.rstrip("\n").split(",")
-            pairs = tuple(
-                (int(p.split(":")[0]), int(p.split(":")[1])) for p in pair_text.split()
-            )
-            table[(user, dt.date.fromisoformat(day_text))] = pairs
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 3:
+                raise CheckinFormatError(line_no, "record", "expected 'user,day,pairs'")
+            user, day_text, pair_text = parts
+            try:
+                day = dt.date.fromisoformat(day_text)
+            except ValueError:
+                raise CheckinFormatError(line_no, "day", f"not YYYY-MM-DD: {day_text!r}") from None
+            pairs = []
+            for token in pair_text.split():
+                slot_text, _, loc_text = token.partition(":")
+                try:
+                    slot, loc = int(slot_text), int(loc_text)
+                except ValueError:
+                    raise CheckinFormatError(line_no, "pairs",
+                                             f"not slot:loc: {token!r}") from None
+                if not 0 <= slot < slot_limit:
+                    raise CheckinFormatError(line_no, "pairs",
+                                             f"slot {slot} outside [0, {slot_limit})")
+                if not 0 <= loc < loc_limit:
+                    raise CheckinFormatError(line_no, "pairs",
+                                             f"location id {loc} outside [0, {loc_limit})")
+                pairs.append((slot, loc))
+            table[(user, day)] = tuple(pairs)
     for t in trajectories:
         t.observed = table.get((t.user, t.day), ())
     return trajectories

@@ -152,20 +152,30 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
     Column l-1 holds the reward of the length-l prefix: the mean
     discriminator score of ``n_rollouts`` completions for l < L, and the
     score of the full sequence for l = L.  Each prefix length uses its own
-    derived random stream.
+    derived random stream.  The generator and the discriminator run over the
+    batch once; the completions of a prefix start from its cached states.
     """
     batch_ids = np.asarray(batch_ids, dtype=np.int64)
     b, length = batch_ids.shape
     rewards = np.empty((b, length))
+
+    def tiled(state):
+        return nn.constant(np.repeat(state.values, n_rollouts, axis=0))
+
     with nn.no_grad():
         table = gen.embed_locations(training=False)
+        # Rollouts of the length-l prefix start from the generator state after
+        # l - 1 columns, l < L, so the last two columns are never fed.
+        gen_states = gen.unroll(table, batch_ids[:, :-2])
+        disc_states = disc.unroll(batch_ids)
         for l in range(1, length):
             streams = sample_streams(master_seed, f"{tag}/l{l}")
-            tiled = np.repeat(batch_ids[:, :l], n_rollouts, axis=0)
-            completed = complete_batch(gen, table, tiled, length, streams)
-            scores = disc.classify(completed).values.reshape(b, n_rollouts)
-            rewards[:, l - 1] = scores.mean(axis=1)
-        rewards[:, length - 1] = disc.classify(batch_ids).values
+            prefix = np.repeat(batch_ids[:, :l], n_rollouts, axis=0)
+            completed = complete_batch(gen, table, prefix, length, streams,
+                                       hidden=tiled(gen_states[l - 1]))
+            scores = disc.classify(completed[:, l:], hidden=tiled(disc_states[l]))
+            rewards[:, l - 1] = scores.values.reshape(b, n_rollouts).mean(axis=1)
+        rewards[:, length - 1] = disc.score(disc_states[length]).values
     return rewards
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: straight-line implementations with no
 shared code or conventions with the package, so agreement between the two
-routes is meaningful.
+routes is meaningful.  The exception is the reference for an optimized path
+(a fused op, a cached computation), which is the plain composition it
+replaced, built from the package's own primitives.
 """
 
 import numpy as np
@@ -82,3 +84,49 @@ def markov_counts(matrix, n):
         for a, b in zip(row[:-1], row[1:]):
             counts[a, b] += 1
     return counts
+
+
+def gru_cell_composed(x, z_prev, p):
+    """One GRU step composed from elementary tape ops (about 20 nodes), the
+    reference for the fused ``nn.gru_cell``."""
+    from mobsim.nn import add, matmul, mul, sigmoid, sub, tanh
+
+    u = sigmoid(add(add(matmul(x, p.w_update), matmul(z_prev, p.u_update)), p.b_update))
+    r = sigmoid(add(add(matmul(x, p.w_reset), matmul(z_prev, p.u_reset)), p.b_reset))
+    cand = tanh(add(add(matmul(x, p.w_cand), matmul(mul(r, z_prev), p.u_cand)), p.b_cand))
+    return add(mul(sub(1.0, u), z_prev), mul(u, cand))
+
+
+def compute_rewards_replayed(gen, disc, batch_ids, n_rollouts, master_seed, tag):
+    """Monte Carlo rewards with every completion replayed from slot 0: the
+    generator re-runs each tiled prefix and the discriminator scores each
+    whole completed sequence.  The reference for ``training.compute_rewards``,
+    which starts both from cached prefix states."""
+    from mobsim import nn
+    from mobsim.generator import complete_batch, sample_streams
+
+    batch_ids = np.asarray(batch_ids, dtype=np.int64)
+    b, length = batch_ids.shape
+    rewards = np.empty((b, length))
+    with nn.no_grad():
+        table = gen.embed_locations(training=False)
+        for l in range(1, length):
+            streams = sample_streams(master_seed, f"{tag}/l{l}")
+            tiled = np.repeat(batch_ids[:, :l], n_rollouts, axis=0)
+            completed = complete_batch(gen, table, tiled, length, streams)
+            scores = disc.classify(completed).values.reshape(b, n_rollouts)
+            rewards[:, l - 1] = scores.mean(axis=1)
+        rewards[:, length - 1] = disc.classify(batch_ids).values
+    return rewards
+
+
+def sigmoid_masked(x):
+    """The logistic function by boolean-mask indexing: 1/(1+e^-x) on x >= 0,
+    e^x/(1+e^x) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    values = np.empty_like(x)
+    pos = x >= 0
+    values[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    values[~pos] = ez / (1.0 + ez)
+    return values

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mobsim import graphs
+from mobsim import graphs, nn
 from mobsim.nn import ParamSet, Tensor, grad_check, init_gru, gru_cell, init_heads
 from mobsim.nn.attention import MASKED, attention_bias, graph_attention
+from oracles import gru_cell_composed
 
 
 def _chain_graph(n, weights=None, self_loop=True):
@@ -203,3 +204,42 @@ def test_gru_state_stays_bounded():
         z = gru_cell(x, z, gru)
     # Convex mixing of a tanh candidate keeps every coordinate in (-1, 1).
     assert np.all(np.abs(z.values) < 1.0)
+
+
+@pytest.mark.parametrize("batch, in_dim, hidden, x_grad", [
+    (1, 3, 4, True), (5, 3, 4, False), (7, 6, 2, True), (32, 32, 32, True),
+    (1, 1, 1, False),
+])
+def test_fused_gru_matches_composed_cell(batch, in_dim, hidden, x_grad):
+    rng = np.random.default_rng(batch * 100 + in_dim * 10 + hidden)
+    params = ParamSet()
+    gru = init_gru(params, "g", in_dim, hidden, rng)
+    for tensor in gru.tensors():
+        tensor.values[:] = rng.standard_normal(tensor.shape)
+    x = Tensor(rng.standard_normal((batch, in_dim)), requires_grad=x_grad)
+    z = Tensor(rng.standard_normal((batch, hidden)), requires_grad=True)
+    probe = Tensor(rng.standard_normal((batch, hidden)))
+    results = []
+    for cell in (gru_cell, gru_cell_composed):
+        for tensor in (x, z, *gru.tensors()):
+            tensor.grad = None
+        out = cell(x, z, gru)
+        nn.tsum(nn.mul(out, probe)).backward()
+        results.append((out.values, [t.grad for t in (x, z, *gru.tensors())]))
+    (fused, fused_grads), (composed, composed_grads) = results
+    np.testing.assert_array_equal(fused, composed)
+    for got, want in zip(fused_grads, composed_grads):
+        if want is None:
+            assert got is None
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fused_gru_is_one_tape_node():
+    params = ParamSet()
+    gru = init_gru(params, "g", 3, 4, np.random.default_rng(15))
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    out = gru_cell(x, Tensor(np.zeros((2, 4))), gru)
+    # x, z_prev and the nine weights, with no intermediate node in between.
+    assert len(out._parents) == 11
+    assert all(not parent._parents for parent in out._parents)

@@ -282,3 +282,88 @@ def test_train_valid_length_must_match_train_is_exit_1(pipeline, tmp_path, capsy
                  "--graphs-dir", str(pipeline / "graphs"),
                  "--out-dir", str(tmp_path / "m")]) == 1
     assert f"{valid}:1: field 'slots': 12 ids, expected 24" in capsys.readouterr().err
+
+
+def _rewrite_line(src, dst, line_no, text):
+    lines = src.read_text().splitlines()
+    lines[line_no - 1] = text
+    dst.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("line, field", [
+    ("2,40.0", "record"),
+    ("two,40.0,-74.0", "id"),
+    ("2,north,-74.0", "lat"),
+    ("2,40.0,x", "lon"),
+    ("2,nan,-74.0", "lat"),
+    ("2,40.0,inf", "lon"),
+    ("1,40.0,-74.0", "id"),
+    ("12,40.0,-74.0", "id"),
+], ids=["two_fields", "bad_id", "bad_lat", "bad_lon", "nan_lat", "inf_lon",
+        "duplicate_id", "non_dense_ids"])
+def test_build_graphs_bad_locations_line_is_exit_1(pipeline, tmp_path, capsys, line, field):
+    data = pipeline / "data"
+    locations = tmp_path / "locations.csv"
+    _rewrite_line(data / "locations.csv", locations, 3, line)
+    assert main(["build-graphs", "--train", str(data / "train.txt"),
+                 "--locations", str(locations),
+                 "--out-dir", str(tmp_path / "g"), "--k", "4"]) == 1
+    assert f"{locations}:3: field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, field", [
+    ("u,2012-01-01,99:3", "pairs"),
+    ("u,2012-01-01,-1:3", "pairs"),
+    ("u,2012-01-01,3:12", "pairs"),
+    ("u,2012-01-01,3:4 5-6", "pairs"),
+    ("u,2012-01-01,3:x", "pairs"),
+    ("u,2012-13-01,3:4", "day"),
+    ("u,2012-01-01", "record"),
+], ids=["slot_too_large", "negative_slot", "location_too_large", "no_colon",
+        "bad_location", "bad_day", "two_fields"])
+def test_build_graphs_bad_observed_line_is_exit_1(pipeline, tmp_path, capsys, line, field):
+    data = pipeline / "data"
+    observed = tmp_path / "observed.txt"
+    observed.write_text(f"u,2012-01-01,0:1 5:2\n{line}\n")
+    assert main(["build-graphs", "--train", str(data / "train.txt"),
+                 "--locations", str(data / "locations.csv"), "--observed", str(observed),
+                 "--out-dir", str(tmp_path / "g"), "--k", "4"]) == 1
+    assert f"{observed}:2: field '{field}'" in capsys.readouterr().err
+
+
+def test_generate_defaults_to_the_trained_length(tmp_path):
+    data, gdir, model = tmp_path / "data", tmp_path / "graphs", tmp_path / "model"
+    assert main(["synth", "--out-dir", str(data), "--n-locations", "8", "--users", "4",
+                 "--days", "4", "--slots", "12", "--seed", "3"]) == 0
+    assert main(["build-graphs", "--train", str(data / "train.txt"),
+                 "--locations", str(data / "locations.csv"), "--slots", "12",
+                 "--out-dir", str(gdir), "--k", "3"]) == 0
+    assert main(["pretrain", "--train", str(data / "train.txt"),
+                 "--locations", str(data / "locations.csv"),
+                 "--graphs-dir", str(gdir), "--out-dir", str(model),
+                 "--embed-dim", "4", "--hidden-dim", "4", "--dropout", "0.0",
+                 "--pretrain-epochs", "1", "--d-pretrain-epochs", "0"]) == 0
+    out = tmp_path / "gen"
+    assert main(["generate", "--model", str(model / "gen"), "--graphs-dir", str(gdir),
+                 "--locations", str(data / "locations.csv"), "--count", "5",
+                 "--out-dir", str(out)]) == 0
+    lines = (out / "generated.txt").read_text().splitlines()
+    assert [len(line.split(",")[2].split()) for line in lines] == [12] * 5
+    assert json.loads((out / "manifest.json").read_text())["config"]["slots"] == 12
+    assert main(["generate", "--model", str(model / "gen"), "--graphs-dir", str(gdir),
+                 "--locations", str(data / "locations.csv"), "--slots", "0",
+                 "--out-dir", str(tmp_path / "zero")]) == 1
+
+
+def test_generate_without_slots_in_meta_gives_a_full_day(pipeline, tmp_path):
+    model = tmp_path / "gen"
+    meta = (pipeline / "model" / "gen.meta").read_text().splitlines()
+    (tmp_path / "gen.meta").write_text(
+        "\n".join(line for line in meta if not line.startswith("slots=")) + "\n")
+    (tmp_path / "gen.ckpt").write_bytes(_read(pipeline / "model" / "gen.ckpt"))
+    out = tmp_path / "out"
+    assert main(["generate", "--model", str(model), "--graphs-dir", str(pipeline / "graphs"),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--count", "3", "--out-dir", str(out)]) == 0
+    lines = (out / "generated.txt").read_text().splitlines()
+    assert [len(line.split(",")[2].split()) for line in lines] == [24] * 3

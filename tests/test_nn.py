@@ -3,6 +3,7 @@ import pytest
 
 from mobsim import nn
 from mobsim.nn import Tensor, grad_check
+from oracles import sigmoid_masked
 
 
 def _t(values, requires_grad=True):
@@ -157,6 +158,15 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
 def test_sigmoid_extreme_inputs_stable():
     y = nn.sigmoid(_t(np.array([-1e4, 0.0, 1e4]), requires_grad=False)).values
     assert y[0] == 0.0 and y[1] == 0.5 and y[2] == 1.0
+
+
+@pytest.mark.parametrize("shape", [(128, 16), (32, 16), (30000, 16), (128, 1)])
+def test_sigmoid_bit_identical_to_masked_form(shape):
+    x = np.random.default_rng(sum(shape)).normal(0.0, 8.0, size=shape)
+    edges = np.array([0.0, -0.0, 800.0, -800.0, np.nan, np.inf, -np.inf])
+    x.reshape(-1)[:len(edges)] = edges
+    y = nn.sigmoid(_t(x, requires_grad=False)).values
+    assert y.tobytes() == sigmoid_masked(x).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ def test_generator_roundtrip(tmp_path, small_graphs):
     seed_dist = np.linspace(1, 16, 16)
     seed_dist /= seed_dist.sum()
     prefix = tmp_path / "gen"
-    persist.save_generator(prefix, gen, seed_dist)
+    persist.save_generator(prefix, gen, seed_dist, 12)
 
     loaded, dist = persist.load_generator(prefix, small_graphs)
+    assert persist.read_meta(f"{prefix}.meta")["slots"] == "12"
     assert loaded.config == gen.config
     assert np.array_equal(dist, seed_dist)
     for name, tensor in gen.params.items():
@@ -38,7 +39,7 @@ def test_generator_roundtrip_after_training_step(tmp_path, small_graphs):
     nll.backward()
     opt.step()
     prefix = tmp_path / "gen"
-    persist.save_generator(prefix, gen, np.full(16, 1 / 16))
+    persist.save_generator(prefix, gen, np.full(16, 1 / 16), 24)
     loaded, _ = persist.load_generator(prefix, small_graphs)
     for name, tensor in gen.params.items():
         assert loaded.params[name].values.tobytes() == tensor.values.tobytes()
@@ -66,6 +67,6 @@ def test_kind_mismatch_rejected(tmp_path, small_graphs):
 def test_load_generator_needs_its_channels(tmp_path, small_graphs):
     gen = _gen(small_graphs, channels=("sdg", "ttg", "stg"))
     prefix = tmp_path / "gen"
-    persist.save_generator(prefix, gen, np.full(16, 1 / 16))
+    persist.save_generator(prefix, gen, np.full(16, 1 / 16), 24)
     with pytest.raises(ValueError):
         persist.load_generator(prefix, {"sdg": small_graphs["sdg"]})

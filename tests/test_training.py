@@ -16,6 +16,7 @@ from mobsim.training import (
     pretrain_generator,
     sequence_log_prob,
 )
+from oracles import compute_rewards_replayed
 
 
 def _cycle_graph(n):
@@ -121,11 +122,25 @@ def test_pretrain_discriminator_improves_objective():
 
 
 class _CountingDisc:
-    """Stands in for the discriminator: score = share of zeros in the row."""
+    """Stands in for the discriminator: score = share of zeros in the row.
 
-    def classify(self, ids):
+    Its state after l columns is (zeros so far, l) per row, so a tail scored
+    from the state of its head gets the share over the whole row."""
+
+    def unroll(self, ids, hidden=None):
         ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
-        return nn.constant((ids == 0).mean(axis=1))
+        state = np.zeros((len(ids), 2)) if hidden is None else hidden.values
+        states = [nn.constant(state)]
+        for column in ids.T:
+            state = state + np.column_stack([column == 0, np.ones(len(ids))])
+            states.append(nn.constant(state))
+        return states
+
+    def score(self, hidden):
+        return nn.constant(hidden.values[:, 0] / hidden.values[:, 1])
+
+    def classify(self, ids, hidden=None):
+        return self.score(self.unroll(ids, hidden)[-1])
 
 
 def test_compute_rewards_shape_range_and_final_column():
@@ -164,6 +179,22 @@ def test_compute_rewards_prefix_column_alignment():
     assert rewards[1, -1] == 0.0
     assert np.all(rewards[0, :-1] >= rewards[1, :-1])
     assert rewards[0, 2] >= 3 / 4 - 1e-12
+
+
+@pytest.mark.parametrize("dwell", [True, False], ids=["dwell", "no_dwell"])
+@pytest.mark.parametrize("length", [2, 24])
+@pytest.mark.parametrize("rollouts", [1, 4, 16])
+def test_compute_rewards_matches_replayed_rollouts(small_graphs, dwell, length, rollouts):
+    # Starting each completion from the cached prefix states must give the
+    # same rewards, bit for bit, as replaying every prefix from slot 0.
+    gen = Generator(GeneratorConfig(n_locations=16, embed_dim=8, hidden_dim=8,
+                                    dwell=dwell), small_graphs, seed=3)
+    disc = Discriminator(DiscriminatorConfig(n_locations=16, embed_dim=8, hidden_dim=8),
+                         seed=3)
+    batch = generate_batch(gen, 5, length, np.full(16, 1 / 16), sample_streams(0, "s"))
+    cached = compute_rewards(gen, disc, batch, rollouts, master_seed=1, tag="r")
+    replayed = compute_rewards_replayed(gen, disc, batch, rollouts, 1, "r")
+    np.testing.assert_array_equal(cached, replayed)
 
 
 # ---------------------------------------------------------------------------
