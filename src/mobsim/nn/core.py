@@ -1,10 +1,14 @@
 """Reverse-mode autodiff core.
 
-Everything is a float64 numpy array wrapped in a :class:`Tensor`.  Ops record
-their parents and a backward closure while gradients are enabled; calling
-``backward()`` on a scalar walks the tape once and accumulates exact analytic
-gradients into every tensor that requires them.  Gradients persist across
-backward calls until ``zero_grad``.
+Everything is a float64 numpy array wrapped in a :class:`Tensor`.  While
+gradients are enabled an op records its parents and a backward function that
+states only the op's local derivatives: given the gradient of the output it
+returns one gradient per parent, in parent order.  ``backward()`` on a scalar
+walks the tape once and is the only place that accumulates those gradients,
+into the parents that require them.  A backward function closes over the op's
+inputs and arrays, never over its output tensor, so a tape holds no reference
+cycle and is freed as soon as its last reference goes.  Gradients persist
+across backward calls until ``zero_grad``.
 """
 
 from __future__ import annotations
@@ -79,7 +83,9 @@ class Tensor:
         self._accumulate(np.ones_like(self.values))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                for parent, g in zip(node._parents, node._backward(node.grad)):
+                    if parent.requires_grad:
+                        parent._accumulate(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -90,10 +96,12 @@ def constant(values) -> Tensor:
 
 
 def _result(values, parents, backward) -> Tensor:
+    """Record an op: ``backward(g)`` maps the output gradient ``g`` to one
+    gradient per parent, in ``parents`` order."""
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out = Tensor(values, requires_grad=True)
         out._parents = tuple(parents)
-        out._backward = backward(out)
+        out._backward = backward
         return out
     return Tensor(values)
 
@@ -115,13 +123,8 @@ def _as_tensor(x) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
-        return run
+    def backward(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _result(a.values + b.values, (a, b), backward)
 
@@ -129,13 +132,8 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.shape))
-        return run
+    def backward(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _result(a.values - b.values, (a, b), backward)
 
@@ -143,39 +141,22 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.values, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.values, b.shape))
-        return run
+    def backward(g):
+        return _unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)
 
     return _result(a.values * b.values, (a, b), backward)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(-g)
-        return run
-
-    return _result(-a.values, (a,), backward)
+    return _result(-a.values, (a,), lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(g @ b.values.T)
-            if b.requires_grad:
-                b._accumulate(a.values.T @ g)
-        return run
+    def backward(g):
+        return g @ b.values.T, a.values.T @ g
 
     return _result(a.values @ b.values, (a, b), backward)
 
@@ -183,39 +164,18 @@ def matmul(a, b) -> Tensor:
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     values = np.exp(a.values)
-
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(g * out.values)
-        return run
-
-    return _result(values, (a,), backward)
+    return _result(values, (a,), lambda g: (g * values,))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(g / a.values)
-        return run
-
-    return _result(np.log(a.values), (a,), backward)
+    return _result(np.log(a.values), (a,), lambda g: (g / a.values,))
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     values = np.tanh(a.values)
-
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(g * (1.0 - out.values ** 2))
-        return run
-
-    return _result(values, (a,), backward)
+    return _result(values, (a,), lambda g: (g * (1.0 - values ** 2),))
 
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -229,36 +189,19 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     values = sigmoid_values(a.values)
-
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(g * out.values * (1.0 - out.values))
-        return run
-
-    return _result(values, (a,), backward)
+    return _result(values, (a,), lambda g: (g * values * (1.0 - values),))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(g * (a.values > 0))
-        return run
-
-    return _result(np.maximum(a.values, 0.0), (a,), backward)
+    return _result(np.maximum(a.values, 0.0), (a,), lambda g: (g * (a.values > 0),))
 
 
 def leakyrelu(a, slope: float = 0.2) -> Tensor:
     a = _as_tensor(a)
 
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(g * np.where(a.values >= 0, 1.0, slope))
-        return run
+    def backward(g):
+        return (g * np.where(a.values >= 0, 1.0, slope),)
 
     return _result(np.where(a.values >= 0, a.values, slope * a.values), (a,), backward)
 
@@ -270,32 +213,17 @@ def softmax(a) -> Tensor:
     ez = np.exp(shifted)
     values = ez / ez.sum(axis=-1, keepdims=True)
 
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                y = out.values
-                a._accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
-        return run
+    def backward(g):
+        return (values * (g - (g * values).sum(axis=-1, keepdims=True)),)
 
     return _result(values, (a,), backward)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-
-    def backward(out):
-        def run(g):
-            offset = 0
-            for t, size in zip(tensors, sizes):
-                if t.requires_grad:
-                    index = [slice(None)] * g.ndim
-                    index[axis] = slice(offset, offset + size)
-                    t._accumulate(g[tuple(index)])
-                offset += size
-        return run
-
-    return _result(np.concatenate([t.values for t in tensors], axis=axis), tensors, backward)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _result(np.concatenate([t.values for t in tensors], axis=axis), tensors,
+                   lambda g: np.split(g, splits, axis=axis))
 
 
 def gather_rows(table, ids) -> Tensor:
@@ -305,13 +233,10 @@ def gather_rows(table, ids) -> Tensor:
     if ids.min(initial=0) < 0 or ids.max(initial=-1) >= table.shape[0]:
         raise ValueError(f"ids outside [0, {table.shape[0]})")
 
-    def backward(out):
-        def run(g):
-            if table.requires_grad:
-                acc = np.zeros_like(table.values)
-                np.add.at(acc, ids, g)
-                table._accumulate(acc)
-        return run
+    def backward(g):
+        acc = np.zeros_like(table.values)
+        np.add.at(acc, ids, g)
+        return (acc,)
 
     return _result(table.values[ids], (table,), backward)
 
@@ -322,41 +247,25 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index = tuple(index)
 
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                acc = np.zeros_like(a.values)
-                acc[index] = g
-                a._accumulate(acc)
-        return run
+    def backward(g):
+        acc = np.zeros_like(a.values)
+        acc[index] = g
+        return (acc,)
 
     return _result(a.values[index], (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(g.reshape(a.shape))
-        return run
-
-    return _result(a.values.reshape(shape), (a,), backward)
+    return _result(a.values.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
 
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                if axis is None:
-                    a._accumulate(np.broadcast_to(g, a.shape).copy())
-                else:
-                    expanded = g if keepdims else np.expand_dims(g, axis)
-                    a._accumulate(np.broadcast_to(expanded, a.shape).copy())
-        return run
+    def backward(g):
+        expanded = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(expanded, a.shape).copy(),)
 
     return _result(a.values.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -365,15 +274,9 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     count = a.values.size if axis is None else a.shape[axis]
 
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                if axis is None:
-                    a._accumulate(np.broadcast_to(g / count, a.shape).copy())
-                else:
-                    expanded = g if keepdims else np.expand_dims(g, axis)
-                    a._accumulate(np.broadcast_to(expanded / count, a.shape).copy())
-        return run
+    def backward(g):
+        expanded = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(expanded / count, a.shape).copy(),)
 
     return _result(a.values.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -386,14 +289,7 @@ def dropout(a, rate: float, rng) -> Tensor:
         return a
     a = _as_tensor(a)
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-
-    def backward(out):
-        def run(g):
-            if a.requires_grad:
-                a._accumulate(g * mask)
-        return run
-
-    return _result(a.values * mask, (a,), backward)
+    return _result(a.values * mask, (a,), lambda g: (g * mask,))
 
 
 def cross_entropy(probs, targets) -> Tensor:
@@ -403,13 +299,10 @@ def cross_entropy(probs, targets) -> Tensor:
     rows = np.arange(len(targets))
     picked = np.maximum(probs.values[rows, targets], 1e-300)
 
-    def backward(out):
-        def run(g):
-            if probs.requires_grad:
-                acc = np.zeros_like(probs.values)
-                acc[rows, targets] = -g / picked
-                probs._accumulate(acc)
-        return run
+    def backward(g):
+        acc = np.zeros_like(probs.values)
+        acc[rows, targets] = -g / picked
+        return (acc,)
 
     return _result(-np.log(picked), (probs,), backward)
 
@@ -422,12 +315,8 @@ def binary_cross_entropy(p, y, eps: float = 1e-12) -> Tensor:
     clamped = np.clip(p.values, eps, 1.0 - eps)
     inside = (p.values > eps) & (p.values < 1.0 - eps)
 
-    def backward(out):
-        def run(g):
-            if p.requires_grad:
-                grad = (-y / clamped + (1.0 - y) / (1.0 - clamped)) * inside
-                p._accumulate(g * grad)
-        return run
+    def backward(g):
+        return (g * ((-y / clamped + (1.0 - y) / (1.0 - clamped)) * inside),)
 
     values = -(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped))
     return _result(values, (p,), backward)

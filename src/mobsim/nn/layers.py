@@ -64,28 +64,18 @@ def gru_cell(x: Tensor, z_prev: Tensor, p: GruParams) -> Tensor:
     rz = r * z
     c = np.tanh(xv @ wc + rz @ uc + bc)
 
-    def backward(out):
-        def run(g):
-            du = g * c - g * z
-            dau = du * u * (1.0 - u)
-            dac = g * u * (1.0 - c ** 2)
-            drz = dac @ uc.T
-            dar = drz * z * r * (1.0 - r)
-            # Sums in the order the composed tape accumulated them, so one
-            # cell's gradients match it bit for bit.
-            if x.requires_grad:
-                x._accumulate(dau @ wu.T + dac @ wc.T + dar @ wr.T)
-            if z_prev.requires_grad:
-                z_prev._accumulate(g * (1.0 - u) + dau @ uu.T + drz * r + dar @ ur.T)
-            for w, uh, b, d_pre, h in ((p.w_update, p.u_update, p.b_update, dau, z),
-                                       (p.w_reset, p.u_reset, p.b_reset, dar, z),
-                                       (p.w_cand, p.u_cand, p.b_cand, dac, rz)):
-                if w.requires_grad:
-                    w._accumulate(xv.T @ d_pre)
-                if uh.requires_grad:
-                    uh._accumulate(h.T @ d_pre)
-                if b.requires_grad:
-                    b._accumulate(d_pre.sum(axis=0))
-        return run
+    def backward(g):
+        du = g * c - g * z
+        dau = du * u * (1.0 - u)
+        dac = g * u * (1.0 - c ** 2)
+        drz = dac @ uc.T
+        dar = drz * z * r * (1.0 - r)
+        # Sums in the order the composed tape accumulated them, so one
+        # cell's gradients match it bit for bit.
+        return (dau @ wu.T + dac @ wc.T + dar @ wr.T,
+                g * (1.0 - u) + dau @ uu.T + drz * r + dar @ ur.T,
+                xv.T @ dau, z.T @ dau, dau.sum(axis=0),
+                xv.T @ dar, z.T @ dar, dar.sum(axis=0),
+                xv.T @ dac, rz.T @ dac, dac.sum(axis=0))
 
     return _result((1.0 - u) * z + u * c, (x, z_prev, *weights), backward)

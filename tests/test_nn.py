@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,55 @@ def test_no_grad_blocks_taping():
 
 def test_constant_requires_no_grad():
     assert not nn.constant(np.ones(3)).requires_grad
+
+
+_GRU = nn.init_gru(nn.ParamSet(), "g", 3, 4, np.random.default_rng(20))
+_HEADS = nn.init_heads(nn.ParamSet(), "a", 2, 3, 2, np.random.default_rng(21))
+
+# Every tape op with the input shapes it is built on.
+_TAPE_OPS = {
+    "add": (nn.add, [(3, 4), (4,)]),
+    "sub": (nn.sub, [(3, 4), (3, 4)]),
+    "mul": (nn.mul, [(3, 4), (3, 4)]),
+    "neg": (nn.neg, [(3, 4)]),
+    "matmul": (nn.matmul, [(3, 4), (4, 2)]),
+    "exp": (nn.exp, [(3, 4)]),
+    "log": (nn.log, [(3, 4)]),
+    "tanh": (nn.tanh, [(3, 4)]),
+    "sigmoid": (nn.sigmoid, [(3, 4)]),
+    "relu": (nn.relu, [(3, 4)]),
+    "leakyrelu": (nn.leakyrelu, [(3, 4)]),
+    "softmax": (nn.softmax, [(3, 4)]),
+    "concat": (lambda a, b: nn.concat([a, b], axis=1), [(3, 2), (3, 3)]),
+    "gather_rows": (lambda a: nn.gather_rows(a, [2, 0, 2]), [(3, 4)]),
+    "narrow": (lambda a: nn.narrow(a, 1, 1, 2), [(3, 4)]),
+    "reshape": (lambda a: nn.reshape(a, (4, 3)), [(3, 4)]),
+    "tsum": (lambda a: nn.tsum(a, axis=0), [(3, 4)]),
+    "tmean": (nn.tmean, [(3, 4)]),
+    "dropout": (lambda a: nn.dropout(a, 0.5, np.random.default_rng(0)), [(3, 4)]),
+    "cross_entropy": (lambda a: nn.cross_entropy(a, [0, 3, 1]), [(3, 4)]),
+    "binary_cross_entropy": (lambda a: nn.binary_cross_entropy(a, [1.0, 0.0, 1.0]), [(3,)]),
+    "gru_cell": (lambda x, z: nn.gru_cell(x, z, _GRU), [(2, 3), (2, 4)]),
+    "graph_attention": (lambda h: nn.graph_attention(h, np.zeros((5, 5)), _HEADS), [(5, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAPE_OPS))
+def test_tape_is_freed_without_the_cycle_collector(name):
+    # A backward function that refers to its op's output tensor makes a
+    # reference cycle, which only the cyclic collector frees.
+    op, shapes = _TAPE_OPS[name]
+    rng = np.random.default_rng(22)
+    gc.collect()
+    gc.disable()
+    try:
+        inputs = [_t(rng.random(s) * 0.8 + 0.1) for s in shapes]
+        nn.tsum(op(*inputs)).backward()
+        assert all(x.grad is not None for x in inputs)
+        del inputs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
