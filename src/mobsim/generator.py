@@ -115,9 +115,12 @@ class Generator:
     def gru_step(self, table: Tensor, ids: np.ndarray, hidden: Tensor) -> Tensor:
         return nn.gru_cell(nn.gather_rows(table, ids), hidden, self.gru)
 
+    def explore_logits(self, hidden: Tensor) -> Tensor:
+        return nn.linear(hidden, self.params["explore/weight"], self.params["explore/bias"])
+
     def explore_probs(self, hidden: Tensor) -> Tensor:
-        return nn.softmax(nn.linear(hidden, self.params["explore/weight"],
-                                    self.params["explore/bias"]))
+        """The exploration softmax, for sampling; losses take the logits."""
+        return nn.softmax(self.explore_logits(hidden))
 
     def dwell_sigmoid(self, hidden: Tensor) -> Tensor:
         out = nn.linear(hidden, self.params["dwell/weight"], self.params["dwell/bias"])
@@ -155,7 +158,7 @@ class Generator:
         table = self.embed_locations(training=training, rng=rng)
         nll_total = bce_total = None
         for l, hidden in enumerate(self.unroll(table, batch_ids[:, :-1])[1:]):
-            step_nll = nn.cross_entropy(self.explore_probs(hidden), batch_ids[:, l + 1])
+            step_nll = nn.cross_entropy(self.explore_logits(hidden), batch_ids[:, l + 1])
             nll_total = step_nll if nll_total is None else nn.add(nll_total, step_nll)
             stay = (batch_ids[:, l + 1] == batch_ids[:, l]).astype(np.float64)
             step_bce = nn.binary_cross_entropy(self.dwell_sigmoid(hidden), stay)

@@ -292,19 +292,24 @@ def dropout(a, rate: float, rng) -> Tensor:
     return _result(a.values * mask, (a,), lambda g: (g * mask,))
 
 
-def cross_entropy(probs, targets) -> Tensor:
-    """Per-row negative log likelihood of integer targets; returns shape (B,)."""
-    probs = _as_tensor(probs)
+def cross_entropy(logits, targets) -> Tensor:
+    """Per-row negative log-softmax of integer targets on (B, N) logits,
+    logsumexp(z) - z[target], taken after shifting each row by its max so
+    that no logit gap underflows it; returns shape (B,).  The gradient is
+    softmax(z) - onehot(target)."""
+    logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
     rows = np.arange(len(targets))
-    picked = np.maximum(probs.values[rows, targets], 1e-300)
+    shifted = logits.values - logits.values.max(axis=-1, keepdims=True)
+    ez = np.exp(shifted)
+    total = ez.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        acc = np.zeros_like(probs.values)
-        acc[rows, targets] = -g / picked
-        return (acc,)
+        grad = ez / total
+        grad[rows, targets] -= 1.0
+        return (g[:, None] * grad,)
 
-    return _result(-np.log(picked), (probs,), backward)
+    return _result(np.log(total[:, 0]) - shifted[rows, targets], (logits,), backward)
 
 
 def binary_cross_entropy(p, y, eps: float = 1e-12) -> Tensor:

@@ -197,7 +197,7 @@ def sequence_log_prob(gen: Generator, batch_ids: np.ndarray, fired: np.ndarray,
     total = None
     for l, hidden in enumerate(gen.unroll(table, batch_ids[:, :-1])[1:]):
         chosen = batch_ids[:, l + 1]
-        explore_lp = nn.neg(nn.cross_entropy(gen.explore_probs(hidden), chosen))
+        explore_lp = nn.neg(nn.cross_entropy(gen.explore_logits(hidden), chosen))
         stay_prob = gen.stay_probs(hidden, counts, batch_ids[:, l])
         dwell_lp = nn.neg(nn.binary_cross_entropy(stay_prob, np.ones(b)))
         mask = fired[:, l].astype(np.float64)

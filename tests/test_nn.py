@@ -165,19 +165,32 @@ def test_gather_rows_range_check():
 
 
 def test_cross_entropy_values_and_gradient():
-    probs = nn.softmax(_t(np.random.default_rng(14).standard_normal((5, 7))))
+    logits = _t(np.random.default_rng(14).standard_normal((5, 7)))
     targets = np.array([0, 3, 6, 2, 2])
-    ce = nn.cross_entropy(probs, targets)
+    ce = nn.cross_entropy(logits, targets)
     assert ce.values.shape == (5,)
-    assert np.allclose(ce.values, -np.log(probs.values[np.arange(5), targets]))
+    probs = nn.softmax(logits).values
+    assert np.allclose(ce.values, -np.log(probs[np.arange(5), targets]))
+    nn.tsum(ce).backward()
+    assert np.allclose(logits.grad, probs - np.eye(7)[targets])
 
 
 def test_cross_entropy_through_softmax_gradient():
     rng = np.random.default_rng(15)
     logits = _t(rng.standard_normal((4, 6)))
     targets = np.array([1, 5, 0, 3])
-    op = lambda a: nn.cross_entropy(nn.softmax(a), targets)
+    op = lambda a: nn.cross_entropy(a, targets)
     assert grad_check(op, [logits]) < 1e-6
+
+
+def test_cross_entropy_survives_a_large_logit_gap():
+    # The softmax of (0, 800) underflows to (0, 1); the loss and gradient
+    # of the target's log-softmax must not.
+    logits = _t([[0.0, 800.0]])
+    ce = nn.cross_entropy(logits, [0])
+    assert ce.values[0] == 800.0
+    nn.tsum(ce).backward()
+    assert np.array_equal(logits.grad, [[-1.0, 1.0]])
 
 
 def test_binary_cross_entropy_clamps():
