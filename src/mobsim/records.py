@@ -212,18 +212,10 @@ def _fill_gaps(slots: np.ndarray, fill: str) -> np.ndarray:
     return filled
 
 
-def filter_min_visits(trajectories, raw_counts=None, min_daily: int = 9):
-    """Keep user-days whose raw record count reaches ``min_daily``.
-
-    ``raw_counts`` maps (user, day) to the pre-fill record count; when omitted
-    the length of each trajectory's ``observed`` tuple is used.
-    """
-    kept = []
-    for traj in trajectories:
-        count = raw_counts[(traj.user, traj.day)] if raw_counts is not None else len(traj.observed)
-        if count >= min_daily:
-            kept.append(traj)
-    return kept
+def filter_min_visits(trajectories, min_daily: int = 9):
+    """Keep user-days whose raw record count, the length of each trajectory's
+    ``observed`` tuple, reaches ``min_daily``."""
+    return [traj for traj in trajectories if len(traj.observed) >= min_daily]
 
 
 def split(dataset: Dataset, ratios=(7, 1, 2), seed: int = 0):

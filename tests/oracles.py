@@ -69,12 +69,15 @@ def jsd_naive(p, q):
 
 
 def haversine_naive(lat1, lon1, lat2, lon2, radius=6371.0):
-    """Great-circle distance from the spherical law of cosines (not the
-    half-angle form the package uses)."""
+    """Great-circle distance from Vincenty's atan2 form for the sphere (not
+    the half-angle form the package uses).  Unlike the law of cosines it
+    keeps full precision at zero distance."""
     p1, p2 = np.radians(lat1), np.radians(lat2)
     dlon = np.radians(lon2 - lon1)
-    value = np.sin(p1) * np.sin(p2) + np.cos(p1) * np.cos(p2) * np.cos(dlon)
-    return radius * np.arccos(np.clip(value, -1.0, 1.0))
+    across = np.cos(p2) * np.sin(dlon)
+    along = np.cos(p1) * np.sin(p2) - np.sin(p1) * np.cos(p2) * np.cos(dlon)
+    central = np.sin(p1) * np.sin(p2) + np.cos(p1) * np.cos(p2) * np.cos(dlon)
+    return radius * np.arctan2(np.hypot(across, along), central)
 
 
 def markov_counts(matrix, n):

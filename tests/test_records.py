@@ -146,12 +146,6 @@ def test_filter_min_visits_threshold_is_inclusive():
     assert len(kept) == 2
 
 
-def test_filter_min_visits_explicit_counts():
-    traj = Trajectory("u", dt.date(2012, 1, 1), np.zeros(24, dtype=np.int64), ())
-    counts = {("u", dt.date(2012, 1, 1)): 12}
-    assert records.filter_min_visits([traj], raw_counts=counts) == [traj]
-
-
 def _dataset(n_trajs, n_locs=4):
     trajs = [Trajectory(f"u{i}", dt.date(2012, 1, 1 + i % 28),
                         np.full(24, i % n_locs, dtype=np.int64), ())
