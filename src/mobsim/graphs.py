@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .records import trajectory_matrix
+
 EARTH_RADIUS_KM = 6371.0
 
 
@@ -124,22 +126,12 @@ def build_sdg(coords: np.ndarray, k: int = 20, metric: str = "haversine") -> Loc
 
 
 def build_ttg(trajectories, n_locations: int) -> LocationGraph:
-    """Transition-count graph over consecutive slots of the trajectories."""
-    counts: dict[tuple, int] = {}
-    for traj in trajectories:
-        slots = traj.slots
-        for a, b in zip(slots[:-1], slots[1:]):
-            if a != b:
-                counts[(int(a), int(b))] = counts.get((int(a), int(b)), 0) + 1
-    if counts:
-        pairs = sorted(counts)
-        src = np.array([p[0] for p in pairs], dtype=np.int64)
-        dst = np.array([p[1] for p in pairs], dtype=np.int64)
-        weight = np.array([counts[p] for p in pairs], dtype=np.float64)
-    else:
-        src = dst = np.empty(0, dtype=np.int64)
-        weight = np.empty(0, dtype=np.float64)
-    return LocationGraph("ttg", "weighted", n_locations, src, dst, weight)
+    """Transition-count graph over consecutive slots, edges sorted by (src, dst)."""
+    ids = trajectory_matrix(trajectories)
+    a, b = ids[:, :-1].ravel(), ids[:, 1:].ravel()
+    keys, weight = np.unique((a * n_locations + b)[a != b], return_counts=True)
+    src, dst = np.divmod(keys, n_locations)
+    return LocationGraph("ttg", "weighted", n_locations, src, dst, weight.astype(np.float64))
 
 
 def visit_profile_matrix(trajectories, n_locations: int, slots_per_day: int = 24) -> np.ndarray:

@@ -15,7 +15,8 @@ Six histogram families are compared with the Jensen-Shannon divergence
 
 Continuous families use 100 equal-width bins whose range is fixed by the
 real dataset and shared with the generated one; out-of-range generated
-values fall into the edge bins.
+values fall into the edge bins.  Each family takes a (B, T) int64 id
+matrix, one row per trajectory.
 """
 
 from __future__ import annotations
@@ -116,74 +117,70 @@ def align_categorical(p: Histogram, q: Histogram):
     return expand(p), expand(q)
 
 
-def step_distances(trajectories, coords: np.ndarray) -> np.ndarray:
-    """Pooled consecutive-step great-circle distances, stays included."""
-    chunks = []
-    for traj in trajectories:
-        a = coords[traj.slots[:-1]]
-        b = coords[traj.slots[1:]]
-        chunks.append(haversine_km(a[:, 0], a[:, 1], b[:, 0], b[:, 1]))
-    return np.concatenate(chunks) if chunks else np.empty(0)
+def step_distances(ids: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Great-circle length of every consecutive step, row by row, stays included."""
+    a = coords[ids[:, :-1]]
+    b = coords[ids[:, 1:]]
+    return haversine_km(a[..., 0], a[..., 1], b[..., 0], b[..., 1]).ravel()
 
 
-def gyration_radii(trajectories, coords: np.ndarray) -> np.ndarray:
-    """Per-trajectory RMS distance from the mean visited coordinate."""
-    radii = np.empty(len(trajectories))
-    for i, traj in enumerate(trajectories):
-        points = coords[traj.slots]
-        center = points.mean(axis=0)
-        d = haversine_km(points[:, 0], points[:, 1], center[0], center[1])
-        radii[i] = np.sqrt((d ** 2).mean())
-    return radii
+def gyration_radii(ids: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Per-row RMS distance from the row's mean visited coordinate."""
+    points = coords[ids]
+    center = points.mean(axis=1)
+    d = haversine_km(points[..., 0], points[..., 1], center[:, :1], center[:, 1:])
+    return np.sqrt((d ** 2).mean(axis=1))
 
 
-def run_lengths(slots: np.ndarray) -> np.ndarray:
-    """Lengths of maximal runs of identical consecutive values."""
-    slots = np.asarray(slots)
-    boundaries = np.flatnonzero(slots[1:] != slots[:-1]) + 1
-    splits = np.concatenate([[0], boundaries, [len(slots)]])
-    return np.diff(splits)
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """(B, T) mask of the positions that open a run of equal consecutive ids."""
+    starts = np.ones(ids.shape, dtype=bool)
+    starts[:, 1:] = ids[:, 1:] != ids[:, :-1]
+    return starts
 
 
-def duration_histogram(trajectories, slots_per_day: int) -> Histogram:
-    counts = np.zeros(slots_per_day, dtype=np.float64)
-    for traj in trajectories:
-        for length in run_lengths(traj.slots):
-            counts[length - 1] += 1
-    return categorical_histogram(counts, np.arange(1, slots_per_day + 1))
+def _run_lengths(starts: np.ndarray) -> np.ndarray:
+    """Run lengths in row-major order; every row opens a run, so none spans two."""
+    return np.diff(np.flatnonzero(starts), append=starts.size)
 
 
-def daily_locations_histogram(trajectories, slots_per_day: int) -> Histogram:
-    counts = np.zeros(slots_per_day, dtype=np.float64)
-    for traj in trajectories:
-        counts[len(np.unique(traj.slots)) - 1] += 1
-    return categorical_histogram(counts, np.arange(1, slots_per_day + 1))
+def _slot_count_histogram(values: np.ndarray, slots_per_day: int) -> Histogram:
+    counts = np.bincount(values - 1, minlength=slots_per_day)
+    return categorical_histogram(counts, np.arange(1, len(counts) + 1))
 
 
-def global_rank_histogram(trajectories, n_locations: int, top: int = 100) -> Histogram:
+def duration_histogram(ids: np.ndarray, slots_per_day: int) -> Histogram:
+    """Lengths of the maximal runs of identical consecutive ids."""
+    return _slot_count_histogram(_run_lengths(_run_starts(ids)), slots_per_day)
+
+
+def daily_locations_histogram(ids: np.ndarray, slots_per_day: int) -> Histogram:
+    """Distinct ids per row: the runs of the sorted row."""
+    distinct = _run_starts(np.sort(ids, axis=1)).sum(axis=1)
+    return _slot_count_histogram(distinct, slots_per_day)
+
+
+def global_rank_histogram(ids: np.ndarray, n_locations: int, top: int = 100) -> Histogram:
     """Visit share of the top-`top` locations, keyed by location id."""
-    visits = np.zeros(n_locations, dtype=np.int64)
-    for traj in trajectories:
-        visits += np.bincount(traj.slots, minlength=n_locations)
+    visits = np.bincount(ids.ravel(), minlength=n_locations)
     order = np.lexsort((np.arange(n_locations), -visits))
     chosen = order[:min(top, int((visits > 0).sum()))]
     return categorical_histogram(visits[chosen].astype(np.float64), chosen)
 
 
-def individual_rank_histogram(trajectories, top: int = 100) -> Histogram:
-    """Average per-trajectory rank-frequency profile, renormalized."""
-    profiles = []
-    width = 0
-    for traj in trajectories:
-        counts = np.sort(np.bincount(traj.slots))[::-1]
-        counts = counts[counts > 0][:top].astype(np.float64)
-        profiles.append(counts / counts.sum())
-        width = max(width, len(counts))
-    stacked = np.zeros((len(profiles), width))
-    for i, profile in enumerate(profiles):
-        stacked[i, :len(profile)] = profile
-    mean = stacked.mean(axis=0)
-    return categorical_histogram(mean, np.arange(1, width + 1))
+def individual_rank_histogram(ids: np.ndarray, top: int = 100) -> Histogram:
+    """Average per-row rank-frequency profile, renormalized.
+
+    A row's visit counts are the runs of the sorted row, placed at each
+    run's start, so the work stays O(B·T) whatever the number of locations.
+    """
+    starts = _run_starts(np.sort(ids, axis=1))
+    counts = np.zeros(ids.shape, dtype=np.int64)
+    counts[starts] = _run_lengths(starts)
+    ranked = -np.sort(-counts, axis=1)[:, :top]
+    width = min(top, int(starts.sum(axis=1).max()))
+    profiles = ranked[:, :width] / ranked.sum(axis=1, keepdims=True)
+    return categorical_histogram(profiles.mean(axis=0), np.arange(1, width + 1))
 
 
 def align_rank(p: Histogram, q: Histogram):
@@ -220,37 +217,44 @@ def evaluate(real: Dataset, generated, coords: np.ndarray | None = None,
 
     ``generated`` is a list of trajectories or a Dataset sharing the real
     coordinate table.  Continuous bin ranges come from the real data only.
+    Every trajectory of both sides must have the same length: each side is
+    stacked once into a (B, T) id matrix, so scoring costs O(B·T) time and
+    memory, and ragged input raises ValueError.
     """
-    real_trajs = real.trajectories
     gen_trajs = generated.trajectories if isinstance(generated, Dataset) else generated
-    if not real_trajs or not gen_trajs:
+    if not real.trajectories or not gen_trajs:
         raise ValueError("both datasets must be non-empty")
+    real_ids = trajectory_matrix(real.trajectories)
+    gen_ids = trajectory_matrix(gen_trajs)
+    if real_ids.shape[1] != gen_ids.shape[1]:
+        raise ValueError(f"generated trajectories hold {gen_ids.shape[1]} ids, "
+                         f"real ones {real_ids.shape[1]}")
     coords = real.locations if coords is None else coords
     slots_per_day = real.slots_per_day
     n = len(coords)
 
-    real_steps = step_distances(real_trajs, coords)
-    gen_steps = step_distances(gen_trajs, coords)
+    real_steps = step_distances(real_ids, coords)
+    gen_steps = step_distances(gen_ids, coords)
     if not include_zero_steps:
         real_steps = real_steps[real_steps > 0]
         gen_steps = gen_steps[gen_steps > 0]
     dist_edges = equal_width_edges(real_steps, bins)
-    radius_real = gyration_radii(real_trajs, coords)
+    radius_real = gyration_radii(real_ids, coords)
     radius_edges = equal_width_edges(radius_real, bins)
 
     pairs = {
         "distance": (continuous_histogram(real_steps, dist_edges),
                      continuous_histogram(gen_steps, dist_edges)),
         "radius": (continuous_histogram(radius_real, radius_edges),
-                   continuous_histogram(gyration_radii(gen_trajs, coords), radius_edges)),
-        "duration": (duration_histogram(real_trajs, slots_per_day),
-                     duration_histogram(gen_trajs, slots_per_day)),
-        "daily_loc": (daily_locations_histogram(real_trajs, slots_per_day),
-                      daily_locations_histogram(gen_trajs, slots_per_day)),
-        "g_rank": align_categorical(global_rank_histogram(real_trajs, n, top),
-                                    global_rank_histogram(gen_trajs, n, top)),
-        "i_rank": align_rank(individual_rank_histogram(real_trajs, top),
-                             individual_rank_histogram(gen_trajs, top)),
+                   continuous_histogram(gyration_radii(gen_ids, coords), radius_edges)),
+        "duration": (duration_histogram(real_ids, slots_per_day),
+                     duration_histogram(gen_ids, slots_per_day)),
+        "daily_loc": (daily_locations_histogram(real_ids, slots_per_day),
+                      daily_locations_histogram(gen_ids, slots_per_day)),
+        "g_rank": align_categorical(global_rank_histogram(real_ids, n, top),
+                                    global_rank_histogram(gen_ids, n, top)),
+        "i_rank": align_rank(individual_rank_histogram(real_ids, top),
+                             individual_rank_histogram(gen_ids, top)),
     }
     scores = {name: jsd(p, q) for name, (p, q) in pairs.items()}
     return MetricReport(scores, pairs)
@@ -267,8 +271,7 @@ class MarkovBaseline:
     def __init__(self, trajectories, n_locations: int):
         ids = trajectory_matrix(trajectories)
         counts = np.zeros((n_locations, n_locations), dtype=np.float64)
-        for row in ids:
-            np.add.at(counts, (row[:-1], row[1:]), 1.0)
+        np.add.at(counts, (ids[:, :-1], ids[:, 1:]), 1.0)
         totals = counts.sum(axis=1, keepdims=True)
         self.transitions = np.divide(counts, totals,
                                      out=np.full_like(counts, 1.0 / n_locations),
@@ -298,17 +301,14 @@ def matrix_to_trajectories(ids: np.ndarray, prefix: str = "gen"):
 
 def visit_grid(trajectories, coords: np.ndarray, cell_deg: float = 0.01):
     """Visit counts per (lat, lon) grid cell, sorted by cell."""
-    visits = np.zeros(len(coords), dtype=np.int64)
-    for traj in trajectories:
-        visits += np.bincount(traj.slots, minlength=len(coords))
-    cells: dict[tuple, int] = {}
-    for loc, count in enumerate(visits):
-        if count:
-            key = (int(np.floor(coords[loc, 0] / cell_deg)),
-                   int(np.floor(coords[loc, 1] / cell_deg)))
-            cells[key] = cells.get(key, 0) + int(count)
+    visits = np.bincount(trajectory_matrix(trajectories).ravel(), minlength=len(coords))
+    visited = np.flatnonzero(visits)
+    cells, cell_of = np.unique(np.floor(coords[visited] / cell_deg).astype(np.int64),
+                               axis=0, return_inverse=True)
+    counts = np.zeros(len(cells), dtype=np.int64)
+    np.add.at(counts, cell_of.ravel(), visits[visited])
     return [(lat_idx * cell_deg, lon_idx * cell_deg, count)
-            for (lat_idx, lon_idx), count in sorted(cells.items())]
+            for (lat_idx, lon_idx), count in zip(cells.tolist(), counts.tolist())]
 
 
 def write_report(path, report: MetricReport):

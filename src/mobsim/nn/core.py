@@ -33,7 +33,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)

@@ -4,6 +4,7 @@ File formats (all plain text, one record per line, UTF-8):
 
 * check-in input:   ``user,location,lat,lon,timestamp`` with an ISO-8601
   timestamp ("Z" and numeric offsets accepted, naive times read as UTC);
+  an aware time is bucketed by its own local wall clock;
 * trajectory file:  ``user,day,loc_0 loc_1 ... loc_{T-1}`` where ``day`` is an
   ISO date and the third field holds T space-separated dense location ids;
 * id-map file:      ``original_id,dense_id``;
@@ -43,6 +44,7 @@ class VisitRecord:
     lat: float
     lon: float
     timestamp: int
+    utc_offset: int | None = None   # written offset in seconds east of UTC; None if naive
 
 
 @dataclass
@@ -92,15 +94,17 @@ class Dataset:
         return len(self.trajectories)
 
 
-def _parse_timestamp(text: str) -> dt.datetime:
+def _parse_timestamp(text: str):
+    """UTC epoch seconds and the written offset (None for a naive time, read as UTC)."""
     # Python 3.10 fromisoformat rejects a trailing Z, so normalize it first.
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     parsed = dt.datetime.fromisoformat(raw)
-    if parsed.tzinfo is None:
+    offset = parsed.utcoffset()
+    if offset is None:
         parsed = parsed.replace(tzinfo=dt.timezone.utc)
-    return parsed.astimezone(dt.timezone.utc)
+    return int(parsed.timestamp()), None if offset is None else int(offset.total_seconds())
 
 
 def parse_checkins(lines, delimiter: str = ","):
@@ -138,15 +142,14 @@ def parse_checkins(lines, delimiter: str = ","):
         if not -180.0 <= lon <= 180.0:
             raise CheckinFormatError(line_no, "lon", f"longitude {lon} outside [-180, 180]")
         try:
-            moment = _parse_timestamp(ts_text)
+            epoch, offset = _parse_timestamp(ts_text)
         except ValueError:
             raise CheckinFormatError(line_no, "timestamp", f"not ISO-8601: {ts_text!r}") from None
-        epoch = int(moment.timestamp())
         if epoch < 0:
             raise CheckinFormatError(line_no, "timestamp", "before the epoch")
         if loc_token not in id_map:
             id_map[loc_token] = len(id_map)
-        records.append(VisitRecord(user, id_map[loc_token], lat, lon, epoch))
+        records.append(VisitRecord(user, id_map[loc_token], lat, lon, epoch, offset))
     return records, id_map
 
 
@@ -171,16 +174,17 @@ def discretize(records, slots_per_day: int = HOURS_PER_DAY, fill: str = "ffill",
     exact ties).  Gaps are filled from the neighbouring observation: ``ffill``
     repeats the previous slot and back-fills the leading gap from the first
     observation, ``bfill`` mirrors that in reverse.  The raw (slot, location)
-    pairs are kept on each trajectory, one per record.
+    pairs are kept on each trajectory, one per record.  Slots and days follow
+    the record's own offset, or ``utc_offset_hours`` for a naive timestamp.
     """
     if HOURS_PER_DAY % slots_per_day != 0:
         raise ValueError(f"slots_per_day must divide {HOURS_PER_DAY}, got {slots_per_day}")
     if fill not in ("ffill", "bfill"):
         raise ValueError(f"unknown fill mode {fill!r}")
-    shift = dt.timedelta(hours=utc_offset_hours)
     by_day: dict[tuple, list] = {}
     for order, rec in enumerate(records):
-        moment = dt.datetime.fromtimestamp(rec.timestamp, tz=dt.timezone.utc) + shift
+        shift = utc_offset_hours * 3600 if rec.utc_offset is None else rec.utc_offset
+        moment = dt.datetime.fromtimestamp(rec.timestamp + shift, tz=dt.timezone.utc)
         slot = moment.hour * slots_per_day // HOURS_PER_DAY
         key = (rec.user, moment.date())
         by_day.setdefault(key, []).append((rec.timestamp, order, slot, rec.location))
@@ -196,20 +200,12 @@ def discretize(records, slots_per_day: int = HOURS_PER_DAY, fill: str = "ffill",
 
 
 def _fill_gaps(slots: np.ndarray, fill: str) -> np.ndarray:
-    filled = slots.copy()
-    order = range(len(filled)) if fill == "ffill" else range(len(filled) - 1, -1, -1)
-    last = -1
-    for i in order:
-        if filled[i] >= 0:
-            last = filled[i]
-        elif last >= 0:
-            filled[i] = last
-    # The gap before the first observation (after it for bfill) is still open.
-    remaining = np.flatnonzero(filled < 0)
-    if remaining.size:
-        anchor = filled[remaining[-1] + 1] if fill == "ffill" else filled[remaining[0] - 1]
-        filled[remaining] = anchor
-    return filled
+    """Fill each -1 from the latest observation before it (after it for bfill);
+    the gap before the first observation takes that observation."""
+    seen = slots if fill == "ffill" else slots[::-1]
+    observed = np.flatnonzero(seen >= 0)
+    last = np.maximum.accumulate(np.where(seen >= 0, np.arange(len(seen)), observed[0]))
+    return seen[last] if fill == "ffill" else seen[last[::-1]]
 
 
 def filter_min_visits(trajectories, min_daily: int = 9):
@@ -242,8 +238,13 @@ def split(dataset: Dataset, ratios=(7, 1, 2), seed: int = 0):
 
 
 def trajectory_matrix(trajectories) -> np.ndarray:
-    """Stack trajectories into a (B, T) int64 id matrix."""
-    return np.stack([t.slots for t in trajectories]).astype(np.int64)
+    """Stack trajectories into a (B, T) int64 id matrix; ragged input raises
+    ValueError naming the first trajectory whose length differs."""
+    rows = [t.slots for t in trajectories]
+    bad = next((i for i, row in enumerate(rows) if len(row) != len(rows[0])), None)
+    if bad is not None:
+        raise ValueError(f"trajectory {bad} holds {len(rows[bad])} ids, expected {len(rows[0])}")
+    return np.stack(rows).astype(np.int64, copy=False)
 
 
 def write_trajectories(path, trajectories):

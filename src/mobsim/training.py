@@ -92,6 +92,16 @@ def mean_nll(gen: Generator, ids: np.ndarray, batch_size: int = 256) -> float:
     return total / len(ids)
 
 
+def _discriminator_step(disc: Discriminator, optimizer, real_ids: np.ndarray,
+                        fake_ids: np.ndarray) -> float:
+    """One ascent step on the discriminator objective; its tape dies on return."""
+    optimizer.zero_grad()
+    objective = d_loss(disc, real_ids, fake_ids)
+    nn.neg(objective).backward()
+    optimizer.step()
+    return objective.item()
+
+
 def pretrain_generator(gen: Generator, train_ids: np.ndarray, config: TrainConfig):
     """Teacher-forced pretraining; returns per-epoch log lines.
 
@@ -114,6 +124,7 @@ def pretrain_generator(gen: Generator, train_ids: np.ndarray, config: TrainConfi
             _check_finite(gen.params, f"generator pretraining epoch {epoch}")
             nll_sum += nll.item()
             bce_sum += bce.item()
+            del nll, bce, loss      # free this step's tape before the next forward pass
             batches += 1
         log.append(f"phase=pretrain_g epoch={epoch} nll={nll_sum / batches!r} "
                    f"dwell_bce={bce_sum / batches!r}")
@@ -134,12 +145,8 @@ def pretrain_discriminator(disc: Discriminator, gen: Generator, train_ids: np.nd
         for batch_index in _minibatches(len(train_ids), config.batch_size, shuffle_rng):
             streams = sample_streams(config.seed, f"pretrain_d/e{epoch}/b{batches}")
             fake = generate_batch(gen, len(batch_index), length, seed_dist, streams)
-            optimizer.zero_grad()
-            objective = d_loss(disc, train_ids[batch_index], fake)
-            nn.neg(objective).backward()
-            optimizer.step()
+            loss_sum += _discriminator_step(disc, optimizer, train_ids[batch_index], fake)
             _check_finite(disc.params, f"discriminator pretraining epoch {epoch}")
-            loss_sum += objective.item()
             batches += 1
         log.append(f"phase=pretrain_d epoch={epoch} d_loss={loss_sum / batches!r}")
     return log
@@ -289,12 +296,8 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
                 except StopIteration:
                     real_pool = _minibatches(len(train_ids), config.batch_size, shuffle_rng)
                     real = next(real_pool)
-                d_opt.zero_grad()
-                objective = d_loss(disc, train_ids[real], fake)
-                nn.neg(objective).backward()
-                d_opt.step()
+                d_objective += _discriminator_step(disc, d_opt, train_ids[real], fake)
                 _check_finite(disc.params, f"discriminator epoch {epoch} step {step}")
-                d_objective += objective.item()
 
         eval_streams = sample_streams(config.seed, f"adv/eval/e{epoch}")
         generated = generated_dataset(gen, eval_count, length, seed_dist, eval_streams)

@@ -133,3 +133,121 @@ def sigmoid_masked(x):
     ez = np.exp(x[~pos])
     values[~pos] = ez / (1.0 + ez)
     return values
+
+
+def run_lengths(slots):
+    """Lengths of maximal runs of identical consecutive values."""
+    slots = np.asarray(slots)
+    boundaries = np.flatnonzero(slots[1:] != slots[:-1]) + 1
+    splits = np.concatenate([[0], boundaries, [len(slots)]])
+    return np.diff(splits)
+
+
+def evaluate_looped(real, generated, coords=None, bins=100, top=100,
+                    include_zero_steps=True):
+    """``metrics.evaluate`` with every family computed by a loop over
+    trajectories, one at a time: the reference for the (B, T) matrix
+    families.  Shares the package's histogram, JSD and alignment code."""
+    from mobsim.graphs import haversine_km
+    from mobsim.metrics import (MetricReport, align_categorical, align_rank,
+                                categorical_histogram, continuous_histogram,
+                                equal_width_edges, jsd)
+
+    def step_distances(trajectories):
+        chunks = []
+        for traj in trajectories:
+            a = coords[traj.slots[:-1]]
+            b = coords[traj.slots[1:]]
+            chunks.append(haversine_km(a[:, 0], a[:, 1], b[:, 0], b[:, 1]))
+        return np.concatenate(chunks)
+
+    def gyration_radii(trajectories):
+        radii = np.empty(len(trajectories))
+        for i, traj in enumerate(trajectories):
+            points = coords[traj.slots]
+            center = points.mean(axis=0)
+            d = haversine_km(points[:, 0], points[:, 1], center[0], center[1])
+            radii[i] = np.sqrt((d ** 2).mean())
+        return radii
+
+    def duration_histogram(trajectories):
+        counts = np.zeros(slots_per_day, dtype=np.float64)
+        for traj in trajectories:
+            for length in run_lengths(traj.slots):
+                counts[length - 1] += 1
+        return categorical_histogram(counts, np.arange(1, slots_per_day + 1))
+
+    def daily_locations_histogram(trajectories):
+        counts = np.zeros(slots_per_day, dtype=np.float64)
+        for traj in trajectories:
+            counts[len(np.unique(traj.slots)) - 1] += 1
+        return categorical_histogram(counts, np.arange(1, slots_per_day + 1))
+
+    def global_rank_histogram(trajectories):
+        visits = np.zeros(n, dtype=np.int64)
+        for traj in trajectories:
+            visits += np.bincount(traj.slots, minlength=n)
+        order = np.lexsort((np.arange(n), -visits))
+        chosen = order[:min(top, int((visits > 0).sum()))]
+        return categorical_histogram(visits[chosen].astype(np.float64), chosen)
+
+    def individual_rank_histogram(trajectories):
+        profiles = []
+        width = 0
+        for traj in trajectories:
+            counts = np.sort(np.bincount(traj.slots))[::-1]
+            counts = counts[counts > 0][:top].astype(np.float64)
+            profiles.append(counts / counts.sum())
+            width = max(width, len(counts))
+        stacked = np.zeros((len(profiles), width))
+        for i, profile in enumerate(profiles):
+            stacked[i, :len(profile)] = profile
+        return categorical_histogram(stacked.mean(axis=0), np.arange(1, width + 1))
+
+    real_trajs = real.trajectories
+    gen_trajs = getattr(generated, "trajectories", generated)
+    coords = real.locations if coords is None else coords
+    slots_per_day = real.slots_per_day
+    n = len(coords)
+
+    real_steps = step_distances(real_trajs)
+    gen_steps = step_distances(gen_trajs)
+    if not include_zero_steps:
+        real_steps = real_steps[real_steps > 0]
+        gen_steps = gen_steps[gen_steps > 0]
+    dist_edges = equal_width_edges(real_steps, bins)
+    radius_real = gyration_radii(real_trajs)
+    radius_edges = equal_width_edges(radius_real, bins)
+    pairs = {
+        "distance": (continuous_histogram(real_steps, dist_edges),
+                     continuous_histogram(gen_steps, dist_edges)),
+        "radius": (continuous_histogram(radius_real, radius_edges),
+                   continuous_histogram(gyration_radii(gen_trajs), radius_edges)),
+        "duration": (duration_histogram(real_trajs), duration_histogram(gen_trajs)),
+        "daily_loc": (daily_locations_histogram(real_trajs),
+                      daily_locations_histogram(gen_trajs)),
+        "g_rank": align_categorical(global_rank_histogram(real_trajs),
+                                    global_rank_histogram(gen_trajs)),
+        "i_rank": align_rank(individual_rank_histogram(real_trajs),
+                             individual_rank_histogram(gen_trajs)),
+    }
+    return MetricReport({name: jsd(p, q) for name, (p, q) in pairs.items()}, pairs)
+
+
+def fill_gaps_looped(slots, fill):
+    """Gap filling by a walk over the slots, the reference for
+    ``records._fill_gaps``."""
+    filled = np.array(slots, dtype=np.int64)
+    order = range(len(filled)) if fill == "ffill" else range(len(filled) - 1, -1, -1)
+    last = -1
+    for i in order:
+        if filled[i] >= 0:
+            last = filled[i]
+        elif last >= 0:
+            filled[i] = last
+    # The gap before the first observation (after it for bfill) is still open.
+    remaining = np.flatnonzero(filled < 0)
+    if remaining.size:
+        anchor = remaining[-1] + 1 if fill == "ffill" else remaining[0] - 1
+        filled[remaining] = filled[anchor]
+    return filled

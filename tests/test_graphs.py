@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mobsim import graphs
 from mobsim.records import Trajectory
-from oracles import haversine_naive, transport_cost_greedy, transport_cost_linprog
+from oracles import haversine_naive, markov_counts, transport_cost_greedy, transport_cost_linprog
 
 # ---------------------------------------------------------------------------
 # haversine
@@ -202,6 +202,18 @@ def test_ttg_counts_transitions():
     edges = {(s, d): w for s, d, w in zip(g.src, g.dst, g.weight)}
     # Self-transitions (1->1, 0->0) never appear.
     assert edges == {(0, 1): 2.0, (1, 2): 1.0, (2, 0): 1.0, (1, 0): 1.0}
+
+
+def test_ttg_matches_transition_count_oracle():
+    rng = np.random.default_rng(4)
+    ids = np.where(rng.random((30, 24)) < 0.5, 3, rng.integers(0, 7, (30, 24)))
+    g = graphs.build_ttg([_traj(row) for row in ids], 7)
+    counts = markov_counts(ids, 7)
+    np.fill_diagonal(counts, 0)
+    src, dst = np.nonzero(counts)                     # row-major: sorted by (src, dst)
+    np.testing.assert_array_equal(g.src, src)
+    np.testing.assert_array_equal(g.dst, dst)
+    np.testing.assert_array_equal(g.weight, counts[src, dst].astype(np.float64))
 
 
 def test_ttg_empty_when_everyone_stays():

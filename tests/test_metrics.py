@@ -22,12 +22,12 @@ from mobsim.metrics import (
     individual_rank_histogram,
     jsd,
     matrix_to_trajectories,
-    run_lengths,
     step_distances,
     visit_grid,
 )
 from mobsim.records import Dataset, Trajectory
-from oracles import haversine_naive, jsd_naive, markov_counts
+from numpy.testing import assert_array_equal
+from oracles import evaluate_looped, haversine_naive, jsd_naive, markov_counts, run_lengths
 
 LN2 = math.log(2.0)
 
@@ -169,7 +169,7 @@ def test_align_rank_pads_right():
 
 def test_step_distances_include_stays():
     coords = np.array([[0.0, 0.0], [0.0, 1.0]])
-    steps = step_distances([_traj([0, 0, 1])], coords)
+    steps = step_distances(np.array([[0, 0, 1]]), coords)
     assert len(steps) == 2
     assert steps[0] == 0.0
     assert steps[1] == pytest.approx(haversine_naive(0, 0, 0, 1), rel=1e-9)
@@ -179,58 +179,51 @@ def test_gyration_radius_two_point_commute():
     # Half the time at each of two nearby points: radius is half the gap.
     coords = np.array([[40.0, -74.0], [40.0, -73.99]])
     gap = haversine_naive(40.0, -74.0, 40.0, -73.99)
-    (radius,) = gyration_radii([_traj([0, 1] * 12)], coords)
+    (radius,) = gyration_radii(np.array([[0, 1] * 12]), coords)
     assert radius == pytest.approx(gap / 2, rel=1e-6)
 
 
 def test_gyration_radius_stationary_is_zero():
     coords = np.array([[40.0, -74.0], [41.0, -74.0]])
-    (radius,) = gyration_radii([_traj([1] * 24)], coords)
+    (radius,) = gyration_radii(np.array([[1] * 24]), coords)
     assert radius == 0.0
 
 
-def test_run_lengths_hand_cases():
-    assert run_lengths(np.array([0, 0, 1, 1, 1, 0])).tolist() == [2, 3, 1]
-    assert run_lengths(np.array([5])).tolist() == [1]
-    assert run_lengths(np.array([2, 2, 2])).tolist() == [3]
-
-
 def test_duration_histogram():
-    h = duration_histogram([_traj([0, 0, 1, 2, 2, 2])], 6)
+    h = duration_histogram(np.array([[0, 0, 1, 2, 2, 2]]), 6)
     assert h.support.tolist() == [1, 2, 3, 4, 5, 6]
     assert h.masses.tolist() == [1 / 3, 1 / 3, 1 / 3, 0, 0, 0]
 
 
 def test_daily_locations_histogram():
-    h = daily_locations_histogram([_traj([0, 0, 1]), _traj([2, 2, 2])], 3)
+    h = daily_locations_histogram(np.array([[0, 0, 1], [2, 2, 2]]), 3)
     assert h.masses.tolist() == [0.5, 0.5, 0.0]
 
 
 def test_global_rank_top_selection_and_ties():
-    trajs = [_traj([0, 0, 0, 1, 1, 2])]
-    h = global_rank_histogram(trajs, 5, top=2)
+    h = global_rank_histogram(np.array([[0, 0, 0, 1, 1, 2]]), 5, top=2)
     assert h.support.tolist() == [0, 1]                   # top 2 by visits
     assert np.allclose(h.masses, [0.6, 0.4])              # renormalized over chosen
-    tie = global_rank_histogram([_traj([4, 3, 4, 3])], 5, top=1)
+    tie = global_rank_histogram(np.array([[4, 3, 4, 3]]), 5, top=1)
     assert tie.support.tolist() == [3]                    # tie goes to the lower id
 
 
 def test_global_rank_disjoint_vocabularies_score_ln2():
-    real = global_rank_histogram([_traj([0, 1, 0, 1])], 10, top=5)
-    fake = global_rank_histogram([_traj([7, 8, 9, 7])], 10, top=5)
+    real = global_rank_histogram(np.array([[0, 1, 0, 1]]), 10, top=5)
+    fake = global_rank_histogram(np.array([[7, 8, 9, 7]]), 10, top=5)
     assert jsd(*align_categorical(real, fake)) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_individual_rank_average():
     # Trajectory A: 3:1 split; trajectory B: single location.
-    h = individual_rank_histogram([_traj([0, 0, 0, 1]), _traj([5, 5, 5, 5])])
+    h = individual_rank_histogram(np.array([[0, 0, 0, 1], [5, 5, 5, 5]]))
     assert h.support.tolist() == [1, 2]
     # Profiles (0.75, 0.25) and (1.0, 0.0); mean (0.875, 0.125), already normal.
     assert np.allclose(h.masses, [0.875, 0.125])
 
 
 def test_individual_rank_top_truncates():
-    h = individual_rank_histogram([_traj(list(range(10)))], top=4)
+    h = individual_rank_histogram(np.arange(10)[None, :], top=4)
     assert len(h.masses) == 4
     assert h.masses.sum() == pytest.approx(1.0)
 
@@ -243,6 +236,83 @@ def _dataset(trajs, n=10):
     rng = np.random.default_rng(7)
     coords = np.column_stack([40 + 0.01 * rng.random(n), -74 + 0.01 * rng.random(n)])
     return Dataset(trajs, coords, slots_per_day=len(trajs[0].slots))
+
+
+def test_run_lengths_hand_cases():
+    assert run_lengths(np.array([0, 0, 1, 1, 1, 0])).tolist() == [2, 3, 1]
+    assert run_lengths(np.array([5])).tolist() == [1]
+    assert run_lengths(np.array([2, 2, 2])).tolist() == [3]
+
+
+def _assert_reports_equal(report, reference):
+    for name in metrics.METRIC_NAMES:
+        assert report.scores[name] == reference.scores[name], name
+        for got, want in zip(report.histograms[name], reference.histograms[name]):
+            assert_array_equal(got.masses, want.masses)
+            for attr in ("support", "edges"):
+                if getattr(want, attr) is None:
+                    assert getattr(got, attr) is None
+                else:
+                    assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def _random_ids(rng, rows, length, n):
+    """Random rows mixing stationary rows, sticky rows and id n - 1."""
+    ids = rng.integers(0, n, size=(rows, length))
+    stay = rng.random((rows, length)) < rng.random()
+    for t in range(1, length):
+        ids[:, t] = np.where(stay[:, t], ids[:, t - 1], ids[:, t])
+    ids[rng.random(rows) < 0.2, :] = ids[0, 0]
+    ids[-1, -1] = n - 1
+    return ids
+
+
+@pytest.mark.parametrize("length", [2, 3, 24])
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_matches_looped_oracle(length, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    coords = np.column_stack([rng.uniform(-60, 60, n), rng.uniform(-170, 170, n)])
+    real_rows, gen_rows = ([1, 200], [200, 1], [37, 64], [5, 9])[seed]
+    real = matrix_to_trajectories(_random_ids(rng, real_rows, length, n))
+    fake = matrix_to_trajectories(_random_ids(rng, gen_rows, length, n))
+    ds = Dataset(real, coords, slots_per_day=length)
+    for top in (100, 2):
+        for zero_steps in (True, False):
+            try:
+                reference = evaluate_looped(ds, fake, top=top, include_zero_steps=zero_steps)
+            except ValueError:        # no nonzero real step to bin
+                assert not zero_steps
+                continue
+            _assert_reports_equal(evaluate(ds, fake, top=top, include_zero_steps=zero_steps),
+                                  reference)
+
+
+def test_evaluate_matches_looped_oracle_on_extreme_rows():
+    # Stationary and all-distinct rows, T > top (I-rank truncates), id N - 1.
+    n, length = 30, 24
+    rng = np.random.default_rng(12)
+    coords = np.column_stack([40 + rng.random(n), -74 + rng.random(n)])
+    stationary = np.repeat(np.arange(n)[:, None], length, axis=1)
+    distinct = np.array([rng.permutation(n)[:length] for _ in range(20)])
+    distinct[0, 0] = n - 1
+    real = matrix_to_trajectories(np.vstack([stationary[:5], distinct]))
+    for fake_ids in (stationary, distinct, np.vstack([distinct, stationary])):
+        fake = matrix_to_trajectories(fake_ids)
+        ds = Dataset(real, coords, slots_per_day=length)
+        for top in (100, 10):
+            for zero_steps in (True, False):
+                _assert_reports_equal(
+                    evaluate(ds, fake, top=top, include_zero_steps=zero_steps),
+                    evaluate_looped(ds, fake, top=top, include_zero_steps=zero_steps))
+
+
+def test_evaluate_rejects_ragged_and_unequal_lengths():
+    ds = _dataset([_traj([0, 1, 2, 3]), _traj([1, 2, 3, 4])])
+    with pytest.raises(ValueError, match="trajectory 1 holds 3 ids, expected 4"):
+        evaluate(ds, [_traj([0, 1, 2, 3]), _traj([0, 1, 2])])
+    with pytest.raises(ValueError, match="generated trajectories hold 3 ids"):
+        evaluate(ds, [_traj([0, 1, 2])])
 
 
 def test_evaluate_self_comparison_is_zero():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mobsim import records
 from mobsim.records import CheckinFormatError, Dataset, Trajectory
+from oracles import fill_gaps_looped
 
 
 def _checkin(user="u", loc="A", lat=40.0, lon=-74.0, ts="2012-04-03T08:15:00Z"):
@@ -102,6 +103,17 @@ def test_discretize_bfill_mirrors():
     assert traj.slots[11:].tolist() == [1] * 13    # trailing gap anchored at B
 
 
+@pytest.mark.parametrize("fill", ["ffill", "bfill"])
+def test_fill_gaps_matches_looped_oracle(fill):
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        length = int(rng.integers(1, 25))
+        slots = np.where(rng.random(length) < rng.random(), -1, rng.integers(0, 9, length))
+        slots[rng.integers(0, length)] = 5              # at least one observation
+        np.testing.assert_array_equal(records._fill_gaps(slots, fill),
+                                      fill_gaps_looped(slots, fill))
+
+
 def test_discretize_observed_kept_in_time_order():
     lines = [
         _checkin(loc="B", ts="2012-04-03T10:00:00Z"),
@@ -125,10 +137,26 @@ def test_discretize_splits_users_and_days():
 
 
 def test_discretize_utc_offset_shifts_day_boundary():
-    parsed, _ = records.parse_checkins([_checkin(ts="2012-04-03T23:30:00Z")])
+    parsed, _ = records.parse_checkins([_checkin(ts="2012-04-03T23:30:00")])
     (traj,) = records.discretize(parsed, utc_offset_hours=1)
     assert traj.day == dt.date(2012, 4, 4)
     assert traj.observed[0][0] == 0
+
+
+@pytest.mark.parametrize("utc_offset_hours", [0, 5])
+def test_discretize_aware_times_keep_their_own_wall_clock(utc_offset_hours):
+    lines = [_checkin(ts="2012-04-03T23:30:00-04:00"), _checkin(ts="2012-04-03T23:30:00Z")]
+    parsed, _ = records.parse_checkins(lines)
+    assert [r.utc_offset for r in parsed] == [-4 * 3600, 0]
+    trajs = records.discretize(parsed, utc_offset_hours=utc_offset_hours)
+    assert [(t.day, t.observed) for t in trajs] == [(dt.date(2012, 4, 3), ((23, 0), (23, 0)))]
+
+
+def test_trajectory_matrix_names_the_first_ragged_row():
+    trajs = [Trajectory("u", dt.date(2012, 1, 1), np.arange(n)) for n in (4, 4, 3, 5)]
+    with pytest.raises(ValueError, match="trajectory 2 holds 3 ids, expected 4"):
+        records.trajectory_matrix(trajs)
+    assert records.trajectory_matrix(trajs[:2]).shape == (2, 4)
 
 
 def test_discretize_coarser_slots():

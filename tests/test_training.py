@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,51 @@ def test_pretrain_discriminator_improves_objective():
     last = float(log[-1].split("d_loss=")[1])
     assert last > first
     assert len(log) == 3
+
+
+def _watch_losses(loss_fn):
+    """Wrap a loss function.  Each call first records how many loss tensors
+    of the earlier calls are still alive, then keeps a weak reference to its
+    own (the first element when it returns a tuple)."""
+    refs, alive = [], []
+
+    def watched(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        out = loss_fn(*args, **kwargs)
+        refs.append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+        return out
+
+    return watched, alive
+
+
+@pytest.mark.parametrize("loop", ["pretrain_g", "pretrain_d", "adversarial_d"])
+def test_previous_step_tape_is_freed_before_the_next_forward(monkeypatch, loop):
+    # With the cyclic collector off, only reference counting can free a tape:
+    # a step's loss tensor must be gone before the next step's forward pass.
+    gen, disc = _gen(seed=5), _disc(seed=5)
+    if loop == "pretrain_g":
+        monkeypatch.setattr(training, "mean_nll", lambda *args, **kwargs: 0.0)
+        watched, alive = _watch_losses(gen.sequence_nll)
+        monkeypatch.setattr(gen, "sequence_nll", watched)
+    else:
+        watched, alive = _watch_losses(training.d_loss)
+        monkeypatch.setattr(training, "d_loss", watched)
+    gc.disable()
+    try:
+        if loop == "pretrain_g":
+            pretrain_generator(gen, _sticky_ids(), TrainConfig(pretrain_epochs=1, batch_size=16))
+        elif loop == "pretrain_d":
+            pretrain_discriminator(disc, gen, _sticky_ids(),
+                                   TrainConfig(d_pretrain_epochs=1, batch_size=16))
+        else:
+            train, valid, _ = _tiny_datasets()
+            adversarial_train(gen, disc, train, valid,
+                              TrainConfig(epochs=1, batch_size=8, rollouts=2, eval_count=4,
+                                          steps_per_epoch=3))
+    finally:
+        gc.enable()
+    assert len(alive) == 3
+    assert alive == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
