@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, graphs, metrics, persist, records, synth, training
 from .discriminator import Discriminator, DiscriminatorConfig
 from .generator import Generator, GeneratorConfig, generate_batch, sample_streams, seed_distribution
-from .records import Dataset, trajectory_matrix
+from .records import Dataset
 
 
 class CliValidationError(ValueError):
@@ -140,9 +140,8 @@ def _parse_ratios(text) -> tuple:
 
 def _write_split_outputs(out_dir, dataset: Dataset, ratios, seed):
     train, valid, test = records.split(dataset, ratios, seed)
-    records.write_trajectories(os.path.join(out_dir, "train.txt"), train.trajectories)
-    records.write_trajectories(os.path.join(out_dir, "valid.txt"), valid.trajectories)
-    records.write_trajectories(os.path.join(out_dir, "test.txt"), test.trajectories)
+    for name, part in (("train", train), ("valid", valid), ("test", test)):
+        records.write_trajectories(os.path.join(out_dir, f"{name}.txt"), part.trajectories)
     records.write_observed(os.path.join(out_dir, "observed_train.txt"), train.trajectories)
     records.write_locations(os.path.join(out_dir, "locations.csv"), dataset.locations)
     return train, valid, test
@@ -165,7 +164,7 @@ def cmd_preprocess(args) -> None:
         raise CliValidationError(
             f"only {len(kept)} user-days survive the min-daily-visits filter; cannot split")
     table = records.location_table(parsed, len(id_map))
-    dataset = Dataset(kept, table, args.slots)
+    dataset = Dataset(kept, table)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_split_outputs(args.out_dir, dataset, ratios, args.seed)
     records.write_id_map(os.path.join(args.out_dir, "idmap.csv"), id_map)
@@ -214,34 +213,33 @@ def _attach_observed(trajectories, path, n_locations: int, slots: int):
         records.attach_observed(trajectories, path, n_locations, slots)
 
 
-def _load_split(path, label, n_locations: int, slots: int | None = None):
-    """Read a trajectory file whose ids all lie in [0, n_locations) and whose
-    lines all hold ``slots`` ids (one common count when omitted)."""
+def _load_split(path, label, coords, slots: int | None = None) -> Dataset:
+    """Read a trajectory file whose ids all index ``coords`` and whose lines
+    all hold ``slots`` ids (one common count when omitted)."""
     with _input_file(_require_file(path, label)):
-        trajectories = records.read_trajectories(path, n_locations, slots)
-    if not trajectories:
+        trajectories = records.read_trajectories(path, len(coords), slots)
+    if not len(trajectories):
         raise CliValidationError(f"{label} file {path} holds no trajectories")
-    return trajectories
+    return Dataset(trajectories, coords)
 
 
-def _build_graphs(coords, trajectories, k: int, metric: str, slots: int) -> dict:
+def _build_graphs(train: Dataset, k: int, metric: str) -> dict:
     """The weighted sdg, ttg and stg channels of a train split."""
-    n = len(coords)
+    n = train.n_locations
     if not 1 <= k <= n - 1:
         raise CliValidationError(f"k must be in [1, {n - 1}], got {k}")
     return {
-        "sdg": graphs.build_sdg(coords, k=k, metric=metric),
-        "ttg": graphs.build_ttg(trajectories, n),
-        "stg": graphs.build_stg(graphs.visit_profile_matrix(trajectories, n, slots), k=k),
+        "sdg": graphs.build_sdg(train.locations, k=k, metric=metric),
+        "ttg": graphs.build_ttg(train.trajectories.ids, n),
+        "stg": graphs.build_stg(graphs.visit_profile_matrix(train.trajectories, n), k=k),
     }
 
 
 def cmd_build_graphs(args) -> None:
-    coords = _load_locations(args.locations)
-    trajectories = _load_split(args.train, "train", len(coords), args.slots)
+    train = _load_split(args.train, "train", _load_locations(args.locations), args.slots)
     if args.observed:
-        _attach_observed(trajectories, args.observed, len(coords), args.slots)
-    built = _build_graphs(coords, trajectories, args.k, args.metric, args.slots)
+        _attach_observed(train.trajectories, args.observed, train.n_locations, args.slots)
+    built = _build_graphs(train, args.k, args.metric)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, graph in built.items():
         if args.mode == "vanilla":
@@ -342,10 +340,10 @@ def _run_training(args, adversarial: bool) -> None:
     config = _resolve_train_config(args)
     coords = _load_locations(args.locations)
     n = len(coords)
-    train_trajs = _load_split(args.train, "train", n)
-    train_ids = trajectory_matrix(train_trajs)
+    train = _load_split(args.train, "train", coords)
+    train_ids = train.trajectories.ids
     if adversarial:
-        valid_trajs = _load_split(args.valid, "valid", n, train_ids.shape[1])
+        valid = _load_split(args.valid, "valid", coords, train_ids.shape[1])
     channel_graphs = _load_graphs(args.graphs_dir, config["channels"], n)
     gen, disc = _build_models(config, channel_graphs, n)
     tc = _train_config(config)
@@ -354,8 +352,7 @@ def _run_training(args, adversarial: bool) -> None:
     inputs = [args.train, args.locations] + [
         os.path.join(args.graphs_dir, f"{c}.csv") for c in config["channels"]]
     if adversarial:
-        best_gen, best_disc, adv_log = training.adversarial_train(
-            gen, disc, Dataset(train_trajs, coords), Dataset(valid_trajs, coords), tc)
+        best_gen, best_disc, adv_log = training.adversarial_train(gen, disc, train, valid, tc)
         gen.params.load_values(best_gen)
         disc.params.load_values(best_disc)
         log += adv_log
@@ -402,8 +399,8 @@ def cmd_generate(args) -> None:
     streams = sample_streams(args.seed, "generate")
     ids = generate_batch(gen, args.count, slots, seed_dist, streams)
     os.makedirs(args.out_dir, exist_ok=True)
-    trajectories = metrics.matrix_to_trajectories(ids)
-    records.write_trajectories(os.path.join(args.out_dir, "generated.txt"), trajectories)
+    records.write_trajectories(os.path.join(args.out_dir, "generated.txt"),
+                               records.generated_trajectories(ids))
     inputs = [meta_path, ckpt_path, args.locations] + [
         os.path.join(args.graphs_dir, f"{c}.csv") for c in channels]
     write_manifest(args.out_dir, "generate", {
@@ -414,10 +411,9 @@ def cmd_generate(args) -> None:
 
 def cmd_evaluate(args) -> None:
     coords = _load_locations(args.locations)
-    real = _load_split(args.real, "real", len(coords), args.slots)
-    generated = _load_split(args.generated, "generated", len(coords), args.slots)
-    report = metrics.evaluate(Dataset(real, coords, args.slots), generated,
-                              include_zero_steps=not args.exclude_zero_steps,
+    real = _load_split(args.real, "real", coords, args.slots)
+    generated = _load_split(args.generated, "generated", coords, args.slots).trajectories.ids
+    report = metrics.evaluate(real, generated, include_zero_steps=not args.exclude_zero_steps,
                               bins=args.bins, top=args.top)
     os.makedirs(args.out_dir, exist_ok=True)
     metrics.write_report(os.path.join(args.out_dir, "report.txt"), report)
@@ -447,18 +443,14 @@ def cmd_ablation(args) -> None:
     config = _resolve_train_config(
         args, {"k": 20, "metric": "haversine", "edge_mode": "weighted"})
     coords = _load_locations(args.locations)
-    n = len(coords)
-    train_trajs = _load_split(args.train, "train", n, args.slots)
-    valid_trajs = _load_split(args.valid, "valid", n, args.slots)
-    test_trajs = _load_split(args.test, "test", n, args.slots)
+    train_ds, valid_ds, test_ds = (
+        _load_split(path, label, coords, args.slots)
+        for label, path in (("train", args.train), ("valid", args.valid), ("test", args.test)))
     if args.observed:
-        _attach_observed(train_trajs, args.observed, n, args.slots)
-    weighted = _build_graphs(coords, train_trajs, config["k"], config["metric"], args.slots)
+        _attach_observed(train_ds.trajectories, args.observed, len(coords), args.slots)
+    weighted = _build_graphs(train_ds, config["k"], config["metric"])
     by_mode = {"weighted": weighted,
                "vanilla": {name: graphs.binarize(g) for name, g in weighted.items()}}
-    train_ds = Dataset(train_trajs, coords, args.slots)
-    valid_ds = Dataset(valid_trajs, coords, args.slots)
-    test_ds = Dataset(test_trajs, coords, args.slots)
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for name, overrides in _ablation_variants(config):
@@ -477,15 +469,14 @@ def _run_variant(config, channel_graphs, train_ds, valid_ds, test_ds):
     gen, disc = _build_models(config, {c: channel_graphs[c] for c in config["channels"]},
                               train_ds.n_locations)
     tc = _train_config(config)
-    train_ids = trajectory_matrix(train_ds.trajectories)
+    train_ids = train_ds.trajectories.ids
     training.pretrain_generator(gen, train_ids, tc)
     training.pretrain_discriminator(disc, gen, train_ids, tc)
     best_gen, _, _ = training.adversarial_train(gen, disc, train_ds, valid_ds, tc)
     gen.params.load_values(best_gen)
     streams = sample_streams(tc.seed, "ablation/final_eval")
-    generated = training.generated_dataset(
-        gen, len(test_ds.trajectories), train_ids.shape[1],
-        seed_distribution(train_ids, train_ds.n_locations), streams)
+    generated = generate_batch(gen, len(test_ds), train_ids.shape[1],
+                               seed_distribution(train_ids, train_ds.n_locations), streams)
     return metrics.evaluate(test_ds, generated)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .records import trajectory_matrix
+from .records import Trajectories
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -125,33 +125,30 @@ def build_sdg(coords: np.ndarray, k: int = 20, metric: str = "haversine") -> Loc
     return LocationGraph("sdg", "weighted", n, src, dst, weight, k=k)
 
 
-def build_ttg(trajectories, n_locations: int) -> LocationGraph:
-    """Transition-count graph over consecutive slots, edges sorted by (src, dst)."""
-    ids = trajectory_matrix(trajectories)
+def build_ttg(ids: np.ndarray, n_locations: int) -> LocationGraph:
+    """Transition-count graph over consecutive slots of a (B, T) id matrix,
+    edges sorted by (src, dst)."""
     a, b = ids[:, :-1].ravel(), ids[:, 1:].ravel()
     keys, weight = np.unique((a * n_locations + b)[a != b], return_counts=True)
     src, dst = np.divmod(keys, n_locations)
     return LocationGraph("ttg", "weighted", n_locations, src, dst, weight.astype(np.float64))
 
 
-def visit_profile_matrix(trajectories, n_locations: int, slots_per_day: int = 24) -> np.ndarray:
+def visit_profile_matrix(trajectories: Trajectories, n_locations: int) -> np.ndarray:
     """(N, T) matrix of visit profiles, one hour-of-day distribution per location.
 
-    Counts the raw pre-fill observations when a trajectory carries them and
-    falls back to its filled slots otherwise; unvisited locations get a
+    Counts the raw pre-fill observations of the rows that have any and the
+    filled slots of the rows that have none; unvisited locations get a
     uniform row.
     """
-    counts = np.zeros((n_locations, slots_per_day))
-    for traj in trajectories:
-        if traj.observed:
-            for slot, loc in traj.observed:
-                counts[loc, slot] += 1
-        else:
-            np.add.at(counts, (traj.slots, np.arange(len(traj.slots))), 1.0)
+    ids = trajectories.ids
+    slots = ids.shape[1]
+    unobserved = ids[np.bincount(trajectories.row, minlength=len(ids)) == 0]
+    cells = np.concatenate([trajectories.loc * slots + trajectories.slot,
+                            (unobserved * slots + np.arange(slots)).ravel()])
+    counts = np.bincount(cells, minlength=n_locations * slots).reshape(n_locations, slots)
     totals = counts.sum(axis=1, keepdims=True)
-    profiles = np.divide(counts, totals, out=np.full_like(counts, 1.0 / slots_per_day),
-                         where=totals > 0)
-    return profiles
+    return np.divide(counts, totals, out=np.full(counts.shape, 1.0 / slots), where=totals > 0)
 
 
 def build_stg(profiles: np.ndarray, k: int = 20, block: int = 256) -> LocationGraph:

@@ -16,18 +16,18 @@ Six histogram families are compared with the Jensen-Shannon divergence
 Continuous families use 100 equal-width bins whose range is fixed by the
 real dataset and shared with the generated one; out-of-range generated
 values fall into the edge bins.  Each family takes a (B, T) int64 id
-matrix, one row per trajectory.
+matrix, one row per trajectory, and ``evaluate`` scores a generated id
+matrix against a real :class:`~mobsim.records.Dataset`.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import haversine_km
-from .records import Dataset, Trajectory, trajectory_matrix
+from .records import Dataset
 from .rng import categorical, stream
 
 LN2 = float(np.log(2.0))
@@ -210,27 +210,27 @@ class MetricReport:
         return float(np.mean([self.scores[name] for name in METRIC_NAMES]))
 
 
-def evaluate(real: Dataset, generated, coords: np.ndarray | None = None,
+def evaluate(real: Dataset, generated: np.ndarray, coords: np.ndarray | None = None,
              bins: int = 100, top: int = 100,
              include_zero_steps: bool = True) -> MetricReport:
-    """Score generated trajectories against a real dataset.
+    """Score a generated (B, T) id matrix against a real dataset.
 
-    ``generated`` is a list of trajectories or a Dataset sharing the real
-    coordinate table.  Continuous bin ranges come from the real data only.
-    Every trajectory of both sides must have the same length: each side is
-    stacked once into a (B, T) id matrix, so scoring costs O(B·T) time and
-    memory, and ragged input raises ValueError.
+    The generated ids index the real coordinate table, and their length T
+    must equal the real one, which also sizes the duration and daily-location
+    histograms.  Continuous bin ranges come from the real data only.
+    Scoring costs O(B·T) time and memory.
     """
-    gen_trajs = generated.trajectories if isinstance(generated, Dataset) else generated
-    if not real.trajectories or not gen_trajs:
+    real_ids = real.trajectories.ids
+    gen_ids = np.asarray(generated, dtype=np.int64)
+    if not len(real_ids) or not len(gen_ids):
         raise ValueError("both datasets must be non-empty")
-    real_ids = trajectory_matrix(real.trajectories)
-    gen_ids = trajectory_matrix(gen_trajs)
-    if real_ids.shape[1] != gen_ids.shape[1]:
+    if gen_ids.ndim != 2:
+        raise ValueError(f"generated must be a (B, T) id matrix, got shape {gen_ids.shape}")
+    if gen_ids.shape[1] != real_ids.shape[1]:
         raise ValueError(f"generated trajectories hold {gen_ids.shape[1]} ids, "
                          f"real ones {real_ids.shape[1]}")
     coords = real.locations if coords is None else coords
-    slots_per_day = real.slots_per_day
+    slots_per_day = real_ids.shape[1]
     n = len(coords)
 
     real_steps = step_distances(real_ids, coords)
@@ -261,15 +261,14 @@ def evaluate(real: Dataset, generated, coords: np.ndarray | None = None,
 
 
 class MarkovBaseline:
-    """First-order Markov baseline fitted on training trajectories.
+    """First-order Markov baseline fitted on a (B, T) training id matrix.
 
     Transition counts include self-transitions; rows of unseen locations
     fall back to uniform.  The first slot is drawn from the empirical
     distribution of training first slots.
     """
 
-    def __init__(self, trajectories, n_locations: int):
-        ids = trajectory_matrix(trajectories)
+    def __init__(self, ids: np.ndarray, n_locations: int):
         counts = np.zeros((n_locations, n_locations), dtype=np.float64)
         np.add.at(counts, (ids[:, :-1], ids[:, 1:]), 1.0)
         totals = counts.sum(axis=1, keepdims=True)
@@ -281,8 +280,8 @@ class MarkovBaseline:
         self.n_locations = n_locations
         self.slots_per_day = ids.shape[1]
 
-    def generate(self, count: int, seed: int = 0):
-        """Sample trajectories; deterministic in (fitted model, count, seed)."""
+    def generate(self, count: int, seed: int = 0) -> np.ndarray:
+        """Sample a (count, T) id matrix; deterministic in (fitted model, count, seed)."""
         rng = stream(seed, "markov")
         length = self.slots_per_day
         cdf = np.cumsum(self.transitions, axis=1)
@@ -290,18 +289,12 @@ class MarkovBaseline:
         states[:, 0] = categorical(np.cumsum(self.initial), rng.random(count))
         for t in range(1, length):
             states[:, t] = categorical(cdf[states[:, t - 1]], rng.random(count))
-        return matrix_to_trajectories(states, prefix="markov")
+        return states
 
 
-def matrix_to_trajectories(ids: np.ndarray, prefix: str = "gen"):
-    """Wrap a (B, T) id matrix into Trajectory records with synthetic labels."""
-    day = dt.date(2000, 1, 1)
-    return [Trajectory(f"{prefix}{i:05d}", day, row) for i, row in enumerate(ids)]
-
-
-def visit_grid(trajectories, coords: np.ndarray, cell_deg: float = 0.01):
-    """Visit counts per (lat, lon) grid cell, sorted by cell."""
-    visits = np.bincount(trajectory_matrix(trajectories).ravel(), minlength=len(coords))
+def visit_grid(ids: np.ndarray, coords: np.ndarray, cell_deg: float = 0.01):
+    """Visit counts of a (B, T) id matrix per (lat, lon) grid cell, sorted by cell."""
+    visits = np.bincount(ids.ravel(), minlength=len(coords))
     visited = np.flatnonzero(visits)
     cells, cell_of = np.unique(np.floor(coords[visited] / cell_deg).astype(np.int64),
                                axis=0, return_inverse=True)

@@ -16,7 +16,7 @@ File formats (all plain text, one record per line, UTF-8):
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,44 +47,57 @@ class VisitRecord:
     utc_offset: int | None = None   # written offset in seconds east of UTC; None if naive
 
 
-@dataclass
-class Trajectory:
-    """One user-day as a dense sequence of T location ids.
+@dataclass(eq=False)
+class Trajectories:
+    """B user-days as one columnar table of T slots each.
 
-    ``observed`` keeps the raw (slot, location) pair of every input record of
-    the user-day, in time order and before any gap filling.  It is empty for
-    trajectories read back from a trajectory file.
+    Row i is the user-day ``(users[i], days[i])`` with dense location ids
+    ``ids[i]``.  The raw pre-fill observations are the parallel int64 arrays
+    ``row``, ``slot`` and ``loc``, one entry per input record: rows ascend and
+    each row's pairs keep their time order.  A table read back from a
+    trajectory file has no pairs until :func:`attach_observed` adds them.
     """
 
-    user: str
-    day: dt.date
-    slots: np.ndarray
-    observed: tuple = ()
+    users: np.ndarray               # (B,) str
+    days: np.ndarray                # (B,) datetime64[D]
+    ids: np.ndarray                 # (B, T) int64
+    row: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    slot: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    loc: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    def __post_init__(self):
-        self.slots = np.asarray(self.slots, dtype=np.int64)
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    def __eq__(self, other):
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        return (
-            self.user == other.user
-            and self.day == other.day
-            and np.array_equal(self.slots, other.slots)
-        )
+    def take(self, index) -> Trajectories:
+        """The distinct rows ``index``, in that order; a stable sort keeps
+        each row's observed pairs in their order."""
+        index = np.asarray(index, dtype=np.int64)
+        new_of_old = np.full(len(self), -1, dtype=np.int64)
+        new_of_old[index] = np.arange(len(index))
+        kept = new_of_old[self.row] >= 0
+        row = new_of_old[self.row[kept]]
+        order = np.argsort(row, kind="stable")
+        return Trajectories(self.users[index], self.days[index], self.ids[index],
+                            row[order], self.slot[kept][order], self.loc[kept][order])
+
+
+def generated_trajectories(ids: np.ndarray) -> Trajectories:
+    """Label a generated (B, T) id matrix as users gen00000, gen00001, ...,
+    all on 2000-01-01."""
+    return Trajectories(np.array([f"gen{i:05d}" for i in range(len(ids))]),
+                        np.full(len(ids), np.datetime64("2000-01-01")), ids)
 
 
 @dataclass
 class Dataset:
-    """Trajectories plus the coordinate table they index into.
+    """A trajectory table plus the coordinate table it indexes into.
 
     ``locations`` is an (N, 2) float array of (lat, lon) rows indexed by the
-    dense location id; every slot value of every trajectory lies in [0, N).
+    dense location id; every id of ``trajectories`` lies in [0, N).
     """
 
-    trajectories: list
+    trajectories: Trajectories
     locations: np.ndarray
-    slots_per_day: int = HOURS_PER_DAY
 
     @property
     def n_locations(self) -> int:
@@ -166,16 +179,17 @@ def location_table(records, n_locations: int) -> np.ndarray:
 
 
 def discretize(records, slots_per_day: int = HOURS_PER_DAY, fill: str = "ffill",
-               utc_offset_hours: int = 0):
+               utc_offset_hours: int = 0) -> Trajectories:
     """Bucket records into per-user-day trajectories of ``slots_per_day`` slots.
 
-    Each user-day with at least one record yields one trajectory.  Within an
-    hour bucket the record with the latest timestamp wins (input order breaks
-    exact ties).  Gaps are filled from the neighbouring observation: ``ffill``
-    repeats the previous slot and back-fills the leading gap from the first
-    observation, ``bfill`` mirrors that in reverse.  The raw (slot, location)
-    pairs are kept on each trajectory, one per record.  Slots and days follow
-    the record's own offset, or ``utc_offset_hours`` for a naive timestamp.
+    Each user-day with at least one record yields one row, in (user, day)
+    order.  Within an hour bucket the record with the latest timestamp wins
+    (input order breaks exact ties).  Gaps are filled from the neighbouring
+    observation: ``ffill`` repeats the previous slot and back-fills the
+    leading gap from the first observation, ``bfill`` mirrors that in
+    reverse.  The raw (slot, location) pairs are kept as the table's observed
+    pairs, one per record.  Slots and days follow the record's own offset, or
+    ``utc_offset_hours`` for a naive timestamp.
     """
     if HOURS_PER_DAY % slots_per_day != 0:
         raise ValueError(f"slots_per_day must divide {HOURS_PER_DAY}, got {slots_per_day}")
@@ -188,15 +202,19 @@ def discretize(records, slots_per_day: int = HOURS_PER_DAY, fill: str = "ffill",
         slot = moment.hour * slots_per_day // HOURS_PER_DAY
         key = (rec.user, moment.date())
         by_day.setdefault(key, []).append((rec.timestamp, order, slot, rec.location))
-    trajectories = []
-    for (user, day), entries in sorted(by_day.items()):
-        entries.sort(key=lambda e: (e[0], e[1]))
-        observed = tuple((slot, loc) for _, _, slot, loc in entries)
-        slots = np.full(slots_per_day, -1, dtype=np.int64)
+    keys = sorted(by_day)
+    ids = np.full((len(keys), slots_per_day), -1, dtype=np.int64)
+    pairs = []
+    for i, key in enumerate(keys):
+        entries = sorted(by_day[key], key=lambda e: (e[0], e[1]))
         for _, _, slot, loc in entries:
-            slots[slot] = loc
-        trajectories.append(Trajectory(user, day, _fill_gaps(slots, fill), observed))
-    return trajectories
+            ids[i, slot] = loc
+            pairs.append((i, slot, loc))
+        ids[i] = _fill_gaps(ids[i], fill)
+    row, slot, loc = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+    return Trajectories(np.array([user for user, _ in keys], dtype=str),
+                        np.array([day for _, day in keys], dtype="datetime64[D]"),
+                        ids, row, slot, loc)
 
 
 def _fill_gaps(slots: np.ndarray, fill: str) -> np.ndarray:
@@ -208,10 +226,11 @@ def _fill_gaps(slots: np.ndarray, fill: str) -> np.ndarray:
     return seen[last] if fill == "ffill" else seen[last[::-1]]
 
 
-def filter_min_visits(trajectories, min_daily: int = 9):
-    """Keep user-days whose raw record count, the length of each trajectory's
-    ``observed`` tuple, reaches ``min_daily``."""
-    return [traj for traj in trajectories if len(traj.observed) >= min_daily]
+def filter_min_visits(trajectories: Trajectories, min_daily: int = 9) -> Trajectories:
+    """Keep user-days whose raw record count, the number of their observed
+    pairs, reaches ``min_daily``."""
+    counts = np.bincount(trajectories.row, minlength=len(trajectories))
+    return trajectories.take(np.flatnonzero(counts >= min_daily))
 
 
 def split(dataset: Dataset, ratios=(7, 1, 2), seed: int = 0):
@@ -222,7 +241,7 @@ def split(dataset: Dataset, ratios=(7, 1, 2), seed: int = 0):
     """
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ValueError(f"ratios must be 3 positive numbers, got {ratios}")
-    n = len(dataset.trajectories)
+    n = len(dataset)
     if n < len(ratios):
         raise ValueError(f"cannot split {n} trajectories into {len(ratios)} parts")
     total = sum(ratios)
@@ -230,39 +249,19 @@ def split(dataset: Dataset, ratios=(7, 1, 2), seed: int = 0):
     n_test = int(n * ratios[2] // total)
     n_train = n - n_valid - n_test
     order = stream(seed, "split").permutation(n)
-    shuffled = [dataset.trajectories[i] for i in order]
-    parts = (shuffled[:n_train], shuffled[n_train:n_train + n_valid], shuffled[n_train + n_valid:])
-    return tuple(
-        Dataset(part, dataset.locations, dataset.slots_per_day) for part in parts
-    )
+    parts = (order[:n_train], order[n_train:n_train + n_valid], order[n_train + n_valid:])
+    return tuple(Dataset(dataset.trajectories.take(part), dataset.locations) for part in parts)
 
 
-def trajectory_matrix(trajectories) -> np.ndarray:
-    """Stack trajectories into a (B, T) int64 id matrix; ragged input raises
-    ValueError naming the first trajectory whose length differs."""
-    rows = [t.slots for t in trajectories]
-    bad = next((i for i, row in enumerate(rows) if len(row) != len(rows[0])), None)
-    if bad is not None:
-        raise ValueError(f"trajectory {bad} holds {len(rows[bad])} ids, expected {len(rows[0])}")
-    return np.stack(rows).astype(np.int64, copy=False)
+def _labels(trajectories: Trajectories):
+    """Each row's ``user,day`` prefix."""
+    days = np.datetime_as_string(trajectories.days, unit="D").tolist()
+    return [f"{user},{day}" for user, day in zip(trajectories.users.tolist(), days)]
 
 
-def write_trajectories(path, trajectories):
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in trajectories:
-            fh.write(f"{t.user},{t.day.isoformat()},{' '.join(str(s) for s in t.slots)}\n")
-
-
-def read_trajectories(path, n_locations: int | None = None, slots: int | None = None):
-    """Read a trajectory file.
-
-    Every line holds the same number of ids (``slots`` when given, else the
-    first line's count), each id lies in [0, ``n_locations``) (any
-    non-negative id when omitted); anything else raises
-    :class:`CheckinFormatError` naming the line and field.
-    """
-    trajectories = []
-    limit = np.inf if n_locations is None else n_locations
+def _user_day_lines(path, third: str):
+    """``(line number, user, day, third field)`` of each non-blank
+    ``user,day,<third>`` line of ``path``."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
@@ -270,26 +269,50 @@ def read_trajectories(path, n_locations: int | None = None, slots: int | None = 
                 continue
             parts = text.split(",")
             if len(parts) != 3:
-                raise CheckinFormatError(line_no, "record", "expected 'user,day,slots'")
-            user, day_text, slot_text = parts
+                raise CheckinFormatError(line_no, "record", f"expected 'user,day,{third}'")
             try:
-                day = dt.date.fromisoformat(day_text)
+                day = dt.date.fromisoformat(parts[1])
             except ValueError:
-                raise CheckinFormatError(line_no, "day", f"not YYYY-MM-DD: {day_text!r}") from None
-            try:
-                ids = [int(tok) for tok in slot_text.split()]
-            except ValueError:
-                raise CheckinFormatError(line_no, "slots", "ids must be integers") from None
-            if not ids:
-                raise CheckinFormatError(line_no, "slots", "no location ids")
-            if slots is None:
-                slots = len(ids)
-            if len(ids) != slots:
-                raise CheckinFormatError(line_no, "slots", f"{len(ids)} ids, expected {slots}")
-            if min(ids) < 0 or max(ids) >= limit:
-                raise CheckinFormatError(line_no, "slots", f"location id outside [0, {limit})")
-            trajectories.append(Trajectory(user, day, np.array(ids, dtype=np.int64)))
-    return trajectories
+                raise CheckinFormatError(line_no, "day", f"not YYYY-MM-DD: {parts[1]!r}") from None
+            yield line_no, parts[0], day, parts[2]
+
+
+def write_trajectories(path, trajectories: Trajectories):
+    lines = [f"{label},{' '.join(map(str, ids))}\n"
+             for label, ids in zip(_labels(trajectories), trajectories.ids.tolist())]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+
+
+def read_trajectories(path, n_locations: int | None = None,
+                      slots: int | None = None) -> Trajectories:
+    """Read a trajectory file into a table without observed pairs.
+
+    Every line holds the same number of ids (``slots`` when given, else the
+    first line's count), each id lies in [0, ``n_locations``) (any
+    non-negative id when omitted); anything else raises
+    :class:`CheckinFormatError` naming the line and field.
+    """
+    users, days, rows = [], [], []
+    limit = np.inf if n_locations is None else n_locations
+    for line_no, user, day, slot_text in _user_day_lines(path, "slots"):
+        try:
+            ids = [int(tok) for tok in slot_text.split()]
+        except ValueError:
+            raise CheckinFormatError(line_no, "slots", "ids must be integers") from None
+        if not ids:
+            raise CheckinFormatError(line_no, "slots", "no location ids")
+        if slots is None:
+            slots = len(ids)
+        if len(ids) != slots:
+            raise CheckinFormatError(line_no, "slots", f"{len(ids)} ids, expected {slots}")
+        if min(ids) < 0 or max(ids) >= limit:
+            raise CheckinFormatError(line_no, "slots", f"location id outside [0, {limit})")
+        users.append(user)
+        days.append(day)
+        rows.append(ids)
+    return Trajectories(np.array(users, dtype=str), np.array(days, dtype="datetime64[D]"),
+                        np.array(rows, dtype=np.int64).reshape(len(rows), slots or 0))
 
 
 def write_id_map(path, id_map):
@@ -355,53 +378,48 @@ def read_locations(path) -> np.ndarray:
     return np.array([rows[idx][1:] for idx in range(len(rows))])
 
 
-def write_observed(path, trajectories):
+def write_observed(path, trajectories: Trajectories):
+    tokens = [f"{slot}:{loc}" for slot, loc in
+              zip(trajectories.slot.tolist(), trajectories.loc.tolist())]
+    bounds = np.searchsorted(trajectories.row, np.arange(len(trajectories) + 1)).tolist()
+    lines = [f"{label},{' '.join(tokens[start:stop])}\n"
+             for label, start, stop in zip(_labels(trajectories), bounds, bounds[1:])]
     with open(path, "w", encoding="utf-8") as fh:
-        for t in trajectories:
-            pairs = " ".join(f"{slot}:{loc}" for slot, loc in t.observed)
-            fh.write(f"{t.user},{t.day.isoformat()},{pairs}\n")
+        fh.write("".join(lines))
 
 
-def attach_observed(trajectories, path, n_locations: int | None = None,
-                    slots: int | None = None):
-    """Re-attach raw observations from an observed sidecar file, in place.
+def attach_observed(trajectories: Trajectories, path, n_locations: int | None = None,
+                    slots: int | None = None) -> Trajectories:
+    """Fill the table's observed pairs from an observed sidecar file, in place.
 
     Every line holds a user, an ISO day and ``slot:loc`` integer pairs, each
     slot in [0, ``slots``) and each location in [0, ``n_locations``) (any
     non-negative value when omitted); anything else raises
-    :class:`CheckinFormatError` naming the line and field.
+    :class:`CheckinFormatError` naming the line and field.  A row takes the
+    pairs of the last line with its user and day, and none if no line has them.
     """
     slot_limit = np.inf if slots is None else slots
     loc_limit = np.inf if n_locations is None else n_locations
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 3:
-                raise CheckinFormatError(line_no, "record", "expected 'user,day,pairs'")
-            user, day_text, pair_text = parts
+    for line_no, user, day, pair_text in _user_day_lines(path, "pairs"):
+        pairs = []
+        for token in pair_text.split():
+            slot_text, _, loc_text = token.partition(":")
             try:
-                day = dt.date.fromisoformat(day_text)
+                slot, loc = int(slot_text), int(loc_text)
             except ValueError:
-                raise CheckinFormatError(line_no, "day", f"not YYYY-MM-DD: {day_text!r}") from None
-            pairs = []
-            for token in pair_text.split():
-                slot_text, _, loc_text = token.partition(":")
-                try:
-                    slot, loc = int(slot_text), int(loc_text)
-                except ValueError:
-                    raise CheckinFormatError(line_no, "pairs",
-                                             f"not slot:loc: {token!r}") from None
-                if not 0 <= slot < slot_limit:
-                    raise CheckinFormatError(line_no, "pairs",
-                                             f"slot {slot} outside [0, {slot_limit})")
-                if not 0 <= loc < loc_limit:
-                    raise CheckinFormatError(line_no, "pairs",
-                                             f"location id {loc} outside [0, {loc_limit})")
-                pairs.append((slot, loc))
-            table[(user, day)] = tuple(pairs)
-    for t in trajectories:
-        t.observed = table.get((t.user, t.day), ())
+                raise CheckinFormatError(line_no, "pairs", f"not slot:loc: {token!r}") from None
+            if not 0 <= slot < slot_limit:
+                raise CheckinFormatError(line_no, "pairs",
+                                         f"slot {slot} outside [0, {slot_limit})")
+            if not 0 <= loc < loc_limit:
+                raise CheckinFormatError(line_no, "pairs",
+                                         f"location id {loc} outside [0, {loc_limit})")
+            pairs.append((slot, loc))
+        table[(user, day)] = pairs
+    found = [(i, slot, loc)
+             for i, key in enumerate(zip(trajectories.users.tolist(), trajectories.days.tolist()))
+             for slot, loc in table.get(key, ())]
+    trajectories.row, trajectories.slot, trajectories.loc = (
+        np.array(found, dtype=np.int64).reshape(-1, 3).T)
     return trajectories

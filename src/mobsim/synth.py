@@ -9,16 +9,15 @@ to it so estimators can be checked against it.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .records import Dataset, Trajectory
+from .records import Dataset, Trajectories
 from .rng import categorical, stream
 
-_FIRST_DAY = dt.date(2012, 1, 2)
+_FIRST_DAY = np.datetime64("2012-01-02")
 
 
 @dataclass
@@ -106,18 +105,17 @@ def synth_generate(config: SynthConfig, kernel: np.ndarray | None = None) -> Syn
         stay = rng.random(m) < config.stay_prob
         drawn = categorical(kernel_cdf[states[:, t - 1]], rng.random(m))
         states[:, t] = np.where(stay, states[:, t - 1], drawn)
-    trajectories = []
-    for u in range(config.users):
-        for d in range(config.days):
-            row = states[u * config.days + d]
-            trajectories.append(Trajectory(
-                user=f"u{u:04d}",
-                day=_FIRST_DAY + dt.timedelta(days=d),
-                slots=row,
-                observed=tuple((t, int(loc)) for t, loc in enumerate(row)),
-            ))
+    # Row u * days + d is user u on day d; every slot is an observation.
+    trajectories = Trajectories(
+        users=np.repeat([f"u{u:04d}" for u in range(config.users)], config.days),
+        days=np.tile(_FIRST_DAY + np.arange(config.days), config.users),
+        ids=states,
+        row=np.repeat(np.arange(m, dtype=np.int64), t_slots),
+        slot=np.tile(np.arange(t_slots, dtype=np.int64), m),
+        loc=states.ravel(),
+    )
     coords = grid_coordinates(n, config.grid_step_deg, config.origin)
-    dataset = Dataset(trajectories, coords, t_slots)
+    dataset = Dataset(trajectories, coords)
     return SynthDataset(dataset, kernel, config.stay_prob)
 
 

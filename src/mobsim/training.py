@@ -20,14 +20,13 @@ from . import nn
 from .discriminator import Discriminator, d_loss
 from .generator import (
     Generator,
-    SampleStreams,
     complete_batch,
     generate_batch,
     sample_streams,
     seed_distribution,
 )
-from .metrics import evaluate, matrix_to_trajectories
-from .records import Dataset, trajectory_matrix
+from .metrics import evaluate
+from .records import Dataset
 from .rng import stream
 
 
@@ -234,12 +233,6 @@ def policy_gradient_step(gen: Generator, optimizer, batch_ids: np.ndarray,
     return objective.item()
 
 
-def generated_dataset(gen: Generator, count: int, length: int, seed_dist: np.ndarray,
-                      streams: SampleStreams):
-    ids = generate_batch(gen, count, length, seed_dist, streams)
-    return matrix_to_trajectories(ids)
-
-
 def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
                       valid: Dataset, config: TrainConfig):
     """Alternate policy-gradient and discriminator steps, tracking the best
@@ -248,10 +241,10 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
     Returns ``(best_gen_params, best_disc_params, log_lines)``.  With zero
     adversarial epochs the current parameters are returned unchanged.
     """
-    train_ids = trajectory_matrix(train.trajectories)
+    train_ids = train.trajectories.ids
     length = train_ids.shape[1]
     seed_dist = seed_distribution(train_ids, gen.config.n_locations)
-    eval_count = config.eval_count or len(valid.trajectories)
+    eval_count = config.eval_count or len(valid)
     per_epoch = config.steps_per_epoch or math.ceil(len(train_ids) / config.batch_size)
     g_opt = nn.make_optimizer(config.optimizer, gen.params, config.lr)
     d_opt = nn.make_optimizer(config.optimizer, disc.params, config.lr)
@@ -300,7 +293,7 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
                 _check_finite(disc.params, f"discriminator epoch {epoch} step {step}")
 
         eval_streams = sample_streams(config.seed, f"adv/eval/e{epoch}")
-        generated = generated_dataset(gen, eval_count, length, seed_dist, eval_streams)
+        generated = generate_batch(gen, eval_count, length, seed_dist, eval_streams)
         report = evaluate(valid, generated)
         score = report.mean_jsd
         marker = 0

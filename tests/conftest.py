@@ -19,11 +19,10 @@ def small_synth():
 @pytest.fixture(scope="session")
 def small_graphs(small_synth):
     ds = small_synth.dataset
-    profiles = graphs.visit_profile_matrix(ds.trajectories, ds.n_locations,
-                                           ds.slots_per_day)
+    profiles = graphs.visit_profile_matrix(ds.trajectories, ds.n_locations)
     return {
         "sdg": graphs.build_sdg(ds.locations, k=5),
-        "ttg": graphs.build_ttg(ds.trajectories, ds.n_locations),
+        "ttg": graphs.build_ttg(ds.trajectories.ids, ds.n_locations),
         "stg": graphs.build_stg(profiles, k=5),
     }
 

@@ -146,8 +146,9 @@ def run_lengths(slots):
 def evaluate_looped(real, generated, coords=None, bins=100, top=100,
                     include_zero_steps=True):
     """``metrics.evaluate`` with every family computed by a loop over
-    trajectories, one at a time: the reference for the (B, T) matrix
-    families.  Shares the package's histogram, JSD and alignment code."""
+    trajectories (id rows), one at a time: the reference for the (B, T)
+    matrix families.  Shares the package's histogram, JSD and alignment
+    code."""
     from mobsim.graphs import haversine_km
     from mobsim.metrics import (MetricReport, align_categorical, align_rank,
                                 categorical_histogram, continuous_histogram,
@@ -156,15 +157,15 @@ def evaluate_looped(real, generated, coords=None, bins=100, top=100,
     def step_distances(trajectories):
         chunks = []
         for traj in trajectories:
-            a = coords[traj.slots[:-1]]
-            b = coords[traj.slots[1:]]
+            a = coords[traj[:-1]]
+            b = coords[traj[1:]]
             chunks.append(haversine_km(a[:, 0], a[:, 1], b[:, 0], b[:, 1]))
         return np.concatenate(chunks)
 
     def gyration_radii(trajectories):
         radii = np.empty(len(trajectories))
         for i, traj in enumerate(trajectories):
-            points = coords[traj.slots]
+            points = coords[traj]
             center = points.mean(axis=0)
             d = haversine_km(points[:, 0], points[:, 1], center[0], center[1])
             radii[i] = np.sqrt((d ** 2).mean())
@@ -173,20 +174,20 @@ def evaluate_looped(real, generated, coords=None, bins=100, top=100,
     def duration_histogram(trajectories):
         counts = np.zeros(slots_per_day, dtype=np.float64)
         for traj in trajectories:
-            for length in run_lengths(traj.slots):
+            for length in run_lengths(traj):
                 counts[length - 1] += 1
         return categorical_histogram(counts, np.arange(1, slots_per_day + 1))
 
     def daily_locations_histogram(trajectories):
         counts = np.zeros(slots_per_day, dtype=np.float64)
         for traj in trajectories:
-            counts[len(np.unique(traj.slots)) - 1] += 1
+            counts[len(np.unique(traj)) - 1] += 1
         return categorical_histogram(counts, np.arange(1, slots_per_day + 1))
 
     def global_rank_histogram(trajectories):
         visits = np.zeros(n, dtype=np.int64)
         for traj in trajectories:
-            visits += np.bincount(traj.slots, minlength=n)
+            visits += np.bincount(traj, minlength=n)
         order = np.lexsort((np.arange(n), -visits))
         chosen = order[:min(top, int((visits > 0).sum()))]
         return categorical_histogram(visits[chosen].astype(np.float64), chosen)
@@ -195,7 +196,7 @@ def evaluate_looped(real, generated, coords=None, bins=100, top=100,
         profiles = []
         width = 0
         for traj in trajectories:
-            counts = np.sort(np.bincount(traj.slots))[::-1]
+            counts = np.sort(np.bincount(traj))[::-1]
             counts = counts[counts > 0][:top].astype(np.float64)
             profiles.append(counts / counts.sum())
             width = max(width, len(counts))
@@ -204,10 +205,10 @@ def evaluate_looped(real, generated, coords=None, bins=100, top=100,
             stacked[i, :len(profile)] = profile
         return categorical_histogram(stacked.mean(axis=0), np.arange(1, width + 1))
 
-    real_trajs = real.trajectories
-    gen_trajs = getattr(generated, "trajectories", generated)
+    real_trajs = list(real.trajectories.ids)
+    gen_trajs = list(generated)
     coords = real.locations if coords is None else coords
-    slots_per_day = real.slots_per_day
+    slots_per_day = len(real_trajs[0])
     n = len(coords)
 
     real_steps = step_distances(real_trajs)
@@ -251,3 +252,21 @@ def fill_gaps_looped(slots, fill):
         anchor = remaining[-1] + 1 if fill == "ffill" else remaining[0] - 1
         filled[remaining] = filled[anchor]
     return filled
+
+
+def visit_profiles_looped(trajectories, n_locations):
+    """Visit profiles by a loop over the rows of a trajectory table: a row's
+    observed pairs when it has any, its filled slots otherwise.  The
+    reference for ``graphs.visit_profile_matrix``."""
+    slots = trajectories.ids.shape[1]
+    counts = np.zeros((n_locations, slots))
+    for i, ids in enumerate(trajectories.ids):
+        mine = trajectories.row == i
+        if mine.any():
+            for slot, loc in zip(trajectories.slot[mine], trajectories.loc[mine]):
+                counts[loc, slot] += 1
+        else:
+            np.add.at(counts, (ids, np.arange(slots)), 1.0)
+    totals = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, totals, out=np.full_like(counts, 1.0 / slots),
+                     where=totals > 0)

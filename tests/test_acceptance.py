@@ -22,10 +22,8 @@ from mobsim.generator import (Generator, GeneratorConfig, generate_batch,
                               sample_streams, seed_distribution)
 from mobsim.graphs import (LocationGraph, binarize, build_sdg, build_stg,
                            build_ttg, visit_profile_matrix, wasserstein_1d)
-from mobsim.metrics import (MarkovBaseline, categorical_histogram, evaluate,
-                            jsd, matrix_to_trajectories)
-from mobsim.records import split, trajectory_matrix, write_locations, \
-    write_observed, write_trajectories
+from mobsim.metrics import MarkovBaseline, categorical_histogram, evaluate, jsd
+from mobsim.records import split, write_locations, write_observed, write_trajectories
 from mobsim.synth import SynthConfig, synth_generate
 from mobsim.training import (TrainConfig, adversarial_train, mean_nll,
                              pretrain_discriminator, pretrain_generator)
@@ -226,10 +224,10 @@ def test_criterion_4_graph_invariants():
             assert np.all(graph.out_degrees() == min(k, 199))
         assert stg.weight.min() >= 0.0 and stg.weight.max() <= 1.0
 
-        ttg = build_ttg(trajectories, 200)
+        ttg = build_ttg(trajectories.ids, 200)
         recount = {}
-        for traj in trajectories:
-            for a, b in zip(traj.slots[:-1], traj.slots[1:]):
+        for traj in trajectories.ids:
+            for a, b in zip(traj[:-1], traj[1:]):
                 if a != b:
                     recount[(int(a), int(b))] = recount.get((int(a), int(b)), 0) + 1
         stored = {(int(s), int(d)): w for s, d, w in zip(ttg.src, ttg.dst, ttg.weight)}
@@ -257,13 +255,13 @@ def test_criterion_5_markov_oracle():
         config = SynthConfig(n_locations=n, users=120, days=40, stay_prob=0.5,
                              kernel="uniform_offdiag", seed=909)
         synth = synth_generate(config)
-        ids = trajectory_matrix(synth.dataset.trajectories)
+        ids = synth.dataset.trajectories.ids
         counts = np.zeros((n, n))
         np.add.at(counts, (ids[:, :-1].ravel(), ids[:, 1:].ravel()), 1.0)
         assert counts.sum(axis=1).min() >= 1e4, "not enough transitions per source"
 
         effective = config.stay_prob * np.eye(n) + (1 - config.stay_prob) * synth.kernel
-        baseline = MarkovBaseline(synth.dataset.trajectories, n)
+        baseline = MarkovBaseline(ids, n)
         error = np.abs(baseline.transitions - effective).max()
         assert error < 0.02, f"max transition error {error:.4f}"
 
@@ -279,10 +277,10 @@ def planted():
     train, valid, test = split(synth.dataset, seed=424)
     graphs = {
         "sdg": build_sdg(synth.dataset.locations, k=10),
-        "ttg": build_ttg(train.trajectories, 100),
+        "ttg": build_ttg(train.trajectories.ids, 100),
         "stg": build_stg(visit_profile_matrix(train.trajectories, 100), k=10),
     }
-    train_ids = trajectory_matrix(train.trajectories)
+    train_ids = train.trajectories.ids
     return {
         "dataset": synth.dataset, "train": train, "valid": valid, "test": test,
         "graphs": graphs, "train_ids": train_ids,
@@ -299,7 +297,7 @@ def _planted_generator(planted_data, seed, dwell=True):
 def _planted_report(planted_data, gen, seed, tag, count=400):
     ids = generate_batch(gen, count, 24, planted_data["seed_dist"],
                          sample_streams(seed, tag))
-    return evaluate(planted_data["test"], matrix_to_trajectories(ids))
+    return evaluate(planted_data["test"], ids)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
-import datetime as dt
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobsim import graphs
-from mobsim.records import Trajectory
-from oracles import haversine_naive, markov_counts, transport_cost_greedy, transport_cost_linprog
+from oracles import (haversine_naive, markov_counts, transport_cost_greedy, transport_cost_linprog,
+                     visit_profiles_looped)
+from tables import table
 
 # ---------------------------------------------------------------------------
 # haversine
@@ -192,13 +191,9 @@ def test_sdg_k_bounds():
 # transition graph
 
 
-def _traj(slot_ids):
-    return Trajectory("u", dt.date(2012, 1, 1), np.array(slot_ids, dtype=np.int64), ())
-
-
 def test_ttg_counts_transitions():
-    trajs = [_traj([0, 1, 1, 2, 0]), _traj([1, 0, 0, 0, 1])]
-    g = graphs.build_ttg(trajs, 3)
+    ids = np.array([[0, 1, 1, 2, 0], [1, 0, 0, 0, 1]])
+    g = graphs.build_ttg(ids, 3)
     edges = {(s, d): w for s, d, w in zip(g.src, g.dst, g.weight)}
     # Self-transitions (1->1, 0->0) never appear.
     assert edges == {(0, 1): 2.0, (1, 2): 1.0, (2, 0): 1.0, (1, 0): 1.0}
@@ -207,7 +202,7 @@ def test_ttg_counts_transitions():
 def test_ttg_matches_transition_count_oracle():
     rng = np.random.default_rng(4)
     ids = np.where(rng.random((30, 24)) < 0.5, 3, rng.integers(0, 7, (30, 24)))
-    g = graphs.build_ttg([_traj(row) for row in ids], 7)
+    g = graphs.build_ttg(ids, 7)
     counts = markov_counts(ids, 7)
     np.fill_diagonal(counts, 0)
     src, dst = np.nonzero(counts)                     # row-major: sorted by (src, dst)
@@ -217,7 +212,7 @@ def test_ttg_matches_transition_count_oracle():
 
 
 def test_ttg_empty_when_everyone_stays():
-    g = graphs.build_ttg([_traj([3] * 24)], 5)
+    g = graphs.build_ttg(np.array([[3] * 24]), 5)
     assert len(g.src) == 0
 
 
@@ -227,26 +222,39 @@ def test_ttg_empty_when_everyone_stays():
 
 def test_visit_distribution_prefers_raw_observations():
     # The filled slots say location 0 all day; the raw observations win.
-    traj = Trajectory("u", dt.date(2012, 1, 1),
-                      np.zeros(24, dtype=np.int64), ((5, 0), (7, 0)))
-    profiles = graphs.visit_profile_matrix([traj], 2, 24)
+    traj = table(np.zeros((1, 24)), [((5, 0), (7, 0))])
+    profiles = graphs.visit_profile_matrix(traj, 2)
     expected = np.zeros(24)
     expected[5] = expected[7] = 0.5
     assert np.allclose(profiles[0], expected)
 
 
 def test_visit_distribution_falls_back_to_slots():
-    traj = _traj([1] * 12 + [0] * 12)
-    profiles = graphs.visit_profile_matrix([traj], 2, 24)
+    traj = table([[1] * 12 + [0] * 12])
+    profiles = graphs.visit_profile_matrix(traj, 2)
     assert profiles[0, :12].sum() == 0.0
     assert profiles[0, 12:].sum() == pytest.approx(1.0)
 
 
 def test_visit_profile_matrix_uniform_for_unvisited():
-    profiles = graphs.visit_profile_matrix([_traj([0] * 12 + [1] * 12)], 3, 24)
+    profiles = graphs.visit_profile_matrix(table([[0] * 12 + [1] * 12]), 3)
     assert np.allclose(profiles[0], np.r_[np.full(12, 1 / 12), np.zeros(12)])
     assert np.allclose(profiles[1], np.r_[np.zeros(12), np.full(12, 1 / 12)])
     assert np.allclose(profiles[2], 1 / 24)   # never visited: uniform fallback
+
+
+@pytest.mark.parametrize("length", [1, 5, 24])
+def test_visit_profile_matrix_matches_looped_oracle(length):
+    rng = np.random.default_rng(length)
+    n = 9
+    ids = rng.integers(0, n, size=(40, length))
+    pairs = [[(int(rng.integers(0, length)), int(rng.integers(0, n)))
+              for _ in range(rng.integers(0, 4) * int(rng.random() < 0.6))]
+             for _ in range(len(ids))]
+    trajs = table(ids, pairs)
+    assert 0 < len(np.unique(trajs.row)) < len(ids)     # a mix of both kinds of row
+    np.testing.assert_array_equal(graphs.visit_profile_matrix(trajs, n),
+                                  visit_profiles_looped(trajs, n))
 
 
 def test_stg_weights_and_topk():

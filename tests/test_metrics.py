@@ -1,4 +1,3 @@
-import datetime as dt
 import math
 
 import numpy as np
@@ -21,20 +20,19 @@ from mobsim.metrics import (
     gyration_radii,
     individual_rank_histogram,
     jsd,
-    matrix_to_trajectories,
     step_distances,
     visit_grid,
 )
-from mobsim.records import Dataset, Trajectory
+from mobsim.records import Dataset, generated_trajectories
 from numpy.testing import assert_array_equal
 from oracles import evaluate_looped, haversine_naive, jsd_naive, markov_counts, run_lengths
+from tables import table
 
 LN2 = math.log(2.0)
 
 
-def _traj(slot_ids, user="u"):
-    return Trajectory(user, dt.date(2012, 1, 1),
-                      np.array(slot_ids, dtype=np.int64), ())
+def _traj(slot_ids):
+    return np.array(slot_ids, dtype=np.int64)
 
 
 def _cat(masses, support=None):
@@ -235,7 +233,7 @@ def test_individual_rank_top_truncates():
 def _dataset(trajs, n=10):
     rng = np.random.default_rng(7)
     coords = np.column_stack([40 + 0.01 * rng.random(n), -74 + 0.01 * rng.random(n)])
-    return Dataset(trajs, coords, slots_per_day=len(trajs[0].slots))
+    return Dataset(table(trajs), coords)
 
 
 def test_run_lengths_hand_cases():
@@ -274,9 +272,9 @@ def test_evaluate_matches_looped_oracle(length, seed):
     n = int(rng.integers(1, 60))
     coords = np.column_stack([rng.uniform(-60, 60, n), rng.uniform(-170, 170, n)])
     real_rows, gen_rows = ([1, 200], [200, 1], [37, 64], [5, 9])[seed]
-    real = matrix_to_trajectories(_random_ids(rng, real_rows, length, n))
-    fake = matrix_to_trajectories(_random_ids(rng, gen_rows, length, n))
-    ds = Dataset(real, coords, slots_per_day=length)
+    real = table(_random_ids(rng, real_rows, length, n))
+    fake = _random_ids(rng, gen_rows, length, n)
+    ds = Dataset(real, coords)
     for top in (100, 2):
         for zero_steps in (True, False):
             try:
@@ -296,10 +294,9 @@ def test_evaluate_matches_looped_oracle_on_extreme_rows():
     stationary = np.repeat(np.arange(n)[:, None], length, axis=1)
     distinct = np.array([rng.permutation(n)[:length] for _ in range(20)])
     distinct[0, 0] = n - 1
-    real = matrix_to_trajectories(np.vstack([stationary[:5], distinct]))
-    for fake_ids in (stationary, distinct, np.vstack([distinct, stationary])):
-        fake = matrix_to_trajectories(fake_ids)
-        ds = Dataset(real, coords, slots_per_day=length)
+    real = table(np.vstack([stationary[:5], distinct]))
+    for fake in (stationary, distinct, np.vstack([distinct, stationary])):
+        ds = Dataset(real, coords)
         for top in (100, 10):
             for zero_steps in (True, False):
                 _assert_reports_equal(
@@ -309,7 +306,7 @@ def test_evaluate_matches_looped_oracle_on_extreme_rows():
 
 def test_evaluate_rejects_ragged_and_unequal_lengths():
     ds = _dataset([_traj([0, 1, 2, 3]), _traj([1, 2, 3, 4])])
-    with pytest.raises(ValueError, match="trajectory 1 holds 3 ids, expected 4"):
+    with pytest.raises(ValueError, match="inhomogeneous"):
         evaluate(ds, [_traj([0, 1, 2, 3]), _traj([0, 1, 2])])
     with pytest.raises(ValueError, match="generated trajectories hold 3 ids"):
         evaluate(ds, [_traj([0, 1, 2])])
@@ -317,7 +314,7 @@ def test_evaluate_rejects_ragged_and_unequal_lengths():
 
 def test_evaluate_self_comparison_is_zero():
     rng = np.random.default_rng(8)
-    trajs = [_traj(rng.integers(0, 10, size=24), user=f"u{i}") for i in range(12)]
+    trajs = [_traj(rng.integers(0, 10, size=24)) for i in range(12)]
     ds = _dataset(trajs)
     report = evaluate(ds, trajs)
     for name in metrics.METRIC_NAMES:
@@ -357,8 +354,7 @@ def test_evaluate_rejects_empty():
 def test_markov_rows_match_count_oracle():
     rng = np.random.default_rng(10)
     mat = rng.integers(0, 6, size=(40, 24))
-    trajs = matrix_to_trajectories(mat)
-    model = MarkovBaseline(trajs, 6)
+    model = MarkovBaseline(mat, 6)
     counts = markov_counts(mat, 6)
     expected = counts / counts.sum(axis=1, keepdims=True)
     assert np.allclose(model.transitions, expected, atol=1e-12)
@@ -366,23 +362,23 @@ def test_markov_rows_match_count_oracle():
 
 
 def test_markov_unseen_rows_fall_back_to_uniform():
-    model = MarkovBaseline([_traj([0, 1, 0, 1])], 4)
+    model = MarkovBaseline(np.array([_traj([0, 1, 0, 1])]), 4)
     assert np.allclose(model.transitions[2], 0.25)
     assert np.allclose(model.transitions[3], 0.25)
 
 
 def test_markov_initial_distribution():
-    model = MarkovBaseline([_traj([2, 0]), _traj([2, 1]), _traj([1, 0])], 4)
+    model = MarkovBaseline(np.array([_traj([2, 0]), _traj([2, 1]), _traj([1, 0])]), 4)
     assert np.allclose(model.initial, [0, 1 / 3, 2 / 3, 0])
 
 
 def test_markov_generate_deterministic_and_shaped():
-    model = MarkovBaseline([_traj([0, 1, 2, 0]), _traj([1, 2, 0, 1])], 3)
+    model = MarkovBaseline(np.array([_traj([0, 1, 2, 0]), _traj([1, 2, 0, 1])]), 3)
     a = model.generate(5, seed=3)
     b = model.generate(5, seed=3)
     c = model.generate(5, seed=4)
-    assert a == b and a != c
-    assert all(t.slots.shape == (4,) for t in a)
+    assert np.array_equal(a, b) and not np.array_equal(a, c)
+    assert a.shape == (5, 4)
 
 
 def test_markov_learns_planted_kernel():
@@ -394,7 +390,7 @@ def test_markov_learns_planted_kernel():
         for _ in range(23):
             path.append(path[-1] if rng.random() < 0.8 else int(rng.integers(0, 4)))
         rows.append(path)
-    model = MarkovBaseline(matrix_to_trajectories(np.array(rows)), 4)
+    model = MarkovBaseline(np.array(rows), 4)
     assert np.diag(model.transitions).min() > 0.7
 
 
@@ -403,13 +399,14 @@ def test_markov_learns_planted_kernel():
 
 
 def test_matrix_to_trajectories_labels():
-    trajs = matrix_to_trajectories(np.zeros((3, 4), dtype=np.int64), prefix="markov")
-    assert [t.user for t in trajs] == ["markov00000", "markov00001", "markov00002"]
+    trajs = generated_trajectories(np.zeros((3, 4), dtype=np.int64))
+    assert trajs.users.tolist() == ["gen00000", "gen00001", "gen00002"]
+    assert np.datetime_as_string(trajs.days).tolist() == ["2000-01-01"] * 3
 
 
 def test_visit_grid_bins_by_floor():
     coords = np.array([[40.001, -74.001], [40.002, -74.002], [40.011, -74.001]])
-    rows = visit_grid([_traj([0, 1, 2, 2])], coords, cell_deg=0.01)
+    rows = visit_grid(np.array([_traj([0, 1, 2, 2])]), coords, cell_deg=0.01)
     # First two locations share the cell (40.00, -74.01); the third is alone.
     assert rows == [(40.0, -74.01, 2), (40.01, -74.01, 2)]
 

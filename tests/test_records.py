@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobsim import records
-from mobsim.records import CheckinFormatError, Dataset, Trajectory
+from mobsim.records import CheckinFormatError, Dataset
 from oracles import fill_gaps_looped
+from tables import observed, table
 
 
 def _checkin(user="u", loc="A", lat=40.0, lon=-74.0, ts="2012-04-03T08:15:00Z"):
@@ -65,8 +66,8 @@ def test_discretize_last_record_per_hour_wins():
         _checkin(loc="C", ts="2012-04-03T09:20:00Z"),
     ]
     parsed, _ = records.parse_checkins(lines)
-    (traj,) = records.discretize(parsed)
-    assert traj.slots[9] == 1  # B has the latest timestamp in hour 9
+    (slots,) = records.discretize(parsed).ids
+    assert slots[9] == 1  # B has the latest timestamp in hour 9
 
 
 def test_discretize_tie_broken_by_input_order():
@@ -75,8 +76,8 @@ def test_discretize_tie_broken_by_input_order():
         _checkin(loc="B", ts="2012-04-03T09:05:00Z"),
     ]
     parsed, _ = records.parse_checkins(lines)
-    (traj,) = records.discretize(parsed)
-    assert traj.slots[9] == 1  # later input wins an exact tie
+    (slots,) = records.discretize(parsed).ids
+    assert slots[9] == 1  # later input wins an exact tie
 
 
 def test_discretize_forward_fill_and_leading_backfill():
@@ -85,10 +86,10 @@ def test_discretize_forward_fill_and_leading_backfill():
         _checkin(loc="B", ts="2012-04-03T10:00:00Z"),
     ]
     parsed, _ = records.parse_checkins(lines)
-    (traj,) = records.discretize(parsed)
-    assert traj.slots[:5].tolist() == [0] * 5      # leading gap back-filled
-    assert traj.slots[5:10].tolist() == [0] * 5    # A carried forward
-    assert traj.slots[10:].tolist() == [1] * 14    # B to end of day
+    (slots,) = records.discretize(parsed).ids
+    assert slots[:5].tolist() == [0] * 5      # leading gap back-filled
+    assert slots[5:10].tolist() == [0] * 5    # A carried forward
+    assert slots[10:].tolist() == [1] * 14    # B to end of day
 
 
 def test_discretize_bfill_mirrors():
@@ -97,10 +98,10 @@ def test_discretize_bfill_mirrors():
         _checkin(loc="B", ts="2012-04-03T10:00:00Z"),
     ]
     parsed, _ = records.parse_checkins(lines)
-    (traj,) = records.discretize(parsed, fill="bfill")
-    assert traj.slots[:6].tolist() == [0] * 6
-    assert traj.slots[6:11].tolist() == [1] * 5    # next observation pulled back
-    assert traj.slots[11:].tolist() == [1] * 13    # trailing gap anchored at B
+    (slots,) = records.discretize(parsed, fill="bfill").ids
+    assert slots[:6].tolist() == [0] * 6
+    assert slots[6:11].tolist() == [1] * 5    # next observation pulled back
+    assert slots[11:].tolist() == [1] * 13    # trailing gap anchored at B
 
 
 @pytest.mark.parametrize("fill", ["ffill", "bfill"])
@@ -120,8 +121,9 @@ def test_discretize_observed_kept_in_time_order():
         _checkin(loc="A", ts="2012-04-03T05:00:00Z"),
     ]
     parsed, _ = records.parse_checkins(lines)
-    (traj,) = records.discretize(parsed)
-    assert traj.observed == ((5, 1), (10, 0))
+    trajs = records.discretize(parsed)
+    assert len(trajs) == 1
+    assert observed(trajs, 0) == ((5, 1), (10, 0))
 
 
 def test_discretize_splits_users_and_days():
@@ -132,15 +134,15 @@ def test_discretize_splits_users_and_days():
     ]
     parsed, _ = records.parse_checkins(lines)
     trajs = records.discretize(parsed)
-    assert {(t.user, t.day.isoformat()) for t in trajs} == {
+    assert set(zip(trajs.users.tolist(), np.datetime_as_string(trajs.days).tolist())) == {
         ("u1", "2012-04-03"), ("u1", "2012-04-04"), ("u2", "2012-04-03")}
 
 
 def test_discretize_utc_offset_shifts_day_boundary():
     parsed, _ = records.parse_checkins([_checkin(ts="2012-04-03T23:30:00")])
-    (traj,) = records.discretize(parsed, utc_offset_hours=1)
-    assert traj.day == dt.date(2012, 4, 4)
-    assert traj.observed[0][0] == 0
+    trajs = records.discretize(parsed, utc_offset_hours=1)
+    assert trajs.days.tolist() == [dt.date(2012, 4, 4)]
+    assert observed(trajs, 0)[0][0] == 0
 
 
 @pytest.mark.parametrize("utc_offset_hours", [0, 5])
@@ -149,36 +151,44 @@ def test_discretize_aware_times_keep_their_own_wall_clock(utc_offset_hours):
     parsed, _ = records.parse_checkins(lines)
     assert [r.utc_offset for r in parsed] == [-4 * 3600, 0]
     trajs = records.discretize(parsed, utc_offset_hours=utc_offset_hours)
-    assert [(t.day, t.observed) for t in trajs] == [(dt.date(2012, 4, 3), ((23, 0), (23, 0)))]
+    assert [(day, observed(trajs, i)) for i, day in enumerate(trajs.days.tolist())] == [
+        (dt.date(2012, 4, 3), ((23, 0), (23, 0)))]
 
 
-def test_trajectory_matrix_names_the_first_ragged_row():
-    trajs = [Trajectory("u", dt.date(2012, 1, 1), np.arange(n)) for n in (4, 4, 3, 5)]
-    with pytest.raises(ValueError, match="trajectory 2 holds 3 ids, expected 4"):
-        records.trajectory_matrix(trajs)
-    assert records.trajectory_matrix(trajs[:2]).shape == (2, 4)
+def test_trajectory_matrix_names_the_first_ragged_row(tmp_path):
+    # A table cannot be ragged, so the reader is where a ragged row is named.
+    path = tmp_path / "t.txt"
+    path.write_text("".join(f"u,2012-01-01,{' '.join(map(str, range(n)))}\n"
+                            for n in (4, 4, 3, 5)))
+    with pytest.raises(ValueError, match="line 3, field 'slots': 3 ids, expected 4"):
+        records.read_trajectories(path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+    assert records.read_trajectories(path).ids.shape == (2, 4)
 
 
 def test_discretize_coarser_slots():
     parsed, _ = records.parse_checkins([_checkin(ts="2012-04-03T13:00:00Z")])
-    (traj,) = records.discretize(parsed, slots_per_day=4)
-    assert len(traj.slots) == 4
-    assert traj.observed == ((2, 0),)    # hour 13 lands in quarter 2
+    trajs = records.discretize(parsed, slots_per_day=4)
+    assert trajs.ids.shape == (1, 4)
+    assert observed(trajs, 0) == ((2, 0),)    # hour 13 lands in quarter 2
 
 
 def test_filter_min_visits_threshold_is_inclusive():
-    def traj_with(count):
-        return Trajectory("u", dt.date(2012, 1, 1), np.zeros(24, dtype=np.int64),
-                          tuple((i, 0) for i in range(count)))
-    kept = records.filter_min_visits([traj_with(8), traj_with(9), traj_with(10)])
+    trajs = table(np.zeros((3, 24)), [[(i, 0) for i in range(count)] for count in (8, 9, 10)])
+    kept = records.filter_min_visits(trajs)
     assert len(kept) == 2
 
 
 def _dataset(n_trajs, n_locs=4):
-    trajs = [Trajectory(f"u{i}", dt.date(2012, 1, 1 + i % 28),
-                        np.full(24, i % n_locs, dtype=np.int64), ())
-             for i in range(n_trajs)]
+    trajs = table(np.repeat(np.arange(n_trajs)[:, None] % n_locs, 24, axis=1))
+    trajs.days = np.datetime64("2012-01-01") + np.arange(n_trajs) % 28
     return Dataset(trajs, np.zeros((n_locs, 2)))
+
+
+def _assert_same_rows(got, want):
+    assert got.users.tolist() == want.users.tolist()
+    np.testing.assert_array_equal(got.days, want.days)
+    np.testing.assert_array_equal(got.ids, want.ids)
 
 
 def test_split_sizes_and_partition():
@@ -186,8 +196,8 @@ def test_split_sizes_and_partition():
     train, valid, test = records.split(ds, (7, 1, 2), seed=0)
     assert len(valid) == 10 and len(test) == 20      # floor shares
     assert len(train) == 73                           # remainder joins train
-    users = [t.user for part in (train, valid, test) for t in part.trajectories]
-    assert sorted(users) == sorted(t.user for t in ds.trajectories)
+    users = [user for part in (train, valid, test) for user in part.trajectories.users.tolist()]
+    assert sorted(users) == sorted(ds.trajectories.users.tolist())
 
 
 def test_split_deterministic_and_seed_sensitive():
@@ -195,8 +205,8 @@ def test_split_deterministic_and_seed_sensitive():
     a = records.split(ds, seed=5)[0]
     b = records.split(ds, seed=5)[0]
     c = records.split(ds, seed=6)[0]
-    assert [t.user for t in a.trajectories] == [t.user for t in b.trajectories]
-    assert [t.user for t in a.trajectories] != [t.user for t in c.trajectories]
+    assert a.trajectories.users.tolist() == b.trajectories.users.tolist()
+    assert a.trajectories.users.tolist() != c.trajectories.users.tolist()
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -204,17 +214,16 @@ def test_trajectory_roundtrip(tmp_path):
     path = tmp_path / "t.txt"
     records.write_trajectories(path, ds.trajectories)
     back = records.read_trajectories(path)
-    assert back == ds.trajectories
+    _assert_same_rows(back, ds.trajectories)
 
 
 def test_observed_roundtrip(tmp_path):
-    traj = Trajectory("u", dt.date(2012, 1, 1),
-                      np.zeros(24, dtype=np.int64), ((3, 1), (17, 0)))
+    traj = table(np.zeros((1, 24)), [((3, 1), (17, 0))])
     path = tmp_path / "obs.txt"
-    records.write_observed(path, [traj])
-    stripped = Trajectory(traj.user, traj.day, traj.slots, ())
-    records.attach_observed([stripped], path)
-    assert stripped.observed == ((3, 1), (17, 0))
+    records.write_observed(path, traj)
+    stripped = table(traj.ids)
+    records.attach_observed(stripped, path)
+    assert observed(stripped, 0) == ((3, 1), (17, 0))
 
 
 def test_locations_roundtrip(tmp_path):
@@ -235,8 +244,51 @@ def test_id_map_roundtrip(tmp_path):
        st.dates(dt.date(1990, 1, 1), dt.date(2100, 1, 1)))
 @settings(max_examples=50, deadline=None)
 def test_trajectory_roundtrip_property(slots, day):
-    traj = Trajectory("user-x", day, np.array(slots, dtype=np.int64), ())
+    traj = table([slots], users=["user-x"], day=day)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.txt")
-        records.write_trajectories(path, [traj])
-        assert records.read_trajectories(path) == [traj]
+        records.write_trajectories(path, traj)
+        _assert_same_rows(records.read_trajectories(path), traj)
+
+
+def _observed_table():
+    # Rows 1 and 3 have no pairs; row 2's pairs are out of slot order, as
+    # records of one hour bucket can be.
+    return table(np.arange(5 * 24).reshape(5, 24) % 7,
+                 [((0, 1), (5, 2)), (), ((9, 3), (2, 4), (9, 5)), (), ((23, 6),)],
+                 users=["a", "b", "c", "d", "e"])
+
+
+def test_table_roundtrip_is_byte_identical(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    records.write_trajectories(first / "t.txt", _observed_table())
+    records.write_observed(first / "obs.txt", _observed_table())
+    back = records.read_trajectories(first / "t.txt", n_locations=7, slots=24)
+    assert len(back.row) == 0
+    records.attach_observed(back, first / "obs.txt", n_locations=7, slots=24)
+    records.write_trajectories(second / "t.txt", back)
+    records.write_observed(second / "obs.txt", back)
+    for name in ("t.txt", "obs.txt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert (first / "obs.txt").read_text().splitlines()[1] == "b,2012-01-01,"
+
+
+def test_take_keeps_observed_order_after_split():
+    rng = np.random.default_rng(5)
+    pairs = [[(int(rng.integers(0, 24)), int(rng.integers(0, 7)))
+              for _ in range(rng.integers(0, 8))] for _ in range(60)]
+    trajs = table(rng.integers(0, 7, size=(60, 24)), pairs,
+                  users=[f"u{i}" for i in range(60)])
+    parts = records.split(Dataset(trajs, np.zeros((7, 2))), seed=3)
+    seen = []
+    for part in parts:
+        taken = part.trajectories
+        for i, user in enumerate(taken.users.tolist()):
+            j = int(user[1:])
+            np.testing.assert_array_equal(taken.ids[i], trajs.ids[j])
+            assert observed(taken, i) == observed(trajs, j)
+            seen.append(j)
+        assert np.all(np.diff(taken.row) >= 0)
+    assert sorted(seen) == list(range(60)) and seen != sorted(seen)

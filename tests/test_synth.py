@@ -35,18 +35,18 @@ def test_generate_shapes_and_vocabulary():
     ds = planted.dataset
     assert len(ds.trajectories) == 12
     assert ds.locations.shape == (9, 2)
-    for t in ds.trajectories:
-        assert t.slots.shape == (24,)
-        assert t.slots.min() >= 0 and t.slots.max() < 9
-        assert len(t.observed) == 24
+    for i, slots in enumerate(ds.trajectories.ids):
+        assert slots.shape == (24,)
+        assert slots.min() >= 0 and slots.max() < 9
+        assert (ds.trajectories.row == i).sum() == 24
 
 
 def test_generate_deterministic():
     a = synth.synth_generate(SynthConfig(seed=7, users=3, days=2))
     b = synth.synth_generate(SynthConfig(seed=7, users=3, days=2))
-    assert a.dataset.trajectories == b.dataset.trajectories
+    assert np.array_equal(a.dataset.trajectories.ids, b.dataset.trajectories.ids)
     c = synth.synth_generate(SynthConfig(seed=8, users=3, days=2))
-    assert a.dataset.trajectories != c.dataset.trajectories
+    assert not np.array_equal(a.dataset.trajectories.ids, c.dataset.trajectories.ids)
 
 
 def test_stay_prob_increases_repeats():
@@ -54,7 +54,7 @@ def test_stay_prob_increases_repeats():
     mobile = synth.synth_generate(SynthConfig(stay_prob=0.0, users=20, days=5, seed=2))
 
     def repeat_rate(ds):
-        mat = np.stack([t.slots for t in ds.trajectories])
+        mat = ds.trajectories.ids
         return float((mat[:, 1:] == mat[:, :-1]).mean())
 
     assert repeat_rate(still.dataset) > 0.8
@@ -66,7 +66,7 @@ def test_stay_prob_observed_frequency():
     planted = synth.synth_generate(SynthConfig(
         n_locations=25, users=40, days=10, stay_prob=0.3,
         kernel="uniform_offdiag", seed=3))
-    mat = np.stack([t.slots for t in planted.dataset.trajectories])
+    mat = planted.dataset.trajectories.ids
     repeats = float((mat[:, 1:] == mat[:, :-1]).mean())
     assert abs(repeats - 0.3) < 0.02
 

@@ -7,7 +7,6 @@ import pytest
 from mobsim import graphs, nn, synth, training
 from mobsim.discriminator import Discriminator, DiscriminatorConfig
 from mobsim.generator import Generator, GeneratorConfig, generate_batch, sample_streams
-from mobsim.records import trajectory_matrix
 from mobsim.training import (
     TrainConfig,
     TrainingDiverged,
@@ -45,7 +44,7 @@ def _sticky_ids(n_locations=8, rows=48, length=24, stay=0.8, seed=0):
     planted = synth.synth_generate(synth.SynthConfig(
         n_locations=n_locations, users=rows // 4, days=4, stay_prob=stay,
         seed=seed, slots_per_day=length))
-    return trajectory_matrix(planted.dataset.trajectories)
+    return planted.dataset.trajectories.ids
 
 
 # ---------------------------------------------------------------------------
