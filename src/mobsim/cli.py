@@ -306,8 +306,8 @@ def _load_graphs(graphs_dir, channels, n) -> dict:
     loaded = {}
     for name in channels:
         path = os.path.join(graphs_dir, f"{name}.csv")
-        _require_file(path, f"graph channel {name}")
-        loaded[name] = graphs.load_graph(path, n)
+        with _input_file(_require_file(path, f"graph channel {name}")):
+            loaded[name] = graphs.load_graph(path, n)
     return loaded
 
 

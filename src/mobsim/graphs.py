@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .records import Trajectories
+from .records import CheckinFormatError, Trajectories
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -189,15 +189,48 @@ def save_graph(path, graph: LocationGraph):
 
 
 def load_graph(path, n_locations: int) -> LocationGraph:
+    """Read a graph written by :func:`save_graph`.
+
+    The header is ``channel,mode,k`` with a known mode and an integer k;
+    every other line is ``src,dst,weight`` with distinct integer ids in
+    [0, ``n_locations``) and a finite weight.  Anything else raises
+    :class:`CheckinFormatError` naming the line and field.
+    """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        channel, mode, k = header.split(",")
+        header = fh.readline().strip().split(",")
+        if len(header) != 3 or header[1] not in ("weighted", "vanilla"):
+            raise CheckinFormatError(1, "header", "expected 'channel,mode,k' with mode "
+                                     "weighted or vanilla")
+        try:
+            k = int(header[2])
+        except ValueError:
+            raise CheckinFormatError(1, "k", f"not an integer: {header[2]!r}") from None
         src, dst, weight = [], [], []
-        for line in fh:
-            if line.strip():
-                s, d, w = line.strip().split(",")
-                src.append(int(s))
-                dst.append(int(d))
-                weight.append(float(w))
-    return LocationGraph(channel, mode, n_locations, np.array(src, dtype=np.int64),
-                         np.array(dst, dtype=np.int64), np.array(weight), k=int(k))
+        for line_no, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text:
+                continue
+            parts = text.split(",")
+            if len(parts) != 3:
+                raise CheckinFormatError(line_no, "record",
+                                         f"expected 'src,dst,weight', got {len(parts)} fields")
+            for name, raw, ends in (("src", parts[0], src), ("dst", parts[1], dst)):
+                try:
+                    ends.append(int(raw))
+                except ValueError:
+                    raise CheckinFormatError(line_no, name, f"not an integer: {raw!r}") from None
+                if not 0 <= ends[-1] < n_locations:
+                    raise CheckinFormatError(line_no, name,
+                                             f"id {ends[-1]} outside [0, {n_locations})")
+            if src[-1] == dst[-1]:
+                raise CheckinFormatError(line_no, "dst", f"self-edge on {src[-1]}; "
+                                         "attention adds the self-loop")
+            try:
+                weight.append(float(parts[2]))
+            except ValueError:
+                raise CheckinFormatError(line_no, "weight",
+                                         f"not a number: {parts[2]!r}") from None
+            if not np.isfinite(weight[-1]):
+                raise CheckinFormatError(line_no, "weight", f"not finite: {parts[2]!r}")
+    return LocationGraph(header[0], header[1], n_locations, np.array(src, dtype=np.int64),
+                         np.array(dst, dtype=np.int64), np.array(weight), k=k)

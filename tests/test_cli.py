@@ -367,3 +367,29 @@ def test_generate_without_slots_in_meta_gives_a_full_day(pipeline, tmp_path):
                  "--count", "3", "--out-dir", str(out)]) == 0
     lines = (out / "generated.txt").read_text().splitlines()
     assert [len(line.split(",")[2].split()) for line in lines] == [24] * 3
+
+
+@pytest.mark.parametrize("line_no, line, field", [
+    (3, "0,999,1.0", "dst"),
+    (3, "0,1,abc", "weight"),
+    (3, "0,0,1.0", "dst"),
+    (3, "0,1", "record"),
+    (3, "-3,1,1.0", "src"),
+    (3, "0,x,1.0", "dst"),
+    (3, "0,1,nan", "weight"),
+    (1, "sdg,dense,4", "header"),
+    (1, "sdg,weighted", "header"),
+    (1, "sdg,weighted,four", "k"),
+], ids=["dst_out_of_range", "bad_weight", "self_edge", "two_fields", "negative_src",
+        "bad_dst", "nan_weight", "unknown_mode", "short_header", "bad_k"])
+def test_generate_bad_graph_line_is_exit_1(pipeline, tmp_path, capsys, line_no, line, field):
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    for channel in ("sdg", "ttg", "stg"):
+        (gdir / f"{channel}.csv").write_bytes(_read(pipeline / "graphs" / f"{channel}.csv"))
+    _rewrite_line(pipeline / "graphs" / "sdg.csv", gdir / "sdg.csv", line_no, line)
+    assert main(["generate", "--model", str(pipeline / "model" / "gen"),
+                 "--graphs-dir", str(gdir),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--count", "3", "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{gdir / 'sdg.csv'}:{line_no}: field '{field}'" in capsys.readouterr().err
