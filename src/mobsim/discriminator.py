@@ -51,8 +51,6 @@ class Discriminator:
             batch_ids = batch_ids[None, :]
         if batch_ids.size == 0:
             raise ValueError("empty batch")
-        if batch_ids.min() < 0 or batch_ids.max() >= self.config.n_locations:
-            raise ValueError(f"location ids outside [0, {self.config.n_locations})")
         if hidden is None:
             hidden = nn.constant(np.zeros((batch_ids.shape[0], self.config.hidden_dim)))
         states = [hidden]

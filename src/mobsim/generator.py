@@ -166,6 +166,11 @@ class Generator:
         return nn.tmean(nll_total), nn.tmean(bce_total)
 
     def _check_ids(self, ids: np.ndarray):
+        # nn.gather_rows checks the ids it embeds, but not all of these reach
+        # it first: the last column of sequence_nll is only a cross-entropy
+        # target (an id of N or more raises IndexError there, a negative one
+        # wraps into a wrong loss), and complete_batch counts its prefix with
+        # np.add.at before any lookup.
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.n_locations):
             raise ValueError(f"location ids outside [0, {self.config.n_locations})")
 

@@ -78,24 +78,13 @@ class LocationGraph:
         if self.mode not in ("weighted", "vanilla"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.src)
-
     def out_degrees(self) -> np.ndarray:
         return np.bincount(self.src, minlength=self.n_locations)
 
 
 def _top_k_rows(score: np.ndarray, k: int, largest: bool):
     """Per-row top-k column indices; ties break toward the lower column id."""
-    n = score.shape[0]
-    ids = np.arange(score.shape[1])
-    picks = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        key = -score[i] if largest else score[i]
-        order = np.lexsort((ids, key))
-        picks[i] = order[:k]
-    return picks
+    return np.argsort(-score if largest else score, axis=1, kind="stable")[:, :k]
 
 
 def build_sdg(coords: np.ndarray, k: int = 20, metric: str = "haversine") -> LocationGraph:

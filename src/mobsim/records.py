@@ -321,16 +321,6 @@ def write_id_map(path, id_map):
             fh.write(f"{original},{dense}\n")
 
 
-def read_id_map(path):
-    id_map = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                original, dense = line.rstrip("\n").split(",")
-                id_map[original] = int(dense)
-    return id_map
-
-
 def write_locations(path, table):
     with open(path, "w", encoding="utf-8") as fh:
         for i, (lat, lon) in enumerate(table):

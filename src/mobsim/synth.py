@@ -123,12 +123,3 @@ def write_kernel(path, kernel: np.ndarray):
     with open(path, "w", encoding="utf-8") as fh:
         for row in kernel:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_kernel(path) -> np.ndarray:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append([float(tok) for tok in line.strip().split(",")])
-    return np.array(rows, dtype=np.float64)

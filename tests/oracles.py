@@ -254,6 +254,38 @@ def fill_gaps_looped(slots, fill):
     return filled
 
 
+def read_id_map(path):
+    """The original-to-dense id mapping of an id-map file."""
+    id_map = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                original, dense = line.rstrip("\n").split(",")
+                id_map[original] = int(dense)
+    return id_map
+
+
+def read_kernel(path):
+    """The transition kernel written by ``synth.write_kernel``."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                rows.append([float(tok) for tok in line.strip().split(",")])
+    return np.array(rows, dtype=np.float64)
+
+
+def top_k_rows_lexsort(score, k, largest):
+    """Per-row top-k columns by one lexsort per row, ties to the lower
+    column: the reference for ``graphs._top_k_rows``."""
+    ids = np.arange(score.shape[1])
+    picks = np.empty((score.shape[0], k), dtype=np.int64)
+    for i in range(score.shape[0]):
+        key = -score[i] if largest else score[i]
+        picks[i] = np.lexsort((ids, key))[:k]
+    return picks
+
+
 def visit_profiles_looped(trajectories, n_locations):
     """Visit profiles by a loop over the rows of a trajectory table: a row's
     observed pairs when it has any, its filled slots otherwise.  The

@@ -451,7 +451,7 @@ def test_criterion_9_ablation_parity(planted, tmp_path):
 
         # unit-weight graphs: weighted and vanilla modes must coincide exactly
         ones = {name: LocationGraph(g.channel, "weighted", g.n_locations, g.src,
-                                    g.dst, np.ones(g.n_edges), k=g.k)
+                                    g.dst, np.ones(len(g.src)), k=g.k)
                 for name, g in planted["graphs"].items()}
         plain = {name: binarize(g) for name, g in planted["graphs"].items()}
         cfg = GeneratorConfig(n_locations=100, embed_dim=8, hidden_dim=8, dropout=0.0)

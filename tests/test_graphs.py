@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobsim import graphs
-from oracles import (haversine_naive, markov_counts, transport_cost_greedy, transport_cost_linprog,
-                     visit_profiles_looped)
+from oracles import (haversine_naive, markov_counts, top_k_rows_lexsort, transport_cost_greedy,
+                     transport_cost_linprog, visit_profiles_looped)
 from tables import table
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,18 @@ def test_visit_profile_matrix_matches_looped_oracle(length):
     assert 0 < len(np.unique(trajs.row)) < len(ids)     # a mix of both kinds of row
     np.testing.assert_array_equal(graphs.visit_profile_matrix(trajs, n),
                                   visit_profiles_looped(trajs, n))
+
+
+@pytest.mark.parametrize("largest", [True, False])
+def test_top_k_rows_matches_lexsort_oracle(largest):
+    rng = np.random.default_rng(int(largest))
+    for _ in range(200):
+        rows, cols = rng.integers(1, 12), rng.integers(2, 30)
+        score = rng.integers(0, 4, size=(rows, cols)).astype(np.float64) / 3.0
+        score[rng.random((rows, cols)) < 0.2] = -np.inf
+        k = int(rng.integers(1, cols))
+        np.testing.assert_array_equal(graphs._top_k_rows(score, k, largest),
+                                      top_k_rows_lexsort(score, k, largest))
 
 
 def test_stg_weights_and_topk():

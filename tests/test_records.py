@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mobsim import records
 from mobsim.records import CheckinFormatError, Dataset
-from oracles import fill_gaps_looped
+from oracles import fill_gaps_looped, read_id_map
 from tables import observed, table
 
 
@@ -237,7 +237,7 @@ def test_id_map_roundtrip(tmp_path):
     id_map = {"venue_9": 0, "venue_3": 1}
     path = tmp_path / "ids.csv"
     records.write_id_map(path, id_map)
-    assert records.read_id_map(path) == id_map
+    assert read_id_map(path) == id_map
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=48),

@@ -3,6 +3,7 @@ import pytest
 
 from mobsim import synth
 from mobsim.synth import SynthConfig
+from oracles import read_kernel
 
 
 def test_kernel_kinds_are_stochastic():
@@ -75,7 +76,7 @@ def test_kernel_roundtrip(tmp_path):
     kernel = synth.make_kernel("random", 6, np.random.default_rng(4))
     path = tmp_path / "k.csv"
     synth.write_kernel(path, kernel)
-    assert np.array_equal(synth.read_kernel(path), kernel)
+    assert np.array_equal(read_kernel(path), kernel)
 
 
 def test_config_validation():
