@@ -16,6 +16,7 @@ channel stores self-edges; the attention layer adds a self-loop to every node
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,23 +204,30 @@ def load_graph(path, n_locations: int) -> LocationGraph:
             if len(parts) != 3:
                 raise CheckinFormatError(line_no, "record",
                                          f"expected 'src,dst,weight', got {len(parts)} fields")
-            for name, raw, ends in (("src", parts[0], src), ("dst", parts[1], dst)):
-                try:
-                    ends.append(int(raw))
-                except ValueError:
-                    raise CheckinFormatError(line_no, name, f"not an integer: {raw!r}") from None
-                if not 0 <= ends[-1] < n_locations:
-                    raise CheckinFormatError(line_no, name,
-                                             f"id {ends[-1]} outside [0, {n_locations})")
-            if src[-1] == dst[-1]:
-                raise CheckinFormatError(line_no, "dst", f"self-edge on {src[-1]}; "
-                                         "attention adds the self-loop")
             try:
-                weight.append(float(parts[2]))
+                s = int(parts[0])
+            except ValueError:
+                raise CheckinFormatError(line_no, "src", f"not an integer: {parts[0]!r}") from None
+            try:
+                d = int(parts[1])
+            except ValueError:
+                raise CheckinFormatError(line_no, "dst", f"not an integer: {parts[1]!r}") from None
+            try:
+                w = float(parts[2])
             except ValueError:
                 raise CheckinFormatError(line_no, "weight",
                                          f"not a number: {parts[2]!r}") from None
-            if not np.isfinite(weight[-1]):
+            if not 0 <= s < n_locations:
+                raise CheckinFormatError(line_no, "src", f"id {s} outside [0, {n_locations})")
+            if not 0 <= d < n_locations:
+                raise CheckinFormatError(line_no, "dst", f"id {d} outside [0, {n_locations})")
+            if s == d:
+                raise CheckinFormatError(line_no, "dst",
+                                         f"self-edge on {s}; attention adds the self-loop")
+            if not math.isfinite(w):
                 raise CheckinFormatError(line_no, "weight", f"not finite: {parts[2]!r}")
+            src.append(s)
+            dst.append(d)
+            weight.append(w)
     return LocationGraph(header[0], header[1], n_locations, np.array(src, dtype=np.int64),
                          np.array(dst, dtype=np.int64), np.array(weight), k=k)

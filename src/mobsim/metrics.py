@@ -210,8 +210,7 @@ class MetricReport:
         return float(np.mean([self.scores[name] for name in METRIC_NAMES]))
 
 
-def evaluate(real: Dataset, generated: np.ndarray, coords: np.ndarray | None = None,
-             bins: int = 100, top: int = 100,
+def evaluate(real: Dataset, generated: np.ndarray, bins: int = 100, top: int = 100,
              include_zero_steps: bool = True) -> MetricReport:
     """Score a generated (B, T) id matrix against a real dataset.
 
@@ -229,7 +228,7 @@ def evaluate(real: Dataset, generated: np.ndarray, coords: np.ndarray | None = N
     if gen_ids.shape[1] != real_ids.shape[1]:
         raise ValueError(f"generated trajectories hold {gen_ids.shape[1]} ids, "
                          f"real ones {real_ids.shape[1]}")
-    coords = real.locations if coords is None else coords
+    coords = real.locations
     slots_per_day = real_ids.shape[1]
     n = len(coords)
 

@@ -1,5 +1,11 @@
 """Check-in parsing, hourly discretization, filtering, and dataset splits.
 
+In memory, a set of user-days is one columnar :class:`Trajectories` table:
+user and day columns, a (B, T) int64 id matrix, and the raw pre-fill
+observations as parallel (row, slot, loc) arrays.  Every reader and writer
+of trajectory and observed files, and every consumer downstream, works on
+that table or its id matrix.
+
 File formats (all plain text, one record per line, UTF-8):
 
 * check-in input:   ``user,location,lat,lon,timestamp`` with an ISO-8601

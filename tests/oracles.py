@@ -143,8 +143,7 @@ def run_lengths(slots):
     return np.diff(splits)
 
 
-def evaluate_looped(real, generated, coords=None, bins=100, top=100,
-                    include_zero_steps=True):
+def evaluate_looped(real, generated, bins=100, top=100, include_zero_steps=True):
     """``metrics.evaluate`` with every family computed by a loop over
     trajectories (id rows), one at a time: the reference for the (B, T)
     matrix families.  Shares the package's histogram, JSD and alignment
@@ -207,7 +206,7 @@ def evaluate_looped(real, generated, coords=None, bins=100, top=100,
 
     real_trajs = list(real.trajectories.ids)
     gen_trajs = list(generated)
-    coords = real.locations if coords is None else coords
+    coords = real.locations
     slots_per_day = len(real_trajs[0])
     n = len(coords)
 
