@@ -38,16 +38,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliValidationError(message)
 
 
-def _require_file(path, label):
+@contextlib.contextmanager
+def _input_file(path, label):
+    """Check that the ``label`` file ``path`` exists, then report a malformed
+    field of it read inside the block as exit 1 with ``path:line``."""
     if not os.path.isfile(path):
         raise CliValidationError(f"{label} file not found: {path}")
-    return path
-
-
-@contextlib.contextmanager
-def _input_file(path):
-    """Report a malformed line of ``path`` read inside the block as exit 1
-    with ``path:line``."""
     try:
         yield
     except records.CheckinFormatError as exc:
@@ -79,20 +75,6 @@ def write_manifest(out_dir, command: str, config: dict, inputs):
         fh.write("\n")
 
 
-def read_config_file(path) -> dict:
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise CliValidationError(f"{path}:{line_no}: expected KEY=VALUE, got {text!r}")
-            key, _, value = text.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
 def _coerce(key: str, raw: str, default):
     try:
         if isinstance(default, bool):
@@ -117,8 +99,9 @@ def resolve_config(defaults: dict, config_path, flag_values: dict) -> dict:
     """flags > config file > defaults, with file values coerced by default type."""
     resolved = dict(defaults)
     if config_path:
-        _require_file(config_path, "config")
-        for key, raw in read_config_file(config_path).items():
+        with _input_file(config_path, "config"):
+            file_values = persist.read_meta(config_path)
+        for key, raw in file_values.items():
             if key not in defaults:
                 raise CliValidationError(f"unknown config key {key!r}")
             resolved[key] = _coerce(key, raw, defaults[key])
@@ -148,9 +131,8 @@ def _write_split_outputs(out_dir, dataset: Dataset, ratios, seed):
 
 
 def cmd_preprocess(args) -> None:
-    _require_file(args.input, "input")
     ratios = _parse_ratios(args.ratios)
-    with _input_file(args.input), open(args.input, encoding="utf-8") as fh:
+    with _input_file(args.input, "input"), open(args.input, encoding="utf-8") as fh:
         parsed, id_map = records.parse_checkins(fh, delimiter=args.delimiter)
     if not parsed:
         raise CliValidationError(f"no records parsed from {args.input}")
@@ -204,19 +186,19 @@ def cmd_synth(args) -> None:
 
 
 def _load_locations(path) -> np.ndarray:
-    with _input_file(_require_file(path, "locations")):
+    with _input_file(path, "locations"):
         return records.read_locations(path)
 
 
 def _attach_observed(trajectories, path, n_locations: int, slots: int):
-    with _input_file(_require_file(path, "observed")):
+    with _input_file(path, "observed"):
         records.attach_observed(trajectories, path, n_locations, slots)
 
 
 def _load_split(path, label, coords, slots: int | None = None) -> Dataset:
     """Read a trajectory file whose ids all index ``coords`` and whose lines
     all hold ``slots`` ids (one common count when omitted)."""
-    with _input_file(_require_file(path, label)):
+    with _input_file(path, label):
         trajectories = records.read_trajectories(path, len(coords), slots)
     if not len(trajectories):
         raise CliValidationError(f"{label} file {path} holds no trajectories")
@@ -306,7 +288,7 @@ def _load_graphs(graphs_dir, channels, n) -> dict:
     loaded = {}
     for name in channels:
         path = os.path.join(graphs_dir, f"{name}.csv")
-        with _input_file(_require_file(path, f"graph channel {name}")):
+        with _input_file(path, f"graph channel {name}"):
             loaded[name] = graphs.load_graph(path, n)
     return loaded
 
@@ -385,9 +367,11 @@ def cmd_generate(args) -> None:
     if args.count < 1:
         raise CliValidationError("count must be positive")
     coords = _load_locations(args.locations)
-    meta_path = _require_file(f"{args.model}.meta", "model meta")
-    ckpt_path = _require_file(f"{args.model}.ckpt", "model checkpoint")
-    meta = persist.read_meta(meta_path)
+    meta_path, ckpt_path = f"{args.model}.meta", f"{args.model}.ckpt"
+    # The meta block is the inner one, so a malformed meta line is reported
+    # against the meta file; the checkpoint block only checks that it exists.
+    with _input_file(ckpt_path, "model checkpoint"), _input_file(meta_path, "model meta"):
+        meta = persist.read_meta(meta_path)
     # Metas written before the trained length was recorded get a full day.
     slots = args.slots if args.slots is not None else int(
         meta.get("slots", records.HOURS_PER_DAY))

@@ -16,12 +16,11 @@ channel stores self-edges; the attention layer adds a self-loop to every node
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .records import CheckinFormatError, Trajectories
+from .records import CheckinFormatError, Trajectories, _fields, _float_field, _int_field
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -191,43 +190,16 @@ def load_graph(path, n_locations: int) -> LocationGraph:
         if len(header) != 3 or header[1] not in ("weighted", "vanilla"):
             raise CheckinFormatError(1, "header", "expected 'channel,mode,k' with mode "
                                      "weighted or vanilla")
-        try:
-            k = int(header[2])
-        except ValueError:
-            raise CheckinFormatError(1, "k", f"not an integer: {header[2]!r}") from None
+        k = _int_field(1, "k", header[2])
         src, dst, weight = [], [], []
-        for line_no, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != 3:
-                raise CheckinFormatError(line_no, "record",
-                                         f"expected 'src,dst,weight', got {len(parts)} fields")
-            try:
-                s = int(parts[0])
-            except ValueError:
-                raise CheckinFormatError(line_no, "src", f"not an integer: {parts[0]!r}") from None
-            try:
-                d = int(parts[1])
-            except ValueError:
-                raise CheckinFormatError(line_no, "dst", f"not an integer: {parts[1]!r}") from None
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise CheckinFormatError(line_no, "weight",
-                                         f"not a number: {parts[2]!r}") from None
-            if not 0 <= s < n_locations:
-                raise CheckinFormatError(line_no, "src", f"id {s} outside [0, {n_locations})")
-            if not 0 <= d < n_locations:
-                raise CheckinFormatError(line_no, "dst", f"id {d} outside [0, {n_locations})")
+        for line_no, (src_text, dst_text, weight_text) in _fields(fh, "src,dst,weight", start=2):
+            s = _int_field(line_no, "src", src_text, n_locations)
+            d = _int_field(line_no, "dst", dst_text, n_locations)
             if s == d:
                 raise CheckinFormatError(line_no, "dst",
                                          f"self-edge on {s}; attention adds the self-loop")
-            if not math.isfinite(w):
-                raise CheckinFormatError(line_no, "weight", f"not finite: {parts[2]!r}")
             src.append(s)
             dst.append(d)
-            weight.append(w)
+            weight.append(_float_field(line_no, "weight", weight_text))
     return LocationGraph(header[0], header[1], n_locations, np.array(src, dtype=np.int64),
                          np.array(dst, dtype=np.int64), np.array(weight), k=k)

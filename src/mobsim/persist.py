@@ -14,6 +14,7 @@ import numpy as np
 from .discriminator import Discriminator, DiscriminatorConfig
 from .generator import Generator, GeneratorConfig
 from .nn import load_checkpoint, save_checkpoint
+from .records import _fields
 
 
 def _write_meta(path, fields: dict):
@@ -30,15 +31,14 @@ def _write_meta(path, fields: dict):
 
 
 def read_meta(path) -> dict:
-    """The key=value fields of a ``.meta`` file, values as strings."""
-    fields = {}
+    """The fields of a file of ``key=value`` lines, such as a ``.meta``
+    sidecar or a ``--config`` file, values as strings.  Blank lines and
+    ``#`` comments are skipped; any other line without exactly one ``=``
+    raises :class:`CheckinFormatError` naming the line."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                key, _, value = line.partition("=")
-                fields[key] = value
-    return fields
+        uncommented = ("" if line.lstrip().startswith("#") else line for line in fh)
+        return {key.strip(): value.strip()
+                for _, (key, value) in _fields(uncommented, "key=value", "=")}
 
 
 def save_generator(prefix, gen: Generator, seed_dist: np.ndarray, slots: int):

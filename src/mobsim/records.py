@@ -22,6 +22,7 @@ File formats (all plain text, one record per line, UTF-8):
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +122,46 @@ class Dataset:
         return len(self.trajectories)
 
 
+def _fields(lines, layout: str, delimiter: str = ",", start: int = 1):
+    """``(line number, fields)`` of each non-blank line, numbered from
+    ``start``; a line that does not split into the fields of ``layout``
+    (say ``"id,lat,lon"``) raises :class:`CheckinFormatError`."""
+    n_fields = layout.count(delimiter) + 1
+    for line_no, line in enumerate(lines, start=start):
+        text = line.strip()
+        if not text:
+            continue
+        parts = text.split(delimiter)
+        if len(parts) != n_fields:
+            raise CheckinFormatError(line_no, "record",
+                                     f"expected '{layout}', got {len(parts)} fields")
+        yield line_no, parts
+
+
+def _int_field(line_no: int, name: str, text: str, limit: int | None = None) -> int:
+    """``text`` as an integer, in [0, ``limit``) when a limit is given."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise CheckinFormatError(line_no, name, f"not an integer: {text!r}") from None
+    if limit is not None and not 0 <= value < limit:
+        raise CheckinFormatError(line_no, name, f"{value} outside [0, {limit})")
+    return value
+
+
+def _float_field(line_no: int, name: str, text: str, bound: float | None = None) -> float:
+    """``text`` as a finite float, within ±``bound`` when a bound is given."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise CheckinFormatError(line_no, name, f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise CheckinFormatError(line_no, name, f"not finite: {text!r}")
+    if bound is not None and abs(value) > bound:
+        raise CheckinFormatError(line_no, name, f"{value} outside [-{bound}, {bound}]")
+    return value
+
+
 def _parse_timestamp(text: str):
     """UTC epoch seconds and the written offset (None for a naive time, read as UTC)."""
     # Python 3.10 fromisoformat rejects a trailing Z, so normalize it first.
@@ -144,30 +185,14 @@ def parse_checkins(lines, delimiter: str = ","):
     """
     records = []
     id_map: dict[str, int] = {}
-    for line_no, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        parts = text.split(delimiter)
-        if len(parts) != 5:
-            raise CheckinFormatError(line_no, "record", f"expected 5 fields, got {len(parts)}")
+    for line_no, parts in _fields(lines, "user,location,lat,lon,timestamp", delimiter):
         user, loc_token, lat_text, lon_text, ts_text = (p.strip() for p in parts)
         if not user:
             raise CheckinFormatError(line_no, "user", "empty user id")
         if not loc_token:
             raise CheckinFormatError(line_no, "location", "empty location id")
-        try:
-            lat = float(lat_text)
-        except ValueError:
-            raise CheckinFormatError(line_no, "lat", f"not a number: {lat_text!r}") from None
-        if not -90.0 <= lat <= 90.0:
-            raise CheckinFormatError(line_no, "lat", f"latitude {lat} outside [-90, 90]")
-        try:
-            lon = float(lon_text)
-        except ValueError:
-            raise CheckinFormatError(line_no, "lon", f"not a number: {lon_text!r}") from None
-        if not -180.0 <= lon <= 180.0:
-            raise CheckinFormatError(line_no, "lon", f"longitude {lon} outside [-180, 180]")
+        lat = _float_field(line_no, "lat", lat_text, 90.0)
+        lon = _float_field(line_no, "lon", lon_text, 180.0)
         try:
             epoch, offset = _parse_timestamp(ts_text)
         except ValueError:
@@ -276,18 +301,12 @@ def _user_day_lines(path, third: str):
     """``(line number, user, day, third field)`` of each non-blank
     ``user,day,<third>`` line of ``path``."""
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != 3:
-                raise CheckinFormatError(line_no, "record", f"expected 'user,day,{third}'")
+        for line_no, (user, day_text, rest) in _fields(fh, f"user,day,{third}"):
             try:
-                day = dt.date.fromisoformat(parts[1])
+                day = dt.date.fromisoformat(day_text)
             except ValueError:
-                raise CheckinFormatError(line_no, "day", f"not YYYY-MM-DD: {parts[1]!r}") from None
-            yield line_no, parts[0], day, parts[2]
+                raise CheckinFormatError(line_no, "day", f"not YYYY-MM-DD: {day_text!r}") from None
+            yield line_no, user, day, rest
 
 
 def write_trajectories(path, trajectories: Trajectories):
@@ -297,17 +316,14 @@ def write_trajectories(path, trajectories: Trajectories):
         fh.write("".join(lines))
 
 
-def read_trajectories(path, n_locations: int | None = None,
-                      slots: int | None = None) -> Trajectories:
+def read_trajectories(path, n_locations: int, slots: int | None = None) -> Trajectories:
     """Read a trajectory file into a table without observed pairs.
 
     Every line holds the same number of ids (``slots`` when given, else the
-    first line's count), each id lies in [0, ``n_locations``) (any
-    non-negative id when omitted); anything else raises
-    :class:`CheckinFormatError` naming the line and field.
+    first line's count), each id lies in [0, ``n_locations``); anything else
+    raises :class:`CheckinFormatError` naming the line and field.
     """
     users, days, rows = [], [], []
-    limit = np.inf if n_locations is None else n_locations
     for line_no, user, day, slot_text in _user_day_lines(path, "slots"):
         try:
             ids = [int(tok) for tok in slot_text.split()]
@@ -319,8 +335,10 @@ def read_trajectories(path, n_locations: int | None = None,
             slots = len(ids)
         if len(ids) != slots:
             raise CheckinFormatError(line_no, "slots", f"{len(ids)} ids, expected {slots}")
-        if min(ids) < 0 or max(ids) >= limit:
-            raise CheckinFormatError(line_no, "slots", f"location id outside [0, {limit})")
+        # One min/max per line, not a check per id: population files hold
+        # hundreds of thousands of ids.
+        if min(ids) < 0 or max(ids) >= n_locations:
+            raise CheckinFormatError(line_no, "slots", f"location id outside [0, {n_locations})")
         users.append(user)
         days.append(day)
         rows.append(ids)
@@ -343,42 +361,23 @@ def write_locations(path, table):
 def read_locations(path) -> np.ndarray:
     """Read a locations file into an (N, 2) table indexed by dense id.
 
-    Every line holds an integer id and a finite lat and lon, and the ids are
-    0..N-1 in any order; anything else raises :class:`CheckinFormatError`
-    naming the line and field.
+    Every one of the N lines holds a distinct integer id in [0, N), so the
+    ids are 0..N-1 in any order, and a finite lat and lon; anything else
+    raises :class:`CheckinFormatError` naming the line and field.
     """
-    rows = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != 3:
-                raise CheckinFormatError(line_no, "record",
-                                         f"expected 'id,lat,lon', got {len(parts)} fields")
-            try:
-                idx = int(parts[0])
-            except ValueError:
-                raise CheckinFormatError(line_no, "id", f"not an integer: {parts[0]!r}") from None
-            if idx in rows:
-                raise CheckinFormatError(line_no, "id",
-                                         f"duplicate id {idx} (first on line {rows[idx][0]})")
-            coords = []
-            for name, raw in zip(("lat", "lon"), parts[1:]):
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise CheckinFormatError(line_no, name, f"not a number: {raw!r}") from None
-                if not np.isfinite(value):
-                    raise CheckinFormatError(line_no, name, f"not finite: {raw!r}")
-                coords.append(value)
-            rows[idx] = (line_no, *coords)
-    for idx, (line_no, _, _) in rows.items():
-        if not 0 <= idx < len(rows):
-            raise CheckinFormatError(line_no, "id", f"id {idx} outside [0, {len(rows)}): "
-                                     "ids must be dense 0..N-1")
-    return np.array([rows[idx][1:] for idx in range(len(rows))])
+        lines = list(_fields(fh, "id,lat,lon"))
+    table = np.empty((len(lines), 2))
+    first_line = {}
+    for line_no, (id_text, lat_text, lon_text) in lines:
+        idx = _int_field(line_no, "id", id_text, len(lines))
+        if idx in first_line:
+            raise CheckinFormatError(line_no, "id",
+                                     f"duplicate id {idx} (first on line {first_line[idx]})")
+        first_line[idx] = line_no
+        table[idx] = (_float_field(line_no, "lat", lat_text),
+                      _float_field(line_no, "lon", lon_text))
+    return table
 
 
 def write_observed(path, trajectories: Trajectories):
@@ -391,35 +390,22 @@ def write_observed(path, trajectories: Trajectories):
         fh.write("".join(lines))
 
 
-def attach_observed(trajectories: Trajectories, path, n_locations: int | None = None,
-                    slots: int | None = None) -> Trajectories:
+def attach_observed(trajectories: Trajectories, path, n_locations: int,
+                    slots: int) -> Trajectories:
     """Fill the table's observed pairs from an observed sidecar file, in place.
 
     Every line holds a user, an ISO day and ``slot:loc`` integer pairs, each
-    slot in [0, ``slots``) and each location in [0, ``n_locations``) (any
-    non-negative value when omitted); anything else raises
-    :class:`CheckinFormatError` naming the line and field.  A row takes the
-    pairs of the last line with its user and day, and none if no line has them.
+    slot in [0, ``slots``) and each location in [0, ``n_locations``);
+    anything else raises :class:`CheckinFormatError` naming the line and
+    field.  A row takes the pairs of the last line with its user and day, and
+    none if no line has them.
     """
-    slot_limit = np.inf if slots is None else slots
-    loc_limit = np.inf if n_locations is None else n_locations
     table = {}
     for line_no, user, day, pair_text in _user_day_lines(path, "pairs"):
-        pairs = []
-        for token in pair_text.split():
-            slot_text, _, loc_text = token.partition(":")
-            try:
-                slot, loc = int(slot_text), int(loc_text)
-            except ValueError:
-                raise CheckinFormatError(line_no, "pairs", f"not slot:loc: {token!r}") from None
-            if not 0 <= slot < slot_limit:
-                raise CheckinFormatError(line_no, "pairs",
-                                         f"slot {slot} outside [0, {slot_limit})")
-            if not 0 <= loc < loc_limit:
-                raise CheckinFormatError(line_no, "pairs",
-                                         f"location id {loc} outside [0, {loc_limit})")
-            pairs.append((slot, loc))
-        table[(user, day)] = pairs
+        table[(user, day)] = [
+            (_int_field(line_no, "pairs", slot_text, slots),
+             _int_field(line_no, "pairs", loc_text, n_locations))
+            for slot_text, _, loc_text in (token.partition(":") for token in pair_text.split())]
     found = [(i, slot, loc)
              for i, key in enumerate(zip(trajectories.users.tolist(), trajectories.days.tolist()))
              for slot, loc in table.get(key, ())]

@@ -393,3 +393,10 @@ def test_generate_bad_graph_line_is_exit_1(pipeline, tmp_path, capsys, line_no, 
                  "--locations", str(pipeline / "data" / "locations.csv"),
                  "--count", "3", "--out-dir", str(tmp_path / "out")]) == 1
     assert f"{gdir / 'sdg.csv'}:{line_no}: field '{field}'" in capsys.readouterr().err
+
+
+def test_config_file_line_without_equals_is_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("# synth settings\nusers=3\ndays 2\n")
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert f"{cfg}:3: field 'record'" in capsys.readouterr().err

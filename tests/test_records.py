@@ -37,6 +37,8 @@ def test_parse_skips_blank_lines():
     ("u,A,91.0,-74.0,2012-04-03T08:15:00Z", "lat"),
     ("u,A,40.0,-190.0,2012-04-03T08:15:00Z", "lon"),
     ("u,A,40.0,-74.0,yesterday", "timestamp"),
+    ("u,A,nan,-74.0,2012-04-03T08:15:00Z", "lat"),
+    ("u,A,40.0,inf,2012-04-03T08:15:00Z", "lon"),
 ])
 def test_parse_rejects_malformed_fields(line, field):
     with pytest.raises(CheckinFormatError) as err:
@@ -161,9 +163,9 @@ def test_trajectory_matrix_names_the_first_ragged_row(tmp_path):
     path.write_text("".join(f"u,2012-01-01,{' '.join(map(str, range(n)))}\n"
                             for n in (4, 4, 3, 5)))
     with pytest.raises(ValueError, match="line 3, field 'slots': 3 ids, expected 4"):
-        records.read_trajectories(path)
+        records.read_trajectories(path, n_locations=5)
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
-    assert records.read_trajectories(path).ids.shape == (2, 4)
+    assert records.read_trajectories(path, n_locations=5).ids.shape == (2, 4)
 
 
 def test_discretize_coarser_slots():
@@ -213,7 +215,7 @@ def test_trajectory_roundtrip(tmp_path):
     ds = _dataset(7)
     path = tmp_path / "t.txt"
     records.write_trajectories(path, ds.trajectories)
-    back = records.read_trajectories(path)
+    back = records.read_trajectories(path, n_locations=4)
     _assert_same_rows(back, ds.trajectories)
 
 
@@ -222,7 +224,7 @@ def test_observed_roundtrip(tmp_path):
     path = tmp_path / "obs.txt"
     records.write_observed(path, traj)
     stripped = table(traj.ids)
-    records.attach_observed(stripped, path)
+    records.attach_observed(stripped, path, n_locations=2, slots=24)
     assert observed(stripped, 0) == ((3, 1), (17, 0))
 
 
@@ -248,7 +250,7 @@ def test_trajectory_roundtrip_property(slots, day):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.txt")
         records.write_trajectories(path, traj)
-        _assert_same_rows(records.read_trajectories(path), traj)
+        _assert_same_rows(records.read_trajectories(path, n_locations=51), traj)
 
 
 def _observed_table():
