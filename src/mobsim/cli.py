@@ -47,8 +47,8 @@ def _input_file(path, label):
     try:
         yield
     except records.CheckinFormatError as exc:
-        raise CliValidationError(
-            f"{path}:{exc.line_no}: field '{exc.field_name}': {exc.detail}") from None
+        where = path if exc.line_no is None else f"{path}:{exc.line_no}"
+        raise CliValidationError(f"{where}: field '{exc.field_name}': {exc.detail}") from None
 
 
 def _sha256(path) -> str:
@@ -368,18 +368,23 @@ def cmd_generate(args) -> None:
         raise CliValidationError("count must be positive")
     coords = _load_locations(args.locations)
     meta_path, ckpt_path = f"{args.model}.meta", f"{args.model}.ckpt"
-    # The meta block is the inner one, so a malformed meta line is reported
-    # against the meta file; the checkpoint block only checks that it exists.
-    with _input_file(ckpt_path, "model checkpoint"), _input_file(meta_path, "model meta"):
+    with _input_file(meta_path, "model meta"):
         meta = persist.read_meta(meta_path)
-    # Metas written before the trained length was recorded get a full day.
-    slots = args.slots if args.slots is not None else int(
-        meta.get("slots", records.HOURS_PER_DAY))
+        # Metas written before the trained length was recorded get a full day.
+        slots = args.slots if args.slots is not None else (
+            meta.field("slots", records._int_field) if "slots" in meta
+            else records.HOURS_PER_DAY)
+        channels = tuple(meta.field("channels").split(","))
     if slots < 1:
         raise CliValidationError(f"slots must be positive, got {slots}")
-    channels = tuple(meta.get("channels", "").split(","))
     channel_graphs = _load_graphs(args.graphs_dir, channels, len(coords))
-    gen, seed_dist = persist.load_generator(args.model, channel_graphs)
+    # The meta block is the inner one, so a malformed meta field is reported
+    # against the meta file; the checkpoint block only checks that it exists.
+    with _input_file(ckpt_path, "model checkpoint"), _input_file(meta_path, "model meta"):
+        try:
+            gen, seed_dist = persist.load_generator(args.model, channel_graphs)
+        except persist.CheckpointError as exc:
+            raise CliValidationError(str(exc)) from None
     streams = sample_streams(args.seed, "generate")
     ids = generate_batch(gen, args.count, slots, seed_dist, streams)
     os.makedirs(args.out_dir, exist_ok=True)

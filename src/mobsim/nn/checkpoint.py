@@ -16,6 +16,7 @@ Round-trips bit-exactly at double precision.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -38,18 +39,25 @@ def save_checkpoint(path, params: ParamSet):
             fh.write(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
 
 
+def _read(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated: wanted {size} more bytes, got {len(data)}")
+    return data
+
+
 def load_checkpoint(path) -> ParamSet:
+    """Read a checkpoint; a wrong magic or a short read raises ValueError."""
     params = ParamSet()
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        (count,) = struct.unpack("<I", fh.read(4))
+            raise ValueError("not a checkpoint file")
+        (count,) = struct.unpack("<I", _read(fh, 4))
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
+            (name_len,) = struct.unpack("<H", _read(fh, 2))
+            name = _read(fh, name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", _read(fh, 1))
+            shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim))
+            data = np.frombuffer(_read(fh, 8 * math.prod(shape)), dtype="<f8").reshape(shape)
             params.register(name, data.astype(np.float64))
     return params

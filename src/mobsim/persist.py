@@ -14,7 +14,7 @@ import numpy as np
 from .discriminator import Discriminator, DiscriminatorConfig
 from .generator import Generator, GeneratorConfig
 from .nn import load_checkpoint, save_checkpoint
-from .records import _fields
+from .records import CheckinFormatError, _fields, _float_field, _int_field
 
 
 def _write_meta(path, fields: dict):
@@ -30,15 +30,64 @@ def _write_meta(path, fields: dict):
             fh.write(f"{key}={text}\n")
 
 
-def read_meta(path) -> dict:
+class CheckpointError(ValueError):
+    """A checkpoint file that is truncated or does not fit the model."""
+
+
+class Meta(dict):
+    """The ``key -> value`` strings of a key=value file, with each key's
+    line number in ``lines``."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = {}
+
+    def field(self, key: str, check=None, *limit):
+        """The value of a required ``key``, passed through ``check`` (a
+        records field check such as ``_int_field``) when one is given.  A
+        missing key or a bad value raises :class:`CheckinFormatError`."""
+        if key not in self:
+            raise CheckinFormatError(None, key, "missing")
+        return self[key] if check is None else check(self.lines[key], key, self[key], *limit)
+
+
+def read_meta(path) -> Meta:
     """The fields of a file of ``key=value`` lines, such as a ``.meta``
-    sidecar or a ``--config`` file, values as strings.  Blank lines and
-    ``#`` comments are skipped; any other line without exactly one ``=``
-    raises :class:`CheckinFormatError` naming the line."""
+    sidecar or a ``--config`` file.  Blank lines and ``#`` comments are
+    skipped; any other line without exactly one ``=`` raises
+    :class:`CheckinFormatError` naming the line."""
+    meta = Meta()
     with open(path, encoding="utf-8") as fh:
         uncommented = ("" if line.lstrip().startswith("#") else line for line in fh)
-        return {key.strip(): value.strip()
-                for _, (key, value) in _fields(uncommented, "key=value", "=")}
+        for line_no, (key, value) in _fields(uncommented, "key=value", "="):
+            meta[key.strip()] = value.strip()
+            meta.lines[key.strip()] = line_no
+    return meta
+
+
+def _model_meta(path, kind: str) -> Meta:
+    meta = read_meta(path)
+    if meta.field("kind") != kind:
+        raise CheckinFormatError(meta.lines["kind"], "kind",
+                                 f"expected {kind!r}, got {meta['kind']!r}")
+    return meta
+
+
+def _distribution(line_no: int, name: str, text: str, size: int) -> np.ndarray:
+    """``text`` as ``size`` comma-separated finite, non-negative floats that
+    sum to 1 within 1e-9."""
+    dist = np.array([_float_field(line_no, name, value) for value in text.split(",")])
+    if len(dist) != size or (dist < 0).any() or abs(dist.sum() - 1.0) > 1e-9:
+        raise CheckinFormatError(line_no, name, f"{len(dist)} entries summing to {float(dist.sum())!r}; "
+                                 f"expected {size} non-negative ones summing to 1")
+    return dist
+
+
+def _load_params(params, path):
+    try:
+        params.load_values(load_checkpoint(path))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def save_generator(prefix, gen: Generator, seed_dist: np.ndarray, slots: int):
@@ -67,26 +116,26 @@ def load_generator(prefix, graphs: dict):
     """Rebuild a generator from ``<prefix>.ckpt`` / ``<prefix>.meta``.
 
     ``graphs`` must contain the channels named in the meta file.  Returns
-    ``(generator, seed_distribution)``.
+    ``(generator, seed_distribution)``.  Every meta field is required: a
+    missing or malformed one raises :class:`CheckinFormatError` naming it,
+    and a checkpoint that does not fit raises :class:`CheckpointError`.
     """
-    meta = read_meta(f"{prefix}.meta")
-    if meta.get("kind") != "generator":
-        raise ValueError(f"{prefix}.meta does not describe a generator")
+    meta = _model_meta(f"{prefix}.meta", "generator")
     config = GeneratorConfig(
-        n_locations=int(meta["n_locations"]),
-        embed_dim=int(meta["embed_dim"]),
-        hidden_dim=int(meta["hidden_dim"]),
-        layers=int(meta["layers"]),
-        heads=int(meta["heads"]),
-        channels=tuple(meta["channels"].split(",")),
-        dropout=float(meta["dropout"]),
-        beta=float(meta["beta"]),
-        dwell=bool(int(meta["dwell"])),
-        attn_slope=float(meta["attn_slope"]),
+        n_locations=meta.field("n_locations", _int_field),
+        embed_dim=meta.field("embed_dim", _int_field),
+        hidden_dim=meta.field("hidden_dim", _int_field),
+        layers=meta.field("layers", _int_field),
+        heads=meta.field("heads", _int_field),
+        channels=tuple(meta.field("channels").split(",")),
+        dropout=meta.field("dropout", _float_field),
+        beta=meta.field("beta", _float_field),
+        dwell=bool(meta.field("dwell", _int_field, 2)),
+        attn_slope=meta.field("attn_slope", _float_field),
     )
+    seed_dist = meta.field("seed_distribution", _distribution, config.n_locations)
     gen = Generator(config, graphs)
-    gen.params.load_values(load_checkpoint(f"{prefix}.ckpt"))
-    seed_dist = np.array([float(v) for v in meta["seed_distribution"].split(",")])
+    _load_params(gen.params, f"{prefix}.ckpt")
     return gen, seed_dist
 
 
@@ -102,14 +151,12 @@ def save_discriminator(prefix, disc: Discriminator):
 
 
 def load_discriminator(prefix) -> Discriminator:
-    meta = read_meta(f"{prefix}.meta")
-    if meta.get("kind") != "discriminator":
-        raise ValueError(f"{prefix}.meta does not describe a discriminator")
+    meta = _model_meta(f"{prefix}.meta", "discriminator")
     config = DiscriminatorConfig(
-        n_locations=int(meta["n_locations"]),
-        embed_dim=int(meta["embed_dim"]),
-        hidden_dim=int(meta["hidden_dim"]),
+        n_locations=meta.field("n_locations", _int_field),
+        embed_dim=meta.field("embed_dim", _int_field),
+        hidden_dim=meta.field("hidden_dim", _int_field),
     )
     disc = Discriminator(config)
-    disc.params.load_values(load_checkpoint(f"{prefix}.ckpt"))
+    _load_params(disc.params, f"{prefix}.ckpt")
     return disc

@@ -34,10 +34,12 @@ _UNIX_EPOCH = dt.date(1970, 1, 1).toordinal()
 
 
 class CheckinFormatError(ValueError):
-    """A malformed check-in line; remembers the line number and field."""
+    """A malformed input line; remembers the line number (None for a field
+    that is missing altogether) and the field."""
 
-    def __init__(self, line_no: int, field_name: str, message: str):
-        super().__init__(f"line {line_no}, field '{field_name}': {message}")
+    def __init__(self, line_no: int | None, field_name: str, message: str):
+        where = "" if line_no is None else f"line {line_no}, "
+        super().__init__(f"{where}field '{field_name}': {message}")
         self.line_no = line_no
         self.field_name = field_name
         self.detail = message

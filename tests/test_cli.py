@@ -395,6 +395,46 @@ def test_generate_bad_graph_line_is_exit_1(pipeline, tmp_path, capsys, line_no, 
     assert f"{gdir / 'sdg.csv'}:{line_no}: field '{field}'" in capsys.readouterr().err
 
 
+def _generate_from(pipeline, model_dir, meta_lines, ckpt):
+    """Exit code of generate on a model written to ``model_dir`` from
+    ``meta_lines`` and the checkpoint bytes ``ckpt``."""
+    (model_dir / "gen.meta").write_text("\n".join(meta_lines) + "\n")
+    (model_dir / "gen.ckpt").write_bytes(ckpt)
+    return main(["generate", "--model", str(model_dir / "gen"),
+                 "--graphs-dir", str(pipeline / "graphs"),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--count", "3", "--out-dir", str(model_dir / "out")])
+
+
+@pytest.mark.parametrize("key, line, field", [
+    ("n_locations", "n_locations=abc", "n_locations"),
+    ("heads", None, "heads"),
+    ("seed_distribution", "seed_distribution=0.5,0.5", "seed_distribution"),
+    ("seed_distribution", "seed_distribution=-0.5,1.5" + ",0.0" * 10, "seed_distribution"),
+    ("seed_distribution", "seed_distribution=0.5,nan" + ",0.0" * 10, "seed_distribution"),
+    ("dwell", "dwell", "record"),
+], ids=["bad_int", "missing_field", "short_seed_distribution", "negative_seed_probability",
+        "nan_seed_probability", "no_equals_sign"])
+def test_generate_bad_meta_is_exit_1(pipeline, tmp_path, capsys, key, line, field):
+    model = pipeline / "model"
+    lines = (model / "gen.meta").read_text().splitlines()
+    line_no = next(i for i, text in enumerate(lines, start=1) if text.startswith(f"{key}="))
+    lines[line_no - 1:line_no] = [] if line is None else [line]
+    assert _generate_from(pipeline, tmp_path, lines, _read(model / "gen.ckpt")) == 1
+    where = tmp_path / "gen.meta"
+    prefix = f"{where}: " if line is None else f"{where}:{line_no}: "
+    assert f"{prefix}field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ckpt", ["truncated", "discriminator"])
+def test_generate_bad_checkpoint_is_exit_1(pipeline, tmp_path, capsys, ckpt):
+    model = pipeline / "model"
+    data = _read(model / "gen.ckpt")[:100] if ckpt == "truncated" else _read(model / "disc.ckpt")
+    meta = (model / "gen.meta").read_text().splitlines()
+    assert _generate_from(pipeline, tmp_path, meta, data) == 1
+    assert f"{tmp_path / 'gen.ckpt'}: " in capsys.readouterr().err
+
+
 def test_config_file_line_without_equals_is_exit_1(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("# synth settings\nusers=3\ndays 2\n")
