@@ -126,11 +126,12 @@ class Generator:
         out = nn.linear(hidden, self.params["dwell/weight"], self.params["dwell/bias"])
         return nn.reshape(nn.sigmoid(out), (hidden.shape[0],))
 
-    def stay_probs(self, hidden: Tensor, counts: np.ndarray, current: np.ndarray) -> Tensor:
+    def stay_probs(self, hidden: Tensor, prefix: np.ndarray) -> Tensor:
         """Damped stay probability sigmoid(h . w + b) * exp(-beta * C) per row,
-        C being the (B, N) prefix ``counts`` at each row's ``current`` location."""
-        damp = np.exp(-self.config.beta * counts[np.arange(len(current)), current])
-        return nn.mul(self.dwell_sigmoid(hidden), nn.constant(damp))
+        C being how often the row's current location, the last column of the
+        (B, l) ``prefix``, appears in that prefix."""
+        visits = (prefix == prefix[:, -1:]).sum(axis=1)
+        return nn.mul(self.dwell_sigmoid(hidden), nn.constant(np.exp(-self.config.beta * visits)))
 
     def zero_hidden(self, batch: int) -> Tensor:
         return nn.constant(np.zeros((batch, self.config.hidden_dim)))
@@ -167,10 +168,10 @@ class Generator:
 
     def _check_ids(self, ids: np.ndarray):
         # nn.gather_rows checks the ids it embeds, but not all of these reach
-        # it first: the last column of sequence_nll is only a cross-entropy
-        # target (an id of N or more raises IndexError there, a negative one
-        # wraps into a wrong loss), and complete_batch counts its prefix with
-        # np.add.at before any lookup.
+        # it: the last column of sequence_nll is only a cross-entropy target
+        # (an id of N or more raises IndexError there, a negative one wraps
+        # into a wrong loss), and when complete_batch is given ``hidden``,
+        # only the last prefix column reaches gather_rows.
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.n_locations):
             raise ValueError(f"location ids outside [0, {self.config.n_locations})")
 
@@ -212,10 +213,7 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     gen._check_ids(prefix_ids)
     out = np.empty((b, length), dtype=np.int64)
     out[:, :start] = prefix_ids
-    counts = np.zeros((b, gen.config.n_locations), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(b), start), prefix_ids.reshape(-1)), 1)
     fired = np.zeros((b, length - start), dtype=bool)
-    rows = np.arange(b)
     with no_grad():
         if hidden is None:
             hidden = gen.unroll(table, prefix_ids[:, :-1])[-1]
@@ -225,13 +223,12 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
             cdf = np.cumsum(gen.explore_probs(hidden).values, axis=-1)
             stay = np.zeros(b, dtype=bool)
             if gen.config.dwell and pos > 1:
-                dwell_y = gen.stay_probs(hidden, counts, current).values
+                dwell_y = gen.stay_probs(hidden, out[:, :pos]).values
                 stay = streams.dwell.random(b) < dwell_y
             drawn = categorical(cdf, streams.explore.random(b))
             chosen = np.where(stay, current, drawn)
             out[:, pos] = chosen
             fired[:, pos - start] = stay
-            counts[rows, chosen] += 1
             current = chosen
     if record:
         return out, fired

@@ -197,21 +197,17 @@ def sequence_log_prob(gen: Generator, batch_ids: np.ndarray, fired: np.ndarray,
     batch_ids = np.asarray(batch_ids, dtype=np.int64)
     b = len(batch_ids)
     table = gen.embed_locations(training=training, rng=rng)
-    counts = np.zeros((b, gen.config.n_locations), dtype=np.int64)
-    rows = np.arange(b)
-    counts[rows, batch_ids[:, 0]] += 1
     total = None
     for l, hidden in enumerate(gen.unroll(table, batch_ids[:, :-1])[1:]):
         chosen = batch_ids[:, l + 1]
         explore_lp = nn.neg(nn.cross_entropy(gen.explore_logits(hidden), chosen))
-        stay_prob = gen.stay_probs(hidden, counts, batch_ids[:, l])
+        stay_prob = gen.stay_probs(hidden, batch_ids[:, :l + 1])
         dwell_lp = nn.neg(nn.binary_cross_entropy(stay_prob, np.ones(b)))
         mask = fired[:, l].astype(np.float64)
         step_lp = nn.add(nn.mul(dwell_lp, nn.constant(mask)),
                          nn.mul(explore_lp, nn.constant(1.0 - mask)))
         term = nn.mul(step_lp, nn.constant(weights[:, l]))
         total = term if total is None else nn.add(total, term)
-        counts[rows, chosen] += 1
     return nn.tmean(total)
 
 

@@ -134,12 +134,14 @@ def test_explore_probs_rows_sum_to_one():
 
 def _stay_probs(gen, visit_counts):
     """Stay probabilities at location 0 from a zero hidden state, one row per
-    prefix count of location 0."""
-    counts = np.zeros((len(visit_counts), 8), dtype=np.int64)
-    counts[:, 0] = visit_counts
+    prefix count of location 0: each prefix ends in that many 0s after 1s."""
+    width = max(visit_counts)
+    prefix = np.ones((len(visit_counts), width), dtype=np.int64)
+    for row, count in enumerate(visit_counts):
+        prefix[row, width - count:] = 0
     hidden = gen.zero_hidden(len(visit_counts))
     with nn.no_grad():
-        return gen.stay_probs(hidden, counts, np.zeros(len(visit_counts), dtype=np.int64)).values
+        return gen.stay_probs(hidden, prefix).values
 
 
 def test_dwell_prob_decays_with_visit_count():
@@ -289,13 +291,13 @@ def test_state_from_prefix_counts_everything():
     seen = []
     stay_probs = gen.stay_probs
 
-    def spy(hidden, counts, current):
-        seen.append((counts.copy(), current.copy()))
-        return stay_probs(hidden, counts, current)
+    def spy(hidden, prefix):
+        seen.append(prefix.copy())
+        return stay_probs(hidden, prefix)
 
     gen.stay_probs = spy
     complete_batch(gen, table, np.array([[2, 2, 5]]), 4, sample_streams(0, "c"))
-    counts, current = seen[0]
+    counts, current = np.bincount(seen[0][0], minlength=8)[None], seen[0][:, -1]
     assert counts[0, 2] == 2 and counts[0, 5] == 1 and counts.sum() == 3
     assert current[0] == 5
 

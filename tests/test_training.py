@@ -389,9 +389,9 @@ def test_log_prob_damping_counts_every_prefix_slot():
     seen = []
     stay_probs = gen.stay_probs
 
-    def spy(hidden, counts, current):
-        seen.append(int(counts[0, current[0]]))
-        return stay_probs(hidden, counts, current)
+    def spy(hidden, prefix):
+        seen.append(int((prefix[0] == prefix[0, -1]).sum()))
+        return stay_probs(hidden, prefix)
 
     gen.stay_probs = spy
     sequence_log_prob(gen, ids, np.zeros((1, 3), dtype=bool), np.ones((1, 3)))
