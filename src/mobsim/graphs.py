@@ -10,8 +10,7 @@ Three directed channels share one container type:
   hour-of-day visit profile, weight = 1 - W1(profile_i, profile_j) in [0, 1].
 
 ``binarize`` maps any channel to its vanilla variant (all weights 1).  No
-channel stores self-edges; the attention layer adds a self-loop to every node
-(kept as a flag on the graph).
+channel stores self-edges; the attention layer adds a self-loop to every node.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ class LocationGraph:
     """A directed weighted graph over dense location ids.
 
     Edges are stored as parallel arrays.  ``k`` is the neighbour budget for
-    the kNN channels (0 when not applicable) and ``attention_self_loop``
-    records that downstream attention adds a weight-1 self-loop per node.
+    the kNN channels (0 when not applicable).
     """
 
     channel: str
@@ -65,7 +63,6 @@ class LocationGraph:
     dst: np.ndarray
     weight: np.ndarray
     k: int = 0
-    attention_self_loop: bool = True
 
     def __post_init__(self):
         self.src = np.asarray(self.src, dtype=np.int64)
@@ -77,9 +74,6 @@ class LocationGraph:
             raise ValueError("self-edges are not stored; attention adds the self-loop")
         if self.mode not in ("weighted", "vanilla"):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.src, minlength=self.n_locations)
 
 
 def _top_k_rows(score: np.ndarray, k: int, largest: bool):

@@ -46,10 +46,7 @@ def attention_bias(graph) -> np.ndarray:
         bias[graph.src, graph.dst] = np.log(np.maximum(graph.weight, _LOG_FLOOR))
     else:
         bias[graph.src, graph.dst] = 0.0
-    if graph.attention_self_loop:
-        np.fill_diagonal(bias, 0.0)  # self-loop weight 1 in either mode
-    elif not np.all(graph.out_degrees() > 0):
-        raise ValueError("some node has no out-edges and self-loops are disabled")
+    np.fill_diagonal(bias, 0.0)  # self-loop weight 1 in either mode
     return bias
 
 

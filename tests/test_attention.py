@@ -7,13 +7,12 @@ from mobsim.nn.attention import MASKED, attention_bias, graph_attention
 from oracles import gru_cell_composed
 
 
-def _chain_graph(n, weights=None, self_loop=True):
+def _chain_graph(n, weights=None):
     """0 -> 1 -> ... -> n-1 -> 0, one out-edge per node."""
     src = np.arange(n)
     dst = (src + 1) % n
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    return graphs.LocationGraph("ttg", "weighted", n, src, dst, w,
-                                attention_self_loop=self_loop)
+    return graphs.LocationGraph("ttg", "weighted", n, src, dst, w)
 
 
 def _heads(n_heads, in_dim, head_dim, seed=0):
@@ -48,16 +47,6 @@ def test_bias_zero_weight_is_floored():
     g = _chain_graph(3, weights=[0.0, 1.0, 1.0])
     bias = attention_bias(g)
     assert np.isfinite(bias[0, 1]) and bias[0, 1] < -60.0
-
-
-def test_bias_requires_out_edges_without_self_loop():
-    g = graphs.LocationGraph("ttg", "weighted", 3, np.array([0]), np.array([1]),
-                             np.array([1.0]), attention_self_loop=False)
-    with pytest.raises(ValueError):
-        attention_bias(g)
-    ok = _chain_graph(3, self_loop=False)
-    bias = attention_bias(ok)
-    assert np.all(np.diag(bias) == MASKED)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +87,7 @@ def test_higher_edge_weight_draws_more_attention():
     # scores (zero score vector), so attention follows the bias alone.
     src = np.array([0, 0])
     dst = np.array([1, 2])
-    g = graphs.LocationGraph("ttg", "weighted", 3, src, dst,
-                             np.array([0.9, 0.1]), attention_self_loop=True)
+    g = graphs.LocationGraph("ttg", "weighted", 3, src, dst, np.array([0.9, 0.1]))
     params, heads = _heads(1, 3, 2)
     heads[0].score.values[:] = 0.0
     h = Tensor(np.eye(3), requires_grad=False)
