@@ -78,8 +78,9 @@ def _distribution(line_no: int, name: str, text: str, size: int) -> np.ndarray:
     sum to 1 within 1e-9."""
     dist = np.array([_float_field(line_no, name, value) for value in text.split(",")])
     if len(dist) != size or (dist < 0).any() or abs(dist.sum() - 1.0) > 1e-9:
-        raise CheckinFormatError(line_no, name, f"{len(dist)} entries summing to {float(dist.sum())!r}; "
-                                 f"expected {size} non-negative ones summing to 1")
+        raise CheckinFormatError(line_no, name, f"{len(dist)} entries summing to "
+                                 f"{float(dist.sum())!r}; expected {size} non-negative "
+                                 "ones summing to 1")
     return dist
 
 

@@ -355,17 +355,23 @@ def test_generate_defaults_to_the_trained_length(tmp_path):
                  "--out-dir", str(tmp_path / "zero")]) == 1
 
 
-def test_generate_without_slots_in_meta_gives_a_full_day(pipeline, tmp_path):
-    model = tmp_path / "gen"
-    meta = (pipeline / "model" / "gen.meta").read_text().splitlines()
-    (tmp_path / "gen.meta").write_text(
-        "\n".join(line for line in meta if not line.startswith("slots=")) + "\n")
-    (tmp_path / "gen.ckpt").write_bytes(_read(pipeline / "model" / "gen.ckpt"))
-    out = tmp_path / "out"
-    assert main(["generate", "--model", str(model), "--graphs-dir", str(pipeline / "graphs"),
+def _generate_from(pipeline, model_dir, meta_lines, ckpt):
+    """Exit code of generate on a model written to ``model_dir`` from
+    ``meta_lines`` and the checkpoint bytes ``ckpt``."""
+    (model_dir / "gen.meta").write_text("\n".join(meta_lines) + "\n")
+    (model_dir / "gen.ckpt").write_bytes(ckpt)
+    return main(["generate", "--model", str(model_dir / "gen"),
+                 "--graphs-dir", str(pipeline / "graphs"),
                  "--locations", str(pipeline / "data" / "locations.csv"),
-                 "--count", "3", "--out-dir", str(out)]) == 0
-    lines = (out / "generated.txt").read_text().splitlines()
+                 "--count", "3", "--out-dir", str(model_dir / "out")])
+
+
+def test_generate_without_slots_in_meta_gives_a_full_day(pipeline, tmp_path):
+    meta = (pipeline / "model" / "gen.meta").read_text().splitlines()
+    without_slots = [line for line in meta if not line.startswith("slots=")]
+    assert _generate_from(pipeline, tmp_path, without_slots,
+                          _read(pipeline / "model" / "gen.ckpt")) == 0
+    lines = (tmp_path / "out" / "generated.txt").read_text().splitlines()
     assert [len(line.split(",")[2].split()) for line in lines] == [24] * 3
 
 
@@ -393,17 +399,6 @@ def test_generate_bad_graph_line_is_exit_1(pipeline, tmp_path, capsys, line_no, 
                  "--locations", str(pipeline / "data" / "locations.csv"),
                  "--count", "3", "--out-dir", str(tmp_path / "out")]) == 1
     assert f"{gdir / 'sdg.csv'}:{line_no}: field '{field}'" in capsys.readouterr().err
-
-
-def _generate_from(pipeline, model_dir, meta_lines, ckpt):
-    """Exit code of generate on a model written to ``model_dir`` from
-    ``meta_lines`` and the checkpoint bytes ``ckpt``."""
-    (model_dir / "gen.meta").write_text("\n".join(meta_lines) + "\n")
-    (model_dir / "gen.ckpt").write_bytes(ckpt)
-    return main(["generate", "--model", str(model_dir / "gen"),
-                 "--graphs-dir", str(pipeline / "graphs"),
-                 "--locations", str(pipeline / "data" / "locations.csv"),
-                 "--count", "3", "--out-dir", str(model_dir / "out")])
 
 
 @pytest.mark.parametrize("key, line, field", [
