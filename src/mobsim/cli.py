@@ -369,20 +369,19 @@ def cmd_generate(args) -> None:
     coords = _load_locations(args.locations)
     meta_path, ckpt_path = f"{args.model}.meta", f"{args.model}.ckpt"
     with _input_file(meta_path, "model meta"):
-        meta = persist.read_meta(meta_path)
+        if not os.path.isfile(ckpt_path):
+            raise CliValidationError(f"model checkpoint file not found: {ckpt_path}")
+        meta = persist.read_model_meta(meta_path, "generator")
         # Metas written before the trained length was recorded get a full day.
         slots = args.slots if args.slots is not None else (
             meta.field("slots", records._int_field) if "slots" in meta
             else records.HOURS_PER_DAY)
+        if slots < 1:
+            raise CliValidationError(f"slots must be positive, got {slots}")
         channels = tuple(meta.field("channels").split(","))
-    if slots < 1:
-        raise CliValidationError(f"slots must be positive, got {slots}")
-    channel_graphs = _load_graphs(args.graphs_dir, channels, len(coords))
-    # The meta block is the inner one, so a malformed meta field is reported
-    # against the meta file; the checkpoint block only checks that it exists.
-    with _input_file(ckpt_path, "model checkpoint"), _input_file(meta_path, "model meta"):
+        channel_graphs = _load_graphs(args.graphs_dir, channels, len(coords))
         try:
-            gen, seed_dist = persist.load_generator(args.model, channel_graphs)
+            gen, seed_dist = persist.load_generator(args.model, channel_graphs, meta)
         except persist.CheckpointError as exc:
             raise CliValidationError(str(exc)) from None
     streams = sample_streams(args.seed, "generate")

@@ -53,19 +53,20 @@ class Meta(dict):
 
 def read_meta(path) -> Meta:
     """The fields of a file of ``key=value`` lines, such as a ``.meta``
-    sidecar or a ``--config`` file.  Blank lines and ``#`` comments are
-    skipped; any other line without exactly one ``=`` raises
-    :class:`CheckinFormatError` naming the line."""
+    sidecar or a ``--config`` file; a value keeps any further ``=``.  Blank
+    lines and ``#`` comments are skipped; any other line without ``=``
+    raises :class:`CheckinFormatError` naming the line."""
     meta = Meta()
     with open(path, encoding="utf-8") as fh:
         uncommented = ("" if line.lstrip().startswith("#") else line for line in fh)
-        for line_no, (key, value) in _fields(uncommented, "key=value", "="):
+        for line_no, (key, value) in _fields(uncommented, "key,value", "=", rest=True):
             meta[key.strip()] = value.strip()
             meta.lines[key.strip()] = line_no
     return meta
 
 
-def _model_meta(path, kind: str) -> Meta:
+def read_model_meta(path, kind: str) -> Meta:
+    """The fields of a model's ``.meta`` sidecar, which must be of ``kind``."""
     meta = read_meta(path)
     if meta.field("kind") != kind:
         raise CheckinFormatError(meta.lines["kind"], "kind",
@@ -113,15 +114,17 @@ def save_generator(prefix, gen: Generator, seed_dist: np.ndarray, slots: int):
     })
 
 
-def load_generator(prefix, graphs: dict):
+def load_generator(prefix, graphs: dict, meta: Meta | None = None):
     """Rebuild a generator from ``<prefix>.ckpt`` / ``<prefix>.meta``.
 
-    ``graphs`` must contain the channels named in the meta file.  Returns
-    ``(generator, seed_distribution)``.  Every meta field is required: a
-    missing or malformed one raises :class:`CheckinFormatError` naming it,
-    and a checkpoint that does not fit raises :class:`CheckpointError`.
+    ``meta`` is the meta file if the caller has read it already; ``graphs``
+    must contain the channels it names.  Returns ``(generator,
+    seed_distribution)``.  Every meta field is required: a missing or
+    malformed one raises :class:`CheckinFormatError` naming it, and a
+    checkpoint that does not fit raises :class:`CheckpointError`.
     """
-    meta = _model_meta(f"{prefix}.meta", "generator")
+    if meta is None:
+        meta = read_model_meta(f"{prefix}.meta", "generator")
     config = GeneratorConfig(
         n_locations=meta.field("n_locations", _int_field),
         embed_dim=meta.field("embed_dim", _int_field),
@@ -152,7 +155,7 @@ def save_discriminator(prefix, disc: Discriminator):
 
 
 def load_discriminator(prefix) -> Discriminator:
-    meta = _model_meta(f"{prefix}.meta", "discriminator")
+    meta = read_model_meta(f"{prefix}.meta", "discriminator")
     config = DiscriminatorConfig(
         n_locations=meta.field("n_locations", _int_field),
         embed_dim=meta.field("embed_dim", _int_field),

@@ -124,19 +124,22 @@ class Dataset:
         return len(self.trajectories)
 
 
-def _fields(lines, layout: str, delimiter: str = ",", start: int = 1):
+def _fields(lines, layout: str, delimiter: str = ",", start: int = 1, rest: bool = False):
     """``(line number, fields)`` of each non-blank line, numbered from
-    ``start``; a line that does not split into the fields of ``layout``
-    (say ``"id,lat,lon"``) raises :class:`CheckinFormatError`."""
-    n_fields = layout.count(delimiter) + 1
+    ``start``.  ``layout`` names the fields comma-separated (say
+    ``"id,lat,lon"``) whatever ``delimiter`` splits the line on; with
+    ``rest`` the last field keeps the rest of the line.  A line that does
+    not split into those fields raises :class:`CheckinFormatError`."""
+    names = layout.split(",")
+    maxsplit = len(names) - 1 if rest else -1
     for line_no, line in enumerate(lines, start=start):
         text = line.strip()
         if not text:
             continue
-        parts = text.split(delimiter)
-        if len(parts) != n_fields:
-            raise CheckinFormatError(line_no, "record",
-                                     f"expected '{layout}', got {len(parts)} fields")
+        parts = text.split(delimiter, maxsplit)
+        if len(parts) != len(names):
+            raise CheckinFormatError(line_no, "record", f"expected '{delimiter.join(names)}', "
+                                     f"got {len(parts)} fields")
         yield line_no, parts
 
 

@@ -56,6 +56,19 @@ def test_preprocess_is_byte_deterministic(tmp_path, checkin_file):
     assert _tree_bytes(a) == _tree_bytes(b)
 
 
+def test_preprocess_other_delimiter_matches_comma(tmp_path, checkin_file):
+    semicolons = tmp_path / "checkins_semicolon.csv"
+    semicolons.write_text(CHECKINS.replace(",", ";"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["preprocess", "--input", checkin_file, "--out-dir", str(a)]) == 0
+    assert main(["preprocess", "--input", str(semicolons), "--delimiter", ";",
+                 "--out-dir", str(b)]) == 0
+    outputs = [_tree_bytes(out) for out in (a, b)]
+    for tree in outputs:
+        del tree["manifest.json"]
+    assert outputs[0] == outputs[1]
+
+
 def test_preprocess_missing_input_is_exit_1(tmp_path, capsys):
     code = main(["preprocess", "--input", str(tmp_path / "nope.csv"),
                  "--out-dir", str(tmp_path / "o")])

@@ -70,3 +70,11 @@ def test_load_generator_needs_its_channels(tmp_path, small_graphs):
     persist.save_generator(prefix, gen, np.full(16, 1 / 16), 24)
     with pytest.raises(ValueError):
         persist.load_generator(prefix, {"sdg": small_graphs["sdg"]})
+
+
+def test_read_meta_value_keeps_further_equals_signs(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# settings\nout_dir = runs/k=4\n\nseed=3\n")
+    meta = persist.read_meta(path)
+    assert meta == {"out_dir": "runs/k=4", "seed": "3"}
+    assert meta.lines == {"out_dir": 2, "seed": 4}

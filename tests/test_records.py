@@ -24,6 +24,17 @@ def test_parse_dense_ids_first_appearance():
     assert [r.location for r in parsed] == [0, 1, 0]
 
 
+@pytest.mark.parametrize("delimiter", [";", "\t"])
+def test_parse_other_delimiter_matches_comma(delimiter):
+    lines = [_checkin(loc="B"), _checkin(lat=41.5)]
+    parsed, id_map = records.parse_checkins([line.replace(",", delimiter) for line in lines],
+                                            delimiter=delimiter)
+    assert (parsed, id_map) == records.parse_checkins(lines)
+    with pytest.raises(CheckinFormatError) as err:
+        records.parse_checkins([lines[0]], delimiter=delimiter)
+    assert err.value.field_name == "record"
+
+
 def test_parse_skips_blank_lines():
     parsed, _ = records.parse_checkins([_checkin(), "", "   ", _checkin()])
     assert len(parsed) == 2
