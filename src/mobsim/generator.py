@@ -28,6 +28,14 @@ _ALLOWED_LAYERS = (1, 2)
 _ALLOWED_HEADS = (1, 2, 4)
 
 
+class ConfigError(ValueError):
+    """A config value that builds no generator; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass
 class GeneratorConfig:
     n_locations: int
@@ -44,19 +52,23 @@ class GeneratorConfig:
     def __post_init__(self):
         self.channels = tuple(self.channels)
         if self.n_locations < 2:
-            raise ValueError("need at least 2 locations")
+            raise ConfigError("n_locations", "need at least 2 locations")
+        if self.embed_dim < 1:
+            raise ConfigError("embed_dim", "embed_dim must be positive")
+        if self.hidden_dim < 1:
+            raise ConfigError("hidden_dim", "hidden_dim must be positive")
         if not self.channels:
-            raise ValueError("at least one graph channel is required")
+            raise ConfigError("channels", "at least one graph channel is required")
         if self.layers not in _ALLOWED_LAYERS:
-            raise ValueError(f"layers must be one of {_ALLOWED_LAYERS}")
+            raise ConfigError("layers", f"layers must be one of {_ALLOWED_LAYERS}")
         if self.heads not in _ALLOWED_HEADS:
-            raise ValueError(f"heads must be one of {_ALLOWED_HEADS}")
+            raise ConfigError("heads", f"heads must be one of {_ALLOWED_HEADS}")
         if self.embed_dim % self.heads != 0:
-            raise ValueError("heads must divide embed_dim")
+            raise ConfigError("heads", "heads must divide embed_dim")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+            raise ConfigError("dropout", "dropout must lie in [0, 1)")
         if self.beta < 0.0:
-            raise ValueError("beta must be non-negative")
+            raise ConfigError("beta", "beta must be non-negative")
 
 
 class Generator:
@@ -65,11 +77,12 @@ class Generator:
     def __init__(self, config: GeneratorConfig, graphs: dict, seed: int = 0):
         missing = [c for c in config.channels if c not in graphs]
         if missing:
-            raise ValueError(f"no graph supplied for channels {missing}")
+            raise ConfigError("channels", f"no graph supplied for channels {missing}")
         for name in config.channels:
             if graphs[name].n_locations != config.n_locations:
-                raise ValueError(f"graph {name!r} is over {graphs[name].n_locations} "
-                                 f"locations, config says {config.n_locations}")
+                raise ConfigError("n_locations",
+                                  f"graph {name!r} is over {graphs[name].n_locations} "
+                                  f"locations, config says {config.n_locations}")
         self.config = config
         self.biases = {name: nn.attention_bias(graphs[name]) for name in config.channels}
         rng = stream(seed, "init/generator")
@@ -117,10 +130,6 @@ class Generator:
 
     def explore_logits(self, hidden: Tensor) -> Tensor:
         return nn.linear(hidden, self.params["explore/weight"], self.params["explore/bias"])
-
-    def explore_probs(self, hidden: Tensor) -> Tensor:
-        """The exploration softmax, for sampling; losses take the logits."""
-        return nn.softmax(self.explore_logits(hidden))
 
     def dwell_sigmoid(self, hidden: Tensor) -> Tensor:
         out = nn.linear(hidden, self.params["dwell/weight"], self.params["dwell/bias"])
@@ -202,9 +211,11 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     by a teacher-forced pass when omitted.
 
     The dwell stream is consumed only at steps where the dwell branch is
-    active; the exploration stream is consumed at every step, so disabling
-    the dwell branch leaves the exploration draws untouched.  With ``record``
-    the (B, length - l0) matrix of dwell-fired flags is returned as well.
+    active; the exploration stream gives one uniform to every row at every
+    step, so disabling the dwell branch leaves the exploration draws
+    untouched.  Only the rows whose dwell gate did not fire run the
+    exploration softmax and draw.  With ``record`` the (B, length - l0)
+    matrix of dwell-fired flags is returned as well.
     """
     prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
     b, start = prefix_ids.shape
@@ -220,13 +231,19 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
         current = out[:, start - 1]
         for pos in range(start, length):
             hidden = gen.gru_step(table, current, hidden)
-            cdf = np.cumsum(gen.explore_probs(hidden).values, axis=-1)
+            # The matmul stays full-batch: a row-subset matmul is not always
+            # bit-identical to the full one, while the row-wise softmax,
+            # cumsum and compare below are.
+            logits = gen.explore_logits(hidden).values
             stay = np.zeros(b, dtype=bool)
             if gen.config.dwell and pos > 1:
                 dwell_y = gen.stay_probs(hidden, out[:, :pos]).values
                 stay = streams.dwell.random(b) < dwell_y
-            drawn = categorical(cdf, streams.explore.random(b))
-            chosen = np.where(stay, current, drawn)
+            uniforms = streams.explore.random(b)
+            rows = np.flatnonzero(~stay)
+            chosen = current.copy()
+            chosen[rows] = categorical(np.cumsum(nn.softmax(logits[rows]).values, axis=-1),
+                                       uniforms[rows])
             out[:, pos] = chosen
             fired[:, pos - start] = stay
             current = chosen

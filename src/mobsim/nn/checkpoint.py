@@ -47,7 +47,8 @@ def _read(fh, size: int) -> bytes:
 
 
 def load_checkpoint(path) -> ParamSet:
-    """Read a checkpoint; a wrong magic or a short read raises ValueError."""
+    """Read a checkpoint; a wrong magic, a short read or bytes after the last
+    tensor raise ValueError."""
     params = ParamSet()
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -60,4 +61,6 @@ def load_checkpoint(path) -> ParamSet:
             shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim))
             data = np.frombuffer(_read(fh, 8 * math.prod(shape)), dtype="<f8").reshape(shape)
             params.register(name, data.astype(np.float64))
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last tensor")
     return params

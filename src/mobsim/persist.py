@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .discriminator import Discriminator, DiscriminatorConfig
-from .generator import Generator, GeneratorConfig
+from .generator import ConfigError, Generator, GeneratorConfig
 from .nn import load_checkpoint, save_checkpoint
 from .records import CheckinFormatError, _fields, _float_field, _int_field
 
@@ -120,25 +120,29 @@ def load_generator(prefix, graphs: dict, meta: Meta | None = None):
     ``meta`` is the meta file if the caller has read it already; ``graphs``
     must contain the channels it names.  Returns ``(generator,
     seed_distribution)``.  Every meta field is required: a missing or
-    malformed one raises :class:`CheckinFormatError` naming it, and a
-    checkpoint that does not fit raises :class:`CheckpointError`.
+    malformed one, or one that builds no model with ``graphs``, raises
+    :class:`CheckinFormatError` naming it, and a checkpoint that does not
+    fit raises :class:`CheckpointError`.
     """
     if meta is None:
         meta = read_model_meta(f"{prefix}.meta", "generator")
-    config = GeneratorConfig(
-        n_locations=meta.field("n_locations", _int_field),
-        embed_dim=meta.field("embed_dim", _int_field),
-        hidden_dim=meta.field("hidden_dim", _int_field),
-        layers=meta.field("layers", _int_field),
-        heads=meta.field("heads", _int_field),
-        channels=tuple(meta.field("channels").split(",")),
-        dropout=meta.field("dropout", _float_field),
-        beta=meta.field("beta", _float_field),
-        dwell=bool(meta.field("dwell", _int_field, 2)),
-        attn_slope=meta.field("attn_slope", _float_field),
-    )
-    seed_dist = meta.field("seed_distribution", _distribution, config.n_locations)
-    gen = Generator(config, graphs)
+    try:
+        config = GeneratorConfig(
+            n_locations=meta.field("n_locations", _int_field),
+            embed_dim=meta.field("embed_dim", _int_field),
+            hidden_dim=meta.field("hidden_dim", _int_field),
+            layers=meta.field("layers", _int_field),
+            heads=meta.field("heads", _int_field),
+            channels=tuple(meta.field("channels").split(",")),
+            dropout=meta.field("dropout", _float_field),
+            beta=meta.field("beta", _float_field),
+            dwell=bool(meta.field("dwell", _int_field, 2)),
+            attn_slope=meta.field("attn_slope", _float_field),
+        )
+        seed_dist = meta.field("seed_distribution", _distribution, config.n_locations)
+        gen = Generator(config, graphs)
+    except ConfigError as exc:
+        raise CheckinFormatError(meta.lines[exc.field], exc.field, str(exc)) from None
     _load_params(gen.params, f"{prefix}.ckpt")
     return gen, seed_dist
 

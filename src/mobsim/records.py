@@ -367,8 +367,9 @@ def read_locations(path) -> np.ndarray:
     """Read a locations file into an (N, 2) table indexed by dense id.
 
     Every one of the N lines holds a distinct integer id in [0, N), so the
-    ids are 0..N-1 in any order, and a finite lat and lon; anything else
-    raises :class:`CheckinFormatError` naming the line and field.
+    ids are 0..N-1 in any order, a lat in [-90, 90] and a lon in
+    [-180, 180]; anything else raises :class:`CheckinFormatError` naming
+    the line and field.
     """
     with open(path, encoding="utf-8") as fh:
         lines = list(_fields(fh, "id,lat,lon"))
@@ -380,8 +381,8 @@ def read_locations(path) -> np.ndarray:
             raise CheckinFormatError(line_no, "id",
                                      f"duplicate id {idx} (first on line {first_line[idx]})")
         first_line[idx] = line_no
-        table[idx] = (_float_field(line_no, "lat", lat_text),
-                      _float_field(line_no, "lon", lon_text))
+        table[idx] = (_float_field(line_no, "lat", lat_text, 90.0),
+                      _float_field(line_no, "lon", lon_text, 180.0))
     return table
 
 

@@ -123,6 +123,41 @@ def compute_rewards_replayed(gen, disc, batch_ids, n_rollouts, master_seed, tag)
     return rewards
 
 
+def complete_batch_full_explore(gen, table, prefix_ids, length, streams, record=False,
+                                hidden=None):
+    """The sampler with the exploration softmax and draw run on every row at
+    every step, a fired dwell gate then overriding the draw.  The reference
+    for ``generator.complete_batch``, which draws only for the rows whose
+    gate did not fire."""
+    from mobsim import nn
+    from mobsim.rng import categorical
+
+    prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
+    b, start = prefix_ids.shape
+    out = np.empty((b, length), dtype=np.int64)
+    out[:, :start] = prefix_ids
+    fired = np.zeros((b, length - start), dtype=bool)
+    with nn.no_grad():
+        if hidden is None:
+            hidden = gen.unroll(table, prefix_ids[:, :-1])[-1]
+        current = out[:, start - 1]
+        for pos in range(start, length):
+            hidden = gen.gru_step(table, current, hidden)
+            cdf = np.cumsum(nn.softmax(gen.explore_logits(hidden)).values, axis=-1)
+            stay = np.zeros(b, dtype=bool)
+            if gen.config.dwell and pos > 1:
+                dwell_y = gen.stay_probs(hidden, out[:, :pos]).values
+                stay = streams.dwell.random(b) < dwell_y
+            drawn = categorical(cdf, streams.explore.random(b))
+            chosen = np.where(stay, current, drawn)
+            out[:, pos] = chosen
+            fired[:, pos - start] = stay
+            current = chosen
+    if record:
+        return out, fired
+    return out
+
+
 def sigmoid_masked(x):
     """The logistic function by boolean-mask indexing: 1/(1+e^-x) on x >= 0,
     e^x/(1+e^x) elsewhere."""

@@ -312,8 +312,10 @@ def _rewrite_line(src, dst, line_no, text):
     ("2,40.0,inf", "lon"),
     ("1,40.0,-74.0", "id"),
     ("12,40.0,-74.0", "id"),
+    ("2,400.0,-74.0", "lat"),
+    ("2,40.0,181", "lon"),
 ], ids=["two_fields", "bad_id", "bad_lat", "bad_lon", "nan_lat", "inf_lon",
-        "duplicate_id", "non_dense_ids"])
+        "duplicate_id", "non_dense_ids", "lat_out_of_range", "lon_out_of_range"])
 def test_build_graphs_bad_locations_line_is_exit_1(pipeline, tmp_path, capsys, line, field):
     data = pipeline / "data"
     locations = tmp_path / "locations.csv"
@@ -414,30 +416,42 @@ def test_generate_bad_graph_line_is_exit_1(pipeline, tmp_path, capsys, line_no, 
     assert f"{gdir / 'sdg.csv'}:{line_no}: field '{field}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, line, field", [
-    ("n_locations", "n_locations=abc", "n_locations"),
-    ("heads", None, "heads"),
-    ("seed_distribution", "seed_distribution=0.5,0.5", "seed_distribution"),
-    ("seed_distribution", "seed_distribution=-0.5,1.5" + ",0.0" * 10, "seed_distribution"),
-    ("seed_distribution", "seed_distribution=0.5,nan" + ",0.0" * 10, "seed_distribution"),
-    ("dwell", "dwell", "record"),
+@pytest.mark.parametrize("edits, field", [
+    ({"n_locations": "n_locations=abc"}, "n_locations"),
+    ({"heads": None}, "heads"),
+    ({"seed_distribution": "seed_distribution=0.5,0.5"}, "seed_distribution"),
+    ({"seed_distribution": "seed_distribution=-0.5,1.5" + ",0.0" * 10}, "seed_distribution"),
+    ({"seed_distribution": "seed_distribution=0.5,nan" + ",0.0" * 10}, "seed_distribution"),
+    ({"dwell": "dwell"}, "record"),
+    ({"heads": "heads=3"}, "heads"),
+    ({"hidden_dim": "hidden_dim=0"}, "hidden_dim"),
+    ({"n_locations": "n_locations=13",
+      "seed_distribution": "seed_distribution=1.0" + ",0.0" * 12}, "n_locations"),
 ], ids=["bad_int", "missing_field", "short_seed_distribution", "negative_seed_probability",
-        "nan_seed_probability", "no_equals_sign"])
-def test_generate_bad_meta_is_exit_1(pipeline, tmp_path, capsys, key, line, field):
+        "nan_seed_probability", "no_equals_sign", "unsupported_heads", "zero_hidden_dim",
+        "n_locations_not_the_locations_file"])
+def test_generate_bad_meta_is_exit_1(pipeline, tmp_path, capsys, edits, field):
+    # Each edit replaces the line of its key (None drops it); the error names
+    # the line of the first edited key.
     model = pipeline / "model"
     lines = (model / "gen.meta").read_text().splitlines()
-    line_no = next(i for i, text in enumerate(lines, start=1) if text.startswith(f"{key}="))
-    lines[line_no - 1:line_no] = [] if line is None else [line]
-    assert _generate_from(pipeline, tmp_path, lines, _read(model / "gen.ckpt")) == 1
+    line_of = {text.split("=")[0]: i for i, text in enumerate(lines, start=1)}
+    for key, line in edits.items():
+        lines[line_of[key] - 1] = line
+    kept = [line for line in lines if line is not None]
+    assert _generate_from(pipeline, tmp_path, kept, _read(model / "gen.ckpt")) == 1
     where = tmp_path / "gen.meta"
-    prefix = f"{where}: " if line is None else f"{where}:{line_no}: "
+    key, line = next(iter(edits.items()))
+    prefix = f"{where}: " if line is None else f"{where}:{line_of[key]}: "
     assert f"{prefix}field '{field}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ckpt", ["truncated", "discriminator"])
+@pytest.mark.parametrize("ckpt", ["truncated", "discriminator", "appended_byte"])
 def test_generate_bad_checkpoint_is_exit_1(pipeline, tmp_path, capsys, ckpt):
     model = pipeline / "model"
-    data = _read(model / "gen.ckpt")[:100] if ckpt == "truncated" else _read(model / "disc.ckpt")
+    data = {"truncated": _read(model / "gen.ckpt")[:100],
+            "discriminator": _read(model / "disc.ckpt"),
+            "appended_byte": _read(model / "gen.ckpt") + b"\0"}[ckpt]
     meta = (model / "gen.meta").read_text().splitlines()
     assert _generate_from(pipeline, tmp_path, meta, data) == 1
     assert f"{tmp_path / 'gen.ckpt'}: " in capsys.readouterr().err

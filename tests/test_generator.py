@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from mobsim import graphs, nn
 from mobsim.generator import (
@@ -12,6 +13,7 @@ from mobsim.generator import (
     sample_streams,
     seed_distribution,
 )
+from oracles import complete_batch_full_explore
 
 
 def _cycle_graph(n):
@@ -47,6 +49,8 @@ def _zeroed(gen):
     dict(dropout=1.0),
     dict(beta=-0.5),
     dict(n_locations=1),
+    dict(embed_dim=0),
+    dict(hidden_dim=0),
 ])
 def test_config_rejects(kwargs):
     base = dict(n_locations=8, embed_dim=4, hidden_dim=4)
@@ -121,12 +125,12 @@ def test_eval_embedding_is_deterministic():
 # heads
 
 
-def test_explore_probs_rows_sum_to_one():
+def test_explore_softmax_rows_sum_to_one():
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
         hidden = gen.gru_step(table, np.array([0, 3, 5]), gen.zero_hidden(3))
-        probs = gen.explore_probs(hidden).values
+        probs = nn.softmax(gen.explore_logits(hidden)).values
     assert probs.shape == (3, 8)
     assert np.allclose(probs.sum(axis=1), 1.0)
     assert np.all(probs > 0)
@@ -316,6 +320,43 @@ def test_next_location_gate():
     assert np.all(out[:, 2:] == out[:, 1:2])
     out, fired = complete_batch(gen, table, np.array([[3, 5]]), 5, streams, record=True)
     assert fired.all() and np.all(out[0, 2:] == 5)
+
+
+_GATES = {
+    # name: (config overrides, dwell bias, which live gates fire)
+    "dwell": (dict(), 0.0, "some"),
+    "no_dwell": (dict(dwell=False), 0.0, "none"),
+    "beta_zero": (dict(beta=0.0), 0.0, "some"),
+    "always_fires": (dict(beta=0.0), 1e9, "all"),    # no damping, so the gate is exactly 1
+    "never_fires": (dict(), -1e9, "none"),
+}
+
+
+@pytest.mark.parametrize("given_hidden", [False, True], ids=["unrolled", "given_hidden"])
+@pytest.mark.parametrize("start", [1, 2, 10])
+@pytest.mark.parametrize("gate", list(_GATES))
+def test_complete_batch_matches_full_explore_oracle(gate, start, given_hidden):
+    # Drawing only for the rows whose gate stays closed must reproduce the
+    # sampler that draws for every row, samples and fired flags alike.
+    overrides, bias, fires = _GATES[gate]
+    gen = _gen(seed=4, **overrides)
+    gen.params["dwell/bias"].values[:] = bias
+    with nn.no_grad():
+        table = gen.embed_locations()
+    rng = np.random.default_rng(start)
+    prefix = rng.integers(0, 8, size=(64, start))
+    hidden = nn.constant(rng.normal(size=(64, 4))) if given_hidden else None
+    out, fired = complete_batch(gen, table, prefix, 10, sample_streams(7, "o"),
+                                record=True, hidden=hidden)
+    want, want_fired = complete_batch_full_explore(gen, table, prefix, 10,
+                                                   sample_streams(7, "o"), record=True,
+                                                   hidden=hidden)
+    assert_array_equal(out, want)
+    assert_array_equal(fired, want_fired)
+    live = fired[:, max(0, 2 - start):]          # the gate is live from position 2
+    if live.size:
+        assert {"none": not live.any(), "all": live.all(),
+                "some": 0 < live.mean() < 1}[fires]
 
 
 # ---------------------------------------------------------------------------
