@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -27,6 +28,25 @@ from . import __version__, graphs, metrics, persist, records, synth, training
 from .discriminator import Discriminator, DiscriminatorConfig
 from .generator import Generator, GeneratorConfig, generate_batch, sample_streams, seed_distribution
 from .records import Dataset
+
+
+@dataclasses.dataclass
+class AblationConfig:
+    """The graph options of ``ablation``; its other options are those of ``train``."""
+
+    k: int = 20
+    metric: str = "haversine"        # haversine | euclidean
+    edge_mode: str = "weighted"      # weighted | vanilla
+
+    def __post_init__(self):
+        if self.metric not in ("haversine", "euclidean"):
+            raise ValueError(f"unknown metric {self.metric!r}")
+        if self.edge_mode not in ("weighted", "vanilla"):
+            raise ValueError(f"unknown edge_mode {self.edge_mode!r}")
+
+
+# The configs whose options pretrain and train take.
+MODEL_CONFIGS = (GeneratorConfig, DiscriminatorConfig, training.TrainConfig)
 
 
 class CliValidationError(ValueError):
@@ -75,40 +95,60 @@ def write_manifest(out_dir, command: str, config: dict, inputs):
         fh.write("\n")
 
 
-def _coerce(key: str, raw: str, default):
-    try:
-        if isinstance(default, bool):
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes"):
-                return True
-            if lowered in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if isinstance(default, tuple):
-            return tuple(item.strip() for item in raw.split(",") if item.strip())
-        return raw
-    except ValueError:
-        raise CliValidationError(f"config key {key!r}: cannot parse {raw!r}") from None
+def _options(configs) -> dict:
+    """``name -> field`` of the options ``configs`` declare: each field with
+    a default (``n_locations`` comes from the data) but ``attn_slope``, which
+    stays fixed.  Two configs' fields of one name are one option."""
+    options = {}
+    for config in configs:
+        for f in dataclasses.fields(config):
+            if f.default is not dataclasses.MISSING and f.name != "attn_slope":
+                options.setdefault(f.name, f)
+    return options
 
 
-def resolve_config(defaults: dict, config_path, flag_values: dict) -> dict:
-    """flags > config file > defaults, with file values coerced by default type."""
-    resolved = dict(defaults)
-    if config_path:
-        with _input_file(config_path, "config"):
-            file_values = persist.read_meta(config_path)
-        for key, raw in file_values.items():
-            if key not in defaults:
-                raise CliValidationError(f"unknown config key {key!r}")
-            resolved[key] = _coerce(key, raw, defaults[key])
-    for key, value in flag_values.items():
-        if value is not None:
-            resolved[key] = value
+def _option_flags(parser: _Parser, configs):
+    """``--config`` and a flag per option of ``configs`` (``--embed-dim``
+    for ``embed_dim``), read by :func:`resolve_config`."""
+    parser.add_argument("--config", help="key=value config file")
+    for name in _options(configs):
+        parser.add_argument("--" + name.replace("_", "-"), dest=name)
+    parser.set_defaults(configs=configs)
+
+
+def resolve_config(args) -> dict:
+    """The options of ``args.configs``, each from its flag, else the
+    ``--config`` file, else its field's default.  Flag and file values are
+    read by the field's type; a bad one exits 1 naming the flag, or the
+    file, line and key."""
+    options = _options(args.configs)
+    resolved = {name: f.default for name, f in options.items()}
+    if args.config:
+        with _input_file(args.config, "config"):
+            file_values = persist.read_meta(args.config)
+            for key in file_values:
+                if key not in options:
+                    raise records.CheckinFormatError(file_values.lines[key], key,
+                                                     "unknown config key")
+                resolved[key] = file_values.field(key, persist.READERS[options[key].type])
+    for name, f in options.items():
+        if getattr(args, name) is not None:
+            try:
+                resolved[name] = persist.READERS[f.type](None, name, getattr(args, name))
+            except records.CheckinFormatError as exc:
+                flag = name.replace("_", "-")
+                raise CliValidationError(f"argument --{flag}: {exc.detail}") from None
     return resolved
+
+
+def _config(cls, values: dict, **given):
+    """A ``cls`` config from ``given`` and the ``values`` of its other
+    fields; a value it rejects exits 1."""
+    try:
+        return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)
+                      if f.name in values}, **given)
+    except ValueError as exc:
+        raise CliValidationError(str(exc)) from None
 
 
 def _parse_ratios(text) -> tuple:
@@ -158,26 +198,10 @@ def cmd_preprocess(args) -> None:
     }, [args.input])
 
 
-SYNTH_DEFAULTS = {
-    "n_locations": 100, "users": 50, "days": 10, "stay_prob": 0.0,
-    "kernel": "uniform", "seed": 0, "slots": 24, "grid_step": 0.01,
-    "ratios": "7:1:2",
-}
-
-
 def cmd_synth(args) -> None:
-    flags = {k: getattr(args, k) for k in SYNTH_DEFAULTS}
-    config = resolve_config(SYNTH_DEFAULTS, args.config, flags)
+    config = resolve_config(args)
     ratios = _parse_ratios(config["ratios"])
-    try:
-        synth_config = synth.SynthConfig(
-            n_locations=config["n_locations"], users=config["users"],
-            days=config["days"], stay_prob=config["stay_prob"],
-            kernel=config["kernel"], seed=config["seed"],
-            slots_per_day=config["slots"], grid_step_deg=config["grid_step"])
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from None
-    planted = synth.synth_generate(synth_config)
+    planted = synth.synth_generate(_config(synth.SynthConfig, config))
     os.makedirs(args.out_dir, exist_ok=True)
     _write_split_outputs(args.out_dir, planted.dataset, ratios, config["seed"])
     synth.write_kernel(os.path.join(args.out_dir, "kernel.csv"), planted.kernel)
@@ -235,55 +259,6 @@ def cmd_build_graphs(args) -> None:
     }, inputs)
 
 
-TRAIN_DEFAULTS = {
-    "embed_dim": 32, "hidden_dim": 32, "layers": 1, "heads": 1,
-    "channels": ("sdg", "ttg", "stg"), "dropout": 0.6, "beta": 1.0, "dwell": True,
-    "epochs": 50, "pretrain_epochs": 10, "d_pretrain_epochs": 3, "batch_size": 32,
-    "lr": 0.01, "optimizer": "adam", "rollouts": 16, "g_steps": 1, "d_steps": 1,
-    "seed": 0, "baseline": True, "baseline_decay": 0.9, "eval_count": 0,
-    "steps_per_epoch": 0,
-}
-
-
-def _model_flags(parser: _Parser):
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--embed-dim", dest="embed_dim", type=int)
-    parser.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    parser.add_argument("--layers", type=int)
-    parser.add_argument("--heads", type=int)
-    parser.add_argument("--channels", type=lambda s: tuple(s.split(",")))
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--dwell", type=int, choices=(0, 1))
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
-    parser.add_argument("--d-pretrain-epochs", dest="d_pretrain_epochs", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--optimizer", choices=("adam", "sgd"))
-    parser.add_argument("--rollouts", type=int)
-    parser.add_argument("--g-steps", dest="g_steps", type=int)
-    parser.add_argument("--d-steps", dest="d_steps", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--baseline", type=int, choices=(0, 1))
-    parser.add_argument("--baseline-decay", dest="baseline_decay", type=float)
-    parser.add_argument("--eval-count", dest="eval_count", type=int)
-    parser.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int)
-
-
-def _resolve_train_config(args, extra_defaults=None) -> dict:
-    """TRAIN_DEFAULTS plus ``extra_defaults``, resolved flag > file > default."""
-    defaults = dict(TRAIN_DEFAULTS, **(extra_defaults or {}))
-    flags = {k: getattr(args, k) for k in defaults}
-    for key in ("dwell", "baseline"):
-        if flags[key] is not None:
-            flags[key] = bool(flags[key])
-    config = resolve_config(defaults, args.config, flags)
-    if not config["channels"]:
-        raise CliValidationError("at least one graph channel must stay enabled")
-    return config
-
-
 def _load_graphs(graphs_dir, channels, n) -> dict:
     loaded = {}
     for name in channels:
@@ -294,32 +269,18 @@ def _load_graphs(graphs_dir, channels, n) -> dict:
 
 
 def _build_models(config, channel_graphs, n):
+    """The generator, discriminator and training config of the resolved options."""
+    gen_config = _config(GeneratorConfig, config, n_locations=n)
     try:
-        gen = Generator(GeneratorConfig(
-            n_locations=n, embed_dim=config["embed_dim"], hidden_dim=config["hidden_dim"],
-            layers=config["layers"], heads=config["heads"], channels=config["channels"],
-            dropout=config["dropout"], beta=config["beta"], dwell=config["dwell"],
-        ), channel_graphs, seed=config["seed"])
-        disc = Discriminator(DiscriminatorConfig(
-            n_locations=n, embed_dim=config["embed_dim"], hidden_dim=config["hidden_dim"],
-        ), seed=config["seed"])
+        gen = Generator(gen_config, channel_graphs, seed=config["seed"])
     except ValueError as exc:
         raise CliValidationError(str(exc)) from None
-    return gen, disc
-
-
-def _train_config(config) -> training.TrainConfig:
-    keys = ("epochs", "pretrain_epochs", "d_pretrain_epochs", "batch_size", "lr",
-            "optimizer", "rollouts", "g_steps", "d_steps", "seed", "baseline",
-            "baseline_decay", "eval_count", "steps_per_epoch")
-    try:
-        return training.TrainConfig(**{k: config[k] for k in keys})
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from None
+    disc = Discriminator(_config(DiscriminatorConfig, config, n_locations=n), seed=config["seed"])
+    return gen, disc, _config(training.TrainConfig, config)
 
 
 def _run_training(args, adversarial: bool) -> None:
-    config = _resolve_train_config(args)
+    config = resolve_config(args)
     coords = _load_locations(args.locations)
     n = len(coords)
     train = _load_split(args.train, "train", coords)
@@ -327,8 +288,7 @@ def _run_training(args, adversarial: bool) -> None:
     if adversarial:
         valid = _load_split(args.valid, "valid", coords, train_ids.shape[1])
     channel_graphs = _load_graphs(args.graphs_dir, config["channels"], n)
-    gen, disc = _build_models(config, channel_graphs, n)
-    tc = _train_config(config)
+    gen, disc, tc = _build_models(config, channel_graphs, n)
     log = training.pretrain_generator(gen, train_ids, tc)
     log += training.pretrain_discriminator(disc, gen, train_ids, tc)
     inputs = [args.train, args.locations] + [
@@ -346,13 +306,10 @@ def _run_training(args, adversarial: bool) -> None:
     persist.save_discriminator(os.path.join(args.out_dir, "disc"), disc)
     with open(os.path.join(args.out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(log) + "\n")
-    command = "train" if adversarial else "pretrain"
-    manifest_config = dict(config)
-    manifest_config.update(train=args.train, locations=args.locations,
-                           graphs_dir=args.graphs_dir)
+    config.update(train=args.train, locations=args.locations, graphs_dir=args.graphs_dir)
     if adversarial:
-        manifest_config["valid"] = args.valid
-    write_manifest(args.out_dir, command, manifest_config, inputs)
+        config["valid"] = args.valid
+    write_manifest(args.out_dir, "train" if adversarial else "pretrain", config, inputs)
 
 
 def cmd_pretrain(args) -> None:
@@ -378,7 +335,7 @@ def cmd_generate(args) -> None:
             else records.HOURS_PER_DAY)
         if slots < 1:
             raise CliValidationError(f"slots must be positive, got {slots}")
-        channels = tuple(meta.field("channels").split(","))
+        channels = meta.field("channels", records._tuple_field)
         channel_graphs = _load_graphs(args.graphs_dir, channels, len(coords))
         try:
             gen, seed_dist = persist.load_generator(args.model, channel_graphs, meta)
@@ -428,15 +385,15 @@ def _ablation_variants(config) -> list:
 
 
 def cmd_ablation(args) -> None:
-    config = _resolve_train_config(
-        args, {"k": 20, "metric": "haversine", "edge_mode": "weighted"})
+    config = resolve_config(args)
+    graph = _config(AblationConfig, config)
     coords = _load_locations(args.locations)
     train_ds, valid_ds, test_ds = (
         _load_split(path, label, coords, args.slots)
         for label, path in (("train", args.train), ("valid", args.valid), ("test", args.test)))
     if args.observed:
         _attach_observed(train_ds.trajectories, args.observed, len(coords), args.slots)
-    weighted = _build_graphs(train_ds, config["k"], config["metric"])
+    weighted = _build_graphs(train_ds, graph.k, graph.metric)
     by_mode = {"weighted": weighted,
                "vanilla": {name: graphs.binarize(g) for name, g in weighted.items()}}
     os.makedirs(args.out_dir, exist_ok=True)
@@ -454,9 +411,7 @@ def cmd_ablation(args) -> None:
 
 
 def _run_variant(config, channel_graphs, train_ds, valid_ds, test_ds):
-    gen, disc = _build_models(config, {c: channel_graphs[c] for c in config["channels"]},
-                              train_ds.n_locations)
-    tc = _train_config(config)
+    gen, disc, tc = _build_models(config, channel_graphs, train_ds.n_locations)
     train_ids = train_ds.trajectories.ids
     training.pretrain_generator(gen, train_ids, tc)
     training.pretrain_discriminator(disc, gen, train_ids, tc)
@@ -503,16 +458,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with known dynamics")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--config")
-    p.add_argument("--n-locations", dest="n_locations", type=int)
-    p.add_argument("--users", type=int)
-    p.add_argument("--days", type=int)
-    p.add_argument("--stay-prob", dest="stay_prob", type=float)
-    p.add_argument("--kernel", choices=("uniform", "uniform_offdiag", "random"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--slots", type=int)
-    p.add_argument("--grid-step", dest="grid_step", type=float)
-    p.add_argument("--ratios")
+    _option_flags(p, (synth.SynthConfig,))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-graphs", help="build the three location graphs from a train split")
@@ -536,7 +482,7 @@ def build_parser() -> _Parser:
         p.add_argument("--locations", required=True)
         p.add_argument("--graphs-dir", dest="graphs_dir", required=True)
         p.add_argument("--out-dir", dest="out_dir", required=True)
-        _model_flags(p)
+        _option_flags(p, MODEL_CONFIGS)
         p.set_defaults(func=func)
 
     p = sub.add_parser("generate", help="sample trajectories from a trained model")
@@ -569,10 +515,7 @@ def build_parser() -> _Parser:
     p.add_argument("--observed")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--slots", type=int, default=24)
-    p.add_argument("--k", type=int)
-    p.add_argument("--metric", choices=("haversine", "euclidean"))
-    p.add_argument("--edge-mode", dest="edge_mode", choices=("weighted", "vanilla"))
-    _model_flags(p)
+    _option_flags(p, MODEL_CONFIGS + (AblationConfig,))
     p.set_defaults(func=cmd_ablation)
     return parser
 

@@ -1,32 +1,36 @@
 """Saving and restoring trained models.
 
 A model is a parameter checkpoint (see :mod:`mobsim.nn.checkpoint`) plus a
-``.meta`` sidecar of key=value lines carrying the architecture config and,
-for the generator, the trajectory length it was trained on and the
-training-split seed distribution needed to start new trajectories.  Floats
-are written with repr and round-trip exactly.
+``.meta`` sidecar of key=value lines: one per field of the model's config
+dataclass and, for the generator, the trajectory length it was trained on
+and the training-split seed distribution needed to start new trajectories.
+Floats are written with repr and round-trip exactly, bools as 0/1.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
 from .discriminator import Discriminator, DiscriminatorConfig
 from .generator import ConfigError, Generator, GeneratorConfig
 from .nn import load_checkpoint, save_checkpoint
-from .records import CheckinFormatError, _fields, _float_field, _int_field
+from .records import (CheckinFormatError, _bool_field, _fields, _float_field, _int_field,
+                      _tuple_field)
+
+# The reader of a config dataclass field's text, by the field's annotation:
+# one for flags, ``--config`` lines and meta lines alike.
+READERS = {"int": _int_field, "float": _float_field, "bool": _bool_field,
+           "tuple": _tuple_field, "str": lambda line_no, name, text: text}
 
 
 def _write_meta(path, fields: dict):
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in fields.items():
-            if isinstance(value, (list, tuple, np.ndarray)):
-                text = ",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                                else str(v) for v in value)
-            elif isinstance(value, (float, np.floating)):
-                text = repr(float(value))
-            else:
-                text = str(value)
+            items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+            text = ",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                            else str(int(v)) if isinstance(v, bool) else str(v) for v in items)
             fh.write(f"{key}={text}\n")
 
 
@@ -85,6 +89,11 @@ def _distribution(line_no: int, name: str, text: str, size: int) -> np.ndarray:
     return dist
 
 
+def _read_config(cls, meta: Meta):
+    """A ``cls`` config from the meta line of each of its fields."""
+    return cls(**{f.name: meta.field(f.name, READERS[f.type]) for f in dataclasses.fields(cls)})
+
+
 def _load_params(params, path):
     try:
         params.load_values(load_checkpoint(path))
@@ -96,22 +105,8 @@ def save_generator(prefix, gen: Generator, seed_dist: np.ndarray, slots: int):
     """Write ``<prefix>.ckpt`` and ``<prefix>.meta``; ``slots`` is the
     trajectory length the generator was trained on."""
     save_checkpoint(f"{prefix}.ckpt", gen.params)
-    c = gen.config
-    _write_meta(f"{prefix}.meta", {
-        "kind": "generator",
-        "n_locations": c.n_locations,
-        "embed_dim": c.embed_dim,
-        "hidden_dim": c.hidden_dim,
-        "layers": c.layers,
-        "heads": c.heads,
-        "channels": list(c.channels),
-        "dropout": c.dropout,
-        "beta": c.beta,
-        "dwell": int(c.dwell),
-        "attn_slope": c.attn_slope,
-        "slots": slots,
-        "seed_distribution": seed_dist,
-    })
+    _write_meta(f"{prefix}.meta", {"kind": "generator", **dataclasses.asdict(gen.config),
+                                   "slots": slots, "seed_distribution": seed_dist})
 
 
 def load_generator(prefix, graphs: dict, meta: Meta | None = None):
@@ -127,18 +122,7 @@ def load_generator(prefix, graphs: dict, meta: Meta | None = None):
     if meta is None:
         meta = read_model_meta(f"{prefix}.meta", "generator")
     try:
-        config = GeneratorConfig(
-            n_locations=meta.field("n_locations", _int_field),
-            embed_dim=meta.field("embed_dim", _int_field),
-            hidden_dim=meta.field("hidden_dim", _int_field),
-            layers=meta.field("layers", _int_field),
-            heads=meta.field("heads", _int_field),
-            channels=tuple(meta.field("channels").split(",")),
-            dropout=meta.field("dropout", _float_field),
-            beta=meta.field("beta", _float_field),
-            dwell=bool(meta.field("dwell", _int_field, 2)),
-            attn_slope=meta.field("attn_slope", _float_field),
-        )
+        config = _read_config(GeneratorConfig, meta)
         seed_dist = meta.field("seed_distribution", _distribution, config.n_locations)
         gen = Generator(config, graphs)
     except ConfigError as exc:
@@ -149,22 +133,11 @@ def load_generator(prefix, graphs: dict, meta: Meta | None = None):
 
 def save_discriminator(prefix, disc: Discriminator):
     save_checkpoint(f"{prefix}.ckpt", disc.params)
-    c = disc.config
-    _write_meta(f"{prefix}.meta", {
-        "kind": "discriminator",
-        "n_locations": c.n_locations,
-        "embed_dim": c.embed_dim,
-        "hidden_dim": c.hidden_dim,
-    })
+    _write_meta(f"{prefix}.meta", {"kind": "discriminator", **dataclasses.asdict(disc.config)})
 
 
 def load_discriminator(prefix) -> Discriminator:
     meta = read_model_meta(f"{prefix}.meta", "discriminator")
-    config = DiscriminatorConfig(
-        n_locations=meta.field("n_locations", _int_field),
-        embed_dim=meta.field("embed_dim", _int_field),
-        hidden_dim=meta.field("hidden_dim", _int_field),
-    )
-    disc = Discriminator(config)
+    disc = Discriminator(_read_config(DiscriminatorConfig, meta))
     _load_params(disc.params, f"{prefix}.ckpt")
     return disc

@@ -167,6 +167,22 @@ def _float_field(line_no: int, name: str, text: str, bound: float | None = None)
     return value
 
 
+def _bool_field(line_no: int, name: str, text: str) -> bool:
+    """``text`` as a bool: 1, true or yes, or 0, false or no, in any case."""
+    lowered = text.lower()
+    if lowered not in ("1", "true", "yes", "0", "false", "no"):
+        raise CheckinFormatError(line_no, name, f"not a bool: {text!r}")
+    return lowered in ("1", "true", "yes")
+
+
+def _tuple_field(line_no: int, name: str, text: str) -> tuple:
+    """``text`` as a tuple of its comma-separated items, stripped, none empty."""
+    items = tuple(item.strip() for item in text.split(","))
+    if not all(items):
+        raise CheckinFormatError(line_no, name, f"an empty item in {text!r}")
+    return items
+
+
 def _parse_timestamp(text: str):
     """UTC epoch seconds and the written offset (None for a naive time, read as UTC)."""
     # Python 3.10 fromisoformat rejects a trailing Z, so normalize it first.

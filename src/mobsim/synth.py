@@ -18,6 +18,7 @@ from .records import Dataset, Trajectories
 from .rng import categorical, stream
 
 _FIRST_DAY = np.datetime64("2012-01-02")
+_ORIGIN = (40.0, -74.0)             # south-west corner of the location grid
 
 
 @dataclass
@@ -28,9 +29,9 @@ class SynthConfig:
     stay_prob: float = 0.0
     kernel: str = "uniform"          # uniform | uniform_offdiag | random
     seed: int = 0
-    slots_per_day: int = 24
-    grid_step_deg: float = 0.01      # spacing of the location grid
-    origin: tuple = (40.0, -74.0)    # south-west corner of the grid
+    slots: int = 24                  # trajectory length
+    grid_step: float = 0.01          # spacing of the location grid, in degrees
+    ratios: str = "7:1:2"            # train:valid:test sizes of the written split
 
     def __post_init__(self):
         if self.n_locations < 2:
@@ -97,7 +98,7 @@ def synth_generate(config: SynthConfig, kernel: np.ndarray | None = None) -> Syn
     if kernel.shape[0] != n:
         raise ValueError(f"kernel is {kernel.shape[0]}x{kernel.shape[0]}, expected {n}")
     m = config.users * config.days
-    t_slots = config.slots_per_day
+    t_slots = config.slots
     kernel_cdf = np.cumsum(kernel, axis=1)
     states = np.empty((m, t_slots), dtype=np.int64)
     states[:, 0] = rng.integers(0, n, size=m)
@@ -114,7 +115,7 @@ def synth_generate(config: SynthConfig, kernel: np.ndarray | None = None) -> Syn
         slot=np.tile(np.arange(t_slots, dtype=np.int64), m),
         loc=states.ravel(),
     )
-    coords = grid_coordinates(n, config.grid_step_deg, config.origin)
+    coords = grid_coordinates(n, config.grid_step, _ORIGIN)
     dataset = Dataset(trajectories, coords)
     return SynthDataset(dataset, kernel, config.stay_prob)
 

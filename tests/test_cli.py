@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from mobsim.cli import main
+from mobsim.cli import build_parser, main, resolve_config
 
 
 def _read(path):
@@ -462,3 +463,80 @@ def test_config_file_line_without_equals_is_exit_1(tmp_path, capsys):
     cfg.write_text("# synth settings\nusers=3\ndays 2\n")
     assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
     assert f"{cfg}:3: field 'record'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# options declared by the config dataclasses
+
+# The option defaults the CLI held as literals before each option was
+# declared once, in its config dataclass.
+PARENT_SYNTH_DEFAULTS = {
+    "n_locations": 100, "users": 50, "days": 10, "stay_prob": 0.0,
+    "kernel": "uniform", "seed": 0, "slots": 24, "grid_step": 0.01,
+    "ratios": "7:1:2",
+}
+PARENT_TRAIN_DEFAULTS = {
+    "embed_dim": 32, "hidden_dim": 32, "layers": 1, "heads": 1,
+    "channels": ("sdg", "ttg", "stg"), "dropout": 0.6, "beta": 1.0, "dwell": True,
+    "epochs": 50, "pretrain_epochs": 10, "d_pretrain_epochs": 3, "batch_size": 32,
+    "lr": 0.01, "optimizer": "adam", "rollouts": 16, "g_steps": 1, "d_steps": 1,
+    "seed": 0, "baseline": True, "baseline_decay": 0.9, "eval_count": 0,
+    "steps_per_epoch": 0,
+}
+ABLATION_DEFAULTS = {"k": 20, "metric": "haversine", "edge_mode": "weighted"}
+
+
+def _flags(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[command]._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def _option_flags(defaults):
+    return {"--config"} | {"--" + key.replace("_", "-") for key in defaults}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("synth", {"--out-dir"} | _option_flags(PARENT_SYNTH_DEFAULTS)),
+    ("pretrain", {"--train", "--locations", "--graphs-dir", "--out-dir"}
+     | _option_flags(PARENT_TRAIN_DEFAULTS)),
+    ("train", {"--train", "--valid", "--locations", "--graphs-dir", "--out-dir"}
+     | _option_flags(PARENT_TRAIN_DEFAULTS)),
+    ("ablation", {"--train", "--valid", "--test", "--locations", "--observed", "--out-dir",
+                  "--slots"} | _option_flags(dict(PARENT_TRAIN_DEFAULTS, **ABLATION_DEFAULTS))),
+])
+def test_commands_take_the_same_flags(command, flags):
+    assert _flags(command) == flags
+
+
+def _manifest_config(out):
+    return json.loads((out / "manifest.json").read_text())["config"]
+
+
+def _listed(defaults):
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in defaults.items()}
+
+
+def test_synth_without_flags_resolves_to_the_defaults(tmp_path):
+    assert main(["synth", "--out-dir", str(tmp_path)]) == 0
+    config = _manifest_config(tmp_path)
+    assert config.pop("stay_prob_truth") == 0.0
+    assert config == PARENT_SYNTH_DEFAULTS
+
+
+def test_pretrain_without_flags_resolves_to_the_defaults(pipeline, tmp_path):
+    data = pipeline / "data"
+    paths = {"train": str(data / "train.txt"), "locations": str(data / "locations.csv"),
+             "graphs_dir": str(pipeline / "graphs")}
+    assert main(["pretrain", "--train", paths["train"], "--locations", paths["locations"],
+                 "--graphs-dir", paths["graphs_dir"], "--out-dir", str(tmp_path)]) == 0
+    assert _manifest_config(tmp_path) == dict(_listed(PARENT_TRAIN_DEFAULTS), **paths)
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["train", "--train", "t", "--valid", "v", "--locations", "l", "--graphs-dir", "g",
+      "--out-dir", "o"], PARENT_TRAIN_DEFAULTS),
+    (["ablation", "--train", "t", "--valid", "v", "--test", "x", "--locations", "l",
+      "--out-dir", "o"], dict(PARENT_TRAIN_DEFAULTS, **ABLATION_DEFAULTS)),
+], ids=["train", "ablation"])
+def test_options_without_flags_resolve_to_the_defaults(argv, defaults):
+    assert resolve_config(build_parser().parse_args(argv)) == defaults

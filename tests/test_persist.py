@@ -78,3 +78,22 @@ def test_read_meta_value_keeps_further_equals_signs(tmp_path):
     meta = persist.read_meta(path)
     assert meta == {"out_dir": "runs/k=4", "seed": "3"}
     assert meta.lines == {"out_dir": 2, "seed": 4}
+
+
+# The meta lines the generator and discriminator metas held before their
+# fields were read from the config dataclasses.
+GEN_META = ("kind=generator\nn_locations=16\nembed_dim=8\nhidden_dim=6\nlayers=2\nheads=2\n"
+            "channels=sdg,stg\ndropout=0.25\nbeta=0.5\ndwell=1\nattn_slope=0.2\nslots=12\n"
+            "seed_distribution=" + ",".join(["0.0625"] * 16) + "\n")
+DISC_META = "kind=discriminator\nn_locations=9\nembed_dim=5\nhidden_dim=7\n"
+
+
+def test_meta_lines_are_the_config_fields(tmp_path, small_graphs):
+    gen = _gen(small_graphs, dwell=True)
+    persist.save_generator(tmp_path / "gen", gen, np.full(16, 1 / 16), 12)
+    disc = Discriminator(DiscriminatorConfig(n_locations=9, embed_dim=5, hidden_dim=7))
+    persist.save_discriminator(tmp_path / "disc", disc)
+    assert (tmp_path / "gen.meta").read_text() == GEN_META
+    assert (tmp_path / "disc.meta").read_text() == DISC_META
+    assert persist.load_generator(tmp_path / "gen", small_graphs)[0].config == gen.config
+    assert persist.load_discriminator(tmp_path / "disc").config == disc.config

@@ -43,7 +43,7 @@ def _disc(n=8, seed=0):
 def _sticky_ids(n_locations=8, rows=48, length=24, stay=0.8, seed=0):
     planted = synth.synth_generate(synth.SynthConfig(
         n_locations=n_locations, users=rows // 4, days=4, stay_prob=stay,
-        seed=seed, slots_per_day=length))
+        seed=seed, slots=length))
     return planted.dataset.trajectories.ids
 
 
