@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -162,7 +163,10 @@ def _parse_ratios(text) -> tuple:
 
 
 def _write_split_outputs(out_dir, dataset: Dataset, ratios, seed):
-    train, valid, test = records.split(dataset, ratios, seed)
+    try:
+        train, valid, test = records.split(dataset, ratios, seed)
+    except ValueError as exc:
+        raise CliValidationError(str(exc)) from None
     for name, part in (("train", train), ("valid", valid), ("test", test)):
         records.write_trajectories(os.path.join(out_dir, f"{name}.txt"), part.trajectories)
     records.write_observed(os.path.join(out_dir, "observed_train.txt"), train.trajectories)
@@ -171,6 +175,8 @@ def _write_split_outputs(out_dir, dataset: Dataset, ratios, seed):
 
 
 def cmd_preprocess(args) -> None:
+    if args.slots < 2:
+        raise CliValidationError(f"--slots must be at least 2, got {args.slots}")
     ratios = _parse_ratios(args.ratios)
     with _input_file(args.input, "input"), open(args.input, encoding="utf-8") as fh:
         parsed, id_map = records.parse_checkins(fh, delimiter=args.delimiter)
@@ -221,11 +227,14 @@ def _attach_observed(trajectories, path, n_locations: int, slots: int):
 
 def _load_split(path, label, coords, slots: int | None = None) -> Dataset:
     """Read a trajectory file whose ids all index ``coords`` and whose lines
-    all hold ``slots`` ids (one common count when omitted)."""
+    all hold ``slots`` ids (one common count when omitted), at least 2."""
     with _input_file(path, label):
         trajectories = records.read_trajectories(path, len(coords), slots)
     if not len(trajectories):
         raise CliValidationError(f"{label} file {path} holds no trajectories")
+    if trajectories.ids.shape[1] < 2:
+        raise CliValidationError(f"{label} file {path} holds one-slot trajectories; "
+                                 "need at least 2 slots")
     return Dataset(trajectories, coords)
 
 
@@ -333,8 +342,8 @@ def cmd_generate(args) -> None:
         slots = args.slots if args.slots is not None else (
             meta.field("slots", records._int_field) if "slots" in meta
             else records.HOURS_PER_DAY)
-        if slots < 1:
-            raise CliValidationError(f"slots must be positive, got {slots}")
+        if slots < 2:
+            raise CliValidationError(f"slots must be at least 2, got {slots}")
         channels = meta.field("channels", records._tuple_field)
         channel_graphs = _load_graphs(args.graphs_dir, channels, len(coords))
         try:
@@ -355,6 +364,11 @@ def cmd_generate(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
+    for flag, value in (("--bins", args.bins), ("--top", args.top)):
+        if value < 1:
+            raise CliValidationError(f"{flag} must be positive, got {value}")
+    if not 0.0 < args.grid_step < math.inf:
+        raise CliValidationError(f"--grid-step must be positive and finite, got {args.grid_step}")
     coords = _load_locations(args.locations)
     real = _load_split(args.real, "real", coords, args.slots)
     generated = _load_split(args.generated, "generated", coords, args.slots).trajectories.ids

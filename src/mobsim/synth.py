@@ -42,6 +42,12 @@ class SynthConfig:
             raise ValueError("users and days must be positive")
         if self.kernel not in ("uniform", "uniform_offdiag", "random"):
             raise ValueError(f"unknown kernel kind {self.kernel!r}")
+        if self.slots < 2:
+            raise ValueError(f"slots must be at least 2, got {self.slots}")
+        coords = grid_coordinates(self.n_locations, self.grid_step, _ORIGIN)
+        if not (np.abs(coords) <= (90.0, 180.0)).all():
+            raise ValueError(f"grid_step {self.grid_step}: a grid of {self.n_locations} "
+                             "locations leaves [-90, 90] x [-180, 180]")
 
 
 @dataclass

@@ -540,3 +540,140 @@ def test_pretrain_without_flags_resolves_to_the_defaults(pipeline, tmp_path):
 ], ids=["train", "ablation"])
 def test_options_without_flags_resolve_to_the_defaults(argv, defaults):
     assert resolve_config(build_parser().parse_args(argv)) == defaults
+
+
+def _pretrain_args(pipeline, out):
+    data = pipeline / "data"
+    return ["pretrain", "--train", str(data / "train.txt"),
+            "--locations", str(data / "locations.csv"), "--graphs-dir", str(pipeline / "graphs"),
+            "--out-dir", str(out), "--embed-dim", "4", "--hidden-dim", "4",
+            "--pretrain-epochs", "1", "--d-pretrain-epochs", "0"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--lr", "nan"], "argument --lr: not finite: 'nan'"),
+    (["--lr", "inf"], "argument --lr: not finite: 'inf'"),
+    (["--beta", "nan"], "argument --beta: not finite: 'nan'"),
+    (["--baseline-decay=-inf"], "argument --baseline-decay: not finite: '-inf'"),
+    (["--dwell", "2"], "argument --dwell: not a bool: '2'"),
+    (["--heads", "x"], "argument --heads: not an integer: 'x'"),
+    (["--channels", "sdg,"], "argument --channels: an empty item in 'sdg,'"),
+], ids=["lr_nan", "lr_inf", "beta_nan", "baseline_decay_minus_inf", "dwell_2", "heads_x",
+        "channels_empty_item"])
+def test_bad_model_flag_is_exit_1_naming_it(pipeline, tmp_path, capsys, extra, message):
+    assert main(_pretrain_args(pipeline, tmp_path / "m") + extra) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lr=nan", "field 'lr': not finite: 'nan'"),
+    ("dwell=2", "field 'dwell': not a bool: '2'"),
+    ("channels=sdg,", "field 'channels': an empty item in 'sdg,'"),
+], ids=["lr_nan", "dwell_2", "channels_empty_item"])
+def test_bad_config_value_is_exit_1_naming_its_line(pipeline, tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# run\n{line}\n")
+    assert main(_pretrain_args(pipeline, tmp_path / "m") + ["--config", str(cfg)]) == 1
+    assert f"{cfg}:2: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dwell, baseline", [("true", "no"), ("Yes", "FALSE"), ("0", "1")])
+def test_bool_flags_take_the_config_spellings(pipeline, tmp_path, dwell, baseline):
+    assert main(_pretrain_args(pipeline, tmp_path) + ["--dwell", dwell,
+                                                      "--baseline", baseline]) == 0
+    config = _manifest_config(tmp_path)
+    assert (config["dwell"], config["baseline"]) == (dwell.lower() in ("true", "yes", "1"),
+                                                     baseline.lower() in ("true", "yes", "1"))
+    meta = (tmp_path / "gen.meta").read_text().splitlines()
+    assert f"dwell={int(config['dwell'])}" in meta
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--grid-step", "nan"], "argument --grid-step: not finite: 'nan'"),
+    (["--stay-prob", "inf"], "argument --stay-prob: not finite: 'inf'"),
+    (["--n-locations", "400", "--grid-step", "5"], "grid_step"),
+    (["--slots", "0"], "slots must be at least 2"),
+    (["--slots", "1"], "slots must be at least 2"),
+    (["--users", "1", "--days", "2"], "cannot split 2 trajectories into 3 parts"),
+    (["--kernel", "teleport"], "unknown kernel kind 'teleport'"),
+], ids=["grid_step_nan", "stay_prob_inf", "grid_off_the_globe", "zero_slots", "one_slot",
+        "too_few_user_days", "unknown_kernel"])
+def test_bad_synth_option_is_exit_1(tmp_path, capsys, argv, message):
+    assert main(["synth", "--out-dir", str(tmp_path / "o"), "--users", "3", "--days", "2"]
+                + argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_ablation_bad_graph_option_in_config_is_exit_1(pipeline, tmp_path, capsys):
+    data = pipeline / "data"
+    cfg = tmp_path / "abl.cfg"
+    for line, message in (("edge_mode=dense", "unknown edge_mode 'dense'"),
+                          ("metric=manhattan", "unknown metric 'manhattan'"),
+                          ("channels=sdg,xyz", "no graph supplied for channels ['xyz']")):
+        cfg.write_text(line + "\n")
+        assert main(["ablation", "--train", str(data / "train.txt"),
+                     "--valid", str(data / "valid.txt"), "--test", str(data / "test.txt"),
+                     "--locations", str(data / "locations.csv"), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "abl"), "--k", "4", "--embed-dim", "4",
+                     "--hidden-dim", "4", "--pretrain-epochs", "0", "--d-pretrain-epochs", "0",
+                     "--epochs", "0"]) == 1
+        assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# trajectories hold at least two slots
+
+
+ONE_SLOT_LINES = "u,2012-01-01,3\nv,2012-01-01,4\nw,2012-01-02,5\n"
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+def test_training_on_one_slot_split_is_exit_1(pipeline, tmp_path, capsys, command):
+    split = tmp_path / "train.txt"
+    split.write_text(ONE_SLOT_LINES)
+    valid = ["--valid", str(split)] if command == "train" else []
+    assert main([command, "--train", str(split), *valid,
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--graphs-dir", str(pipeline / "graphs"), "--out-dir", str(tmp_path / "m")]) == 1
+    assert f"train file {split} holds one-slot trajectories" in capsys.readouterr().err
+
+
+def test_evaluate_one_slot_files_is_exit_1(pipeline, tmp_path, capsys):
+    split = tmp_path / "real.txt"
+    split.write_text(ONE_SLOT_LINES)
+    assert main(["evaluate", "--real", str(split), "--generated", str(split), "--slots", "1",
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--out-dir", str(tmp_path / "e")]) == 1
+    assert f"real file {split} holds one-slot trajectories" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slots", ["0", "1"])
+def test_preprocess_below_two_slots_is_exit_1(tmp_path, checkin_file, capsys, slots):
+    assert main(["preprocess", "--input", checkin_file, "--out-dir", str(tmp_path / "p"),
+                 "--slots", slots]) == 1
+    assert "--slots must be at least 2" in capsys.readouterr().err
+
+
+def test_generate_below_two_slots_is_exit_1(pipeline, tmp_path, capsys):
+    assert main(["generate", "--model", str(pipeline / "model" / "gen"),
+                 "--graphs-dir", str(pipeline / "graphs"),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--slots", "1", "--out-dir", str(tmp_path / "g")]) == 1
+    assert "slots must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--bins", "0"], "--bins must be positive"),
+    (["--top", "0"], "--top must be positive"),
+    (["--grid-step", "0"], "--grid-step must be positive and finite"),
+    (["--grid-step", "nan"], "--grid-step must be positive and finite"),
+    (["--grid-step=-0.5"], "--grid-step must be positive and finite"),
+], ids=["zero_bins", "zero_top", "zero_grid_step", "nan_grid_step", "negative_grid_step"])
+def test_evaluate_bad_option_is_exit_1(pipeline, tmp_path, capsys, argv, message):
+    data = pipeline / "data"
+    assert main(["evaluate", "--real", str(data / "test.txt"),
+                 "--generated", str(data / "test.txt"), "--locations", str(data / "locations.csv"),
+                 "--out-dir", str(tmp_path / "e")] + argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()

@@ -305,3 +305,24 @@ def test_take_keeps_observed_order_after_split():
             seen.append(j)
         assert np.all(np.diff(taken.row) >= 0)
     assert sorted(seen) == list(range(60)) and seen != sorted(seen)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("true", True), ("YES", True), ("0", False), ("False", False), ("no", False),
+])
+def test_bool_field(text, value):
+    assert records._bool_field(3, "dwell", text) is value
+
+
+@pytest.mark.parametrize("text", ["2", "", "on", "y"])
+def test_bool_field_rejects(text):
+    with pytest.raises(CheckinFormatError, match="line 3, field 'dwell': not a bool"):
+        records._bool_field(3, "dwell", text)
+
+
+def test_tuple_field():
+    assert records._tuple_field(1, "channels", "sdg, ttg ,stg") == ("sdg", "ttg", "stg")
+    assert records._tuple_field(1, "channels", "sdg") == ("sdg",)
+    for text in ("", "sdg,", "sdg,,stg", " , "):
+        with pytest.raises(CheckinFormatError, match="field 'channels': an empty item"):
+            records._tuple_field(1, "channels", text)

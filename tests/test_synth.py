@@ -86,3 +86,21 @@ def test_config_validation():
         SynthConfig(n_locations=0)
     with pytest.raises(ValueError):
         SynthConfig(kernel="teleport")
+
+
+def test_config_keeps_the_grid_on_the_globe():
+    # 400 locations make a 20 x 20 grid from (40, -74): its last row is at
+    # 40 + 19 * step, which passes 90 above a step of 50/19, and its
+    # last column at -74 + 19 * step, which passes -180 below -106/19.
+    SynthConfig(n_locations=400, grid_step=2.6)
+    SynthConfig(n_locations=400, grid_step=-5.0)
+    for step in (2.7, 5.0, -7.0):
+        with pytest.raises(ValueError, match="grid_step"):
+            SynthConfig(n_locations=400, grid_step=step)
+
+
+def test_config_needs_two_slots():
+    SynthConfig(slots=2)
+    for slots in (0, 1):
+        with pytest.raises(ValueError, match="slots"):
+            SynthConfig(slots=slots)
