@@ -6,9 +6,10 @@ its outputs under ``--out-dir`` together with a ``manifest.json`` capturing
 the resolved configuration, the master seed, tool versions, and SHA-256
 digests of the inputs, so a run is reproducible from its manifest alone.
 
-Option values resolve as: command-line flag > ``--config`` file (key=value
-lines, ``#`` comments) > built-in default.  Exit codes: 0 success, 1 invalid
-configuration or input, 2 runtime failure.
+The options of ``synth``, ``pretrain``, ``train`` and ``ablation`` are the
+fields of their config dataclasses, each resolved as: command-line flag >
+``--config`` file (key=value lines, ``#`` comments) > the field's default.
+Exit codes: 0 success, 1 invalid configuration or input, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def resolve_config(args) -> dict:
     return resolved
 
 
-def _config(cls, values: dict, **given):
+def _make_config(cls, values: dict, **given):
     """A ``cls`` config from ``given`` and the ``values`` of its other
     fields; a value it rejects exits 1."""
     try:
@@ -207,7 +208,7 @@ def cmd_preprocess(args) -> None:
 def cmd_synth(args) -> None:
     config = resolve_config(args)
     ratios = _parse_ratios(config["ratios"])
-    planted = synth.synth_generate(_config(synth.SynthConfig, config))
+    planted = synth.synth_generate(_make_config(synth.SynthConfig, config))
     os.makedirs(args.out_dir, exist_ok=True)
     _write_split_outputs(args.out_dir, planted.dataset, ratios, config["seed"])
     synth.write_kernel(os.path.join(args.out_dir, "kernel.csv"), planted.kernel)
@@ -279,13 +280,14 @@ def _load_graphs(graphs_dir, channels, n) -> dict:
 
 def _build_models(config, channel_graphs, n):
     """The generator, discriminator and training config of the resolved options."""
-    gen_config = _config(GeneratorConfig, config, n_locations=n)
+    gen_config = _make_config(GeneratorConfig, config, n_locations=n)
     try:
         gen = Generator(gen_config, channel_graphs, seed=config["seed"])
     except ValueError as exc:
         raise CliValidationError(str(exc)) from None
-    disc = Discriminator(_config(DiscriminatorConfig, config, n_locations=n), seed=config["seed"])
-    return gen, disc, _config(training.TrainConfig, config)
+    disc = Discriminator(_make_config(DiscriminatorConfig, config, n_locations=n),
+                         seed=config["seed"])
+    return gen, disc, _make_config(training.TrainConfig, config)
 
 
 def _run_training(args, adversarial: bool) -> None:
@@ -400,7 +402,7 @@ def _ablation_variants(config) -> list:
 
 def cmd_ablation(args) -> None:
     config = resolve_config(args)
-    graph = _config(AblationConfig, config)
+    graph = _make_config(AblationConfig, config)
     coords = _load_locations(args.locations)
     train_ds, valid_ds, test_ds = (
         _load_split(path, label, coords, args.slots)
