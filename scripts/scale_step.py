@@ -1,0 +1,104 @@
+"""Time one generator pretrain step at a large location count.
+
+Builds the three graphs directly (no files, no CLI) from random coordinates
+and random stay-or-jump trajectories, then times teacher-forced pretrain
+steps: k=10, embedding and hidden size 32, 2 heads, the three channels,
+dropout 0.6, batch 32.  The graph build and the steps each run in a fresh
+process, so each reports its own peak RSS.  Prints one JSON object:
+
+    PYTHONPATH=src python3 scripts/scale_step.py --n 2000
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pickle
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+from mobsim import graphs, nn
+from mobsim.generator import Generator, GeneratorConfig
+from mobsim.records import Trajectories
+
+SLOTS, ROWS, K, STEPS = 24, 2000, 10, 3
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _trajectories(n: int, rng) -> np.ndarray:
+    """(ROWS, SLOTS) ids: a uniform first slot, then stay with probability
+    0.5 or jump to a uniform location."""
+    ids = np.empty((ROWS, SLOTS), dtype=np.int64)
+    ids[:, 0] = rng.integers(0, n, ROWS)
+    for t in range(1, SLOTS):
+        jump = rng.random(ROWS) < 0.5
+        ids[:, t] = np.where(jump, rng.integers(0, n, ROWS), ids[:, t - 1])
+    return ids
+
+
+def build(n: int, path: str) -> dict:
+    rng = np.random.default_rng(n)
+    ids = _trajectories(n, rng)
+    coords = np.column_stack([40.0 + rng.random(n), -74.0 + rng.random(n)])
+    table = Trajectories(np.array(["u"] * ROWS), np.full(ROWS, np.datetime64("2012-01-02")), ids)
+    start = time.perf_counter()
+    built = {"sdg": graphs.build_sdg(coords, k=K),
+             "ttg": graphs.build_ttg(ids, n),
+             "stg": graphs.build_stg(graphs.visit_profile_matrix(table, n), k=K)}
+    elapsed = time.perf_counter() - start
+    with open(path, "wb") as fh:
+        pickle.dump((built, ids), fh)
+    return {"build_s": elapsed, "peak_rss_mb": _peak_rss_mb(),
+            "edges": {name: len(g.src) for name, g in built.items()}}
+
+
+def step(n: int, path: str) -> dict:
+    with open(path, "rb") as fh:
+        built, ids = pickle.load(fh)
+    gen = Generator(GeneratorConfig(n_locations=n, embed_dim=32, hidden_dim=32, heads=2,
+                                    dropout=0.6), built)
+    optimizer = nn.make_optimizer("adam", gen.params, 0.01)
+    rng = np.random.default_rng(0)
+    times = []
+    for _ in range(STEPS):
+        batch = ids[rng.choice(len(ids), 32, replace=False)]
+        start = time.perf_counter()
+        optimizer.zero_grad()
+        nn.add(*gen.sequence_nll(batch, training=True, rng=rng)).backward()
+        optimizer.step()
+        times.append(time.perf_counter() - start)
+    return {"step_s": times, "peak_rss_mb": _peak_rss_mb()}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, required=True, help="number of locations")
+    parser.add_argument("--phase", choices=("build", "step"),
+                        help="run one phase in this process (default: both, each in a child)")
+    parser.add_argument("--graphs", help="pickle the build phase writes and the step phase reads")
+    args = parser.parse_args()
+    if args.phase:
+        result = (build if args.phase == "build" else step)(args.n, args.graphs)
+        print(json.dumps(result))
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graphs.pkl")
+        report = {"n": args.n}
+        for phase in ("build", "step"):
+            out = subprocess.run([sys.executable, __file__, "--n", str(args.n), "--phase", phase,
+                                  "--graphs", path], check=True, capture_output=True, text=True)
+            report[phase] = json.loads(out.stdout.splitlines()[-1])
+    print(json.dumps(report))
+
+
+if __name__ == "__main__":
+    main()

@@ -72,7 +72,7 @@ class GeneratorConfig:
 
 
 class Generator:
-    """Holds the parameter set and the per-channel attention biases."""
+    """Holds the parameter set and the per-channel attention edges."""
 
     def __init__(self, config: GeneratorConfig, graphs: dict, seed: int = 0):
         missing = [c for c in config.channels if c not in graphs]
@@ -84,7 +84,7 @@ class Generator:
                                   f"graph {name!r} is over {graphs[name].n_locations} "
                                   f"locations, config says {config.n_locations}")
         self.config = config
-        self.biases = {name: nn.attention_bias(graphs[name]) for name in config.channels}
+        self.edges = {name: nn.graph_edges(graphs[name]) for name in config.channels}
         rng = stream(seed, "init/generator")
         params = nn.ParamSet()
         params.register("embed", rng.normal(0.0, 0.1, size=(config.n_locations, config.embed_dim)))
@@ -115,7 +115,7 @@ class Generator:
         for layer in range(self.config.layers):
             fused = None
             for name in self.config.channels:
-                out = nn.graph_attention(table, self.biases[name], self.attn[name][layer],
+                out = nn.graph_attention(table, self.edges[name], self.attn[name][layer],
                                          slope=self.config.attn_slope,
                                          dropout_rate=self.config.dropout,
                                          rng=rng, training=training)

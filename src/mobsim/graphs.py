@@ -10,7 +10,8 @@ Three directed channels share one container type:
   hour-of-day visit profile, weight = 1 - W1(profile_i, profile_j) in [0, 1].
 
 ``binarize`` maps any channel to its vanilla variant (all weights 1).  No
-channel stores self-edges; the attention layer adds a self-loop to every node.
+channel stores a self-edge or the same edge twice; the attention layer adds a
+self-loop to every node.
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ class LocationGraph:
             raise ValueError("edge arrays must have equal length")
         if (self.src == self.dst).any():
             raise ValueError("self-edges are not stored; attention adds the self-loop")
+        ids = np.concatenate([self.src, self.dst])
+        if ids.min(initial=0) < 0 or ids.max(initial=-1) >= self.n_locations:
+            raise ValueError(f"edge ids outside [0, {self.n_locations})")
+        if len(np.unique(self.src * self.n_locations + self.dst)) != len(self.src):
+            raise ValueError("duplicate (src, dst) edge")
         if self.mode not in ("weighted", "vanilla"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -81,7 +87,27 @@ def _top_k_rows(score: np.ndarray, k: int, largest: bool):
     return np.argsort(-score if largest else score, axis=1, kind="stable")[:, :k]
 
 
-def build_sdg(coords: np.ndarray, k: int = 20, metric: str = "haversine") -> LocationGraph:
+def _top_k_peers(score_rows, n: int, k: int, largest: bool, block: int):
+    """Each location's k best-scoring other locations, ``block`` rows at a
+    time so that no (N, N) array is held.  ``score_rows(start, stop)`` gives
+    those rows' scores against every location.  Returns src, dst and the
+    picked scores, sorted by src."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    src_all, dst_all, score_all = [], [], []
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        score = score_rows(start, stop)
+        score[np.arange(stop - start), np.arange(start, stop)] = -np.inf if largest else np.inf
+        picks = _top_k_rows(score, k, largest)
+        src_all.append(np.repeat(np.arange(start, stop, dtype=np.int64), k))
+        dst_all.append(picks.reshape(-1))
+        score_all.append(np.take_along_axis(score, picks, axis=1).reshape(-1))
+    return np.concatenate(src_all), np.concatenate(dst_all), np.concatenate(score_all)
+
+
+def build_sdg(coords: np.ndarray, k: int = 20, metric: str = "haversine",
+              block: int = 256) -> LocationGraph:
     """Spatial kNN graph: each location points at its k nearest others.
 
     ``metric`` is ``haversine`` (km) or ``euclidean`` (plain degrees, kept for
@@ -91,21 +117,18 @@ def build_sdg(coords: np.ndarray, k: int = 20, metric: str = "haversine") -> Loc
     n = len(coords)
     if n < 2:
         raise ValueError("need at least 2 locations")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     if metric == "haversine":
-        dist = haversine_km(coords[:, 0:1], coords[:, 1:2], coords[None, :, 0], coords[None, :, 1])
+        def distances(start, stop):
+            return haversine_km(coords[start:stop, 0:1], coords[start:stop, 1:2],
+                                coords[None, :, 0], coords[None, :, 1])
     elif metric == "euclidean":
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
+        def distances(start, stop):
+            diff = coords[start:stop, None, :] - coords[None, :, :]
+            return np.sqrt((diff ** 2).sum(axis=2))
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    np.fill_diagonal(dist, np.inf)
-    picks = _top_k_rows(dist, k, largest=False)
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = picks.reshape(-1)
-    weight = 1.0 / (1.0 + dist[src, dst])
-    return LocationGraph("sdg", "weighted", n, src, dst, weight, k=k)
+    src, dst, dist = _top_k_peers(distances, n, k, largest=False, block=block)
+    return LocationGraph("sdg", "weighted", n, src, dst, 1.0 / (1.0 + dist), k=k)
 
 
 def build_ttg(ids: np.ndarray, n_locations: int) -> LocationGraph:
@@ -142,21 +165,12 @@ def build_stg(profiles: np.ndarray, k: int = 20, block: int = 256) -> LocationGr
     """
     profiles = np.asarray(profiles, dtype=np.float64)
     n, _ = profiles.shape
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    src_all, dst_all, w_all = [], [], []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        score = 1.0 - wasserstein_1d(profiles[start:stop, None, :], profiles[None, :, :])
-        for local, i in enumerate(range(start, stop)):
-            score[local, i] = -np.inf
-        picks = _top_k_rows(score, k, largest=True)
-        src_all.append(np.repeat(np.arange(start, stop, dtype=np.int64), k))
-        dst_all.append(picks.reshape(-1))
-        w_all.append(score[np.repeat(np.arange(stop - start), k), picks.reshape(-1)])
-    weight = np.clip(np.concatenate(w_all), 0.0, 1.0)
-    return LocationGraph("stg", "weighted", n, np.concatenate(src_all),
-                         np.concatenate(dst_all), weight, k=k)
+
+    def similarity(start, stop):
+        return 1.0 - wasserstein_1d(profiles[start:stop, None, :], profiles[None, :, :])
+
+    src, dst, score = _top_k_peers(similarity, n, k, largest=True, block=block)
+    return LocationGraph("stg", "weighted", n, src, dst, np.clip(score, 0.0, 1.0), k=k)
 
 
 def binarize(graph: LocationGraph) -> LocationGraph:
@@ -176,8 +190,9 @@ def load_graph(path, n_locations: int) -> LocationGraph:
 
     The header is ``channel,mode,k`` with a known mode and an integer k;
     every other line is ``src,dst,weight`` with distinct integer ids in
-    [0, ``n_locations``) and a finite weight.  Anything else raises
-    :class:`CheckinFormatError` naming the line and field.
+    [0, ``n_locations``), a pair no earlier line holds, and a finite weight.
+    Anything else raises :class:`CheckinFormatError` naming the line and
+    field.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -186,14 +201,19 @@ def load_graph(path, n_locations: int) -> LocationGraph:
                                      "weighted or vanilla")
         k = _int_field(1, "k", header[2])
         src, dst, weight = [], [], []
+        seen = set()
         for line_no, (src_text, dst_text, weight_text) in _fields(fh, "src,dst,weight", start=2):
             s = _int_field(line_no, "src", src_text, n_locations)
             d = _int_field(line_no, "dst", dst_text, n_locations)
             if s == d:
                 raise CheckinFormatError(line_no, "dst",
                                          f"self-edge on {s}; attention adds the self-loop")
+            w = _float_field(line_no, "weight", weight_text)
+            if (s, d) in seen:
+                raise CheckinFormatError(line_no, "dst", f"duplicate edge {s} -> {d}")
+            seen.add((s, d))
             src.append(s)
             dst.append(d)
-            weight.append(_float_field(line_no, "weight", weight_text))
+            weight.append(w)
     return LocationGraph(header[0], header[1], n_locations, np.array(src, dtype=np.int64),
                          np.array(dst, dtype=np.int64), np.array(weight), k=k)

@@ -29,7 +29,7 @@ from .core import (
     binary_cross_entropy,
 )
 from .layers import linear, GruParams, gru_cell, init_gru
-from .attention import HeadParams, attention_bias, graph_attention, init_heads
+from .attention import GraphEdges, HeadParams, graph_attention, graph_edges, init_heads
 from .gradcheck import grad_check
 from .optim import Sgd, Adam, make_optimizer
 from .checkpoint import save_checkpoint, load_checkpoint

@@ -1,9 +1,11 @@
-"""Multi-head attention over a location graph.
+"""Multi-head attention over a location graph, on its edge list.
 
-Works on a dense (N, N) additive bias built once per graph: 0 for an edge in
-vanilla mode, log(edge weight) in weighted mode, 0 on the diagonal for the
-uniformly added self-loop, and a large negative constant elsewhere so that
-non-neighbours receive exactly zero attention after the softmax.
+A graph's edges are stored once, in CSR order (sorted by source, each row
+ending in the uniformly added self-loop), each edge with an additive logit
+bias: log(edge weight) in weighted mode (zero weights floored), 0 in vanilla
+mode and on the self-loop.  Every node owns at least its self-loop as an out-
+and an in-edge, so every segment of the per-row softmax and of the per-node
+gradient sums is non-empty.  Nothing is ever N x N: a head costs O(E d).
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParamSet, Tensor, add, concat, constant, dropout, leakyrelu, matmul, narrow, relu, reshape, softmax
+from .core import ParamSet, Tensor, _result, concat
 
-MASKED = -1e30
 _LOG_FLOOR = 1e-30
 
 
@@ -38,36 +39,92 @@ def init_heads(params: ParamSet, prefix: str, n_heads: int, in_dim: int,
     return heads
 
 
-def attention_bias(graph) -> np.ndarray:
-    """Dense additive attention bias for a location graph."""
+@dataclass(frozen=True)
+class GraphEdges:
+    """A graph's attention edges, self-loops included, sorted by ``src``.
+
+    ``starts`` holds each node's first out-edge; ``dst_order`` lists the
+    edges sorted by ``dst`` (stable) and ``dst_starts`` each node's first
+    in-edge within that order.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    log_weight: np.ndarray
+    starts: np.ndarray
+    dst_order: np.ndarray
+    dst_starts: np.ndarray
+
+
+def _segment_starts(ids: np.ndarray, n: int) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=n))[:-1]))
+
+
+def graph_edges(graph) -> GraphEdges:
+    """The attention edges of a ``LocationGraph`` (unique, in-range edges)."""
     n = graph.n_locations
-    bias = np.full((n, n), MASKED)
+    loops = np.arange(n, dtype=np.int64)
     if graph.mode == "weighted":
-        bias[graph.src, graph.dst] = np.log(np.maximum(graph.weight, _LOG_FLOOR))
+        log_weight = np.log(np.maximum(graph.weight, _LOG_FLOOR))
     else:
-        bias[graph.src, graph.dst] = 0.0
-    np.fill_diagonal(bias, 0.0)  # self-loop weight 1 in either mode
-    return bias
+        log_weight = np.zeros(len(graph.src))
+    order = np.argsort(np.concatenate([graph.src, loops]), kind="stable")
+    src = np.concatenate([graph.src, loops])[order]
+    dst = np.concatenate([graph.dst, loops])[order]
+    return GraphEdges(src, dst, np.concatenate([log_weight, np.zeros(n)])[order],
+                      _segment_starts(src, n), np.argsort(dst, kind="stable"),
+                      _segment_starts(dst, n))
 
 
-def graph_attention(h: Tensor, bias: np.ndarray, heads, slope: float = 0.2,
+def _attention_head(h: Tensor, edges: GraphEdges, head: HeadParams, slope: float,
+                    keep) -> Tensor:
+    """One head as a single tape op: relu of the per-row softmax-weighted sum
+    of the projected neighbours.  ``keep`` is the per-edge inverted-dropout
+    scale of the attention weights, or None."""
+    src, dst, starts = edges.src, edges.dst, edges.starts
+    hv, w, a = h.values, head.weight.values, head.score.values
+    head_dim = w.shape[1]
+    wh = hv @ w
+    a_src, a_dst = a[:head_dim, 0], a[head_dim:, 0]
+    z = (wh @ a_src)[src] + (wh @ a_dst)[dst]
+    dlrelu = np.where(z >= 0, 1.0, slope)
+    logits = z * dlrelu + edges.log_weight
+    ex = np.exp(logits - np.maximum.reduceat(logits, starts)[src])
+    alpha = ex / np.add.reduceat(ex, starts)[src]
+    used = alpha if keep is None else alpha * keep
+    wh_dst = wh[dst]
+    agg = np.add.reduceat(used[:, None] * wh_dst, starts)
+
+    def backward(g):
+        g_src = (g * (agg > 0))[src]
+        d_used = (g_src * wh_dst).sum(axis=1)
+        d_alpha = d_used if keep is None else d_used * keep
+        d_z = alpha * (d_alpha - np.add.reduceat(alpha * d_alpha, starts)[src]) * dlrelu
+        d_s = np.add.reduceat(d_z, starts)
+        d_t = np.add.reduceat(d_z[edges.dst_order], edges.dst_starts)
+        d_wh = (np.add.reduceat((used[:, None] * g_src)[edges.dst_order], edges.dst_starts)
+                + np.outer(d_s, a_src) + np.outer(d_t, a_dst))
+        d_a = np.concatenate([wh.T @ d_s, wh.T @ d_t])[:, None]
+        return d_wh @ w.T, hv.T @ d_wh, d_a
+
+    return _result(np.maximum(agg, 0.0), (h, head.weight, head.score), backward)
+
+
+def graph_attention(h: Tensor, edges: GraphEdges, heads, slope: float = 0.2,
                     dropout_rate: float = 0.0, rng=None, training: bool = False) -> Tensor:
     """Multi-head attention step; returns the concatenation over heads.
 
-    Per head: logits e_ij = leakyrelu(score . [W h_i || W h_j]) + bias_ij,
-    attention = row softmax of the logits, output = relu(attention @ (h W)).
+    Per head and edge i -> j: logit e_ij = leakyrelu(score . [W h_i || W h_j])
+    + log w_ij; attention = softmax of the logits over i's out-edges;
+    output_i = relu(sum_j attention_ij (h W)_j).  In training, attention
+    weights are dropped per edge (inverted dropout, one draw per edge).
     """
-    n = h.shape[0]
-    bias_t = constant(bias)
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout rate {dropout_rate} outside [0, 1)")
     outputs = []
     for head in heads:
-        head_dim = head.weight.shape[1]
-        wh = matmul(h, head.weight)
-        src_score = matmul(wh, narrow(head.score, 0, 0, head_dim))
-        dst_score = matmul(wh, narrow(head.score, 0, head_dim, head_dim))
-        logits = add(leakyrelu(add(src_score, reshape(dst_score, (1, n))), slope), bias_t)
-        alpha = softmax(logits)
+        keep = None
         if training and dropout_rate > 0.0:
-            alpha = dropout(alpha, dropout_rate, rng)
-        outputs.append(relu(matmul(alpha, wh)))
+            keep = (rng.random(len(edges.src)) >= dropout_rate) / (1.0 - dropout_rate)
+        outputs.append(_attention_head(h, edges, head, slope, keep))
     return outputs[0] if len(outputs) == 1 else concat(outputs, axis=1)

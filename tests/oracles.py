@@ -336,3 +336,44 @@ def visit_profiles_looped(trajectories, n_locations):
     totals = counts.sum(axis=1, keepdims=True)
     return np.divide(counts, totals, out=np.full_like(counts, 1.0 / slots),
                      where=totals > 0)
+
+
+MASKED = -1e30
+
+
+def attention_bias(graph):
+    """Dense (N, N) additive attention bias of a location graph: log(weight)
+    on a weighted edge (zero weights floored at 1e-30), 0 on a vanilla edge
+    and on the diagonal (the uniformly added self-loop), and a large negative
+    constant elsewhere, so that non-neighbours get exactly zero attention."""
+    n = graph.n_locations
+    bias = np.full((n, n), MASKED)
+    if graph.mode == "weighted":
+        bias[graph.src, graph.dst] = np.log(np.maximum(graph.weight, 1e-30))
+    else:
+        bias[graph.src, graph.dst] = 0.0
+    np.fill_diagonal(bias, 0.0)
+    return bias
+
+
+def graph_attention_dense(h, bias, heads, slope=0.2, keep=None):
+    """Multi-head graph attention on a dense bias, composed from elementary
+    tape ops: the reference for the edge-list ``nn.graph_attention``.
+    ``keep`` optionally gives one (N, N) inverted-dropout scale per head,
+    applied to that head's attention matrix."""
+    from mobsim.nn import add, concat, constant, leakyrelu, matmul, mul, narrow, relu, reshape, softmax
+
+    n = h.shape[0]
+    bias_t = constant(bias)
+    outputs = []
+    for i, head in enumerate(heads):
+        head_dim = head.weight.shape[1]
+        wh = matmul(h, head.weight)
+        src_score = matmul(wh, narrow(head.score, 0, 0, head_dim))
+        dst_score = matmul(wh, narrow(head.score, 0, head_dim, head_dim))
+        logits = add(leakyrelu(add(src_score, reshape(dst_score, (1, n))), slope), bias_t)
+        alpha = softmax(logits)
+        if keep is not None:
+            alpha = mul(alpha, constant(keep[i]))
+        outputs.append(relu(matmul(alpha, wh)))
+    return outputs[0] if len(outputs) == 1 else concat(outputs, axis=1)

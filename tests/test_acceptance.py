@@ -8,6 +8,7 @@ and oracle agreement, not absolute benchmark scores.
 """
 
 import contextlib
+import dataclasses
 import math
 import os
 import time
@@ -106,9 +107,9 @@ def test_criterion_1_gradient_correctness():
         def attention_instance(rng, i):
             ps = nn.ParamSet()
             heads = nn.init_heads(ps, "attn", 2, 4, 2, rng)
-            bias = nn.attention_bias(_random_graph(rng, n=5, k=2))
+            edges = nn.graph_edges(_random_graph(rng, n=5, k=2))
             h = _tensor(rng, (5, 4), scale=0.5)
-            return (lambda *_: nn.graph_attention(h, bias, heads, slope=0.2),
+            return (lambda *_: nn.graph_attention(h, edges, heads, slope=0.2),
                     [h] + [ps[name] for name in ps.names()])
 
         _check_op(attention_instance)
@@ -457,7 +458,9 @@ def test_criterion_9_ablation_parity(planted, tmp_path):
         cfg = GeneratorConfig(n_locations=100, embed_dim=8, hidden_dim=8, dropout=0.0)
         gen_w, gen_v = Generator(cfg, ones, seed=3), Generator(cfg, plain, seed=3)
         for name in cfg.channels:
-            assert np.array_equal(gen_w.biases[name], gen_v.biases[name])
+            for field in dataclasses.fields(nn.GraphEdges):
+                assert np.array_equal(getattr(gen_w.edges[name], field.name),
+                                      getattr(gen_v.edges[name], field.name))
         config = TrainConfig(pretrain_epochs=1, batch_size=32, lr=0.01, seed=3)
         for gen in (gen_w, gen_v):
             pretrain_generator(gen, planted["train_ids"], config)

@@ -3,8 +3,8 @@ import pytest
 
 from mobsim import graphs, nn
 from mobsim.nn import ParamSet, Tensor, grad_check, init_gru, gru_cell, init_heads
-from mobsim.nn.attention import MASKED, attention_bias, graph_attention
-from oracles import gru_cell_composed
+from mobsim.nn.attention import graph_attention, graph_edges
+from oracles import MASKED, attention_bias, graph_attention_dense, gru_cell_composed
 
 
 def _chain_graph(n, weights=None):
@@ -22,31 +22,52 @@ def _heads(n_heads, in_dim, head_dim, seed=0):
     return params, heads
 
 
+def _random_graph(rng, n, mode="weighted", isolated=2):
+    """Random directed graph whose first ``isolated`` nodes have neither out-
+    nor in-edges, with one zero weight."""
+    keep = rng.random((n, n)) < 0.3
+    keep[:isolated] = keep[:, :isolated] = False
+    np.fill_diagonal(keep, False)
+    src, dst = np.nonzero(keep)
+    perm = rng.permutation(len(src))           # edge order need not be sorted
+    weight = rng.uniform(0.1, 3.0, len(src))
+    weight[0] = 0.0
+    g = graphs.LocationGraph("ttg", "weighted", n, src[perm], dst[perm], weight)
+    return g if mode == "weighted" else graphs.binarize(g)
+
+
 # ---------------------------------------------------------------------------
-# bias construction
+# edge construction
 
 
-def test_bias_masks_non_edges_and_keeps_diagonal():
-    g = _chain_graph(4, weights=[1.0, 0.5, 2.0, 1.0])
-    bias = attention_bias(g)
-    assert bias[0, 1] == 0.0                      # ln 1
-    assert bias[1, 2] == pytest.approx(np.log(0.5))
-    assert np.all(np.diag(bias) == 0.0)           # uniform self-loop
-    assert bias[0, 2] == MASKED
-    assert bias[0, 3] == MASKED
+def test_edges_are_sorted_by_src_with_the_self_loop_last():
+    g = graphs.LocationGraph("ttg", "weighted", 4, np.array([2, 0, 0, 3]),
+                             np.array([1, 3, 1, 0]), np.array([1.0, 0.5, 2.0, 1.0]))
+    e = graph_edges(g)
+    assert e.src.tolist() == [0, 0, 0, 1, 2, 2, 3, 3]
+    assert e.dst.tolist() == [3, 1, 0, 1, 1, 2, 0, 3]
+    assert np.array_equal(e.log_weight, [np.log(0.5), np.log(2.0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert e.starts.tolist() == [0, 3, 4, 6]
+    assert e.dst[e.dst_order].tolist() == [0, 0, 1, 1, 1, 2, 3, 3]
+    assert e.dst_starts.tolist() == [0, 2, 5, 6]
 
 
-def test_bias_vanilla_mode_is_indicator():
-    g = graphs.binarize(_chain_graph(4, weights=[0.3, 0.5, 0.2, 0.9]))
-    bias = attention_bias(g)
-    assert bias[0, 1] == 0.0 and bias[1, 2] == 0.0
-    assert bias[0, 2] == MASKED
+def test_edges_vanilla_mode_has_zero_log_weights():
+    e = graph_edges(graphs.binarize(_chain_graph(4, weights=[0.3, 0.5, 0.2, 0.9])))
+    assert np.array_equal(e.log_weight, np.zeros(8))
 
 
-def test_bias_zero_weight_is_floored():
-    g = _chain_graph(3, weights=[0.0, 1.0, 1.0])
-    bias = attention_bias(g)
-    assert np.isfinite(bias[0, 1]) and bias[0, 1] < -60.0
+def test_edges_zero_weight_is_floored():
+    e = graph_edges(_chain_graph(3, weights=[0.0, 1.0, 1.0]))
+    assert np.isfinite(e.log_weight[0]) and e.log_weight[0] < -60.0
+
+
+def test_edges_match_the_dense_bias():
+    g = _random_graph(np.random.default_rng(0), 9)
+    e = graph_edges(g)
+    bias = np.full((9, 9), MASKED)
+    bias[e.src, e.dst] = e.log_weight
+    assert np.array_equal(bias, attention_bias(g))
 
 
 # ---------------------------------------------------------------------------
@@ -59,53 +80,47 @@ def test_self_loop_only_reduces_to_relu_projection():
                              np.array([], dtype=np.int64), np.array([]))
     params, heads = _heads(1, 6, 4)
     h = Tensor(np.random.default_rng(1).standard_normal((5, 6)))
-    out = graph_attention(h, attention_bias(g), heads)
+    out = graph_attention(h, graph_edges(g), heads)
     expected = np.maximum(h.values @ heads[0].weight.values, 0.0)
     assert np.allclose(out.values, expected, atol=1e-12)
 
 
-def test_masked_nodes_get_exactly_zero_attention():
-    g = _chain_graph(6)
+def test_non_neighbours_have_no_influence():
+    # Row 0 attends to itself and to node 1 only, so the other rows of h
+    # cannot change its output.
+    edges = graph_edges(_chain_graph(6))
     params, heads = _heads(1, 4, 4)
-    h = Tensor(np.random.default_rng(2).standard_normal((6, 4)))
-    bias = attention_bias(g)
-
-    # Recompute the softmax the slow way to read the attention matrix.
-    wh = h.values @ heads[0].weight.values
-    s = heads[0].score.values
-    logits = wh @ s[:4] + (wh @ s[4:]).T
-    logits = np.where(logits >= 0, logits, 0.2 * logits) + bias
-    alpha = np.exp(logits - logits.max(axis=1, keepdims=True))
-    alpha /= alpha.sum(axis=1, keepdims=True)
-    allowed = (bias > MASKED)
-    assert np.all(alpha[~allowed] == 0.0)
-    assert np.allclose(alpha.sum(axis=1), 1.0)
+    h = np.random.default_rng(2).standard_normal((6, 4))
+    out = graph_attention(Tensor(h), edges, heads).values
+    h[2:] = np.random.default_rng(3).standard_normal((4, 4))
+    moved = graph_attention(Tensor(h), edges, heads).values
+    assert np.array_equal(out[0], moved[0])
+    assert not np.array_equal(out[2:], moved[2:])
 
 
 def test_higher_edge_weight_draws_more_attention():
     # Node 0 has two out-edges with very different weights and symmetric
-    # scores (zero score vector), so attention follows the bias alone.
+    # scores (zero score vector), so attention follows the log weights alone.
     src = np.array([0, 0])
     dst = np.array([1, 2])
     g = graphs.LocationGraph("ttg", "weighted", 3, src, dst, np.array([0.9, 0.1]))
     params, heads = _heads(1, 3, 2)
     heads[0].score.values[:] = 0.0
     h = Tensor(np.eye(3), requires_grad=False)
-    bias = attention_bias(g)
     # alpha row 0 over {0 (self, w=1), 1 (0.9), 2 (0.1)} = softmax(ln w)= w/sum.
     wh = h.values @ heads[0].weight.values
-    out = graph_attention(h, bias, heads)
+    out = graph_attention(h, graph_edges(g), heads)
     expected_row0 = np.maximum((wh[0] + 0.9 * wh[1] + 0.1 * wh[2]) / 2.0, 0.0)
     assert np.allclose(out.values[0], expected_row0, atol=1e-12)
 
 
 def test_multi_head_concatenates():
-    g = _chain_graph(5)
+    edges = graph_edges(_chain_graph(5))
     params, heads = _heads(2, 6, 3)
     h = Tensor(np.random.default_rng(3).standard_normal((5, 6)))
-    out = graph_attention(h, attention_bias(g), heads)
+    out = graph_attention(h, edges, heads)
     assert out.shape == (5, 6)
-    single = graph_attention(h, attention_bias(g), heads[:1])
+    single = graph_attention(h, edges, heads[:1])
     assert np.allclose(out.values[:, :3], single.values)
 
 
@@ -124,35 +139,111 @@ def test_permutation_equivariance():
     inv = np.argsort(perm)
     g_perm = graphs.LocationGraph("ttg", "weighted", n, perm[src], perm[dst], w)
 
-    out = graph_attention(Tensor(h), attention_bias(g), heads).values
-    out_perm = graph_attention(Tensor(h[inv]), attention_bias(g_perm), heads).values
+    out = graph_attention(Tensor(h), graph_edges(g), heads).values
+    out_perm = graph_attention(Tensor(h[inv]), graph_edges(g_perm), heads).values
     assert np.allclose(out_perm[perm], out, atol=1e-10)
 
 
 def test_attention_gradients():
-    g = _chain_graph(5, weights=[0.5, 1.0, 0.25, 0.8, 1.0])
+    edges = graph_edges(_chain_graph(5, weights=[0.5, 1.0, 0.25, 0.8, 1.0]))
     params, heads = _heads(2, 4, 2)
     h = Tensor(np.random.default_rng(5).standard_normal((5, 4)))
-    bias = attention_bias(g)
 
     def op(hin, w0, s0, w1, s1):
-        return graph_attention(hin, bias, heads)
+        return graph_attention(hin, edges, heads)
 
     tensors = [h, heads[0].weight, heads[0].score, heads[1].weight, heads[1].score]
     assert grad_check(op, tensors) < 1e-6
 
 
 def test_attention_dropout_only_when_training():
-    g = _chain_graph(5)
+    edges = graph_edges(_chain_graph(5))
     params, heads = _heads(1, 4, 4)
     h = Tensor(np.random.default_rng(6).standard_normal((5, 4)), requires_grad=False)
-    bias = attention_bias(g)
-    plain = graph_attention(h, bias, heads)
-    evald = graph_attention(h, bias, heads, dropout_rate=0.5, training=False)
+    plain = graph_attention(h, edges, heads)
+    evald = graph_attention(h, edges, heads, dropout_rate=0.5, training=False)
     assert np.array_equal(plain.values, evald.values)
-    dropped = graph_attention(h, bias, heads, dropout_rate=0.5, training=True,
+    dropped = graph_attention(h, edges, heads, dropout_rate=0.5, training=True,
                               rng=np.random.default_rng(7))
     assert not np.array_equal(plain.values, dropped.values)
+
+
+def test_each_head_is_one_tape_node():
+    edges = graph_edges(_chain_graph(5))
+    params, heads = _heads(1, 4, 4)
+    out = graph_attention(Tensor(np.ones((5, 4)), requires_grad=True), edges, heads)
+    # h, the projection and the score vector, with no node in between.
+    assert len(out._parents) == 3
+    assert all(not parent._parents for parent in out._parents)
+
+
+# ---------------------------------------------------------------------------
+# the edge-list op against the dense oracle
+
+
+def _max_rel_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _forward_and_grads(attend, h, layer_heads, probe):
+    tensors = [h] + [t for heads in layer_heads for head in heads
+                     for t in (head.weight, head.score)]
+    for tensor in tensors:
+        tensor.grad = None
+    out = h
+    for i, heads in enumerate(layer_heads):
+        out = attend(out, heads, i)
+    nn.tsum(nn.mul(out, Tensor(probe))).backward()
+    return out.values, [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("mode", ["weighted", "vanilla"])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_edge_attention_matches_the_dense_oracle(mode, n_heads, layers):
+    rng = np.random.default_rng(100 * n_heads + 10 * layers + (mode == "vanilla"))
+    n, dim = 11, 8
+    g = _random_graph(rng, n, mode)
+    edges, bias = graph_edges(g), attention_bias(g)
+    params = ParamSet()
+    layer_heads = [init_heads(params, f"l{i}", n_heads, dim, dim // n_heads, rng)
+                   for i in range(layers)]
+    h = Tensor(rng.standard_normal((n, dim)), requires_grad=True)
+    probe = rng.standard_normal((n, dim))
+    sparse = _forward_and_grads(
+        lambda x, heads, i: graph_attention(x, edges, heads, slope=0.2), h, layer_heads, probe)
+    dense = _forward_and_grads(
+        lambda x, heads, i: graph_attention_dense(x, bias, heads, slope=0.2), h, layer_heads,
+        probe)
+    assert _max_rel_error(sparse[0], dense[0]) <= 1e-12
+    for got, want in zip(sparse[1], dense[1]):
+        assert _max_rel_error(got, want) <= 1e-12
+
+
+def test_edge_dropout_matches_the_dense_oracle():
+    # One uniform per edge, in CSR order, per head: scattered into (N, N)
+    # scales, the same draws drive the dense reference.
+    rng = np.random.default_rng(9)
+    n, dim, rate = 10, 6, 0.4
+    g = _random_graph(rng, n)
+    edges = graph_edges(g)
+    params = ParamSet()
+    layer_heads = [init_heads(params, "l0", 2, dim, dim // 2, rng)]
+    h = Tensor(rng.standard_normal((n, dim)), requires_grad=True)
+    probe = rng.standard_normal((n, dim))
+    draws = np.random.default_rng(10).random((2, len(edges.src)))
+    keep = np.zeros((2, n, n))
+    keep[:, edges.src, edges.dst] = (draws >= rate) / (1.0 - rate)
+    sparse = _forward_and_grads(
+        lambda x, heads, i: graph_attention(x, edges, heads, dropout_rate=rate,
+                                            rng=np.random.default_rng(10), training=True),
+        h, layer_heads, probe)
+    dense = _forward_and_grads(
+        lambda x, heads, i: graph_attention_dense(x, attention_bias(g), heads, keep=keep),
+        h, layer_heads, probe)
+    assert _max_rel_error(sparse[0], dense[0]) <= 1e-12
+    for got, want in zip(sparse[1], dense[1]):
+        assert _max_rel_error(got, want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

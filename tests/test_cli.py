@@ -417,6 +417,26 @@ def test_generate_bad_graph_line_is_exit_1(pipeline, tmp_path, capsys, line_no, 
     assert f"{gdir / 'sdg.csv'}:{line_no}: field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_duplicate_graph_edge_is_exit_1(pipeline, tmp_path, capsys, command):
+    # Line 3 repeats line 2's (src, dst) pair with another weight.
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    for channel in ("sdg", "ttg", "stg"):
+        (gdir / f"{channel}.csv").write_bytes(_read(pipeline / "graphs" / f"{channel}.csv"))
+    src, dst, _ = (pipeline / "graphs" / "sdg.csv").read_text().splitlines()[1].split(",")
+    _rewrite_line(pipeline / "graphs" / "sdg.csv", gdir / "sdg.csv", 3, f"{src},{dst},2.0")
+    data = pipeline / "data"
+    if command == "train":
+        args = ["train", "--train", str(data / "train.txt"), "--valid", str(data / "valid.txt"),
+                "--graphs-dir", str(gdir), "--out-dir", str(tmp_path / "m")]
+    else:
+        args = ["generate", "--model", str(pipeline / "model" / "gen"), "--graphs-dir", str(gdir),
+                "--count", "3", "--out-dir", str(tmp_path / "out")]
+    assert main(args + ["--locations", str(data / "locations.csv")]) == 1
+    assert f"{gdir / 'sdg.csv'}:3: field 'dst'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edits, field", [
     ({"n_locations": "n_locations=abc"}, "n_locations"),
     ({"heads": None}, "heads"),

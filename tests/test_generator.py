@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_identical_channels_sum():
                 head.score.values[:] = gen.attn["sdg"][layer][k].score.values
     with nn.no_grad():
         fused = gen.embed_locations().values
-        single = nn.graph_attention(gen.params["embed"], gen.biases["sdg"],
+        single = nn.graph_attention(gen.params["embed"], gen.edges["sdg"],
                                     gen.attn["sdg"][0]).values
     assert np.allclose(fused, 3.0 * single, atol=1e-12)
 
@@ -119,6 +120,24 @@ def test_eval_embedding_is_deterministic():
         a = gen.embed_locations().values
         b = gen.embed_locations().values
     assert np.array_equal(a, b)
+
+
+def test_embedding_pass_holds_no_location_square():
+    # One training-mode forward and backward at N=2000 must peak below the
+    # 32 MB of a single (N, N) float64 array.
+    n = 2000
+    rng = np.random.default_rng(0)
+    gs = {name: graphs.build_sdg(rng.random((n, 2)), k=10) for name in ("sdg", "ttg", "stg")}
+    gen = Generator(GeneratorConfig(n_locations=n, embed_dim=16, hidden_dim=4, heads=2,
+                                    dropout=0.5), gs)
+    tracemalloc.start()
+    try:
+        nn.tsum(gen.embed_locations(training=True, rng=np.random.default_rng(1))).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gen.params["embed"].grad.any()
+    assert peak < n * n * 8
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,21 @@ def test_sdg_euclidean_mode_changes_ranking():
     assert flat.dst[flat.src == 0][0] == 2       # 0.55 deg lat is shorter raw
 
 
+@pytest.mark.parametrize("build", [
+    lambda block: graphs.build_sdg(_grid_coords(40, seed=3), k=6, block=block),
+    lambda block: graphs.build_sdg(_grid_coords(40, seed=3), k=6, metric="euclidean",
+                                   block=block),
+    lambda block: graphs.build_stg(np.random.default_rng(4).dirichlet(np.ones(24), 40),
+                                   k=6, block=block),
+], ids=["sdg_haversine", "sdg_euclidean", "stg"])
+def test_row_blocks_do_not_change_the_graph(build):
+    whole = build(40)
+    for block in (1, 7, 39):
+        part = build(block)
+        for name in ("src", "dst", "weight"):
+            assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
+
+
 def test_sdg_k_bounds():
     coords = _grid_coords(5)
     with pytest.raises(ValueError):
@@ -310,6 +325,14 @@ def test_graph_rejects_self_edges():
     with pytest.raises(ValueError):
         graphs.LocationGraph("sdg", "weighted", 3, np.array([0]), np.array([0]),
                              np.array([1.0]))
+
+
+@pytest.mark.parametrize("src, dst", [([0, 1, 0], [1, 2, 1]), ([0], [3]), ([-1], [0])],
+                         ids=["duplicate", "dst_out_of_range", "negative_src"])
+def test_graph_rejects_duplicate_and_out_of_range_edges(src, dst):
+    with pytest.raises(ValueError):
+        graphs.LocationGraph("sdg", "weighted", 3, np.array(src), np.array(dst),
+                             np.ones(len(src)))
 
 
 def test_graph_roundtrip(tmp_path, small_graphs):

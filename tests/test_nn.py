@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mobsim import nn
+from mobsim.graphs import LocationGraph
 from mobsim.nn import Tensor, grad_check
 from oracles import sigmoid_masked
 
@@ -51,6 +52,9 @@ def test_constant_requires_no_grad():
 
 _GRU = nn.init_gru(nn.ParamSet(), "g", 3, 4, np.random.default_rng(20))
 _HEADS = nn.init_heads(nn.ParamSet(), "a", 2, 3, 2, np.random.default_rng(21))
+# Every ordered pair of 5 distinct locations, unit weights.
+_EDGES = nn.graph_edges(LocationGraph("sdg", "vanilla", 5, *np.nonzero(~np.eye(5, dtype=bool)),
+                                      np.ones(20)))
 
 # Every tape op with the input shapes it is built on.
 _TAPE_OPS = {
@@ -76,7 +80,7 @@ _TAPE_OPS = {
     "cross_entropy": (lambda a: nn.cross_entropy(a, [0, 3, 1]), [(3, 4)]),
     "binary_cross_entropy": (lambda a: nn.binary_cross_entropy(a, [1.0, 0.0, 1.0]), [(3,)]),
     "gru_cell": (lambda x, z: nn.gru_cell(x, z, _GRU), [(2, 3), (2, 4)]),
-    "graph_attention": (lambda h: nn.graph_attention(h, np.zeros((5, 5)), _HEADS), [(5, 3)]),
+    "graph_attention": (lambda h: nn.graph_attention(h, _EDGES, _HEADS), [(5, 3)]),
 }
 
 
