@@ -76,7 +76,8 @@ class LocationGraph:
         ids = np.concatenate([self.src, self.dst])
         if ids.min(initial=0) < 0 or ids.max(initial=-1) >= self.n_locations:
             raise ValueError(f"edge ids outside [0, {self.n_locations})")
-        if len(np.unique(self.src * self.n_locations + self.dst)) != len(self.src):
+        keys = np.sort(self.src * self.n_locations + self.dst)
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate (src, dst) edge")
         if self.mode not in ("weighted", "vanilla"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -209,9 +210,10 @@ def load_graph(path, n_locations: int) -> LocationGraph:
                 raise CheckinFormatError(line_no, "dst",
                                          f"self-edge on {s}; attention adds the self-loop")
             w = _float_field(line_no, "weight", weight_text)
-            if (s, d) in seen:
+            key = s * n_locations + d
+            if key in seen:
                 raise CheckinFormatError(line_no, "dst", f"duplicate edge {s} -> {d}")
-            seen.add((s, d))
+            seen.add(key)
             src.append(s)
             dst.append(d)
             weight.append(w)

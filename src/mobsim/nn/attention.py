@@ -68,8 +68,9 @@ def graph_edges(graph) -> GraphEdges:
         log_weight = np.log(np.maximum(graph.weight, _LOG_FLOOR))
     else:
         log_weight = np.zeros(len(graph.src))
-    order = np.argsort(np.concatenate([graph.src, loops]), kind="stable")
-    src = np.concatenate([graph.src, loops])[order]
+    src = np.concatenate([graph.src, loops])
+    order = np.argsort(src, kind="stable")
+    src = src[order]
     dst = np.concatenate([graph.dst, loops])[order]
     return GraphEdges(src, dst, np.concatenate([log_weight, np.zeros(n)])[order],
                       _segment_starts(src, n), np.argsort(dst, kind="stable"),

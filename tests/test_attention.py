@@ -52,14 +52,31 @@ def test_edges_are_sorted_by_src_with_the_self_loop_last():
     assert e.dst_starts.tolist() == [0, 2, 5, 6]
 
 
-def test_edges_vanilla_mode_has_zero_log_weights():
-    e = graph_edges(graphs.binarize(_chain_graph(4, weights=[0.3, 0.5, 0.2, 0.9])))
-    assert np.array_equal(e.log_weight, np.zeros(8))
+def _bias_of(edges):
+    """The per-edge log weights keyed by (src, dst); absent pairs are masked."""
+    return dict(zip(zip(edges.src.tolist(), edges.dst.tolist()), edges.log_weight.tolist()))
 
 
-def test_edges_zero_weight_is_floored():
-    e = graph_edges(_chain_graph(3, weights=[0.0, 1.0, 1.0]))
-    assert np.isfinite(e.log_weight[0]) and e.log_weight[0] < -60.0
+def test_bias_masks_non_edges_and_keeps_diagonal():
+    bias = _bias_of(graph_edges(_chain_graph(4, weights=[1.0, 0.5, 2.0, 1.0])))
+    assert bias[(0, 1)] == 0.0                    # ln 1
+    assert bias[(1, 2)] == pytest.approx(np.log(0.5))
+    assert all(bias[(i, i)] == 0.0 for i in range(4))   # uniform self-loop
+    assert (0, 2) not in bias and (0, 3) not in bias
+    assert len(bias) == 8
+
+
+def test_bias_vanilla_mode_is_indicator():
+    edges = graph_edges(graphs.binarize(_chain_graph(4, weights=[0.3, 0.5, 0.2, 0.9])))
+    bias = _bias_of(edges)
+    assert bias[(0, 1)] == 0.0 and bias[(1, 2)] == 0.0
+    assert (0, 2) not in bias
+    assert np.array_equal(edges.log_weight, np.zeros(8))
+
+
+def test_bias_zero_weight_is_floored():
+    bias = _bias_of(graph_edges(_chain_graph(3, weights=[0.0, 1.0, 1.0])))
+    assert np.isfinite(bias[(0, 1)]) and bias[(0, 1)] < -60.0
 
 
 def test_edges_match_the_dense_bias():
@@ -85,9 +102,9 @@ def test_self_loop_only_reduces_to_relu_projection():
     assert np.allclose(out.values, expected, atol=1e-12)
 
 
-def test_non_neighbours_have_no_influence():
-    # Row 0 attends to itself and to node 1 only, so the other rows of h
-    # cannot change its output.
+def test_masked_nodes_get_exactly_zero_attention():
+    # Row 0 attends to itself and to node 1 only: the other rows of h get
+    # exactly zero attention, so they cannot change its output at all.
     edges = graph_edges(_chain_graph(6))
     params, heads = _heads(1, 4, 4)
     h = np.random.default_rng(2).standard_normal((6, 4))
@@ -191,8 +208,8 @@ def _forward_and_grads(attend, h, layer_heads, probe):
     for tensor in tensors:
         tensor.grad = None
     out = h
-    for i, heads in enumerate(layer_heads):
-        out = attend(out, heads, i)
+    for heads in layer_heads:
+        out = attend(out, heads)
     nn.tsum(nn.mul(out, Tensor(probe))).backward()
     return out.values, [t.grad for t in tensors]
 
@@ -211,9 +228,9 @@ def test_edge_attention_matches_the_dense_oracle(mode, n_heads, layers):
     h = Tensor(rng.standard_normal((n, dim)), requires_grad=True)
     probe = rng.standard_normal((n, dim))
     sparse = _forward_and_grads(
-        lambda x, heads, i: graph_attention(x, edges, heads, slope=0.2), h, layer_heads, probe)
+        lambda x, heads: graph_attention(x, edges, heads, slope=0.2), h, layer_heads, probe)
     dense = _forward_and_grads(
-        lambda x, heads, i: graph_attention_dense(x, bias, heads, slope=0.2), h, layer_heads,
+        lambda x, heads: graph_attention_dense(x, bias, heads, slope=0.2), h, layer_heads,
         probe)
     assert _max_rel_error(sparse[0], dense[0]) <= 1e-12
     for got, want in zip(sparse[1], dense[1]):
@@ -235,11 +252,11 @@ def test_edge_dropout_matches_the_dense_oracle():
     keep = np.zeros((2, n, n))
     keep[:, edges.src, edges.dst] = (draws >= rate) / (1.0 - rate)
     sparse = _forward_and_grads(
-        lambda x, heads, i: graph_attention(x, edges, heads, dropout_rate=rate,
+        lambda x, heads: graph_attention(x, edges, heads, dropout_rate=rate,
                                             rng=np.random.default_rng(10), training=True),
         h, layer_heads, probe)
     dense = _forward_and_grads(
-        lambda x, heads, i: graph_attention_dense(x, attention_bias(g), heads, keep=keep),
+        lambda x, heads: graph_attention_dense(x, attention_bias(g), heads, keep=keep),
         h, layer_heads, probe)
     assert _max_rel_error(sparse[0], dense[0]) <= 1e-12
     for got, want in zip(sparse[1], dense[1]):
