@@ -23,6 +23,8 @@ import numpy as np
 from .records import CheckinFormatError, Trajectories, _fields, _float_field, _int_field
 
 EARTH_RADIUS_KM = 6371.0
+# Rows of the kNN score matrix held at a time by the kNN builders.
+_ROW_BLOCK = 256
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
@@ -88,16 +90,16 @@ def _top_k_rows(score: np.ndarray, k: int, largest: bool):
     return np.argsort(-score if largest else score, axis=1, kind="stable")[:, :k]
 
 
-def _top_k_peers(score_rows, n: int, k: int, largest: bool, block: int):
-    """Each location's k best-scoring other locations, ``block`` rows at a
-    time so that no (N, N) array is held.  ``score_rows(start, stop)`` gives
+def _top_k_peers(score_rows, n: int, k: int, largest: bool):
+    """Each location's k best-scoring other locations, ``_ROW_BLOCK`` rows at
+    a time so that no (N, N) array is held.  ``score_rows(start, stop)`` gives
     those rows' scores against every location.  Returns src, dst and the
     picked scores, sorted by src."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     src_all, dst_all, score_all = [], [], []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
         score = score_rows(start, stop)
         score[np.arange(stop - start), np.arange(start, stop)] = -np.inf if largest else np.inf
         picks = _top_k_rows(score, k, largest)
@@ -107,8 +109,7 @@ def _top_k_peers(score_rows, n: int, k: int, largest: bool, block: int):
     return np.concatenate(src_all), np.concatenate(dst_all), np.concatenate(score_all)
 
 
-def build_sdg(coords: np.ndarray, k: int = 20, metric: str = "haversine",
-              block: int = 256) -> LocationGraph:
+def build_sdg(coords: np.ndarray, k: int = 20, metric: str = "haversine") -> LocationGraph:
     """Spatial kNN graph: each location points at its k nearest others.
 
     ``metric`` is ``haversine`` (km) or ``euclidean`` (plain degrees, kept for
@@ -128,7 +129,7 @@ def build_sdg(coords: np.ndarray, k: int = 20, metric: str = "haversine",
             return np.sqrt((diff ** 2).sum(axis=2))
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    src, dst, dist = _top_k_peers(distances, n, k, largest=False, block=block)
+    src, dst, dist = _top_k_peers(distances, n, k, largest=False)
     return LocationGraph("sdg", "weighted", n, src, dst, 1.0 / (1.0 + dist), k=k)
 
 
@@ -158,7 +159,7 @@ def visit_profile_matrix(trajectories: Trajectories, n_locations: int) -> np.nda
     return np.divide(counts, totals, out=np.full(counts.shape, 1.0 / slots), where=totals > 0)
 
 
-def build_stg(profiles: np.ndarray, k: int = 20, block: int = 256) -> LocationGraph:
+def build_stg(profiles: np.ndarray, k: int = 20) -> LocationGraph:
     """Visit-profile similarity graph.
 
     Pairwise score is 1 - W1 between slot profiles, so it lies in [0, 1];
@@ -170,7 +171,7 @@ def build_stg(profiles: np.ndarray, k: int = 20, block: int = 256) -> LocationGr
     def similarity(start, stop):
         return 1.0 - wasserstein_1d(profiles[start:stop, None, :], profiles[None, :, :])
 
-    src, dst, score = _top_k_peers(similarity, n, k, largest=True, block=block)
+    src, dst, score = _top_k_peers(similarity, n, k, largest=True)
     return LocationGraph("stg", "weighted", n, src, dst, np.clip(score, 0.0, 1.0), k=k)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParamSet, Tensor, _result, concat
+from .core import ParamSet, Tensor, _result, concat, dropout_mask
 
 _LOG_FLOOR = 1e-30
 
@@ -120,12 +120,10 @@ def graph_attention(h: Tensor, edges: GraphEdges, heads, slope: float = 0.2,
     output_i = relu(sum_j attention_ij (h W)_j).  In training, attention
     weights are dropped per edge (inverted dropout, one draw per edge).
     """
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout rate {dropout_rate} outside [0, 1)")
     outputs = []
     for head in heads:
         keep = None
         if training and dropout_rate > 0.0:
-            keep = (rng.random(len(edges.src)) >= dropout_rate) / (1.0 - dropout_rate)
+            keep = dropout_mask(len(edges.src), dropout_rate, rng)
         outputs.append(_attention_head(h, edges, head, slope, keep))
     return outputs[0] if len(outputs) == 1 else concat(outputs, axis=1)

@@ -281,14 +281,19 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _result(a.values.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
 
-def dropout(a, rate: float, rng) -> Tensor:
-    """Inverted dropout; rate 0 returns the input tensor unchanged."""
+def dropout_mask(shape, rate: float, rng) -> np.ndarray:
+    """An inverted-dropout scale: 0 with probability ``rate``, else 1 / (1 - rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def dropout(a, rate: float, rng) -> Tensor:
+    """Inverted dropout; rate 0 returns the input tensor unchanged."""
     if rate == 0.0:
         return a
     a = _as_tensor(a)
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    mask = dropout_mask(a.shape, rate, rng)
     return _result(a.values * mask, (a,), lambda g: (g * mask,))
 
 

@@ -180,16 +180,15 @@ def test_sdg_euclidean_mode_changes_ranking():
 
 
 @pytest.mark.parametrize("build", [
-    lambda block: graphs.build_sdg(_grid_coords(40, seed=3), k=6, block=block),
-    lambda block: graphs.build_sdg(_grid_coords(40, seed=3), k=6, metric="euclidean",
-                                   block=block),
-    lambda block: graphs.build_stg(np.random.default_rng(4).dirichlet(np.ones(24), 40),
-                                   k=6, block=block),
+    lambda: graphs.build_sdg(_grid_coords(40, seed=3), k=6),
+    lambda: graphs.build_sdg(_grid_coords(40, seed=3), k=6, metric="euclidean"),
+    lambda: graphs.build_stg(np.random.default_rng(4).dirichlet(np.ones(24), 40), k=6),
 ], ids=["sdg_haversine", "sdg_euclidean", "stg"])
-def test_row_blocks_do_not_change_the_graph(build):
-    whole = build(40)
+def test_row_blocks_do_not_change_the_graph(build, monkeypatch):
+    whole = build()
     for block in (1, 7, 39):
-        part = build(block)
+        monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
+        part = build()
         for name in ("src", "dst", "weight"):
             assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
 
