@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from mobsim.cli import build_parser, main, resolve_config
+from mobsim import cli
+from mobsim.cli import CliValidationError, build_parser, main, resolve_config
 
 
 def _read(path):
@@ -697,3 +698,25 @@ def test_evaluate_bad_option_is_exit_1(pipeline, tmp_path, capsys, argv, message
                  "--out-dir", str(tmp_path / "e")] + argv) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("outcome, code", [(None, 0), (CliValidationError("bad"), 1),
+                                           (RuntimeError("boom"), 2)],
+                         ids=["ok", "exit_1", "exit_2"])
+def test_commands_run_blas_on_one_thread(tmp_path, monkeypatch, outcome, code):
+    calls = cli._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    get, _ = calls
+    seen = []
+
+    def command(args):
+        seen.append(get())
+        if outcome is not None:
+            raise outcome
+
+    monkeypatch.setattr(cli, "cmd_synth", command)
+    before = get()
+    assert main(["synth", "--out-dir", str(tmp_path)]) == code
+    assert seen == [1]
+    assert get() == before
