@@ -2,13 +2,17 @@
 
 Commands: ``preprocess``, ``synth``, ``build-graphs``, ``pretrain``,
 ``train``, ``generate``, ``evaluate``, ``ablation``.  Every command writes
-its outputs under ``--out-dir`` together with a ``manifest.json`` capturing
-the resolved configuration, the master seed, tool versions, and SHA-256
-digests of the inputs, so a run is reproducible from its manifest alone.
+its outputs under ``--out-dir`` together with a ``manifest.json`` recording
+its parsed flags with the options resolved (the master seed among them),
+tool versions, and SHA-256 digests of the inputs, so a run is reproducible
+from its manifest alone.
 
-The options of ``synth``, ``pretrain``, ``train`` and ``ablation`` are the
-fields of their config dataclasses, each resolved as: command-line flag >
-``--config`` file (key=value lines, ``#`` comments) > the field's default.
+The options of ``synth``, ``build-graphs``, ``pretrain``, ``train`` and
+``ablation`` are the fields of their config dataclasses, each resolved as:
+command-line flag > ``--config`` file (key=value lines, ``#`` comments) >
+the field's default.  No flag asks for what the inputs fix: the train split
+(for ``evaluate``, the real file) sets the trajectory length, and the other
+trajectory files and the observed sidecar are checked against it.
 Exit codes: 0 success, 1 invalid configuration or input, 2 runtime failure.
 """
 
@@ -34,27 +38,21 @@ from .generator import Generator, GeneratorConfig, generate_batch, sample_stream
 from .records import Dataset
 
 
-@dataclasses.dataclass
-class AblationConfig:
-    """The graph options of ``ablation``; its other options are those of ``train``."""
-
-    k: int = 20
-    metric: str = "haversine"        # haversine | euclidean
-    edge_mode: str = "weighted"      # weighted | vanilla
-
-    def __post_init__(self):
-        if self.metric not in ("haversine", "euclidean"):
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if self.edge_mode not in ("weighted", "vanilla"):
-            raise ValueError(f"unknown edge_mode {self.edge_mode!r}")
-
-
 # The configs whose options pretrain and train take.
 MODEL_CONFIGS = (GeneratorConfig, DiscriminatorConfig, training.TrainConfig)
 
 
 class CliValidationError(ValueError):
     """Bad flags, config, or inputs; maps to exit code 1."""
+
+
+@contextlib.contextmanager
+def _rejected(errors=ValueError):
+    """Report an ``errors`` exception raised inside the block as exit 1."""
+    try:
+        yield
+    except errors as exc:
+        raise CliValidationError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,10 +127,20 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir, command: str, config: dict, inputs):
+# Parsed attributes that are no settings of the run: the dispatch fields, the
+# config file (an input, so its digest is recorded) and the output directory.
+_UNRECORDED = ("command", "func", "configs", "config", "out_dir")
+
+
+def write_manifest(args, config: dict, inputs):
+    """Write ``manifest.json`` under ``args.out_dir``: the command, its parsed
+    flags with the resolved ``config`` laid over them, the SHA-256 digest of
+    each of ``inputs``, and the tool versions."""
+    settings = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+    settings.update(config)
     body = {
-        "command": command,
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(config.items())},
+        "command": args.command,
+        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(settings.items())},
         "inputs": {path: _sha256(path) for path in sorted(inputs)},
         "versions": {
             "mobsim": __version__,
@@ -140,7 +148,7 @@ def write_manifest(out_dir, command: str, config: dict, inputs):
             "python": platform.python_version(),
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -194,33 +202,25 @@ def resolve_config(args) -> dict:
 def _make_config(cls, values: dict, **given):
     """A ``cls`` config from ``given`` and the ``values`` of its other
     fields; a value it rejects exits 1."""
-    try:
+    with _rejected():
         return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)
                       if f.name in values}, **given)
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from None
 
 
 def _parse_ratios(text) -> tuple:
     try:
-        parts = tuple(int(p) for p in str(text).split(":"))
+        return tuple(int(p) for p in str(text).split(":"))
     except ValueError:
         raise CliValidationError(f"ratios must look like 7:1:2, got {text!r}") from None
-    if len(parts) != 3 or any(p <= 0 for p in parts):
-        raise CliValidationError(f"ratios must be 3 positive integers, got {text!r}")
-    return parts
 
 
 def _write_split_outputs(out_dir, dataset: Dataset, ratios, seed):
-    try:
+    with _rejected():
         train, valid, test = records.split(dataset, ratios, seed)
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from None
     for name, part in (("train", train), ("valid", valid), ("test", test)):
         records.write_trajectories(os.path.join(out_dir, f"{name}.txt"), part.trajectories)
     records.write_observed(os.path.join(out_dir, "observed_train.txt"), train.trajectories)
     records.write_locations(os.path.join(out_dir, "locations.csv"), dataset.locations)
-    return train, valid, test
 
 
 def cmd_preprocess(args) -> None:
@@ -231,11 +231,9 @@ def cmd_preprocess(args) -> None:
         parsed, id_map = records.parse_checkins(fh, delimiter=args.delimiter)
     if not parsed:
         raise CliValidationError(f"no records parsed from {args.input}")
-    try:
+    with _rejected():
         trajectories = records.discretize(parsed, slots_per_day=args.slots, fill=args.fill,
                                           utc_offset_hours=args.utc_offset)
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from None
     kept = records.filter_min_visits(trajectories, min_daily=args.min_daily_visits)
     if len(kept) < 3:
         raise CliValidationError(
@@ -245,12 +243,7 @@ def cmd_preprocess(args) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     _write_split_outputs(args.out_dir, dataset, ratios, args.seed)
     records.write_id_map(os.path.join(args.out_dir, "idmap.csv"), id_map)
-    write_manifest(args.out_dir, "preprocess", {
-        "input": args.input, "delimiter": args.delimiter, "slots": args.slots,
-        "fill": args.fill, "utc_offset": args.utc_offset,
-        "min_daily_visits": args.min_daily_visits, "ratios": args.ratios,
-        "seed": args.seed,
-    }, [args.input])
+    write_manifest(args, {}, [args.input])
 
 
 def cmd_synth(args) -> None:
@@ -261,17 +254,12 @@ def cmd_synth(args) -> None:
     _write_split_outputs(args.out_dir, planted.dataset, ratios, config["seed"])
     synth.write_kernel(os.path.join(args.out_dir, "kernel.csv"), planted.kernel)
     config["stay_prob_truth"] = planted.stay_prob
-    write_manifest(args.out_dir, "synth", config, [args.config] if args.config else [])
+    write_manifest(args, config, [args.config] if args.config else [])
 
 
 def _load_locations(path) -> np.ndarray:
     with _input_file(path, "locations"):
         return records.read_locations(path)
-
-
-def _attach_observed(trajectories, path, n_locations: int, slots: int):
-    with _input_file(path, "observed"):
-        records.attach_observed(trajectories, path, n_locations, slots)
 
 
 def _load_split(path, label, coords, slots: int | None = None) -> Dataset:
@@ -287,103 +275,107 @@ def _load_split(path, label, coords, slots: int | None = None) -> Dataset:
     return Dataset(trajectories, coords)
 
 
-def _build_graphs(train: Dataset, k: int, metric: str) -> dict:
-    """The weighted sdg, ttg and stg channels of a train split."""
+def _load_train(args) -> Dataset:
+    """The train split, with the pairs of the observed sidecar when one is
+    given; its length bounds the sidecar's slots."""
+    train = _load_split(args.train, "train", _load_locations(args.locations))
+    if args.observed:
+        with _input_file(args.observed, "observed"):
+            records.attach_observed(train.trajectories, args.observed, train.n_locations,
+                                    train.trajectories.ids.shape[1])
+    return train
+
+
+def _build_graphs(train: Dataset, graph_config: graphs.GraphConfig) -> dict:
+    """The weighted sdg, ttg and stg channels of a train split; a ``k``
+    outside [1, N - 1] exits 1."""
     n = train.n_locations
-    if not 1 <= k <= n - 1:
-        raise CliValidationError(f"k must be in [1, {n - 1}], got {k}")
-    return {
-        "sdg": graphs.build_sdg(train.locations, k=k, metric=metric),
-        "ttg": graphs.build_ttg(train.trajectories.ids, n),
-        "stg": graphs.build_stg(graphs.visit_profile_matrix(train.trajectories, n), k=k),
-    }
+    k = graph_config.k
+    with _rejected():
+        return {
+            "sdg": graphs.build_sdg(train.locations, k=k, metric=graph_config.metric),
+            "ttg": graphs.build_ttg(train.trajectories.ids, n),
+            "stg": graphs.build_stg(graphs.visit_profile_matrix(train.trajectories, n), k=k),
+        }
 
 
 def cmd_build_graphs(args) -> None:
-    train = _load_split(args.train, "train", _load_locations(args.locations), args.slots)
-    if args.observed:
-        _attach_observed(train.trajectories, args.observed, train.n_locations, args.slots)
-    built = _build_graphs(train, args.k, args.metric)
+    config = resolve_config(args)
+    graph_config = _make_config(graphs.GraphConfig, config)
+    train = _load_train(args)
+    built = _build_graphs(train, graph_config)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, graph in built.items():
-        if args.mode == "vanilla":
+        if graph_config.edge_mode == "vanilla":
             graph = graphs.binarize(graph)
         graphs.save_graph(os.path.join(args.out_dir, f"{name}.csv"), graph)
-    inputs = [args.train, args.locations] + ([args.observed] if args.observed else [])
-    write_manifest(args.out_dir, "build-graphs", {
-        "train": args.train, "locations": args.locations,
-        "observed": args.observed or "", "k": args.k, "mode": args.mode,
-        "metric": args.metric, "slots": args.slots,
-    }, inputs)
+    write_manifest(args, config, [args.train, args.locations]
+                   + ([args.observed] if args.observed else []))
 
 
-def _load_graphs(graphs_dir, channels, n) -> dict:
+def _load_graphs(graphs_dir, channels, n, inputs: list) -> dict:
+    """The ``channels`` graphs in ``graphs_dir``; each file joins ``inputs``."""
     loaded = {}
     for name in channels:
         path = os.path.join(graphs_dir, f"{name}.csv")
         with _input_file(path, f"graph channel {name}"):
             loaded[name] = graphs.load_graph(path, n)
+        inputs.append(path)
     return loaded
 
 
-def _build_models(config, channel_graphs, n):
-    """The generator, discriminator and training config of the resolved options."""
-    gen_config = _make_config(GeneratorConfig, config, n_locations=n)
-    try:
-        gen = Generator(gen_config, channel_graphs, seed=config["seed"])
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from None
+def _fit(config, channel_graphs, train: Dataset, valid: Dataset | None):
+    """The generator and discriminator of the resolved options and their
+    training log: pretrained on ``train`` and, given ``valid``, trained
+    adversarially with the best checkpoint kept."""
+    n = train.n_locations
+    with _rejected():
+        gen = Generator(_make_config(GeneratorConfig, config, n_locations=n), channel_graphs,
+                        seed=config["seed"])
     disc = Discriminator(_make_config(DiscriminatorConfig, config, n_locations=n),
                          seed=config["seed"])
-    return gen, disc, _make_config(training.TrainConfig, config)
-
-
-def _run_training(args, adversarial: bool) -> None:
-    config = resolve_config(args)
-    coords = _load_locations(args.locations)
-    n = len(coords)
-    train = _load_split(args.train, "train", coords)
-    train_ids = train.trajectories.ids
-    if adversarial:
-        valid = _load_split(args.valid, "valid", coords, train_ids.shape[1])
-    channel_graphs = _load_graphs(args.graphs_dir, config["channels"], n)
-    gen, disc, tc = _build_models(config, channel_graphs, n)
-    log = training.pretrain_generator(gen, train_ids, tc)
-    log += training.pretrain_discriminator(disc, gen, train_ids, tc)
-    inputs = [args.train, args.locations] + [
-        os.path.join(args.graphs_dir, f"{c}.csv") for c in config["channels"]]
-    if adversarial:
+    tc = _make_config(training.TrainConfig, config)
+    ids = train.trajectories.ids
+    log = training.pretrain_generator(gen, ids, tc)
+    log += training.pretrain_discriminator(disc, gen, ids, tc)
+    if valid is not None:
         best_gen, best_disc, adv_log = training.adversarial_train(gen, disc, train, valid, tc)
         gen.params.load_values(best_gen)
         disc.params.load_values(best_disc)
         log += adv_log
-        inputs.append(args.valid)
-    os.makedirs(args.out_dir, exist_ok=True)
-    seed_dist = seed_distribution(train_ids, n)
-    persist.save_generator(os.path.join(args.out_dir, "gen"), gen, seed_dist,
-                           train_ids.shape[1])
-    persist.save_discriminator(os.path.join(args.out_dir, "disc"), disc)
-    with open(os.path.join(args.out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(log) + "\n")
-    config.update(train=args.train, locations=args.locations, graphs_dir=args.graphs_dir)
-    if adversarial:
-        config["valid"] = args.valid
-    write_manifest(args.out_dir, "train" if adversarial else "pretrain", config, inputs)
-
-
-def cmd_pretrain(args) -> None:
-    _run_training(args, adversarial=False)
+    return gen, disc, log
 
 
 def cmd_train(args) -> None:
-    _run_training(args, adversarial=True)
+    """``pretrain``; for ``train``, adversarial training after it."""
+    config = resolve_config(args)
+    coords = _load_locations(args.locations)
+    train = _load_split(args.train, "train", coords)
+    ids = train.trajectories.ids
+    inputs = [args.train, args.locations]
+    valid = None
+    if args.command == "train":
+        valid = _load_split(args.valid, "valid", coords, ids.shape[1])
+        inputs.append(args.valid)
+    channel_graphs = _load_graphs(args.graphs_dir, config["channels"], len(coords), inputs)
+    gen, disc, log = _fit(config, channel_graphs, train, valid)
+    os.makedirs(args.out_dir, exist_ok=True)
+    persist.save_generator(os.path.join(args.out_dir, "gen"), gen,
+                           seed_distribution(ids, len(coords)), ids.shape[1])
+    persist.save_discriminator(os.path.join(args.out_dir, "disc"), disc)
+    with open(os.path.join(args.out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(log) + "\n")
+    write_manifest(args, config, inputs)
 
 
 def cmd_generate(args) -> None:
     if args.count < 1:
         raise CliValidationError("count must be positive")
+    if args.seed < 0:
+        raise CliValidationError(f"seed must be non-negative, got {args.seed}")
     coords = _load_locations(args.locations)
     meta_path, ckpt_path = f"{args.model}.meta", f"{args.model}.ckpt"
+    inputs = [meta_path, ckpt_path, args.locations]
     with _input_file(meta_path, "model meta"):
         if not os.path.isfile(ckpt_path):
             raise CliValidationError(f"model checkpoint file not found: {ckpt_path}")
@@ -395,22 +387,15 @@ def cmd_generate(args) -> None:
         if slots < 2:
             raise CliValidationError(f"slots must be at least 2, got {slots}")
         channels = meta.field("channels", records._tuple_field)
-        channel_graphs = _load_graphs(args.graphs_dir, channels, len(coords))
-        try:
+        channel_graphs = _load_graphs(args.graphs_dir, channels, len(coords), inputs)
+        with _rejected(persist.CheckpointError):
             gen, seed_dist = persist.load_generator(args.model, channel_graphs, meta)
-        except persist.CheckpointError as exc:
-            raise CliValidationError(str(exc)) from None
     streams = sample_streams(args.seed, "generate")
     ids = generate_batch(gen, args.count, slots, seed_dist, streams)
     os.makedirs(args.out_dir, exist_ok=True)
     records.write_trajectories(os.path.join(args.out_dir, "generated.txt"),
                                records.generated_trajectories(ids))
-    inputs = [meta_path, ckpt_path, args.locations] + [
-        os.path.join(args.graphs_dir, f"{c}.csv") for c in channels]
-    write_manifest(args.out_dir, "generate", {
-        "model": args.model, "locations": args.locations, "graphs_dir": args.graphs_dir,
-        "count": args.count, "slots": slots, "seed": args.seed,
-    }, inputs)
+    write_manifest(args, {"slots": slots}, inputs)
 
 
 def cmd_evaluate(args) -> None:
@@ -420,19 +405,16 @@ def cmd_evaluate(args) -> None:
     if not 0.0 < args.grid_step < math.inf:
         raise CliValidationError(f"--grid-step must be positive and finite, got {args.grid_step}")
     coords = _load_locations(args.locations)
-    real = _load_split(args.real, "real", coords, args.slots)
-    generated = _load_split(args.generated, "generated", coords, args.slots).trajectories.ids
+    real = _load_split(args.real, "real", coords)
+    generated = _load_split(args.generated, "generated", coords,
+                            real.trajectories.ids.shape[1]).trajectories.ids
     report = metrics.evaluate(real, generated, include_zero_steps=not args.exclude_zero_steps,
                               bins=args.bins, top=args.top)
     os.makedirs(args.out_dir, exist_ok=True)
     metrics.write_report(os.path.join(args.out_dir, "report.txt"), report)
     metrics.write_grid(os.path.join(args.out_dir, "grid.csv"),
                        metrics.visit_grid(generated, coords, args.grid_step))
-    write_manifest(args.out_dir, "evaluate", {
-        "real": args.real, "generated": args.generated, "locations": args.locations,
-        "slots": args.slots, "bins": args.bins, "top": args.top,
-        "exclude_zero_steps": args.exclude_zero_steps, "grid_step": args.grid_step,
-    }, [args.real, args.generated, args.locations])
+    write_manifest(args, {}, [args.real, args.generated, args.locations])
 
 
 def _ablation_variants(config) -> list:
@@ -450,41 +432,32 @@ def _ablation_variants(config) -> list:
 
 def cmd_ablation(args) -> None:
     config = resolve_config(args)
-    graph = _make_config(AblationConfig, config)
-    coords = _load_locations(args.locations)
-    train_ds, valid_ds, test_ds = (
-        _load_split(path, label, coords, args.slots)
-        for label, path in (("train", args.train), ("valid", args.valid), ("test", args.test)))
-    if args.observed:
-        _attach_observed(train_ds.trajectories, args.observed, len(coords), args.slots)
-    weighted = _build_graphs(train_ds, graph.k, graph.metric)
+    graph_config = _make_config(graphs.GraphConfig, config)
+    train = _load_train(args)
+    valid, test = (_load_split(path, label, train.locations, train.trajectories.ids.shape[1])
+                   for label, path in (("valid", args.valid), ("test", args.test)))
+    weighted = _build_graphs(train, graph_config)
     by_mode = {"weighted": weighted,
                "vanilla": {name: graphs.binarize(g) for name, g in weighted.items()}}
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for name, overrides in _ablation_variants(config):
         variant = dict(config, **overrides)
-        report = _run_variant(variant, by_mode[variant["edge_mode"]], train_ds,
-                              valid_ds, test_ds)
+        report = _run_variant(variant, by_mode[variant["edge_mode"]], train, valid, test)
         metrics.write_report(os.path.join(args.out_dir, f"report_{name}.txt"), report)
         rows.append((name, report))
     _write_ablation_table(args.out_dir, rows)
-    write_manifest(args.out_dir, "ablation", config,
-                   [args.train, args.valid, args.test, args.locations]
+    write_manifest(args, config, [args.train, args.valid, args.test, args.locations]
                    + ([args.observed] if args.observed else []))
 
 
-def _run_variant(config, channel_graphs, train_ds, valid_ds, test_ds):
-    gen, disc, tc = _build_models(config, channel_graphs, train_ds.n_locations)
-    train_ids = train_ds.trajectories.ids
-    training.pretrain_generator(gen, train_ids, tc)
-    training.pretrain_discriminator(disc, gen, train_ids, tc)
-    best_gen, _, _ = training.adversarial_train(gen, disc, train_ds, valid_ds, tc)
-    gen.params.load_values(best_gen)
-    streams = sample_streams(tc.seed, "ablation/final_eval")
-    generated = generate_batch(gen, len(test_ds), train_ids.shape[1],
-                               seed_distribution(train_ids, train_ds.n_locations), streams)
-    return metrics.evaluate(test_ds, generated)
+def _run_variant(config, channel_graphs, train: Dataset, valid: Dataset, test: Dataset):
+    gen, _, _ = _fit(config, channel_graphs, train, valid)
+    ids = train.trajectories.ids
+    streams = sample_streams(config["seed"], "ablation/final_eval")
+    generated = generate_batch(gen, len(test), ids.shape[1],
+                               seed_distribution(ids, train.n_locations), streams)
+    return metrics.evaluate(test, generated)
 
 
 def _write_ablation_table(out_dir, rows):
@@ -503,84 +476,63 @@ def _write_ablation_table(out_dir, rows):
             fh.write(name.ljust(width) + "".join(f"{c:12.4f}" for c in cells) + "\n")
 
 
+def _command(sub, name, func, help_text, paths, configs=()) -> _Parser:
+    """The ``name`` subparser: a required flag per path in ``paths`` and
+    ``--out-dir``, then the option flags of ``configs``."""
+    p = sub.add_parser(name, help=help_text)
+    for path in paths + ("out-dir",):
+        p.add_argument("--" + path, required=True)
+    if configs:
+        _option_flags(p, configs)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mobsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
+    observed_help = "optional raw-observation sidecar for visit profiles"
 
-    p = sub.add_parser("preprocess", help="parse check-ins into split trajectory files")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    p = _command(sub, "preprocess", cmd_preprocess,
+                 "parse check-ins into split trajectory files", ("input",))
     p.add_argument("--delimiter", default=",")
     p.add_argument("--slots", type=int, default=24)
     p.add_argument("--fill", choices=("ffill", "bfill"), default="ffill")
-    p.add_argument("--utc-offset", dest="utc_offset", type=int, default=0)
-    p.add_argument("--min-daily-visits", dest="min_daily_visits", type=int, default=9)
+    p.add_argument("--utc-offset", type=int, default=0)
+    p.add_argument("--min-daily-visits", type=int, default=9)
     p.add_argument("--ratios", default="7:1:2")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset with known dynamics")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    _option_flags(p, (synth.SynthConfig,))
-    p.set_defaults(func=cmd_synth)
+    _command(sub, "synth", cmd_synth, "generate a synthetic dataset with known dynamics", (),
+             (synth.SynthConfig,))
+    p = _command(sub, "build-graphs", cmd_build_graphs,
+                 "build the three location graphs from a train split", ("train", "locations"),
+                 (graphs.GraphConfig,))
+    p.add_argument("--observed", default="", help=observed_help)
+    for name, help_text, paths in (
+            ("pretrain", "teacher-forced pretraining only", ("train",)),
+            ("train", "pretraining plus adversarial training", ("train", "valid"))):
+        _command(sub, name, cmd_train, help_text, paths + ("locations", "graphs-dir"),
+                 MODEL_CONFIGS)
 
-    p = sub.add_parser("build-graphs", help="build the three location graphs from a train split")
-    p.add_argument("--train", required=True)
-    p.add_argument("--locations", required=True)
-    p.add_argument("--observed", help="optional raw-observation sidecar for visit profiles")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--mode", choices=("weighted", "vanilla"), default="weighted")
-    p.add_argument("--metric", choices=("haversine", "euclidean"), default="haversine")
-    p.add_argument("--slots", type=int, default=24)
-    p.set_defaults(func=cmd_build_graphs)
-
-    for name, help_text, func, needs_valid in (
-            ("pretrain", "teacher-forced pretraining only", cmd_pretrain, False),
-            ("train", "pretraining plus adversarial training", cmd_train, True)):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--train", required=True)
-        if needs_valid:
-            p.add_argument("--valid", required=True)
-        p.add_argument("--locations", required=True)
-        p.add_argument("--graphs-dir", dest="graphs_dir", required=True)
-        p.add_argument("--out-dir", dest="out_dir", required=True)
-        _option_flags(p, MODEL_CONFIGS)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("generate", help="sample trajectories from a trained model")
+    p = _command(sub, "generate", cmd_generate, "sample trajectories from a trained model",
+                 ("graphs-dir", "locations"))
     p.add_argument("--model", required=True, help="checkpoint prefix (…/gen)")
-    p.add_argument("--graphs-dir", dest="graphs_dir", required=True)
-    p.add_argument("--locations", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--slots", type=int, help="trajectory length (default: the trained length)")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("evaluate", help="score generated against real trajectories")
-    p.add_argument("--real", required=True)
-    p.add_argument("--generated", required=True)
-    p.add_argument("--locations", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--slots", type=int, default=24)
+    p = _command(sub, "evaluate", cmd_evaluate, "score generated against real trajectories",
+                 ("real", "generated", "locations"))
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--top", type=int, default=100)
-    p.add_argument("--grid-step", dest="grid_step", type=float, default=0.01)
-    p.add_argument("--exclude-zero-steps", dest="exclude_zero_steps", action="store_true")
-    p.set_defaults(func=cmd_evaluate)
+    p.add_argument("--grid-step", type=float, default=0.01)
+    p.add_argument("--exclude-zero-steps", action="store_true")
 
-    p = sub.add_parser("ablation", help="run the channel/edge-mode/dwell ablation suite")
-    p.add_argument("--train", required=True)
-    p.add_argument("--valid", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--locations", required=True)
-    p.add_argument("--observed")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--slots", type=int, default=24)
-    _option_flags(p, MODEL_CONFIGS + (AblationConfig,))
-    p.set_defaults(func=cmd_ablation)
+    p = _command(sub, "ablation", cmd_ablation, "run the channel/edge-mode/dwell ablation suite",
+                 ("train", "valid", "test", "locations"), MODEL_CONFIGS + (graphs.GraphConfig,))
+    p.add_argument("--observed", default="", help=observed_help)
     return parser
 
 

@@ -37,6 +37,23 @@ def haversine_km(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
+@dataclass
+class GraphConfig:
+    """The options of a graph build: the neighbour budget ``k`` of the kNN
+    channels (its range depends on N, so the builders check it), the sdg
+    distance ``metric``, and the ``edge_mode`` the channels are used in."""
+
+    k: int = 20
+    metric: str = "haversine"        # haversine | euclidean
+    edge_mode: str = "weighted"      # weighted | vanilla
+
+    def __post_init__(self):
+        if self.metric not in ("haversine", "euclidean"):
+            raise ValueError(f"unknown metric {self.metric!r}")
+        if self.edge_mode not in ("weighted", "vanilla"):
+            raise ValueError(f"unknown edge_mode {self.edge_mode!r}")
+
+
 def wasserstein_1d(a, b):
     """1-D earth mover's distance between slot distributions on the last axis.
 

@@ -1,5 +1,5 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays, plus the layers,
-optimizers, gradient checker, and checkpoint format built on it."""
+optimizers, and checkpoint format built on it."""
 
 from .core import (
     Tensor,
@@ -7,7 +7,6 @@ from .core import (
     no_grad,
     constant,
     add,
-    sub,
     mul,
     neg,
     matmul,
@@ -20,7 +19,6 @@ from .core import (
     softmax,
     concat,
     gather_rows,
-    narrow,
     reshape,
     tsum,
     tmean,
@@ -30,6 +28,5 @@ from .core import (
 )
 from .layers import linear, GruParams, gru_cell, init_gru
 from .attention import GraphEdges, HeadParams, graph_attention, graph_edges, init_heads
-from .gradcheck import grad_check
 from .optim import Sgd, Adam, make_optimizer
 from .checkpoint import save_checkpoint, load_checkpoint

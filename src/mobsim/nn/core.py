@@ -129,15 +129,6 @@ def add(a, b) -> Tensor:
     return _result(a.values + b.values, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _result(a.values - b.values, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
@@ -241,20 +232,6 @@ def gather_rows(table, ids) -> Tensor:
     return _result(table.values[ids], (table,), backward)
 
 
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    a = _as_tensor(a)
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-
-    def backward(g):
-        acc = np.zeros_like(a.values)
-        acc[index] = g
-        return (acc,)
-
-    return _result(a.values[index], (a,), backward)
-
-
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     return _result(a.values.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
@@ -349,9 +326,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
 
@@ -390,6 +364,3 @@ class ParamSet:
             if not np.isfinite(tensor.values).all():
                 return name
         return None
-
-    def size(self) -> int:
-        return sum(t.values.size for t in self._params.values())

@@ -42,6 +42,8 @@ class SynthConfig:
             raise ValueError("users and days must be positive")
         if self.kernel not in ("uniform", "uniform_offdiag", "random"):
             raise ValueError(f"unknown kernel kind {self.kernel!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.slots < 2:
             raise ValueError(f"slots must be at least 2, got {self.slots}")
         coords = grid_coordinates(self.n_locations, self.grid_step, _ORIGIN)

@@ -1,10 +1,10 @@
-"""Central finite-difference gradient checking."""
+"""Central finite-difference gradient checking of the tape ops."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import constant, mul, no_grad, tsum
+from mobsim.nn import constant, mul, no_grad, tsum
 
 
 def grad_check(op, inputs, step: float = 1e-5, projection_seed: int = 0) -> float:

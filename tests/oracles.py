@@ -4,10 +4,13 @@ Everything here is deliberately naive: straight-line implementations with no
 shared code or conventions with the package, so agreement between the two
 routes is meaningful.  The exception is the reference for an optimized path
 (a fused op, a cached computation), which is the plain composition it
-replaced, built from the package's own primitives.
+replaced, built from the package's own primitives.  Two tape ops only
+those references use, ``sub`` and ``narrow``, are defined here.
 """
 
 import numpy as np
+
+from mobsim.nn.core import _as_tensor, _result, _unbroadcast
 
 
 def transport_cost_greedy(pa, pb, positions):
@@ -89,10 +92,36 @@ def markov_counts(matrix, n):
     return counts
 
 
+def sub(a, b):
+    """``a - b`` as a tape op, with broadcasting."""
+    a, b = _as_tensor(a), _as_tensor(b)
+
+    def backward(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+
+    return _result(a.values - b.values, (a, b), backward)
+
+
+def narrow(a, axis: int, start: int, length: int):
+    """The ``length`` entries of ``a`` from ``start`` along ``axis``, as a
+    tape op."""
+    a = _as_tensor(a)
+    index = [slice(None)] * a.ndim
+    index[axis] = slice(start, start + length)
+    index = tuple(index)
+
+    def backward(g):
+        acc = np.zeros_like(a.values)
+        acc[index] = g
+        return (acc,)
+
+    return _result(a.values[index], (a,), backward)
+
+
 def gru_cell_composed(x, z_prev, p):
     """One GRU step composed from elementary tape ops (about 20 nodes), the
     reference for the fused ``nn.gru_cell``."""
-    from mobsim.nn import add, matmul, mul, sigmoid, sub, tanh
+    from mobsim.nn import add, matmul, mul, sigmoid, tanh
 
     u = sigmoid(add(add(matmul(x, p.w_update), matmul(z_prev, p.u_update)), p.b_update))
     r = sigmoid(add(add(matmul(x, p.w_reset), matmul(z_prev, p.u_reset)), p.b_reset))
@@ -361,7 +390,7 @@ def graph_attention_dense(h, bias, heads, slope=0.2, keep=None):
     tape ops: the reference for the edge-list ``nn.graph_attention``.
     ``keep`` optionally gives one (N, N) inverted-dropout scale per head,
     applied to that head's attention matrix."""
-    from mobsim.nn import add, concat, constant, leakyrelu, matmul, mul, narrow, relu, reshape, softmax
+    from mobsim.nn import add, concat, constant, leakyrelu, matmul, mul, relu, reshape, softmax
 
     n = h.shape[0]
     bias_t = constant(bias)

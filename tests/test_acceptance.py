@@ -29,6 +29,7 @@ from mobsim.synth import SynthConfig, synth_generate
 from mobsim.training import (TrainConfig, adversarial_train, mean_nll,
                              pretrain_discriminator, pretrain_generator)
 
+from gradcheck import grad_check
 from oracles import jsd_naive, transport_cost_greedy, transport_cost_linprog
 
 
@@ -72,7 +73,7 @@ def _check_op(build, instances=100, tol=1e-6, step=1e-5):
     worst = 0.0
     for i in range(instances):
         op, inputs = build(rng, i)
-        worst = max(worst, nn.grad_check(op, inputs, step=step, projection_seed=i))
+        worst = max(worst, grad_check(op, inputs, step=step, projection_seed=i))
     assert worst < tol, f"max relative error {worst:.3e} >= {tol}"
     return worst
 

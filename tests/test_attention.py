@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mobsim import graphs, nn
-from mobsim.nn import ParamSet, Tensor, grad_check, init_gru, gru_cell, init_heads
+from mobsim.nn import ParamSet, Tensor, init_gru, gru_cell, init_heads
 from mobsim.nn.attention import graph_attention, graph_edges
+from gradcheck import grad_check
 from oracles import MASKED, attention_bias, graph_attention_dense, gru_cell_composed
 
 

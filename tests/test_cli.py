@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -353,7 +355,7 @@ def test_generate_defaults_to_the_trained_length(tmp_path):
     assert main(["synth", "--out-dir", str(data), "--n-locations", "8", "--users", "4",
                  "--days", "4", "--slots", "12", "--seed", "3"]) == 0
     assert main(["build-graphs", "--train", str(data / "train.txt"),
-                 "--locations", str(data / "locations.csv"), "--slots", "12",
+                 "--locations", str(data / "locations.csv"),
                  "--out-dir", str(gdir), "--k", "3"]) == 0
     assert main(["pretrain", "--train", str(data / "train.txt"),
                  "--locations", str(data / "locations.csv"),
@@ -507,9 +509,13 @@ PARENT_TRAIN_DEFAULTS = {
 ABLATION_DEFAULTS = {"k": 20, "metric": "haversine", "edge_mode": "weighted"}
 
 
-def _flags(command):
+def _subparser(command):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {s for a in sub.choices[command]._actions for s in a.option_strings} - {"-h", "--help"}
+    return sub.choices[command]
+
+
+def _flags(command):
+    return {s for a in _subparser(command)._actions for s in a.option_strings} - {"-h", "--help"}
 
 
 def _option_flags(defaults):
@@ -522,8 +528,16 @@ def _option_flags(defaults):
      | _option_flags(PARENT_TRAIN_DEFAULTS)),
     ("train", {"--train", "--valid", "--locations", "--graphs-dir", "--out-dir"}
      | _option_flags(PARENT_TRAIN_DEFAULTS)),
-    ("ablation", {"--train", "--valid", "--test", "--locations", "--observed", "--out-dir",
-                  "--slots"} | _option_flags(dict(PARENT_TRAIN_DEFAULTS, **ABLATION_DEFAULTS))),
+    ("ablation", {"--train", "--valid", "--test", "--locations", "--observed", "--out-dir"}
+     | _option_flags(dict(PARENT_TRAIN_DEFAULTS, **ABLATION_DEFAULTS))),
+    ("preprocess", {"--input", "--out-dir", "--delimiter", "--slots", "--fill", "--utc-offset",
+                    "--min-daily-visits", "--ratios", "--seed"}),
+    ("build-graphs", {"--train", "--locations", "--observed", "--out-dir"}
+     | _option_flags(ABLATION_DEFAULTS)),
+    ("generate", {"--model", "--graphs-dir", "--locations", "--out-dir", "--count", "--slots",
+                  "--seed"}),
+    ("evaluate", {"--real", "--generated", "--locations", "--out-dir", "--bins", "--top",
+                  "--grid-step", "--exclude-zero-steps"}),
 ])
 def test_commands_take_the_same_flags(command, flags):
     assert _flags(command) == flags
@@ -663,7 +677,7 @@ def test_training_on_one_slot_split_is_exit_1(pipeline, tmp_path, capsys, comman
 def test_evaluate_one_slot_files_is_exit_1(pipeline, tmp_path, capsys):
     split = tmp_path / "real.txt"
     split.write_text(ONE_SLOT_LINES)
-    assert main(["evaluate", "--real", str(split), "--generated", str(split), "--slots", "1",
+    assert main(["evaluate", "--real", str(split), "--generated", str(split),
                  "--locations", str(pipeline / "data" / "locations.csv"),
                  "--out-dir", str(tmp_path / "e")]) == 1
     assert f"real file {split} holds one-slot trajectories" in capsys.readouterr().err
@@ -720,3 +734,84 @@ def test_commands_run_blas_on_one_thread(tmp_path, monkeypatch, outcome, code):
     assert main(["synth", "--out-dir", str(tmp_path)]) == code
     assert seen == [1]
     assert get() == before
+
+
+# ---------------------------------------------------------------------------
+# every command, run small on the module's pipeline
+
+
+COMMANDS = ["preprocess", "synth", "build-graphs", "pretrain", "train", "generate", "evaluate",
+            "ablation"]
+
+
+def _command_argv(command, pipeline, checkin_file, out):
+    data, gdir = pipeline / "data", pipeline / "graphs"
+    split = ["--train", str(data / "train.txt"), "--locations", str(data / "locations.csv")]
+    model = ["--embed-dim", "4", "--hidden-dim", "4", "--pretrain-epochs", "1",
+             "--d-pretrain-epochs", "0", "--epochs", "0"]
+    argv = {
+        "preprocess": ["--input", checkin_file, "--ratios", "2:1:1"],
+        "synth": ["--n-locations", "9", "--users", "4", "--days", "3", "--stay-prob", "0.4"],
+        "build-graphs": [*split, "--k", "3", "--edge-mode", "vanilla"],
+        "pretrain": [*split, "--graphs-dir", str(gdir), *model],
+        "train": [*split, "--valid", str(data / "valid.txt"), "--graphs-dir", str(gdir), *model],
+        "generate": ["--model", str(pipeline / "model" / "gen"), "--graphs-dir", str(gdir),
+                     "--locations", str(data / "locations.csv"), "--count", "5"],
+        "evaluate": ["--real", str(data / "test.txt"), "--generated", str(data / "valid.txt"),
+                     "--locations", str(data / "locations.csv"), "--bins", "7"],
+        "ablation": [*split, "--valid", str(data / "valid.txt"), "--test", str(data / "test.txt"),
+                     "--observed", str(data / "observed_train.txt"), "--k", "4", *model,
+                     "--channels", "sdg,ttg"],
+    }[command]
+    return [command, *argv, "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_config_is_the_parsed_flags(pipeline, checkin_file, tmp_path, command):
+    # Each flag's value as parsed, or as resolved for the options of config
+    # dataclasses and generate's trained length; synth adds the stay
+    # probability it measured.
+    argv = _command_argv(command, pipeline, checkin_file, tmp_path / "o")
+    assert main(argv) == 0
+    args = build_parser().parse_args(argv)
+    dests = {a.dest for a in _subparser(command)._actions if a.option_strings}
+    expected = {d: getattr(args, d) for d in dests - {"help", "out_dir", "config"}}
+    if hasattr(args, "configs"):
+        expected.update(resolve_config(args))
+    config = _manifest_config(tmp_path / "o")
+    resolved = {"synth": {"stay_prob_truth": config.get("stay_prob_truth")},
+                "generate": {"slots": 24}}
+    assert config == _listed(dict(expected, **resolved.get(command, {})))
+
+
+@pytest.mark.parametrize("command", ["preprocess", "synth", "pretrain", "train", "generate",
+                                     "ablation"])
+def test_negative_seed_is_exit_1(pipeline, checkin_file, tmp_path, capsys, command):
+    argv = _command_argv(command, pipeline, checkin_file, tmp_path / "o")
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Every ``mobsim ...`` command of README.md's ``sh`` blocks, with its
+    continuation lines joined."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("mobsim ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_pipeline_command():
+    shown = {argv[0] for argv in README_COMMANDS}
+    assert {"synth", "build-graphs", "train", "generate", "evaluate", "preprocess"} <= shown
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_command_parses(argv):
+    args = build_parser().parse_args(argv)
+    if hasattr(args, "configs"):
+        resolve_config(args)

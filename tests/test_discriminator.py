@@ -5,6 +5,7 @@ import pytest
 
 from mobsim import nn
 from mobsim.discriminator import Discriminator, DiscriminatorConfig, d_loss
+from gradcheck import grad_check
 
 
 def _disc(n=8, seed=0):
@@ -57,7 +58,7 @@ def test_d_loss_gradient():
     def op(*tensors):
         return d_loss(disc, real, fake)
 
-    assert nn.grad_check(op, disc.params.tensors()) < 1e-6
+    assert grad_check(op, disc.params.tensors()) < 1e-6
 
 
 def test_d_loss_improves_separation():

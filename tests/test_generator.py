@@ -14,6 +14,7 @@ from mobsim.generator import (
     sample_streams,
     seed_distribution,
 )
+from gradcheck import grad_check
 from oracles import complete_batch_full_explore
 
 
@@ -209,7 +210,7 @@ def test_sequence_nll_gradients():
         nll, bce = gen.sequence_nll(ids)
         return nn.add(nll, bce)
 
-    err = nn.grad_check(op, gen.params.tensors())
+    err = grad_check(op, gen.params.tensors())
     assert err < 1e-6
 
 
