@@ -155,8 +155,9 @@ def write_manifest(args, config: dict, inputs):
 
 def _options(configs) -> dict:
     """``name -> field`` of the options ``configs`` declare: each field with
-    a default (``n_locations`` comes from the data) but ``attn_slope``, which
-    stays fixed.  Two configs' fields of one name are one option."""
+    a default (``n_locations`` comes from the data, and the discriminator
+    takes the generator's dims) but ``attn_slope``, which stays fixed.  Two
+    configs' fields of one name are one option."""
     options = {}
     for config in configs:
         for f in dataclasses.fields(config):
@@ -408,6 +409,9 @@ def cmd_evaluate(args) -> None:
     real = _load_split(args.real, "real", coords)
     generated = _load_split(args.generated, "generated", coords,
                             real.trajectories.ids.shape[1]).trajectories.ids
+    if args.exclude_zero_steps and not metrics.step_distances(real.trajectories.ids, coords).any():
+        raise CliValidationError(f"{args.real}: no real step moves, so --exclude-zero-steps "
+                                 f"leaves no step distance to bin")
     report = metrics.evaluate(real, generated, include_zero_steps=not args.exclude_zero_steps,
                               bins=args.bins, top=args.top)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -22,8 +22,8 @@ from .rng import stream
 @dataclass
 class DiscriminatorConfig:
     n_locations: int
-    embed_dim: int = 32
-    hidden_dim: int = 32
+    embed_dim: int
+    hidden_dim: int
 
     def __post_init__(self):
         if self.n_locations < 2:
@@ -47,8 +47,6 @@ class Discriminator:
         """GRU pass over a (B, L) id matrix starting from ``hidden`` (zeros
         when omitted): L + 1 states, entry l after the first l columns."""
         batch_ids = np.asarray(batch_ids, dtype=np.int64)
-        if batch_ids.ndim == 1:
-            batch_ids = batch_ids[None, :]
         if batch_ids.size == 0:
             raise ValueError("empty batch")
         if hidden is None:
@@ -80,7 +78,7 @@ def d_loss(disc: Discriminator, real_ids: np.ndarray, fake_ids: np.ndarray) -> T
     discriminator ascends.  Probabilities are clamped to [1e-7, 1 - 1e-7]
     inside the logs, so the value is at most 0 up to the clamp."""
     real_term = nn.binary_cross_entropy(disc.classify(real_ids),
-                                        np.ones(len(np.atleast_2d(real_ids))), eps=CLAMP)
+                                        np.ones(len(real_ids)), eps=CLAMP)
     fake_term = nn.binary_cross_entropy(disc.classify(fake_ids),
-                                        np.zeros(len(np.atleast_2d(fake_ids))), eps=CLAMP)
+                                        np.zeros(len(fake_ids)), eps=CLAMP)
     return nn.neg(nn.add(nn.tmean(real_term), nn.tmean(fake_term)))

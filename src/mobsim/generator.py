@@ -261,12 +261,10 @@ def seed_distribution(batch_ids: np.ndarray, n_locations: int) -> np.ndarray:
 
 
 def generate_batch(gen: Generator, count: int, length: int, seed_dist: np.ndarray,
-                   streams: SampleStreams, table: Tensor | None = None,
-                   record: bool = False):
+                   streams: SampleStreams, record: bool = False):
     """Sample ``count`` trajectories from scratch, seeding the first slot from
     the given distribution."""
-    if table is None:
-        with no_grad():
-            table = gen.embed_locations(training=False)
+    with no_grad():
+        table = gen.embed_locations(training=False)
     seeds = categorical(np.cumsum(seed_dist), streams.seed.random(count))
     return complete_batch(gen, table, seeds[:, None], length, streams, record=record)

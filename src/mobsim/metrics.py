@@ -1,6 +1,6 @@
 """Distributional fidelity metrics between real and generated trajectories.
 
-Six histogram families are compared with the Jensen-Shannon divergence
+Six families of masses are compared with the Jensen-Shannon divergence
 (natural log, so values lie in [0, ln 2]):
 
 * Distance: great-circle length of every consecutive step, pooled over all
@@ -9,13 +9,16 @@ Six histogram families are compared with the Jensen-Shannon divergence
   mean of the visited coordinates;
 * Duration: lengths of maximal runs of identical consecutive locations;
 * DailyLoc: distinct locations per trajectory;
-* G-rank:   visit share of the dataset's top-100 locations (aligned by
-  location id across datasets);
+* G-rank:   visit share of the dataset's top-100 locations, keyed by
+  location id;
 * I-rank:   per-trajectory rank-frequency profile, averaged and renormalized.
 
-Continuous families use 100 equal-width bins whose range is fixed by the
-real dataset and shared with the generated one; out-of-range generated
-values fall into the edge bins.  Each family takes a (B, T) int64 id
+Each family scores the real and generated sides on one support, so the two
+mass vectors line up entry by entry: the continuous families use 100
+equal-width bins whose range the real values fix (out-of-range generated
+values fall into the edge bins); duration and daily-loc count 1..T; G-rank
+keeps the ids either side ranks in its top, in ascending order; I-rank pads
+the shorter profile with zeros.  Each family takes a (B, T) int64 id
 matrix, one row per trajectory, and ``evaluate`` scores a generated id
 matrix against a real :class:`~mobsim.records.Dataset`.
 """
@@ -28,93 +31,44 @@ import numpy as np
 
 from .graphs import haversine_km
 from .records import Dataset
-from .rng import categorical, stream
-
-LN2 = float(np.log(2.0))
 
 
-@dataclass
-class Histogram:
-    """Masses over either categorical labels or equal-width bins."""
-
-    masses: np.ndarray
-    support: np.ndarray | None = None   # categorical labels, in order
-    edges: np.ndarray | None = None     # bin edges for continuous families
-
-    def __post_init__(self):
-        self.masses = np.asarray(self.masses, dtype=np.float64)
-        if (self.masses < 0).any():
-            raise ValueError("histogram masses must be non-negative")
-        total = self.masses.sum()
-        if total > 0 and abs(total - 1.0) > 1e-9:
-            raise ValueError("histogram masses must sum to 1")
-        if (self.support is None) == (self.edges is None):
-            raise ValueError("exactly one of support and edges must be given")
-
-
-def continuous_histogram(values, edges: np.ndarray) -> Histogram:
-    """Bin values into the given equal-width edges, clamping outliers."""
-    values = np.asarray(values, dtype=np.float64)
-    n_bins = len(edges) - 1
-    if values.size == 0:
-        return Histogram(np.zeros(n_bins), edges=edges)
-    clipped = np.clip(values, edges[0], edges[-1])
-    idx = np.minimum(np.searchsorted(edges, clipped, side="right") - 1, n_bins - 1)
-    idx = np.maximum(idx, 0)
-    counts = np.bincount(idx, minlength=n_bins).astype(np.float64)
-    return Histogram(counts / counts.sum(), edges=edges)
-
-
-def equal_width_edges(values, bins: int = 100) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+def binned_masses(real, generated, bins: int = 100):
+    """Masses of the real and generated values over ``bins`` equal-width bins
+    spanning the real values (``lo + 1`` tops a degenerate range).  Generated
+    outliers fall into the edge bins, and no generated values give all-zero
+    masses."""
+    real = np.asarray(real, dtype=np.float64)
+    if real.size == 0:
         raise ValueError("cannot derive bin edges from no values")
-    lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
-        hi = lo + 1.0  # degenerate range: one occupied bin, still valid edges
-    return np.linspace(lo, hi, bins + 1)
+    lo, hi = float(real.min()), float(real.max())
+    edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
+
+    def masses(values):
+        values = np.asarray(values, dtype=np.float64)
+        if values.size == 0:
+            return np.zeros(bins)
+        clipped = np.clip(values, edges[0], edges[-1])
+        idx = np.minimum(np.searchsorted(edges, clipped, side="right") - 1, bins - 1)
+        counts = np.bincount(idx, minlength=bins)
+        return counts / counts.sum()
+
+    return masses(real), masses(generated)
 
 
-def categorical_histogram(counts: np.ndarray, support: np.ndarray) -> Histogram:
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("no observations for categorical histogram")
-    return Histogram(counts / total, support=np.asarray(support))
-
-
-def jsd(p: Histogram, q: Histogram) -> float:
-    """Jensen-Shannon divergence with the natural log.
-
-    Requires the two histograms to share their support or bin edges exactly;
-    ``align_categorical`` can reconcile categorical supports first.
-    """
-    if (p.edges is None) != (q.edges is None):
-        raise ValueError("cannot compare categorical and continuous histograms")
-    if p.edges is not None:
-        if p.edges.shape != q.edges.shape or not np.array_equal(p.edges, q.edges):
-            raise ValueError("bin edges differ")
-    elif p.support.shape != q.support.shape or not np.array_equal(p.support, q.support):
-        raise ValueError("supports differ")
+def jsd(p, q) -> float:
+    """Jensen-Shannon divergence with the natural log of two mass vectors
+    over one support."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise ValueError(f"mass vectors differ in shape: {p.shape} and {q.shape}")
 
     def entropy(masses):
         positive = masses[masses > 0]
         return float(-(positive * np.log(positive)).sum())
 
-    mid = 0.5 * (p.masses + q.masses)
-    return entropy(mid) - 0.5 * (entropy(p.masses) + entropy(q.masses))
-
-
-def align_categorical(p: Histogram, q: Histogram):
-    """Rebuild two categorical histograms over the union of their supports."""
-    union = np.union1d(p.support, q.support)
-
-    def expand(h):
-        masses = np.zeros(len(union))
-        masses[np.searchsorted(union, h.support)] = h.masses
-        return Histogram(masses, support=union)
-
-    return expand(p), expand(q)
+    return entropy(0.5 * (p + q)) - 0.5 * (entropy(p) + entropy(q))
 
 
 def step_distances(ids: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -144,32 +98,37 @@ def _run_lengths(starts: np.ndarray) -> np.ndarray:
     return np.diff(np.flatnonzero(starts), append=starts.size)
 
 
-def _slot_count_histogram(values: np.ndarray, slots_per_day: int) -> Histogram:
+def _slot_count_masses(values: np.ndarray, slots_per_day: int) -> np.ndarray:
+    """Masses of counts in 1..T, entry ``i`` for count ``i + 1``."""
     counts = np.bincount(values - 1, minlength=slots_per_day)
-    return categorical_histogram(counts, np.arange(1, len(counts) + 1))
+    return counts / counts.sum()
 
 
-def duration_histogram(ids: np.ndarray, slots_per_day: int) -> Histogram:
-    """Lengths of the maximal runs of identical consecutive ids."""
-    return _slot_count_histogram(_run_lengths(_run_starts(ids)), slots_per_day)
+def duration_histogram(ids: np.ndarray, slots_per_day: int) -> np.ndarray:
+    """Masses of the lengths of the maximal runs of identical consecutive ids."""
+    return _slot_count_masses(_run_lengths(_run_starts(ids)), slots_per_day)
 
 
-def daily_locations_histogram(ids: np.ndarray, slots_per_day: int) -> Histogram:
-    """Distinct ids per row: the runs of the sorted row."""
+def daily_locations_histogram(ids: np.ndarray, slots_per_day: int) -> np.ndarray:
+    """Masses of the distinct ids per row: the runs of the sorted row."""
     distinct = _run_starts(np.sort(ids, axis=1)).sum(axis=1)
-    return _slot_count_histogram(distinct, slots_per_day)
+    return _slot_count_masses(distinct, slots_per_day)
 
 
-def global_rank_histogram(ids: np.ndarray, n_locations: int, top: int = 100) -> Histogram:
-    """Visit share of the top-`top` locations, keyed by location id."""
+def global_rank_histogram(ids: np.ndarray, n_locations: int, top: int = 100) -> np.ndarray:
+    """(N,) visit shares of the top-`top` locations by visits, ties going to
+    the lower id; 0 for every other location."""
     visits = np.bincount(ids.ravel(), minlength=n_locations)
-    order = np.lexsort((np.arange(n_locations), -visits))
-    chosen = order[:min(top, int((visits > 0).sum()))]
-    return categorical_histogram(visits[chosen].astype(np.float64), chosen)
+    chosen = np.lexsort((np.arange(n_locations), -visits))[:top]
+    shares = np.zeros(n_locations)
+    shares[chosen] = visits[chosen]
+    return shares / shares.sum()
 
 
-def individual_rank_histogram(ids: np.ndarray, top: int = 100) -> Histogram:
-    """Average per-row rank-frequency profile, renormalized.
+def individual_rank_histogram(ids: np.ndarray, top: int = 100) -> np.ndarray:
+    """Average per-row rank-frequency profile, renormalized: entry ``r`` for
+    rank ``r + 1``, as many entries as the most distinct ids in a row, up to
+    ``top``.
 
     A row's visit counts are the runs of the sorted row, placed at each
     run's start, so the work stays O(B·T) whatever the number of locations.
@@ -179,20 +138,8 @@ def individual_rank_histogram(ids: np.ndarray, top: int = 100) -> Histogram:
     counts[starts] = _run_lengths(starts)
     ranked = -np.sort(-counts, axis=1)[:, :top]
     width = min(top, int(starts.sum(axis=1).max()))
-    profiles = ranked[:, :width] / ranked.sum(axis=1, keepdims=True)
-    return categorical_histogram(profiles.mean(axis=0), np.arange(1, width + 1))
-
-
-def align_rank(p: Histogram, q: Histogram):
-    """Pad the shorter of two rank-indexed histograms with zero mass."""
-    width = max(len(p.masses), len(q.masses))
-
-    def pad(h):
-        masses = np.zeros(width)
-        masses[:len(h.masses)] = h.masses
-        return Histogram(masses, support=np.arange(1, width + 1))
-
-    return pad(p), pad(q)
+    profile = (ranked[:, :width] / ranked.sum(axis=1, keepdims=True)).mean(axis=0)
+    return profile / profile.sum()
 
 
 METRIC_NAMES = ("distance", "radius", "duration", "daily_loc", "g_rank", "i_rank")
@@ -200,7 +147,8 @@ METRIC_NAMES = ("distance", "radius", "duration", "daily_loc", "g_rank", "i_rank
 
 @dataclass
 class MetricReport:
-    """Per-metric JSD scores and the aligned histogram pairs behind them."""
+    """Per-metric JSD scores and the (real, generated) mass vectors behind
+    them, each pair on one support."""
 
     scores: dict
     histograms: dict
@@ -216,7 +164,7 @@ def evaluate(real: Dataset, generated: np.ndarray, bins: int = 100, top: int = 1
 
     The generated ids index the real coordinate table, and their length T
     must equal the real one, which also sizes the duration and daily-location
-    histograms.  Continuous bin ranges come from the real data only.
+    masses.  Continuous bin ranges come from the real data only.
     Scoring costs O(B·T) time and memory.
     """
     real_ids = real.trajectories.ids
@@ -230,65 +178,31 @@ def evaluate(real: Dataset, generated: np.ndarray, bins: int = 100, top: int = 1
                          f"real ones {real_ids.shape[1]}")
     coords = real.locations
     slots_per_day = real_ids.shape[1]
-    n = len(coords)
 
     real_steps = step_distances(real_ids, coords)
     gen_steps = step_distances(gen_ids, coords)
     if not include_zero_steps:
         real_steps = real_steps[real_steps > 0]
         gen_steps = gen_steps[gen_steps > 0]
-    dist_edges = equal_width_edges(real_steps, bins)
-    radius_real = gyration_radii(real_ids, coords)
-    radius_edges = equal_width_edges(radius_real, bins)
+    real_rank = global_rank_histogram(real_ids, len(coords), top)
+    gen_rank = global_rank_histogram(gen_ids, len(coords), top)
+    ranked = (real_rank > 0) | (gen_rank > 0)
+    profiles = (individual_rank_histogram(real_ids, top), individual_rank_histogram(gen_ids, top))
+    width = max(len(profile) for profile in profiles)
 
     pairs = {
-        "distance": (continuous_histogram(real_steps, dist_edges),
-                     continuous_histogram(gen_steps, dist_edges)),
-        "radius": (continuous_histogram(radius_real, radius_edges),
-                   continuous_histogram(gyration_radii(gen_ids, coords), radius_edges)),
+        "distance": binned_masses(real_steps, gen_steps, bins),
+        "radius": binned_masses(gyration_radii(real_ids, coords),
+                                gyration_radii(gen_ids, coords), bins),
         "duration": (duration_histogram(real_ids, slots_per_day),
                      duration_histogram(gen_ids, slots_per_day)),
         "daily_loc": (daily_locations_histogram(real_ids, slots_per_day),
                       daily_locations_histogram(gen_ids, slots_per_day)),
-        "g_rank": align_categorical(global_rank_histogram(real_ids, n, top),
-                                    global_rank_histogram(gen_ids, n, top)),
-        "i_rank": align_rank(individual_rank_histogram(real_ids, top),
-                             individual_rank_histogram(gen_ids, top)),
+        "g_rank": (real_rank[ranked], gen_rank[ranked]),
+        "i_rank": tuple(np.pad(profile, (0, width - len(profile))) for profile in profiles),
     }
     scores = {name: jsd(p, q) for name, (p, q) in pairs.items()}
     return MetricReport(scores, pairs)
-
-
-class MarkovBaseline:
-    """First-order Markov baseline fitted on a (B, T) training id matrix.
-
-    Transition counts include self-transitions; rows of unseen locations
-    fall back to uniform.  The first slot is drawn from the empirical
-    distribution of training first slots.
-    """
-
-    def __init__(self, ids: np.ndarray, n_locations: int):
-        counts = np.zeros((n_locations, n_locations), dtype=np.float64)
-        np.add.at(counts, (ids[:, :-1], ids[:, 1:]), 1.0)
-        totals = counts.sum(axis=1, keepdims=True)
-        self.transitions = np.divide(counts, totals,
-                                     out=np.full_like(counts, 1.0 / n_locations),
-                                     where=totals > 0)
-        first = np.bincount(ids[:, 0], minlength=n_locations).astype(np.float64)
-        self.initial = first / first.sum()
-        self.n_locations = n_locations
-        self.slots_per_day = ids.shape[1]
-
-    def generate(self, count: int, seed: int = 0) -> np.ndarray:
-        """Sample a (count, T) id matrix; deterministic in (fitted model, count, seed)."""
-        rng = stream(seed, "markov")
-        length = self.slots_per_day
-        cdf = np.cumsum(self.transitions, axis=1)
-        states = np.empty((count, length), dtype=np.int64)
-        states[:, 0] = categorical(np.cumsum(self.initial), rng.random(count))
-        for t in range(1, length):
-            states[:, t] = categorical(cdf[states[:, t - 1]], rng.random(count))
-        return states
 
 
 def visit_grid(ids: np.ndarray, coords: np.ndarray, cell_deg: float = 0.01):
@@ -304,15 +218,15 @@ def visit_grid(ids: np.ndarray, coords: np.ndarray, cell_deg: float = 0.01):
 
 
 def write_report(path, report: MetricReport):
-    """key=value lines for each score plus the aligned histogram masses."""
+    """key=value lines for each score plus each family's two mass vectors."""
     with open(path, "w", encoding="utf-8") as fh:
         for name in METRIC_NAMES:
             fh.write(f"jsd.{name}={report.scores[name]!r}\n")
         fh.write(f"jsd.mean={report.mean_jsd!r}\n")
         for name in METRIC_NAMES:
             p, q = report.histograms[name]
-            fh.write(f"hist.{name}.real={' '.join(repr(float(v)) for v in p.masses)}\n")
-            fh.write(f"hist.{name}.generated={' '.join(repr(float(v)) for v in q.masses)}\n")
+            fh.write(f"hist.{name}.real={' '.join(repr(float(v)) for v in p)}\n")
+            fh.write(f"hist.{name}.generated={' '.join(repr(float(v)) for v in q)}\n")
 
 
 def write_grid(path, rows):

@@ -77,17 +77,6 @@ def make_kernel(kind: str, n: int, rng) -> np.ndarray:
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def validate_kernel(kernel: np.ndarray):
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-        raise ValueError(f"kernel must be square, got shape {kernel.shape}")
-    if (kernel < 0).any():
-        raise ValueError("kernel has negative entries")
-    if np.abs(kernel.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError("kernel rows must sum to 1")
-    return kernel
-
-
 def grid_coordinates(n: int, step_deg: float, origin) -> np.ndarray:
     side = math.ceil(math.sqrt(n))
     ids = np.arange(n)
@@ -96,15 +85,11 @@ def grid_coordinates(n: int, step_deg: float, origin) -> np.ndarray:
     return np.column_stack([lat, lon]).astype(np.float64)
 
 
-def synth_generate(config: SynthConfig, kernel: np.ndarray | None = None) -> SynthDataset:
+def synth_generate(config: SynthConfig) -> SynthDataset:
     """Generate a dataset from the planted chain; reproducible from the seed."""
     n = config.n_locations
     rng = stream(config.seed, "synth")
-    if kernel is None:
-        kernel = make_kernel(config.kernel, n, rng)
-    kernel = validate_kernel(kernel)
-    if kernel.shape[0] != n:
-        raise ValueError(f"kernel is {kernel.shape[0]}x{kernel.shape[0]}, expected {n}")
+    kernel = make_kernel(config.kernel, n, rng)
     m = config.users * config.days
     t_slots = config.slots
     kernel_cdf = np.cumsum(kernel, axis=1)

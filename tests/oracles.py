@@ -5,12 +5,16 @@ shared code or conventions with the package, so agreement between the two
 routes is meaningful.  The exception is the reference for an optimized path
 (a fused op, a cached computation), which is the plain composition it
 replaced, built from the package's own primitives.  Two tape ops only
-those references use, ``sub`` and ``narrow``, are defined here.
+those references use, ``sub`` and ``narrow``, are defined here, and so is
+the first-order Markov baseline the tests fit to planted chains.
 """
+
+import bisect
 
 import numpy as np
 
 from mobsim.nn.core import _as_tensor, _result, _unbroadcast
+from mobsim.rng import categorical, stream
 
 
 def transport_cost_greedy(pa, pb, positions):
@@ -90,6 +94,38 @@ def markov_counts(matrix, n):
         for a, b in zip(row[:-1], row[1:]):
             counts[a, b] += 1
     return counts
+
+
+class MarkovBaseline:
+    """First-order Markov baseline fitted on a (B, T) training id matrix.
+
+    Transition counts include self-transitions; rows of unseen locations
+    fall back to uniform.  The first slot is drawn from the empirical
+    distribution of training first slots.
+    """
+
+    def __init__(self, ids: np.ndarray, n_locations: int):
+        counts = np.zeros((n_locations, n_locations), dtype=np.float64)
+        np.add.at(counts, (ids[:, :-1], ids[:, 1:]), 1.0)
+        totals = counts.sum(axis=1, keepdims=True)
+        self.transitions = np.divide(counts, totals,
+                                     out=np.full_like(counts, 1.0 / n_locations),
+                                     where=totals > 0)
+        first = np.bincount(ids[:, 0], minlength=n_locations).astype(np.float64)
+        self.initial = first / first.sum()
+        self.n_locations = n_locations
+        self.slots_per_day = ids.shape[1]
+
+    def generate(self, count: int, seed: int = 0) -> np.ndarray:
+        """Sample a (count, T) id matrix; deterministic in (fitted model, count, seed)."""
+        rng = stream(seed, "markov")
+        length = self.slots_per_day
+        cdf = np.cumsum(self.transitions, axis=1)
+        states = np.empty((count, length), dtype=np.int64)
+        states[:, 0] = categorical(np.cumsum(self.initial), rng.random(count))
+        for t in range(1, length):
+            states[:, t] = categorical(cdf[states[:, t - 1]], rng.random(count))
+        return states
 
 
 def sub(a, b):
@@ -208,14 +244,11 @@ def run_lengths(slots):
 
 
 def evaluate_looped(real, generated, bins=100, top=100, include_zero_steps=True):
-    """``metrics.evaluate`` with every family computed by a loop over
-    trajectories (id rows), one at a time: the reference for the (B, T)
-    matrix families.  Shares the package's histogram, JSD and alignment
-    code."""
+    """``metrics.evaluate`` with every family binned, counted and aligned by
+    a loop over trajectories (id rows), one at a time: the reference for the
+    (B, T) matrix families.  Only the JSD itself comes from the package."""
     from mobsim.graphs import haversine_km
-    from mobsim.metrics import (MetricReport, align_categorical, align_rank,
-                                categorical_histogram, continuous_histogram,
-                                equal_width_edges, jsd)
+    from mobsim.metrics import MetricReport, jsd
 
     def step_distances(trajectories):
         chunks = []
@@ -234,28 +267,53 @@ def evaluate_looped(real, generated, bins=100, top=100, include_zero_steps=True)
             radii[i] = np.sqrt((d ** 2).mean())
         return radii
 
-    def duration_histogram(trajectories):
-        counts = np.zeros(slots_per_day, dtype=np.float64)
+    def binned(real_values, gen_values):
+        """Each side's masses over equal-width bins spanning the real values,
+        a value placed by bisection and clamped into the edge bins."""
+        if len(real_values) == 0:
+            raise ValueError("no real values to bin")
+        lo, hi = min(real_values), max(real_values)
+        edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1).tolist()
+
+        def masses(values):
+            counts = [0] * bins
+            for v in values:
+                v = min(max(v, edges[0]), edges[-1])
+                counts[min(bisect.bisect_right(edges, v) - 1, bins - 1)] += 1
+            return np.array(counts) / max(len(values), 1)
+
+        return masses(real_values), masses(gen_values)
+
+    def duration_masses(trajectories):
+        counts = np.zeros(slots_per_day)
         for traj in trajectories:
             for length in run_lengths(traj):
                 counts[length - 1] += 1
-        return categorical_histogram(counts, np.arange(1, slots_per_day + 1))
+        return counts / counts.sum()
 
-    def daily_locations_histogram(trajectories):
-        counts = np.zeros(slots_per_day, dtype=np.float64)
+    def daily_locations_masses(trajectories):
+        counts = np.zeros(slots_per_day)
         for traj in trajectories:
-            counts[len(np.unique(traj)) - 1] += 1
-        return categorical_histogram(counts, np.arange(1, slots_per_day + 1))
+            counts[len(set(traj.tolist())) - 1] += 1
+        return counts / counts.sum()
 
-    def global_rank_histogram(trajectories):
-        visits = np.zeros(n, dtype=np.int64)
+    def top_visits(trajectories):
+        """Visit counts of the top-``top`` visited ids, ties to the lower id."""
+        visits = {}
         for traj in trajectories:
-            visits += np.bincount(traj, minlength=n)
-        order = np.lexsort((np.arange(n), -visits))
-        chosen = order[:min(top, int((visits > 0).sum()))]
-        return categorical_histogram(visits[chosen].astype(np.float64), chosen)
+            for loc in traj.tolist():
+                visits[loc] = visits.get(loc, 0) + 1
+        ranked = sorted(visits, key=lambda loc: (-visits[loc], loc))[:top]
+        return {loc: visits[loc] for loc in ranked}
 
-    def individual_rank_histogram(trajectories):
+    def global_rank_masses(real_trajs, gen_trajs):
+        """Both sides' shares over the ids either one ranks, ascending."""
+        real_top, gen_top = top_visits(real_trajs), top_visits(gen_trajs)
+        union = sorted(set(real_top) | set(gen_top))
+        return tuple(np.array([chosen.get(loc, 0) / sum(chosen.values()) for loc in union])
+                     for chosen in (real_top, gen_top))
+
+    def individual_rank_masses(trajectories):
         profiles = []
         width = 0
         for traj in trajectories:
@@ -266,34 +324,31 @@ def evaluate_looped(real, generated, bins=100, top=100, include_zero_steps=True)
         stacked = np.zeros((len(profiles), width))
         for i, profile in enumerate(profiles):
             stacked[i, :len(profile)] = profile
-        return categorical_histogram(stacked.mean(axis=0), np.arange(1, width + 1))
+        mean = stacked.mean(axis=0)
+        return mean / mean.sum()
+
+    def padded(p, q):
+        """Both rank profiles right-padded with zeros to the longer one."""
+        width = max(len(p), len(q))
+        return tuple(np.concatenate([m, np.zeros(width - len(m))]) for m in (p, q))
 
     real_trajs = list(real.trajectories.ids)
     gen_trajs = list(generated)
     coords = real.locations
     slots_per_day = len(real_trajs[0])
-    n = len(coords)
 
-    real_steps = step_distances(real_trajs)
-    gen_steps = step_distances(gen_trajs)
+    real_steps = step_distances(real_trajs).tolist()
+    gen_steps = step_distances(gen_trajs).tolist()
     if not include_zero_steps:
-        real_steps = real_steps[real_steps > 0]
-        gen_steps = gen_steps[gen_steps > 0]
-    dist_edges = equal_width_edges(real_steps, bins)
-    radius_real = gyration_radii(real_trajs)
-    radius_edges = equal_width_edges(radius_real, bins)
+        real_steps = [d for d in real_steps if d > 0]
+        gen_steps = [d for d in gen_steps if d > 0]
     pairs = {
-        "distance": (continuous_histogram(real_steps, dist_edges),
-                     continuous_histogram(gen_steps, dist_edges)),
-        "radius": (continuous_histogram(radius_real, radius_edges),
-                   continuous_histogram(gyration_radii(gen_trajs), radius_edges)),
-        "duration": (duration_histogram(real_trajs), duration_histogram(gen_trajs)),
-        "daily_loc": (daily_locations_histogram(real_trajs),
-                      daily_locations_histogram(gen_trajs)),
-        "g_rank": align_categorical(global_rank_histogram(real_trajs),
-                                    global_rank_histogram(gen_trajs)),
-        "i_rank": align_rank(individual_rank_histogram(real_trajs),
-                             individual_rank_histogram(gen_trajs)),
+        "distance": binned(real_steps, gen_steps),
+        "radius": binned(gyration_radii(real_trajs).tolist(), gyration_radii(gen_trajs).tolist()),
+        "duration": (duration_masses(real_trajs), duration_masses(gen_trajs)),
+        "daily_loc": (daily_locations_masses(real_trajs), daily_locations_masses(gen_trajs)),
+        "g_rank": global_rank_masses(real_trajs, gen_trajs),
+        "i_rank": padded(individual_rank_masses(real_trajs), individual_rank_masses(gen_trajs)),
     }
     return MetricReport({name: jsd(p, q) for name, (p, q) in pairs.items()}, pairs)
 

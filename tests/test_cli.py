@@ -683,6 +683,34 @@ def test_evaluate_one_slot_files_is_exit_1(pipeline, tmp_path, capsys):
     assert f"real file {split} holds one-slot trajectories" in capsys.readouterr().err
 
 
+def test_evaluate_exclude_zero_steps_drops_only_stays(pipeline, tmp_path):
+    data = pipeline / "data"
+    args = ["evaluate", "--real", str(data / "test.txt"), "--generated", str(data / "valid.txt"),
+            "--locations", str(data / "locations.csv")]
+    assert main(args + ["--out-dir", str(tmp_path / "all")]) == 0
+    assert main(args + ["--out-dir", str(tmp_path / "moves"), "--exclude-zero-steps"]) == 0
+    pairs = [line.split("=", 1) for line in (tmp_path / "all" / "report.txt").read_text().splitlines()]
+    moves = dict(line.split("=", 1) for line in
+                 (tmp_path / "moves" / "report.txt").read_text().splitlines())
+    changed = {key for key, value in pairs if moves[key] != value}
+    assert {"jsd.distance", "hist.distance.real", "hist.distance.generated"} <= changed
+    assert changed <= {"jsd.distance", "jsd.mean", "hist.distance.real",
+                       "hist.distance.generated"}
+
+
+def test_evaluate_exclude_zero_steps_without_a_real_move_is_exit_1(pipeline, tmp_path, capsys):
+    real = tmp_path / "real.txt"
+    real.write_text("u,2012-01-01,0 0 0 0\nv,2012-01-01,1 1 1 1\n")
+    generated = tmp_path / "generated.txt"
+    generated.write_text("u,2012-01-01,0 1 0 1\n")
+    assert main(["evaluate", "--real", str(real), "--generated", str(generated),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--out-dir", str(tmp_path / "e"), "--exclude-zero-steps"]) == 1
+    err = capsys.readouterr().err
+    assert str(real) in err and "--exclude-zero-steps" in err
+    assert not (tmp_path / "e").exists()
+
+
 @pytest.mark.parametrize("slots", ["0", "1"])
 def test_preprocess_below_two_slots_is_exit_1(tmp_path, checkin_file, capsys, slots):
     assert main(["preprocess", "--input", checkin_file, "--out-dir", str(tmp_path / "p"),

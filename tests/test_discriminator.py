@@ -22,13 +22,6 @@ def test_classify_shapes_and_range():
     assert np.all((scores > 0) & (scores < 1))
 
 
-def test_classify_accepts_single_sequence():
-    disc = _disc()
-    with nn.no_grad():
-        one = disc.classify(np.array([1, 2, 3])).values
-    assert one.shape == (1,)
-
-
 def test_classify_validates_ids():
     disc = _disc()
     with pytest.raises(ValueError):

@@ -7,14 +7,9 @@ from hypothesis import strategies as st
 
 from mobsim import metrics
 from mobsim.metrics import (
-    Histogram,
-    MarkovBaseline,
-    align_categorical,
-    align_rank,
-    continuous_histogram,
+    binned_masses,
     daily_locations_histogram,
     duration_histogram,
-    equal_width_edges,
     evaluate,
     global_rank_histogram,
     gyration_radii,
@@ -25,7 +20,8 @@ from mobsim.metrics import (
 )
 from mobsim.records import Dataset, generated_trajectories
 from numpy.testing import assert_array_equal
-from oracles import evaluate_looped, haversine_naive, jsd_naive, markov_counts, run_lengths
+from oracles import (MarkovBaseline, evaluate_looped, haversine_naive, jsd_naive, markov_counts,
+                     run_lengths)
 from tables import table
 
 LN2 = math.log(2.0)
@@ -35,50 +31,37 @@ def _traj(slot_ids):
     return np.array(slot_ids, dtype=np.int64)
 
 
-def _cat(masses, support=None):
-    masses = np.asarray(masses, dtype=np.float64)
-    support = np.arange(len(masses)) if support is None else np.asarray(support)
-    return Histogram(masses, support=support)
-
-
 # ---------------------------------------------------------------------------
-# histograms
-
-
-def test_histogram_validation():
-    with pytest.raises(ValueError):
-        Histogram(np.array([0.5, 0.6]), support=np.arange(2))
-    with pytest.raises(ValueError):
-        Histogram(np.array([-0.1, 1.1]), support=np.arange(2))
-    with pytest.raises(ValueError):
-        Histogram(np.array([1.0]))                         # neither support nor edges
-    with pytest.raises(ValueError):
-        Histogram(np.array([1.0]), support=np.arange(1), edges=np.arange(2))
+# binned masses
 
 
 def test_equal_width_edges_span_data():
-    edges = equal_width_edges(np.array([2.0, 10.0]), bins=4)
-    assert np.allclose(edges, [2, 4, 6, 8, 10])
+    # Real values 2 and 10 fix the edges 2, 4, 6, 8, 10.
+    real, gen = binned_masses([2.0, 10.0], [3.9, 4.0, 7.9, 8.0], bins=4)
+    assert real.tolist() == [0.5, 0.0, 0.0, 0.5]
+    assert gen.tolist() == [0.25, 0.25, 0.25, 0.25]
 
 
 def test_equal_width_edges_degenerate_range():
-    edges = equal_width_edges(np.array([3.0, 3.0, 3.0]), bins=10)
-    assert edges[0] == 3.0 and edges[-1] == 4.0
-    h = continuous_histogram(np.array([3.0, 3.0]), edges)
-    assert h.masses[0] == 1.0
+    # One real value spans [3, 4]: 3.5 lands in the middle bin of two.
+    real, gen = binned_masses([3.0, 3.0, 3.0], [3.0, 3.5], bins=2)
+    assert real.tolist() == [1.0, 0.0]
+    assert gen.tolist() == [0.5, 0.5]
 
 
 def test_continuous_histogram_clamps_outliers():
-    edges = np.linspace(0.0, 10.0, 11)
-    h = continuous_histogram(np.array([-5.0, 0.5, 9.9, 25.0]), edges)
-    assert h.masses[0] == 0.5                              # -5 clamped into bin 0
-    assert h.masses[-1] == 0.5                             # 25 clamped into bin 9
-    assert h.masses.sum() == pytest.approx(1.0)
+    real, gen = binned_masses([0.0, 10.0], [-5.0, 0.5, 9.9, 25.0], bins=10)
+    assert gen[0] == 0.5                                   # -5 clamped into bin 0
+    assert gen[-1] == 0.5                                  # 25 clamped into bin 9
+    assert gen.sum() == pytest.approx(1.0)
 
 
 def test_continuous_histogram_empty_is_all_zero():
-    h = continuous_histogram(np.array([]), np.linspace(0, 1, 5))
-    assert np.all(h.masses == 0.0)
+    real, gen = binned_masses([0.0, 1.0], [], bins=4)
+    assert real.tolist() == [0.5, 0.0, 0.0, 0.5]
+    assert gen.tolist() == [0.0] * 4
+    with pytest.raises(ValueError, match="no values"):
+        binned_masses([], [0.5], bins=4)
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +69,8 @@ def test_continuous_histogram_empty_is_all_zero():
 
 
 def test_jsd_frozen_hand_values():
-    assert jsd(_cat([1.0, 0.0]), _cat([0.5, 0.5])) == pytest.approx(
-        0.21576155433883570, abs=1e-12)
-    assert jsd(_cat([0.7, 0.3]), _cat([0.2, 0.8])) == pytest.approx(
+    assert jsd([1.0, 0.0], [0.5, 0.5]) == pytest.approx(0.21576155433883570, abs=1e-12)
+    assert jsd([0.7, 0.3], [0.2, 0.8]) == pytest.approx(
         0.13250545091704780, abs=1e-12)
 
 
@@ -97,16 +79,14 @@ def test_jsd_identity_symmetry_bound():
     for _ in range(50):
         p = rng.random(10) + 1e-12
         q = rng.random(10) + 1e-12
-        hp, hq = _cat(p / p.sum()), _cat(q / q.sum())
+        hp, hq = p / p.sum(), q / q.sum()
         assert jsd(hp, hp) == pytest.approx(0.0, abs=1e-12)
         assert jsd(hp, hq) == pytest.approx(jsd(hq, hp), abs=1e-12)
         assert -1e-12 <= jsd(hp, hq) <= LN2 + 1e-12
 
 
 def test_jsd_disjoint_supports_is_ln2():
-    p = _cat([0.5, 0.5, 0.0, 0.0])
-    q = _cat([0.0, 0.0, 0.25, 0.75])
-    assert jsd(p, q) == pytest.approx(LN2, abs=1e-12)
+    assert jsd([0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.25, 0.75]) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_jsd_matches_naive_oracle():
@@ -119,17 +99,12 @@ def test_jsd_matches_naive_oracle():
         if p.sum() == 0 or q.sum() == 0:
             continue
         p, q = p / p.sum(), q / q.sum()
-        assert jsd(_cat(p), _cat(q)) == pytest.approx(jsd_naive(p, q), abs=1e-12)
+        assert jsd(p, q) == pytest.approx(jsd_naive(p, q), abs=1e-12)
 
 
 def test_jsd_rejects_mismatches():
-    with pytest.raises(ValueError):
-        jsd(_cat([1.0]), _cat([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        jsd(_cat([1.0, 0.0], support=[3, 4]), _cat([1.0, 0.0], support=[3, 5]))
-    cont = continuous_histogram(np.array([1.0]), np.linspace(0, 2, 3))
-    with pytest.raises(ValueError):
-        jsd(cont, _cat([0.5, 0.5]))
+    with pytest.raises(ValueError, match="differ in shape"):
+        jsd([1.0], [0.5, 0.5])
 
 
 @given(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=12),
@@ -139,26 +114,25 @@ def test_jsd_properties(raw_p, raw_q):
     size = min(len(raw_p), len(raw_q))
     p = np.array(raw_p[:size]); p /= p.sum()
     q = np.array(raw_q[:size]); q /= q.sum()
-    value = jsd(_cat(p), _cat(q))
+    value = jsd(p, q)
     assert -1e-12 <= value <= LN2 + 1e-12
-    assert value == pytest.approx(jsd(_cat(q), _cat(p)), abs=1e-12)
+    assert value == pytest.approx(jsd(q, p), abs=1e-12)
 
 
 def test_align_categorical_by_id_union():
-    p = _cat([0.6, 0.4], support=[2, 7])
-    q = _cat([1.0], support=[5])
-    ap, aq = align_categorical(p, q)
-    assert ap.support.tolist() == [2, 5, 7]
-    assert ap.masses.tolist() == [0.6, 0.0, 0.4]
-    assert aq.masses.tolist() == [0.0, 1.0, 0.0]
+    # G-rank keeps the ids either side visits, ascending: 2, 5, 7.
+    ds = _dataset([_traj([2, 2, 7, 7, 2]), _traj([7, 2, 2, 2, 7])])
+    real, gen = evaluate(ds, [_traj([5, 5, 5, 5, 5])]).histograms["g_rank"]
+    assert real.tolist() == [0.6, 0.0, 0.4]
+    assert gen.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_align_rank_pads_right():
-    p = _cat([0.9, 0.1], support=[1, 2])
-    q = _cat([0.5, 0.3, 0.2], support=[1, 2, 3])
-    ap, aq = align_rank(p, q)
-    assert ap.masses.tolist() == [0.9, 0.1, 0.0]
-    assert aq.masses.tolist() == [0.5, 0.3, 0.2]
+    # I-rank pads the two-rank real profile to the three ranks generated.
+    ds = _dataset([_traj([0, 0, 0, 1])])
+    real, gen = evaluate(ds, [_traj([0, 1, 1, 2])]).histograms["i_rank"]
+    assert real.tolist() == [0.75, 0.25, 0.0]
+    assert gen.tolist() == [0.5, 0.25, 0.25]
 
 
 # ---------------------------------------------------------------------------
@@ -189,41 +163,38 @@ def test_gyration_radius_stationary_is_zero():
 
 def test_duration_histogram():
     h = duration_histogram(np.array([[0, 0, 1, 2, 2, 2]]), 6)
-    assert h.support.tolist() == [1, 2, 3, 4, 5, 6]
-    assert h.masses.tolist() == [1 / 3, 1 / 3, 1 / 3, 0, 0, 0]
+    assert h.tolist() == [1 / 3, 1 / 3, 1 / 3, 0, 0, 0]         # runs of 1..6 slots
 
 
 def test_daily_locations_histogram():
     h = daily_locations_histogram(np.array([[0, 0, 1], [2, 2, 2]]), 3)
-    assert h.masses.tolist() == [0.5, 0.5, 0.0]
+    assert h.tolist() == [0.5, 0.5, 0.0]
 
 
 def test_global_rank_top_selection_and_ties():
     h = global_rank_histogram(np.array([[0, 0, 0, 1, 1, 2]]), 5, top=2)
-    assert h.support.tolist() == [0, 1]                   # top 2 by visits
-    assert np.allclose(h.masses, [0.6, 0.4])              # renormalized over chosen
+    assert np.allclose(h, [0.6, 0.4, 0, 0, 0])            # top 2, renormalized over them
     tie = global_rank_histogram(np.array([[4, 3, 4, 3]]), 5, top=1)
-    assert tie.support.tolist() == [3]                    # tie goes to the lower id
+    assert tie.tolist() == [0, 0, 0, 1, 0]                # tie goes to the lower id
 
 
 def test_global_rank_disjoint_vocabularies_score_ln2():
     real = global_rank_histogram(np.array([[0, 1, 0, 1]]), 10, top=5)
     fake = global_rank_histogram(np.array([[7, 8, 9, 7]]), 10, top=5)
-    assert jsd(*align_categorical(real, fake)) == pytest.approx(LN2, abs=1e-12)
+    assert jsd(real, fake) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_individual_rank_average():
     # Trajectory A: 3:1 split; trajectory B: single location.
     h = individual_rank_histogram(np.array([[0, 0, 0, 1], [5, 5, 5, 5]]))
-    assert h.support.tolist() == [1, 2]
     # Profiles (0.75, 0.25) and (1.0, 0.0); mean (0.875, 0.125), already normal.
-    assert np.allclose(h.masses, [0.875, 0.125])
+    assert np.allclose(h, [0.875, 0.125])
 
 
 def test_individual_rank_top_truncates():
     h = individual_rank_histogram(np.arange(10)[None, :], top=4)
-    assert len(h.masses) == 4
-    assert h.masses.sum() == pytest.approx(1.0)
+    assert len(h) == 4
+    assert h.sum() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +217,7 @@ def _assert_reports_equal(report, reference):
     for name in metrics.METRIC_NAMES:
         assert report.scores[name] == reference.scores[name], name
         for got, want in zip(report.histograms[name], reference.histograms[name]):
-            assert_array_equal(got.masses, want.masses)
-            for attr in ("support", "edges"):
-                if getattr(want, attr) is None:
-                    assert getattr(got, attr) is None
-                else:
-                    assert_array_equal(getattr(got, attr), getattr(want, attr))
+            assert_array_equal(got, want, strict=True)
 
 
 def _random_ids(rng, rows, length, n):

@@ -1,4 +1,5 @@
 import gc
+import zlib
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def test_tape_is_freed_without_the_cycle_collector(name):
     ("mean_keep", lambda a: nn.tmean(a, axis=1, keepdims=True), [(3, 4)]),
 ])
 def test_primitive_gradients(name, op, shapes):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     inputs = [_t(rng.standard_normal(s)) for s in shapes]
     assert grad_check(op, inputs) < 1e-6
 

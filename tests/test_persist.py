@@ -57,7 +57,7 @@ def test_discriminator_roundtrip(tmp_path):
 
 
 def test_kind_mismatch_rejected(tmp_path, small_graphs):
-    disc = Discriminator(DiscriminatorConfig(n_locations=16), seed=0)
+    disc = Discriminator(DiscriminatorConfig(n_locations=16, embed_dim=32, hidden_dim=32), seed=0)
     prefix = tmp_path / "model"
     persist.save_discriminator(prefix, disc)
     with pytest.raises(ValueError):

@@ -10,19 +10,14 @@ def test_kernel_kinds_are_stochastic():
     rng = np.random.default_rng(0)
     for kind in ("uniform", "uniform_offdiag", "random"):
         kernel = synth.make_kernel(kind, 12, rng)
-        synth.validate_kernel(kernel)
+        assert kernel.shape == (12, 12)
+        assert (kernel >= 0).all()
+        assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_uniform_offdiag_has_zero_diagonal():
     kernel = synth.make_kernel("uniform_offdiag", 8, np.random.default_rng(0))
     assert np.all(np.diag(kernel) == 0)
-
-
-def test_validate_kernel_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        synth.validate_kernel(np.array([[0.5, 0.4], [0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        synth.validate_kernel(np.array([[1.5, -0.5], [0.5, 0.5]]))
 
 
 def test_grid_coordinates_are_distinct():
