@@ -409,9 +409,12 @@ def cmd_evaluate(args) -> None:
     real = _load_split(args.real, "real", coords)
     generated = _load_split(args.generated, "generated", coords,
                             real.trajectories.ids.shape[1]).trajectories.ids
-    if args.exclude_zero_steps and not metrics.step_distances(real.trajectories.ids, coords).any():
-        raise CliValidationError(f"{args.real}: no real step moves, so --exclude-zero-steps "
-                                 f"leaves no step distance to bin")
+    if args.exclude_zero_steps:
+        for label, path, ids in (("real", args.real, real.trajectories.ids),
+                                 ("generated", args.generated, generated)):
+            if not metrics.step_distances(ids, coords).any():
+                raise CliValidationError(f"{path}: no {label} step moves, so "
+                                         f"--exclude-zero-steps leaves no step distance to bin")
     report = metrics.evaluate(real, generated, include_zero_steps=not args.exclude_zero_steps,
                               bins=args.bins, top=args.top)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -62,12 +62,9 @@ class Discriminator:
         out = nn.linear(hidden, self.params["head/weight"], self.params["head/bias"])
         return nn.reshape(nn.sigmoid(out), (hidden.shape[0],))
 
-    def classify(self, batch_ids: np.ndarray, hidden: Tensor | None = None) -> Tensor:
-        """Probability that each row of a (B, L) id matrix is a real trajectory.
-
-        With ``hidden`` the rows are the tails of longer sequences and
-        ``hidden`` is the GRU state after their heads."""
-        return self.score(self.unroll(batch_ids, hidden)[-1])
+    def classify(self, batch_ids: np.ndarray) -> Tensor:
+        """Probability that each row of a (B, L) id matrix is a real trajectory."""
+        return self.score(self.unroll(batch_ids)[-1])
 
 
 CLAMP = 1e-7

@@ -26,6 +26,16 @@ from .rng import categorical, stream
 
 _ALLOWED_LAYERS = (1, 2)
 _ALLOWED_HEADS = (1, 2, 4)
+# Bytes of one (rows, N) float64 array that sampling holds at a time: the
+# exploration draw runs block_rows(N) rows at once, and compute_rewards stacks
+# as many rollout blocks into one sampling pass as fit in that many rows.
+_BLOCK_BYTES = 1 << 19
+
+
+def block_rows(n_locations: int) -> int:
+    """Rows of a (rows, n_locations) float64 array within ``_BLOCK_BYTES``,
+    at least one."""
+    return max(1, _BLOCK_BYTES // (8 * n_locations))
 
 
 class ConfigError(ValueError):
@@ -180,7 +190,7 @@ class Generator:
         # it: the last column of sequence_nll is only a cross-entropy target
         # (an id of N or more raises IndexError there, a negative one wraps
         # into a wrong loss), and when complete_batch is given ``hidden``,
-        # only the last prefix column reaches gather_rows.
+        # only the last column of each row's prefix reaches gather_rows.
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.n_locations):
             raise ValueError(f"location ids outside [0, {self.config.n_locations})")
 
@@ -202,51 +212,99 @@ def sample_streams(master_seed: int, tag: str) -> SampleStreams:
     )
 
 
+def _explore_draw(gen: Generator, hidden: Tensor, rows: np.ndarray, uniforms: np.ndarray,
+                  logits: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from the exploration softmax for ``rows`` of
+    ``hidden``, one uniform per row, ``block_rows(N)`` rows at a time.
+
+    The logits, the values of ``gen.explore_logits(hidden)``, are written
+    into the (len(hidden), N) buffer ``logits``, so that a sampling pass
+    allocates them once rather than at every step.  The matmul stays over
+    every row of ``hidden``: a row-subset matmul is not always bit-identical
+    to the full one, while the row-wise softmax, cumsum and compare are.
+    """
+    np.matmul(hidden.values, gen.params["explore/weight"].values, out=logits)
+    logits += gen.params["explore/bias"].values
+    drawn = np.empty(len(rows), dtype=np.int64)
+    chunk = block_rows(gen.config.n_locations)
+    for lo in range(0, len(rows), chunk):
+        probs = nn.softmax(logits[rows[lo:lo + chunk]]).values
+        drawn[lo:lo + chunk] = categorical(np.cumsum(probs, axis=-1, out=probs),
+                                           uniforms[lo:lo + chunk])
+    return drawn
+
+
 def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length: int,
-                   streams: SampleStreams, record: bool = False,
-                   hidden: Tensor | None = None):
-    """Extend a (B, l0) prefix batch to ``length`` slots by sampling.
+                   streams: SampleStreams | list, record: bool = False,
+                   hidden: Tensor | None = None, starts: np.ndarray | None = None):
+    """Extend each row of a (B, w) prefix batch to ``length`` slots by sampling.
 
-    ``hidden`` is the GRU state after ``prefix_ids[:, :-1]``; it is computed
-    by a teacher-forced pass when omitted.
+    Rows may join the pass at their own position.  ``starts`` gives each
+    row's prefix length, non-decreasing down the batch (all w columns when
+    omitted); the columns of ``prefix_ids`` past a row's start are ignored
+    but must hold valid ids.  The rows sharing a start form a block, and
+    ``streams`` holds one ``SampleStreams`` per block in order (a single one
+    when ``starts`` is omitted).  At step ``pos`` the active rows are the
+    leading blocks whose start is at most ``pos``.  A block joins with its
+    rows of ``hidden``, the GRU state after all but the last column of each
+    row's prefix, computed by a teacher-forced pass when omitted.  A joined
+    pass samples what one call per block would, draw for draw.
 
-    The dwell stream is consumed only at steps where the dwell branch is
-    active; the exploration stream gives one uniform to every row at every
+    Each block consumes its dwell stream only at steps where the dwell branch
+    is active; its exploration stream gives one uniform to every row at every
     step, so disabling the dwell branch leaves the exploration draws
     untouched.  Only the rows whose dwell gate did not fire run the
-    exploration softmax and draw.  With ``record`` the (B, length - l0)
-    matrix of dwell-fired flags is returned as well.
+    exploration softmax and draw, ``block_rows(N)`` rows at a time.  With
+    ``record`` the (B, length - first start) matrix of dwell-fired flags is
+    returned as well, False before each row's start.
     """
     prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
-    b, start = prefix_ids.shape
-    if not 1 <= start <= length:
-        raise ValueError(f"prefix length {start} outside [1, {length}]")
+    b, width = prefix_ids.shape
+    if not 1 <= width <= length:
+        raise ValueError(f"prefix length {width} outside [1, {length}]")
+    if starts is None:
+        starts, streams = np.full(b, width), [streams]
+    starts = np.asarray(starts, dtype=np.int64)
+    if (starts.shape != (b,) or np.any(np.diff(starts) < 0)
+            or np.any((starts < 1) | (starts > width))):
+        raise ValueError(f"starts must give each row a prefix length in [1, {width}], "
+                         "non-decreasing down the batch")
+    block_starts, block_lo = np.unique(starts, return_index=True)
+    block_hi = np.append(block_lo[1:], b)
+    if b and len(streams) != len(block_starts):
+        raise ValueError(f"{len(block_starts)} blocks of rows need as many streams, "
+                         f"got {len(streams)}")
     gen._check_ids(prefix_ids)
     out = np.empty((b, length), dtype=np.int64)
-    out[:, :start] = prefix_ids
-    fired = np.zeros((b, length - start), dtype=bool)
+    out[:, :width] = prefix_ids
+    first = starts.min(initial=length)      # an empty batch takes no step
+    fired = np.zeros((b, length - first), dtype=bool)
+    logits = np.empty((b, gen.config.n_locations))
+
+    def uniforms(active, kind):
+        return np.concatenate([getattr(s, kind).random(hi - lo)
+                               for lo, hi, s in zip(block_lo, block_hi[:active], streams)])
+
     with no_grad():
         if hidden is None:
-            hidden = gen.unroll(table, prefix_ids[:, :-1])[-1]
-        current = out[:, start - 1]
-        for pos in range(start, length):
-            hidden = gen.gru_step(table, current, hidden)
-            # The matmul stays full-batch: a row-subset matmul is not always
-            # bit-identical to the full one, while the row-wise softmax,
-            # cumsum and compare below are.
-            logits = gen.explore_logits(hidden).values
-            stay = np.zeros(b, dtype=bool)
+            states = gen.unroll(table, prefix_ids[:, :width - 1])
+            hidden = nn.constant(np.stack([s.values for s in states])[starts - 1, np.arange(b)])
+        state, joined = nn.constant(hidden.values[:0]), 0
+        for pos in range(first, length):
+            active = np.searchsorted(block_starts, pos, side="right")
+            n = block_hi[active - 1]
+            if n > joined:
+                state = nn.constant(np.concatenate([state.values, hidden.values[joined:n]]))
+                joined = n
+            state = gen.gru_step(table, out[:n, pos - 1], state)
+            stay = np.zeros(n, dtype=bool)
             if gen.config.dwell and pos > 1:
-                dwell_y = gen.stay_probs(hidden, out[:, :pos]).values
-                stay = streams.dwell.random(b) < dwell_y
-            uniforms = streams.explore.random(b)
+                stay = uniforms(active, "dwell") < gen.stay_probs(state, out[:n, :pos]).values
+            explore = uniforms(active, "explore")
             rows = np.flatnonzero(~stay)
-            chosen = current.copy()
-            chosen[rows] = categorical(np.cumsum(nn.softmax(logits[rows]).values, axis=-1),
-                                       uniforms[rows])
-            out[:, pos] = chosen
-            fired[:, pos - start] = stay
-            current = chosen
+            out[:n, pos] = out[:n, pos - 1]          # where the gate fired, the row stays
+            out[rows, pos] = _explore_draw(gen, state, rows, explore[rows], logits[:n])
+            fired[:n, pos - first] = stay
     if record:
         return out, fired
     return out

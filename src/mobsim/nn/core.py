@@ -200,9 +200,9 @@ def leakyrelu(a, slope: float = 0.2) -> Tensor:
 def softmax(a) -> Tensor:
     """Row-stable softmax over the last axis."""
     a = _as_tensor(a)
-    shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    ez = np.exp(shifted)
-    values = ez / ez.sum(axis=-1, keepdims=True)
+    values = a.values - a.values.max(axis=-1, keepdims=True)
+    np.exp(values, out=values)
+    values /= values.sum(axis=-1, keepdims=True)
 
     def backward(g):
         return (values * (g - (g * values).sum(axis=-1, keepdims=True)),)

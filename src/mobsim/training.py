@@ -6,6 +6,9 @@ with REINFORCE: per-step rewards are the discriminator's scores of Monte
 Carlo completions of each prefix, an exponential moving average serves as
 the baseline, and each step's realized branch (dwell Bernoulli when it
 fired, exploration softmax entry otherwise) receives the credit.  The
+completions of several prefix lengths are sampled and scored in one pass,
+each length's rows joining at its own position, so a reward table takes a
+few large passes instead of one small pass per prefix length.  The
 discriminator ascends mean log D(real) + mean log(1 - D(fake)).
 """
 
@@ -20,6 +23,7 @@ from . import nn
 from .discriminator import Discriminator, d_loss
 from .generator import (
     Generator,
+    block_rows,
     complete_batch,
     generate_batch,
     sample_streams,
@@ -160,13 +164,19 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
     score of the full sequence for l = L.  Each prefix length uses its own
     derived random stream.  The generator and the discriminator run over the
     batch once; the completions of a prefix start from its cached states.
+    The completions of several prefix lengths share one sampling pass, one
+    block of rows per length joining at its own position, with as many
+    blocks per pass as fit in ``block_rows(N)`` rows; the discriminator steps
+    over the same joined rows.
     """
     batch_ids = np.asarray(batch_ids, dtype=np.int64)
     b, length = batch_ids.shape
+    rows = b * n_rollouts
+    per_pass = max(1, block_rows(gen.config.n_locations) // rows)
     rewards = np.empty((b, length))
 
     def tiled(state):
-        return nn.constant(np.repeat(state.values, n_rollouts, axis=0))
+        return np.repeat(state.values, n_rollouts, axis=0)
 
     with nn.no_grad():
         table = gen.embed_locations(training=False)
@@ -174,13 +184,23 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
         # l - 1 columns, l < L, so the last two columns are never fed.
         gen_states = gen.unroll(table, batch_ids[:, :-2])
         disc_states = disc.unroll(batch_ids)
-        for l in range(1, length):
-            streams = sample_streams(master_seed, f"{tag}/l{l}")
-            prefix = np.repeat(batch_ids[:, :l], n_rollouts, axis=0)
-            completed = complete_batch(gen, table, prefix, length, streams,
-                                       hidden=tiled(gen_states[l - 1]))
-            scores = disc.classify(completed[:, l:], hidden=tiled(disc_states[l]))
-            rewards[:, l - 1] = scores.values.reshape(b, n_rollouts).mean(axis=1)
+        for first in range(1, length, per_pass):
+            lengths = range(first, min(first + per_pass, length))
+            prefix = np.tile(np.repeat(batch_ids[:, :lengths[-1]], n_rollouts, axis=0),
+                             (len(lengths), 1))
+            completed = complete_batch(
+                gen, table, prefix, length,
+                [sample_streams(master_seed, f"{tag}/l{l}") for l in lengths],
+                hidden=nn.constant(np.concatenate([tiled(gen_states[l - 1]) for l in lengths])),
+                starts=np.repeat(lengths, rows))
+            # The block of length l joins the discriminator after l columns.
+            state = nn.constant(np.zeros((0, disc_states[0].shape[1])))
+            for pos in range(first, length):
+                if pos in lengths:
+                    state = nn.constant(np.concatenate([state.values, tiled(disc_states[pos])]))
+                state = disc.unroll(completed[:state.shape[0], pos:pos + 1], state)[-1]
+            scores = disc.score(state).values.reshape(len(lengths), b, n_rollouts)
+            rewards[:, first - 1:lengths[-1]] = scores.mean(axis=2).T
         rewards[:, length - 1] = disc.score(disc_states[length]).values
     return rewards
 

@@ -711,6 +711,22 @@ def test_evaluate_exclude_zero_steps_without_a_real_move_is_exit_1(pipeline, tmp
     assert not (tmp_path / "e").exists()
 
 
+def test_evaluate_exclude_zero_steps_without_a_generated_move_is_exit_1(pipeline, tmp_path,
+                                                                        capsys):
+    # A generated side with no moving step would leave nothing to bin on that
+    # side; it must not be scored against the real moves.
+    real = tmp_path / "real.txt"
+    real.write_text("u,2012-01-01,0 1 0 1\n")
+    generated = tmp_path / "generated.txt"
+    generated.write_text("u,2012-01-01,0 0 0 0\nv,2012-01-01,1 1 1 1\n")
+    assert main(["evaluate", "--real", str(real), "--generated", str(generated),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--out-dir", str(tmp_path / "e"), "--exclude-zero-steps"]) == 1
+    err = capsys.readouterr().err
+    assert str(generated) in err and "--exclude-zero-steps" in err
+    assert not (tmp_path / "e").exists()
+
+
 @pytest.mark.parametrize("slots", ["0", "1"])
 def test_preprocess_below_two_slots_is_exit_1(tmp_path, checkin_file, capsys, slots):
     assert main(["preprocess", "--input", checkin_file, "--out-dir", str(tmp_path / "p"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from mobsim import graphs, nn
+from mobsim import generator, graphs, nn
 from mobsim.generator import (
     Generator,
     GeneratorConfig,
@@ -377,6 +377,81 @@ def test_complete_batch_matches_full_explore_oracle(gate, start, given_hidden):
     if live.size:
         assert {"none": not live.any(), "all": live.all(),
                 "some": 0 < live.mean() < 1}[fires]
+
+
+@pytest.mark.parametrize("draw_rows", [None, 7], ids=["one_draw", "draws_of_7_rows"])
+@pytest.mark.parametrize("given_hidden", [False, True], ids=["unrolled", "given_hidden"])
+@pytest.mark.parametrize("gate", list(_GATES))
+def test_joined_pass_matches_one_call_per_block(monkeypatch, gate, given_hidden, draw_rows):
+    # Blocks of unequal size joining at their own position must sample what
+    # one call per block samples, samples and fired flags alike, and so must
+    # an exploration draw split into chunks of 7 rows.
+    overrides, bias, fires = _GATES[gate]
+    gen = _gen(seed=4, **overrides)
+    gen.params["dwell/bias"].values[:] = bias
+    with nn.no_grad():
+        table = gen.embed_locations()
+    sizes, starts, length = (5, 17, 3, 40), (1, 2, 4, 9), 12
+    edges = np.cumsum((0,) + sizes)
+    rng = np.random.default_rng(3)
+    prefix = rng.integers(0, 8, size=(edges[-1], max(starts)))
+    hidden = rng.normal(size=(edges[-1], 4))
+
+    def given(rows):
+        return nn.constant(hidden[rows]) if given_hidden else None
+
+    want = [complete_batch(gen, table, prefix[lo:hi, :start], length,
+                           sample_streams(7, f"o/l{start}"), record=True,
+                           hidden=given(slice(lo, hi)))
+            for lo, hi, start in zip(edges, edges[1:], starts)]
+    if draw_rows:
+        monkeypatch.setattr(generator, "_BLOCK_BYTES", 8 * 8 * draw_rows)
+    out, fired = complete_batch(gen, table, prefix, length,
+                                [sample_streams(7, f"o/l{start}") for start in starts],
+                                record=True, hidden=given(slice(None)),
+                                starts=np.repeat(starts, sizes))
+    assert fired.shape == (edges[-1], length - 1)
+    for (block_out, block_fired), lo, hi, start in zip(want, edges, edges[1:], starts):
+        assert_array_equal(out[lo:hi], block_out)
+        assert_array_equal(fired[lo:hi, start - 1:], block_fired)
+        assert not fired[lo:hi, :start - 1].any()
+    live = fired[:, 1:]                          # the gate is live from position 2
+    assert {"none": not live.any(), "all": live[np.repeat(starts, sizes) <= 2].all(),
+            "some": 0 < live.mean() < 1}[fires]
+
+
+@pytest.mark.parametrize("starts, n_streams", [
+    ([2, 1, 1], 2),                              # not non-decreasing
+    ([1, 1, 4], 2),                              # a start past the prefix width
+    ([0, 1, 1], 2),                              # an empty prefix
+    ([1, 1], 1),                                 # not one start per row
+    ([1, 2, 2], 1),                              # two blocks, one stream
+])
+def test_complete_batch_rejects_bad_starts(starts, n_streams):
+    gen = _gen()
+    with nn.no_grad():
+        table = gen.embed_locations()
+    with pytest.raises(ValueError):
+        complete_batch(gen, table, np.zeros((3, 3), dtype=np.int64), 6,
+                       [sample_streams(0, f"s{i}") for i in range(n_streams)],
+                       starts=np.array(starts))
+
+
+def test_complete_batch_draws_in_bounded_memory():
+    # The exploration softmax, cumsum and compare run block_rows(N) rows at a
+    # time, so only the (B, N) logits product is held at full size: sampling
+    # 4,096 rows at N=400 peaks under three (B, N) float64 arrays.
+    b, n = 4096, 400
+    gen = _gen(n=n)
+    with nn.no_grad():
+        table = gen.embed_locations()
+    tracemalloc.start()
+    try:
+        complete_batch(gen, table, np.zeros((b, 1), dtype=np.int64), 4, sample_streams(0, "m"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * b * n * 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from mobsim import graphs, nn, synth, training
+from mobsim import generator, graphs, nn, synth, training
 from mobsim.discriminator import Discriminator, DiscriminatorConfig
 from mobsim.generator import Generator, GeneratorConfig, generate_batch, sample_streams
 from mobsim.training import (
@@ -242,6 +243,37 @@ def test_compute_rewards_matches_replayed_rollouts(small_graphs, dwell, length, 
     cached = compute_rewards(gen, disc, batch, rollouts, master_seed=1, tag="r")
     replayed = compute_rewards_replayed(gen, disc, batch, rollouts, 1, "r")
     np.testing.assert_array_equal(cached, replayed)
+
+
+@pytest.mark.parametrize("blocks_per_pass", [1, 3, 7])
+def test_compute_rewards_does_not_depend_on_the_pass_size(small_graphs, monkeypatch,
+                                                          blocks_per_pass):
+    # One pass per prefix length or several stacked in one pass: the same
+    # rewards, bit for bit.
+    gen = Generator(GeneratorConfig(n_locations=16, embed_dim=8, hidden_dim=8), small_graphs,
+                    seed=3)
+    disc = _disc(n=16)
+    batch = generate_batch(gen, 5, 24, np.full(16, 1 / 16), sample_streams(0, "s"))
+    stacked = compute_rewards(gen, disc, batch, 4, master_seed=1, tag="r")
+    monkeypatch.setattr(generator, "_BLOCK_BYTES", 8 * 16 * 5 * 4 * blocks_per_pass)
+    assert generator.block_rows(16) // 20 == blocks_per_pass
+    np.testing.assert_array_equal(compute_rewards(gen, disc, batch, 4, master_seed=1, tag="r"),
+                                  stacked)
+
+
+def test_compute_rewards_holds_a_bounded_pass():
+    # Stacking the rollouts of all 23 prefix lengths in one pass peaks near
+    # 8 MB here; passes capped at block_rows(N) rows stay under 3 MB.
+    gen = _gen(n=100)
+    disc = _disc(n=100)
+    batch = generate_batch(gen, 32, 24, np.full(100, 1 / 100), sample_streams(0, "s"))
+    tracemalloc.start()
+    try:
+        compute_rewards(gen, disc, batch, 4, master_seed=0, tag="r")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 # ---------------------------------------------------------------------------
