@@ -38,8 +38,9 @@ from .generator import Generator, GeneratorConfig, generate_batch, sample_stream
 from .records import Dataset
 
 
-# The configs whose options pretrain and train take.
-MODEL_CONFIGS = (GeneratorConfig, DiscriminatorConfig, training.TrainConfig)
+# The configs whose options pretrain and train take; the discriminator takes
+# the generator's dims.
+MODEL_CONFIGS = (GeneratorConfig, training.TrainConfig)
 
 
 class CliValidationError(ValueError):
@@ -135,7 +136,10 @@ _UNRECORDED = ("command", "func", "configs", "config", "out_dir")
 def write_manifest(args, config: dict, inputs):
     """Write ``manifest.json`` under ``args.out_dir``: the command, its parsed
     flags with the resolved ``config`` laid over them, the SHA-256 digest of
-    each of ``inputs``, and the tool versions."""
+    each of ``inputs`` and of the ``--config`` file if one was read, and the
+    tool versions."""
+    if getattr(args, "config", None):
+        inputs = [*inputs, args.config]
     settings = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
     settings.update(config)
     body = {
@@ -155,15 +159,9 @@ def write_manifest(args, config: dict, inputs):
 
 def _options(configs) -> dict:
     """``name -> field`` of the options ``configs`` declare: each field with
-    a default (``n_locations`` comes from the data, and the discriminator
-    takes the generator's dims) but ``attn_slope``, which stays fixed.  Two
-    configs' fields of one name are one option."""
-    options = {}
-    for config in configs:
-        for f in dataclasses.fields(config):
-            if f.default is not dataclasses.MISSING and f.name != "attn_slope":
-                options.setdefault(f.name, f)
-    return options
+    a default (``n_locations`` comes from the data)."""
+    return {f.name: f for config in configs for f in dataclasses.fields(config)
+            if f.default is not dataclasses.MISSING}
 
 
 def _option_flags(parser: _Parser, configs):
@@ -255,7 +253,7 @@ def cmd_synth(args) -> None:
     _write_split_outputs(args.out_dir, planted.dataset, ratios, config["seed"])
     synth.write_kernel(os.path.join(args.out_dir, "kernel.csv"), planted.kernel)
     config["stay_prob_truth"] = planted.stay_prob
-    write_manifest(args, config, [args.config] if args.config else [])
+    write_manifest(args, config, [])
 
 
 def _load_locations(path) -> np.ndarray:

@@ -57,7 +57,6 @@ class GeneratorConfig:
     dropout: float = 0.6
     beta: float = 1.0
     dwell: bool = True
-    attn_slope: float = 0.2
 
     def __post_init__(self):
         self.channels = tuple(self.channels)
@@ -126,7 +125,6 @@ class Generator:
             fused = None
             for name in self.config.channels:
                 out = nn.graph_attention(table, self.edges[name], self.attn[name][layer],
-                                         slope=self.config.attn_slope,
                                          dropout_rate=self.config.dropout,
                                          rng=rng, training=training)
                 fused = out if fused is None else nn.add(fused, out)
@@ -228,7 +226,7 @@ def _explore_draw(gen: Generator, hidden: Tensor, rows: np.ndarray, uniforms: np
     drawn = np.empty(len(rows), dtype=np.int64)
     chunk = block_rows(gen.config.n_locations)
     for lo in range(0, len(rows), chunk):
-        probs = nn.softmax(logits[rows[lo:lo + chunk]]).values
+        probs = nn.softmax_values(logits[rows[lo:lo + chunk]])
         drawn[lo:lo + chunk] = categorical(np.cumsum(probs, axis=-1, out=probs),
                                            uniforms[lo:lo + chunk])
     return drawn

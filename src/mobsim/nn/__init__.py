@@ -10,17 +10,11 @@ from .core import (
     mul,
     neg,
     matmul,
-    exp,
-    log,
-    tanh,
     sigmoid,
-    relu,
-    leakyrelu,
-    softmax,
+    softmax_values,
     concat,
     gather_rows,
     reshape,
-    tsum,
     tmean,
     dropout,
     cross_entropy,

@@ -17,6 +17,8 @@ import numpy as np
 from .core import ParamSet, Tensor, _result, concat, dropout_mask
 
 _LOG_FLOOR = 1e-30
+# The leaky-ReLU slope of the attention logits, as in GAT (arXiv:1710.10903).
+_SLOPE = 0.2
 
 
 @dataclass
@@ -77,8 +79,7 @@ def graph_edges(graph) -> GraphEdges:
                       _segment_starts(dst, n))
 
 
-def _attention_head(h: Tensor, edges: GraphEdges, head: HeadParams, slope: float,
-                    keep) -> Tensor:
+def _attention_head(h: Tensor, edges: GraphEdges, head: HeadParams, keep) -> Tensor:
     """One head as a single tape op: relu of the per-row softmax-weighted sum
     of the projected neighbours.  ``keep`` is the per-edge inverted-dropout
     scale of the attention weights, or None."""
@@ -88,7 +89,7 @@ def _attention_head(h: Tensor, edges: GraphEdges, head: HeadParams, slope: float
     wh = hv @ w
     a_src, a_dst = a[:head_dim, 0], a[head_dim:, 0]
     z = (wh @ a_src)[src] + (wh @ a_dst)[dst]
-    dlrelu = np.where(z >= 0, 1.0, slope)
+    dlrelu = np.where(z >= 0, 1.0, _SLOPE)
     logits = z * dlrelu + edges.log_weight
     ex = np.exp(logits - np.maximum.reduceat(logits, starts)[src])
     alpha = ex / np.add.reduceat(ex, starts)[src]
@@ -111,19 +112,20 @@ def _attention_head(h: Tensor, edges: GraphEdges, head: HeadParams, slope: float
     return _result(np.maximum(agg, 0.0), (h, head.weight, head.score), backward)
 
 
-def graph_attention(h: Tensor, edges: GraphEdges, heads, slope: float = 0.2,
-                    dropout_rate: float = 0.0, rng=None, training: bool = False) -> Tensor:
+def graph_attention(h: Tensor, edges: GraphEdges, heads, dropout_rate: float = 0.0,
+                    rng=None, training: bool = False) -> Tensor:
     """Multi-head attention step; returns the concatenation over heads.
 
     Per head and edge i -> j: logit e_ij = leakyrelu(score . [W h_i || W h_j])
-    + log w_ij; attention = softmax of the logits over i's out-edges;
-    output_i = relu(sum_j attention_ij (h W)_j).  In training, attention
-    weights are dropped per edge (inverted dropout, one draw per edge).
+    + log w_ij, the leaky ReLU of slope 0.2; attention = softmax of the
+    logits over i's out-edges; output_i = relu(sum_j attention_ij (h W)_j).
+    In training, attention weights are dropped per edge (inverted dropout,
+    one draw per edge).
     """
     outputs = []
     for head in heads:
         keep = None
         if training and dropout_rate > 0.0:
             keep = dropout_mask(len(edges.src), dropout_rate, rng)
-        outputs.append(_attention_head(h, edges, head, slope, keep))
+        outputs.append(_attention_head(h, edges, head, keep))
     return outputs[0] if len(outputs) == 1 else concat(outputs, axis=1)

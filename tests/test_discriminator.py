@@ -51,7 +51,7 @@ def test_d_loss_gradient():
     def op(*tensors):
         return d_loss(disc, real, fake)
 
-    assert grad_check(op, disc.params.tensors()) < 1e-6
+    assert grad_check(op, [t for _, t in disc.params.items()]) < 1e-6
 
 
 def test_d_loss_improves_separation():

@@ -15,7 +15,7 @@ from mobsim.generator import (
     seed_distribution,
 )
 from gradcheck import grad_check
-from oracles import complete_batch_full_explore
+from oracles import complete_batch_full_explore, tsum
 
 
 def _cycle_graph(n):
@@ -133,7 +133,7 @@ def test_embedding_pass_holds_no_location_square():
                                     dropout=0.5), gs)
     tracemalloc.start()
     try:
-        nn.tsum(gen.embed_locations(training=True, rng=np.random.default_rng(1))).backward()
+        tsum(gen.embed_locations(training=True, rng=np.random.default_rng(1))).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -150,7 +150,7 @@ def test_explore_softmax_rows_sum_to_one():
     with nn.no_grad():
         table = gen.embed_locations()
         hidden = gen.gru_step(table, np.array([0, 3, 5]), gen.zero_hidden(3))
-        probs = nn.softmax(gen.explore_logits(hidden)).values
+        probs = nn.softmax_values(gen.explore_logits(hidden).values)
     assert probs.shape == (3, 8)
     assert np.allclose(probs.sum(axis=1), 1.0)
     assert np.all(probs > 0)
@@ -210,7 +210,7 @@ def test_sequence_nll_gradients():
         nll, bce = gen.sequence_nll(ids)
         return nn.add(nll, bce)
 
-    err = grad_check(op, gen.params.tensors())
+    err = grad_check(op, [t for _, t in gen.params.items()])
     assert err < 1e-6
 
 

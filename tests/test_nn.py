@@ -1,14 +1,18 @@
 import gc
+import importlib
+import inspect
+import sys
 import zlib
 
 import numpy as np
 import pytest
 
 from mobsim import nn
+from mobsim.cli import main
 from mobsim.graphs import LocationGraph
 from mobsim.nn import Tensor
 from gradcheck import grad_check
-from oracles import narrow, sigmoid_masked, sub
+from oracles import exp, leakyrelu, log, narrow, relu, sigmoid_masked, softmax, sub, tanh, tsum
 
 
 def _t(values, requires_grad=True):
@@ -22,14 +26,14 @@ def _t(values, requires_grad=True):
 def test_backward_accumulates_through_shared_node():
     x = _t([2.0])
     y = nn.add(nn.mul(x, x), x)       # x^2 + x, dy/dx = 2x + 1 = 5
-    nn.tsum(y).backward()
+    tsum(y).backward()
     assert x.grad[0] == pytest.approx(5.0)
 
 
 def test_grads_accumulate_until_zeroed():
     x = _t([1.0])
-    nn.tsum(nn.mul(x, _t([3.0], requires_grad=False))).backward()
-    nn.tsum(nn.mul(x, _t([4.0], requires_grad=False))).backward()
+    tsum(nn.mul(x, _t([3.0], requires_grad=False))).backward()
+    tsum(nn.mul(x, _t([4.0], requires_grad=False))).backward()
     assert x.grad[0] == pytest.approx(7.0)
 
 
@@ -65,18 +69,18 @@ _TAPE_OPS = {
     "mul": (nn.mul, [(3, 4), (3, 4)]),
     "neg": (nn.neg, [(3, 4)]),
     "matmul": (nn.matmul, [(3, 4), (4, 2)]),
-    "exp": (nn.exp, [(3, 4)]),
-    "log": (nn.log, [(3, 4)]),
-    "tanh": (nn.tanh, [(3, 4)]),
+    "exp": (exp, [(3, 4)]),
+    "log": (log, [(3, 4)]),
+    "tanh": (tanh, [(3, 4)]),
     "sigmoid": (nn.sigmoid, [(3, 4)]),
-    "relu": (nn.relu, [(3, 4)]),
-    "leakyrelu": (nn.leakyrelu, [(3, 4)]),
-    "softmax": (nn.softmax, [(3, 4)]),
+    "relu": (relu, [(3, 4)]),
+    "leakyrelu": (leakyrelu, [(3, 4)]),
+    "softmax": (softmax, [(3, 4)]),
     "concat": (lambda a, b: nn.concat([a, b], axis=1), [(3, 2), (3, 3)]),
     "gather_rows": (lambda a: nn.gather_rows(a, [2, 0, 2]), [(3, 4)]),
     "narrow": (lambda a: narrow(a, 1, 1, 2), [(3, 4)]),
     "reshape": (lambda a: nn.reshape(a, (4, 3)), [(3, 4)]),
-    "tsum": (lambda a: nn.tsum(a, axis=0), [(3, 4)]),
+    "tsum": (lambda a: tsum(a, axis=0), [(3, 4)]),
     "tmean": (nn.tmean, [(3, 4)]),
     "dropout": (lambda a: nn.dropout(a, 0.5, np.random.default_rng(0)), [(3, 4)]),
     "cross_entropy": (lambda a: nn.cross_entropy(a, [0, 3, 1]), [(3, 4)]),
@@ -96,7 +100,7 @@ def test_tape_is_freed_without_the_cycle_collector(name):
     gc.disable()
     try:
         inputs = [_t(rng.random(s) * 0.8 + 0.1) for s in shapes]
-        nn.tsum(op(*inputs)).backward()
+        tsum(op(*inputs)).backward()
         assert all(x.grad is not None for x in inputs)
         del inputs
         assert gc.collect() == 0
@@ -116,16 +120,15 @@ def test_tape_is_freed_without_the_cycle_collector(name):
     ("mul_broadcast", lambda a, b: nn.mul(a, b), [(5,), (1,)]),
     ("matmul", lambda a, b: nn.matmul(a, b), [(3, 4), (4, 2)]),
     ("neg", nn.neg, [(3, 4)]),
-    ("exp", nn.exp, [(3, 4)]),
-    ("tanh", nn.tanh, [(3, 4)]),
+    ("exp", exp, [(3, 4)]),
+    ("tanh", tanh, [(3, 4)]),
     ("sigmoid", nn.sigmoid, [(3, 4)]),
-    ("softmax", nn.softmax, [(3, 6)]),
+    ("softmax", softmax, [(3, 6)]),
     ("reshape", lambda a: nn.reshape(a, (4, 3)), [(3, 4)]),
     ("narrow", lambda a: narrow(a, 1, 1, 2), [(3, 4)]),
     ("concat", lambda a, b: nn.concat([a, b], axis=1), [(3, 2), (3, 3)]),
-    ("sum_all", nn.tsum, [(3, 4)]),
-    ("sum_axis", lambda a: nn.tsum(a, axis=0), [(3, 4)]),
-    ("mean_keep", lambda a: nn.tmean(a, axis=1, keepdims=True), [(3, 4)]),
+    ("sum_all", tsum, [(3, 4)]),
+    ("sum_axis", lambda a: tsum(a, axis=0), [(3, 4)]),
 ])
 def test_primitive_gradients(name, op, shapes):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -136,15 +139,15 @@ def test_primitive_gradients(name, op, shapes):
 def test_log_gradient_away_from_zero():
     rng = np.random.default_rng(11)
     x = _t(rng.random((3, 4)) + 0.5)
-    assert grad_check(nn.log, [x]) < 1e-6
+    assert grad_check(log, [x]) < 1e-6
 
 
 def test_relu_leakyrelu_gradients_away_from_kink():
     rng = np.random.default_rng(12)
     vals = rng.standard_normal((4, 5))
     vals[np.abs(vals) < 0.1] = 0.5        # keep clear of the kink
-    assert grad_check(nn.relu, [_t(vals.copy())]) < 1e-6
-    assert grad_check(lambda a: nn.leakyrelu(a, 0.2), [_t(vals.copy())]) < 1e-6
+    assert grad_check(relu, [_t(vals.copy())]) < 1e-6
+    assert grad_check(lambda a: leakyrelu(a, 0.2), [_t(vals.copy())]) < 1e-6
 
 
 def test_linear_gradient():
@@ -159,7 +162,7 @@ def test_gather_rows_gradient_scatters():
     ids = np.array([1, 1, 3])
     out = nn.gather_rows(table, ids)
     assert np.array_equal(out.values, table.values[ids])
-    nn.tsum(out).backward()
+    tsum(out).backward()
     # Row 1 was gathered twice, so its gradient is 2.
     assert np.array_equal(table.grad, np.array([[0.0] * 3, [2.0] * 3,
                                                 [0.0] * 3, [1.0] * 3]))
@@ -175,9 +178,9 @@ def test_cross_entropy_values_and_gradient():
     targets = np.array([0, 3, 6, 2, 2])
     ce = nn.cross_entropy(logits, targets)
     assert ce.values.shape == (5,)
-    probs = nn.softmax(logits).values
+    probs = nn.softmax_values(logits.values)
     assert np.allclose(ce.values, -np.log(probs[np.arange(5), targets]))
-    nn.tsum(ce).backward()
+    tsum(ce).backward()
     assert np.allclose(logits.grad, probs - np.eye(7)[targets])
 
 
@@ -195,7 +198,7 @@ def test_cross_entropy_survives_a_large_logit_gap():
     logits = _t([[0.0, 800.0]])
     ce = nn.cross_entropy(logits, [0])
     assert ce.values[0] == 800.0
-    nn.tsum(ce).backward()
+    tsum(ce).backward()
     assert np.array_equal(logits.grad, [[-1.0, 1.0]])
 
 
@@ -218,11 +221,11 @@ def test_binary_cross_entropy_gradient():
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((6, 9))
-    y = nn.softmax(_t(x, requires_grad=False)).values
+    y = nn.softmax_values(x)
     assert np.allclose(y.sum(axis=1), 1.0)
-    y2 = nn.softmax(_t(x + 1000.0, requires_grad=False)).values
+    y2 = nn.softmax_values(x + 1000.0)
     assert np.allclose(y, y2)
-    assert np.all(np.isfinite(nn.softmax(_t(np.array([[1e30, -1e30]]))).values))
+    assert np.all(np.isfinite(nn.softmax_values(np.array([[1e30, -1e30]]))))
 
 
 def test_sigmoid_extreme_inputs_stable():
@@ -266,7 +269,7 @@ def test_dropout_gradient_masks():
     rng = np.random.default_rng(19)
     x = _t(np.ones(1000))
     y = nn.dropout(x, 0.3, rng)
-    nn.tsum(y).backward()
+    tsum(y).backward()
     kept = y.values != 0.0
     assert np.allclose(x.grad[kept], 1.0 / 0.7)
     assert np.allclose(x.grad[~kept], 0.0)
@@ -342,7 +345,7 @@ def test_adam_converges_on_quadratic():
     for _ in range(600):
         opt.zero_grad()
         w = params["w"]
-        loss = nn.tsum(nn.mul(w, w))
+        loss = tsum(nn.mul(w, w))
         loss.backward()
         opt.step()
     assert np.all(np.abs(params["w"].values) < 1e-3)
@@ -379,3 +382,61 @@ def test_first_nonfinite_reports_name(rng):
     assert params.first_nonfinite() is None
     params["b"].values[2] = np.nan
     assert params.first_nonfinite() == "b"
+
+
+# ---------------------------------------------------------------------------
+# no test-only code
+
+
+def _public_nn_functions():
+    """``code -> name`` of each public function and public method (property
+    getters included) defined in the modules of ``mobsim.nn``."""
+    found = {}
+    for name in ("core", "layers", "attention", "optim", "checkpoint"):
+        module = importlib.import_module(f"mobsim.nn.{name}")
+        for attr, value in vars(module).items():
+            if attr.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = ([(f"{attr}.{m}", fn) for m, fn in vars(value).items()
+                        if not m.startswith("_")] if inspect.isclass(value) else [(attr, value)])
+            for qualified, fn in members:
+                fn = inspect.unwrap(fn.fget if isinstance(fn, property) else fn)
+                if inspect.isfunction(fn):
+                    found[fn.__code__] = f"{name}.{qualified}"
+    return found
+
+
+def test_every_nn_function_runs_in_a_command(tmp_path):
+    # mobsim.nn ships only what a command runs; an op only tests use belongs
+    # in tests/oracles.py.  Multi-head attention with dropout, adversarial
+    # training with Adam and pretraining with SGD reach every function.
+    data, graphs, model = tmp_path / "data", tmp_path / "graphs", tmp_path / "model"
+    split = ["--train", str(data / "train.txt"), "--locations", str(data / "locations.csv")]
+    fit = [*split, "--graphs-dir", str(graphs), "--embed-dim", "4", "--hidden-dim", "3",
+           "--pretrain-epochs", "1", "--d-pretrain-epochs", "1"]
+    commands = [
+        ["synth", "--out-dir", str(data), "--n-locations", "8", "--users", "4", "--days", "3"],
+        ["build-graphs", *split, "--out-dir", str(graphs), "--k", "3"],
+        ["train", *fit, "--valid", str(data / "valid.txt"), "--out-dir", str(model),
+         "--heads", "2", "--dropout", "0.1", "--epochs", "1", "--rollouts", "2",
+         "--steps-per-epoch", "1"],
+        ["pretrain", *fit, "--out-dir", str(tmp_path / "sgd"), "--optimizer", "sgd"],
+        ["generate", "--model", str(model / "gen"), "--graphs-dir", str(graphs),
+         "--locations", str(data / "locations.csv"), "--out-dir", str(tmp_path / "gen"),
+         "--count", "5"],
+    ]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv in commands]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(commands)
+    public = _public_nn_functions()
+    assert len(public) > 40
+    assert sorted(name for code, name in public.items() if code not in entered) == []

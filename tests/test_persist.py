@@ -3,7 +3,7 @@ import pytest
 
 from mobsim import nn, persist
 from mobsim.discriminator import Discriminator, DiscriminatorConfig
-from mobsim.generator import Generator, GeneratorConfig
+from mobsim.generator import Generator, GeneratorConfig, generate_batch, sample_streams
 
 
 def _gen(small_graphs, **overrides):
@@ -80,10 +80,10 @@ def test_read_meta_value_keeps_further_equals_signs(tmp_path):
     assert meta.lines == {"out_dir": 2, "seed": 4}
 
 
-# The meta lines the generator and discriminator metas held before their
-# fields were read from the config dataclasses.
+# The meta lines of a generator and a discriminator: one per config field,
+# in field order, then the generator's trained length and seed distribution.
 GEN_META = ("kind=generator\nn_locations=16\nembed_dim=8\nhidden_dim=6\nlayers=2\nheads=2\n"
-            "channels=sdg,stg\ndropout=0.25\nbeta=0.5\ndwell=1\nattn_slope=0.2\nslots=12\n"
+            "channels=sdg,stg\ndropout=0.25\nbeta=0.5\ndwell=1\nslots=12\n"
             "seed_distribution=" + ",".join(["0.0625"] * 16) + "\n")
 DISC_META = "kind=discriminator\nn_locations=9\nembed_dim=5\nhidden_dim=7\n"
 
@@ -97,3 +97,19 @@ def test_meta_lines_are_the_config_fields(tmp_path, small_graphs):
     assert (tmp_path / "disc.meta").read_text() == DISC_META
     assert persist.load_generator(tmp_path / "gen", small_graphs)[0].config == gen.config
     assert persist.load_discriminator(tmp_path / "disc").config == disc.config
+
+
+def test_meta_with_the_retired_attn_slope_line_still_loads(tmp_path, small_graphs):
+    # Metas written while the attention slope was a config field hold an
+    # ``attn_slope=0.2`` line.  The slope is fixed at that value, and a key
+    # that is no config field is read past.
+    gen = _gen(small_graphs, dwell=True)
+    persist.save_generator(tmp_path / "gen", gen, np.full(16, 1 / 16), 12)
+    old = tmp_path / "old"
+    (tmp_path / "old.ckpt").write_bytes((tmp_path / "gen.ckpt").read_bytes())
+    (tmp_path / "old.meta").write_text(GEN_META.replace("dwell=1\n", "dwell=1\nattn_slope=0.2\n"))
+    loaded, dist = persist.load_generator(old, small_graphs)
+    assert loaded.config == gen.config
+    ids = [generate_batch(model, 40, 12, dist, sample_streams(5, "compat"))
+           for model in (gen, loaded)]
+    assert ids[0].tobytes() == ids[1].tobytes()
