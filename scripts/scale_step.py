@@ -1,10 +1,13 @@
-"""Time one generator pretrain step at a large location count.
+"""Time one generator pretrain step and one population sample at a large
+location count.
 
 Builds the three graphs directly (no files, no CLI) from random coordinates
 and random stay-or-jump trajectories, then times teacher-forced pretrain
 steps: k=10, embedding and hidden size 32, 2 heads, the three channels,
-dropout 0.6, batch 32.  The graph build and the steps each run in a fresh
-process, so each reports its own peak RSS.  Prints one JSON object:
+dropout 0.6, batch 32.  The sample phase times ``generate_batch`` of 30,000
+trajectories of 24 slots from the untrained generator.  The graph build, the
+steps and the sample each run in a fresh process, so each reports its own
+peak RSS.  Prints one JSON object:
 
     PYTHONPATH=src python3 scripts/scale_step.py --n 2000
 """
@@ -24,10 +27,16 @@ import time
 import numpy as np
 
 from mobsim import graphs, nn
-from mobsim.generator import Generator, GeneratorConfig
+from mobsim.generator import (
+    Generator,
+    GeneratorConfig,
+    generate_batch,
+    sample_streams,
+    seed_distribution,
+)
 from mobsim.records import Trajectories
 
-SLOTS, ROWS, K, STEPS = 24, 2000, 10, 3
+SLOTS, ROWS, K, STEPS, SAMPLED = 24, 2000, 10, 3, 30000
 
 
 def _peak_rss_mb() -> float:
@@ -61,11 +70,16 @@ def build(n: int, path: str) -> dict:
             "edges": {name: len(g.src) for name, g in built.items()}}
 
 
-def step(n: int, path: str) -> dict:
+def _load(n: int, path: str):
     with open(path, "rb") as fh:
         built, ids = pickle.load(fh)
     gen = Generator(GeneratorConfig(n_locations=n, embed_dim=32, hidden_dim=32, heads=2,
                                     dropout=0.6), built)
+    return gen, ids
+
+
+def step(n: int, path: str) -> dict:
+    gen, ids = _load(n, path)
     optimizer = nn.make_optimizer("adam", gen.params, 0.01)
     rng = np.random.default_rng(0)
     times = []
@@ -79,21 +93,33 @@ def step(n: int, path: str) -> dict:
     return {"step_s": times, "peak_rss_mb": _peak_rss_mb()}
 
 
+def sample(n: int, path: str) -> dict:
+    gen, ids = _load(n, path)
+    rss_before = _peak_rss_mb()
+    start = time.perf_counter()
+    generate_batch(gen, SAMPLED, SLOTS, seed_distribution(ids, n), sample_streams(0, "sample"))
+    return {"sample_s": time.perf_counter() - start, "rows": SAMPLED,
+            "peak_rss_mb_before": rss_before, "peak_rss_mb": _peak_rss_mb()}
+
+
+PHASES = {"build": build, "step": step, "sample": sample}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True, help="number of locations")
-    parser.add_argument("--phase", choices=("build", "step"),
-                        help="run one phase in this process (default: both, each in a child)")
-    parser.add_argument("--graphs", help="pickle the build phase writes and the step phase reads")
+    parser.add_argument("--phase", choices=tuple(PHASES),
+                        help="run one phase in this process (default: all, each in a child)")
+    parser.add_argument("--graphs",
+                        help="pickle the build phase writes and the other phases read")
     args = parser.parse_args()
     if args.phase:
-        result = (build if args.phase == "build" else step)(args.n, args.graphs)
-        print(json.dumps(result))
+        print(json.dumps(PHASES[args.phase](args.n, args.graphs)))
         return
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "graphs.pkl")
         report = {"n": args.n}
-        for phase in ("build", "step"):
+        for phase in PHASES:
             out = subprocess.run([sys.executable, __file__, "--n", str(args.n), "--phase", phase,
                                   "--graphs", path], check=True, capture_output=True, text=True)
             report[phase] = json.loads(out.stdout.splitlines()[-1])

@@ -26,10 +26,19 @@ from .rng import categorical, stream
 
 _ALLOWED_LAYERS = (1, 2)
 _ALLOWED_HEADS = (1, 2, 4)
-# Bytes of one (rows, N) float64 array that sampling holds at a time: the
-# exploration draw runs block_rows(N) rows at once, and compute_rewards stacks
-# as many rollout blocks into one sampling pass as fit in that many rows.
+# Bytes of one (rows, N) float64 array: complete_batch runs its rows in
+# chunks of chunk_rows(N) rows, each chunk taking every step before the next,
+# and holds one such (chunk, N) logits buffer per call.  compute_rewards stacks
+# as many rollout blocks into one sampling pass as fit in block_rows(N) rows,
+# so every rollout pass (and every training batch) is a single chunk.
+_CHUNK_BYTES = 1 << 21
 _BLOCK_BYTES = 1 << 19
+
+
+def chunk_rows(n_locations: int) -> int:
+    """Rows of a (rows, n_locations) float64 array within ``_CHUNK_BYTES``,
+    at least one."""
+    return max(1, _CHUNK_BYTES // (8 * n_locations))
 
 
 def block_rows(n_locations: int) -> int:
@@ -213,23 +222,18 @@ def sample_streams(master_seed: int, tag: str) -> SampleStreams:
 def _explore_draw(gen: Generator, hidden: Tensor, rows: np.ndarray, uniforms: np.ndarray,
                   logits: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws from the exploration softmax for ``rows`` of
-    ``hidden``, one uniform per row, ``block_rows(N)`` rows at a time.
+    ``hidden``, one uniform per row.
 
     The logits, the values of ``gen.explore_logits(hidden)``, are written
-    into the (len(hidden), N) buffer ``logits``, so that a sampling pass
-    allocates them once rather than at every step.  The matmul stays over
-    every row of ``hidden``: a row-subset matmul is not always bit-identical
-    to the full one, while the row-wise softmax, cumsum and compare are.
+    into the (len(hidden), N) buffer ``logits``, which ``complete_batch``
+    allocates once per call rather than at every step.  The matmul stays over every row of
+    ``hidden``: a row-subset matmul is not always bit-identical to the full
+    one, while the row-wise softmax, cumsum and compare are.
     """
     np.matmul(hidden.values, gen.params["explore/weight"].values, out=logits)
     logits += gen.params["explore/bias"].values
-    drawn = np.empty(len(rows), dtype=np.int64)
-    chunk = block_rows(gen.config.n_locations)
-    for lo in range(0, len(rows), chunk):
-        probs = nn.softmax_values(logits[rows[lo:lo + chunk]])
-        drawn[lo:lo + chunk] = categorical(np.cumsum(probs, axis=-1, out=probs),
-                                           uniforms[lo:lo + chunk])
-    return drawn
+    probs = nn.softmax_values(logits[rows])
+    return categorical(np.cumsum(probs, axis=-1, out=probs), uniforms)
 
 
 def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length: int,
@@ -251,10 +255,14 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     Each block consumes its dwell stream only at steps where the dwell branch
     is active; its exploration stream gives one uniform to every row at every
     step, so disabling the dwell branch leaves the exploration draws
-    untouched.  Only the rows whose dwell gate did not fire run the
-    exploration softmax and draw, ``block_rows(N)`` rows at a time.  With
-    ``record`` the (B, length - first start) matrix of dwell-fired flags is
-    returned as well, False before each row's start.
+    untouched.  Each block draws all its uniforms before the first step,
+    one ``random((steps, rows))`` call per stream, which gives the values
+    that one call per step would.  The rows then run in chunks of
+    ``chunk_rows(N)``, each chunk taking every step before the next starts,
+    so that sampling holds one (chunk, N) logits buffer and no (B, N) array.
+    Only the rows whose dwell gate did not fire run the exploration softmax
+    and draw.  With ``record`` the (B, length - first start) matrix of
+    dwell-fired flags is returned as well, False before each row's start.
     """
     prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
     b, width = prefix_ids.shape
@@ -277,32 +285,38 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     out[:, :width] = prefix_ids
     first = starts.min(initial=length)      # an empty batch takes no step
     fired = np.zeros((b, length - first), dtype=bool)
-    logits = np.empty((b, gen.config.n_locations))
-
-    def uniforms(active, kind):
-        return np.concatenate([getattr(s, kind).random(hi - lo)
-                               for lo, hi, s in zip(block_lo, block_hi[:active], streams)])
+    # Row r's uniforms for the step that fills position pos sit at [pos, r].
+    explore_u, dwell_u = np.empty((length, b)), np.empty((length, b))
+    for start, lo, hi, s in zip(block_starts, block_lo, block_hi, streams):
+        explore_u[start:, lo:hi] = s.explore.random((length - start, hi - lo))
+        if gen.config.dwell:
+            gated = max(start, 2)
+            dwell_u[gated:, lo:hi] = s.dwell.random((length - gated, hi - lo))
+    chunk = chunk_rows(gen.config.n_locations)
+    logits = np.empty((min(b, chunk), gen.config.n_locations))
 
     with no_grad():
         if hidden is None:
             states = gen.unroll(table, prefix_ids[:, :width - 1])
             hidden = nn.constant(np.stack([s.values for s in states])[starts - 1, np.arange(b)])
-        state, joined = nn.constant(hidden.values[:0]), 0
-        for pos in range(first, length):
-            active = np.searchsorted(block_starts, pos, side="right")
-            n = block_hi[active - 1]
-            if n > joined:
-                state = nn.constant(np.concatenate([state.values, hidden.values[joined:n]]))
-                joined = n
-            state = gen.gru_step(table, out[:n, pos - 1], state)
-            stay = np.zeros(n, dtype=bool)
-            if gen.config.dwell and pos > 1:
-                stay = uniforms(active, "dwell") < gen.stay_probs(state, out[:n, :pos]).values
-            explore = uniforms(active, "explore")
-            rows = np.flatnonzero(~stay)
-            out[:n, pos] = out[:n, pos - 1]          # where the gate fired, the row stays
-            out[rows, pos] = _explore_draw(gen, state, rows, explore[rows], logits[:n])
-            fired[:n, pos - first] = stay
+        for lo in range(0, b, chunk):
+            span = slice(lo, lo + chunk)
+            ids, rows_starts, rows_hidden = out[span], starts[span], hidden.values[span]
+            state, joined = nn.constant(rows_hidden[:0]), 0
+            for pos in range(rows_starts[0], length):
+                n = np.searchsorted(rows_starts, pos, side="right")
+                if n > joined:
+                    state = nn.constant(np.concatenate([state.values, rows_hidden[joined:n]]))
+                    joined = n
+                state = gen.gru_step(table, ids[:n, pos - 1], state)
+                stay = np.zeros(n, dtype=bool)
+                if gen.config.dwell and pos > 1:
+                    stay = dwell_u[pos, lo:lo + n] < gen.stay_probs(state, ids[:n, :pos]).values
+                explore = np.flatnonzero(~stay)
+                ids[:n, pos] = ids[:n, pos - 1]          # where the gate fired, the row stays
+                ids[explore, pos] = _explore_draw(gen, state, explore,
+                                                  explore_u[pos, lo + explore], logits[:n])
+                fired[lo:lo + n, pos - first] = stay
     if record:
         return out, fired
     return out

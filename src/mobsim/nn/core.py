@@ -156,10 +156,13 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic function of an array: 1/(1+e^-x) for x >= 0,
     e^x/(1+e^x) below, both through e = exp(-|x|) <= 1 (taken as
     exp(min(x, -x)), which also keeps the sign of a NaN input).  Each entry
-    is one division, of 1 or e by 1 + e."""
-    e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
+    is one division, of 1 or e by 1 + e; as e <= 1 (or NaN), the numerator is
+    max(x >= 0, e).  Every step after the first runs in place."""
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    out = np.maximum(x >= 0, e)
+    e += 1.0
+    out /= e
     return out
 
 

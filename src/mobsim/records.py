@@ -331,8 +331,13 @@ def _user_day_lines(path, third: str):
 
 
 def write_trajectories(path, trajectories: Trajectories):
-    lines = [f"{label},{' '.join(map(str, ids))}\n"
-             for label, ids in zip(_labels(trajectories), trajectories.ids.tolist())]
+    # Each distinct id is formatted once: a token table over [min, max],
+    # indexed by id - min.
+    ids = trajectories.ids
+    low, high = (int(ids.min()), int(ids.max())) if ids.size else (0, -1)
+    tokens = np.array([str(i) for i in range(low, high + 1)], dtype=object)
+    lines = [f"{label},{' '.join(row)}\n"
+             for label, row in zip(_labels(trajectories), tokens[ids - low].tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))
 

@@ -28,5 +28,8 @@ def stream(master_seed: int, name: str) -> np.random.Generator:
 def categorical(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per row of a (B, N) cumulative-probability matrix (or
     one (N,) row shared by all B draws): draw b takes the first index whose
-    cumulative mass exceeds ``uniforms[b]``."""
+    cumulative mass exceeds ``uniforms[b]``.  A shared row, which never
+    decreases, is binary-searched, so it builds no (B, N) comparison."""
+    if cdf.ndim == 1:
+        return np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
     return np.clip((uniforms[:, None] >= cdf).sum(axis=-1), 0, cdf.shape[-1] - 1)

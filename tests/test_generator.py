@@ -379,13 +379,48 @@ def test_complete_batch_matches_full_explore_oracle(gate, start, given_hidden):
                 "some": 0 < live.mean() < 1}[fires]
 
 
+def _assert_next_draws_equal(got, expected):
+    for kind in ("explore", "dwell", "seed"):
+        assert getattr(got, kind).random() == getattr(expected, kind).random(), kind
+
+
+@pytest.mark.parametrize("given_hidden", [False, True], ids=["unrolled", "given_hidden"])
+@pytest.mark.parametrize("start", [1, 3])
+@pytest.mark.parametrize("gate", list(_GATES))
+def test_chunked_pass_matches_full_explore_oracle(monkeypatch, gate, start, given_hidden):
+    # 40 rows in chunks of 7, the last one short, each chunk taking every
+    # step before the next: the samples, the fired flags and the position of
+    # every stream afterwards are those of the one-pass oracle.
+    overrides, bias, fires = _GATES[gate]
+    gen = _gen(seed=4, **overrides)
+    gen.params["dwell/bias"].values[:] = bias
+    with nn.no_grad():
+        table = gen.embed_locations()
+    rng = np.random.default_rng(start)
+    prefix = rng.integers(0, 8, size=(40, start))
+    hidden = nn.constant(rng.normal(size=(40, 4))) if given_hidden else None
+    want_streams = sample_streams(7, "c")
+    want, want_fired = complete_batch_full_explore(gen, table, prefix, 10, want_streams,
+                                                   record=True, hidden=hidden)
+    monkeypatch.setattr(generator, "chunk_rows", lambda n: 7)
+    streams = sample_streams(7, "c")
+    out, fired = complete_batch(gen, table, prefix, 10, streams, record=True, hidden=hidden)
+    assert_array_equal(out, want)
+    assert_array_equal(fired, want_fired)
+    _assert_next_draws_equal(streams, want_streams)
+    live = fired[:, max(0, 2 - start):]          # the gate is live from position 2
+    assert {"none": not live.any(), "all": live.all(),
+            "some": 0 < live.mean() < 1}[fires]
+
+
 @pytest.mark.parametrize("draw_rows", [None, 7], ids=["one_draw", "draws_of_7_rows"])
 @pytest.mark.parametrize("given_hidden", [False, True], ids=["unrolled", "given_hidden"])
 @pytest.mark.parametrize("gate", list(_GATES))
 def test_joined_pass_matches_one_call_per_block(monkeypatch, gate, given_hidden, draw_rows):
     # Blocks of unequal size joining at their own position must sample what
     # one call per block samples, samples and fired flags alike, and so must
-    # an exploration draw split into chunks of 7 rows.
+    # a pass run in chunks of 7 rows, whose edges straddle the blocks, and
+    # every stream must be left where one call per block leaves it.
     overrides, bias, fires = _GATES[gate]
     gen = _gen(seed=4, **overrides)
     gen.params["dwell/bias"].values[:] = bias
@@ -400,16 +435,18 @@ def test_joined_pass_matches_one_call_per_block(monkeypatch, gate, given_hidden,
     def given(rows):
         return nn.constant(hidden[rows]) if given_hidden else None
 
-    want = [complete_batch(gen, table, prefix[lo:hi, :start], length,
-                           sample_streams(7, f"o/l{start}"), record=True,
-                           hidden=given(slice(lo, hi)))
-            for lo, hi, start in zip(edges, edges[1:], starts)]
+    want_streams = [sample_streams(7, f"o/l{start}") for start in starts]
+    want = [complete_batch(gen, table, prefix[lo:hi, :start], length, streams,
+                           record=True, hidden=given(slice(lo, hi)))
+            for lo, hi, start, streams in zip(edges, edges[1:], starts, want_streams)]
     if draw_rows:
-        monkeypatch.setattr(generator, "_BLOCK_BYTES", 8 * 8 * draw_rows)
-    out, fired = complete_batch(gen, table, prefix, length,
-                                [sample_streams(7, f"o/l{start}") for start in starts],
+        monkeypatch.setattr(generator, "chunk_rows", lambda n: draw_rows)
+    joined_streams = [sample_streams(7, f"o/l{start}") for start in starts]
+    out, fired = complete_batch(gen, table, prefix, length, joined_streams,
                                 record=True, hidden=given(slice(None)),
                                 starts=np.repeat(starts, sizes))
+    for got, expected in zip(joined_streams, want_streams):
+        _assert_next_draws_equal(got, expected)
     assert fired.shape == (edges[-1], length - 1)
     for (block_out, block_fired), lo, hi, start in zip(want, edges, edges[1:], starts):
         assert_array_equal(out[lo:hi], block_out)
@@ -437,21 +474,32 @@ def test_complete_batch_rejects_bad_starts(starts, n_streams):
                        starts=np.array(starts))
 
 
-def test_complete_batch_draws_in_bounded_memory():
-    # The exploration softmax, cumsum and compare run block_rows(N) rows at a
-    # time, so only the (B, N) logits product is held at full size: sampling
-    # 4,096 rows at N=400 peaks under three (B, N) float64 arrays.
-    b, n = 4096, 400
+def _sampling_peak(b, n, length):
+    """tracemalloc peak of ``generate_batch`` of b rows at N=n: the seed draw
+    and complete_batch from prefix length 1."""
     gen = _gen(n=n)
-    with nn.no_grad():
-        table = gen.embed_locations()
     tracemalloc.start()
     try:
-        complete_batch(gen, table, np.zeros((b, 1), dtype=np.int64), 4, sample_streams(0, "m"))
-        peak = tracemalloc.get_traced_memory()[1]
+        generate_batch(gen, b, length, np.full(n, 1 / n), sample_streams(0, "m"))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * b * n * 8
+
+
+def test_complete_batch_draws_in_bounded_memory():
+    # The rows run in chunks of chunk_rows(N), so the (rows, N) arrays are
+    # the chunk's logits buffer and the softmax's two copies of it; the rest
+    # is per row (ids, uniforms, flags, hidden state).  Sampling 4,096 rows
+    # at N=400 peaks under four chunk budgets and 64 bytes per slot.
+    b, n, length = 4096, 400, 4
+    assert generator.chunk_rows(n) < b
+    assert _sampling_peak(b, n, length) < 4 * generator._CHUNK_BYTES + 64 * b * length
+
+
+def test_population_at_large_n_samples_in_bounded_memory():
+    # 30,000 rows at N=5,000: one (B, N) float64 array alone would take
+    # 1.2 GB, and one (B, N) bool comparison 150 MB.
+    assert _sampling_peak(30000, 5000, 4) < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------

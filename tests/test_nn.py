@@ -238,6 +238,8 @@ def test_sigmoid_bit_identical_to_masked_form(shape):
     x = np.random.default_rng(sum(shape)).normal(0.0, 8.0, size=shape)
     edges = np.array([0.0, -0.0, 800.0, -800.0, np.nan, np.inf, -np.inf])
     x.reshape(-1)[:len(edges)] = edges
+    # Whole rows of one edge value each, so that they fill vector lanes too.
+    x[-len(edges):] = edges[:, None]
     y = nn.sigmoid(_t(x, requires_grad=False)).values
     assert y.tobytes() == sigmoid_masked(x).tobytes()
 

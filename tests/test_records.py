@@ -230,6 +230,21 @@ def test_trajectory_roundtrip(tmp_path):
     _assert_same_rows(back, ds.trajectories)
 
 
+@pytest.mark.parametrize("ids", [
+    np.zeros((0, 24), dtype=np.int64),           # an empty table
+    np.array([[-3, 0, 12], [7, -3, -12]]),       # negative ids
+    np.array([[5, 5, 5]]),                       # one distinct id
+    np.array([[0, 99999], [1000, 7]]),
+], ids=["empty", "negative", "one_id", "wide_range"])
+def test_write_trajectories_writes_each_id_as_str(tmp_path, ids):
+    traj = records.Trajectories(np.array([f"u{i}" for i in range(len(ids))], dtype=str),
+                                np.full(len(ids), np.datetime64("2012-01-01", "D")), ids)
+    path = tmp_path / "t.txt"
+    records.write_trajectories(path, traj)
+    assert path.read_text() == "".join(f"u{i},2012-01-01,{' '.join(map(str, row))}\n"
+                                       for i, row in enumerate(ids.tolist()))
+
+
 def test_observed_roundtrip(tmp_path):
     traj = table(np.zeros((1, 24)), [((3, 1), (17, 0))])
     path = tmp_path / "obs.txt"

@@ -46,6 +46,18 @@ def test_categorical_inverse_cdf_convention():
     assert np.array_equal(categorical(cdf[0], u), categorical(np.repeat(cdf, 3, axis=0), u))
 
 
+def test_shared_row_draws_like_repeated_rows_at_ties():
+    # Zero-mass entries repeat a cumulative value, a uniform can equal one
+    # exactly, and a rounded total can fall short of 1.
+    rng = np.random.default_rng(5)
+    probs = rng.random(50) * (rng.random(50) < 0.5)
+    cdf = np.cumsum(probs / probs.sum())
+    u = np.concatenate([rng.random(2000), cdf, [0.0, np.nextafter(1.0, 0.0)]])
+    want = categorical(np.repeat(cdf[None], len(u), axis=0), u)
+    assert np.array_equal(categorical(cdf, u), want)
+    assert categorical(cdf, u).dtype == want.dtype
+
+
 def test_categorical_matches_empirical_frequencies():
     rng = np.random.default_rng(21)
     probs = np.array([0.1, 0.6, 0.3])
