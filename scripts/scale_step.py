@@ -80,7 +80,7 @@ def _load(n: int, path: str):
 
 def step(n: int, path: str) -> dict:
     gen, ids = _load(n, path)
-    optimizer = nn.make_optimizer("adam", gen.params, 0.01)
+    optimizer = nn.Adam(gen.params, 0.01)
     rng = np.random.default_rng(0)
     times = []
     for _ in range(STEPS):

@@ -225,6 +225,8 @@ def _write_split_outputs(out_dir, dataset: Dataset, ratios, seed):
 def cmd_preprocess(args) -> None:
     if args.slots < 2:
         raise CliValidationError(f"--slots must be at least 2, got {args.slots}")
+    if not args.delimiter:
+        raise CliValidationError("--delimiter must not be empty")
     ratios = _parse_ratios(args.ratios)
     with _input_file(args.input, "input"), open(args.input, encoding="utf-8") as fh:
         parsed, id_map = records.parse_checkins(fh, delimiter=args.delimiter)
@@ -285,14 +287,13 @@ def _load_train(args) -> Dataset:
     return train
 
 
-def _build_graphs(train: Dataset, graph_config: graphs.GraphConfig) -> dict:
+def _build_graphs(train: Dataset, k: int) -> dict:
     """The weighted sdg, ttg and stg channels of a train split; a ``k``
     outside [1, N - 1] exits 1."""
     n = train.n_locations
-    k = graph_config.k
     with _rejected():
         return {
-            "sdg": graphs.build_sdg(train.locations, k=k, metric=graph_config.metric),
+            "sdg": graphs.build_sdg(train.locations, k=k),
             "ttg": graphs.build_ttg(train.trajectories.ids, n),
             "stg": graphs.build_stg(graphs.visit_profile_matrix(train.trajectories, n), k=k),
         }
@@ -302,7 +303,7 @@ def cmd_build_graphs(args) -> None:
     config = resolve_config(args)
     graph_config = _make_config(graphs.GraphConfig, config)
     train = _load_train(args)
-    built = _build_graphs(train, graph_config)
+    built = _build_graphs(train, graph_config.k)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, graph in built.items():
         if graph_config.edge_mode == "vanilla":
@@ -441,7 +442,7 @@ def cmd_ablation(args) -> None:
     train = _load_train(args)
     valid, test = (_load_split(path, label, train.locations, train.trajectories.ids.shape[1])
                    for label, path in (("valid", args.valid), ("test", args.test)))
-    weighted = _build_graphs(train, graph_config)
+    weighted = _build_graphs(train, graph_config.k)
     by_mode = {"weighted": weighted,
                "vanilla": {name: graphs.binarize(g) for name, g in weighted.items()}}
     os.makedirs(args.out_dir, exist_ok=True)

@@ -196,8 +196,8 @@ class Generator:
         # nn.gather_rows checks the ids it embeds, but not all of these reach
         # it: the last column of sequence_nll is only a cross-entropy target
         # (an id of N or more raises IndexError there, a negative one wraps
-        # into a wrong loss), and when complete_batch is given ``hidden``,
-        # only the last column of each row's prefix reaches gather_rows.
+        # into a wrong loss), and complete_batch feeds only the last column
+        # of each row's prefix to gather_rows.
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.n_locations):
             raise ValueError(f"location ids outside [0, {self.config.n_locations})")
 
@@ -237,19 +237,17 @@ def _explore_draw(gen: Generator, hidden: Tensor, rows: np.ndarray, uniforms: np
 
 
 def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length: int,
-                   streams: SampleStreams | list, record: bool = False,
-                   hidden: Tensor | None = None, starts: np.ndarray | None = None):
+                   streams: list, hidden: Tensor, starts: np.ndarray, record: bool = False):
     """Extend each row of a (B, w) prefix batch to ``length`` slots by sampling.
 
     Rows may join the pass at their own position.  ``starts`` gives each
-    row's prefix length, non-decreasing down the batch (all w columns when
-    omitted); the columns of ``prefix_ids`` past a row's start are ignored
-    but must hold valid ids.  The rows sharing a start form a block, and
-    ``streams`` holds one ``SampleStreams`` per block in order (a single one
-    when ``starts`` is omitted).  At step ``pos`` the active rows are the
-    leading blocks whose start is at most ``pos``.  A block joins with its
-    rows of ``hidden``, the GRU state after all but the last column of each
-    row's prefix, computed by a teacher-forced pass when omitted.  A joined
+    row's prefix length, non-decreasing down the batch; the columns of
+    ``prefix_ids`` past a row's start are ignored but must hold valid ids.
+    The rows sharing a start form a block, and ``streams`` holds one
+    ``SampleStreams`` per block in order.  At step ``pos`` the active rows
+    are the leading blocks whose start is at most ``pos``.  A block joins
+    with its rows of ``hidden``, the (B, H) GRU state after all but the last
+    column of each row's prefix (zeros for a one-slot prefix).  A joined
     pass samples what one call per block would, draw for draw.
 
     Each block consumes its dwell stream only at steps where the dwell branch
@@ -268,8 +266,6 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     b, width = prefix_ids.shape
     if not 1 <= width <= length:
         raise ValueError(f"prefix length {width} outside [1, {length}]")
-    if starts is None:
-        starts, streams = np.full(b, width), [streams]
     starts = np.asarray(starts, dtype=np.int64)
     if (starts.shape != (b,) or np.any(np.diff(starts) < 0)
             or np.any((starts < 1) | (starts > width))):
@@ -296,9 +292,6 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     logits = np.empty((min(b, chunk), gen.config.n_locations))
 
     with no_grad():
-        if hidden is None:
-            states = gen.unroll(table, prefix_ids[:, :width - 1])
-            hidden = nn.constant(np.stack([s.values for s in states])[starts - 1, np.arange(b)])
         for lo in range(0, b, chunk):
             span = slice(lo, lo + chunk)
             ids, rows_starts, rows_hidden = out[span], starts[span], hidden.values[span]
@@ -333,8 +326,10 @@ def seed_distribution(batch_ids: np.ndarray, n_locations: int) -> np.ndarray:
 def generate_batch(gen: Generator, count: int, length: int, seed_dist: np.ndarray,
                    streams: SampleStreams, record: bool = False):
     """Sample ``count`` trajectories from scratch, seeding the first slot from
-    the given distribution."""
+    the given distribution: one block of one-slot prefixes, each joining the
+    pass from the zero state."""
     with no_grad():
         table = gen.embed_locations(training=False)
     seeds = categorical(np.cumsum(seed_dist), streams.seed.random(count))
-    return complete_batch(gen, table, seeds[:, None], length, streams, record=record)
+    return complete_batch(gen, table, seeds[:, None], length, [streams],
+                          gen.zero_hidden(count), np.ones(count, dtype=np.int64), record=record)

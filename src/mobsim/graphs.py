@@ -3,7 +3,7 @@
 Three directed channels share one container type:
 
 * ``sdg``: each location points at its k nearest neighbours by great-circle
-  (or planar) distance, weight 1 / (1 + d);
+  distance, weight 1 / (1 + d);
 * ``ttg``: an edge per observed consecutive transition between distinct
   locations, weight = transition count over the training split;
 * ``stg``: each location points at the k locations with the most similar
@@ -40,16 +40,13 @@ def haversine_km(lat1, lon1, lat2, lon2):
 @dataclass
 class GraphConfig:
     """The options of a graph build: the neighbour budget ``k`` of the kNN
-    channels (its range depends on N, so the builders check it), the sdg
-    distance ``metric``, and the ``edge_mode`` the channels are used in."""
+    channels (its range depends on N, so the builders check it) and the
+    ``edge_mode`` the channels are used in."""
 
     k: int = 20
-    metric: str = "haversine"        # haversine | euclidean
     edge_mode: str = "weighted"      # weighted | vanilla
 
     def __post_init__(self):
-        if self.metric not in ("haversine", "euclidean"):
-            raise ValueError(f"unknown metric {self.metric!r}")
         if self.edge_mode not in ("weighted", "vanilla"):
             raise ValueError(f"unknown edge_mode {self.edge_mode!r}")
 
@@ -126,26 +123,18 @@ def _top_k_peers(score_rows, n: int, k: int, largest: bool):
     return np.concatenate(src_all), np.concatenate(dst_all), np.concatenate(score_all)
 
 
-def build_sdg(coords: np.ndarray, k: int = 20, metric: str = "haversine") -> LocationGraph:
-    """Spatial kNN graph: each location points at its k nearest others.
-
-    ``metric`` is ``haversine`` (km) or ``euclidean`` (plain degrees, kept for
-    parity with planar studies).  Edge weight is 1 / (1 + distance).
-    """
+def build_sdg(coords: np.ndarray, k: int = 20) -> LocationGraph:
+    """Spatial kNN graph: each location points at its k nearest others by
+    great-circle distance d in km, with edge weight 1 / (1 + d)."""
     coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
     if n < 2:
         raise ValueError("need at least 2 locations")
-    if metric == "haversine":
-        def distances(start, stop):
-            return haversine_km(coords[start:stop, 0:1], coords[start:stop, 1:2],
-                                coords[None, :, 0], coords[None, :, 1])
-    elif metric == "euclidean":
-        def distances(start, stop):
-            diff = coords[start:stop, None, :] - coords[None, :, :]
-            return np.sqrt((diff ** 2).sum(axis=2))
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+
+    def distances(start, stop):
+        return haversine_km(coords[start:stop, 0:1], coords[start:stop, 1:2],
+                            coords[None, :, 0], coords[None, :, 1])
+
     src, dst, dist = _top_k_peers(distances, n, k, largest=False)
     return LocationGraph("sdg", "weighted", n, src, dst, 1.0 / (1.0 + dist), k=k)
 

@@ -1,5 +1,5 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays, plus the layers,
-optimizers, and checkpoint format built on it."""
+the Adam optimizer, and the checkpoint format built on it."""
 
 from .core import (
     Tensor,
@@ -22,5 +22,5 @@ from .core import (
 )
 from .layers import linear, GruParams, gru_cell, init_gru
 from .attention import GraphEdges, HeadParams, graph_attention, graph_edges, init_heads
-from .optim import Sgd, Adam, make_optimizer
+from .optim import Adam
 from .checkpoint import save_checkpoint, load_checkpoint

@@ -1,24 +1,10 @@
-"""Plain SGD and Adam over a ParamSet."""
+"""Adam over a ParamSet, the one optimizer training uses."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .core import ParamSet
-
-
-class Sgd:
-    def __init__(self, params: ParamSet, lr: float = 0.01):
-        self.params = params
-        self.lr = lr
-
-    def step(self):
-        for _, tensor in self.params.items():
-            tensor.values -= self.lr * tensor.grad
-
-    def zero_grad(self):
-        self.params.zero_grad()
-
 
 # Adam's moment decay rates and denominator offset (Kingma and Ba's defaults).
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -47,11 +33,3 @@ class Adam:
 
     def zero_grad(self):
         self.params.zero_grad()
-
-
-def make_optimizer(kind: str, params: ParamSet, lr: float):
-    if kind == "adam":
-        return Adam(params, lr)
-    if kind == "sgd":
-        return Sgd(params, lr)
-    raise ValueError(f"unknown optimizer {kind!r}")

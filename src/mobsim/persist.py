@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .discriminator import Discriminator, DiscriminatorConfig
+from .discriminator import Discriminator
 from .generator import ConfigError, Generator, GeneratorConfig
 from .nn import load_checkpoint, save_checkpoint
 from .records import (CheckinFormatError, _bool_field, _fields, _float_field, _int_field,
@@ -109,18 +109,15 @@ def save_generator(prefix, gen: Generator, seed_dist: np.ndarray, slots: int):
                                    "slots": slots, "seed_distribution": seed_dist})
 
 
-def load_generator(prefix, graphs: dict, meta: Meta | None = None):
-    """Rebuild a generator from ``<prefix>.ckpt`` / ``<prefix>.meta``.
-
-    ``meta`` is the meta file if the caller has read it already; ``graphs``
-    must contain the channels it names.  Returns ``(generator,
+def load_generator(prefix, graphs: dict, meta: Meta):
+    """Rebuild a generator from ``<prefix>.ckpt`` and ``meta``, the fields of
+    ``<prefix>.meta`` as :func:`read_model_meta` reads them; ``graphs`` must
+    contain the channels the meta names.  Returns ``(generator,
     seed_distribution)``.  Every meta field is required: a missing or
     malformed one, or one that builds no model with ``graphs``, raises
     :class:`CheckinFormatError` naming it, and a checkpoint that does not
     fit raises :class:`CheckpointError`.
     """
-    if meta is None:
-        meta = read_model_meta(f"{prefix}.meta", "generator")
     try:
         config = _read_config(GeneratorConfig, meta)
         seed_dist = meta.field("seed_distribution", _distribution, config.n_locations)
@@ -134,10 +131,3 @@ def load_generator(prefix, graphs: dict, meta: Meta | None = None):
 def save_discriminator(prefix, disc: Discriminator):
     save_checkpoint(f"{prefix}.ckpt", disc.params)
     _write_meta(f"{prefix}.meta", {"kind": "discriminator", **dataclasses.asdict(disc.config)})
-
-
-def load_discriminator(prefix) -> Discriminator:
-    meta = read_model_meta(f"{prefix}.meta", "discriminator")
-    disc = Discriminator(_read_config(DiscriminatorConfig, meta))
-    _load_params(disc.params, f"{prefix}.ckpt")
-    return disc

@@ -9,7 +9,8 @@ fired, exploration softmax entry otherwise) receives the credit.  The
 completions of several prefix lengths are sampled and scored in one pass,
 each length's rows joining at its own position, so a reward table takes a
 few large passes instead of one small pass per prefix length.  The
-discriminator ascends mean log D(real) + mean log(1 - D(fake)).
+discriminator ascends mean log D(real) + mean log(1 - D(fake)).  Every phase
+steps its parameters with Adam.
 """
 
 from __future__ import annotations
@@ -45,12 +46,10 @@ class TrainConfig:
     d_pretrain_epochs: int = 3
     batch_size: int = 32
     lr: float = 0.01
-    optimizer: str = "adam"
     rollouts: int = 16
     g_steps: int = 1
     d_steps: int = 1
     seed: int = 0
-    baseline: bool = True
     baseline_decay: float = 0.9
     eval_count: int = 0            # trajectories generated per validation pass; 0 = |valid|
     steps_per_epoch: int = 0       # adversarial iterations per epoch; 0 = ceil(|train| / batch)
@@ -68,8 +67,10 @@ class TrainConfig:
             raise ValueError("g_steps and d_steps must be positive")
         if not 0.0 <= self.baseline_decay < 1.0:
             raise ValueError("baseline_decay must lie in [0, 1)")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.eval_count < 0:
+            raise ValueError("eval_count must be non-negative (0 means |valid|)")
+        if self.steps_per_epoch < 0:
+            raise ValueError("steps_per_epoch must be non-negative (0 means |train| / batch)")
 
 
 def _check_finite(params: nn.ParamSet, where: str):
@@ -111,7 +112,7 @@ def pretrain_generator(gen: Generator, train_ids: np.ndarray, config: TrainConfi
     Epoch 0 logs the starting NLL before any update.  The dwell BCE term is
     dropped when the generator's dwell branch is disabled.
     """
-    optimizer = nn.make_optimizer(config.optimizer, gen.params, config.lr)
+    optimizer = nn.Adam(gen.params, config.lr)
     shuffle_rng = stream(config.seed, "pretrain_g/shuffle")
     dropout_rng = stream(config.seed, "pretrain_g/dropout")
     log = [f"phase=pretrain_g epoch=0 nll={mean_nll(gen, train_ids)!r}"]
@@ -137,7 +138,7 @@ def pretrain_generator(gen: Generator, train_ids: np.ndarray, config: TrainConfi
 def pretrain_discriminator(disc: Discriminator, gen: Generator, train_ids: np.ndarray,
                            config: TrainConfig):
     """Fit the discriminator on real batches against freshly sampled fakes."""
-    optimizer = nn.make_optimizer(config.optimizer, disc.params, config.lr)
+    optimizer = nn.Adam(disc.params, config.lr)
     shuffle_rng = stream(config.seed, "pretrain_d/shuffle")
     seed_dist = seed_distribution(train_ids, gen.config.n_locations)
     length = train_ids.shape[1]
@@ -233,7 +234,7 @@ def sequence_log_prob(gen: Generator, batch_ids: np.ndarray, fired: np.ndarray,
 
 def policy_gradient_step(gen: Generator, optimizer, batch_ids: np.ndarray,
                          fired: np.ndarray, rewards: np.ndarray, baseline: float,
-                         rng=None, training: bool = True) -> float:
+                         rng=None) -> float:
     """One REINFORCE ascent step.
 
     The step that produced position l+1 is credited with the reward of the
@@ -241,8 +242,7 @@ def policy_gradient_step(gen: Generator, optimizer, batch_ids: np.ndarray,
     the baseline.  Returns the mean weighted log-probability objective.
     """
     weights = rewards[:, 1:] - baseline
-    objective = sequence_log_prob(gen, batch_ids, fired, weights,
-                                  training=training, rng=rng)
+    objective = sequence_log_prob(gen, batch_ids, fired, weights, training=True, rng=rng)
     optimizer.zero_grad()
     nn.neg(objective).backward()
     optimizer.step()
@@ -262,16 +262,15 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
     seed_dist = seed_distribution(train_ids, gen.config.n_locations)
     eval_count = config.eval_count or len(valid)
     per_epoch = config.steps_per_epoch or math.ceil(len(train_ids) / config.batch_size)
-    g_opt = nn.make_optimizer(config.optimizer, gen.params, config.lr)
-    d_opt = nn.make_optimizer(config.optimizer, disc.params, config.lr)
+    g_opt = nn.Adam(gen.params, config.lr)
+    d_opt = nn.Adam(disc.params, config.lr)
     shuffle_rng = stream(config.seed, "adv/shuffle")
     dropout_rng = stream(config.seed, "adv/dropout")
 
     best_gen = gen.params.copy()
     best_disc = disc.params.copy()
     best_score = math.inf
-    baseline = 0.0
-    baseline_ready = False
+    baseline = None                 # the EMA of the mean reward, from the first batch on
     log = []
 
     real_pool = iter(())
@@ -286,12 +285,10 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
                                               streams, record=True)
                 rewards = compute_rewards(gen, disc, batch, config.rollouts,
                                           config.seed, f"{tag}/reward")
-                if config.baseline:
-                    mean_r = float(rewards.mean())
-                    baseline = (mean_r if not baseline_ready
-                                else config.baseline_decay * baseline
-                                + (1.0 - config.baseline_decay) * mean_r)
-                    baseline_ready = True
+                mean_r = float(rewards.mean())
+                baseline = (mean_r if baseline is None
+                            else config.baseline_decay * baseline
+                            + (1.0 - config.baseline_decay) * mean_r)
                 g_objective += policy_gradient_step(gen, g_opt, batch, fired, rewards,
                                                     baseline, rng=dropout_rng)
                 _check_finite(gen.params, f"policy gradient epoch {epoch} step {step}")

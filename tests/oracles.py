@@ -220,6 +220,18 @@ def gru_cell_composed(x, z_prev, p):
     return add(mul(sub(1.0, u), z_prev), mul(u, cand))
 
 
+def teacher_forced_start(gen, table, prefix_ids):
+    """The ``hidden`` and ``starts`` that start ``generator.complete_batch``
+    from every column of a (B, w) prefix batch: the GRU state after its first
+    w - 1 columns, from a teacher-forced pass, and w for every row."""
+    from mobsim import nn
+
+    prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
+    b, width = prefix_ids.shape
+    with nn.no_grad():
+        return gen.unroll(table, prefix_ids[:, :-1])[-1], np.full(b, width)
+
+
 def compute_rewards_replayed(gen, disc, batch_ids, n_rollouts, master_seed, tag):
     """Monte Carlo rewards with every completion replayed from slot 0: the
     generator re-runs each tiled prefix and the discriminator scores each
@@ -236,19 +248,21 @@ def compute_rewards_replayed(gen, disc, batch_ids, n_rollouts, master_seed, tag)
         for l in range(1, length):
             streams = sample_streams(master_seed, f"{tag}/l{l}")
             tiled = np.repeat(batch_ids[:, :l], n_rollouts, axis=0)
-            completed = complete_batch(gen, table, tiled, length, streams)
+            completed = complete_batch(gen, table, tiled, length, [streams],
+                                       *teacher_forced_start(gen, table, tiled))
             scores = disc.classify(completed).values.reshape(b, n_rollouts)
             rewards[:, l - 1] = scores.mean(axis=1)
         rewards[:, length - 1] = disc.classify(batch_ids).values
     return rewards
 
 
-def complete_batch_full_explore(gen, table, prefix_ids, length, streams, record=False,
-                                hidden=None):
+def complete_batch_full_explore(gen, table, prefix_ids, length, streams, hidden,
+                                record=False):
     """The sampler with the exploration softmax and draw run on every row at
-    every step, a fired dwell gate then overriding the draw.  The reference
-    for ``generator.complete_batch``, which draws only for the rows whose
-    gate did not fire."""
+    every step, a fired dwell gate then overriding the draw, every row
+    starting from all its prefix columns and its row of ``hidden``.  The
+    reference for ``generator.complete_batch``, which draws only for the
+    rows whose gate did not fire."""
     from mobsim import nn
     from mobsim.rng import categorical
 
@@ -258,8 +272,6 @@ def complete_batch_full_explore(gen, table, prefix_ids, length, streams, record=
     out[:, :start] = prefix_ids
     fired = np.zeros((b, length - start), dtype=bool)
     with nn.no_grad():
-        if hidden is None:
-            hidden = gen.unroll(table, prefix_ids[:, :-1])[-1]
         current = out[:, start - 1]
         for pos in range(start, length):
             hidden = gen.gru_step(table, current, hidden)

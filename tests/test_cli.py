@@ -503,11 +503,10 @@ PARENT_TRAIN_DEFAULTS = {
     "embed_dim": 32, "hidden_dim": 32, "layers": 1, "heads": 1,
     "channels": ("sdg", "ttg", "stg"), "dropout": 0.6, "beta": 1.0, "dwell": True,
     "epochs": 50, "pretrain_epochs": 10, "d_pretrain_epochs": 3, "batch_size": 32,
-    "lr": 0.01, "optimizer": "adam", "rollouts": 16, "g_steps": 1, "d_steps": 1,
-    "seed": 0, "baseline": True, "baseline_decay": 0.9, "eval_count": 0,
-    "steps_per_epoch": 0,
+    "lr": 0.01, "rollouts": 16, "g_steps": 1, "d_steps": 1, "seed": 0,
+    "baseline_decay": 0.9, "eval_count": 0, "steps_per_epoch": 0,
 }
-ABLATION_DEFAULTS = {"k": 20, "metric": "haversine", "edge_mode": "weighted"}
+ABLATION_DEFAULTS = {"k": 20, "edge_mode": "weighted"}
 
 
 def _subparser(command):
@@ -602,6 +601,16 @@ def test_bad_model_flag_is_exit_1_naming_it(pipeline, tmp_path, capsys, extra, m
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("option", ["eval-count", "steps-per-epoch"])
+def test_negative_auto_sized_training_option_is_exit_1(pipeline, tmp_path, capsys, option):
+    # 0 derives the count from the data; a negative one means no count.
+    argv = ["train", "--valid", str(pipeline / "data" / "valid.txt"), "--epochs", "1",
+            f"--{option}=-1", *_pretrain_args(pipeline, tmp_path / "m")[1:]]
+    assert main(argv) == 1
+    assert f"{option.replace('-', '_')} must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("lr=nan", "field 'lr': not finite: 'nan'"),
     ("dwell=2", "field 'dwell': not a bool: '2'"),
@@ -614,13 +623,11 @@ def test_bad_config_value_is_exit_1_naming_its_line(pipeline, tmp_path, capsys, 
     assert f"{cfg}:2: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dwell, baseline", [("true", "no"), ("Yes", "FALSE"), ("0", "1")])
-def test_bool_flags_take_the_config_spellings(pipeline, tmp_path, dwell, baseline):
-    assert main(_pretrain_args(pipeline, tmp_path) + ["--dwell", dwell,
-                                                      "--baseline", baseline]) == 0
+@pytest.mark.parametrize("dwell", ["true", "Yes", "0"])
+def test_bool_flags_take_the_config_spellings(pipeline, tmp_path, dwell):
+    assert main(_pretrain_args(pipeline, tmp_path) + ["--dwell", dwell]) == 0
     config = _manifest_config(tmp_path)
-    assert (config["dwell"], config["baseline"]) == (dwell.lower() in ("true", "yes", "1"),
-                                                     baseline.lower() in ("true", "yes", "1"))
+    assert config["dwell"] == (dwell.lower() in ("true", "yes", "1"))
     meta = (tmp_path / "gen.meta").read_text().splitlines()
     assert f"dwell={int(config['dwell'])}" in meta
 
@@ -645,7 +652,7 @@ def test_ablation_bad_graph_option_in_config_is_exit_1(pipeline, tmp_path, capsy
     data = pipeline / "data"
     cfg = tmp_path / "abl.cfg"
     for line, message in (("edge_mode=dense", "unknown edge_mode 'dense'"),
-                          ("metric=manhattan", "unknown metric 'manhattan'"),
+                          ("metric=haversine", "field 'metric': unknown config key"),
                           ("channels=sdg,xyz", "no graph supplied for channels ['xyz']")):
         cfg.write_text(line + "\n")
         assert main(["ablation", "--train", str(data / "train.txt"),
@@ -733,6 +740,13 @@ def test_preprocess_below_two_slots_is_exit_1(tmp_path, checkin_file, capsys, sl
     assert main(["preprocess", "--input", checkin_file, "--out-dir", str(tmp_path / "p"),
                  "--slots", slots]) == 1
     assert "--slots must be at least 2" in capsys.readouterr().err
+
+
+def test_preprocess_empty_delimiter_is_exit_1(tmp_path, checkin_file, capsys):
+    assert main(["preprocess", "--input", checkin_file, "--out-dir", str(tmp_path / "p"),
+                 "--delimiter", ""]) == 1
+    assert "--delimiter must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_generate_below_two_slots_is_exit_1(pipeline, tmp_path, capsys):

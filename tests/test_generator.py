@@ -15,7 +15,7 @@ from mobsim.generator import (
     seed_distribution,
 )
 from gradcheck import grad_check
-from oracles import complete_batch_full_explore, tsum
+from oracles import complete_batch_full_explore, teacher_forced_start, tsum
 
 
 def _cycle_graph(n):
@@ -218,12 +218,18 @@ def test_sequence_nll_gradients():
 # batch completion
 
 
+def _complete(gen, table, prefix, length, streams, record=False):
+    """``complete_batch`` of one block, from every column of ``prefix``."""
+    return complete_batch(gen, table, prefix, length, [streams],
+                          *teacher_forced_start(gen, table, prefix), record=record)
+
+
 def test_complete_batch_preserves_prefix():
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
     prefix = np.array([[1, 2, 3], [4, 5, 6]])
-    out = complete_batch(gen, table, prefix, 10, sample_streams(0, "t"))
+    out = _complete(gen, table, prefix, 10, sample_streams(0, "t"))
     assert out.shape == (2, 10)
     assert np.array_equal(out[:, :3], prefix)
     assert out.min() >= 0 and out.max() < 8
@@ -234,9 +240,9 @@ def test_complete_batch_deterministic():
     with nn.no_grad():
         table = gen.embed_locations()
     prefix = np.array([[0], [7]])
-    a = complete_batch(gen, table, prefix, 24, sample_streams(5, "t"))
-    b = complete_batch(gen, table, prefix, 24, sample_streams(5, "t"))
-    c = complete_batch(gen, table, prefix, 24, sample_streams(6, "t"))
+    a = _complete(gen, table, prefix, 24, sample_streams(5, "t"))
+    b = _complete(gen, table, prefix, 24, sample_streams(5, "t"))
+    c = _complete(gen, table, prefix, 24, sample_streams(6, "t"))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -247,8 +253,7 @@ def test_fired_flags_mark_repeats():
     with nn.no_grad():
         table = gen.embed_locations()
     prefix = np.zeros((64, 1), dtype=np.int64)
-    out, fired = complete_batch(gen, table, prefix, 24, sample_streams(9, "t"),
-                                record=True)
+    out, fired = _complete(gen, table, prefix, 24, sample_streams(9, "t"), record=True)
     assert fired.shape == (64, 23)
     assert fired.any()
     stays = out[:, 1:] == out[:, :-1]
@@ -267,8 +272,8 @@ def test_disabling_dwell_keeps_exploration_draws():
         t_active = active.embed_locations()
         t_inert = inert.embed_locations()
     prefix = np.array([[2], [6], [1]])
-    a = complete_batch(active, t_active, prefix, 24, sample_streams(1, "x"))
-    b = complete_batch(inert, t_inert, prefix, 24, sample_streams(1, "x"))
+    a = _complete(active, t_active, prefix, 24, sample_streams(1, "x"))
+    b = _complete(inert, t_inert, prefix, 24, sample_streams(1, "x"))
     assert np.array_equal(a, b)
 
 
@@ -277,7 +282,7 @@ def test_rollout_returns_prefix_copy_at_full_length():
     with nn.no_grad():
         table = gen.embed_locations()
     prefix = np.array([[3, 1, 4]])
-    out = complete_batch(gen, table, prefix, 3, sample_streams(0, "r"))
+    out = _complete(gen, table, prefix, 3, sample_streams(0, "r"))
     assert np.array_equal(out, prefix)
     out[0, 0] = 7
     assert prefix[0, 0] == 3                     # caller's array untouched
@@ -287,7 +292,7 @@ def test_rollout_extends():
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
-    out = complete_batch(gen, table, [[3, 1]], 8, sample_streams(0, "r"))
+    out = _complete(gen, table, [[3, 1]], 8, sample_streams(0, "r"))
     assert out.shape == (1, 8)
     assert out[0, 0] == 3 and out[0, 1] == 1
 
@@ -299,8 +304,8 @@ def test_complete_batch_is_pure():
     prefix = np.array([[1, 4], [6, 6]])
     before = prefix.copy()
     table_before = table.values.copy()
-    a = complete_batch(gen, table, prefix, 9, sample_streams(2, "p"))
-    b = complete_batch(gen, table, prefix, 9, sample_streams(2, "p"))
+    a = _complete(gen, table, prefix, 9, sample_streams(2, "p"))
+    b = _complete(gen, table, prefix, 9, sample_streams(2, "p"))
     assert np.array_equal(prefix, before)
     assert np.array_equal(table.values, table_before)
     assert np.array_equal(a, b)
@@ -320,7 +325,7 @@ def test_state_from_prefix_counts_everything():
         return stay_probs(hidden, prefix)
 
     gen.stay_probs = spy
-    complete_batch(gen, table, np.array([[2, 2, 5]]), 4, sample_streams(0, "c"))
+    _complete(gen, table, np.array([[2, 2, 5]]), 4, sample_streams(0, "c"))
     counts, current = np.bincount(seen[0][0], minlength=8)[None], seen[0][:, -1]
     assert counts[0, 2] == 2 and counts[0, 5] == 1 and counts.sum() == 3
     assert current[0] == 5
@@ -332,13 +337,13 @@ def test_next_location_gate():
     with nn.no_grad():
         table = gen.embed_locations()
     streams = sample_streams(0, "gate")
-    out, fired = complete_batch(gen, table, np.arange(8)[:, None], 6, streams, record=True)
+    out, fired = _complete(gen, table, np.arange(8)[:, None], 6, streams, record=True)
     # A length-1 prefix keeps the gate closed: the first step explores.
     assert not fired[:, 0].any()
     # Once the prefix is longer, a certain dwell stays at every step.
     assert fired[:, 1:].all()
     assert np.all(out[:, 2:] == out[:, 1:2])
-    out, fired = complete_batch(gen, table, np.array([[3, 5]]), 5, streams, record=True)
+    out, fired = _complete(gen, table, np.array([[3, 5]]), 5, streams, record=True)
     assert fired.all() and np.all(out[0, 2:] == 5)
 
 
@@ -365,12 +370,13 @@ def test_complete_batch_matches_full_explore_oracle(gate, start, given_hidden):
         table = gen.embed_locations()
     rng = np.random.default_rng(start)
     prefix = rng.integers(0, 8, size=(64, start))
-    hidden = nn.constant(rng.normal(size=(64, 4))) if given_hidden else None
-    out, fired = complete_batch(gen, table, prefix, 10, sample_streams(7, "o"),
-                                record=True, hidden=hidden)
+    hidden, starts = teacher_forced_start(gen, table, prefix)
+    if given_hidden:
+        hidden = nn.constant(rng.normal(size=(64, 4)))
+    out, fired = complete_batch(gen, table, prefix, 10, [sample_streams(7, "o")], hidden,
+                                starts, record=True)
     want, want_fired = complete_batch_full_explore(gen, table, prefix, 10,
-                                                   sample_streams(7, "o"), record=True,
-                                                   hidden=hidden)
+                                                   sample_streams(7, "o"), hidden, record=True)
     assert_array_equal(out, want)
     assert_array_equal(fired, want_fired)
     live = fired[:, max(0, 2 - start):]          # the gate is live from position 2
@@ -398,13 +404,15 @@ def test_chunked_pass_matches_full_explore_oracle(monkeypatch, gate, start, give
         table = gen.embed_locations()
     rng = np.random.default_rng(start)
     prefix = rng.integers(0, 8, size=(40, start))
-    hidden = nn.constant(rng.normal(size=(40, 4))) if given_hidden else None
+    hidden, starts = teacher_forced_start(gen, table, prefix)
+    if given_hidden:
+        hidden = nn.constant(rng.normal(size=(40, 4)))
     want_streams = sample_streams(7, "c")
     want, want_fired = complete_batch_full_explore(gen, table, prefix, 10, want_streams,
-                                                   record=True, hidden=hidden)
+                                                   hidden, record=True)
     monkeypatch.setattr(generator, "chunk_rows", lambda n: 7)
     streams = sample_streams(7, "c")
-    out, fired = complete_batch(gen, table, prefix, 10, streams, record=True, hidden=hidden)
+    out, fired = complete_batch(gen, table, prefix, 10, [streams], hidden, starts, record=True)
     assert_array_equal(out, want)
     assert_array_equal(fired, want_fired)
     _assert_next_draws_equal(streams, want_streams)
@@ -432,19 +440,23 @@ def test_joined_pass_matches_one_call_per_block(monkeypatch, gate, given_hidden,
     prefix = rng.integers(0, 8, size=(edges[-1], max(starts)))
     hidden = rng.normal(size=(edges[-1], 4))
 
-    def given(rows):
-        return nn.constant(hidden[rows]) if given_hidden else None
+    blocks = list(zip(edges, edges[1:], starts))
+
+    def given(lo, hi, start):
+        if given_hidden:
+            return nn.constant(hidden[lo:hi])
+        return teacher_forced_start(gen, table, prefix[lo:hi, :start])[0]
 
     want_streams = [sample_streams(7, f"o/l{start}") for start in starts]
-    want = [complete_batch(gen, table, prefix[lo:hi, :start], length, streams,
-                           record=True, hidden=given(slice(lo, hi)))
-            for lo, hi, start, streams in zip(edges, edges[1:], starts, want_streams)]
+    want = [complete_batch(gen, table, prefix[lo:hi, :start], length, [streams],
+                           given(lo, hi, start), np.full(hi - lo, start), record=True)
+            for (lo, hi, start), streams in zip(blocks, want_streams)]
     if draw_rows:
         monkeypatch.setattr(generator, "chunk_rows", lambda n: draw_rows)
     joined_streams = [sample_streams(7, f"o/l{start}") for start in starts]
     out, fired = complete_batch(gen, table, prefix, length, joined_streams,
-                                record=True, hidden=given(slice(None)),
-                                starts=np.repeat(starts, sizes))
+                                nn.constant(np.concatenate([given(*b).values for b in blocks])),
+                                np.repeat(starts, sizes), record=True)
     for got, expected in zip(joined_streams, want_streams):
         _assert_next_draws_equal(got, expected)
     assert fired.shape == (edges[-1], length - 1)
@@ -471,13 +483,13 @@ def test_complete_batch_rejects_bad_starts(starts, n_streams):
     with pytest.raises(ValueError):
         complete_batch(gen, table, np.zeros((3, 3), dtype=np.int64), 6,
                        [sample_streams(0, f"s{i}") for i in range(n_streams)],
-                       starts=np.array(starts))
+                       gen.zero_hidden(3), np.array(starts))
 
 
-def _sampling_peak(b, n, length):
+def _sampling_peak(b, n, length, **overrides):
     """tracemalloc peak of ``generate_batch`` of b rows at N=n: the seed draw
     and complete_batch from prefix length 1."""
-    gen = _gen(n=n)
+    gen = _gen(n=n, **overrides)
     tracemalloc.start()
     try:
         generate_batch(gen, b, length, np.full(n, 1 / n), sample_streams(0, "m"))
@@ -500,6 +512,16 @@ def test_population_at_large_n_samples_in_bounded_memory():
     # 30,000 rows at N=5,000: one (B, N) float64 array alone would take
     # 1.2 GB, and one (B, N) bool comparison 150 MB.
     assert _sampling_peak(30000, 5000, 4) < 64 * 2**20
+
+
+def test_sampling_from_scratch_holds_one_start_state():
+    # A pass holds per row its two uniform tables and ``out`` (24 bytes a
+    # slot), its fired flags (1 byte a slot) and one (B, H) start state, and
+    # per chunk the logits buffer, the softmax's copy of it and the GRU's
+    # (chunk, 3H) products, within four chunk budgets at H=32 and N=100.
+    b, n, length, h = 30000, 100, 24, 32
+    per_row = b * length * (24 + 1) + 8 * b * h
+    assert _sampling_peak(b, n, length, hidden_dim=h) < per_row + 4 * generator._CHUNK_BYTES
 
 
 # ---------------------------------------------------------------------------

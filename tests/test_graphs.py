@@ -169,21 +169,10 @@ def test_sdg_tie_breaks_to_lower_id():
     assert g.dst[g.src == 1][0] == 0
 
 
-def test_sdg_euclidean_mode_changes_ranking():
-    # At 60N a degree of longitude is half a degree of latitude on the
-    # sphere, but equal in raw coordinate space.
-    coords = np.array([[60.0, 0.0], [60.0, 0.9], [60.55, 0.0]])
-    sphere = graphs.build_sdg(coords, k=1, metric="haversine")
-    flat = graphs.build_sdg(coords, k=1, metric="euclidean")
-    assert sphere.dst[sphere.src == 0][0] == 1   # 0.9 deg lon is shorter in km
-    assert flat.dst[flat.src == 0][0] == 2       # 0.55 deg lat is shorter raw
-
-
 @pytest.mark.parametrize("build", [
     lambda: graphs.build_sdg(_grid_coords(40, seed=3), k=6),
-    lambda: graphs.build_sdg(_grid_coords(40, seed=3), k=6, metric="euclidean"),
     lambda: graphs.build_stg(np.random.default_rng(4).dirichlet(np.ones(24), 40), k=6),
-], ids=["sdg_haversine", "sdg_euclidean", "stg"])
+], ids=["sdg_haversine", "stg"])
 def test_row_blocks_do_not_change_the_graph(build, monkeypatch):
     whole = build()
     for block in (1, 7, 39):

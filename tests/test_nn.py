@@ -1,18 +1,21 @@
 import gc
 import importlib
 import inspect
+import pkgutil
 import sys
 import zlib
 
 import numpy as np
 import pytest
 
+import mobsim
 from mobsim import nn
 from mobsim.cli import main
 from mobsim.graphs import LocationGraph
 from mobsim.nn import Tensor
 from gradcheck import grad_check
 from oracles import exp, leakyrelu, log, narrow, relu, sigmoid_masked, softmax, sub, tanh, tsum
+from test_cli import CHECKINS
 
 
 def _t(values, requires_grad=True):
@@ -320,15 +323,6 @@ def test_param_set_load_shape_mismatch(rng):
         params.load_values(renamed)
 
 
-def test_sgd_step(rng):
-    params = nn.ParamSet()
-    params.register("w", np.array([1.0, 2.0]))
-    opt = nn.Sgd(params, lr=0.1)
-    params["w"].grad[:] = [1.0, -1.0]
-    opt.step()
-    assert np.allclose(params["w"].values, [0.9, 2.1])
-
-
 def test_adam_first_step_size_is_lr():
     # Bias correction makes the first update exactly lr * sign(grad).
     params = nn.ParamSet()
@@ -351,11 +345,6 @@ def test_adam_converges_on_quadratic():
         loss.backward()
         opt.step()
     assert np.all(np.abs(params["w"].values) < 1e-3)
-
-
-def test_make_optimizer_rejects_unknown(rng):
-    with pytest.raises(ValueError):
-        nn.make_optimizer("lbfgs", _param_set(rng), 0.1)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
@@ -390,12 +379,12 @@ def test_first_nonfinite_reports_name(rng):
 # no test-only code
 
 
-def _public_nn_functions():
+def _public_functions():
     """``code -> name`` of each public function and public method (property
-    getters included) defined in the modules of ``mobsim.nn``."""
+    getters included) defined in the modules of ``mobsim``."""
     found = {}
-    for name in ("core", "layers", "attention", "optim", "checkpoint"):
-        module = importlib.import_module(f"mobsim.nn.{name}")
+    names = [m.name for m in pkgutil.walk_packages(mobsim.__path__, "mobsim.")]
+    for module in map(importlib.import_module, names):
         for attr, value in vars(module).items():
             if attr.startswith("_") or getattr(value, "__module__", None) != module.__name__:
                 continue
@@ -404,28 +393,43 @@ def _public_nn_functions():
             for qualified, fn in members:
                 fn = inspect.unwrap(fn.fget if isinstance(fn, property) else fn)
                 if inspect.isfunction(fn):
-                    found[fn.__code__] = f"{name}.{qualified}"
+                    found[fn.__code__] = f"{module.__name__[len('mobsim.'):]}.{qualified}"
     return found
 
 
 def test_every_nn_function_runs_in_a_command(tmp_path):
-    # mobsim.nn ships only what a command runs; an op only tests use belongs
-    # in tests/oracles.py.  Multi-head attention with dropout, adversarial
-    # training with Adam and pretraining with SGD reach every function.
+    # mobsim ships only what a command runs; code only tests use belongs in
+    # tests/oracles.py.  These commands are the traffic: the README pipeline
+    # with both edge modes, multi-head attention with dropout and adversarial
+    # training, both evaluate modes, preprocess and the ablation suite.
     data, graphs, model = tmp_path / "data", tmp_path / "graphs", tmp_path / "model"
-    split = ["--train", str(data / "train.txt"), "--locations", str(data / "locations.csv")]
+    locations = ["--locations", str(data / "locations.csv")]
+    split = ["--train", str(data / "train.txt"), *locations]
     fit = [*split, "--graphs-dir", str(graphs), "--embed-dim", "4", "--hidden-dim", "3",
            "--pretrain-epochs", "1", "--d-pretrain-epochs", "1"]
+    adversarial = ["--valid", str(data / "valid.txt"), "--epochs", "1", "--rollouts", "2",
+                   "--steps-per-epoch", "1"]
+    evaluate = ["evaluate", "--real", str(data / "test.txt"),
+                "--generated", str(tmp_path / "gen" / "generated.txt"), *locations]
+    checkins = tmp_path / "checkins.csv"
+    checkins.write_text(CHECKINS)
     commands = [
         ["synth", "--out-dir", str(data), "--n-locations", "8", "--users", "4", "--days", "3"],
-        ["build-graphs", *split, "--out-dir", str(graphs), "--k", "3"],
-        ["train", *fit, "--valid", str(data / "valid.txt"), "--out-dir", str(model),
-         "--heads", "2", "--dropout", "0.1", "--epochs", "1", "--rollouts", "2",
-         "--steps-per-epoch", "1"],
-        ["pretrain", *fit, "--out-dir", str(tmp_path / "sgd"), "--optimizer", "sgd"],
-        ["generate", "--model", str(model / "gen"), "--graphs-dir", str(graphs),
-         "--locations", str(data / "locations.csv"), "--out-dir", str(tmp_path / "gen"),
-         "--count", "5"],
+        ["build-graphs", *split, "--out-dir", str(graphs), "--k", "3",
+         "--observed", str(data / "observed_train.txt")],
+        ["build-graphs", *split, "--out-dir", str(tmp_path / "vanilla"), "--k", "3",
+         "--edge-mode", "vanilla"],
+        ["train", *fit, *adversarial, "--out-dir", str(model), "--heads", "2",
+         "--dropout", "0.1"],
+        ["pretrain", *fit, "--out-dir", str(tmp_path / "pretrained")],
+        ["generate", "--model", str(model / "gen"), "--graphs-dir", str(graphs), *locations,
+         "--out-dir", str(tmp_path / "gen"), "--count", "5"],
+        [*evaluate, "--out-dir", str(tmp_path / "eval")],
+        [*evaluate, "--out-dir", str(tmp_path / "moves"), "--exclude-zero-steps"],
+        ["preprocess", "--input", str(checkins), "--out-dir", str(tmp_path / "prep")],
+        ["ablation", *split, *adversarial, "--test", str(data / "test.txt"),
+         "--out-dir", str(tmp_path / "ablation"), "--k", "3", "--embed-dim", "4",
+         "--hidden-dim", "3", "--pretrain-epochs", "1", "--d-pretrain-epochs", "1"],
     ]
     entered = set()
 
@@ -439,6 +443,6 @@ def test_every_nn_function_runs_in_a_command(tmp_path):
     finally:
         sys.setprofile(None)
     assert codes == [0] * len(commands)
-    public = _public_nn_functions()
-    assert len(public) > 40
+    public = _public_functions()
+    assert len(public) > 100
     assert sorted(name for code, name in public.items() if code not in entered) == []

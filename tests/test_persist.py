@@ -14,6 +14,19 @@ def _gen(small_graphs, **overrides):
     return Generator(config, small_graphs, seed=3)
 
 
+def _load_gen(prefix, graphs):
+    return persist.load_generator(prefix, graphs,
+                                  persist.read_model_meta(f"{prefix}.meta", "generator"))
+
+
+def _load_disc(prefix):
+    """The discriminator saved under ``prefix``; no command reads one back."""
+    meta = persist.read_model_meta(f"{prefix}.meta", "discriminator")
+    disc = Discriminator(persist._read_config(DiscriminatorConfig, meta))
+    disc.params.load_values(nn.load_checkpoint(f"{prefix}.ckpt"))
+    return disc
+
+
 def test_generator_roundtrip(tmp_path, small_graphs):
     gen = _gen(small_graphs)
     seed_dist = np.linspace(1, 16, 16)
@@ -21,7 +34,7 @@ def test_generator_roundtrip(tmp_path, small_graphs):
     prefix = tmp_path / "gen"
     persist.save_generator(prefix, gen, seed_dist, 12)
 
-    loaded, dist = persist.load_generator(prefix, small_graphs)
+    loaded, dist = _load_gen(prefix, small_graphs)
     assert persist.read_meta(f"{prefix}.meta")["slots"] == "12"
     assert loaded.config == gen.config
     assert np.array_equal(dist, seed_dist)
@@ -40,7 +53,7 @@ def test_generator_roundtrip_after_training_step(tmp_path, small_graphs):
     opt.step()
     prefix = tmp_path / "gen"
     persist.save_generator(prefix, gen, np.full(16, 1 / 16), 24)
-    loaded, _ = persist.load_generator(prefix, small_graphs)
+    loaded, _ = _load_gen(prefix, small_graphs)
     for name, tensor in gen.params.items():
         assert loaded.params[name].values.tobytes() == tensor.values.tobytes()
 
@@ -50,7 +63,7 @@ def test_discriminator_roundtrip(tmp_path):
                                              hidden_dim=7), seed=11)
     prefix = tmp_path / "disc"
     persist.save_discriminator(prefix, disc)
-    loaded = persist.load_discriminator(prefix)
+    loaded = _load_disc(prefix)
     assert loaded.config == disc.config
     for name, tensor in disc.params.items():
         assert loaded.params[name].values.tobytes() == tensor.values.tobytes()
@@ -61,7 +74,7 @@ def test_kind_mismatch_rejected(tmp_path, small_graphs):
     prefix = tmp_path / "model"
     persist.save_discriminator(prefix, disc)
     with pytest.raises(ValueError):
-        persist.load_generator(prefix, small_graphs)
+        _load_gen(prefix, small_graphs)
 
 
 def test_load_generator_needs_its_channels(tmp_path, small_graphs):
@@ -69,7 +82,7 @@ def test_load_generator_needs_its_channels(tmp_path, small_graphs):
     prefix = tmp_path / "gen"
     persist.save_generator(prefix, gen, np.full(16, 1 / 16), 24)
     with pytest.raises(ValueError):
-        persist.load_generator(prefix, {"sdg": small_graphs["sdg"]})
+        _load_gen(prefix, {"sdg": small_graphs["sdg"]})
 
 
 def test_read_meta_value_keeps_further_equals_signs(tmp_path):
@@ -95,8 +108,8 @@ def test_meta_lines_are_the_config_fields(tmp_path, small_graphs):
     persist.save_discriminator(tmp_path / "disc", disc)
     assert (tmp_path / "gen.meta").read_text() == GEN_META
     assert (tmp_path / "disc.meta").read_text() == DISC_META
-    assert persist.load_generator(tmp_path / "gen", small_graphs)[0].config == gen.config
-    assert persist.load_discriminator(tmp_path / "disc").config == disc.config
+    assert _load_gen(tmp_path / "gen", small_graphs)[0].config == gen.config
+    assert _load_disc(tmp_path / "disc").config == disc.config
 
 
 def test_meta_with_the_retired_attn_slope_line_still_loads(tmp_path, small_graphs):
@@ -108,7 +121,7 @@ def test_meta_with_the_retired_attn_slope_line_still_loads(tmp_path, small_graph
     old = tmp_path / "old"
     (tmp_path / "old.ckpt").write_bytes((tmp_path / "gen.ckpt").read_bytes())
     (tmp_path / "old.meta").write_text(GEN_META.replace("dwell=1\n", "dwell=1\nattn_slope=0.2\n"))
-    loaded, dist = persist.load_generator(old, small_graphs)
+    loaded, dist = _load_gen(old, small_graphs)
     assert loaded.config == gen.config
     ids = [generate_batch(model, 40, 12, dist, sample_streams(5, "compat"))
            for model in (gen, loaded)]

@@ -59,7 +59,8 @@ def _sticky_ids(n_locations=8, rows=48, length=24, stay=0.8, seed=0):
     dict(rollouts=0),
     dict(g_steps=0),
     dict(baseline_decay=1.0),
-    dict(optimizer="rmsprop"),
+    dict(eval_count=-1),
+    dict(steps_per_epoch=-1),
 ])
 def test_train_config_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -361,7 +362,7 @@ def test_policy_step_with_equal_rewards_and_matching_baseline_is_noop():
                            sample_streams(0, "s"), record=True)
     ids, fired = batch
     rewards = np.full((6, 6), 0.5)
-    opt = nn.Sgd(gen.params, lr=0.5)
+    opt = nn.Adam(gen.params, lr=0.5)
     policy_gradient_step(gen, opt, ids, fired, rewards, baseline=0.5)
     for name, tensor in gen.params.items():
         assert np.allclose(tensor.values, before[name].values, atol=1e-15)
@@ -373,7 +374,7 @@ def test_policy_step_zero_lr_is_noop():
     ids, fired = generate_batch(gen, 4, 6, np.full(8, 1 / 8),
                                 sample_streams(1, "s"), record=True)
     rewards = np.random.default_rng(0).random((4, 6))
-    opt = nn.Sgd(gen.params, lr=0.0)
+    opt = nn.Adam(gen.params, lr=0.0)
     policy_gradient_step(gen, opt, ids, fired, rewards, baseline=0.0)
     for name, tensor in gen.params.items():
         assert np.array_equal(tensor.values, before[name].values)
