@@ -9,7 +9,10 @@ trajectories of 24 slots from the untrained generator.  The graph build, the
 steps and the sample each run in a fresh process, so each reports its own
 peak RSS.  Prints one JSON object:
 
-    PYTHONPATH=src python3 scripts/scale_step.py --n 2000
+    python3 scripts/scale_step.py --n 2000
+
+The script puts the checkout's ``src`` on the import path itself, so it runs
+from a checkout that is not installed.
 """
 
 from __future__ import annotations
@@ -26,15 +29,17 @@ import time
 
 import numpy as np
 
-from mobsim import graphs, nn
-from mobsim.generator import (
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from mobsim import graphs, nn  # noqa: E402
+from mobsim.generator import (  # noqa: E402
     Generator,
     GeneratorConfig,
     generate_batch,
     sample_streams,
     seed_distribution,
 )
-from mobsim.records import Trajectories
+from mobsim.records import Trajectories  # noqa: E402
 
 SLOTS, ROWS, K, STEPS, SAMPLED = 24, 2000, 10, 3, 30000
 

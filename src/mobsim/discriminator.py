@@ -1,10 +1,11 @@
 """A recurrent discriminator over location id sequences.
 
 Embeds each location (its own table, not shared with the generator), runs a
-GRU across the full sequence, and maps the final hidden state through a
-sigmoid to the probability that the sequence is real.  A sequence can be
-scored from the GRU state of a shared prefix, so Monte Carlo completions of
-one prefix run the prefix once.
+GRU across the full sequence as one tape op (``nn.gru_unroll``), and maps the
+final hidden state through a sigmoid to the probability that the sequence is
+real.  A sequence can also be stepped on plain arrays from the GRU state of a
+shared prefix and scored at its end, so Monte Carlo completions of one prefix
+run the prefix once.
 """
 
 from __future__ import annotations
@@ -43,19 +44,19 @@ class Discriminator:
         params.register("head/bias", np.zeros(1))
         self.params = params
 
-    def unroll(self, batch_ids: np.ndarray, hidden: Tensor | None = None) -> list:
-        """GRU pass over a (B, L) id matrix starting from ``hidden`` (zeros
-        when omitted): L + 1 states, entry l after the first l columns."""
+    def unroll(self, batch_ids: np.ndarray) -> Tensor:
+        """GRU pass over a (B, L) id matrix from the zero state, one tape op:
+        the (L, B, H) states, entry l after the first l + 1 columns."""
         batch_ids = np.asarray(batch_ids, dtype=np.int64)
         if batch_ids.size == 0:
             raise ValueError("empty batch")
-        if hidden is None:
-            hidden = nn.constant(np.zeros((batch_ids.shape[0], self.config.hidden_dim)))
-        states = [hidden]
-        for column in batch_ids.T:
-            states.append(nn.gru_cell(nn.gather_rows(self.params["embed"], column),
-                                      states[-1], self.gru))
-        return states
+        hidden = nn.constant(np.zeros((batch_ids.shape[0], self.config.hidden_dim)))
+        return nn.gru_unroll(nn.gather_rows(self.params["embed"], batch_ids.T), hidden, self.gru)
+
+    def step(self, ids: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+        """One GRU step on arrays, recording nothing: the state after feeding
+        the locations ``ids`` to the (B, H) state ``hidden``."""
+        return nn.gru_cell(self.params["embed"].values[ids], hidden, self.gru)
 
     def score(self, hidden: Tensor) -> Tensor:
         """Probability of being real for each row of a final GRU state."""
@@ -64,7 +65,8 @@ class Discriminator:
 
     def classify(self, batch_ids: np.ndarray) -> Tensor:
         """Probability that each row of a (B, L) id matrix is a real trajectory."""
-        return self.score(self.unroll(batch_ids)[-1])
+        states = self.unroll(batch_ids)
+        return self.score(nn.gather_rows(states, states.shape[0] - 1))
 
 
 CLAMP = 1e-7

@@ -8,9 +8,14 @@ over all locations and a dwell head whose stay probability is
     sigmoid(h . w + b) * exp(-beta * C)
 
 with C the number of times the current location already appears in the
-prefix (itself included).  Sampling draws the dwell Bernoulli first (only
-once the prefix is longer than one) and falls back to the exploration
-softmax when it does not fire.
+prefix (itself included), counted by ``visit_counts``.  Sampling draws the
+dwell Bernoulli first (only once the prefix is longer than one) and falls
+back to the exploration softmax when it does not fire.
+
+A teacher-forced pass runs the GRU over the whole id matrix as one tape op,
+``nn.gru_unroll``, and the heads score the stacked states of every step at
+once, so its tape has the same few nodes whatever the sequence length.  The
+sampler takes one GRU step per position on plain arrays, recording nothing.
 """
 
 from __future__ import annotations
@@ -142,8 +147,10 @@ class Generator:
             table = nn.dropout(table, self.config.dropout, rng)
         return table
 
-    def gru_step(self, table: Tensor, ids: np.ndarray, hidden: Tensor) -> Tensor:
-        return nn.gru_cell(nn.gather_rows(table, ids), hidden, self.gru)
+    def gru_step(self, table: Tensor, ids: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+        """One GRU step on arrays, recording nothing: the state after feeding
+        the locations ``ids`` to the (B, H) state ``hidden``."""
+        return nn.gru_cell(table.values[ids], hidden, self.gru)
 
     def explore_logits(self, hidden: Tensor) -> Tensor:
         return nn.linear(hidden, self.params["explore/weight"], self.params["explore/bias"])
@@ -152,23 +159,20 @@ class Generator:
         out = nn.linear(hidden, self.params["dwell/weight"], self.params["dwell/bias"])
         return nn.reshape(nn.sigmoid(out), (hidden.shape[0],))
 
-    def stay_probs(self, hidden: Tensor, prefix: np.ndarray) -> Tensor:
+    def stay_probs(self, hidden: Tensor, visits: np.ndarray) -> Tensor:
         """Damped stay probability sigmoid(h . w + b) * exp(-beta * C) per row,
-        C being how often the row's current location, the last column of the
-        (B, l) ``prefix``, appears in that prefix."""
-        visits = (prefix == prefix[:, -1:]).sum(axis=1)
+        with C the row's entry of ``visits`` (see ``visit_counts``)."""
         return nn.mul(self.dwell_sigmoid(hidden), nn.constant(np.exp(-self.config.beta * visits)))
 
-    def zero_hidden(self, batch: int) -> Tensor:
-        return nn.constant(np.zeros((batch, self.config.hidden_dim)))
+    def zero_hidden(self, batch: int) -> np.ndarray:
+        return np.zeros((batch, self.config.hidden_dim))
 
-    def unroll(self, table: Tensor, batch_ids: np.ndarray) -> list:
-        """Teacher-forced GRU pass over a (B, L) id matrix: L + 1 hidden
-        states, entry l after the first l columns (entry 0 is all zeros)."""
-        states = [self.zero_hidden(len(batch_ids))]
-        for column in batch_ids.T:
-            states.append(self.gru_step(table, column, states[-1]))
-        return states
+    def unroll(self, table: Tensor, batch_ids: np.ndarray) -> Tensor:
+        """Teacher-forced GRU pass over a (B, L) id matrix from the zero
+        state, one tape op: the (L, B, H) states, entry l after the first
+        l + 1 columns."""
+        x = nn.gather_rows(table, batch_ids.T)
+        return nn.gru_unroll(x, nn.constant(self.zero_hidden(len(batch_ids))), self.gru)
 
     def sequence_nll(self, batch_ids: np.ndarray, training: bool = False, rng=None):
         """Teacher-forced losses over a (B, L) id matrix.
@@ -176,21 +180,21 @@ class Generator:
         Returns ``(nll, dwell_bce)``: the mean (over trajectories) summed
         negative log likelihood of each next location under the exploration
         softmax, and the mean summed binary cross-entropy of the dwell
-        sigmoid against the stay indicator of each step.
+        sigmoid against the stay indicator of each step.  The heads score
+        the (L - 1) * B stacked states, step-major, at once.
         """
         batch_ids = np.asarray(batch_ids, dtype=np.int64)
         if batch_ids.ndim != 2 or batch_ids.shape[1] < 2:
             raise ValueError("need a (B, L>=2) id matrix")
         self._check_ids(batch_ids)
         table = self.embed_locations(training=training, rng=rng)
-        nll_total = bce_total = None
-        for l, hidden in enumerate(self.unroll(table, batch_ids[:, :-1])[1:]):
-            step_nll = nn.cross_entropy(self.explore_logits(hidden), batch_ids[:, l + 1])
-            nll_total = step_nll if nll_total is None else nn.add(nll_total, step_nll)
-            stay = (batch_ids[:, l + 1] == batch_ids[:, l]).astype(np.float64)
-            step_bce = nn.binary_cross_entropy(self.dwell_sigmoid(hidden), stay)
-            bce_total = step_bce if bce_total is None else nn.add(bce_total, step_bce)
-        return nn.tmean(nll_total), nn.tmean(bce_total)
+        hidden = nn.reshape(self.unroll(table, batch_ids[:, :-1]), (-1, self.config.hidden_dim))
+        nxt, cur = batch_ids[:, 1:].T.ravel(), batch_ids[:, :-1].T.ravel()
+        nll = nn.cross_entropy(self.explore_logits(hidden), nxt)
+        bce = nn.binary_cross_entropy(self.dwell_sigmoid(hidden), (nxt == cur).astype(np.float64))
+        # The batch mean of per-trajectory sums over L - 1 steps.
+        steps = batch_ids.shape[1] - 1
+        return nn.mul(nn.tmean(nll), steps), nn.mul(nn.tmean(bce), steps)
 
     def _check_ids(self, ids: np.ndarray):
         # nn.gather_rows checks the ids it embeds, but not all of these reach
@@ -200,6 +204,12 @@ class Generator:
         # of each row's prefix to gather_rows.
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.n_locations):
             raise ValueError(f"location ids outside [0, {self.config.n_locations})")
+
+
+def visit_counts(prefix: np.ndarray) -> np.ndarray:
+    """The C of the dwell damping exp(-beta * C) for each row of a (B, l)
+    prefix: how often its current location, the last column, appears in it."""
+    return (prefix == prefix[:, -1:]).sum(axis=1)
 
 
 @dataclass
@@ -219,7 +229,7 @@ def sample_streams(master_seed: int, tag: str) -> SampleStreams:
     )
 
 
-def _explore_draw(gen: Generator, hidden: Tensor, rows: np.ndarray, uniforms: np.ndarray,
+def _explore_draw(gen: Generator, hidden: np.ndarray, rows: np.ndarray, uniforms: np.ndarray,
                   logits: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws from the exploration softmax for ``rows`` of
     ``hidden``, one uniform per row.
@@ -230,14 +240,14 @@ def _explore_draw(gen: Generator, hidden: Tensor, rows: np.ndarray, uniforms: np
     ``hidden``: a row-subset matmul is not always bit-identical to the full
     one, while the row-wise softmax, cumsum and compare are.
     """
-    np.matmul(hidden.values, gen.params["explore/weight"].values, out=logits)
+    np.matmul(hidden, gen.params["explore/weight"].values, out=logits)
     logits += gen.params["explore/bias"].values
     probs = nn.softmax_values(logits[rows])
     return categorical(np.cumsum(probs, axis=-1, out=probs), uniforms)
 
 
 def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length: int,
-                   streams: list, hidden: Tensor, starts: np.ndarray, record: bool = False):
+                   streams: list, hidden: np.ndarray, starts: np.ndarray, record: bool = False):
     """Extend each row of a (B, w) prefix batch to ``length`` slots by sampling.
 
     Rows may join the pass at their own position.  ``starts`` gives each
@@ -294,17 +304,18 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     with no_grad():
         for lo in range(0, b, chunk):
             span = slice(lo, lo + chunk)
-            ids, rows_starts, rows_hidden = out[span], starts[span], hidden.values[span]
-            state, joined = nn.constant(rows_hidden[:0]), 0
+            ids, rows_starts, rows_hidden = out[span], starts[span], hidden[span]
+            state, joined = rows_hidden[:0], 0
             for pos in range(rows_starts[0], length):
                 n = np.searchsorted(rows_starts, pos, side="right")
                 if n > joined:
-                    state = nn.constant(np.concatenate([state.values, rows_hidden[joined:n]]))
+                    state = np.concatenate([state, rows_hidden[joined:n]])
                     joined = n
                 state = gen.gru_step(table, ids[:n, pos - 1], state)
                 stay = np.zeros(n, dtype=bool)
                 if gen.config.dwell and pos > 1:
-                    stay = dwell_u[pos, lo:lo + n] < gen.stay_probs(state, ids[:n, :pos]).values
+                    stay_y = gen.stay_probs(state, visit_counts(ids[:n, :pos])).values
+                    stay = dwell_u[pos, lo:lo + n] < stay_y
                 explore = np.flatnonzero(~stay)
                 ids[:n, pos] = ids[:n, pos - 1]          # where the gate fired, the row stays
                 ids[explore, pos] = _explore_draw(gen, state, explore,

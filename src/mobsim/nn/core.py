@@ -188,7 +188,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 
 def gather_rows(table, ids) -> Tensor:
-    """Select rows of a 2-D tensor by integer id (embedding lookup)."""
+    """Select entries along the first axis by integer id (embedding lookup):
+    ``ids`` of shape S give a result of shape S + table.shape[1:]."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.min(initial=0) < 0 or ids.max(initial=-1) >= table.shape[0]:

@@ -11,6 +11,11 @@ each length's rows joining at its own position, so a reward table takes a
 few large passes instead of one small pass per prefix length.  The
 discriminator ascends mean log D(real) + mean log(1 - D(fake)).  Every phase
 steps its parameters with Adam.
+
+Each teacher-forced pass (the pretraining losses, the policy-gradient
+log-probability and the discriminator's scores) runs its GRU over the whole
+batch as one tape op and scores the stacked states of every step at once, so
+a step's tape has the same few nodes for any trajectory length.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .generator import (
     generate_batch,
     sample_streams,
     seed_distribution,
+    visit_counts,
 )
 from .metrics import evaluate
 from .records import Dataset
@@ -85,8 +91,9 @@ def _minibatches(n: int, batch_size: int, rng):
         yield order[start:start + batch_size]
 
 
-def mean_nll(gen: Generator, ids: np.ndarray, batch_size: int = 256) -> float:
-    """Teacher-forced mean NLL per trajectory, evaluation mode."""
+def mean_nll(gen: Generator, ids: np.ndarray, batch_size: int) -> float:
+    """Teacher-forced mean NLL per trajectory, evaluation mode, scored
+    ``batch_size`` rows at a time."""
     total = 0.0
     with nn.no_grad():
         for start in range(0, len(ids), batch_size):
@@ -115,7 +122,7 @@ def pretrain_generator(gen: Generator, train_ids: np.ndarray, config: TrainConfi
     optimizer = nn.Adam(gen.params, config.lr)
     shuffle_rng = stream(config.seed, "pretrain_g/shuffle")
     dropout_rng = stream(config.seed, "pretrain_g/dropout")
-    log = [f"phase=pretrain_g epoch=0 nll={mean_nll(gen, train_ids)!r}"]
+    log = [f"phase=pretrain_g epoch=0 nll={mean_nll(gen, train_ids, config.batch_size)!r}"]
     for epoch in range(1, config.pretrain_epochs + 1):
         nll_sum = bce_sum = 0.0
         batches = 0
@@ -177,14 +184,17 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
     rewards = np.empty((b, length))
 
     def tiled(state):
-        return np.repeat(state.values, n_rollouts, axis=0)
+        return np.repeat(state, n_rollouts, axis=0)
 
     with nn.no_grad():
         table = gen.embed_locations(training=False)
         # Rollouts of the length-l prefix start from the generator state after
         # l - 1 columns, l < L, so the last two columns are never fed.
-        gen_states = gen.unroll(table, batch_ids[:, :-2])
-        disc_states = disc.unroll(batch_ids)
+        gen_states = [gen.zero_hidden(b)]
+        if length > 2:
+            gen_states.extend(gen.unroll(table, batch_ids[:, :-2]).values)
+        # Entry l - 1 is the discriminator state after l columns.
+        disc_states = disc.unroll(batch_ids).values
         for first in range(1, length, per_pass):
             lengths = range(first, min(first + per_pass, length))
             prefix = np.tile(np.repeat(batch_ids[:, :lengths[-1]], n_rollouts, axis=0),
@@ -192,17 +202,17 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
             completed = complete_batch(
                 gen, table, prefix, length,
                 [sample_streams(master_seed, f"{tag}/l{l}") for l in lengths],
-                hidden=nn.constant(np.concatenate([tiled(gen_states[l - 1]) for l in lengths])),
+                hidden=np.concatenate([tiled(gen_states[l - 1]) for l in lengths]),
                 starts=np.repeat(lengths, rows))
             # The block of length l joins the discriminator after l columns.
-            state = nn.constant(np.zeros((0, disc_states[0].shape[1])))
+            state = np.zeros((0, disc_states.shape[2]))
             for pos in range(first, length):
                 if pos in lengths:
-                    state = nn.constant(np.concatenate([state.values, tiled(disc_states[pos])]))
-                state = disc.unroll(completed[:state.shape[0], pos:pos + 1], state)[-1]
+                    state = np.concatenate([state, tiled(disc_states[pos - 1])])
+                state = disc.step(completed[:len(state), pos], state)
             scores = disc.score(state).values.reshape(len(lengths), b, n_rollouts)
             rewards[:, first - 1:lengths[-1]] = scores.mean(axis=2).T
-        rewards[:, length - 1] = disc.score(disc_states[length]).values
+        rewards[:, length - 1] = disc.score(disc_states[-1]).values
     return rewards
 
 
@@ -212,24 +222,28 @@ def sequence_log_prob(gen: Generator, batch_ids: np.ndarray, fired: np.ndarray,
 
     For the step that produced position l+1: log of the dwell stay
     probability when the dwell Bernoulli fired, log of the exploration
-    softmax entry of the chosen location otherwise.  ``weights`` is (B, L-1),
-    one coefficient per step; returns the batch-mean weighted sum.
+    softmax entry of the chosen location otherwise.  ``fired`` and
+    ``weights`` are (B, L-1), one flag and one coefficient per step; returns
+    the batch-mean weighted sum.  The heads score the (L - 1) * B stacked
+    states, step-major, at once.
     """
     batch_ids = np.asarray(batch_ids, dtype=np.int64)
-    b = len(batch_ids)
+    b, length = batch_ids.shape
+    for name, array in (("fired", fired), ("weights", weights)):
+        if np.shape(array) != (b, length - 1):
+            raise ValueError(f"{name} must be (B, L-1) = {(b, length - 1)}, "
+                             f"got {np.shape(array)}")
     table = gen.embed_locations(training=training, rng=rng)
-    total = None
-    for l, hidden in enumerate(gen.unroll(table, batch_ids[:, :-1])[1:]):
-        chosen = batch_ids[:, l + 1]
-        explore_lp = nn.neg(nn.cross_entropy(gen.explore_logits(hidden), chosen))
-        stay_prob = gen.stay_probs(hidden, batch_ids[:, :l + 1])
-        dwell_lp = nn.neg(nn.binary_cross_entropy(stay_prob, np.ones(b)))
-        mask = fired[:, l].astype(np.float64)
-        step_lp = nn.add(nn.mul(dwell_lp, nn.constant(mask)),
-                         nn.mul(explore_lp, nn.constant(1.0 - mask)))
-        term = nn.mul(step_lp, nn.constant(weights[:, l]))
-        total = term if total is None else nn.add(total, term)
-    return nn.tmean(total)
+    hidden = nn.reshape(gen.unroll(table, batch_ids[:, :-1]), (-1, gen.config.hidden_dim))
+    explore_lp = nn.neg(nn.cross_entropy(gen.explore_logits(hidden), batch_ids[:, 1:].T.ravel()))
+    visits = np.concatenate([visit_counts(batch_ids[:, :l + 1]) for l in range(length - 1)])
+    dwell_lp = nn.neg(nn.binary_cross_entropy(gen.stay_probs(hidden, visits),
+                                              np.ones(len(visits))))
+    mask = np.asarray(fired, dtype=np.float64).T.ravel()
+    step_lp = nn.add(nn.mul(dwell_lp, mask), nn.mul(explore_lp, 1.0 - mask))
+    terms = nn.mul(step_lp, np.asarray(weights, dtype=np.float64).T.ravel())
+    # The batch mean of per-trajectory sums over L - 1 steps.
+    return nn.mul(nn.tmean(terms), length - 1)
 
 
 def policy_gradient_step(gen: Generator, optimizer, batch_ids: np.ndarray,

@@ -6,9 +6,9 @@ routes is meaningful.  The exception is the reference for an optimized path
 (a fused op, a cached computation), which is the plain composition it
 replaced, built from the package's own primitives.  The tape ops that only
 those references and the gradient checks use are defined here: ``sub``,
-``narrow``, ``exp``, ``log``, ``tanh``, ``relu``, ``leakyrelu``, ``softmax``
-and ``tsum``.  So is the first-order Markov baseline the tests fit to planted
-chains.
+``narrow``, ``exp``, ``log``, ``tanh``, ``relu``, ``leakyrelu``, ``softmax``,
+``tsum`` and the one-step ``gru_cell``.  So is the first-order Markov
+baseline the tests fit to planted chains.
 """
 
 import bisect
@@ -209,9 +209,44 @@ def tsum(a, axis=None):
     return _result(a.values.sum(axis=axis), (a,), backward)
 
 
+def gru_cell(x, z_prev, p):
+    """One GRU step as a single tape op with an analytic backward: the
+    per-step reference for ``nn.gru_unroll``.
+
+    u = sigmoid(x Wu + z Uu + bu), r = sigmoid(x Wr + z Ur + br),
+    candidate = tanh(x Wc + (r * z) Uc + bc),
+    z_new = (1 - u) * z + u * candidate.
+    """
+    from mobsim.nn.core import sigmoid_values
+
+    weights = p.tensors()
+    wu, uu, bu, wr, ur, br, wc, uc, bc = (t.values for t in weights)
+    xv, z = x.values, z_prev.values
+    u = sigmoid_values(xv @ wu + z @ uu + bu)
+    r = sigmoid_values(xv @ wr + z @ ur + br)
+    rz = r * z
+    c = np.tanh(xv @ wc + rz @ uc + bc)
+
+    def backward(g):
+        du = g * c - g * z
+        dau = du * u * (1.0 - u)
+        dac = g * u * (1.0 - c ** 2)
+        drz = dac @ uc.T
+        dar = drz * z * r * (1.0 - r)
+        # Sums in the order the composed tape accumulated them, so one
+        # cell's gradients match it bit for bit.
+        return (dau @ wu.T + dac @ wc.T + dar @ wr.T,
+                g * (1.0 - u) + dau @ uu.T + drz * r + dar @ ur.T,
+                xv.T @ dau, z.T @ dau, dau.sum(axis=0),
+                xv.T @ dar, z.T @ dar, dar.sum(axis=0),
+                xv.T @ dac, rz.T @ dac, dac.sum(axis=0))
+
+    return _result((1.0 - u) * z + u * c, (x, z_prev, *weights), backward)
+
+
 def gru_cell_composed(x, z_prev, p):
     """One GRU step composed from elementary tape ops (about 20 nodes), the
-    reference for the fused ``nn.gru_cell``."""
+    reference for the fused ``gru_cell``."""
     from mobsim.nn import add, matmul, mul, sigmoid
 
     u = sigmoid(add(add(matmul(x, p.w_update), matmul(z_prev, p.u_update)), p.b_update))
@@ -223,13 +258,16 @@ def gru_cell_composed(x, z_prev, p):
 def teacher_forced_start(gen, table, prefix_ids):
     """The ``hidden`` and ``starts`` that start ``generator.complete_batch``
     from every column of a (B, w) prefix batch: the GRU state after its first
-    w - 1 columns, from a teacher-forced pass, and w for every row."""
+    w - 1 columns, from a teacher-forced pass (zeros when w is 1), and w for
+    every row."""
     from mobsim import nn
 
     prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
     b, width = prefix_ids.shape
+    if width == 1:
+        return gen.zero_hidden(b), np.ones(b, dtype=np.int64)
     with nn.no_grad():
-        return gen.unroll(table, prefix_ids[:, :-1])[-1], np.full(b, width)
+        return gen.unroll(table, prefix_ids[:, :-1]).values[-1], np.full(b, width)
 
 
 def compute_rewards_replayed(gen, disc, batch_ids, n_rollouts, master_seed, tag):
@@ -278,7 +316,8 @@ def complete_batch_full_explore(gen, table, prefix_ids, length, streams, hidden,
             cdf = np.cumsum(softmax_values(gen.explore_logits(hidden).values), axis=-1)
             stay = np.zeros(b, dtype=bool)
             if gen.config.dwell and pos > 1:
-                dwell_y = gen.stay_probs(hidden, out[:, :pos]).values
+                visits = (out[:, :pos] == current[:, None]).sum(axis=1)
+                dwell_y = gen.stay_probs(hidden, visits).values
                 stay = streams.dwell.random(b) < dwell_y
             drawn = categorical(cdf, streams.explore.random(b))
             chosen = np.where(stay, current, drawn)

@@ -100,8 +100,8 @@ def test_criterion_1_gradient_correctness():
         def gru_instance(rng, i):
             ps = nn.ParamSet()
             gru = nn.init_gru(ps, "gru", 3, 4, rng)
-            x, z = _tensor(rng, (2, 3)), _tensor(rng, (2, 4))
-            return (lambda *_: nn.gru_cell(x, z, gru),
+            x, z = _tensor(rng, (3, 2, 3)), _tensor(rng, (2, 4))
+            return (lambda *_: nn.gru_unroll(x, z, gru),
                     [x, z] + [ps[name] for name in ps.names()])
 
         _check_op(gru_instance)
@@ -333,9 +333,9 @@ def test_criterion_7_learning_signal(planted):
             config = TrainConfig(epochs=3, pretrain_epochs=6, d_pretrain_epochs=1,
                                  batch_size=32, lr=0.01, rollouts=4, seed=seed,
                                  eval_count=100, steps_per_epoch=4)
-            nll_start = mean_nll(gen, planted["train_ids"])
+            nll_start = mean_nll(gen, planted["train_ids"], config.batch_size)
             pretrain_generator(gen, planted["train_ids"], config)
-            nll_end = mean_nll(gen, planted["train_ids"])
+            nll_end = mean_nll(gen, planted["train_ids"], config.batch_size)
             assert nll_end <= 0.8 * nll_start, (
                 f"seed {seed}: pretraining cut NLL only "
                 f"{(nll_start - nll_end) / nll_start:.1%}")

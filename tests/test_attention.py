@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from mobsim import graphs, nn
-from mobsim.nn import ParamSet, Tensor, init_gru, gru_cell, init_heads
+from mobsim.nn import ParamSet, Tensor, gru_unroll, init_gru, init_heads
 from mobsim.nn.attention import graph_attention, graph_edges
 from gradcheck import grad_check
-from oracles import MASKED, attention_bias, graph_attention_dense, gru_cell_composed, tsum
+from oracles import (MASKED, attention_bias, graph_attention_dense, gru_cell, gru_cell_composed,
+                     tsum)
 
 
 def _chain_graph(n, weights=None):
@@ -264,7 +265,7 @@ def test_edge_dropout_matches_the_dense_oracle():
 
 
 # ---------------------------------------------------------------------------
-# GRU cell
+# GRU: the sampler's array step, the fused unroll and the one-cell reference
 
 
 def test_gru_zero_params_halves_hidden():
@@ -272,21 +273,20 @@ def test_gru_zero_params_halves_hidden():
     gru = init_gru(params, "g", 3, 4, np.random.default_rng(8))
     for tensor in gru.tensors():
         tensor.values[:] = 0.0
-    z = Tensor(np.random.default_rng(9).standard_normal((2, 4)), requires_grad=False)
-    x = Tensor(np.zeros((2, 3)), requires_grad=False)
-    out = gru_cell(x, z, gru)
+    z = np.random.default_rng(9).standard_normal((2, 4))
+    out = nn.gru_cell(np.zeros((2, 3)), z, gru)
     # u = r = 0.5 and candidate = 0, so the state simply halves.
-    assert np.allclose(out.values, 0.5 * z.values, atol=1e-15)
+    assert np.allclose(out, 0.5 * z, atol=1e-15)
 
 
 def test_gru_gradients():
     params = ParamSet()
     gru = init_gru(params, "g", 3, 4, np.random.default_rng(10))
-    x = Tensor(np.random.default_rng(11).standard_normal((5, 3)))
-    z = Tensor(np.random.default_rng(12).standard_normal((5, 4)))
+    x = Tensor(np.random.default_rng(11).standard_normal((3, 5, 3)), requires_grad=True)
+    z = Tensor(np.random.default_rng(12).standard_normal((5, 4)), requires_grad=True)
 
     def op(*tensors):
-        return gru_cell(tensors[0], tensors[1], gru)
+        return gru_unroll(tensors[0], tensors[1], gru)
 
     assert grad_check(op, [x, z, *gru.tensors()]) < 1e-6
 
@@ -294,12 +294,10 @@ def test_gru_gradients():
 def test_gru_state_stays_bounded():
     params = ParamSet()
     gru = init_gru(params, "g", 2, 6, np.random.default_rng(13))
-    z = Tensor(np.zeros((1, 6)), requires_grad=False)
-    x = Tensor(np.random.default_rng(14).standard_normal((1, 2)), requires_grad=False)
-    for _ in range(200):
-        z = gru_cell(x, z, gru)
+    x = np.random.default_rng(14).standard_normal((1, 2))
+    states = gru_unroll(Tensor(np.repeat(x[None], 200, axis=0)), Tensor(np.zeros((1, 6))), gru)
     # Convex mixing of a tanh candidate keeps every coordinate in (-1, 1).
-    assert np.all(np.abs(z.values) < 1.0)
+    assert np.all(np.abs(states.values) < 1.0)
 
 
 @pytest.mark.parametrize("batch, in_dim, hidden, x_grad", [
@@ -334,8 +332,60 @@ def test_fused_gru_matches_composed_cell(batch, in_dim, hidden, x_grad):
 def test_fused_gru_is_one_tape_node():
     params = ParamSet()
     gru = init_gru(params, "g", 3, 4, np.random.default_rng(15))
-    x = Tensor(np.ones((2, 3)), requires_grad=True)
-    out = gru_cell(x, Tensor(np.zeros((2, 4))), gru)
-    # x, z_prev and the nine weights, with no intermediate node in between.
+    x = Tensor(np.ones((5, 2, 3)), requires_grad=True)
+    out = gru_unroll(x, Tensor(np.zeros((2, 4))), gru)
+    # x, h0 and the nine weights, with no intermediate node in between,
+    # however many steps the unroll takes.
+    assert out.shape == (5, 2, 4)
     assert len(out._parents) == 11
     assert all(not parent._parents for parent in out._parents)
+
+
+@pytest.mark.parametrize("steps, batch, in_dim, hidden", [
+    (1, 3, 4, 5), (3, 5, 3, 4), (24, 32, 16, 16), (7, 1, 1, 1),
+])
+def test_gru_unroll_matches_a_chain_of_cells(steps, batch, in_dim, hidden):
+    # The same states, bit for bit, as one reference cell per step fed by its
+    # own row gather, and the same gradients to 1e-12, with every location
+    # id repeated across steps and rows and a non-zero starting state.
+    rng = np.random.default_rng(steps * 1000 + batch)
+    params = ParamSet()
+    gru = init_gru(params, "g", in_dim, hidden, rng)
+    for tensor in gru.tensors():
+        tensor.values[:] = rng.standard_normal(tensor.shape)
+    table = Tensor(rng.standard_normal((3, in_dim)), requires_grad=True)
+    h0 = Tensor(rng.standard_normal((batch, hidden)), requires_grad=True)
+    ids = rng.integers(0, 3, size=(batch, steps))
+    probe = rng.standard_normal((steps, batch, hidden))
+    leaves = (table, h0, *gru.tensors())
+
+    def grads(loss):
+        for tensor in leaves:
+            tensor.grad = None
+        loss.backward()
+        return [t.grad for t in leaves]
+
+    fused = gru_unroll(nn.gather_rows(table, ids.T), h0, gru)
+    fused_grads = grads(tsum(nn.mul(fused, probe)))
+    chain, z, loss = [], h0, None
+    for l in range(steps):
+        z = gru_cell(nn.gather_rows(table, ids[:, l]), z, gru)
+        chain.append(z.values)
+        term = tsum(nn.mul(z, probe[l]))
+        loss = term if loss is None else nn.add(loss, term)
+    chain_grads = grads(loss)
+
+    np.testing.assert_array_equal(fused.values, np.stack(chain))
+    state = h0.values
+    for l in range(steps):      # the sampler's array step gives the same states
+        state = nn.gru_cell(table.values[ids[:, l]], state, gru)
+        np.testing.assert_array_equal(state, chain[l])
+    for got, want in zip(fused_grads, chain_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 3), (2, 3)])
+def test_gru_unroll_rejects_inputs_without_steps(shape):
+    gru = init_gru(ParamSet(), "g", 3, 4, np.random.default_rng(16))
+    with pytest.raises(ValueError, match="L >= 1"):
+        gru_unroll(Tensor(np.zeros(shape)), Tensor(np.zeros((2, 4))), gru)

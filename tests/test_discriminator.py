@@ -26,8 +26,21 @@ def test_classify_validates_ids():
     disc = _disc()
     with pytest.raises(ValueError):
         disc.classify(np.array([[0, 99]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty batch"):
         disc.classify(np.zeros((2, 0), dtype=np.int64))
+
+
+def test_classify_scores_the_state_the_array_steps_reach():
+    # The teacher-forced pass and the rollouts' array steps reach the same
+    # final state bit for bit, so a rollout is scored as classify scores it.
+    disc = _disc(seed=3)
+    ids = np.random.default_rng(4).integers(0, 8, size=(5, 7))
+    state = np.zeros((5, 4))
+    for column in ids.T:
+        state = disc.step(column, state)
+    with nn.no_grad():
+        np.testing.assert_array_equal(disc.score(state).values, disc.classify(ids).values)
+        np.testing.assert_array_equal(disc.unroll(ids).values[-1], state)
 
 
 def test_zero_params_score_half_and_loss_is_two_ln_two():

@@ -13,6 +13,7 @@ from mobsim.generator import (
     generate_batch,
     sample_streams,
     seed_distribution,
+    visit_counts,
 )
 from gradcheck import grad_check
 from oracles import complete_batch_full_explore, teacher_forced_start, tsum
@@ -157,15 +158,9 @@ def test_explore_softmax_rows_sum_to_one():
 
 
 def _stay_probs(gen, visit_counts):
-    """Stay probabilities at location 0 from a zero hidden state, one row per
-    prefix count of location 0: each prefix ends in that many 0s after 1s."""
-    width = max(visit_counts)
-    prefix = np.ones((len(visit_counts), width), dtype=np.int64)
-    for row, count in enumerate(visit_counts):
-        prefix[row, width - count:] = 0
-    hidden = gen.zero_hidden(len(visit_counts))
+    """Stay probabilities from a zero hidden state, one row per damping count."""
     with nn.no_grad():
-        return gen.stay_probs(hidden, prefix).values
+        return gen.stay_probs(gen.zero_hidden(len(visit_counts)), np.array(visit_counts)).values
 
 
 def test_dwell_prob_decays_with_visit_count():
@@ -311,24 +306,23 @@ def test_complete_batch_is_pure():
     assert np.array_equal(a, b)
 
 
-def test_state_from_prefix_counts_everything():
+def test_state_from_prefix_counts_everything(monkeypatch):
     # The damping count C of the first sampled step covers every prefix slot,
     # the newest one included.
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
     seen = []
-    stay_probs = gen.stay_probs
 
-    def spy(hidden, prefix):
+    def spy(prefix):
         seen.append(prefix.copy())
-        return stay_probs(hidden, prefix)
+        return visit_counts(prefix)
 
-    gen.stay_probs = spy
+    monkeypatch.setattr(generator, "visit_counts", spy)
     _complete(gen, table, np.array([[2, 2, 5]]), 4, sample_streams(0, "c"))
-    counts, current = np.bincount(seen[0][0], minlength=8)[None], seen[0][:, -1]
-    assert counts[0, 2] == 2 and counts[0, 5] == 1 and counts.sum() == 3
-    assert current[0] == 5
+    assert_array_equal(seen[0], [[2, 2, 5]])
+    assert visit_counts(seen[0]).tolist() == [1]
+    assert visit_counts(np.array([[5, 2, 2]])).tolist() == [2]
 
 
 def test_next_location_gate():
@@ -372,7 +366,7 @@ def test_complete_batch_matches_full_explore_oracle(gate, start, given_hidden):
     prefix = rng.integers(0, 8, size=(64, start))
     hidden, starts = teacher_forced_start(gen, table, prefix)
     if given_hidden:
-        hidden = nn.constant(rng.normal(size=(64, 4)))
+        hidden = rng.normal(size=(64, 4))
     out, fired = complete_batch(gen, table, prefix, 10, [sample_streams(7, "o")], hidden,
                                 starts, record=True)
     want, want_fired = complete_batch_full_explore(gen, table, prefix, 10,
@@ -406,7 +400,7 @@ def test_chunked_pass_matches_full_explore_oracle(monkeypatch, gate, start, give
     prefix = rng.integers(0, 8, size=(40, start))
     hidden, starts = teacher_forced_start(gen, table, prefix)
     if given_hidden:
-        hidden = nn.constant(rng.normal(size=(40, 4)))
+        hidden = rng.normal(size=(40, 4))
     want_streams = sample_streams(7, "c")
     want, want_fired = complete_batch_full_explore(gen, table, prefix, 10, want_streams,
                                                    hidden, record=True)
@@ -444,7 +438,7 @@ def test_joined_pass_matches_one_call_per_block(monkeypatch, gate, given_hidden,
 
     def given(lo, hi, start):
         if given_hidden:
-            return nn.constant(hidden[lo:hi])
+            return hidden[lo:hi]
         return teacher_forced_start(gen, table, prefix[lo:hi, :start])[0]
 
     want_streams = [sample_streams(7, f"o/l{start}") for start in starts]
@@ -455,7 +449,7 @@ def test_joined_pass_matches_one_call_per_block(monkeypatch, gate, given_hidden,
         monkeypatch.setattr(generator, "chunk_rows", lambda n: draw_rows)
     joined_streams = [sample_streams(7, f"o/l{start}") for start in starts]
     out, fired = complete_batch(gen, table, prefix, length, joined_streams,
-                                nn.constant(np.concatenate([given(*b).values for b in blocks])),
+                                np.concatenate([given(*b) for b in blocks]),
                                 np.repeat(starts, sizes), record=True)
     for got, expected in zip(joined_streams, want_streams):
         _assert_next_draws_equal(got, expected)

@@ -14,7 +14,8 @@ from mobsim.cli import main
 from mobsim.graphs import LocationGraph
 from mobsim.nn import Tensor
 from gradcheck import grad_check
-from oracles import exp, leakyrelu, log, narrow, relu, sigmoid_masked, softmax, sub, tanh, tsum
+from oracles import (exp, gru_cell, leakyrelu, log, narrow, relu, sigmoid_masked, softmax, sub,
+                     tanh, tsum)
 from test_cli import CHECKINS
 
 
@@ -88,7 +89,8 @@ _TAPE_OPS = {
     "dropout": (lambda a: nn.dropout(a, 0.5, np.random.default_rng(0)), [(3, 4)]),
     "cross_entropy": (lambda a: nn.cross_entropy(a, [0, 3, 1]), [(3, 4)]),
     "binary_cross_entropy": (lambda a: nn.binary_cross_entropy(a, [1.0, 0.0, 1.0]), [(3,)]),
-    "gru_cell": (lambda x, z: nn.gru_cell(x, z, _GRU), [(2, 3), (2, 4)]),
+    "gru_cell": (lambda x, z: gru_cell(x, z, _GRU), [(2, 3), (2, 4)]),
+    "gru_unroll": (lambda x, z: nn.gru_unroll(x, z, _GRU), [(3, 2, 3), (2, 4)]),
     "graph_attention": (lambda h: nn.graph_attention(h, _EDGES, _HEADS), [(5, 3)]),
 }
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mobsim import generator, graphs, nn, synth, training
-from mobsim.discriminator import Discriminator, DiscriminatorConfig
+from mobsim.discriminator import Discriminator, DiscriminatorConfig, d_loss
 from mobsim.generator import Generator, GeneratorConfig, generate_batch, sample_streams
 from mobsim.training import (
     TrainConfig,
@@ -89,10 +89,10 @@ def test_mean_nll_matches_direct_evaluation():
 def test_pretrain_generator_reduces_nll():
     gen = _gen(seed=1)
     ids = _sticky_ids()
-    before = mean_nll(gen, ids)
+    before = mean_nll(gen, ids, 16)
     log = pretrain_generator(gen, ids, TrainConfig(pretrain_epochs=8, lr=0.05,
                                                    batch_size=16, seed=0))
-    after = mean_nll(gen, ids)
+    after = mean_nll(gen, ids, 16)
     assert after < before * 0.8
     assert log[0].startswith("phase=pretrain_g epoch=0 nll=")
     assert len(log) == 9
@@ -176,20 +176,20 @@ class _CountingDisc:
     Its state after l columns is (zeros so far, l) per row, so a tail scored
     from the state of its head gets the share over the whole row."""
 
-    def unroll(self, ids, hidden=None):
-        ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
-        state = np.zeros((len(ids), 2)) if hidden is None else hidden.values
-        states = [nn.constant(state)]
+    def step(self, ids, hidden):
+        return hidden + np.column_stack([ids == 0, np.ones(len(ids))])
+
+    def unroll(self, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        state, states = np.zeros((len(ids), 2)), []
         for column in ids.T:
-            state = state + np.column_stack([column == 0, np.ones(len(ids))])
-            states.append(nn.constant(state))
-        return states
+            state = self.step(column, state)
+            states.append(state)
+        return nn.constant(np.stack(states))
 
     def score(self, hidden):
-        return nn.constant(hidden.values[:, 0] / hidden.values[:, 1])
-
-    def classify(self, ids, hidden=None):
-        return self.score(self.unroll(ids, hidden)[-1])
+        hidden = np.asarray(getattr(hidden, "values", hidden))
+        return nn.constant(hidden[:, 0] / hidden[:, 1])
 
 
 def test_compute_rewards_shape_range_and_final_column():
@@ -414,21 +414,61 @@ def test_log_prob_without_dwell_equals_negative_nll():
     np.testing.assert_array_equal(-objective.values, nll.values)
 
 
-def test_log_prob_damping_counts_every_prefix_slot():
+def test_log_prob_damping_counts_every_prefix_slot(monkeypatch):
     # Step l is damped by the count of its current location over slots 0..l,
-    # the same convention the sampler uses.
+    # counted by the function the sampler uses.
+    assert training.visit_counts is generator.visit_counts
     gen = _gen(seed=14)
     ids = np.array([[2, 2, 5, 2]])
     seen = []
-    stay_probs = gen.stay_probs
 
-    def spy(hidden, prefix):
-        seen.append(int((prefix[0] == prefix[0, -1]).sum()))
-        return stay_probs(hidden, prefix)
+    def spy(prefix):
+        counts = generator.visit_counts(prefix)
+        seen.extend(counts.tolist())
+        return counts
 
-    gen.stay_probs = spy
+    monkeypatch.setattr(training, "visit_counts", spy)
     sequence_log_prob(gen, ids, np.zeros((1, 3), dtype=bool), np.ones((1, 3)))
     assert seen == [1, 2, 1]
+
+
+@pytest.mark.parametrize("name", ["fired", "weights"])
+@pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3, 3), (6,)])
+def test_log_prob_rejects_a_per_step_matrix_of_the_wrong_shape(name, shape):
+    # Both are (B, L-1); a (B, L) matrix used to pass, its last column unread.
+    gen = _gen(seed=15)
+    ids = np.array([[0, 1, 2, 3], [4, 4, 5, 6]])
+    args = {"fired": np.zeros((2, 3), dtype=bool), "weights": np.ones((2, 3))}
+    args[name] = np.ones(shape, dtype=args[name].dtype)
+    with pytest.raises(ValueError, match=name):
+        sequence_log_prob(gen, ids, **args)
+
+
+def _tape_nodes(root):
+    """Distinct tensors reachable from ``root`` through ``_parents``."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_teacher_forced_tapes_do_not_grow_with_the_length():
+    # One GRU op per unroll and one head pass over the stacked states: the
+    # same tape at 4 slots as at 24.
+    gen, disc = _gen(seed=16), _disc(seed=16)
+    rng = np.random.default_rng(16)
+    nodes = {}
+    for length in (4, 24):
+        ids = rng.integers(0, 8, size=(6, length))
+        nll, bce = gen.sequence_nll(ids)
+        log_prob = sequence_log_prob(gen, ids, rng.random((6, length - 1)) < 0.5,
+                                     np.ones((6, length - 1)))
+        nodes[length] = (_tape_nodes(nn.add(nll, bce)), _tape_nodes(log_prob),
+                         _tape_nodes(d_loss(disc, ids, ids[::-1])))
+    assert nodes[4] == nodes[24]
 
 
 # ---------------------------------------------------------------------------
