@@ -157,10 +157,10 @@ def test_explore_softmax_rows_sum_to_one():
     assert np.all(probs > 0)
 
 
-def _stay_probs(gen, visit_counts):
+def _stay_probs(gen, counts):
     """Stay probabilities from a zero hidden state, one row per damping count."""
     with nn.no_grad():
-        return gen.stay_probs(gen.zero_hidden(len(visit_counts)), np.array(visit_counts)).values
+        return gen.stay_probs(gen.zero_hidden(len(counts)), np.array(counts)).values
 
 
 def test_dwell_prob_decays_with_visit_count():
