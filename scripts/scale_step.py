@@ -92,7 +92,7 @@ def step(n: int, path: str) -> dict:
         batch = ids[rng.choice(len(ids), 32, replace=False)]
         start = time.perf_counter()
         optimizer.zero_grad()
-        nn.add(*gen.sequence_nll(batch, training=True, rng=rng)).backward()
+        nn.add(*gen.sequence_nll(gen.embed_locations(rng), batch)).backward()
         optimizer.step()
         times.append(time.perf_counter() - start)
     return {"step_s": times, "peak_rss_mb": _peak_rss_mb()}

@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import __version__, graphs, metrics, persist, records, synth, training
-from .discriminator import Discriminator, DiscriminatorConfig
+from .discriminator import Discriminator
 from .generator import Generator, GeneratorConfig, generate_batch, sample_streams, seed_distribution
 from .records import Dataset
 
@@ -227,6 +227,9 @@ def cmd_preprocess(args) -> None:
         raise CliValidationError(f"--slots must be at least 2, got {args.slots}")
     if not args.delimiter:
         raise CliValidationError("--delimiter must not be empty")
+    if not -24 < args.utc_offset < 24:
+        raise CliValidationError(f"--utc-offset must lie strictly between -24 and 24 hours, "
+                                 f"got {args.utc_offset}")
     ratios = _parse_ratios(args.ratios)
     with _input_file(args.input, "input"), open(args.input, encoding="utf-8") as fh:
         parsed, id_map = records.parse_checkins(fh, delimiter=args.delimiter)
@@ -282,8 +285,7 @@ def _load_train(args) -> Dataset:
     train = _load_split(args.train, "train", _load_locations(args.locations))
     if args.observed:
         with _input_file(args.observed, "observed"):
-            records.attach_observed(train.trajectories, args.observed, train.n_locations,
-                                    train.trajectories.ids.shape[1])
+            records.attach_observed(train.trajectories, args.observed, train.n_locations)
     return train
 
 
@@ -332,8 +334,7 @@ def _fit(config, channel_graphs, train: Dataset, valid: Dataset | None):
     with _rejected():
         gen = Generator(_make_config(GeneratorConfig, config, n_locations=n), channel_graphs,
                         seed=config["seed"])
-    disc = Discriminator(_make_config(DiscriminatorConfig, config, n_locations=n),
-                         seed=config["seed"])
+    disc = Discriminator(n, gen.config.embed_dim, gen.config.hidden_dim, seed=config["seed"])
     tc = _make_config(training.TrainConfig, config)
     ids = train.trajectories.ids
     log = training.pretrain_generator(gen, ids, tc)
@@ -380,10 +381,8 @@ def cmd_generate(args) -> None:
         if not os.path.isfile(ckpt_path):
             raise CliValidationError(f"model checkpoint file not found: {ckpt_path}")
         meta = persist.read_model_meta(meta_path, "generator")
-        # Metas written before the trained length was recorded get a full day.
-        slots = args.slots if args.slots is not None else (
-            meta.field("slots", records._int_field) if "slots" in meta
-            else records.HOURS_PER_DAY)
+        trained_slots = meta.field("slots", records._int_field)
+        slots = args.slots if args.slots is not None else trained_slots
         if slots < 2:
             raise CliValidationError(f"slots must be at least 2, got {slots}")
         channels = meta.field("channels", records._tuple_field)
@@ -405,6 +404,10 @@ def cmd_evaluate(args) -> None:
     if not 0.0 < args.grid_step < math.inf:
         raise CliValidationError(f"--grid-step must be positive and finite, got {args.grid_step}")
     coords = _load_locations(args.locations)
+    # Each visited coordinate / step is floored to an int64 grid cell index.
+    if np.abs(coords).max(initial=0.0) / args.grid_step >= 2.0 ** 63:
+        raise CliValidationError(f"--grid-step {args.grid_step!r} is too small for "
+                                 f"{args.locations}: a grid cell index would overflow int64")
     real = _load_split(args.real, "real", coords)
     generated = _load_split(args.generated, "generated", coords,
                             real.trajectories.ids.shape[1]).trajectories.ids

@@ -11,46 +11,35 @@ run the prefix once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .nn import Tensor
+from .records import check_ids
 from .rng import stream
 
 
-@dataclass
-class DiscriminatorConfig:
-    n_locations: int
-    embed_dim: int
-    hidden_dim: int
-
-    def __post_init__(self):
-        if self.n_locations < 2:
-            raise ValueError("need at least 2 locations")
-
-
 class Discriminator:
-    def __init__(self, config: DiscriminatorConfig, seed: int = 0):
-        self.config = config
+    """Sized by the generator it judges: its ``n_locations``, ``embed_dim``
+    and ``hidden_dim``."""
+
+    def __init__(self, n_locations: int, embed_dim: int, hidden_dim: int, seed: int = 0):
+        self.n_locations, self.embed_dim, self.hidden_dim = n_locations, embed_dim, hidden_dim
         rng = stream(seed, "init/discriminator")
         params = nn.ParamSet()
-        params.register("embed", rng.normal(0.0, 0.1, size=(config.n_locations, config.embed_dim)))
-        self.gru = nn.init_gru(params, "gru", config.embed_dim, config.hidden_dim, rng)
+        params.register("embed", rng.normal(0.0, 0.1, size=(n_locations, embed_dim)))
+        self.gru = nn.init_gru(params, "gru", embed_dim, hidden_dim, rng)
         params.register("head/weight",
-                        rng.normal(0.0, 1.0 / math.sqrt(config.hidden_dim),
-                                   size=(config.hidden_dim, 1)))
+                        rng.normal(0.0, 1.0 / math.sqrt(hidden_dim), size=(hidden_dim, 1)))
         params.register("head/bias", np.zeros(1))
         self.params = params
 
     def unroll(self, batch_ids: np.ndarray) -> Tensor:
         """GRU pass over a (B, L) id matrix from the zero state, one tape op:
         the (L, B, H) states, entry l after the first l + 1 columns."""
-        batch_ids = np.asarray(batch_ids, dtype=np.int64)
-        if batch_ids.size == 0:
-            raise ValueError("empty batch")
-        hidden = nn.constant(np.zeros((batch_ids.shape[0], self.config.hidden_dim)))
+        batch_ids = check_ids(batch_ids, self.n_locations)
+        hidden = nn.constant(np.zeros((len(batch_ids), self.hidden_dim)))
         return nn.gru_unroll(nn.gather_rows(self.params["embed"], batch_ids.T), hidden, self.gru)
 
     def step(self, ids: np.ndarray, hidden: np.ndarray) -> np.ndarray:

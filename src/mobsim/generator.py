@@ -27,6 +27,7 @@ import numpy as np
 
 from . import nn
 from .nn import Tensor, no_grad
+from .records import check_ids
 from .rng import categorical, stream
 
 _ALLOWED_LAYERS = (1, 2)
@@ -130,20 +131,21 @@ class Generator:
         params.register("dwell/bias", np.zeros(1))
         self.params = params
 
-    def embed_locations(self, training: bool = False, rng=None) -> Tensor:
-        """The fused (N, embed_dim) location table after the attention stacks."""
-        if training and self.config.dropout > 0.0 and rng is None:
-            raise ValueError("training-mode embedding needs an rng for dropout")
+    def embed_locations(self, rng=None) -> Tensor:
+        """The fused (N, embed_dim) location table after the attention stacks.
+
+        Given a dropout stream ``rng``, the attention weights and the table
+        are dropped at the config's rate (training); without one, nothing is
+        dropped (evaluation and sampling)."""
         table = self.params["embed"]
         for layer in range(self.config.layers):
             fused = None
             for name in self.config.channels:
                 out = nn.graph_attention(table, self.edges[name], self.attn[name][layer],
-                                         dropout_rate=self.config.dropout,
-                                         rng=rng, training=training)
+                                         dropout_rate=self.config.dropout, rng=rng)
                 fused = out if fused is None else nn.add(fused, out)
             table = fused
-        if training and self.config.dropout > 0.0:
+        if rng is not None:
             table = nn.dropout(table, self.config.dropout, rng)
         return table
 
@@ -174,8 +176,9 @@ class Generator:
         x = nn.gather_rows(table, batch_ids.T)
         return nn.gru_unroll(x, nn.constant(self.zero_hidden(len(batch_ids))), self.gru)
 
-    def sequence_nll(self, batch_ids: np.ndarray, training: bool = False, rng=None):
-        """Teacher-forced losses over a (B, L) id matrix.
+    def sequence_nll(self, table: Tensor, batch_ids: np.ndarray):
+        """Teacher-forced losses over a (B, L) id matrix, L >= 2, against the
+        location ``table`` of :meth:`embed_locations`.
 
         Returns ``(nll, dwell_bce)``: the mean (over trajectories) summed
         negative log likelihood of each next location under the exploration
@@ -183,11 +186,7 @@ class Generator:
         sigmoid against the stay indicator of each step.  The heads score
         the (L - 1) * B stacked states, step-major, at once.
         """
-        batch_ids = np.asarray(batch_ids, dtype=np.int64)
-        if batch_ids.ndim != 2 or batch_ids.shape[1] < 2:
-            raise ValueError("need a (B, L>=2) id matrix")
-        self._check_ids(batch_ids)
-        table = self.embed_locations(training=training, rng=rng)
+        batch_ids = check_ids(batch_ids, self.config.n_locations)
         hidden = nn.reshape(self.unroll(table, batch_ids[:, :-1]), (-1, self.config.hidden_dim))
         nxt, cur = batch_ids[:, 1:].T.ravel(), batch_ids[:, :-1].T.ravel()
         nll = nn.cross_entropy(self.explore_logits(hidden), nxt)
@@ -195,15 +194,6 @@ class Generator:
         # The batch mean of per-trajectory sums over L - 1 steps.
         steps = batch_ids.shape[1] - 1
         return nn.mul(nn.tmean(nll), steps), nn.mul(nn.tmean(bce), steps)
-
-    def _check_ids(self, ids: np.ndarray):
-        # nn.gather_rows checks the ids it embeds, but not all of these reach
-        # it: the last column of sequence_nll is only a cross-entropy target
-        # (an id of N or more raises IndexError there, a negative one wraps
-        # into a wrong loss), and complete_batch feeds only the last column
-        # of each row's prefix to gather_rows.
-        if ids.size and (ids.min() < 0 or ids.max() >= self.config.n_locations):
-            raise ValueError(f"location ids outside [0, {self.config.n_locations})")
 
 
 def visit_counts(prefix: np.ndarray) -> np.ndarray:
@@ -248,7 +238,8 @@ def _explore_draw(gen: Generator, hidden: np.ndarray, rows: np.ndarray, uniforms
 
 def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length: int,
                    streams: list, hidden: np.ndarray, starts: np.ndarray, record: bool = False):
-    """Extend each row of a (B, w) prefix batch to ``length`` slots by sampling.
+    """Extend each row of a (B, w) prefix batch, B >= 1, to ``length`` slots
+    by sampling from the location ``table`` of :meth:`Generator.embed_locations`.
 
     Rows may join the pass at their own position.  ``starts`` gives each
     row's prefix length, non-decreasing down the batch; the columns of
@@ -272,7 +263,7 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     and draw.  With ``record`` the (B, length - first start) matrix of
     dwell-fired flags is returned as well, False before each row's start.
     """
-    prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
+    prefix_ids = check_ids(prefix_ids, gen.config.n_locations, min_slots=1)
     b, width = prefix_ids.shape
     if not 1 <= width <= length:
         raise ValueError(f"prefix length {width} outside [1, {length}]")
@@ -283,13 +274,12 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
                          "non-decreasing down the batch")
     block_starts, block_lo = np.unique(starts, return_index=True)
     block_hi = np.append(block_lo[1:], b)
-    if b and len(streams) != len(block_starts):
+    if len(streams) != len(block_starts):
         raise ValueError(f"{len(block_starts)} blocks of rows need as many streams, "
                          f"got {len(streams)}")
-    gen._check_ids(prefix_ids)
     out = np.empty((b, length), dtype=np.int64)
     out[:, :width] = prefix_ids
-    first = starts.min(initial=length)      # an empty batch takes no step
+    first = starts[0]
     fired = np.zeros((b, length - first), dtype=bool)
     # Row r's uniforms for the step that fills position pos sit at [pos, r].
     explore_u, dwell_u = np.empty((length, b)), np.empty((length, b))
@@ -327,11 +317,10 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
 
 
 def seed_distribution(batch_ids: np.ndarray, n_locations: int) -> np.ndarray:
-    """Empirical distribution of first-slot locations in a training matrix."""
-    counts = np.bincount(batch_ids[:, 0], minlength=n_locations).astype(np.float64)
-    if counts.sum() == 0:
-        raise ValueError("empty training matrix")
-    return counts / counts.sum()
+    """Empirical distribution of first-slot locations in a (B, T) training
+    id matrix."""
+    first = check_ids(batch_ids, n_locations)[:, 0]
+    return np.bincount(first, minlength=n_locations) / len(first)
 
 
 def generate_batch(gen: Generator, count: int, length: int, seed_dist: np.ndarray,
@@ -340,7 +329,7 @@ def generate_batch(gen: Generator, count: int, length: int, seed_dist: np.ndarra
     the given distribution: one block of one-slot prefixes, each joining the
     pass from the zero state."""
     with no_grad():
-        table = gen.embed_locations(training=False)
+        table = gen.embed_locations()
     seeds = categorical(np.cumsum(seed_dist), streams.seed.random(count))
     return complete_batch(gen, table, seeds[:, None], length, [streams],
                           gen.zero_hidden(count), np.ones(count, dtype=np.int64), record=record)

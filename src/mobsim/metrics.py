@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import haversine_km
-from .records import Dataset
+from .records import Dataset, check_ids
 
 
 def binned_masses(real, generated, bins: int = 100):
@@ -98,21 +98,23 @@ def _run_lengths(starts: np.ndarray) -> np.ndarray:
     return np.diff(np.flatnonzero(starts), append=starts.size)
 
 
-def _slot_count_masses(values: np.ndarray, slots_per_day: int) -> np.ndarray:
-    """Masses of counts in 1..T, entry ``i`` for count ``i + 1``."""
-    counts = np.bincount(values - 1, minlength=slots_per_day)
+def _slot_count_masses(values: np.ndarray, slots: int) -> np.ndarray:
+    """Masses of counts in 1..``slots``, entry ``i`` for count ``i + 1``."""
+    counts = np.bincount(values - 1, minlength=slots)
     return counts / counts.sum()
 
 
-def duration_histogram(ids: np.ndarray, slots_per_day: int) -> np.ndarray:
-    """Masses of the lengths of the maximal runs of identical consecutive ids."""
-    return _slot_count_masses(_run_lengths(_run_starts(ids)), slots_per_day)
+def duration_histogram(ids: np.ndarray) -> np.ndarray:
+    """Masses of the lengths of the maximal runs of identical consecutive ids
+    of a (B, T) id matrix, over 1..T."""
+    return _slot_count_masses(_run_lengths(_run_starts(ids)), ids.shape[1])
 
 
-def daily_locations_histogram(ids: np.ndarray, slots_per_day: int) -> np.ndarray:
-    """Masses of the distinct ids per row: the runs of the sorted row."""
+def daily_locations_histogram(ids: np.ndarray) -> np.ndarray:
+    """Masses of the distinct ids per row of a (B, T) id matrix, over 1..T:
+    the runs of the sorted row."""
     distinct = _run_starts(np.sort(ids, axis=1)).sum(axis=1)
-    return _slot_count_masses(distinct, slots_per_day)
+    return _slot_count_masses(distinct, ids.shape[1])
 
 
 def global_rank_histogram(ids: np.ndarray, n_locations: int, top: int = 100) -> np.ndarray:
@@ -162,22 +164,17 @@ def evaluate(real: Dataset, generated: np.ndarray, bins: int = 100, top: int = 1
              include_zero_steps: bool = True) -> MetricReport:
     """Score a generated (B, T) id matrix against a real dataset.
 
-    The generated ids index the real coordinate table, and their length T
-    must equal the real one, which also sizes the duration and daily-location
-    masses.  Continuous bin ranges come from the real data only.
-    Scoring costs O(B·T) time and memory.
+    Both id matrices must pass :func:`~mobsim.records.check_ids` against the
+    real coordinate table, and the generated length T must equal the real
+    one, which also sizes the duration and daily-location masses.
+    Continuous bin ranges come from the real data only.  Scoring costs
+    O(B·T) time and memory.
     """
-    real_ids = real.trajectories.ids
-    gen_ids = np.asarray(generated, dtype=np.int64)
-    if not len(real_ids) or not len(gen_ids):
-        raise ValueError("both datasets must be non-empty")
-    if gen_ids.ndim != 2:
-        raise ValueError(f"generated must be a (B, T) id matrix, got shape {gen_ids.shape}")
+    coords = real.locations
+    real_ids, gen_ids = (check_ids(ids, len(coords)) for ids in (real.trajectories.ids, generated))
     if gen_ids.shape[1] != real_ids.shape[1]:
         raise ValueError(f"generated trajectories hold {gen_ids.shape[1]} ids, "
                          f"real ones {real_ids.shape[1]}")
-    coords = real.locations
-    slots_per_day = real_ids.shape[1]
 
     real_steps = step_distances(real_ids, coords)
     gen_steps = step_distances(gen_ids, coords)
@@ -194,10 +191,8 @@ def evaluate(real: Dataset, generated: np.ndarray, bins: int = 100, top: int = 1
         "distance": binned_masses(real_steps, gen_steps, bins),
         "radius": binned_masses(gyration_radii(real_ids, coords),
                                 gyration_radii(gen_ids, coords), bins),
-        "duration": (duration_histogram(real_ids, slots_per_day),
-                     duration_histogram(gen_ids, slots_per_day)),
-        "daily_loc": (daily_locations_histogram(real_ids, slots_per_day),
-                      daily_locations_histogram(gen_ids, slots_per_day)),
+        "duration": (duration_histogram(real_ids), duration_histogram(gen_ids)),
+        "daily_loc": (daily_locations_histogram(real_ids), daily_locations_histogram(gen_ids)),
         "g_rank": (real_rank[ranked], gen_rank[ranked]),
         "i_rank": tuple(np.pad(profile, (0, width - len(profile))) for profile in profiles),
     }

@@ -113,19 +113,19 @@ def _attention_head(h: Tensor, edges: GraphEdges, head: HeadParams, keep) -> Ten
 
 
 def graph_attention(h: Tensor, edges: GraphEdges, heads, dropout_rate: float = 0.0,
-                    rng=None, training: bool = False) -> Tensor:
+                    rng=None) -> Tensor:
     """Multi-head attention step; returns the concatenation over heads.
 
     Per head and edge i -> j: logit e_ij = leakyrelu(score . [W h_i || W h_j])
     + log w_ij, the leaky ReLU of slope 0.2; attention = softmax of the
     logits over i's out-edges; output_i = relu(sum_j attention_ij (h W)_j).
-    In training, attention weights are dropped per edge (inverted dropout,
-    one draw per edge).
+    Given a dropout stream ``rng`` and a positive ``dropout_rate``, attention
+    weights are dropped per edge (inverted dropout, one draw per edge).
     """
     outputs = []
     for head in heads:
         keep = None
-        if training and dropout_rate > 0.0:
+        if rng is not None and dropout_rate > 0.0:
             keep = dropout_mask(len(edges.src), dropout_rate, rng)
         outputs.append(_attention_head(h, edges, head, keep))
     return outputs[0] if len(outputs) == 1 else concat(outputs, axis=1)

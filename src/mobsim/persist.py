@@ -1,9 +1,10 @@
 """Saving and restoring trained models.
 
 A model is a parameter checkpoint (see :mod:`mobsim.nn.checkpoint`) plus a
-``.meta`` sidecar of key=value lines: one per field of the model's config
-dataclass and, for the generator, the trajectory length it was trained on
-and the training-split seed distribution needed to start new trajectories.
+``.meta`` sidecar of key=value lines: for the generator, one per field of
+its config dataclass, the trajectory length it was trained on and the
+training-split seed distribution needed to start new trajectories; for the
+discriminator, its three sizes.
 Floats are written with repr and round-trip exactly, bools as 0/1.
 """
 
@@ -89,11 +90,6 @@ def _distribution(line_no: int, name: str, text: str, size: int) -> np.ndarray:
     return dist
 
 
-def _read_config(cls, meta: Meta):
-    """A ``cls`` config from the meta line of each of its fields."""
-    return cls(**{f.name: meta.field(f.name, READERS[f.type]) for f in dataclasses.fields(cls)})
-
-
 def _load_params(params, path):
     try:
         params.load_values(load_checkpoint(path))
@@ -119,7 +115,8 @@ def load_generator(prefix, graphs: dict, meta: Meta):
     fit raises :class:`CheckpointError`.
     """
     try:
-        config = _read_config(GeneratorConfig, meta)
+        config = GeneratorConfig(**{f.name: meta.field(f.name, READERS[f.type])
+                                    for f in dataclasses.fields(GeneratorConfig)})
         seed_dist = meta.field("seed_distribution", _distribution, config.n_locations)
         gen = Generator(config, graphs)
     except ConfigError as exc:
@@ -129,5 +126,8 @@ def load_generator(prefix, graphs: dict, meta: Meta):
 
 
 def save_discriminator(prefix, disc: Discriminator):
+    """Write ``<prefix>.ckpt`` and ``<prefix>.meta``, the meta holding the
+    discriminator's sizes."""
     save_checkpoint(f"{prefix}.ckpt", disc.params)
-    _write_meta(f"{prefix}.meta", {"kind": "discriminator", **dataclasses.asdict(disc.config)})
+    _write_meta(f"{prefix}.meta", {"kind": "discriminator", "n_locations": disc.n_locations,
+                                   "embed_dim": disc.embed_dim, "hidden_dim": disc.hidden_dim})

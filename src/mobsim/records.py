@@ -124,6 +124,18 @@ class Dataset:
         return len(self.trajectories)
 
 
+def check_ids(ids, n_locations: int, min_slots: int = 2) -> np.ndarray:
+    """``ids`` as an int64 (B, T) id matrix with B >= 1, T >= ``min_slots``
+    and every id in [0, ``n_locations``); the one check of an in-memory id
+    matrix.  Anything else raises ValueError."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or not len(ids) or ids.shape[1] < min_slots:
+        raise ValueError(f"need a (B >= 1, T >= {min_slots}) id matrix, got shape {ids.shape}")
+    if ids.min() < 0 or ids.max() >= n_locations:
+        raise ValueError(f"location ids outside [0, {n_locations})")
+    return ids
+
+
 def _fields(lines, layout: str, delimiter: str = ",", start: int = 1, rest: bool = False):
     """``(line number, fields)`` of each non-blank line, numbered from
     ``start``.  ``layout`` names the fields comma-separated (say
@@ -417,16 +429,16 @@ def write_observed(path, trajectories: Trajectories):
         fh.write("".join(lines))
 
 
-def attach_observed(trajectories: Trajectories, path, n_locations: int,
-                    slots: int) -> Trajectories:
+def attach_observed(trajectories: Trajectories, path, n_locations: int) -> Trajectories:
     """Fill the table's observed pairs from an observed sidecar file, in place.
 
     Every line holds a user, an ISO day and ``slot:loc`` integer pairs, each
-    slot in [0, ``slots``) and each location in [0, ``n_locations``);
-    anything else raises :class:`CheckinFormatError` naming the line and
-    field.  A row takes the pairs of the last line with its user and day, and
-    none if no line has them.
+    slot in [0, T), T the table's trajectory length, and each location in
+    [0, ``n_locations``); anything else raises :class:`CheckinFormatError`
+    naming the line and field.  A row takes the pairs of the last line with
+    its user and day, and none if no line has them.
     """
+    slots = trajectories.ids.shape[1]
     table = {}
     for line_no, user, day, pair_text in _user_day_lines(path, "pairs"):
         table[(user, day)] = [

@@ -37,7 +37,7 @@ from .generator import (
     visit_counts,
 )
 from .metrics import evaluate
-from .records import Dataset
+from .records import Dataset, check_ids
 from .rng import stream
 
 
@@ -92,13 +92,14 @@ def _minibatches(n: int, batch_size: int, rng):
 
 
 def mean_nll(gen: Generator, ids: np.ndarray, batch_size: int) -> float:
-    """Teacher-forced mean NLL per trajectory, evaluation mode, scored
-    ``batch_size`` rows at a time."""
+    """Teacher-forced mean NLL per trajectory, evaluation mode: the
+    locations are embedded once and scored ``batch_size`` rows at a time."""
     total = 0.0
     with nn.no_grad():
+        table = gen.embed_locations()
         for start in range(0, len(ids), batch_size):
             chunk = ids[start:start + batch_size]
-            nll, _ = gen.sequence_nll(chunk)
+            nll, _ = gen.sequence_nll(table, chunk)
             total += nll.item() * len(chunk)
     return total / len(ids)
 
@@ -128,7 +129,7 @@ def pretrain_generator(gen: Generator, train_ids: np.ndarray, config: TrainConfi
         batches = 0
         for batch_index in _minibatches(len(train_ids), config.batch_size, shuffle_rng):
             optimizer.zero_grad()
-            nll, bce = gen.sequence_nll(train_ids[batch_index], training=True, rng=dropout_rng)
+            nll, bce = gen.sequence_nll(gen.embed_locations(dropout_rng), train_ids[batch_index])
             loss = nn.add(nll, bce) if gen.config.dwell else nll
             loss.backward()
             optimizer.step()
@@ -177,7 +178,7 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
     blocks per pass as fit in ``block_rows(N)`` rows; the discriminator steps
     over the same joined rows.
     """
-    batch_ids = np.asarray(batch_ids, dtype=np.int64)
+    batch_ids = check_ids(batch_ids, gen.config.n_locations)
     b, length = batch_ids.shape
     rows = b * n_rollouts
     per_pass = max(1, block_rows(gen.config.n_locations) // rows)
@@ -187,7 +188,7 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
         return np.repeat(state, n_rollouts, axis=0)
 
     with nn.no_grad():
-        table = gen.embed_locations(training=False)
+        table = gen.embed_locations()
         # Rollouts of the length-l prefix start from the generator state after
         # l - 1 columns, l < L, so the last two columns are never fed.
         gen_states = [gen.zero_hidden(b)]
@@ -216,9 +217,11 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
     return rewards
 
 
-def sequence_log_prob(gen: Generator, batch_ids: np.ndarray, fired: np.ndarray,
-                      weights: np.ndarray, training: bool = False, rng=None):
-    """Weighted sum of per-step log probabilities of the realized branches.
+def sequence_log_prob(gen: Generator, table: nn.Tensor, batch_ids: np.ndarray,
+                      fired: np.ndarray, weights: np.ndarray):
+    """Weighted sum of per-step log probabilities of the realized branches
+    of a (B, L) id matrix, against the location ``table`` of
+    ``gen.embed_locations``.
 
     For the step that produced position l+1: log of the dwell stay
     probability when the dwell Bernoulli fired, log of the exploration
@@ -227,13 +230,12 @@ def sequence_log_prob(gen: Generator, batch_ids: np.ndarray, fired: np.ndarray,
     the batch-mean weighted sum.  The heads score the (L - 1) * B stacked
     states, step-major, at once.
     """
-    batch_ids = np.asarray(batch_ids, dtype=np.int64)
+    batch_ids = check_ids(batch_ids, gen.config.n_locations)
     b, length = batch_ids.shape
     for name, array in (("fired", fired), ("weights", weights)):
         if np.shape(array) != (b, length - 1):
             raise ValueError(f"{name} must be (B, L-1) = {(b, length - 1)}, "
                              f"got {np.shape(array)}")
-    table = gen.embed_locations(training=training, rng=rng)
     hidden = nn.reshape(gen.unroll(table, batch_ids[:, :-1]), (-1, gen.config.hidden_dim))
     explore_lp = nn.neg(nn.cross_entropy(gen.explore_logits(hidden), batch_ids[:, 1:].T.ravel()))
     visits = np.concatenate([visit_counts(batch_ids[:, :l + 1]) for l in range(length - 1)])
@@ -248,15 +250,16 @@ def sequence_log_prob(gen: Generator, batch_ids: np.ndarray, fired: np.ndarray,
 
 def policy_gradient_step(gen: Generator, optimizer, batch_ids: np.ndarray,
                          fired: np.ndarray, rewards: np.ndarray, baseline: float,
-                         rng=None) -> float:
-    """One REINFORCE ascent step.
+                         rng) -> float:
+    """One REINFORCE ascent step, with the generator's dropout drawn from
+    the stream ``rng``.
 
     The step that produced position l+1 is credited with the reward of the
     prefix that includes its outcome (column l of the reward table), minus
     the baseline.  Returns the mean weighted log-probability objective.
     """
     weights = rewards[:, 1:] - baseline
-    objective = sequence_log_prob(gen, batch_ids, fired, weights, training=True, rng=rng)
+    objective = sequence_log_prob(gen, gen.embed_locations(rng), batch_ids, fired, weights)
     optimizer.zero_grad()
     nn.neg(objective).backward()
     optimizer.step()

@@ -282,7 +282,7 @@ def compute_rewards_replayed(gen, disc, batch_ids, n_rollouts, master_seed, tag)
     b, length = batch_ids.shape
     rewards = np.empty((b, length))
     with nn.no_grad():
-        table = gen.embed_locations(training=False)
+        table = gen.embed_locations()
         for l in range(1, length):
             streams = sample_streams(master_seed, f"{tag}/l{l}")
             tiled = np.repeat(batch_ids[:, :l], n_rollouts, axis=0)

@@ -18,7 +18,7 @@ import pytest
 
 from mobsim import nn
 from mobsim.cli import main
-from mobsim.discriminator import Discriminator, DiscriminatorConfig, d_loss
+from mobsim.discriminator import Discriminator, d_loss
 from mobsim.generator import (Generator, GeneratorConfig, generate_batch,
                               sample_streams, seed_distribution)
 from mobsim.graphs import (LocationGraph, binarize, build_sdg, build_stg,
@@ -123,7 +123,7 @@ def test_criterion_1_gradient_correctness():
             gen = Generator(cfg, graphs, seed=i)
             ids = rng.integers(0, 6, size=(2, 4))
             ids[0, 2] = ids[0, 1]        # at least one dwell event
-            return (lambda *_: nn.add(*gen.sequence_nll(ids)),
+            return (lambda *_: nn.add(*gen.sequence_nll(gen.embed_locations(), ids)),
                     [gen.params[name] for name in gen.params.names()])
 
         _check_op(nll_instance)
@@ -139,7 +139,7 @@ def test_criterion_1_gradient_correctness():
         _check_op(dwell_instance)
 
         def d_loss_instance(rng, i):
-            disc = Discriminator(DiscriminatorConfig(6, embed_dim=3, hidden_dim=3), seed=i)
+            disc = Discriminator(6, embed_dim=3, hidden_dim=3, seed=i)
             real = rng.integers(0, 6, size=(2, 4))
             fake = rng.integers(0, 6, size=(2, 4))
             return (lambda *_: d_loss(disc, real, fake),
@@ -340,8 +340,7 @@ def test_criterion_7_learning_signal(planted):
                 f"seed {seed}: pretraining cut NLL only "
                 f"{(nll_start - nll_end) / nll_start:.1%}")
 
-            disc = Discriminator(DiscriminatorConfig(100, embed_dim=16, hidden_dim=16),
-                                 seed=seed)
+            disc = Discriminator(100, embed_dim=16, hidden_dim=16, seed=seed)
             pretrain_discriminator(disc, gen, planted["train_ids"], config)
             best_gen, _, _ = adversarial_train(gen, disc, planted["train"],
                                                planted["valid"], config)

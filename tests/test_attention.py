@@ -175,15 +175,17 @@ def test_attention_gradients():
     assert grad_check(op, tensors) < 1e-6
 
 
-def test_attention_dropout_only_when_training():
+def test_attention_dropout_only_with_a_stream():
+    # Dropout runs exactly when a stream is given and the rate is positive.
     edges = graph_edges(_chain_graph(5))
     params, heads = _heads(1, 4, 4)
     h = Tensor(np.random.default_rng(6).standard_normal((5, 4)), requires_grad=False)
     plain = graph_attention(h, edges, heads)
-    evald = graph_attention(h, edges, heads, dropout_rate=0.5, training=False)
-    assert np.array_equal(plain.values, evald.values)
-    dropped = graph_attention(h, edges, heads, dropout_rate=0.5, training=True,
-                              rng=np.random.default_rng(7))
+    no_stream = graph_attention(h, edges, heads, dropout_rate=0.5)
+    assert np.array_equal(plain.values, no_stream.values)
+    zero_rate = graph_attention(h, edges, heads, dropout_rate=0.0, rng=np.random.default_rng(7))
+    assert np.array_equal(plain.values, zero_rate.values)
+    dropped = graph_attention(h, edges, heads, dropout_rate=0.5, rng=np.random.default_rng(7))
     assert not np.array_equal(plain.values, dropped.values)
 
 
@@ -254,7 +256,7 @@ def test_edge_dropout_matches_the_dense_oracle():
     keep[:, edges.src, edges.dst] = (draws >= rate) / (1.0 - rate)
     sparse = _forward_and_grads(
         lambda x, heads: graph_attention(x, edges, heads, dropout_rate=rate,
-                                            rng=np.random.default_rng(10), training=True),
+                                         rng=np.random.default_rng(10)),
         h, layer_heads, probe)
     dense = _forward_and_grads(
         lambda x, heads: graph_attention_dense(x, attention_bias(g), heads, keep=keep),

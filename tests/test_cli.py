@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -386,13 +387,15 @@ def _generate_from(pipeline, model_dir, meta_lines, ckpt):
                  "--count", "3", "--out-dir", str(model_dir / "out")])
 
 
-def test_generate_without_slots_in_meta_gives_a_full_day(pipeline, tmp_path):
+def test_generate_without_slots_in_meta_is_exit_1(pipeline, tmp_path, capsys):
+    # The trained length is a required meta field like every other one.
     meta = (pipeline / "model" / "gen.meta").read_text().splitlines()
     without_slots = [line for line in meta if not line.startswith("slots=")]
     assert _generate_from(pipeline, tmp_path, without_slots,
-                          _read(pipeline / "model" / "gen.ckpt")) == 0
-    lines = (tmp_path / "out" / "generated.txt").read_text().splitlines()
-    assert [len(line.split(",")[2].split()) for line in lines] == [24] * 3
+                          _read(pipeline / "model" / "gen.ckpt")) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'gen.meta'}: field 'slots': missing" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line_no, line, field", [
@@ -735,6 +738,17 @@ def test_evaluate_exclude_zero_steps_without_a_generated_move_is_exit_1(pipeline
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("offset", ["24", "-24", "100000000", "100000000000000000000"])
+def test_preprocess_utc_offset_of_a_day_or_more_is_exit_1(tmp_path, checkin_file, capsys,
+                                                           offset):
+    # A day's offset or more builds no timezone; huge ones used to exit 2
+    # with an OverflowError, or 1 with a message that did not name the flag.
+    assert main(["preprocess", "--input", checkin_file, "--out-dir", str(tmp_path / "p"),
+                 "--utc-offset", offset]) == 1
+    assert "--utc-offset must lie strictly between -24 and 24" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
 @pytest.mark.parametrize("slots", ["0", "1"])
 def test_preprocess_below_two_slots_is_exit_1(tmp_path, checkin_file, capsys, slots):
     assert main(["preprocess", "--input", checkin_file, "--out-dir", str(tmp_path / "p"),
@@ -763,7 +777,9 @@ def test_generate_below_two_slots_is_exit_1(pipeline, tmp_path, capsys):
     (["--grid-step", "0"], "--grid-step must be positive and finite"),
     (["--grid-step", "nan"], "--grid-step must be positive and finite"),
     (["--grid-step=-0.5"], "--grid-step must be positive and finite"),
-], ids=["zero_bins", "zero_top", "zero_grid_step", "nan_grid_step", "negative_grid_step"])
+    (["--grid-step", "1e-300"], "--grid-step 1e-300 is too small"),
+], ids=["zero_bins", "zero_top", "zero_grid_step", "nan_grid_step", "negative_grid_step",
+        "overflowing_grid_step"])
 def test_evaluate_bad_option_is_exit_1(pipeline, tmp_path, capsys, argv, message):
     data = pipeline / "data"
     assert main(["evaluate", "--real", str(data / "test.txt"),
@@ -771,6 +787,21 @@ def test_evaluate_bad_option_is_exit_1(pipeline, tmp_path, capsys, argv, message
                  "--out-dir", str(tmp_path / "e")] + argv) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
+
+
+def test_evaluate_fine_grid_step_gives_each_location_its_cell(pipeline, tmp_path):
+    # Far below any real cell size, but every cell index still fits int64.
+    data = pipeline / "data"
+    out = tmp_path / "e"
+    assert main(["evaluate", "--real", str(data / "test.txt"),
+                 "--generated", str(data / "test.txt"), "--locations", str(data / "locations.csv"),
+                 "--out-dir", str(out), "--grid-step", "1e-15"]) == 0
+    ids = [int(i) for line in (data / "test.txt").read_text().splitlines()
+           for i in line.split(",")[2].split()]
+    rows = [line.split(",") for line in (out / "grid.csv").read_text().splitlines()]
+    assert len(rows) == len(set(ids))
+    assert sum(int(count) for _, _, count in rows) == len(ids)
+    assert all(math.isfinite(float(lat)) and math.isfinite(float(lon)) for lat, lon, _ in rows)
 
 
 @pytest.mark.parametrize("outcome, code", [(None, 0), (CliValidationError("bad"), 1),

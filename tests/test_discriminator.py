@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from mobsim import nn
-from mobsim.discriminator import Discriminator, DiscriminatorConfig, d_loss
+from mobsim.discriminator import Discriminator, d_loss
 from gradcheck import grad_check
 
 
 def _disc(n=8, seed=0):
-    return Discriminator(DiscriminatorConfig(n_locations=n, embed_dim=4,
-                                             hidden_dim=4), seed=seed)
+    return Discriminator(n_locations=n, embed_dim=4, hidden_dim=4, seed=seed)
 
 
 def test_classify_shapes_and_range():
@@ -24,9 +23,9 @@ def test_classify_shapes_and_range():
 
 def test_classify_validates_ids():
     disc = _disc()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"location ids outside \[0, 8\)"):
         disc.classify(np.array([[0, 99]]))
-    with pytest.raises(ValueError, match="empty batch"):
+    with pytest.raises(ValueError, match=r"got shape \(2, 0\)"):
         disc.classify(np.zeros((2, 0), dtype=np.int64))
 
 

@@ -108,14 +108,6 @@ def test_two_layer_stack_runs_and_differs():
     assert not np.allclose(t1, t2)
 
 
-def test_training_embedding_needs_rng():
-    gen = _gen(dropout=0.5)
-    with pytest.raises(ValueError):
-        gen.embed_locations(training=True)
-    out = gen.embed_locations(training=True, rng=np.random.default_rng(0))
-    assert out.shape == (8, 4)
-
-
 def test_eval_embedding_is_deterministic():
     gen = _gen(dropout=0.6)
     with nn.no_grad():
@@ -134,7 +126,7 @@ def test_embedding_pass_holds_no_location_square():
                                     dropout=0.5), gs)
     tracemalloc.start()
     try:
-        tsum(gen.embed_locations(training=True, rng=np.random.default_rng(1))).backward()
+        tsum(gen.embed_locations(np.random.default_rng(1))).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -184,17 +176,18 @@ def test_sequence_nll_uniform_start():
     # the per-trajectory losses are exactly (L-1) ln N and (L-1) ln 2.
     gen = _zeroed(_gen(n=8))
     ids = np.array([[0, 1, 2, 3, 4], [3, 3, 3, 3, 3]])
-    nll, bce = gen.sequence_nll(ids)
+    nll, bce = gen.sequence_nll(gen.embed_locations(), ids)
     assert nll.item() == pytest.approx(4 * math.log(8), abs=1e-12)
     assert bce.item() == pytest.approx(4 * math.log(2), abs=1e-12)
 
 
 def test_sequence_nll_validates_input():
     gen = _gen()
-    with pytest.raises(ValueError):
-        gen.sequence_nll(np.array([[0]]))
-    with pytest.raises(ValueError):
-        gen.sequence_nll(np.array([[0, 99]]))
+    table = gen.embed_locations()
+    with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
+        gen.sequence_nll(table, np.array([[0]]))
+    with pytest.raises(ValueError, match=r"location ids outside \[0, 8\)"):
+        gen.sequence_nll(table, np.array([[0, 99]]))
 
 
 def test_sequence_nll_gradients():
@@ -202,7 +195,7 @@ def test_sequence_nll_gradients():
     ids = np.array([[0, 1, 2, 0], [5, 5, 4, 3]])
 
     def op(*tensors):
-        nll, bce = gen.sequence_nll(ids)
+        nll, bce = gen.sequence_nll(gen.embed_locations(), ids)
         return nn.add(nll, bce)
 
     err = grad_check(op, [t for _, t in gen.params.items()])

@@ -162,12 +162,12 @@ def test_gyration_radius_stationary_is_zero():
 
 
 def test_duration_histogram():
-    h = duration_histogram(np.array([[0, 0, 1, 2, 2, 2]]), 6)
+    h = duration_histogram(np.array([[0, 0, 1, 2, 2, 2]]))
     assert h.tolist() == [1 / 3, 1 / 3, 1 / 3, 0, 0, 0]         # runs of 1..6 slots
 
 
 def test_daily_locations_histogram():
-    h = daily_locations_histogram(np.array([[0, 0, 1], [2, 2, 2]]), 3)
+    h = daily_locations_histogram(np.array([[0, 0, 1], [2, 2, 2]]))
     assert h.tolist() == [0.5, 0.5, 0.0]
 
 

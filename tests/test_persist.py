@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mobsim import nn, persist
-from mobsim.discriminator import Discriminator, DiscriminatorConfig
+from mobsim import nn, persist, records
+from mobsim.discriminator import Discriminator
 from mobsim.generator import Generator, GeneratorConfig, generate_batch, sample_streams
 
 
@@ -19,10 +19,15 @@ def _load_gen(prefix, graphs):
                                   persist.read_model_meta(f"{prefix}.meta", "generator"))
 
 
+def _sizes(disc):
+    return disc.n_locations, disc.embed_dim, disc.hidden_dim
+
+
 def _load_disc(prefix):
     """The discriminator saved under ``prefix``; no command reads one back."""
     meta = persist.read_model_meta(f"{prefix}.meta", "discriminator")
-    disc = Discriminator(persist._read_config(DiscriminatorConfig, meta))
+    disc = Discriminator(*(meta.field(key, records._int_field)
+                           for key in ("n_locations", "embed_dim", "hidden_dim")))
     disc.params.load_values(nn.load_checkpoint(f"{prefix}.ckpt"))
     return disc
 
@@ -48,7 +53,7 @@ def test_generator_roundtrip(tmp_path, small_graphs):
 def test_generator_roundtrip_after_training_step(tmp_path, small_graphs):
     gen = _gen(small_graphs, dwell=True)
     opt = nn.Adam(gen.params, lr=0.05)
-    nll, _ = gen.sequence_nll(np.array([[0, 1, 2, 3], [4, 4, 5, 5]]))
+    nll, _ = gen.sequence_nll(gen.embed_locations(), np.array([[0, 1, 2, 3], [4, 4, 5, 5]]))
     nll.backward()
     opt.step()
     prefix = tmp_path / "gen"
@@ -59,18 +64,17 @@ def test_generator_roundtrip_after_training_step(tmp_path, small_graphs):
 
 
 def test_discriminator_roundtrip(tmp_path):
-    disc = Discriminator(DiscriminatorConfig(n_locations=9, embed_dim=5,
-                                             hidden_dim=7), seed=11)
+    disc = Discriminator(n_locations=9, embed_dim=5, hidden_dim=7, seed=11)
     prefix = tmp_path / "disc"
     persist.save_discriminator(prefix, disc)
     loaded = _load_disc(prefix)
-    assert loaded.config == disc.config
+    assert _sizes(loaded) == _sizes(disc)
     for name, tensor in disc.params.items():
         assert loaded.params[name].values.tobytes() == tensor.values.tobytes()
 
 
 def test_kind_mismatch_rejected(tmp_path, small_graphs):
-    disc = Discriminator(DiscriminatorConfig(n_locations=16, embed_dim=32, hidden_dim=32), seed=0)
+    disc = Discriminator(n_locations=16, embed_dim=32, hidden_dim=32, seed=0)
     prefix = tmp_path / "model"
     persist.save_discriminator(prefix, disc)
     with pytest.raises(ValueError):
@@ -93,8 +97,9 @@ def test_read_meta_value_keeps_further_equals_signs(tmp_path):
     assert meta.lines == {"out_dir": 2, "seed": 4}
 
 
-# The meta lines of a generator and a discriminator: one per config field,
-# in field order, then the generator's trained length and seed distribution.
+# The meta lines of a generator and a discriminator: for the generator, one
+# per config field, in field order, then its trained length and seed
+# distribution; for the discriminator, its three sizes.
 GEN_META = ("kind=generator\nn_locations=16\nembed_dim=8\nhidden_dim=6\nlayers=2\nheads=2\n"
             "channels=sdg,stg\ndropout=0.25\nbeta=0.5\ndwell=1\nslots=12\n"
             "seed_distribution=" + ",".join(["0.0625"] * 16) + "\n")
@@ -104,12 +109,12 @@ DISC_META = "kind=discriminator\nn_locations=9\nembed_dim=5\nhidden_dim=7\n"
 def test_meta_lines_are_the_config_fields(tmp_path, small_graphs):
     gen = _gen(small_graphs, dwell=True)
     persist.save_generator(tmp_path / "gen", gen, np.full(16, 1 / 16), 12)
-    disc = Discriminator(DiscriminatorConfig(n_locations=9, embed_dim=5, hidden_dim=7))
+    disc = Discriminator(n_locations=9, embed_dim=5, hidden_dim=7)
     persist.save_discriminator(tmp_path / "disc", disc)
     assert (tmp_path / "gen.meta").read_text() == GEN_META
     assert (tmp_path / "disc.meta").read_text() == DISC_META
     assert _load_gen(tmp_path / "gen", small_graphs)[0].config == gen.config
-    assert _load_disc(tmp_path / "disc").config == disc.config
+    assert _sizes(_load_disc(tmp_path / "disc")) == _sizes(disc)
 
 
 def test_meta_with_the_retired_attn_slope_line_still_loads(tmp_path, small_graphs):

@@ -250,7 +250,7 @@ def test_observed_roundtrip(tmp_path):
     path = tmp_path / "obs.txt"
     records.write_observed(path, traj)
     stripped = table(traj.ids)
-    records.attach_observed(stripped, path, n_locations=2, slots=24)
+    records.attach_observed(stripped, path, n_locations=2)
     assert observed(stripped, 0) == ((3, 1), (17, 0))
 
 
@@ -295,7 +295,7 @@ def test_table_roundtrip_is_byte_identical(tmp_path):
     records.write_observed(first / "obs.txt", _observed_table())
     back = records.read_trajectories(first / "t.txt", n_locations=7, slots=24)
     assert len(back.row) == 0
-    records.attach_observed(back, first / "obs.txt", n_locations=7, slots=24)
+    records.attach_observed(back, first / "obs.txt", n_locations=7)
     records.write_trajectories(second / "t.txt", back)
     records.write_observed(second / "obs.txt", back)
     for name in ("t.txt", "obs.txt"):

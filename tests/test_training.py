@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mobsim import generator, graphs, nn, synth, training
-from mobsim.discriminator import Discriminator, DiscriminatorConfig, d_loss
+from mobsim.discriminator import Discriminator, d_loss
 from mobsim.generator import Generator, GeneratorConfig, generate_batch, sample_streams
 from mobsim.training import (
     TrainConfig,
@@ -37,8 +37,7 @@ def _gen(n=8, seed=0, **overrides):
 
 
 def _disc(n=8, seed=0):
-    return Discriminator(DiscriminatorConfig(n_locations=n, embed_dim=4,
-                                             hidden_dim=4), seed=seed)
+    return Discriminator(n_locations=n, embed_dim=4, hidden_dim=4, seed=seed)
 
 
 def _sticky_ids(n_locations=8, rows=48, length=24, stay=0.8, seed=0):
@@ -78,7 +77,7 @@ def test_mean_nll_matches_direct_evaluation():
     gen = _gen()
     ids = np.array([[0, 1, 2, 3], [4, 4, 4, 4], [7, 6, 5, 4]])
     with nn.no_grad():
-        direct, _ = gen.sequence_nll(ids)
+        direct, _ = gen.sequence_nll(gen.embed_locations(), ids)
     assert mean_nll(gen, ids, batch_size=2) == pytest.approx(direct.item(), rel=1e-12)
 
 
@@ -238,8 +237,7 @@ def test_compute_rewards_matches_replayed_rollouts(small_graphs, dwell, length, 
     # same rewards, bit for bit, as replaying every prefix from slot 0.
     gen = Generator(GeneratorConfig(n_locations=16, embed_dim=8, hidden_dim=8,
                                     dwell=dwell), small_graphs, seed=3)
-    disc = Discriminator(DiscriminatorConfig(n_locations=16, embed_dim=8, hidden_dim=8),
-                         seed=3)
+    disc = Discriminator(n_locations=16, embed_dim=8, hidden_dim=8, seed=3)
     batch = generate_batch(gen, 5, length, np.full(16, 1 / 16), sample_streams(0, "s"))
     cached = compute_rewards(gen, disc, batch, rollouts, master_seed=1, tag="r")
     replayed = compute_rewards_replayed(gen, disc, batch, rollouts, 1, "r")
@@ -308,7 +306,7 @@ def test_bandit_gradient_matches_per_sample_formula():
     baseline = 0.37
     weights = (reward_of[actions] - baseline)[:, None]
 
-    objective = sequence_log_prob(gen, batch, fired, weights)
+    objective = sequence_log_prob(gen, gen.embed_locations(), batch, fired, weights)
     gen.params.zero_grad()
     objective.backward()
     got = gen.params["explore/bias"].grad
@@ -339,7 +337,7 @@ def test_bandit_estimator_is_unbiased_within_three_se():
         actions = batch[:, 1]
         weights = (reward_of[actions] - baseline)[:, None]
         fired = np.zeros((chunk, 1), dtype=bool)
-        objective = sequence_log_prob(gen, batch, fired, weights)
+        objective = sequence_log_prob(gen, gen.embed_locations(), batch, fired, weights)
         gen.params.zero_grad()
         objective.backward()
         grad_sum += gen.params["explore/bias"].grad * chunk
@@ -363,7 +361,7 @@ def test_policy_step_with_equal_rewards_and_matching_baseline_is_noop():
     ids, fired = batch
     rewards = np.full((6, 6), 0.5)
     opt = nn.Adam(gen.params, lr=0.5)
-    policy_gradient_step(gen, opt, ids, fired, rewards, baseline=0.5)
+    policy_gradient_step(gen, opt, ids, fired, rewards, 0.5, np.random.default_rng(0))
     for name, tensor in gen.params.items():
         assert np.allclose(tensor.values, before[name].values, atol=1e-15)
 
@@ -375,7 +373,7 @@ def test_policy_step_zero_lr_is_noop():
                                 sample_streams(1, "s"), record=True)
     rewards = np.random.default_rng(0).random((4, 6))
     opt = nn.Adam(gen.params, lr=0.0)
-    policy_gradient_step(gen, opt, ids, fired, rewards, baseline=0.0)
+    policy_gradient_step(gen, opt, ids, fired, rewards, 0.0, np.random.default_rng(0))
     for name, tensor in gen.params.items():
         assert np.array_equal(tensor.values, before[name].values)
 
@@ -388,14 +386,14 @@ def test_dwell_credit_goes_to_dwell_branch():
     weights = np.array([[1.0, 1.0]])
 
     fired_dwell = np.array([[False, True]])
-    objective = sequence_log_prob(gen, batch, fired_dwell, weights)
+    objective = sequence_log_prob(gen, gen.embed_locations(), batch, fired_dwell, weights)
     gen.params.zero_grad()
     objective.backward()
     dwell_grad = np.abs(gen.params["dwell/weight"].grad).sum()
     assert dwell_grad > 0.0
 
     fired_none = np.array([[False, False]])
-    objective = sequence_log_prob(gen, batch, fired_none, weights)
+    objective = sequence_log_prob(gen, gen.embed_locations(), batch, fired_none, weights)
     gen.params.zero_grad()
     objective.backward()
     assert np.abs(gen.params["dwell/weight"].grad).sum() == 0.0
@@ -409,8 +407,9 @@ def test_log_prob_without_dwell_equals_negative_nll():
     ids, _ = generate_batch(gen, 5, 7, np.full(8, 1 / 8), sample_streams(3, "a"),
                             record=True)
     fired = np.zeros((5, 6), dtype=bool)
-    objective = sequence_log_prob(gen, ids, fired, np.ones((5, 6)))
-    nll, _ = gen.sequence_nll(ids)
+    table = gen.embed_locations()
+    objective = sequence_log_prob(gen, table, ids, fired, np.ones((5, 6)))
+    nll, _ = gen.sequence_nll(table, ids)
     np.testing.assert_array_equal(-objective.values, nll.values)
 
 
@@ -428,7 +427,8 @@ def test_log_prob_damping_counts_every_prefix_slot(monkeypatch):
         return counts
 
     monkeypatch.setattr(training, "visit_counts", spy)
-    sequence_log_prob(gen, ids, np.zeros((1, 3), dtype=bool), np.ones((1, 3)))
+    sequence_log_prob(gen, gen.embed_locations(), ids, np.zeros((1, 3), dtype=bool),
+                      np.ones((1, 3)))
     assert seen == [1, 2, 1]
 
 
@@ -441,7 +441,7 @@ def test_log_prob_rejects_a_per_step_matrix_of_the_wrong_shape(name, shape):
     args = {"fired": np.zeros((2, 3), dtype=bool), "weights": np.ones((2, 3))}
     args[name] = np.ones(shape, dtype=args[name].dtype)
     with pytest.raises(ValueError, match=name):
-        sequence_log_prob(gen, ids, **args)
+        sequence_log_prob(gen, gen.embed_locations(), ids, **args)
 
 
 def _tape_nodes(root):
@@ -463,8 +463,9 @@ def test_teacher_forced_tapes_do_not_grow_with_the_length():
     nodes = {}
     for length in (4, 24):
         ids = rng.integers(0, 8, size=(6, length))
-        nll, bce = gen.sequence_nll(ids)
-        log_prob = sequence_log_prob(gen, ids, rng.random((6, length - 1)) < 0.5,
+        table = gen.embed_locations()
+        nll, bce = gen.sequence_nll(table, ids)
+        log_prob = sequence_log_prob(gen, table, ids, rng.random((6, length - 1)) < 0.5,
                                      np.ones((6, length - 1)))
         nodes[length] = (_tape_nodes(nn.add(nll, bce)), _tape_nodes(log_prob),
                          _tape_nodes(d_loss(disc, ids, ids[::-1])))
