@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -32,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, graphs, metrics, persist, records, synth, training
+from . import __version__, blas, graphs, metrics, persist, records, synth, training
 from .discriminator import Discriminator
 from .generator import Generator, GeneratorConfig, generate_batch, sample_streams, seed_distribution
 from .records import Dataset
@@ -72,52 +70,6 @@ def _input_file(path, label):
     except records.CheckinFormatError as exc:
         where = path if exc.line_no is None else f"{path}:{exc.line_no}"
         raise CliValidationError(f"{where}: field '{exc.field_name}': {exc.detail}") from None
-
-
-@functools.cache
-def _openblas_thread_calls():
-    """(get, set) of the OpenBLAS thread count of the library this process
-    loaded, or None when none is loaded or it is not found.  NumPy's bundled
-    build exports them as ``scipy_openblas_*_num_threads64_``."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.rsplit("/", 1)[-1]})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("", ""), ("scipy_", "64_")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run OpenBLAS on one thread inside the block, then restore its count.
-
-    The model's products are small (widths of tens, N rows), so a second
-    thread saves little.  It also costs much: between calls it spins on a
-    core, and while the OS keeps it on the main thread's core each threaded
-    product waits a scheduler slice.  That made wide-map ``generate`` run
-    about 3x slower for the first seconds of some processes.  Results do not
-    depend on the thread count.
-    """
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
 
 
 def _sha256(path) -> str:
@@ -390,7 +342,16 @@ def cmd_generate(args) -> None:
         with _rejected(persist.CheckpointError):
             gen, seed_dist = persist.load_generator(args.model, channel_graphs, meta)
     streams = sample_streams(args.seed, "generate")
-    ids = generate_batch(gen, args.count, slots, seed_dist, streams)
+    # Sampling holds count x slots int64 ids at once: a size past NumPy's
+    # index range, or one the allocator refuses, is the flags' fault.
+    too_large = CliValidationError(f"--count {args.count} trajectories of --slots {slots} ids "
+                                   "do not fit in memory")
+    if args.count * slots > np.iinfo(np.intp).max // 8:
+        raise too_large
+    try:
+        ids = generate_batch(gen, args.count, slots, seed_dist, streams)
+    except MemoryError:
+        raise too_large from None
     os.makedirs(args.out_dir, exist_ok=True)
     records.write_trajectories(os.path.join(args.out_dir, "generated.txt"),
                                records.generated_trajectories(ids))
@@ -548,7 +509,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with _one_blas_thread():
+        with blas.one_thread():
             args.func(args)
         return 0
     except CliValidationError as exc:

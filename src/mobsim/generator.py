@@ -16,17 +16,24 @@ A teacher-forced pass runs the GRU over the whole id matrix as one tape op,
 ``nn.gru_unroll``, and the heads score the stacked states of every step at
 once, so its tape has the same few nodes whatever the sequence length.  The
 sampler takes one GRU step per position on plain arrays, recording nothing.
+A large sampling pass runs its row chunks on two threads; a chunk calls only
+this package's private array helpers, so no public function (and no span of
+a tracer that wraps them) ever runs off the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import blas, nn
 from .nn import Tensor, no_grad
+from .nn.core import sigmoid_values
+from .nn.layers import _gru_gates
 from .records import check_ids
 from .rng import categorical, stream
 
@@ -34,9 +41,11 @@ _ALLOWED_LAYERS = (1, 2)
 _ALLOWED_HEADS = (1, 2, 4)
 # Bytes of one (rows, N) float64 array: complete_batch runs its rows in
 # chunks of chunk_rows(N) rows, each chunk taking every step before the next,
-# and holds one such (chunk, N) logits buffer per call.  compute_rewards stacks
-# as many rollout blocks into one sampling pass as fit in block_rows(N) rows,
-# so every rollout pass (and every training batch) is a single chunk.
+# and holds one such (chunk, N) logits buffer per call; a pass of more than
+# one chunk runs on two threads, each with a buffer of half as many rows.
+# compute_rewards stacks as many rollout blocks into one sampling pass as fit
+# in block_rows(N) rows, so every rollout pass (and every training batch) is
+# a single chunk and runs on one thread.
 _CHUNK_BYTES = 1 << 21
 _BLOCK_BYTES = 1 << 19
 
@@ -149,11 +158,6 @@ class Generator:
             table = nn.dropout(table, self.config.dropout, rng)
         return table
 
-    def gru_step(self, table: Tensor, ids: np.ndarray, hidden: np.ndarray) -> np.ndarray:
-        """One GRU step on arrays, recording nothing: the state after feeding
-        the locations ``ids`` to the (B, H) state ``hidden``."""
-        return nn.gru_cell(table.values[ids], hidden, self.gru)
-
     def explore_logits(self, hidden: Tensor) -> Tensor:
         return nn.linear(hidden, self.params["explore/weight"], self.params["explore/bias"])
 
@@ -199,7 +203,18 @@ class Generator:
 def visit_counts(prefix: np.ndarray) -> np.ndarray:
     """The C of the dwell damping exp(-beta * C) for each row of a (B, l)
     prefix: how often its current location, the last column, appears in it."""
+    return _visit_counts(prefix)
+
+
+def _visit_counts(prefix: np.ndarray) -> np.ndarray:
     return (prefix == prefix[:, -1:]).sum(axis=1)
+
+
+def _stay_values(gen: Generator, hidden: np.ndarray, visits: np.ndarray) -> np.ndarray:
+    """``gen.stay_probs`` on arrays, recording nothing: the same expressions,
+    so the same values bit for bit."""
+    dwell = hidden @ gen.params["dwell/weight"].values + gen.params["dwell/bias"].values
+    return sigmoid_values(dwell[:, 0]) * np.exp(-gen.config.beta * visits)
 
 
 @dataclass
@@ -226,9 +241,10 @@ def _explore_draw(gen: Generator, hidden: np.ndarray, rows: np.ndarray, uniforms
 
     The logits, the values of ``gen.explore_logits(hidden)``, are written
     into the (len(hidden), N) buffer ``logits``, which ``complete_batch``
-    allocates once per call rather than at every step.  The matmul stays over every row of
-    ``hidden``: a row-subset matmul is not always bit-identical to the full
-    one, while the row-wise softmax, cumsum and compare are.
+    allocates once per thread of a pass rather than at every step.  The
+    matmul stays over every row of ``hidden``: a row-subset matmul is not
+    always bit-identical to the full one, while the row-wise softmax, cumsum
+    and compare are.
     """
     np.matmul(hidden, gen.params["explore/weight"].values, out=logits)
     logits += gen.params["explore/bias"].values
@@ -259,9 +275,15 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     that one call per step would.  The rows then run in chunks of
     ``chunk_rows(N)``, each chunk taking every step before the next starts,
     so that sampling holds one (chunk, N) logits buffer and no (B, N) array.
-    Only the rows whose dwell gate did not fire run the exploration softmax
-    and draw.  With ``record`` the (B, length - first start) matrix of
-    dwell-fired flags is returned as well, False before each row's start.
+    A pass of more than one such chunk, given more than one CPU, runs chunks
+    of half as many rows on two threads, the caller's and a helper that
+    lives for the pass, with OpenBLAS on one thread: every chunk's result is
+    fixed by its rows and their uniforms, and the two threads write disjoint
+    rows of the output, so the samples are those of one thread.  A chunk
+    runs on plain arrays through private helpers only.  Only the rows whose
+    dwell gate did not fire run the exploration softmax and draw.  With
+    ``record`` the (B, length - first start) matrix of dwell-fired flags is
+    returned as well, False before each row's start.
     """
     prefix_ids = check_ids(prefix_ids, gen.config.n_locations, min_slots=1)
     b, width = prefix_ids.shape
@@ -288,12 +310,20 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
         if gen.config.dwell:
             gated = max(start, 2)
             dwell_u[gated:, lo:hi] = s.dwell.random((length - gated, hi - lo))
-    chunk = chunk_rows(gen.config.n_locations)
-    logits = np.empty((min(b, chunk), gen.config.n_locations))
+    n_locations = gen.config.n_locations
+    rows = chunk_rows(n_locations)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    threads = 2 if b > rows and cpus > 1 else 1
+    rows = max(1, rows // threads)
+    embed = table.values
+    weights = [t.values for t in gen.gru.tensors()]
 
-    with no_grad():
-        for lo in range(0, b, chunk):
-            span = slice(lo, lo + chunk)
+    def sample_chunks(chunk_starts):
+        """Sample the chunks of ``rows`` rows from each of ``chunk_starts``,
+        one after another, into ``out`` and ``fired``."""
+        logits = np.empty((min(b, rows), n_locations))
+        for lo in chunk_starts:
+            span = slice(lo, lo + rows)
             ids, rows_starts, rows_hidden = out[span], starts[span], hidden[span]
             state, joined = rows_hidden[:0], 0
             for pos in range(rows_starts[0], length):
@@ -301,16 +331,25 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
                 if n > joined:
                     state = np.concatenate([state, rows_hidden[joined:n]])
                     joined = n
-                state = gen.gru_step(table, ids[:n, pos - 1], state)
+                state = _gru_gates(embed[ids[:n, pos - 1]], state, weights)[-1]
                 stay = np.zeros(n, dtype=bool)
                 if gen.config.dwell and pos > 1:
-                    stay_y = gen.stay_probs(state, visit_counts(ids[:n, :pos])).values
+                    stay_y = _stay_values(gen, state, _visit_counts(ids[:n, :pos]))
                     stay = dwell_u[pos, lo:lo + n] < stay_y
                 explore = np.flatnonzero(~stay)
                 ids[:n, pos] = ids[:n, pos - 1]          # where the gate fired, the row stays
                 ids[explore, pos] = _explore_draw(gen, state, explore,
                                                   explore_u[pos, lo + explore], logits[:n])
                 fired[lo:lo + n, pos - first] = stay
+
+    chunk_starts = range(0, b, rows)
+    if threads == 1:
+        sample_chunks(chunk_starts)
+    else:
+        with blas.one_thread(), ThreadPoolExecutor(max_workers=1) as helper:
+            other = helper.submit(sample_chunks, chunk_starts[1::2])
+            sample_chunks(chunk_starts[::2])
+            other.result()
     if record:
         return out, fired
     return out

@@ -32,6 +32,10 @@ import numpy as np
 from .graphs import haversine_km
 from .records import Dataset, check_ids
 
+# Bytes of one (rows, T) float64 array: the distance and radius families run
+# their rows in blocks of this size, each holding a few coordinate arrays.
+_BLOCK_BYTES = 1 << 19
+
 
 def binned_masses(real, generated, bins: int = 100):
     """Masses of the real and generated values over ``bins`` equal-width bins
@@ -71,19 +75,33 @@ def jsd(p, q) -> float:
     return entropy(0.5 * (p + q)) - 0.5 * (entropy(p) + entropy(q))
 
 
+def _row_blocks(ids: np.ndarray):
+    """Consecutive row blocks of a (B, T) id matrix, each within
+    ``_BLOCK_BYTES`` of (rows, T) float64, so that the coordinate arrays of a
+    distance family stay a few blocks whatever B is."""
+    rows = max(1, _BLOCK_BYTES // (8 * ids.shape[1]))
+    return (ids[lo:lo + rows] for lo in range(0, len(ids), rows))
+
+
 def step_distances(ids: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Great-circle length of every consecutive step, row by row, stays included."""
-    a = coords[ids[:, :-1]]
-    b = coords[ids[:, 1:]]
-    return haversine_km(a[..., 0], a[..., 1], b[..., 0], b[..., 1]).ravel()
+    def block_steps(block):
+        a = coords[block[:, :-1]]
+        b = coords[block[:, 1:]]
+        return haversine_km(a[..., 0], a[..., 1], b[..., 0], b[..., 1]).ravel()
+
+    return np.concatenate([block_steps(block) for block in _row_blocks(ids)])
 
 
 def gyration_radii(ids: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Per-row RMS distance from the row's mean visited coordinate."""
-    points = coords[ids]
-    center = points.mean(axis=1)
-    d = haversine_km(points[..., 0], points[..., 1], center[:, :1], center[:, 1:])
-    return np.sqrt((d ** 2).mean(axis=1))
+    def block_radii(block):
+        points = coords[block]
+        center = points.mean(axis=1)
+        d = haversine_km(points[..., 0], points[..., 1], center[:, :1], center[:, 1:])
+        return np.sqrt((d ** 2).mean(axis=1))
+
+    return np.concatenate([block_radii(block) for block in _row_blocks(ids)])
 
 
 def _run_starts(ids: np.ndarray) -> np.ndarray:

@@ -61,7 +61,8 @@ def _gru_gates(xv: np.ndarray, z: np.ndarray, weights):
 
 
 def gru_cell(x: np.ndarray, z_prev: np.ndarray, p: GruParams) -> np.ndarray:
-    """One GRU step on arrays, recording nothing: the sampler's step.
+    """One GRU step on arrays, recording nothing: the rollouts'
+    discriminator step.  The sampler calls ``_gru_gates`` on plain arrays.
 
     u = sigmoid(x Wu + z Uu + bu), r = sigmoid(x Wr + z Ur + br),
     candidate = tanh(x Wc + (r * z) Uc + bc),

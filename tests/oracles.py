@@ -312,7 +312,7 @@ def complete_batch_full_explore(gen, table, prefix_ids, length, streams, hidden,
     with nn.no_grad():
         current = out[:, start - 1]
         for pos in range(start, length):
-            hidden = gen.gru_step(table, current, hidden)
+            hidden = nn.gru_cell(table.values[current], hidden, gen.gru)
             cdf = np.cumsum(softmax_values(gen.explore_logits(hidden).values), axis=-1)
             stay = np.zeros(b, dtype=bool)
             if gen.config.dwell and pos > 1:

@@ -9,7 +9,7 @@ import shlex
 import numpy as np
 import pytest
 
-from mobsim import cli
+from mobsim import blas, cli
 from mobsim.cli import CliValidationError, build_parser, main, resolve_config
 
 
@@ -771,6 +771,23 @@ def test_generate_below_two_slots_is_exit_1(pipeline, tmp_path, capsys):
     assert "slots must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count, slots", [
+    ("100000000000000", "24"),                   # 727 TiB of seed uniforms
+    ("5", "100000000000000"),                    # 3.55 PiB of ids
+    ("10000000000000000000", "24"),              # past NumPy's index range
+], ids=["count", "slots", "index_range"])
+def test_generate_impossible_size_is_exit_1(pipeline, tmp_path, capsys, count, slots):
+    # Every size here lies beyond the 128 TiB user address space, so the
+    # first allocation fails before anything is allocated.
+    assert main(["generate", "--model", str(pipeline / "model" / "gen"),
+                 "--graphs-dir", str(pipeline / "graphs"),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--count", count, "--slots", slots, "--out-dir", str(tmp_path / "g")]) == 1
+    err = capsys.readouterr().err
+    assert f"--count {count} trajectories of --slots {slots} ids do not fit in memory" in err
+    assert not (tmp_path / "g").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--bins", "0"], "--bins must be positive"),
     (["--top", "0"], "--top must be positive"),
@@ -808,7 +825,7 @@ def test_evaluate_fine_grid_step_gives_each_location_its_cell(pipeline, tmp_path
                                            (RuntimeError("boom"), 2)],
                          ids=["ok", "exit_1", "exit_2"])
 def test_commands_run_blas_on_one_thread(tmp_path, monkeypatch, outcome, code):
-    calls = cli._openblas_thread_calls()
+    calls = blas._thread_calls()
     if calls is None:
         pytest.skip("no OpenBLAS loaded in this process")
     get, _ = calls

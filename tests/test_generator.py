@@ -1,11 +1,14 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from mobsim import generator, graphs, nn
+from mobsim import blas, generator, graphs, nn
 from mobsim.generator import (
     Generator,
     GeneratorConfig,
@@ -142,7 +145,7 @@ def test_explore_softmax_rows_sum_to_one():
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
-        hidden = gen.gru_step(table, np.array([0, 3, 5]), gen.zero_hidden(3))
+        hidden = nn.gru_cell(table.values[[0, 3, 5]], gen.zero_hidden(3), gen.gru)
         probs = nn.softmax_values(gen.explore_logits(hidden).values)
     assert probs.shape == (3, 8)
     assert np.allclose(probs.sum(axis=1), 1.0)
@@ -301,17 +304,19 @@ def test_complete_batch_is_pure():
 
 def test_state_from_prefix_counts_everything(monkeypatch):
     # The damping count C of the first sampled step covers every prefix slot,
-    # the newest one included.
+    # the newest one included.  The sampler counts through the private array
+    # helper behind visit_counts.
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
     seen = []
+    count = generator._visit_counts
 
     def spy(prefix):
         seen.append(prefix.copy())
-        return visit_counts(prefix)
+        return count(prefix)
 
-    monkeypatch.setattr(generator, "visit_counts", spy)
+    monkeypatch.setattr(generator, "_visit_counts", spy)
     _complete(gen, table, np.array([[2, 2, 5]]), 4, sample_streams(0, "c"))
     assert_array_equal(seen[0], [[2, 2, 5]])
     assert visit_counts(seen[0]).tolist() == [1]
@@ -454,6 +459,81 @@ def test_joined_pass_matches_one_call_per_block(monkeypatch, gate, given_hidden,
     live = fired[:, 1:]                          # the gate is live from position 2
     assert {"none": not live.any(), "all": live[np.repeat(starts, sizes) <= 2].all(),
             "some": 0 < live.mean() < 1}[fires]
+
+
+@pytest.mark.parametrize("gate", list(_GATES))
+def test_two_thread_pass_matches_one_thread_pass(monkeypatch, gate):
+    # Given two CPUs, a pass of more than one chunk runs chunks of half as
+    # many rows on two threads.  With chunks of 7 rows, and so of 3 on two
+    # threads, whose edges straddle the joined blocks, the samples, the fired
+    # flags and every stream's next draw equal those of the one-thread pass,
+    # with the threads trading the interpreter lock as often as they can.
+    overrides, bias, _ = _GATES[gate]
+    gen = _gen(seed=4, **overrides)
+    gen.params["dwell/bias"].values[:] = bias
+    with nn.no_grad():
+        table = gen.embed_locations()
+    sizes, starts, length = (5, 17, 3, 40), (1, 2, 4, 9), 12
+    rng = np.random.default_rng(5)
+    prefix = rng.integers(0, 8, size=(sum(sizes), max(starts)))
+    hidden = rng.normal(size=(sum(sizes), 4))
+    monkeypatch.setattr(generator, "chunk_rows", lambda n: 7)
+    draw = generator._explore_draw
+    drawing_threads = set()
+
+    def spy(*args):
+        drawing_threads.add(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(generator, "_explore_draw", spy)
+    passes = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            drawing_threads.clear()
+            streams = [sample_streams(7, f"t/l{start}") for start in starts]
+            out, fired = complete_batch(gen, table, prefix, length, streams, hidden,
+                                        np.repeat(starts, sizes), record=True)
+            passes[cpus] = out, fired, streams
+            assert len(drawing_threads) == cpus
+    finally:
+        sys.setswitchinterval(interval)
+    (want, want_fired, want_streams), (out, fired, streams) = passes[1], passes[2]
+    assert_array_equal(out, want)
+    assert_array_equal(fired, want_fired)
+    for got, expected in zip(streams, want_streams):
+        _assert_next_draws_equal(got, expected)
+
+
+def test_two_thread_pass_runs_blas_on_one_thread(monkeypatch):
+    # Each thread of a two-thread pass makes its own BLAS calls, so OpenBLAS
+    # runs on one thread for the pass and gets its thread count back after.
+    calls = blas._thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    get, put = calls
+    gen = _gen()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(generator, "chunk_rows", lambda n: 8)
+    draw = generator._explore_draw
+    seen = set()
+
+    def spy(*args):
+        seen.add(get())
+        return draw(*args)
+
+    monkeypatch.setattr(generator, "_explore_draw", spy)
+    before = get()
+    put(2)
+    try:
+        threads = get()
+        generate_batch(gen, 40, 6, np.full(8, 1 / 8), sample_streams(0, "blas"))
+        assert seen == {1}
+        assert get() == threads
+    finally:
+        put(before)
 
 
 @pytest.mark.parametrize("starts, n_streams", [

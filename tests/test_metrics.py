@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,41 @@ def test_evaluate_matches_looped_oracle_on_extreme_rows():
                 _assert_reports_equal(
                     evaluate(ds, fake, top=top, include_zero_steps=zero_steps),
                     evaluate_looped(ds, fake, top=top, include_zero_steps=zero_steps))
+
+
+def test_distance_families_in_tiny_row_blocks_match_one_block(monkeypatch):
+    # The distance and radius families run their rows in blocks; blocks of
+    # 7 rows, and of one, give the whole matrix's values and masses.
+    rng = np.random.default_rng(4)
+    n, length = 40, 24
+    coords = np.column_stack([rng.uniform(-60, 60, n), rng.uniform(-170, 170, n)])
+    ds = Dataset(table(_random_ids(rng, 30, length, n)), coords)
+    fake = _random_ids(rng, 50, length, n)
+    want = step_distances(fake, coords), gyration_radii(fake, coords), evaluate(ds, fake)
+    for block_bytes in (7 * 8 * length, 1):
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+        assert_array_equal(step_distances(fake, coords), want[0])
+        assert_array_equal(gyration_radii(fake, coords), want[1])
+        _assert_reports_equal(evaluate(ds, fake), want[2])
+
+
+def test_evaluate_scores_a_population_in_bounded_memory():
+    # 30,000 generated rows of 24 slots against a small real set.  Whole
+    # (B, T, 2) coordinate arrays and their haversine temporaries peaked at
+    # 107 bytes a slot; in row blocks the peak is the sort-based families'
+    # few (B, T) int64 arrays beside the kept step lengths.
+    rng = np.random.default_rng(3)
+    n, b, length = 100, 30000, 24
+    coords = np.column_stack([40 + rng.random(n), -74 + rng.random(n)])
+    ds = Dataset(table(rng.integers(0, n, size=(500, length))), coords)
+    fake = rng.integers(0, n, size=(b, length))
+    tracemalloc.start()
+    try:
+        evaluate(ds, fake)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * b * length
 
 
 def test_evaluate_rejects_ragged_and_unequal_lengths():

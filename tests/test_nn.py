@@ -1,15 +1,17 @@
 import gc
 import importlib
 import inspect
+import os
 import pkgutil
 import sys
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
 import mobsim
-from mobsim import nn
+from mobsim import generator, nn
 from mobsim.cli import main
 from mobsim.graphs import LocationGraph
 from mobsim.nn import Tensor
@@ -448,3 +450,34 @@ def test_every_nn_function_runs_in_a_command(tmp_path):
     public = _public_functions()
     assert len(public) > 100
     assert sorted(name for code, name in public.items() if code not in entered) == []
+
+
+def test_sampling_helper_thread_enters_no_public_function(monkeypatch):
+    # A tracer that wraps every public function and method with one span
+    # stack and plain counters (perfbench/tracer.py) is not thread-aware, so
+    # the helper thread of a two-thread sampling pass must enter only private
+    # helpers and the array functions of nn.core and rng, which no tracer
+    # wraps.  threading.setprofile profiles the threads started after it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(generator, "chunk_rows", lambda n: 16)
+    n = 8
+    src = np.arange(n)
+    edges = LocationGraph("sdg", "weighted", n, src, (src + 1) % n, np.full(n, 0.5))
+    gen = generator.Generator(generator.GeneratorConfig(n_locations=n, embed_dim=4, hidden_dim=4,
+                                                        channels=("sdg",)), {"sdg": edges})
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    threading.setprofile(profile)
+    try:
+        generator.generate_batch(gen, 100, 6, np.full(n, 1 / n),
+                                 generator.sample_streams(0, "helper"))
+    finally:
+        threading.setprofile(None)
+    assert generator._explore_draw.__code__ in entered          # the helper sampled
+    public = _public_functions()
+    assert sorted(name for code, name in public.items()
+                  if code in entered and not name.startswith(("nn.core.", "rng."))) == []
