@@ -7,7 +7,8 @@ steps: k=10, embedding and hidden size 32, 2 heads, the three channels,
 dropout 0.6, batch 32.  The sample phase times ``generate_batch`` of 30,000
 trajectories of 24 slots from the untrained generator.  The graph build, the
 steps and the sample each run in a fresh process, so each reports its own
-peak RSS.  Prints one JSON object:
+peak RSS, and next to it the minor page faults of its timed work
+(``minflt``).  Prints one JSON object:
 
     python3 scripts/scale_step.py --n 2000
 
@@ -48,6 +49,10 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _trajectories(n: int, rng) -> np.ndarray:
     """(ROWS, SLOTS) ids: a uniform first slot, then stay with probability
     0.5 or jump to a uniform location."""
@@ -64,14 +69,14 @@ def build(n: int, path: str) -> dict:
     ids = _trajectories(n, rng)
     coords = np.column_stack([40.0 + rng.random(n), -74.0 + rng.random(n)])
     table = Trajectories(np.array(["u"] * ROWS), np.full(ROWS, np.datetime64("2012-01-02")), ids)
-    start = time.perf_counter()
+    faults, start = _minflt(), time.perf_counter()
     built = {"sdg": graphs.build_sdg(coords, k=K),
              "ttg": graphs.build_ttg(ids, n),
              "stg": graphs.build_stg(graphs.visit_profile_matrix(table, n), k=K)}
-    elapsed = time.perf_counter() - start
+    elapsed, faults = time.perf_counter() - start, _minflt() - faults
     with open(path, "wb") as fh:
         pickle.dump((built, ids), fh)
-    return {"build_s": elapsed, "peak_rss_mb": _peak_rss_mb(),
+    return {"build_s": elapsed, "peak_rss_mb": _peak_rss_mb(), "minflt": faults,
             "edges": {name: len(g.src) for name, g in built.items()}}
 
 
@@ -87,7 +92,7 @@ def step(n: int, path: str) -> dict:
     gen, ids = _load(n, path)
     optimizer = nn.Adam(gen.params, 0.01)
     rng = np.random.default_rng(0)
-    times = []
+    times, faults = [], _minflt()
     for _ in range(STEPS):
         batch = ids[rng.choice(len(ids), 32, replace=False)]
         start = time.perf_counter()
@@ -95,16 +100,17 @@ def step(n: int, path: str) -> dict:
         nn.add(*gen.sequence_nll(gen.embed_locations(rng), batch)).backward()
         optimizer.step()
         times.append(time.perf_counter() - start)
-    return {"step_s": times, "peak_rss_mb": _peak_rss_mb()}
+    return {"step_s": times, "peak_rss_mb": _peak_rss_mb(), "minflt": _minflt() - faults}
 
 
 def sample(n: int, path: str) -> dict:
     gen, ids = _load(n, path)
-    rss_before = _peak_rss_mb()
+    rss_before, faults = _peak_rss_mb(), _minflt()
     start = time.perf_counter()
     generate_batch(gen, SAMPLED, SLOTS, seed_distribution(ids, n), sample_streams(0, "sample"))
     return {"sample_s": time.perf_counter() - start, "rows": SAMPLED,
-            "peak_rss_mb_before": rss_before, "peak_rss_mb": _peak_rss_mb()}
+            "peak_rss_mb_before": rss_before, "peak_rss_mb": _peak_rss_mb(),
+            "minflt": _minflt() - faults}
 
 
 PHASES = {"build": build, "step": step, "sample": sample}

@@ -1,4 +1,5 @@
-"""The OpenBLAS thread count of this process, set at run time.
+"""Process settings made at run time: the OpenBLAS thread count and the
+heap thresholds of glibc's allocator.
 
 The model's products are small (widths of tens, N rows), so a second BLAS
 thread saves little.  It also costs much: between calls it spins on a core,
@@ -7,6 +8,14 @@ waits a scheduler slice.  That made wide-map ``generate`` run about 3x
 slower for the first seconds of some processes, and a sampling pass that
 runs on two threads of its own about 1.4x slower.  Results do not depend on
 the thread count.
+
+glibc serves a block above its mmap threshold by a fresh ``mmap``, and its
+default threshold rises to the largest such block freed so far, with the
+trim threshold at twice that.  The heap a command works on then depends on
+the largest temporary of the commands the process ran before: a training
+step that runs after small temporaries maps and faults in its (rows, N)
+arrays anew on every step.  Fixed thresholds keep that heap the same in
+every process.
 """
 
 from __future__ import annotations
@@ -14,6 +23,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+
+# glibc's mallopt parameters, and the values fix_heap_thresholds sets.  A
+# larger mmap threshold (32 MiB, trim at 64 MiB) raised the peak RSS of one
+# population benchmark repetition from 78.6 to 84.2 MB.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 8 << 20
+_TRIM_THRESHOLD_BYTES = 16 << 20
 
 
 @functools.cache
@@ -52,3 +68,14 @@ def one_thread():
         yield
     finally:
         put(threads)
+
+
+def fix_heap_thresholds():
+    """Fix the allocator's mmap threshold at 8 MiB and its trim threshold at
+    16 MiB; nothing happens where the C library has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)

@@ -509,6 +509,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        blas.fix_heap_thresholds()
         with blas.one_thread():
             args.func(args)
         return 0

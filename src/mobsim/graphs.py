@@ -25,6 +25,8 @@ from .records import CheckinFormatError, Trajectories, _fields, _float_field, _i
 EARTH_RADIUS_KM = 6371.0
 # Rows of the kNN score matrix held at a time by the kNN builders.
 _ROW_BLOCK = 256
+# Bytes of the (rows, N, T) CDF differences that build_stg holds at a time.
+_CDF_BLOCK_BYTES = 1 << 20
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
@@ -49,20 +51,6 @@ class GraphConfig:
     def __post_init__(self):
         if self.edge_mode not in ("weighted", "vanilla"):
             raise ValueError(f"unknown edge_mode {self.edge_mode!r}")
-
-
-def wasserstein_1d(a, b):
-    """1-D earth mover's distance between slot distributions on the last axis.
-
-    Both distributions live on the equispaced support (t + 0.5) / T, so the
-    transport cost reduces to the mean absolute difference of the CDFs.  The
-    result lies in [0, (T - 1) / T]; leading axes broadcast.
-    """
-    pa = np.asarray(a, dtype=np.float64)
-    pb = np.asarray(b, dtype=np.float64)
-    if pa.shape[-1] != pb.shape[-1]:
-        raise ValueError(f"support sizes differ: {pa.shape} vs {pb.shape}")
-    return np.abs(np.cumsum(pa, axis=-1) - np.cumsum(pb, axis=-1)).sum(axis=-1) / pa.shape[-1]
 
 
 @dataclass
@@ -100,8 +88,22 @@ class LocationGraph:
 
 
 def _top_k_rows(score: np.ndarray, k: int, largest: bool):
-    """Per-row top-k column indices; ties break toward the lower column id."""
-    return np.argsort(-score if largest else score, axis=1, kind="stable")[:, :k]
+    """Per-row top-k column indices; ties break toward the lower column id.
+
+    A partition finds each row's k-th key.  Every column below it is kept,
+    and the lowest columns tied at it fill the row to k; only those k are
+    sorted, stably by key, so ties stay in column order."""
+    key = -score if largest else score
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1:k]
+    keep = key < kth
+    rows, cols = np.nonzero(key == kth)
+    counts = np.bincount(rows, minlength=len(key))
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    fill = rank < k - keep.sum(axis=1)[rows]
+    keep[rows[fill], cols[fill]] = True
+    picks = np.nonzero(keep)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(key, picks, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(picks, order, axis=1)
 
 
 def _top_k_peers(score_rows, n: int, k: int, largest: bool):
@@ -170,12 +172,19 @@ def build_stg(profiles: np.ndarray, k: int = 20) -> LocationGraph:
 
     Pairwise score is 1 - W1 between slot profiles, so it lies in [0, 1];
     each location keeps its k highest-scoring peers (ties to the lower id).
+    Both profiles live on the equispaced support (t + 0.5) / T, so W1 is the
+    mean absolute difference of their CDFs, which are taken once.
     """
-    profiles = np.asarray(profiles, dtype=np.float64)
-    n, _ = profiles.shape
+    cdf = np.cumsum(np.asarray(profiles, dtype=np.float64), axis=-1)
+    n, slots = cdf.shape
+    step = max(1, _CDF_BLOCK_BYTES // cdf.nbytes)   # one row of gaps is (N, T), as cdf is
 
     def similarity(start, stop):
-        return 1.0 - wasserstein_1d(profiles[start:stop, None, :], profiles[None, :, :])
+        score = np.empty((stop - start, n))
+        for lo in range(start, stop, step):
+            gap = cdf[lo:min(lo + step, stop), None, :] - cdf[None, :, :]
+            score[lo - start:lo - start + len(gap)] = np.abs(gap, out=gap).sum(axis=-1)
+        return np.subtract(1.0, np.divide(score, slots, out=score), out=score)
 
     src, dst, score = _top_k_peers(similarity, n, k, largest=True)
     return LocationGraph("stg", "weighted", n, src, dst, np.clip(score, 0.0, 1.0), k=k)
@@ -189,8 +198,8 @@ def binarize(graph: LocationGraph) -> LocationGraph:
 def save_graph(path, graph: LocationGraph):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{graph.channel},{graph.mode},{graph.k}\n")
-        for s, d, w in zip(graph.src, graph.dst, graph.weight):
-            fh.write(f"{s},{d},{float(w)!r}\n")
+        fh.write("".join(f"{s},{d},{w!r}\n" for s, d, w in
+                         zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist())))
 
 
 def load_graph(path, n_locations: int) -> LocationGraph:

@@ -9,7 +9,6 @@ from .core import (
     add,
     mul,
     neg,
-    matmul,
     sigmoid,
     softmax_values,
     concat,

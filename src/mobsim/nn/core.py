@@ -143,15 +143,6 @@ def neg(a) -> Tensor:
     return _result(-a.values, (a,), lambda g: (-g,))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g):
-        return g @ b.values.T, a.values.T @ g
-
-    return _result(a.values @ b.values, (a, b), backward)
-
-
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic function of an array: 1/(1+e^-x) for x >= 0,
     e^x/(1+e^x) below, both through e = exp(-|x|) <= 1 (taken as
@@ -241,15 +232,18 @@ def cross_entropy(logits, targets) -> Tensor:
     targets = np.asarray(targets, dtype=np.int64)
     rows = np.arange(len(targets))
     shifted = logits.values - logits.values.max(axis=-1, keepdims=True)
-    ez = np.exp(shifted)
+    picked = shifted[rows, targets]
+    ez = np.exp(shifted, out=shifted)
     total = ez.sum(axis=-1, keepdims=True)
 
     def backward(g):
+        # A fresh array: a second backward reads ez again.
         grad = ez / total
         grad[rows, targets] -= 1.0
-        return (g[:, None] * grad,)
+        grad *= g[:, None]
+        return (grad,)
 
-    return _result(np.log(total[:, 0]) - shifted[rows, targets], (logits,), backward)
+    return _result(np.log(total[:, 0]) - picked, (logits,), backward)
 
 
 def binary_cross_entropy(p, y, eps: float = 1e-12) -> Tensor:

@@ -6,12 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParamSet, Tensor, _result, add, matmul, sigmoid_values
+from .core import ParamSet, Tensor, _as_tensor, _result, _unbroadcast, sigmoid_values
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x @ weight + bias with bias broadcast over rows."""
-    return add(matmul(x, weight), bias)
+    """x @ weight + bias with bias broadcast over rows, as one tape op: the
+    bias is added into the product's array, so a (rows, out) head holds one
+    output array and one output gradient."""
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    out = x.values @ weight.values
+    out += bias.values
+
+    def backward(g):
+        return g @ weight.values.T, x.values.T @ g, _unbroadcast(g, bias.shape)
+
+    return _result(out, (x, weight, bias), backward)
 
 
 def glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:

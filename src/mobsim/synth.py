@@ -114,6 +114,11 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
 
 
 def write_kernel(path, kernel: np.ndarray):
+    # Each distinct value is formatted once: a token table over the values'
+    # bit patterns, so that -0.0 and 0.0 keep their own repr.
+    bits = np.ascontiguousarray(kernel, dtype=np.float64).view(np.int64)
+    keys, index = np.unique(bits, return_inverse=True)
+    tokens = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    lines = [",".join(row) + "\n" for row in tokens[index.reshape(bits.shape)].tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        for row in kernel:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write("".join(lines))

@@ -6,9 +6,10 @@ routes is meaningful.  The exception is the reference for an optimized path
 (a fused op, a cached computation), which is the plain composition it
 replaced, built from the package's own primitives.  The tape ops that only
 those references and the gradient checks use are defined here: ``sub``,
-``narrow``, ``exp``, ``log``, ``tanh``, ``relu``, ``leakyrelu``, ``softmax``,
-``tsum`` and the one-step ``gru_cell``.  So is the first-order Markov
-baseline the tests fit to planted chains.
+``matmul``, ``narrow``, ``exp``, ``log``, ``tanh``, ``relu``, ``leakyrelu``,
+``softmax``, ``tsum`` and the one-step ``gru_cell``.  So is the first-order Markov
+baseline the tests fit to planted chains, and the per-value writers that
+the token-table writers of ``synth`` and ``graphs`` replaced.
 """
 
 import bisect
@@ -59,6 +60,21 @@ def transport_cost_linprog(pa, pb, positions):
                      bounds=(0, None), method="highs")
     assert result.success, result.message
     return result.fun
+
+
+def wasserstein_1d(a, b):
+    """1-D earth mover's distance between slot distributions on the last axis.
+
+    Both distributions live on the equispaced support (t + 0.5) / T, so the
+    transport cost reduces to the mean absolute difference of the CDFs.  The
+    result lies in [0, (T - 1) / T]; leading axes broadcast.  The reference
+    for the scores of ``graphs.build_stg``.
+    """
+    pa = np.asarray(a, dtype=np.float64)
+    pb = np.asarray(b, dtype=np.float64)
+    if pa.shape[-1] != pb.shape[-1]:
+        raise ValueError(f"support sizes differ: {pa.shape} vs {pb.shape}")
+    return np.abs(np.cumsum(pa, axis=-1) - np.cumsum(pb, axis=-1)).sum(axis=-1) / pa.shape[-1]
 
 
 def jsd_naive(p, q):
@@ -156,6 +172,23 @@ def narrow(a, axis: int, start: int, length: int):
     return _result(a.values[index], (a,), backward)
 
 
+def matmul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+
+    def backward(g):
+        return g @ b.values.T, a.values.T @ g
+
+    return _result(a.values @ b.values, (a, b), backward)
+
+
+def linear_composed(x, weight, bias):
+    """``matmul`` then the broadcast ``add``, two tape nodes: the reference
+    for the one-op ``nn.linear``."""
+    from mobsim.nn import add
+
+    return add(matmul(x, weight), bias)
+
+
 def exp(a):
     a = _as_tensor(a)
     values = np.exp(a.values)
@@ -247,7 +280,7 @@ def gru_cell(x, z_prev, p):
 def gru_cell_composed(x, z_prev, p):
     """One GRU step composed from elementary tape ops (about 20 nodes), the
     reference for the fused ``gru_cell``."""
-    from mobsim.nn import add, matmul, mul, sigmoid
+    from mobsim.nn import add, mul, sigmoid
 
     u = sigmoid(add(add(matmul(x, p.w_update), matmul(z_prev, p.u_update)), p.b_update))
     r = sigmoid(add(add(matmul(x, p.w_reset), matmul(z_prev, p.u_reset)), p.b_reset))
@@ -499,6 +532,21 @@ def read_kernel(path):
     return np.array(rows, dtype=np.float64)
 
 
+def write_kernel_looped(path, kernel):
+    """One repr per kernel entry: the reference for ``synth.write_kernel``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in kernel:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def save_graph_looped(path, graph):
+    """One line write per edge: the reference for ``graphs.save_graph``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{graph.channel},{graph.mode},{graph.k}\n")
+        for s, d, w in zip(graph.src, graph.dst, graph.weight):
+            fh.write(f"{s},{d},{float(w)!r}\n")
+
+
 def top_k_rows_lexsort(score, k, largest):
     """Per-row top-k columns by one lexsort per row, ties to the lower
     column: the reference for ``graphs._top_k_rows``."""
@@ -551,7 +599,7 @@ def graph_attention_dense(h, bias, heads, keep=None):
     tape ops: the reference for the edge-list ``nn.graph_attention``.
     ``keep`` optionally gives one (N, N) inverted-dropout scale per head,
     applied to that head's attention matrix."""
-    from mobsim.nn import add, concat, constant, matmul, mul, reshape
+    from mobsim.nn import add, concat, constant, mul, reshape
 
     n = h.shape[0]
     bias_t = constant(bias)

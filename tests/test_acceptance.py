@@ -22,7 +22,7 @@ from mobsim.discriminator import Discriminator, d_loss
 from mobsim.generator import (Generator, GeneratorConfig, generate_batch,
                               sample_streams, seed_distribution)
 from mobsim.graphs import (LocationGraph, binarize, build_sdg, build_stg,
-                           build_ttg, visit_profile_matrix, wasserstein_1d)
+                           build_ttg, visit_profile_matrix)
 from mobsim.metrics import evaluate, jsd
 from mobsim.records import split, write_locations, write_observed, write_trajectories
 from mobsim.synth import SynthConfig, synth_generate
@@ -31,7 +31,8 @@ from mobsim.training import (TrainConfig, adversarial_train, mean_nll,
 from oracles import exp, leakyrelu, log, relu, softmax, tanh
 
 from gradcheck import grad_check
-from oracles import MarkovBaseline, jsd_naive, transport_cost_greedy, transport_cost_linprog
+from oracles import (MarkovBaseline, jsd_naive, transport_cost_greedy, transport_cost_linprog,
+                     wasserstein_1d)
 
 
 @contextlib.contextmanager
@@ -184,6 +185,15 @@ def test_criterion_2_wasserstein_oracle():
             a, b, c = (_random_masses(rng, t) for _ in range(3))
             assert abs(wasserstein_1d(a, b) - wasserstein_1d(b, a)) < 1e-12
             assert wasserstein_1d(a, c) <= wasserstein_1d(a, b) + wasserstein_1d(b, c) + 1e-12
+
+        # The program scores the STG from CDFs of its own: every edge weight
+        # is 1 - W1 of its two profiles.
+        profiles = np.stack([_random_masses(rng, 24) for _ in range(30)])
+        stg = build_stg(profiles, k=29)
+        positions = (np.arange(24) + 0.5) / 24
+        worst_stg = max(abs(1.0 - w - transport_cost_greedy(profiles[s], profiles[d], positions))
+                        for s, d, w in zip(stg.src, stg.dst, stg.weight))
+        assert worst_stg < 1e-9, f"STG weights disagree with 1 - W1 by {worst_stg:.3e}"
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shlex
+import types
 
 import numpy as np
 import pytest
@@ -841,6 +842,25 @@ def test_commands_run_blas_on_one_thread(tmp_path, monkeypatch, outcome, code):
     assert main(["synth", "--out-dir", str(tmp_path)]) == code
     assert seen == [1]
     assert get() == before
+
+
+class _Mallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.mark.parametrize("found", [True, False], ids=["mallopt", "no_mallopt"])
+def test_heap_thresholds_are_fixed_where_libc_has_mallopt(monkeypatch, found):
+    libc = types.SimpleNamespace(mallopt=_Mallopt()) if found else types.SimpleNamespace()
+    monkeypatch.setattr(blas.ctypes, "CDLL", lambda name: libc)
+    assert blas.fix_heap_thresholds() is None
+    if found:
+        # M_MMAP_THRESHOLD at 8 MiB, then M_TRIM_THRESHOLD at 16 MiB.
+        assert libc.mallopt.calls == [(-3, 8 << 20), (-1, 16 << 20)]
 
 
 # ---------------------------------------------------------------------------

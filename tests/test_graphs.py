@@ -4,8 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobsim import graphs
-from oracles import (haversine_naive, markov_counts, top_k_rows_lexsort, transport_cost_greedy,
-                     transport_cost_linprog, visit_profiles_looped)
+from oracles import (haversine_naive, markov_counts, save_graph_looped, top_k_rows_lexsort,
+                     transport_cost_greedy, transport_cost_linprog, visit_profiles_looped,
+                     wasserstein_1d)
 from tables import table
 
 # ---------------------------------------------------------------------------
@@ -48,11 +49,11 @@ def test_wasserstein_frozen_values():
     # Point masses at the first and last of 24 slots: cost 23/24.
     a = np.zeros(24); a[0] = 1.0
     b = np.zeros(24); b[23] = 1.0
-    assert graphs.wasserstein_1d(a, b) == pytest.approx(23 / 24, abs=1e-15)
+    assert wasserstein_1d(a, b) == pytest.approx(23 / 24, abs=1e-15)
     # Uniform against a point mass at slot 0 of 4: 3/8.
     u = np.full(4, 0.25)
     d = np.zeros(4); d[0] = 1.0
-    assert graphs.wasserstein_1d(u, d) == pytest.approx(0.375, abs=1e-15)
+    assert wasserstein_1d(u, d) == pytest.approx(0.375, abs=1e-15)
 
 
 def test_wasserstein_identity_symmetry():
@@ -60,18 +61,18 @@ def test_wasserstein_identity_symmetry():
     for _ in range(20):
         a = _random_pmf(rng, 24)
         b = _random_pmf(rng, 24)
-        assert graphs.wasserstein_1d(a, a) == pytest.approx(0.0, abs=1e-15)
-        assert graphs.wasserstein_1d(a, b) == pytest.approx(
-            graphs.wasserstein_1d(b, a), abs=1e-15)
+        assert wasserstein_1d(a, a) == pytest.approx(0.0, abs=1e-15)
+        assert wasserstein_1d(a, b) == pytest.approx(
+            wasserstein_1d(b, a), abs=1e-15)
 
 
 def test_wasserstein_triangle_inequality():
     rng = np.random.default_rng(4)
     for _ in range(50):
         a, b, c = (_random_pmf(rng, 12) for _ in range(3))
-        ab = graphs.wasserstein_1d(a, b)
-        bc = graphs.wasserstein_1d(b, c)
-        ac = graphs.wasserstein_1d(a, c)
+        ab = wasserstein_1d(a, b)
+        bc = wasserstein_1d(b, c)
+        ac = wasserstein_1d(a, c)
         assert ac <= ab + bc + 1e-12
 
 
@@ -82,7 +83,7 @@ def test_wasserstein_shift_adds_distance():
     costs = []
     for t in range(1, T):
         b = np.zeros(T); b[t] = 1.0
-        costs.append(graphs.wasserstein_1d(a, b))
+        costs.append(wasserstein_1d(a, b))
     diffs = np.diff(costs)
     assert np.allclose(diffs, 1 / T, atol=1e-15)
 
@@ -94,7 +95,7 @@ def test_wasserstein_matches_greedy_transport_oracle():
         a = _random_pmf(rng, size)
         b = _random_pmf(rng, size)
         positions = (np.arange(size) + 0.5) / size
-        ours = graphs.wasserstein_1d(a, b)
+        ours = wasserstein_1d(a, b)
         oracle = transport_cost_greedy(a, b, positions)
         assert ours == pytest.approx(oracle, abs=1e-12)
 
@@ -106,24 +107,24 @@ def test_wasserstein_matches_linear_program():
         a = _random_pmf(rng, size)
         b = _random_pmf(rng, size)
         positions = (np.arange(size) + 0.5) / size
-        assert graphs.wasserstein_1d(a, b) == pytest.approx(
+        assert wasserstein_1d(a, b) == pytest.approx(
             transport_cost_linprog(a, b, positions), abs=1e-9)
 
 
 def test_wasserstein_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        graphs.wasserstein_1d(np.full(4, 0.25), np.full(5, 0.2))
+        wasserstein_1d(np.full(4, 0.25), np.full(5, 0.2))
 
 
 def test_wasserstein_broadcasts_over_leading_axes():
     rng = np.random.default_rng(7)
     a = np.stack([_random_pmf(rng, 6) for _ in range(4)])
     b = np.stack([_random_pmf(rng, 6) for _ in range(3)])
-    table = graphs.wasserstein_1d(a[:, None, :], b[None, :, :])
+    table = wasserstein_1d(a[:, None, :], b[None, :, :])
     assert table.shape == (4, 3)
     for i in range(4):
         for j in range(3):
-            assert table[i, j] == graphs.wasserstein_1d(a[i], b[j])
+            assert table[i, j] == wasserstein_1d(a[i], b[j])
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +176,15 @@ def test_sdg_tie_breaks_to_lower_id():
 ], ids=["sdg_haversine", "stg"])
 def test_row_blocks_do_not_change_the_graph(build, monkeypatch):
     whole = build()
+    row_bytes = 40 * 24 * 8              # one row of the stg's (rows, N, T) CDF gaps
     for block in (1, 7, 39):
-        monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
-        part = build()
-        for name in ("src", "dst", "weight"):
-            assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
+        # One row, a block that straddles each 7-row block, one block for all.
+        for cdf_rows in (1, 5, 40):
+            monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
+            monkeypatch.setattr(graphs, "_CDF_BLOCK_BYTES", cdf_rows * row_bytes)
+            part = build()
+            for name in ("src", "dst", "weight"):
+                assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
 
 
 def test_sdg_k_bounds():
@@ -272,6 +277,27 @@ def test_top_k_rows_matches_lexsort_oracle(largest):
                                       top_k_rows_lexsort(score, k, largest))
 
 
+@pytest.mark.parametrize("largest", [True, False])
+def test_top_k_rows_with_infinite_and_all_tied_keys(largest):
+    rng = np.random.default_rng(11 + int(largest))
+    score = rng.integers(0, 3, size=(9, 12)).astype(np.float64) / 2.0
+    score[rng.random(score.shape) < 0.3] = np.inf
+    score[rng.random(score.shape) < 0.3] = -np.inf
+    score[3] = np.inf
+    score[4] = -np.inf
+    score[5] = 0.5
+    for k in (1, 6, 11):
+        np.testing.assert_array_equal(graphs._top_k_rows(score, k, largest),
+                                      top_k_rows_lexsort(score, k, largest))
+
+
+def test_stg_weights_are_one_minus_the_oracle_w1():
+    profiles = np.random.default_rng(12).dirichlet(np.ones(24), 30)
+    g = graphs.build_stg(profiles, k=29)
+    expected = np.clip(1.0 - wasserstein_1d(profiles[g.src], profiles[g.dst]), 0.0, 1.0)
+    assert g.weight.tobytes() == expected.tobytes()
+
+
 def test_stg_weights_and_topk():
     rng = np.random.default_rng(9)
     profiles = rng.random((12, 24)) + 1e-9
@@ -282,7 +308,7 @@ def test_stg_weights_and_topk():
     assert np.all(g.weight >= 0.0) and np.all(g.weight <= 1.0)
     for i in range(12):
         eps = np.array([
-            1.0 - graphs.wasserstein_1d(profiles[i], profiles[j]) if j != i else -np.inf
+            1.0 - wasserstein_1d(profiles[i], profiles[j]) if j != i else -np.inf
             for j in range(12)])
         expected = set(np.argsort(-eps, kind="stable")[:k])
         assert set(g.dst[g.src == i]) == expected
@@ -332,6 +358,15 @@ def test_graph_roundtrip(tmp_path, small_graphs):
         assert np.array_equal(back.src, g.src)
         assert np.array_equal(back.dst, g.dst)
         assert np.array_equal(back.weight, g.weight)   # repr round-trip is exact
+
+
+@pytest.mark.parametrize("mode", ["weighted", "vanilla"])
+def test_save_graph_writes_the_looped_bytes(tmp_path, small_graphs, mode):
+    for name, g in small_graphs.items():
+        g = graphs.binarize(g) if mode == "vanilla" else g
+        graphs.save_graph(tmp_path / "fast.csv", g)
+        save_graph_looped(tmp_path / "looped.csv", g)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "looped.csv").read_bytes()
 
 
 def test_graph_invariants_on_synth(small_graphs):

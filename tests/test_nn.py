@@ -16,8 +16,8 @@ from mobsim.cli import main
 from mobsim.graphs import LocationGraph
 from mobsim.nn import Tensor
 from gradcheck import grad_check
-from oracles import (exp, gru_cell, leakyrelu, log, narrow, relu, sigmoid_masked, softmax, sub,
-                     tanh, tsum)
+from oracles import (exp, gru_cell, leakyrelu, linear_composed, log, matmul, narrow, relu,
+                     sigmoid_masked, softmax, sub, tanh, tsum)
 from test_cli import CHECKINS
 
 
@@ -74,7 +74,8 @@ _TAPE_OPS = {
     "sub": (sub, [(3, 4), (3, 4)]),
     "mul": (nn.mul, [(3, 4), (3, 4)]),
     "neg": (nn.neg, [(3, 4)]),
-    "matmul": (nn.matmul, [(3, 4), (4, 2)]),
+    "matmul": (matmul, [(3, 4), (4, 2)]),
+    "linear": (nn.linear, [(3, 4), (4, 2), (2,)]),
     "exp": (exp, [(3, 4)]),
     "log": (log, [(3, 4)]),
     "tanh": (tanh, [(3, 4)]),
@@ -125,7 +126,7 @@ def test_tape_is_freed_without_the_cycle_collector(name):
     ("sub", lambda a, b: sub(a, b), [(3, 4), (3, 4)]),
     ("mul", lambda a, b: nn.mul(a, b), [(3, 4), (3, 4)]),
     ("mul_broadcast", lambda a, b: nn.mul(a, b), [(5,), (1,)]),
-    ("matmul", lambda a, b: nn.matmul(a, b), [(3, 4), (4, 2)]),
+    ("matmul", lambda a, b: matmul(a, b), [(3, 4), (4, 2)]),
     ("neg", nn.neg, [(3, 4)]),
     ("exp", exp, [(3, 4)]),
     ("tanh", tanh, [(3, 4)]),
@@ -162,6 +163,22 @@ def test_linear_gradient():
     x, w, b = _t(rng.standard_normal((4, 3))), _t(rng.standard_normal((3, 2))), \
         _t(rng.standard_normal(2))
     assert grad_check(lambda *args: nn.linear(*args), [x, w, b]) < 1e-6
+
+
+@pytest.mark.parametrize("rows, out_dim", [(4, 2), (7, 1), (1, 5)])
+def test_linear_matches_matmul_then_add(rows, out_dim):
+    rng = np.random.default_rng(rows * 10 + out_dim)
+    x, w, b = (_t(rng.standard_normal(s)) for s in ((rows, 3), (3, out_dim), (out_dim,)))
+    probe = rng.standard_normal((rows, out_dim))
+    results = []
+    for op in (nn.linear, linear_composed):
+        for tensor in (x, w, b):
+            tensor.grad = None
+        out = op(x, w, b)
+        tsum(nn.mul(out, probe)).backward()
+        results.append((out.values, x.grad, w.grad, b.grad))
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_gather_rows_gradient_scatters():

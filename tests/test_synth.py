@@ -3,7 +3,7 @@ import pytest
 
 from mobsim import synth
 from mobsim.synth import SynthConfig
-from oracles import read_kernel
+from oracles import read_kernel, write_kernel_looped
 
 
 def test_kernel_kinds_are_stochastic():
@@ -72,6 +72,17 @@ def test_kernel_roundtrip(tmp_path):
     path = tmp_path / "k.csv"
     synth.write_kernel(path, kernel)
     assert np.array_equal(read_kernel(path), kernel)
+
+
+@pytest.mark.parametrize("kernel", [
+    *(synth.make_kernel(kind, 7, np.random.default_rng(5))
+      for kind in ("uniform", "uniform_offdiag", "random")),
+    np.array([[0.25, -0.0, 0.25, 0.5], [0.0, 0.5, 0.5, -0.0], [1 / 3, 1 / 3, 1 / 3, 0.0]]),
+], ids=["uniform", "uniform_offdiag", "random", "repeats_and_negative_zero"])
+def test_write_kernel_writes_the_looped_bytes(tmp_path, kernel):
+    synth.write_kernel(tmp_path / "fast.csv", kernel)
+    write_kernel_looped(tmp_path / "looped.csv", kernel)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "looped.csv").read_bytes()
 
 
 def test_config_validation():
