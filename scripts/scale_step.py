@@ -5,7 +5,10 @@ Builds the three graphs directly (no files, no CLI) from random coordinates
 and random stay-or-jump trajectories, then times teacher-forced pretrain
 steps: k=10, embedding and hidden size 32, 2 heads, the three channels,
 dropout 0.6, batch 32.  The sample phase times ``generate_batch`` of 30,000
-trajectories of 24 slots from the untrained generator.  The graph build, the
+trajectories of 24 slots from the untrained generator, then writes them
+with ``records.write_trajectories`` and reads them back with
+``records.read_trajectories`` (``write_s``, ``read_s``, and whether the table
+came back equal).  The graph build, the
 steps and the sample each run in a fresh process, so each reports its own
 peak RSS, and next to it the minor page faults of its timed work
 (``minflt``).  Prints one JSON object:
@@ -40,7 +43,12 @@ from mobsim.generator import (  # noqa: E402
     sample_streams,
     seed_distribution,
 )
-from mobsim.records import Trajectories  # noqa: E402
+from mobsim.records import (  # noqa: E402
+    Trajectories,
+    generated_trajectories,
+    read_trajectories,
+    write_trajectories,
+)
 
 SLOTS, ROWS, K, STEPS, SAMPLED = 24, 2000, 10, 3, 30000
 
@@ -107,10 +115,24 @@ def sample(n: int, path: str) -> dict:
     gen, ids = _load(n, path)
     rss_before, faults = _peak_rss_mb(), _minflt()
     start = time.perf_counter()
-    generate_batch(gen, SAMPLED, SLOTS, seed_distribution(ids, n), sample_streams(0, "sample"))
-    return {"sample_s": time.perf_counter() - start, "rows": SAMPLED,
-            "peak_rss_mb_before": rss_before, "peak_rss_mb": _peak_rss_mb(),
-            "minflt": _minflt() - faults}
+    sampled = generate_batch(gen, SAMPLED, SLOTS, seed_distribution(ids, n),
+                             sample_streams(0, "sample"))
+    report = {"sample_s": time.perf_counter() - start, "rows": SAMPLED,
+              "peak_rss_mb_before": rss_before, "peak_rss_mb": _peak_rss_mb(),
+              "minflt": _minflt() - faults}
+    table = generated_trajectories(sampled)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "generated.txt")
+        start = time.perf_counter()
+        write_trajectories(path, table)
+        report["write_s"] = time.perf_counter() - start
+        start = time.perf_counter()
+        back = read_trajectories(path, n, SLOTS)
+        report["read_s"] = time.perf_counter() - start
+    report["round_trip_equal"] = bool(
+        np.array_equal(back.ids, table.ids) and back.users.tolist() == table.users.tolist()
+        and np.array_equal(back.days, table.days))
+    return report
 
 
 PHASES = {"build": build, "step": step, "sample": sample}

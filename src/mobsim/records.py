@@ -11,18 +11,23 @@ File formats (all plain text, one record per line, UTF-8):
 * check-in input:   ``user,location,lat,lon,timestamp`` with an ISO-8601
   timestamp ("Z" and numeric offsets accepted, naive times read as UTC);
   an aware time is bucketed by its own local wall clock;
-* trajectory file:  ``user,day,loc_0 loc_1 ... loc_{T-1}`` where ``day`` is an
-  ISO date and the third field holds T space-separated dense location ids;
+* trajectory file:  ``user,day,loc_0 loc_1 ... loc_{T-1}`` where ``day`` is
+  ``YYYY-MM-DD`` and the third field holds T whitespace-separated dense
+  location ids;
 * id-map file:      ``original_id,dense_id``;
 * locations file:   ``dense_id,lat,lon`` (floats via repr, lossless);
 * observed sidecar: ``user,day,slot:loc slot:loc ...`` carrying the raw
   pre-fill observations, one pair per input record of that user-day.
+
+The readers of the last two parse the third fields in one NumPy call per
+file, and go line by line only to name the first bad line.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +35,7 @@ import numpy as np
 from .rng import stream
 
 HOURS_PER_DAY = 24
+_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _UNIX_EPOCH = dt.date(1970, 1, 1).toordinal()
 
 
@@ -332,14 +338,46 @@ def _labels(trajectories: Trajectories):
 
 def _user_day_lines(path, third: str):
     """``(line number, user, day, third field)`` of each non-blank
-    ``user,day,<third>`` line of ``path``."""
+    ``user,day,<third>`` line of ``path``; each distinct day text is checked
+    and parsed once."""
+    days = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, (user, day_text, rest) in _fields(fh, f"user,day,{third}"):
-            try:
-                day = dt.date.fromisoformat(day_text)
-            except ValueError:
-                raise CheckinFormatError(line_no, "day", f"not YYYY-MM-DD: {day_text!r}") from None
+            day = days.get(day_text)
+            if day is None:
+                try:    # the shape first: Python 3.11 also reads 20120101 and 2012-W01-2
+                    day = days[day_text] = dt.date.fromisoformat(
+                        day_text if _DAY.fullmatch(day_text) else "")
+                except ValueError:
+                    raise CheckinFormatError(line_no, "day",
+                                             f"not YYYY-MM-DD: {day_text!r}") from None
             yield line_no, user, day, rest
+
+
+def _read_user_days(path, third: str, parse):
+    """Users, days, third fields and ``parse(line_nos, texts)`` of the
+    ``user,day,<third>`` lines of ``path``.  A line failing its own checks
+    has the fields before it parsed first, so the first bad line is named."""
+    line_nos, users, days, texts = [], [], [], []
+    try:
+        for line_no, user, day, text in _user_day_lines(path, third):
+            line_nos.append(line_no)
+            users.append(user)
+            days.append(day)
+            texts.append(text)
+    except CheckinFormatError:
+        parse(line_nos, texts)
+        raise
+    return users, days, texts, parse(line_nos, texts)
+
+
+def _parse_ints(texts, delimiter: str | None = None):
+    """Each text's integers (ASCII decimal, optional sign) as a row of an
+    int64 matrix, by NumPy's C reader; None if one is not or rows are ragged."""
+    try:
+        return np.loadtxt(texts, dtype=np.int64, ndmin=2, comments=None, delimiter=delimiter)
+    except ValueError:
+        return None
 
 
 def write_trajectories(path, trajectories: Trajectories):
@@ -361,27 +399,28 @@ def read_trajectories(path, n_locations: int, slots: int | None = None) -> Traje
     first line's count), each id lies in [0, ``n_locations``); anything else
     raises :class:`CheckinFormatError` naming the line and field.
     """
-    users, days, rows = [], [], []
-    for line_no, user, day, slot_text in _user_day_lines(path, "slots"):
-        try:
-            ids = [int(tok) for tok in slot_text.split()]
-        except ValueError:
-            raise CheckinFormatError(line_no, "slots", "ids must be integers") from None
-        if not ids:
-            raise CheckinFormatError(line_no, "slots", "no location ids")
-        if slots is None:
-            slots = len(ids)
-        if len(ids) != slots:
-            raise CheckinFormatError(line_no, "slots", f"{len(ids)} ids, expected {slots}")
-        # One min/max per line, not a check per id: population files hold
-        # hundreds of thousands of ids.
-        if min(ids) < 0 or max(ids) >= n_locations:
-            raise CheckinFormatError(line_no, "slots", f"location id outside [0, {n_locations})")
-        users.append(user)
-        days.append(day)
-        rows.append(ids)
-    return Trajectories(np.array(users, dtype=str), _day_column(days),
-                        np.array(rows, dtype=np.int64).reshape(len(rows), slots or 0))
+    def parse(line_nos, texts):
+        nonlocal slots
+        if not texts:
+            return np.zeros((0, slots or 0), dtype=np.int64)
+        ids = _parse_ints(texts) if all(texts) else None
+        if (ids is not None and ids.shape[0] == len(texts) and slots in (None, ids.shape[1])
+                and ids.min() >= 0 and ids.max() < n_locations):
+            return ids
+        for line_no, text in zip(line_nos, texts):
+            if not text:
+                raise CheckinFormatError(line_no, "slots", "no location ids")
+            row = _parse_ints([text])
+            if row is None:
+                raise CheckinFormatError(line_no, "slots", "ids must be integers")
+            slots = row.shape[1] if slots is None else slots
+            if row.shape[1] != slots:
+                raise CheckinFormatError(line_no, "slots", f"{row.shape[1]} ids, expected {slots}")
+            if row.min() < 0 or row.max() >= n_locations:
+                raise CheckinFormatError(line_no, "slots", f"location id outside [0, {n_locations})")
+
+    users, days, _, ids = _read_user_days(path, "slots", parse)
+    return Trajectories(np.array(users, dtype=str), _day_column(days), ids)
 
 
 def write_id_map(path, id_map):
@@ -438,16 +477,41 @@ def attach_observed(trajectories: Trajectories, path, n_locations: int) -> Traje
     naming the line and field.  A row takes the pairs of the last line with
     its user and day, and none if no line has them.
     """
-    slots = trajectories.ids.shape[1]
-    table = {}
-    for line_no, user, day, pair_text in _user_day_lines(path, "pairs"):
-        table[(user, day)] = [
-            (_int_field(line_no, "pairs", slot_text, slots),
-             _int_field(line_no, "pairs", loc_text, n_locations))
-            for slot_text, _, loc_text in (token.partition(":") for token in pair_text.split())]
-    found = [(i, slot, loc)
-             for i, key in enumerate(zip(trajectories.users.tolist(), trajectories.days.tolist()))
-             for slot, loc in table.get(key, ())]
-    trajectories.row, trajectories.slot, trajectories.loc = (
-        np.array(found, dtype=np.int64).reshape(-1, 3).T)
+    limits = (trajectories.ids.shape[1], n_locations)
+
+    def pair_array(tokens):
+        """The (P, 2) pairs of ``slot:loc`` tokens, None if one is bad."""
+        pairs = _parse_ints(tokens, ":") if tokens else np.zeros((0, 2), dtype=np.int64)
+        good = (pairs is not None and pairs.shape == (len(tokens), 2)
+                and not ((pairs < 0) | (pairs >= limits)).any())
+        return pairs if good else None
+
+    def parse(line_nos, texts):
+        pairs = pair_array(" ".join(texts).split())
+        if pairs is not None:
+            return pairs
+        # Line by line, then token by token, to name the bad line.
+        for line_no, text in zip(line_nos, texts):
+            if pair_array(text.split()) is None:
+                for token in text.split():
+                    for value_text, limit in zip(token.partition(":")[::2], limits):
+                        value = _parse_ints([value_text]) if value_text else None
+                        if value is None:
+                            raise CheckinFormatError(line_no, "pairs",
+                                                     f"not an integer: {value_text!r}")
+                        if not 0 <= value[0, 0] < limit:
+                            raise CheckinFormatError(line_no, "pairs",
+                                                     f"{value[0, 0]} outside [0, {limit})")
+
+    users, days, texts, pairs = _read_user_days(path, "pairs", parse)
+    # Each line's pair count, then a 0 for line -1, a row no line names.
+    counts = np.array([text.count(":") for text in texts] + [0], dtype=np.int64)
+    last = {key: j for j, key in enumerate(zip(users, days))}
+    line = np.array([last.get(key, -1) for key in
+                     zip(trajectories.users.tolist(), trajectories.days.tolist())], dtype=np.int64)
+    count, start = counts[line], (np.cumsum(counts) - counts)[line]
+    trajectories.row = np.repeat(np.arange(len(line)), count)
+    index = np.arange(len(trajectories.row)) + np.repeat(start - np.cumsum(count) + count, count)
+    trajectories.slot, trajectories.loc = pairs[index].T
     return trajectories
+

@@ -9,7 +9,9 @@ those references and the gradient checks use are defined here: ``sub``,
 ``matmul``, ``narrow``, ``exp``, ``log``, ``tanh``, ``relu``, ``leakyrelu``,
 ``softmax``, ``tsum`` and the one-step ``gru_cell``.  So is the first-order Markov
 baseline the tests fit to planted chains, and the per-value writers that
-the token-table writers of ``synth`` and ``graphs`` replaced.
+the token-table writers of ``synth`` and ``graphs`` replaced, and the
+per-line trajectory and observed readers that the one-call NumPy parse of
+``records`` replaced.
 """
 
 import bisect
@@ -17,6 +19,8 @@ import bisect
 import numpy as np
 
 from mobsim.nn.core import _as_tensor, _result, _unbroadcast, softmax_values
+from mobsim.records import (CheckinFormatError, Trajectories, _day_column, _int_field,
+                            _user_day_lines)
 from mobsim.rng import categorical, stream
 
 
@@ -615,3 +619,57 @@ def graph_attention_dense(h, bias, heads, keep=None):
             alpha = mul(alpha, constant(keep[i]))
         outputs.append(relu(matmul(alpha, wh)))
     return outputs[0] if len(outputs) == 1 else concat(outputs, axis=1)
+
+
+def read_trajectories_looped(path, n_locations: int, slots: int | None = None) -> Trajectories:
+    """Read a trajectory file into a table without observed pairs.
+
+    Every line holds the same number of ids (``slots`` when given, else the
+    first line's count), each id lies in [0, ``n_locations``); anything else
+    raises :class:`CheckinFormatError` naming the line and field.
+    """
+    users, days, rows = [], [], []
+    for line_no, user, day, slot_text in _user_day_lines(path, "slots"):
+        try:
+            ids = [int(tok) for tok in slot_text.split()]
+        except ValueError:
+            raise CheckinFormatError(line_no, "slots", "ids must be integers") from None
+        if not ids:
+            raise CheckinFormatError(line_no, "slots", "no location ids")
+        if slots is None:
+            slots = len(ids)
+        if len(ids) != slots:
+            raise CheckinFormatError(line_no, "slots", f"{len(ids)} ids, expected {slots}")
+        # One min/max per line, not a check per id: population files hold
+        # hundreds of thousands of ids.
+        if min(ids) < 0 or max(ids) >= n_locations:
+            raise CheckinFormatError(line_no, "slots", f"location id outside [0, {n_locations})")
+        users.append(user)
+        days.append(day)
+        rows.append(ids)
+    return Trajectories(np.array(users, dtype=str), _day_column(days),
+                        np.array(rows, dtype=np.int64).reshape(len(rows), slots or 0))
+
+
+def attach_observed_looped(trajectories: Trajectories, path, n_locations: int) -> Trajectories:
+    """Fill the table's observed pairs from an observed sidecar file, in place.
+
+    Every line holds a user, an ISO day and ``slot:loc`` integer pairs, each
+    slot in [0, T), T the table's trajectory length, and each location in
+    [0, ``n_locations``); anything else raises :class:`CheckinFormatError`
+    naming the line and field.  A row takes the pairs of the last line with
+    its user and day, and none if no line has them.
+    """
+    slots = trajectories.ids.shape[1]
+    table = {}
+    for line_no, user, day, pair_text in _user_day_lines(path, "pairs"):
+        table[(user, day)] = [
+            (_int_field(line_no, "pairs", slot_text, slots),
+             _int_field(line_no, "pairs", loc_text, n_locations))
+            for slot_text, _, loc_text in (token.partition(":") for token in pair_text.split())]
+    found = [(i, slot, loc)
+             for i, key in enumerate(zip(trajectories.users.tolist(), trajectories.days.tolist()))
+             for slot, loc in table.get(key, ())]
+    trajectories.row, trajectories.slot, trajectories.loc = (
+        np.array(found, dtype=np.int64).reshape(-1, 3).T)
+    return trajectories

@@ -283,7 +283,9 @@ def test_evaluate_bad_generated_line_is_exit_1(pipeline, tmp_path, capsys, line,
     ("u,2020-13-01," + _ids([0] * 24), "day"),
     ("u,2012-01-01," + _ids(["x"] + [0] * 23), "slots"),
     ("u,2012-01-01", "record"),
-], ids=["bad_day", "bad_token", "two_fields"])
+    ("u,20120101,0 1 2", "day"),
+    ("u,2012-W01-2,1 2 3", "day"),
+], ids=["bad_day", "bad_token", "two_fields", "basic_day", "week_day"])
 def test_build_graphs_bad_split_line_is_exit_1(pipeline, tmp_path, capsys, line, field):
     split = tmp_path / "train.txt"
     split.write_text(f"{GOOD_LINE}\n\n{line}\n")
@@ -291,6 +293,29 @@ def test_build_graphs_bad_split_line_is_exit_1(pipeline, tmp_path, capsys, line,
                  "--locations", str(pipeline / "data" / "locations.csv"),
                  "--out-dir", str(tmp_path / "g"), "--k", "4"]) == 1
     assert f"{split}:3: field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "1" * 20],
+                         ids=["underscore", "arabic_indic_digit", "twenty_digits"])
+def test_evaluate_id_that_is_no_ascii_int64_is_exit_1(pipeline, tmp_path, capsys, token):
+    # Python's int() reads all three; the id parse takes ASCII decimal int64 only.
+    rogue = tmp_path / "rogue.txt"
+    rogue.write_text(f"{GOOD_LINE}\nu,2012-01-01,{_ids([token] + [0] * 23)}\n")
+    assert main(["evaluate", "--real", str(pipeline / "data" / "test.txt"),
+                 "--generated", str(rogue),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert f"{rogue}:2: field 'slots': ids must be integers" in capsys.readouterr().err
+
+
+def test_build_graphs_pair_with_an_underscore_is_exit_1(pipeline, tmp_path, capsys):
+    data = pipeline / "data"
+    observed = tmp_path / "observed.txt"
+    observed.write_text("u,2012-01-01,0:1 5:2\nu,2012-01-01,1_0:3\n")
+    assert main(["build-graphs", "--train", str(data / "train.txt"),
+                 "--locations", str(data / "locations.csv"), "--observed", str(observed),
+                 "--out-dir", str(tmp_path / "g"), "--k", "4"]) == 1
+    assert f"{observed}:2: field 'pairs': not an integer: '1_0'" in capsys.readouterr().err
 
 
 def test_train_valid_length_must_match_train_is_exit_1(pipeline, tmp_path, capsys):

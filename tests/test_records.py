@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from mobsim import records
 from mobsim.records import CheckinFormatError, Dataset
-from oracles import fill_gaps_looped, read_id_map
+from oracles import (attach_observed_looped, fill_gaps_looped, read_id_map,
+                     read_trajectories_looped)
 from tables import observed, table
 
 
@@ -341,3 +342,97 @@ def test_tuple_field():
     for text in ("", "sdg,", "sdg,,stg", " , "):
         with pytest.raises(CheckinFormatError, match="field 'channels': an empty item"):
             records._tuple_field(1, "channels", text)
+
+
+# One-line corruptions: the file each hits, and the line it makes of
+# (user, day, third field, T, N).
+CORRUPTIONS = {
+    "ragged": ("traj", lambda u, d, f, t, n: f"{u},{d},{f} 0"),
+    "not_a_number": ("traj", lambda u, d, f, t, n: f"{u},{d},{f[:-1]}x"),
+    "negative": ("traj", lambda u, d, f, t, n: f"{u},{d},-1 {f.split(' ', 1)[-1]}" if t > 1
+                 else f"{u},{d},-1"),
+    "too_large": ("traj", lambda u, d, f, t, n: f"{u},{d},{n} {f.split(' ', 1)[-1]}" if t > 1
+                  else f"{u},{d},{n}"),
+    "no_ids": ("traj", lambda u, d, f, t, n: f"{u},{d},"),
+    "bad_day": (None, lambda u, d, f, t, n: f"{u},{d[:4]}{d[5:7]}{d[8:]},{f}"),
+    "two_fields": (None, lambda u, d, f, t, n: f"{u},{d}"),
+    "slot_of_t": ("obs", lambda u, d, f, t, n: f"{u},{d},{f} {t}:0"),
+    "no_colon": ("obs", lambda u, d, f, t, n: f"{u},{d},0-0 {f}"),
+    "two_colons": ("obs", lambda u, d, f, t, n: f"{u},{d},{f} 0:0:0"),
+}
+
+
+def _random_lines(rng):
+    """Trajectory and observed lines of random shape, as (user, day, third
+    field): users with spaces, uneven spacing, sidecar keys repeated and
+    keys no trajectory has."""
+    b, t, n = int(rng.integers(1, 61)), int(rng.integers(1, 31)), int(rng.integers(1, 20001))
+    keys = [(f"user {i % 7}" if rng.random() < 0.5 else f"u{i}",
+             f"2012-{rng.integers(1, 13):02d}-{rng.integers(1, 29):02d}") for i in range(b)]
+    sep = " " if rng.random() < 0.7 else " \t "
+    traj = [(user, day, sep.join(map(str, rng.integers(0, n, t)))) for user, day in keys]
+    obs = [(*(keys[i] if i < b else ("nobody", "2013-01-01")),
+            sep.join(f"{rng.integers(0, t)}:{rng.integers(0, n)}"
+                     for _ in range(rng.integers(0, 6))))
+           for i in rng.integers(0, b + 2, rng.integers(1, 2 * b + 2))]
+    return traj, obs, t, n
+
+
+def _read_both(traj_path, obs_path, n):
+    """Each reader pair's table with its observed pairs, or its error."""
+    results = []
+    for read, attach in ((records.read_trajectories, records.attach_observed),
+                         (read_trajectories_looped, attach_observed_looped)):
+        try:
+            results.append(attach(read(traj_path, n), obs_path, n))
+        except CheckinFormatError as exc:
+            results.append(exc)
+    return results
+
+
+def test_readers_match_the_per_line_readers(tmp_path):
+    rng = np.random.default_rng(2121)
+    paths = {"traj": tmp_path / "t.txt", "obs": tmp_path / "o.txt"}
+    kinds = [None, *CORRUPTIONS]
+    for case in range(300):
+        traj, obs, t, n = _random_lines(rng)
+        files = {"traj": [",".join(line) for line in traj], "obs": [",".join(line) for line in obs]}
+        kind = kinds[case % len(kinds)]
+        if kind is not None:
+            target = CORRUPTIONS[kind][0] or rng.choice(["traj", "obs"])
+            i = int(rng.integers(0, len(files[target])))
+            files[target][i] = CORRUPTIONS[kind][1](*(traj if target == "traj" else obs)[i], t, n)
+        for name, lines in files.items():
+            blank = rng.integers(0, len(lines) + 1)
+            paths[name].write_text("\n".join(lines[:blank] + ["", "  "] + lines[blank:]) + "\n")
+        got, want = _read_both(paths["traj"], paths["obs"], n)
+        if kind is not None:
+            assert isinstance(want, CheckinFormatError), (case, kind)
+            assert isinstance(got, CheckinFormatError), (case, kind)
+            assert (got.line_no, got.field_name, got.detail) == (
+                want.line_no, want.field_name, want.detail), (case, kind)
+            continue
+        assert got.users.tolist() == want.users.tolist()
+        for name in ("days", "ids", "row", "slot", "loc"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (case, name)
+            assert a.shape == b.shape, (case, name)
+
+
+@pytest.mark.parametrize("third, later, reader", [
+    ("0 x", "u,2012-13-01,0 1", "trajectories"),
+    ("0 1 2", "u,2012-01-01,", "trajectories"),
+    ("0:9", "u,2012-01-01", "observed"),
+], ids=["bad_id_then_bad_day", "ragged_then_no_ids", "bad_pair_then_two_fields"])
+def test_the_first_bad_line_is_named(tmp_path, third, later, reader):
+    # Line 2's third field is bad and line 3 fails its own checks: line 2 is named.
+    path = tmp_path / "f.txt"
+    path.write_text(f"u,2012-01-01,{'0:1' if reader == 'observed' else '0 1'}\n"
+                    f"u,2012-01-01,{third}\n{later}\n")
+    with pytest.raises(CheckinFormatError) as err:
+        if reader == "observed":
+            records.attach_observed(table(np.zeros((1, 4))), path, n_locations=2)
+        else:
+            records.read_trajectories(path, n_locations=2)
+    assert (err.value.line_no, err.value.field_name) == (2, "slots" if reader != "observed"
+                                                         else "pairs")
