@@ -12,15 +12,13 @@ File formats (all plain text, one record per line, UTF-8):
   timestamp ("Z" and numeric offsets accepted, naive times read as UTC);
   an aware time is bucketed by its own local wall clock;
 * trajectory file:  ``user,day,loc_0 loc_1 ... loc_{T-1}`` where ``day`` is
-  ``YYYY-MM-DD`` and the third field holds T whitespace-separated dense
-  location ids;
+  ``YYYY-MM-DD`` and the third field T whitespace-separated dense location ids;
 * id-map file:      ``original_id,dense_id``;
 * locations file:   ``dense_id,lat,lon`` (floats via repr, lossless);
 * observed sidecar: ``user,day,slot:loc slot:loc ...`` carrying the raw
   pre-fill observations, one pair per input record of that user-day.
 
-The readers of the last two parse the third fields in one NumPy call per
-file, and go line by line only to name the first bad line.
+The trajectory and observed readers parse each file's third fields in one NumPy call.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,9 +161,10 @@ def _fields(lines, layout: str, delimiter: str = ",", start: int = 1, rest: bool
 
 
 def _int_field(line_no: int, name: str, text: str, limit: int | None = None) -> int:
-    """``text`` as an integer, in [0, ``limit``) when a limit is given."""
-    try:
-        value = int(text)
+    """``text`` as an integer (ASCII decimal, optional sign, as
+    :func:`_parse_ints` reads it), in [0, ``limit``) when a limit is given."""
+    try:    # int() alone also takes 1_0 and non-ASCII digits
+        value = int(text if text.isascii() and "_" not in text else "?")
     except ValueError:
         raise CheckinFormatError(line_no, name, f"not an integer: {text!r}") from None
     if limit is not None and not 0 <= value < limit:
@@ -338,26 +338,22 @@ def _labels(trajectories: Trajectories):
 
 def _user_day_lines(path, third: str):
     """``(line number, user, day, third field)`` of each non-blank
-    ``user,day,<third>`` line of ``path``; each distinct day text is checked
-    and parsed once."""
+    ``user,day,<third>`` line of ``path``, each distinct day parsed once."""
     days = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, (user, day_text, rest) in _fields(fh, f"user,day,{third}"):
-            day = days.get(day_text)
-            if day is None:
-                try:    # the shape first: Python 3.11 also reads 20120101 and 2012-W01-2
-                    day = days[day_text] = dt.date.fromisoformat(
-                        day_text if _DAY.fullmatch(day_text) else "")
+            if day_text not in days:    # the shape first: 3.11 also reads 20120101, 2012-W01-2
+                try:
+                    days[day_text] = dt.date.fromisoformat(day_text if _DAY.fullmatch(day_text) else "")
                 except ValueError:
                     raise CheckinFormatError(line_no, "day",
                                              f"not YYYY-MM-DD: {day_text!r}") from None
-            yield line_no, user, day, rest
+            yield line_no, user, days[day_text], rest
 
 
 def _read_user_days(path, third: str, parse):
-    """Users, days, third fields and ``parse(line_nos, texts)`` of the
-    ``user,day,<third>`` lines of ``path``.  A line failing its own checks
-    has the fields before it parsed first, so the first bad line is named."""
+    """Users, days, third fields and ``parse(line_nos, texts)`` of ``path``'s
+    lines; one failing its own checks raises after the lines before it parse."""
     line_nos, users, days, texts = [], [], [], []
     try:
         for line_no, user, day, text in _user_day_lines(path, third):
@@ -374,10 +370,13 @@ def _read_user_days(path, third: str, parse):
 def _parse_ints(texts, delimiter: str | None = None):
     """Each text's integers (ASCII decimal, optional sign) as a row of an
     int64 matrix, by NumPy's C reader; None if one is not or rows are ragged."""
-    try:
-        return np.loadtxt(texts, dtype=np.int64, ndmin=2, comments=None, delimiter=delimiter)
-    except ValueError:
-        return None
+    with warnings.catch_warnings():
+        # NumPy 1.23 on may read 1.5 or 1e3 as a truncated float, only warning.
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        try:
+            return np.loadtxt(texts, dtype=np.int64, ndmin=2, comments=None, delimiter=delimiter)
+        except (ValueError, DeprecationWarning):
+            return None
 
 
 def write_trajectories(path, trajectories: Trajectories):
@@ -408,11 +407,10 @@ def read_trajectories(path, n_locations: int, slots: int | None = None) -> Traje
                 and ids.min() >= 0 and ids.max() < n_locations):
             return ids
         for line_no, text in zip(line_nos, texts):
-            if not text:
-                raise CheckinFormatError(line_no, "slots", "no location ids")
-            row = _parse_ints([text])
+            row = _parse_ints([text]) if text else None
             if row is None:
-                raise CheckinFormatError(line_no, "slots", "ids must be integers")
+                raise CheckinFormatError(line_no, "slots",
+                                         "ids must be integers" if text else "no location ids")
             slots = row.shape[1] if slots is None else slots
             if row.shape[1] != slots:
                 raise CheckinFormatError(line_no, "slots", f"{row.shape[1]} ids, expected {slots}")
@@ -479,29 +477,16 @@ def attach_observed(trajectories: Trajectories, path, n_locations: int) -> Traje
     """
     limits = (trajectories.ids.shape[1], n_locations)
 
-    def pair_array(tokens):
-        """The (P, 2) pairs of ``slot:loc`` tokens, None if one is bad."""
-        pairs = _parse_ints(tokens, ":") if tokens else np.zeros((0, 2), dtype=np.int64)
-        good = (pairs is not None and pairs.shape == (len(tokens), 2)
-                and not ((pairs < 0) | (pairs >= limits)).any())
-        return pairs if good else None
-
     def parse(line_nos, texts):
-        pairs = pair_array(" ".join(texts).split())
-        if pairs is not None:
+        tokens = " ".join(texts).split()
+        pairs = _parse_ints(tokens, ":") if tokens else np.zeros((0, 2), dtype=np.int64)
+        if (pairs is not None and pairs.shape == (len(tokens), 2)
+                and not ((pairs < 0) | (pairs >= limits)).any()):
             return pairs
-        # Line by line, then token by token, to name the bad line.
-        for line_no, text in zip(line_nos, texts):
-            if pair_array(text.split()) is None:
-                for token in text.split():
-                    for value_text, limit in zip(token.partition(":")[::2], limits):
-                        value = _parse_ints([value_text]) if value_text else None
-                        if value is None:
-                            raise CheckinFormatError(line_no, "pairs",
-                                                     f"not an integer: {value_text!r}")
-                        if not 0 <= value[0, 0] < limit:
-                            raise CheckinFormatError(line_no, "pairs",
-                                                     f"{value[0, 0]} outside [0, {limit})")
+        for line_no, text in zip(line_nos, texts):      # token by token, to name the line
+            for slot_text, _, loc_text in (token.partition(":") for token in text.split()):
+                _int_field(line_no, "pairs", slot_text, limits[0])
+                _int_field(line_no, "pairs", loc_text, limits[1])
 
     users, days, texts, pairs = _read_user_days(path, "pairs", parse)
     # Each line's pair count, then a 0 for line -1, a row no line names.
@@ -514,4 +499,3 @@ def attach_observed(trajectories: Trajectories, path, n_locations: int) -> Traje
     index = np.arange(len(trajectories.row)) + np.repeat(start - np.cumsum(count) + count, count)
     trajectories.slot, trajectories.loc = pairs[index].T
     return trajectories
-

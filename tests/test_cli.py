@@ -295,8 +295,9 @@ def test_build_graphs_bad_split_line_is_exit_1(pipeline, tmp_path, capsys, line,
     assert f"{split}:3: field '{field}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("token", ["1_0", "\u0663", "1" * 20],
-                         ids=["underscore", "arabic_indic_digit", "twenty_digits"])
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "1" * 20, "1.5", "1e3"],
+                         ids=["underscore", "arabic_indic_digit", "twenty_digits",
+                              "decimal_point", "exponent"])
 def test_evaluate_id_that_is_no_ascii_int64_is_exit_1(pipeline, tmp_path, capsys, token):
     # Python's int() reads all three; the id parse takes ASCII decimal int64 only.
     rogue = tmp_path / "rogue.txt"
@@ -308,14 +309,16 @@ def test_evaluate_id_that_is_no_ascii_int64_is_exit_1(pipeline, tmp_path, capsys
     assert f"{rogue}:2: field 'slots': ids must be integers" in capsys.readouterr().err
 
 
-def test_build_graphs_pair_with_an_underscore_is_exit_1(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("token", ["1_0", "1.5", "1e3"],
+                         ids=["underscore", "decimal_point", "exponent"])
+def test_build_graphs_pair_that_is_no_ascii_int_is_exit_1(pipeline, tmp_path, capsys, token):
     data = pipeline / "data"
     observed = tmp_path / "observed.txt"
-    observed.write_text("u,2012-01-01,0:1 5:2\nu,2012-01-01,1_0:3\n")
+    observed.write_text(f"u,2012-01-01,0:1 5:2\nu,2012-01-01,{token}:3\n")
     assert main(["build-graphs", "--train", str(data / "train.txt"),
                  "--locations", str(data / "locations.csv"), "--observed", str(observed),
                  "--out-dir", str(tmp_path / "g"), "--k", "4"]) == 1
-    assert f"{observed}:2: field 'pairs': not an integer: '1_0'" in capsys.readouterr().err
+    assert f"{observed}:2: field 'pairs': not an integer: '{token}'" in capsys.readouterr().err
 
 
 def test_train_valid_length_must_match_train_is_exit_1(pipeline, tmp_path, capsys):
@@ -346,8 +349,10 @@ def _rewrite_line(src, dst, line_no, text):
     ("12,40.0,-74.0", "id"),
     ("2,400.0,-74.0", "lat"),
     ("2,40.0,181", "lon"),
+    ("1_0,40.0,-74.0", "id"),
 ], ids=["two_fields", "bad_id", "bad_lat", "bad_lon", "nan_lat", "inf_lon",
-        "duplicate_id", "non_dense_ids", "lat_out_of_range", "lon_out_of_range"])
+        "duplicate_id", "non_dense_ids", "lat_out_of_range", "lon_out_of_range",
+        "underscore_id"])
 def test_build_graphs_bad_locations_line_is_exit_1(pipeline, tmp_path, capsys, line, field):
     data = pipeline / "data"
     locations = tmp_path / "locations.csv"

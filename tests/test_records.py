@@ -1,6 +1,7 @@
 import datetime as dt
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -377,6 +378,49 @@ def _random_lines(rng):
            for i in rng.integers(0, b + 2, rng.integers(1, 2 * b + 2))]
     return traj, obs, t, n
 
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), (" +3 ", 3), ("-2", -2), ("0012", 12)])
+def test_int_field(text, value):
+    assert records._int_field(3, "k", text) == value
+
+
+@pytest.mark.parametrize("text", ["", "1_0", "\u0663", "1.5", "1e3", "0x1f", "1 2"])
+def test_int_field_takes_ascii_decimal_only(text):
+    # Python's int() reads the second and third; the id and pair parse does not.
+    with pytest.raises(CheckinFormatError, match="line 3, field 'k': not an integer"):
+        records._int_field(3, "k", text)
+
+
+def _loadtxt_with_float_fallback(loadtxt):
+    """``loadtxt`` as NumPy reads an integer dtype while it keeps the float
+    fallback of 1.23: a token that is no integer is read as a float and
+    truncated, with a DeprecationWarning."""
+    def fallback(texts, dtype=float, **kwargs):
+        try:
+            return loadtxt(texts, dtype=dtype, **kwargs)
+        except ValueError:
+            values = loadtxt(texts, dtype=np.float64, **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return values.astype(dtype)
+    return fallback
+
+
+@pytest.mark.parametrize("token", ["1.5", "1e3"])
+def test_a_float_token_is_rejected_where_numpy_would_truncate_it(tmp_path, monkeypatch, token):
+    monkeypatch.setattr(np, "loadtxt", _loadtxt_with_float_fallback(np.loadtxt))
+    traj, obs = tmp_path / "t.txt", tmp_path / "o.txt"
+    traj.write_text(f"u,2012-01-01,0 1\nu,2012-01-01,{token} 1\n")
+    obs.write_text(f"u0,2012-01-01,0:1 1:{token}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # Python's default for a library's warning
+        assert np.loadtxt([token], dtype=np.int64).tolist() == int(float(token))
+        with pytest.raises(CheckinFormatError, match="line 2, field 'slots': ids must be integers"):
+            records.read_trajectories(traj, n_locations=2000)
+        with pytest.raises(CheckinFormatError,
+                           match=f"line 1, field 'pairs': not an integer: '{token}'"):
+            records.attach_observed(table(np.zeros((1, 4))), obs, n_locations=2000)
 
 def _read_both(traj_path, obs_path, n):
     """Each reader pair's table with its observed pairs, or its error."""
