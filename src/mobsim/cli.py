@@ -175,8 +175,9 @@ def _write_split_outputs(out_dir, dataset: Dataset, ratios, seed):
 
 
 def cmd_preprocess(args) -> None:
-    if args.slots < 2:
-        raise CliValidationError(f"--slots must be at least 2, got {args.slots}")
+    if args.slots < 2 or records.HOURS_PER_DAY % args.slots:
+        raise CliValidationError(f"--slots must be at least 2 and divide "
+                                 f"{records.HOURS_PER_DAY}, got {args.slots}")
     if not args.delimiter:
         raise CliValidationError("--delimiter must not be empty")
     if not -24 < args.utc_offset < 24:
@@ -184,21 +185,18 @@ def cmd_preprocess(args) -> None:
                                  f"got {args.utc_offset}")
     ratios = _parse_ratios(args.ratios)
     with _input_file(args.input, "input"), open(args.input, encoding="utf-8") as fh:
-        parsed, id_map = records.parse_checkins(fh, delimiter=args.delimiter)
-    if not parsed:
+        checkins = records.parse_checkins(fh, args.delimiter, args.utc_offset)
+    if not len(checkins.user):
         raise CliValidationError(f"no records parsed from {args.input}")
-    with _rejected():
-        trajectories = records.discretize(parsed, slots_per_day=args.slots, fill=args.fill,
-                                          utc_offset_hours=args.utc_offset)
+    trajectories = records.discretize(checkins, args.slots, args.fill)
     kept = records.filter_min_visits(trajectories, min_daily=args.min_daily_visits)
     if len(kept) < 3:
         raise CliValidationError(
             f"only {len(kept)} user-days survive the min-daily-visits filter; cannot split")
-    table = records.location_table(parsed, len(id_map))
-    dataset = Dataset(kept, table)
+    dataset = Dataset(kept, checkins.coords)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_split_outputs(args.out_dir, dataset, ratios, args.seed)
-    records.write_id_map(os.path.join(args.out_dir, "idmap.csv"), id_map)
+    records.write_id_map(os.path.join(args.out_dir, "idmap.csv"), checkins.id_map)
     write_manifest(args, {}, [args.input])
 
 
@@ -273,7 +271,7 @@ def _load_graphs(graphs_dir, channels, n, inputs: list) -> dict:
     for name in channels:
         path = os.path.join(graphs_dir, f"{name}.csv")
         with _input_file(path, f"graph channel {name}"):
-            loaded[name] = graphs.load_graph(path, n)
+            loaded[name] = graphs.load_graph(path, n, name)
         inputs.append(path)
     return loaded
 

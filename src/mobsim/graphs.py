@@ -202,19 +202,19 @@ def save_graph(path, graph: LocationGraph):
                          zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist())))
 
 
-def load_graph(path, n_locations: int) -> LocationGraph:
-    """Read a graph written by :func:`save_graph`.
+def load_graph(path, n_locations: int, channel: str) -> LocationGraph:
+    """Read a ``channel`` graph written by :func:`save_graph`.
 
-    The header is ``channel,mode,k`` with a known mode and an integer k;
-    every other line is ``src,dst,weight`` with distinct integer ids in
-    [0, ``n_locations``), a pair no earlier line holds, and a finite weight.
-    Anything else raises :class:`CheckinFormatError` naming the line and
-    field.
+    The header is ``channel,mode,k`` with this channel, a known mode and an
+    integer k; every other line is ``src,dst,weight`` with distinct integer
+    ids in [0, ``n_locations``), a pair no earlier line holds, and a finite
+    weight.  Anything else raises :class:`CheckinFormatError` naming the line
+    and field.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        if len(header) != 3 or header[1] not in ("weighted", "vanilla"):
-            raise CheckinFormatError(1, "header", "expected 'channel,mode,k' with mode "
+        if len(header) != 3 or header[0] != channel or header[1] not in ("weighted", "vanilla"):
+            raise CheckinFormatError(1, "header", f"expected '{channel},mode,k' with mode "
                                      "weighted or vanilla")
         k = _int_field(1, "k", header[2])
         src, dst, weight = [], [], []
@@ -233,5 +233,5 @@ def load_graph(path, n_locations: int) -> LocationGraph:
             src.append(s)
             dst.append(d)
             weight.append(w)
-    return LocationGraph(header[0], header[1], n_locations, np.array(src, dtype=np.int64),
+    return LocationGraph(channel, header[1], n_locations, np.array(src, dtype=np.int64),
                          np.array(dst, dtype=np.int64), np.array(weight), k=k)

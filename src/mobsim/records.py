@@ -1,16 +1,19 @@
 """Check-in parsing, hourly discretization, filtering, and dataset splits.
 
-In memory, a set of user-days is one columnar :class:`Trajectories` table:
-user and day columns, a (B, T) int64 id matrix, and the raw pre-fill
-observations as parallel (row, slot, loc) arrays.  Every reader and writer
-of trajectory and observed files, and every consumer downstream, works on
-that table or its id matrix.
+Check-ins are read into one columnar :class:`Checkins` table: user code,
+dense location id, UTC and local epoch second per record, and each
+location's coordinates.  :func:`discretize` buckets it with NumPy into a set
+of user-days, one columnar :class:`Trajectories` table: user and day columns,
+a (B, T) int64 id matrix, and the raw pre-fill observations as parallel
+(row, slot, loc) arrays.  Every reader and writer of trajectory and observed
+files, and every consumer downstream, works on that table or its id matrix.
 
 File formats (all plain text, one record per line, UTF-8):
 
 * check-in input:   ``user,location,lat,lon,timestamp`` with an ISO-8601
-  timestamp ("Z" and numeric offsets accepted, naive times read as UTC);
-  an aware time is bucketed by its own local wall clock;
+  timestamp ("Z" and numeric offsets accepted); an aware time is bucketed
+  by its own local wall clock, and a naive one is read as UTC and shifted
+  by ``--utc-offset`` hours to its wall clock;
 * trajectory file:  ``user,day,loc_0 loc_1 ... loc_{T-1}`` where ``day`` is
   ``YYYY-MM-DD`` and the third field T whitespace-separated dense location ids;
 * id-map file:      ``original_id,dense_id``;
@@ -36,6 +39,7 @@ from .rng import stream
 HOURS_PER_DAY = 24
 _DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _UNIX_EPOCH = dt.date(1970, 1, 1).toordinal()
+_LOCAL_END = (dt.date.max.toordinal() + 1 - _UNIX_EPOCH) * 86400    # 10000-01-01
 
 
 class CheckinFormatError(ValueError):
@@ -48,18 +52,6 @@ class CheckinFormatError(ValueError):
         self.line_no = line_no
         self.field_name = field_name
         self.detail = message
-
-
-@dataclass(frozen=True)
-class VisitRecord:
-    """One check-in with a dense location id and a UTC epoch timestamp."""
-
-    user: str
-    location: int
-    lat: float
-    lon: float
-    timestamp: int
-    utc_offset: int | None = None   # written offset in seconds east of UTC; None if naive
 
 
 @dataclass(eq=False)
@@ -201,29 +193,37 @@ def _tuple_field(line_no: int, name: str, text: str) -> tuple:
     return items
 
 
-def _parse_timestamp(text: str):
-    """UTC epoch seconds and the written offset (None for a naive time, read as UTC)."""
-    # Python 3.10 fromisoformat rejects a trailing Z, so normalize it first.
-    raw = text.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    parsed = dt.datetime.fromisoformat(raw)
-    offset = parsed.utcoffset()
-    if offset is None:
-        parsed = parsed.replace(tzinfo=dt.timezone.utc)
-    return int(parsed.timestamp()), None if offset is None else int(offset.total_seconds())
+@dataclass(eq=False)
+class Checkins:
+    """R check-ins as columns, in input order.
 
-
-def parse_checkins(lines, delimiter: str = ","):
-    """Parse raw check-in lines into records with dense location ids.
-
-    Location ids are re-indexed densely in order of first appearance.
-    Returns ``(records, id_map)`` where ``id_map`` maps the original location
-    token to its dense id.  Blank lines are skipped; any malformed field
-    raises :class:`CheckinFormatError` naming the line and field.
+    ``user`` indexes ``names``, the users in order of first appearance.
+    ``timestamp`` is the UTC epoch second (a naive time read as UTC), which
+    orders a user-day's records; ``local`` is the epoch second of the wall
+    clock that gives the record its day and slot.  ``coords`` holds each dense
+    location id's (lat, lon) at its first record.
     """
-    records = []
-    id_map: dict[str, int] = {}
+
+    names: list
+    user: np.ndarray                # (R,) int64
+    location: np.ndarray            # (R,) int64
+    timestamp: np.ndarray           # (R,) int64
+    local: np.ndarray               # (R,) int64
+    coords: np.ndarray              # (N, 2) float
+    id_map: dict                    # original location token -> dense id
+
+
+def parse_checkins(lines, delimiter: str = ",", utc_offset_hours: int = 0) -> Checkins:
+    """Parse raw check-in lines into a :class:`Checkins` table.
+
+    Location ids are re-indexed densely in order of first appearance.  An
+    aware time keeps its own wall clock; a naive one is read as UTC and its
+    wall clock is ``utc_offset_hours`` east of it.  Blank lines are skipped;
+    any malformed field, or a wall clock after year 9999, raises
+    :class:`CheckinFormatError` naming the line and field.
+    """
+    codes, id_map = {}, {}          # user, location token -> code in order of first appearance
+    columns, coords = [], []
     for line_no, parts in _fields(lines, "user,location,lat,lon,timestamp", delimiter):
         user, loc_token, lat_text, lon_text, ts_text = (p.strip() for p in parts)
         if not user:
@@ -232,75 +232,74 @@ def parse_checkins(lines, delimiter: str = ","):
             raise CheckinFormatError(line_no, "location", "empty location id")
         lat = _float_field(line_no, "lat", lat_text, 90.0)
         lon = _float_field(line_no, "lon", lon_text, 180.0)
+        # Python 3.10 fromisoformat rejects a trailing Z, so normalize it first.
+        raw = ts_text[:-1] + "+00:00" if ts_text.endswith(("Z", "z")) else ts_text
         try:
-            epoch, offset = _parse_timestamp(ts_text)
+            moment = dt.datetime.fromisoformat(raw)
         except ValueError:
             raise CheckinFormatError(line_no, "timestamp", f"not ISO-8601: {ts_text!r}") from None
+        offset = moment.utcoffset()
+        if offset is None:
+            moment, offset = (moment.replace(tzinfo=dt.timezone.utc),
+                              dt.timedelta(hours=utc_offset_hours))
+        epoch = int(moment.timestamp())
         if epoch < 0:
             raise CheckinFormatError(line_no, "timestamp", "before the epoch")
+        local = epoch + int(offset.total_seconds())
+        if local >= _LOCAL_END:
+            raise CheckinFormatError(line_no, "timestamp", "local time after year 9999")
         if loc_token not in id_map:
             id_map[loc_token] = len(id_map)
-        records.append(VisitRecord(user, id_map[loc_token], lat, lon, epoch, offset))
-    return records, id_map
+            coords.append((lat, lon))
+        columns.append((codes.setdefault(user, len(codes)), id_map[loc_token], epoch, local))
+    user, location, timestamp, local = np.array(columns, dtype=np.int64).reshape(-1, 4).T
+    return Checkins(list(codes), user, location, timestamp, local,
+                    np.array(coords, dtype=float).reshape(-1, 2), id_map)
 
 
-def location_table(records, n_locations: int) -> np.ndarray:
-    """Coordinate table indexed by dense id; first occurrence of an id wins."""
-    table = np.full((n_locations, 2), np.nan)
-    for rec in records:
-        if np.isnan(table[rec.location, 0]):
-            table[rec.location] = (rec.lat, rec.lon)
-    if np.isnan(table).any():
-        missing = np.flatnonzero(np.isnan(table[:, 0]))
-        raise ValueError(f"no coordinates for location ids {missing.tolist()}")
-    return table
-
-
-def discretize(records, slots_per_day: int = HOURS_PER_DAY, fill: str = "ffill",
-               utc_offset_hours: int = 0) -> Trajectories:
-    """Bucket records into per-user-day trajectories of ``slots_per_day`` slots.
+def discretize(checkins: Checkins, slots_per_day: int = HOURS_PER_DAY,
+               fill: str = "ffill") -> Trajectories:
+    """Bucket check-ins into per-user-day trajectories of ``slots_per_day`` slots.
 
     Each user-day with at least one record yields one row, in (user, day)
-    order.  Within an hour bucket the record with the latest timestamp wins
-    (input order breaks exact ties).  Gaps are filled from the neighbouring
-    observation: ``ffill`` repeats the previous slot and back-fills the
-    leading gap from the first observation, ``bfill`` mirrors that in
-    reverse.  The raw (slot, location) pairs are kept as the table's observed
-    pairs, one per record.  Slots and days follow the record's own offset, or
-    ``utc_offset_hours`` for a naive timestamp.
+    order, on the record's local wall clock.  Within a slot the record with
+    the latest timestamp wins (input order breaks exact ties).  Gaps are
+    filled from the neighbouring observation: ``ffill`` repeats the previous
+    slot and back-fills the leading gap from the first observation, ``bfill``
+    mirrors that in reverse.  The raw (slot, location) pairs are kept as the
+    table's observed pairs, one per record, in time order.
     """
     if HOURS_PER_DAY % slots_per_day != 0:
         raise ValueError(f"slots_per_day must divide {HOURS_PER_DAY}, got {slots_per_day}")
     if fill not in ("ffill", "bfill"):
         raise ValueError(f"unknown fill mode {fill!r}")
-    by_day: dict[tuple, list] = {}
-    for order, rec in enumerate(records):
-        shift = utc_offset_hours * 3600 if rec.utc_offset is None else rec.utc_offset
-        moment = dt.datetime.fromtimestamp(rec.timestamp + shift, tz=dt.timezone.utc)
-        slot = moment.hour * slots_per_day // HOURS_PER_DAY
-        key = (rec.user, moment.date())
-        by_day.setdefault(key, []).append((rec.timestamp, order, slot, rec.location))
-    keys = sorted(by_day)
-    ids = np.full((len(keys), slots_per_day), -1, dtype=np.int64)
-    pairs = []
-    for i, key in enumerate(keys):
-        entries = sorted(by_day[key], key=lambda e: (e[0], e[1]))
-        for _, _, slot, loc in entries:
-            ids[i, slot] = loc
-            pairs.append((i, slot, loc))
-        ids[i] = _fill_gaps(ids[i], fill)
-    row, slot, loc = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
-    return Trajectories(np.array([user for user, _ in keys], dtype=str),
-                        _day_column(day for _, day in keys), ids, row, slot, loc)
+    by_name = sorted(range(len(checkins.names)), key=checkins.names.__getitem__)
+    rank = np.argsort(by_name)          # each user's place in Python's string order
+    day, second = np.divmod(checkins.local, 86400)
+    low = day.min(initial=0)            # initial=0 lets an empty table through
+    span = day.max(initial=0) - low + 1
+    keys, row = np.unique(rank[checkins.user] * span + day - low, return_inverse=True)
+    order = np.lexsort((checkins.timestamp, row))       # stable: input order breaks ties
+    row, loc = row[order], checkins.location[order]
+    slot = second[order] // 3600 * slots_per_day // HOURS_PER_DAY
+    # The last record of each (row, slot) is the first of the reversed order.
+    cells, first = np.unique((row * slots_per_day + slot)[::-1], return_index=True)
+    ids = np.full(len(keys) * slots_per_day, -1, dtype=np.int64)
+    ids[cells] = loc[::-1][first]
+    return Trajectories(np.array(checkins.names, dtype=str)[by_name][keys // span],
+                        (keys % span + low).astype("datetime64[D]"),
+                        _fill_gaps(ids.reshape(len(keys), slots_per_day), fill), row, slot, loc)
 
 
 def _fill_gaps(slots: np.ndarray, fill: str) -> np.ndarray:
-    """Fill each -1 from the latest observation before it (after it for bfill);
-    the gap before the first observation takes that observation."""
-    seen = slots if fill == "ffill" else slots[::-1]
-    observed = np.flatnonzero(seen >= 0)
-    last = np.maximum.accumulate(np.where(seen >= 0, np.arange(len(seen)), observed[0]))
-    return seen[last] if fill == "ffill" else seen[last[::-1]]
+    """Fill each -1 of every row from the latest observation before it (after
+    it for bfill); the gap before a row's first observation takes that
+    observation.  Every row holds one."""
+    seen = slots if fill == "ffill" else slots[:, ::-1]
+    first = np.argmax(seen >= 0, axis=1)[:, None]
+    last = np.maximum.accumulate(np.where(seen >= 0, np.arange(seen.shape[1]), first), axis=1)
+    filled = np.take_along_axis(seen, last, axis=1)
+    return filled if fill == "ffill" else filled[:, ::-1]
 
 
 def filter_min_visits(trajectories: Trajectories, min_daily: int = 9) -> Trajectories:

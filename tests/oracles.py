@@ -11,16 +11,19 @@ those references and the gradient checks use are defined here: ``sub``,
 baseline the tests fit to planted chains, and the per-value writers that
 the token-table writers of ``synth`` and ``graphs`` replaced, and the
 per-line trajectory and observed readers that the one-call NumPy parse of
-``records`` replaced.
+``records`` replaced, and the per-record check-in reader, coordinate table
+and bucketing that its columnar check-in table replaced.
 """
 
 import bisect
+import datetime as dt
+from dataclasses import dataclass
 
 import numpy as np
 
 from mobsim.nn.core import _as_tensor, _result, _unbroadcast, softmax_values
-from mobsim.records import (CheckinFormatError, Trajectories, _day_column, _int_field,
-                            _user_day_lines)
+from mobsim.records import (HOURS_PER_DAY, CheckinFormatError, Trajectories, _day_column,
+                            _fields, _float_field, _int_field, _user_day_lines)
 from mobsim.rng import categorical, stream
 
 
@@ -673,3 +676,108 @@ def attach_observed_looped(trajectories: Trajectories, path, n_locations: int) -
     trajectories.row, trajectories.slot, trajectories.loc = (
         np.array(found, dtype=np.int64).reshape(-1, 3).T)
     return trajectories
+
+
+@dataclass(frozen=True)
+class VisitRecord:
+    """One check-in with a dense location id and a UTC epoch timestamp."""
+
+    user: str
+    location: int
+    lat: float
+    lon: float
+    timestamp: int
+    utc_offset: int | None = None   # written offset in seconds east of UTC; None if naive
+
+
+def _parse_timestamp(text: str):
+    """UTC epoch seconds and the written offset (None for a naive time, read as UTC)."""
+    # Python 3.10 fromisoformat rejects a trailing Z, so normalize it first.
+    raw = text.strip()
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    parsed = dt.datetime.fromisoformat(raw)
+    offset = parsed.utcoffset()
+    if offset is None:
+        parsed = parsed.replace(tzinfo=dt.timezone.utc)
+    return int(parsed.timestamp()), None if offset is None else int(offset.total_seconds())
+
+
+def parse_checkins_looped(lines, delimiter: str = ","):
+    """Parse raw check-in lines into records with dense location ids.
+
+    Location ids are re-indexed densely in order of first appearance.
+    Returns ``(records, id_map)`` where ``id_map`` maps the original location
+    token to its dense id.  Blank lines are skipped; any malformed field
+    raises :class:`CheckinFormatError` naming the line and field.
+    """
+    records = []
+    id_map: dict[str, int] = {}
+    for line_no, parts in _fields(lines, "user,location,lat,lon,timestamp", delimiter):
+        user, loc_token, lat_text, lon_text, ts_text = (p.strip() for p in parts)
+        if not user:
+            raise CheckinFormatError(line_no, "user", "empty user id")
+        if not loc_token:
+            raise CheckinFormatError(line_no, "location", "empty location id")
+        lat = _float_field(line_no, "lat", lat_text, 90.0)
+        lon = _float_field(line_no, "lon", lon_text, 180.0)
+        try:
+            epoch, offset = _parse_timestamp(ts_text)
+        except ValueError:
+            raise CheckinFormatError(line_no, "timestamp", f"not ISO-8601: {ts_text!r}") from None
+        if epoch < 0:
+            raise CheckinFormatError(line_no, "timestamp", "before the epoch")
+        if loc_token not in id_map:
+            id_map[loc_token] = len(id_map)
+        records.append(VisitRecord(user, id_map[loc_token], lat, lon, epoch, offset))
+    return records, id_map
+
+
+def location_table(records, n_locations: int) -> np.ndarray:
+    """Coordinate table indexed by dense id; first occurrence of an id wins."""
+    table = np.full((n_locations, 2), np.nan)
+    for rec in records:
+        if np.isnan(table[rec.location, 0]):
+            table[rec.location] = (rec.lat, rec.lon)
+    if np.isnan(table).any():
+        missing = np.flatnonzero(np.isnan(table[:, 0]))
+        raise ValueError(f"no coordinates for location ids {missing.tolist()}")
+    return table
+
+
+def discretize_looped(records, slots_per_day: int = HOURS_PER_DAY, fill: str = "ffill",
+                      utc_offset_hours: int = 0) -> Trajectories:
+    """Bucket records into per-user-day trajectories of ``slots_per_day`` slots.
+
+    Each user-day with at least one record yields one row, in (user, day)
+    order.  Within an hour bucket the record with the latest timestamp wins
+    (input order breaks exact ties).  Gaps are filled from the neighbouring
+    observation: ``ffill`` repeats the previous slot and back-fills the
+    leading gap from the first observation, ``bfill`` mirrors that in
+    reverse.  The raw (slot, location) pairs are kept as the table's observed
+    pairs, one per record.  Slots and days follow the record's own offset, or
+    ``utc_offset_hours`` for a naive timestamp.
+    """
+    if HOURS_PER_DAY % slots_per_day != 0:
+        raise ValueError(f"slots_per_day must divide {HOURS_PER_DAY}, got {slots_per_day}")
+    if fill not in ("ffill", "bfill"):
+        raise ValueError(f"unknown fill mode {fill!r}")
+    by_day: dict[tuple, list] = {}
+    for order, rec in enumerate(records):
+        shift = utc_offset_hours * 3600 if rec.utc_offset is None else rec.utc_offset
+        moment = dt.datetime.fromtimestamp(rec.timestamp + shift, tz=dt.timezone.utc)
+        slot = moment.hour * slots_per_day // HOURS_PER_DAY
+        key = (rec.user, moment.date())
+        by_day.setdefault(key, []).append((rec.timestamp, order, slot, rec.location))
+    keys = sorted(by_day)
+    ids = np.full((len(keys), slots_per_day), -1, dtype=np.int64)
+    pairs = []
+    for i, key in enumerate(keys):
+        entries = sorted(by_day[key], key=lambda e: (e[0], e[1]))
+        for _, _, slot, loc in entries:
+            ids[i, slot] = loc
+            pairs.append((i, slot, loc))
+        ids[i] = fill_gaps_looped(ids[i], fill)
+    row, slot, loc = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+    return Trajectories(np.array([user for user, _ in keys], dtype=str),
+                        _day_column(day for _, day in keys), ids, row, slot, loc)

@@ -440,8 +440,9 @@ def test_generate_without_slots_in_meta_is_exit_1(pipeline, tmp_path, capsys):
     (1, "sdg,dense,4", "header"),
     (1, "sdg,weighted", "header"),
     (1, "sdg,weighted,four", "k"),
+    (1, "ttg,weighted,4", "header"),
 ], ids=["dst_out_of_range", "bad_weight", "self_edge", "two_fields", "negative_src",
-        "bad_dst", "nan_weight", "unknown_mode", "short_header", "bad_k"])
+        "bad_dst", "nan_weight", "unknown_mode", "short_header", "bad_k", "other_channel"])
 def test_generate_bad_graph_line_is_exit_1(pipeline, tmp_path, capsys, line_no, line, field):
     gdir = tmp_path / "graphs"
     gdir.mkdir()
@@ -785,6 +786,24 @@ def test_preprocess_below_two_slots_is_exit_1(tmp_path, checkin_file, capsys, sl
     assert main(["preprocess", "--input", checkin_file, "--out-dir", str(tmp_path / "p"),
                  "--slots", slots]) == 1
     assert "--slots must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slots", ["5", "7"])
+def test_preprocess_slots_that_do_not_divide_a_day_is_exit_1(tmp_path, capsys, slots):
+    # Checked with the other flags, before the input is opened.
+    assert main(["preprocess", "--input", str(tmp_path / "missing.csv"),
+                 "--out-dir", str(tmp_path / "p"), "--slots", slots]) == 1
+    assert f"--slots must be at least 2 and divide 24, got {slots}" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_preprocess_local_time_after_year_9999_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "late.csv"
+    path.write_text(CHECKINS + "user0,venue0,40.0,-74.0,9999-12-31T23:10:00\n")
+    assert main(["preprocess", "--input", str(path), "--out-dir", str(tmp_path / "p"),
+                 "--utc-offset", "1"]) == 1
+    assert f"{path}:97: field 'timestamp': local time after year 9999" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_preprocess_empty_delimiter_is_exit_1(tmp_path, checkin_file, capsys):

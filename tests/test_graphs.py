@@ -353,7 +353,7 @@ def test_graph_roundtrip(tmp_path, small_graphs):
     for name, g in small_graphs.items():
         path = tmp_path / f"{name}.csv"
         graphs.save_graph(path, g)
-        back = graphs.load_graph(path, g.n_locations)
+        back = graphs.load_graph(path, g.n_locations, name)
         assert back.channel == g.channel and back.mode == g.mode and back.k == g.k
         assert np.array_equal(back.src, g.src)
         assert np.array_equal(back.dst, g.dst)

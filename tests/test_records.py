@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from mobsim import records
 from mobsim.records import CheckinFormatError, Dataset
-from oracles import (attach_observed_looped, fill_gaps_looped, read_id_map,
+from oracles import (attach_observed_looped, discretize_looped, fill_gaps_looped,
+                     location_table, parse_checkins_looped, read_id_map,
                      read_trajectories_looped)
 from tables import observed, table
 
@@ -19,27 +20,34 @@ def _checkin(user="u", loc="A", lat=40.0, lon=-74.0, ts="2012-04-03T08:15:00Z"):
     return f"{user},{loc},{lat},{lon},{ts}"
 
 
+def _columns(checkins):
+    """Every column of a check-in table as plain values."""
+    return (checkins.names, checkins.user.tolist(), checkins.location.tolist(),
+            checkins.timestamp.tolist(), checkins.local.tolist(), checkins.coords.tolist(),
+            checkins.id_map)
+
+
 def test_parse_dense_ids_first_appearance():
     lines = [_checkin(loc="B"), _checkin(loc="A"), _checkin(loc="B")]
-    parsed, id_map = records.parse_checkins(lines)
-    assert id_map == {"B": 0, "A": 1}
-    assert [r.location for r in parsed] == [0, 1, 0]
+    parsed = records.parse_checkins(lines)
+    assert parsed.id_map == {"B": 0, "A": 1}
+    assert parsed.location.tolist() == [0, 1, 0]
 
 
 @pytest.mark.parametrize("delimiter", [";", "\t"])
 def test_parse_other_delimiter_matches_comma(delimiter):
     lines = [_checkin(loc="B"), _checkin(lat=41.5)]
-    parsed, id_map = records.parse_checkins([line.replace(",", delimiter) for line in lines],
-                                            delimiter=delimiter)
-    assert (parsed, id_map) == records.parse_checkins(lines)
+    parsed = records.parse_checkins([line.replace(",", delimiter) for line in lines],
+                                    delimiter=delimiter)
+    assert _columns(parsed) == _columns(records.parse_checkins(lines))
     with pytest.raises(CheckinFormatError) as err:
         records.parse_checkins([lines[0]], delimiter=delimiter)
     assert err.value.field_name == "record"
 
 
 def test_parse_skips_blank_lines():
-    parsed, _ = records.parse_checkins([_checkin(), "", "   ", _checkin()])
-    assert len(parsed) == 2
+    parsed = records.parse_checkins([_checkin(), "", "   ", _checkin()])
+    assert len(parsed.user) == 2
 
 
 @pytest.mark.parametrize("line,field", [
@@ -61,17 +69,15 @@ def test_parse_rejects_malformed_fields(line, field):
 
 
 def test_parse_timestamp_zulu_and_offset_agree():
-    a, _ = records.parse_checkins([_checkin(ts="2012-04-03T08:15:00Z")])
-    b, _ = records.parse_checkins([_checkin(ts="2012-04-03T10:15:00+02:00")])
-    c, _ = records.parse_checkins([_checkin(ts="2012-04-03T08:15:00")])
-    assert a[0].timestamp == b[0].timestamp == c[0].timestamp
+    a = records.parse_checkins([_checkin(ts="2012-04-03T08:15:00Z")])
+    b = records.parse_checkins([_checkin(ts="2012-04-03T10:15:00+02:00")])
+    c = records.parse_checkins([_checkin(ts="2012-04-03T08:15:00")])
+    assert a.timestamp[0] == b.timestamp[0] == c.timestamp[0]
 
 
-def test_location_table_first_occurrence_wins():
+def test_coords_first_occurrence_wins():
     lines = [_checkin(loc="A", lat=1.0), _checkin(loc="A", lat=2.0)]
-    parsed, id_map = records.parse_checkins(lines)
-    table = records.location_table(parsed, len(id_map))
-    assert table[0, 0] == 1.0
+    assert records.parse_checkins(lines).coords.tolist() == [[1.0, -74.0]]
 
 
 def test_discretize_last_record_per_hour_wins():
@@ -80,7 +86,7 @@ def test_discretize_last_record_per_hour_wins():
         _checkin(loc="B", ts="2012-04-03T09:40:00Z"),
         _checkin(loc="C", ts="2012-04-03T09:20:00Z"),
     ]
-    parsed, _ = records.parse_checkins(lines)
+    parsed = records.parse_checkins(lines)
     (slots,) = records.discretize(parsed).ids
     assert slots[9] == 1  # B has the latest timestamp in hour 9
 
@@ -90,7 +96,7 @@ def test_discretize_tie_broken_by_input_order():
         _checkin(loc="A", ts="2012-04-03T09:05:00Z"),
         _checkin(loc="B", ts="2012-04-03T09:05:00Z"),
     ]
-    parsed, _ = records.parse_checkins(lines)
+    parsed = records.parse_checkins(lines)
     (slots,) = records.discretize(parsed).ids
     assert slots[9] == 1  # later input wins an exact tie
 
@@ -100,7 +106,7 @@ def test_discretize_forward_fill_and_leading_backfill():
         _checkin(loc="A", ts="2012-04-03T05:00:00Z"),
         _checkin(loc="B", ts="2012-04-03T10:00:00Z"),
     ]
-    parsed, _ = records.parse_checkins(lines)
+    parsed = records.parse_checkins(lines)
     (slots,) = records.discretize(parsed).ids
     assert slots[:5].tolist() == [0] * 5      # leading gap back-filled
     assert slots[5:10].tolist() == [0] * 5    # A carried forward
@@ -112,7 +118,7 @@ def test_discretize_bfill_mirrors():
         _checkin(loc="A", ts="2012-04-03T05:00:00Z"),
         _checkin(loc="B", ts="2012-04-03T10:00:00Z"),
     ]
-    parsed, _ = records.parse_checkins(lines)
+    parsed = records.parse_checkins(lines)
     (slots,) = records.discretize(parsed, fill="bfill").ids
     assert slots[:6].tolist() == [0] * 6
     assert slots[6:11].tolist() == [1] * 5    # next observation pulled back
@@ -122,12 +128,13 @@ def test_discretize_bfill_mirrors():
 @pytest.mark.parametrize("fill", ["ffill", "bfill"])
 def test_fill_gaps_matches_looped_oracle(fill):
     rng = np.random.default_rng(3)
-    for _ in range(500):
-        length = int(rng.integers(1, 25))
-        slots = np.where(rng.random(length) < rng.random(), -1, rng.integers(0, 9, length))
-        slots[rng.integers(0, length)] = 5              # at least one observation
+    for _ in range(100):
+        rows, length = int(rng.integers(1, 8)), int(rng.integers(1, 25))
+        slots = np.where(rng.random((rows, length)) < rng.random(), -1,
+                         rng.integers(0, 9, (rows, length)))
+        slots[np.arange(rows), rng.integers(0, length, rows)] = 5   # an observation per row
         np.testing.assert_array_equal(records._fill_gaps(slots, fill),
-                                      fill_gaps_looped(slots, fill))
+                                      [fill_gaps_looped(row, fill) for row in slots])
 
 
 def test_discretize_observed_kept_in_time_order():
@@ -135,7 +142,7 @@ def test_discretize_observed_kept_in_time_order():
         _checkin(loc="B", ts="2012-04-03T10:00:00Z"),
         _checkin(loc="A", ts="2012-04-03T05:00:00Z"),
     ]
-    parsed, _ = records.parse_checkins(lines)
+    parsed = records.parse_checkins(lines)
     trajs = records.discretize(parsed)
     assert len(trajs) == 1
     assert observed(trajs, 0) == ((5, 1), (10, 0))
@@ -147,15 +154,15 @@ def test_discretize_splits_users_and_days():
         _checkin(user="u1", ts="2012-04-04T08:00:00Z"),
         _checkin(user="u2", ts="2012-04-03T08:00:00Z"),
     ]
-    parsed, _ = records.parse_checkins(lines)
+    parsed = records.parse_checkins(lines)
     trajs = records.discretize(parsed)
     assert set(zip(trajs.users.tolist(), np.datetime_as_string(trajs.days).tolist())) == {
         ("u1", "2012-04-03"), ("u1", "2012-04-04"), ("u2", "2012-04-03")}
 
 
 def test_discretize_utc_offset_shifts_day_boundary():
-    parsed, _ = records.parse_checkins([_checkin(ts="2012-04-03T23:30:00")])
-    trajs = records.discretize(parsed, utc_offset_hours=1)
+    parsed = records.parse_checkins([_checkin(ts="2012-04-03T23:30:00")], utc_offset_hours=1)
+    trajs = records.discretize(parsed)
     assert trajs.days.tolist() == [dt.date(2012, 4, 4)]
     assert observed(trajs, 0)[0][0] == 0
 
@@ -163,11 +170,68 @@ def test_discretize_utc_offset_shifts_day_boundary():
 @pytest.mark.parametrize("utc_offset_hours", [0, 5])
 def test_discretize_aware_times_keep_their_own_wall_clock(utc_offset_hours):
     lines = [_checkin(ts="2012-04-03T23:30:00-04:00"), _checkin(ts="2012-04-03T23:30:00Z")]
-    parsed, _ = records.parse_checkins(lines)
-    assert [r.utc_offset for r in parsed] == [-4 * 3600, 0]
-    trajs = records.discretize(parsed, utc_offset_hours=utc_offset_hours)
+    parsed = records.parse_checkins(lines, utc_offset_hours=utc_offset_hours)
+    assert (parsed.local - parsed.timestamp).tolist() == [-4 * 3600, 0]
+    trajs = records.discretize(parsed)
     assert [(day, observed(trajs, i)) for i, day in enumerate(trajs.days.tolist())] == [
         (dt.date(2012, 4, 3), ((23, 0), (23, 0)))]
+
+
+# Offsets in minutes east of UTC: whole and half hours, and ones that move
+# the local day.
+OFFSETS = [0, 60, -60, 30, -30, 330, -330, 345, -570, 600, -600, 1410, -1410, 1439, -1439]
+
+
+def _random_checkins(rng):
+    """Check-in lines of random shape: naive, Z and offset times, some of one
+    instant, of several users (one with a non-ASCII name), at locations seen
+    again with other coordinates; a few inputs are empty, and some times
+    fall just after the epoch."""
+    count = int(rng.integers(0, 40)) if rng.random() < 0.95 else 0
+    start = int(rng.integers(0, 86400)) if rng.random() < 0.1 else int(rng.integers(9e8, 2e9))
+    moments = start + rng.integers(0, 3 * 86400, count)
+    ties = rng.random(count) < 0.3
+    moments[ties] = rng.choice(moments, ties.sum())
+    users = ["u1", "u10", "user 2", "Łucja", "u0"][:int(rng.integers(1, 6))]
+    lines = []
+    for moment in moments.tolist():
+        minutes = int(rng.choice(OFFSETS))
+        wall = dt.datetime.fromtimestamp(moment + 60 * minutes, tz=dt.timezone.utc)
+        kind = rng.integers(0, 3)
+        suffix = ("", "Z" if rng.random() < 0.8 else "z",
+                  f"{'-' if minutes < 0 else '+'}{abs(minutes) // 60:02d}:{abs(minutes) % 60:02d}")
+        lat, lon = rng.uniform(-90, 90), rng.uniform(-180, 180)
+        lines.append(f"{rng.choice(users)},v{rng.integers(0, 8)},{lat!r},{lon!r},"
+                     f"{wall.replace(tzinfo=None).isoformat()}{suffix[kind]}")
+    return lines
+
+
+def test_columnar_checkins_match_the_per_record_path():
+    rng = np.random.default_rng(2222)
+    divisors = [d for d in range(1, 25) if 24 % d == 0]
+    for case in range(1128):    # each --utc-offset of -23..23 on 24 sets
+        slots, fill = divisors[case % 8], ("ffill", "bfill")[case // 8 % 2]
+        offset = case % 47 - 23
+        lines = _random_checkins(rng)
+        try:
+            parsed, id_map = parse_checkins_looped(lines)
+        except CheckinFormatError as want:
+            with pytest.raises(CheckinFormatError) as got:
+                records.parse_checkins(lines, utc_offset_hours=offset)
+            assert (got.value.line_no, got.value.field_name, got.value.detail) == (
+                want.line_no, want.field_name, want.detail), case
+            continue
+        checkins = records.parse_checkins(lines, utc_offset_hours=offset)
+        got = records.discretize(checkins, slots, fill)
+        want = discretize_looped(parsed, slots, fill, offset)
+        for name in ("users", "days", "ids", "row", "slot", "loc"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, (case, name)
+            assert np.array_equal(a, b), (case, name)
+        assert got.ids.shape == (len(got), slots)
+        coords = location_table(parsed, len(id_map))
+        assert checkins.coords.dtype == coords.dtype and np.array_equal(checkins.coords, coords)
+        assert checkins.id_map == id_map
 
 
 def test_trajectory_matrix_names_the_first_ragged_row(tmp_path):
@@ -182,7 +246,7 @@ def test_trajectory_matrix_names_the_first_ragged_row(tmp_path):
 
 
 def test_discretize_coarser_slots():
-    parsed, _ = records.parse_checkins([_checkin(ts="2012-04-03T13:00:00Z")])
+    parsed = records.parse_checkins([_checkin(ts="2012-04-03T13:00:00Z")])
     trajs = records.discretize(parsed, slots_per_day=4)
     assert trajs.ids.shape == (1, 4)
     assert observed(trajs, 0) == ((2, 0),)    # hour 13 lands in quarter 2
