@@ -1,16 +1,19 @@
 """Time one generator pretrain step and one population sample at a large
 location count.
 
-Builds the three graphs directly (no files, no CLI) from random coordinates
-and random stay-or-jump trajectories, then times teacher-forced pretrain
-steps: k=10, embedding and hidden size 32, 2 heads, the three channels,
-dropout 0.6, batch 32.  The sample phase times ``generate_batch`` of 30,000
-trajectories of 24 slots from the untrained generator, then writes them
-with ``records.write_trajectories`` and reads them back with
-``records.read_trajectories`` (``write_s``, ``read_s``, and whether the table
-came back equal).  The graph build, the
-steps and the sample each run in a fresh process, so each reports its own
-peak RSS, and next to it the minor page faults of its timed work
+Builds the three graphs directly (no CLI) from random coordinates and
+random stay-or-jump trajectories, then times teacher-forced pretrain steps:
+k=10, embedding and hidden size 32, 2 heads, the three channels, dropout
+0.6, batch 32.  The build phase also writes each graph with
+``graphs.save_graph`` and reads it back with ``graphs.load_graph``
+(``graph_write_s``, ``graph_read_s`` over the three, and whether every graph
+came back equal, weights bit for bit).  The sample phase times
+``generate_batch`` of 30,000 trajectories of 24 slots from the untrained
+generator, then writes them with ``records.write_trajectories`` and reads
+them back with ``records.read_trajectories`` (``write_s``, ``read_s``, and
+whether the table came back equal).  The graph build, the steps and the
+sample each run in a fresh process, so each reports its own peak RSS, and
+next to it the minor page faults of its timed work
 (``minflt``).  Prints one JSON object:
 
     python3 scripts/scale_step.py --n 2000
@@ -84,8 +87,21 @@ def build(n: int, path: str) -> dict:
     elapsed, faults = time.perf_counter() - start, _minflt() - faults
     with open(path, "wb") as fh:
         pickle.dump((built, ids), fh)
-    return {"build_s": elapsed, "peak_rss_mb": _peak_rss_mb(), "minflt": faults,
-            "edges": {name: len(g.src) for name, g in built.items()}}
+    report = {"build_s": elapsed, "peak_rss_mb": _peak_rss_mb(), "minflt": faults,
+              "edges": {name: len(g.src) for name, g in built.items()}}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: os.path.join(tmp, f"{name}.csv") for name in built}
+        start = time.perf_counter()
+        for name, g in built.items():
+            graphs.save_graph(files[name], g)
+        report["graph_write_s"] = time.perf_counter() - start
+        start = time.perf_counter()
+        back = {name: graphs.load_graph(files[name], n, name) for name in built}
+        report["graph_read_s"] = time.perf_counter() - start
+    report["graph_round_trip_equal"] = all(
+        np.array_equal(back[name].src, g.src) and np.array_equal(back[name].dst, g.dst)
+        and back[name].weight.tobytes() == g.weight.tobytes() for name, g in built.items())
+    return report
 
 
 def _load(n: int, path: str):

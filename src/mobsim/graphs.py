@@ -16,17 +16,21 @@ self-loop to every node.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .records import CheckinFormatError, Trajectories, _fields, _float_field, _int_field
+from .records import (CheckinFormatError, Trajectories, _fields, _float_field, _int_field,
+                      _parse_ints)
 
 EARTH_RADIUS_KM = 6371.0
 # Rows of the kNN score matrix held at a time by the kNN builders.
 _ROW_BLOCK = 256
 # Bytes of the (rows, N, T) CDF differences that build_stg holds at a time.
 _CDF_BLOCK_BYTES = 1 << 20
+# One edge line of a graph file.
+_EDGE = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
@@ -202,14 +206,30 @@ def save_graph(path, graph: LocationGraph):
                          zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist())))
 
 
+def _parse_edges(lines):
+    """The src, dst and weight columns of the non-blank lines, parsed in one
+    NumPy call; None if there are none, or one is not ASCII ``int,int,float``
+    or has a weight that is not finite."""
+    texts = [line for line in lines if not line.isspace()]
+    text = "".join(texts)
+    # NumPy strips any space around a field, int() and float() only ASCII
+    # ones other than \x1c-\x1f.
+    ascii_spaced = text.isascii() and not any(c in text for c in "\x1c\x1d\x1e\x1f")
+    edges = _parse_ints(texts, ",", _EDGE, 1) if texts and ascii_spaced else None
+    if edges is None or len(edges) != len(texts) or not np.isfinite(edges["weight"]).all():
+        return None
+    return [np.ascontiguousarray(edges[name]) for name in _EDGE.names]
+
+
 def load_graph(path, n_locations: int, channel: str) -> LocationGraph:
     """Read a ``channel`` graph written by :func:`save_graph`.
 
     The header is ``channel,mode,k`` with this channel, a known mode and an
-    integer k; every other line is ``src,dst,weight`` with distinct integer
-    ids in [0, ``n_locations``), a pair no earlier line holds, and a finite
-    weight.  Anything else raises :class:`CheckinFormatError` naming the line
-    and field.
+    integer k; every other line is ``src,dst,weight`` with distinct ASCII
+    integer ids in [0, ``n_locations``), a pair no earlier line holds, and a
+    finite ASCII weight.  The edges are parsed in one NumPy call and checked
+    at once; a file that fails is parsed again line by line, and its first
+    bad line raises :class:`CheckinFormatError` naming the line and field.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -217,21 +237,26 @@ def load_graph(path, n_locations: int, channel: str) -> LocationGraph:
             raise CheckinFormatError(1, "header", f"expected '{channel},mode,k' with mode "
                                      "weighted or vanilla")
         k = _int_field(1, "k", header[2])
-        src, dst, weight = [], [], []
-        seen = set()
-        for line_no, (src_text, dst_text, weight_text) in _fields(fh, "src,dst,weight", start=2):
-            s = _int_field(line_no, "src", src_text, n_locations)
-            d = _int_field(line_no, "dst", dst_text, n_locations)
-            if s == d:
-                raise CheckinFormatError(line_no, "dst",
-                                         f"self-edge on {s}; attention adds the self-loop")
-            w = _float_field(line_no, "weight", weight_text)
-            key = s * n_locations + d
-            if key in seen:
-                raise CheckinFormatError(line_no, "dst", f"duplicate edge {s} -> {d}")
-            seen.add(key)
-            src.append(s)
-            dst.append(d)
-            weight.append(w)
+        lines = fh.readlines()
+    edges = _parse_edges(lines)
+    with contextlib.suppress(ValueError):   # LocationGraph checks ids, self-edges, repeats
+        if edges is not None:
+            return LocationGraph(channel, header[1], n_locations, *edges, k=k)
+    src, dst, weight = [], [], []
+    seen = set()
+    for line_no, (src_text, dst_text, weight_text) in _fields(lines, "src,dst,weight", start=2):
+        s = _int_field(line_no, "src", src_text, n_locations)
+        d = _int_field(line_no, "dst", dst_text, n_locations)
+        if s == d:
+            raise CheckinFormatError(line_no, "dst",
+                                     f"self-edge on {s}; attention adds the self-loop")
+        w = _float_field(line_no, "weight", weight_text)
+        key = s * n_locations + d
+        if key in seen:
+            raise CheckinFormatError(line_no, "dst", f"duplicate edge {s} -> {d}")
+        seen.add(key)
+        src.append(s)
+        dst.append(d)
+        weight.append(w)
     return LocationGraph(channel, header[1], n_locations, np.array(src, dtype=np.int64),
                          np.array(dst, dtype=np.int64), np.array(weight), k=k)

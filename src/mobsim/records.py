@@ -165,9 +165,9 @@ def _int_field(line_no: int, name: str, text: str, limit: int | None = None) -> 
 
 
 def _float_field(line_no: int, name: str, text: str, bound: float | None = None) -> float:
-    """``text`` as a finite float, within ±``bound`` when a bound is given."""
-    try:
-        value = float(text)
+    """``text`` as a finite ASCII float, within ±``bound`` when a bound is given."""
+    try:    # float() alone also takes 1_0.5 and non-ASCII digits
+        value = float(text if text.isascii() and "_" not in text else "?")
     except ValueError:
         raise CheckinFormatError(line_no, name, f"not a number: {text!r}") from None
     if not math.isfinite(value):
@@ -366,14 +366,14 @@ def _read_user_days(path, third: str, parse):
     return users, days, texts, parse(line_nos, texts)
 
 
-def _parse_ints(texts, delimiter: str | None = None):
-    """Each text's integers (ASCII decimal, optional sign) as a row of an
-    int64 matrix, by NumPy's C reader; None if one is not or rows are ragged."""
+def _parse_ints(texts, delimiter: str | None = None, dtype=np.int64, ndmin: int = 2):
+    """Each text as a row of ``dtype`` (default an int64 matrix) by NumPy's C
+    reader, integers ASCII decimal only; None if one fails or rows are ragged."""
     with warnings.catch_warnings():
         # NumPy 1.23 on may read 1.5 or 1e3 as a truncated float, only warning.
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         try:
-            return np.loadtxt(texts, dtype=np.int64, ndmin=2, comments=None, delimiter=delimiter)
+            return np.loadtxt(texts, dtype=dtype, ndmin=ndmin, comments=None, delimiter=delimiter)
         except (ValueError, DeprecationWarning):
             return None
 

@@ -90,6 +90,20 @@ def test_preprocess_malformed_record_is_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("lat, lon, field", [("40.5", "\u0663", "lon"), ("4_0.5", "-74.0", "lat")],
+                         ids=["non_ascii_lon", "underscore_lat"])
+def test_preprocess_coordinate_that_is_no_ascii_float_is_exit_1(tmp_path, capsys, lat, lon,
+                                                                 field):
+    # Python's float() reads both as numbers (3.0 and 40.5).
+    bad = tmp_path / "bad.csv"
+    lines = CHECKINS.splitlines()
+    lines[2] = f"user9,venue9,{lat},{lon},2012-04-03T08:15:00Z"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["preprocess", "--input", str(bad), "--out-dir", str(tmp_path / "o")]) == 1
+    assert f"{bad}:3: field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_command_is_exit_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
@@ -350,9 +364,10 @@ def _rewrite_line(src, dst, line_no, text):
     ("2,400.0,-74.0", "lat"),
     ("2,40.0,181", "lon"),
     ("1_0,40.0,-74.0", "id"),
+    ("2,4_0.5,-74.0", "lat"),
 ], ids=["two_fields", "bad_id", "bad_lat", "bad_lon", "nan_lat", "inf_lon",
         "duplicate_id", "non_dense_ids", "lat_out_of_range", "lon_out_of_range",
-        "underscore_id"])
+        "underscore_id", "underscore_lat"])
 def test_build_graphs_bad_locations_line_is_exit_1(pipeline, tmp_path, capsys, line, field):
     data = pipeline / "data"
     locations = tmp_path / "locations.csv"
@@ -441,8 +456,11 @@ def test_generate_without_slots_in_meta_is_exit_1(pipeline, tmp_path, capsys):
     (1, "sdg,weighted", "header"),
     (1, "sdg,weighted,four", "k"),
     (1, "ttg,weighted,4", "header"),
+    (3, "0,1,1_0.5", "weight"),
+    (3, "0,1,\u0663", "weight"),
 ], ids=["dst_out_of_range", "bad_weight", "self_edge", "two_fields", "negative_src",
-        "bad_dst", "nan_weight", "unknown_mode", "short_header", "bad_k", "other_channel"])
+        "bad_dst", "nan_weight", "unknown_mode", "short_header", "bad_k", "other_channel",
+        "underscore_weight", "non_ascii_weight"])
 def test_generate_bad_graph_line_is_exit_1(pipeline, tmp_path, capsys, line_no, line, field):
     gdir = tmp_path / "graphs"
     gdir.mkdir()

@@ -379,3 +379,107 @@ def test_graph_invariants_on_synth(small_graphs):
         assert len(pairs) == len(g.src)   # no duplicate edges
     assert np.all(np.bincount(small_graphs["sdg"].src, minlength=16) == 5)
     assert np.all(np.bincount(small_graphs["stg"].src, minlength=16) == 5)
+
+
+# ---------------------------------------------------------------------------
+# load_graph: the one-call parse against the line-by-line parse
+
+_SPECIAL_WEIGHTS = ["-0.0", "5e-324", "1e308", "1e+308", "0.5", "1.0", "3"]
+
+
+def _graph_lines(rng, n: int, edges: int):
+    """``edges`` distinct non-self edges over ``n`` locations as text lines,
+    with spaces or tabs around some fields and blank lines between some."""
+    pairs = {}
+    while len(pairs) < edges:
+        s, d = rng.integers(0, n, 2).tolist()
+        if s != d:
+            pairs.setdefault((s, d), None)
+    pad = lambda: str(rng.choice(["", "", " ", "\t", " \t "]))   # noqa: E731
+    lines = []
+    for s, d in pairs:
+        w = (str(rng.choice(_SPECIAL_WEIGHTS)) if rng.random() < 0.3
+             else repr(float(rng.normal(0.0, 10.0 ** rng.integers(-5, 6)))))
+        lines.append(",".join(pad() + str(v) + pad() for v in (s, d, w)))
+        if rng.random() < 0.05:
+            lines.append(str(rng.choice(["", " ", "\t"])))
+    return lines
+
+
+def _write_graph(path, mode: str, lines):
+    path.write_text("\n".join([f"sdg,{mode},4", *lines]) + "\n", encoding="utf-8")
+
+
+def _load_both(path, n: int, monkeypatch):
+    """load_graph's outcome, one-call parse first, then with it forced to reject."""
+    outcomes = []
+    for force_fallback in (False, True):
+        with monkeypatch.context() as m:
+            if force_fallback:
+                m.setattr(graphs, "_parse_edges", lambda lines: None)
+            try:
+                outcomes.append(graphs.load_graph(path, n, "sdg"))
+            except graphs.CheckinFormatError as exc:
+                outcomes.append((exc.line_no, exc.field_name, exc.detail))
+    return outcomes
+
+
+def _corruptions(rng, n: int, lines):
+    """(index into ``lines``, text) of one-line corruptions of ``lines``."""
+    rows = [i for i, line in enumerate(lines) if line.strip()]
+    if not rows:
+        return
+    i = int(rng.choice(rows))
+    s, d, _ = (f.strip() for f in lines[i].split(","))
+    bad_ids = ["1.0", "1_0", "\u0663", "-1", str(n)]
+    for text in ([f"{s},{d}", f"{s},{d},1.0,2"] + [f"{b},{d},1.0" for b in bad_ids]
+                 + [f"{s},{b},1.0" for b in bad_ids] + [f"{s},{s},1.0"]
+                 + [f"{s},{d},{w}" for w in ("nan", "inf", "-inf", "1e400", "1_0.5", "\u0663")]
+                 # spaces NumPy strips around a field, int() and float() do not
+                 + [f"{s},\u00a0{d},1.0", f"{s},{d},\x1c1.0"]):
+        yield i, text
+    if len(rows) > 1:       # a later line repeats an earlier pair
+        first, later = sorted(rng.choice(rows, 2, replace=False).tolist())
+        s, d, _ = (f.strip() for f in lines[first].split(","))
+        yield later, f"{s},{d},2.5"
+
+
+def test_load_graph_one_call_parse_matches_the_line_parse(tmp_path, monkeypatch):
+    rng = np.random.default_rng(23)
+    path = tmp_path / "sdg.csv"
+    for trial in range(240):    # every 20th file has no edge
+        n = int(np.exp(rng.uniform(np.log(2), np.log(5000))))
+        edges = 0 if trial % 20 == 0 else int(rng.integers(1, min(n * (n - 1), 80) + 1))
+        lines = _graph_lines(rng, n, edges)
+        _write_graph(path, str(rng.choice(["weighted", "vanilla"])), lines)
+        fast, looped = _load_both(path, n, monkeypatch)
+        with open(path, encoding="utf-8") as fh:    # the one-call parse takes every such file
+            assert (graphs._parse_edges(fh.readlines()[1:]) is None) == (edges == 0)
+        for name in ("src", "dst", "weight"):
+            a, b = getattr(fast, name), getattr(looped, name)
+            assert a.dtype == b.dtype and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()      # weights bit for bit, -0.0 kept
+        assert (fast.mode, fast.k, fast.n_locations) == (looped.mode, looped.k, n)
+        for i, text in _corruptions(rng, n, lines):
+            _write_graph(path, "weighted", lines[:i] + [text] + lines[i + 1:])
+            fast, looped = _load_both(path, n, monkeypatch)
+            assert isinstance(fast, tuple) and fast == looped, text
+            assert fast[0] == i + 2, text
+
+
+@pytest.mark.parametrize("first, second, field", [
+    ("0,9,1.0", "0,1,nan", "dst"),
+    ("0,1,2.0", "1,1,1.0", "dst"),
+    ("0,1,inf", "0,9,1.0", "weight"),
+    ("0,1,1_0.5", "1,1,1.0", "weight"),
+    ("\u0663,1,1.0", "3,3,1.0", "src"),
+], ids=["range_then_nan", "duplicate_then_self_edge", "inf_then_range",
+        "underscore_then_self_edge", "non_ascii_then_self_edge"])
+def test_load_graph_names_the_first_of_two_bad_lines(tmp_path, first, second, field):
+    # Lines 2 and 3 are good, line 4 is the first bad line and line 6 the
+    # second, whichever check of the whole file catches the second.
+    path = tmp_path / "sdg.csv"
+    _write_graph(path, "weighted", ["0,1,1.0", "1,0,1.0", first, "2,3,1.0", second])
+    with pytest.raises(graphs.CheckinFormatError) as err:
+        graphs.load_graph(path, 5, "sdg")
+    assert (err.value.line_no, err.value.field_name) == (4, field)

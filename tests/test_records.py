@@ -456,6 +456,24 @@ def test_int_field_takes_ascii_decimal_only(text):
         records._int_field(3, "k", text)
 
 
+@pytest.mark.parametrize("text, value", [("0.5", 0.5), (" -2.5e3\t", -2500.0), ("7", 7.0),
+                                         (".5", 0.5), ("1E-3", 0.001)])
+def test_float_field(text, value):
+    assert records._float_field(3, "w", text) == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1_0.5", "not a number"), ("\u0663", "not a number"), ("\u0661.5", "not a number"),
+    ("4\u00a0", "not a number"), ("", "not a number"), ("0x1p3", "not a number"),
+    ("nan", "not finite"), ("inf", "not finite"), ("-Infinity", "not finite"),
+    ("1e400", "not finite"),
+])
+def test_float_field_takes_ascii_decimal_only(text, message):
+    # Python's float() reads the first four; NumPy's reader does not.
+    with pytest.raises(CheckinFormatError, match=f"line 3, field 'w': {message}"):
+        records._float_field(3, "w", text)
+
+
 def _loadtxt_with_float_fallback(loadtxt):
     """``loadtxt`` as NumPy reads an integer dtype while it keeps the float
     fallback of 1.23: a token that is no integer is read as a float and
