@@ -11,10 +11,11 @@ came back equal, weights bit for bit).  The sample phase times
 ``generate_batch`` of 30,000 trajectories of 24 slots from the untrained
 generator, then writes them with ``records.write_trajectories`` and reads
 them back with ``records.read_trajectories`` (``write_s``, ``read_s``, and
-whether the table came back equal).  The graph build, the steps and the
-sample each run in a fresh process, so each reports its own peak RSS, and
-next to it the minor page faults of its timed work
-(``minflt``).  Prints one JSON object:
+whether the table came back equal), and times ``metrics.evaluate`` of the
+sampled rows against the training rows (``evaluate_s``, with the peak RSS
+before and after it).  The graph build, the steps and the sample each run
+in a fresh process, so each reports its own peak RSS, and next to it the
+minor page faults of its timed work (``minflt``).  Prints one JSON object:
 
     python3 scripts/scale_step.py --n 2000
 
@@ -38,7 +39,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from mobsim import graphs, nn  # noqa: E402
+from mobsim import graphs, metrics, nn  # noqa: E402
 from mobsim.generator import (  # noqa: E402
     Generator,
     GeneratorConfig,
@@ -47,6 +48,7 @@ from mobsim.generator import (  # noqa: E402
     seed_distribution,
 )
 from mobsim.records import (  # noqa: E402
+    Dataset,
     Trajectories,
     generated_trajectories,
     read_trajectories,
@@ -75,18 +77,23 @@ def _trajectories(n: int, rng) -> np.ndarray:
     return ids
 
 
+def _table(ids: np.ndarray) -> Trajectories:
+    return Trajectories(np.array(["u"] * len(ids)), np.full(len(ids), np.datetime64("2012-01-02")),
+                        ids)
+
+
 def build(n: int, path: str) -> dict:
     rng = np.random.default_rng(n)
     ids = _trajectories(n, rng)
     coords = np.column_stack([40.0 + rng.random(n), -74.0 + rng.random(n)])
-    table = Trajectories(np.array(["u"] * ROWS), np.full(ROWS, np.datetime64("2012-01-02")), ids)
+    table = _table(ids)
     faults, start = _minflt(), time.perf_counter()
     built = {"sdg": graphs.build_sdg(coords, k=K),
              "ttg": graphs.build_ttg(ids, n),
              "stg": graphs.build_stg(graphs.visit_profile_matrix(table, n), k=K)}
     elapsed, faults = time.perf_counter() - start, _minflt() - faults
     with open(path, "wb") as fh:
-        pickle.dump((built, ids), fh)
+        pickle.dump((built, ids, coords), fh)
     report = {"build_s": elapsed, "peak_rss_mb": _peak_rss_mb(), "minflt": faults,
               "edges": {name: len(g.src) for name, g in built.items()}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -106,14 +113,14 @@ def build(n: int, path: str) -> dict:
 
 def _load(n: int, path: str):
     with open(path, "rb") as fh:
-        built, ids = pickle.load(fh)
+        built, ids, coords = pickle.load(fh)
     gen = Generator(GeneratorConfig(n_locations=n, embed_dim=32, hidden_dim=32, heads=2,
                                     dropout=0.6), built)
-    return gen, ids
+    return gen, ids, coords
 
 
 def step(n: int, path: str) -> dict:
-    gen, ids = _load(n, path)
+    gen, ids, _ = _load(n, path)
     optimizer = nn.Adam(gen.params, 0.01)
     rng = np.random.default_rng(0)
     times, faults = [], _minflt()
@@ -128,7 +135,7 @@ def step(n: int, path: str) -> dict:
 
 
 def sample(n: int, path: str) -> dict:
-    gen, ids = _load(n, path)
+    gen, ids, coords = _load(n, path)
     rss_before, faults = _peak_rss_mb(), _minflt()
     start = time.perf_counter()
     sampled = generate_batch(gen, SAMPLED, SLOTS, seed_distribution(ids, n),
@@ -148,6 +155,11 @@ def sample(n: int, path: str) -> dict:
     report["round_trip_equal"] = bool(
         np.array_equal(back.ids, table.ids) and back.users.tolist() == table.users.tolist()
         and np.array_equal(back.days, table.days))
+    report["peak_rss_mb_before_evaluate"] = _peak_rss_mb()
+    start = time.perf_counter()
+    metrics.evaluate(Dataset(_table(ids), coords), sampled)
+    report["evaluate_s"] = time.perf_counter() - start
+    report["evaluate_peak_rss_mb"] = _peak_rss_mb()
     return report
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -373,7 +374,7 @@ def cmd_evaluate(args) -> None:
     if args.exclude_zero_steps:
         for label, path, ids in (("real", args.real, real.trajectories.ids),
                                  ("generated", args.generated, generated)):
-            if not metrics.step_distances(ids, coords).any():
+            if not metrics.step_lengths(ids, coords, include_zero_steps=False)[0].size:
                 raise CliValidationError(f"{path}: no {label} step moves, so "
                                          f"--exclude-zero-steps leaves no step distance to bin")
     report = metrics.evaluate(real, generated, include_zero_steps=not args.exclude_zero_steps,
@@ -445,8 +446,10 @@ def _write_ablation_table(out_dir, rows):
 
 
 def _command(sub, name, func, help_text, paths, configs=()) -> _Parser:
-    """The ``name`` subparser: a required flag per path in ``paths`` and
-    ``--out-dir``, then the option flags of ``configs``."""
+    """The ``name`` subparser, run by the module function named ``func``
+    (looked up when the command runs, so the parser can be kept): a
+    required flag per path in ``paths`` and ``--out-dir``, then the option
+    flags of ``configs``."""
     p = sub.add_parser(name, help=help_text)
     for path in paths + ("out-dir",):
         p.add_argument("--" + path, required=True)
@@ -462,7 +465,7 @@ def build_parser() -> _Parser:
     sub.required = True
     observed_help = "optional raw-observation sidecar for visit profiles"
 
-    p = _command(sub, "preprocess", cmd_preprocess,
+    p = _command(sub, "preprocess", "cmd_preprocess",
                  "parse check-ins into split trajectory files", ("input",))
     p.add_argument("--delimiter", default=",")
     p.add_argument("--slots", type=int, default=24)
@@ -472,44 +475,51 @@ def build_parser() -> _Parser:
     p.add_argument("--ratios", default="7:1:2")
     p.add_argument("--seed", type=int, default=0)
 
-    _command(sub, "synth", cmd_synth, "generate a synthetic dataset with known dynamics", (),
+    _command(sub, "synth", "cmd_synth", "generate a synthetic dataset with known dynamics", (),
              (synth.SynthConfig,))
-    p = _command(sub, "build-graphs", cmd_build_graphs,
+    p = _command(sub, "build-graphs", "cmd_build_graphs",
                  "build the three location graphs from a train split", ("train", "locations"),
                  (graphs.GraphConfig,))
     p.add_argument("--observed", default="", help=observed_help)
     for name, help_text, paths in (
             ("pretrain", "teacher-forced pretraining only", ("train",)),
             ("train", "pretraining plus adversarial training", ("train", "valid"))):
-        _command(sub, name, cmd_train, help_text, paths + ("locations", "graphs-dir"),
+        _command(sub, name, "cmd_train", help_text, paths + ("locations", "graphs-dir"),
                  MODEL_CONFIGS)
 
-    p = _command(sub, "generate", cmd_generate, "sample trajectories from a trained model",
+    p = _command(sub, "generate", "cmd_generate", "sample trajectories from a trained model",
                  ("graphs-dir", "locations"))
     p.add_argument("--model", required=True, help="checkpoint prefix (…/gen)")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--slots", type=int, help="trajectory length (default: the trained length)")
     p.add_argument("--seed", type=int, default=0)
 
-    p = _command(sub, "evaluate", cmd_evaluate, "score generated against real trajectories",
+    p = _command(sub, "evaluate", "cmd_evaluate", "score generated against real trajectories",
                  ("real", "generated", "locations"))
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--top", type=int, default=100)
     p.add_argument("--grid-step", type=float, default=0.01)
     p.add_argument("--exclude-zero-steps", action="store_true")
 
-    p = _command(sub, "ablation", cmd_ablation, "run the channel/edge-mode/dwell ablation suite",
+    p = _command(sub, "ablation", "cmd_ablation", "run the channel/edge-mode/dwell ablation suite",
                  ("train", "valid", "test", "locations"), MODEL_CONFIGS + (graphs.GraphConfig,))
     p.add_argument("--observed", default="", help=observed_help)
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process: parsing a command line
+    leaves it as it was, and each parse starts a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         blas.fix_heap_thresholds()
         with blas.one_thread():
-            args.func(args)
+            globals()[args.func](args)
         return 0
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,12 @@ keeps the ids either side ranks in its top, in ascending order; I-rank pads
 the shorter profile with zeros.  Each family takes a (B, T) int64 id
 matrix, one row per trajectory, and ``evaluate`` scores a generated id
 matrix against a real :class:`~mobsim.records.Dataset`.
+
+Scoring costs O(B·T) time and memory.  Where a side's V visited locations
+give V² ≤ B·(T−1), ``evaluate`` measures each visited location pair that a
+step joins once and weights it by its step count, instead of measuring
+every step; the masses are the same to the bit.  The other families run
+their rows in blocks of ``_BLOCK_BYTES``.
 """
 
 from __future__ import annotations
@@ -32,32 +38,34 @@ import numpy as np
 from .graphs import haversine_km
 from .records import Dataset, check_ids
 
-# Bytes of one (rows, T) float64 array: the distance and radius families run
-# their rows in blocks of this size, each holding a few coordinate arrays.
+# Bytes of one (rows, T) float64 array: the row families run their rows in
+# blocks of this size, each holding a few coordinate or count arrays.
 _BLOCK_BYTES = 1 << 19
 
 
-def binned_masses(real, generated, bins: int = 100):
+def binned_masses(real, generated, bins: int = 100, counts=(None, None)):
     """Masses of the real and generated values over ``bins`` equal-width bins
     spanning the real values (``lo + 1`` tops a degenerate range).  Generated
     outliers fall into the edge bins, and no generated values give all-zero
-    masses."""
+    masses.  ``counts`` holds, per side, how many times each value occurs
+    (None: once each); the counts are integers, so the masses equal those of
+    the values repeated."""
     real = np.asarray(real, dtype=np.float64)
     if real.size == 0:
         raise ValueError("cannot derive bin edges from no values")
     lo, hi = float(real.min()), float(real.max())
     edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
 
-    def masses(values):
+    def masses(values, weights):
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return np.zeros(bins)
         clipped = np.clip(values, edges[0], edges[-1])
         idx = np.minimum(np.searchsorted(edges, clipped, side="right") - 1, bins - 1)
-        counts = np.bincount(idx, minlength=bins)
-        return counts / counts.sum()
+        binned = np.bincount(idx, weights, minlength=bins)
+        return binned / binned.sum()
 
-    return masses(real), masses(generated)
+    return masses(real, counts[0]), masses(generated, counts[1])
 
 
 def jsd(p, q) -> float:
@@ -77,8 +85,8 @@ def jsd(p, q) -> float:
 
 def _row_blocks(ids: np.ndarray):
     """Consecutive row blocks of a (B, T) id matrix, each within
-    ``_BLOCK_BYTES`` of (rows, T) float64, so that the coordinate arrays of a
-    distance family stay a few blocks whatever B is."""
+    ``_BLOCK_BYTES`` of (rows, T) float64, so that the temporaries of a
+    family stay a few blocks whatever B is."""
     rows = max(1, _BLOCK_BYTES // (8 * ids.shape[1]))
     return (ids[lo:lo + rows] for lo in range(0, len(ids), rows))
 
@@ -91,6 +99,38 @@ def step_distances(ids: np.ndarray, coords: np.ndarray) -> np.ndarray:
         return haversine_km(a[..., 0], a[..., 1], b[..., 0], b[..., 1]).ravel()
 
     return np.concatenate([block_steps(block) for block in _row_blocks(ids)])
+
+
+def step_lengths(ids: np.ndarray, coords: np.ndarray, include_zero_steps: bool = True):
+    """Great-circle step lengths of a (B, T) id matrix and how many steps
+    have each: ``(lengths, counts)``, zero lengths left out unless
+    ``include_zero_steps``.
+
+    With V visited locations and V² ≤ B·(T−1), each ordered pair of visited
+    locations that some step joins is measured once, with its step count
+    from one ``bincount`` of dense pair keys per row block.  Otherwise
+    ``lengths`` is :func:`step_distances` and ``counts`` None (one each).
+    Either way no array outgrows the B·(T−1) steps.
+    """
+    visited = np.flatnonzero(np.bincount(ids.ravel(), minlength=len(coords)))
+    v = len(visited)
+    if v * v > len(ids) * (ids.shape[1] - 1):
+        lengths, counts = step_distances(ids, coords), None
+    else:
+        dense = np.zeros(len(coords), dtype=np.int64)
+        dense[visited] = np.arange(v)
+        pair_counts = np.zeros(v * v, dtype=np.int64)
+        for block in _row_blocks(ids):
+            d = dense[block]
+            pair_counts += np.bincount((d[:, :-1] * v + d[:, 1:]).ravel(), minlength=v * v)
+        pairs = np.flatnonzero(pair_counts)
+        a, b = coords[visited[pairs // v]], coords[visited[pairs % v]]
+        lengths = haversine_km(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        counts = pair_counts[pairs]
+    if include_zero_steps:
+        return lengths, counts
+    moving = lengths > 0
+    return lengths[moving], None if counts is None else counts[moving]
 
 
 def gyration_radii(ids: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -124,15 +164,28 @@ def _slot_count_masses(values: np.ndarray, slots: int) -> np.ndarray:
 
 def duration_histogram(ids: np.ndarray) -> np.ndarray:
     """Masses of the lengths of the maximal runs of identical consecutive ids
-    of a (B, T) id matrix, over 1..T."""
-    return _slot_count_masses(_run_lengths(_run_starts(ids)), ids.shape[1])
+    of a (B, T) id matrix, over 1..T.  Every row opens a run, so row blocks
+    add up their integer counts."""
+    slots = ids.shape[1]
+    counts = sum(np.bincount(_run_lengths(_run_starts(block)) - 1, minlength=slots)
+                 for block in _row_blocks(ids))
+    return counts / counts.sum()
 
 
-def daily_locations_histogram(ids: np.ndarray) -> np.ndarray:
+def sorted_run_starts(ids: np.ndarray) -> np.ndarray:
+    """(B, T) mask of the run starts of each row of a (B, T) id matrix once
+    sorted, one per distinct id; the rows are sorted in row blocks.  The
+    daily-location and I-rank families both read it, so ``evaluate`` sorts
+    each row once."""
+    return np.concatenate([_run_starts(np.sort(block, axis=1)) for block in _row_blocks(ids)])
+
+
+def daily_locations_histogram(ids: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     """Masses of the distinct ids per row of a (B, T) id matrix, over 1..T:
-    the runs of the sorted row."""
-    distinct = _run_starts(np.sort(ids, axis=1)).sum(axis=1)
-    return _slot_count_masses(distinct, ids.shape[1])
+    the runs of the sorted row (``starts``, :func:`sorted_run_starts` of
+    ``ids`` if not given)."""
+    starts = sorted_run_starts(ids) if starts is None else starts
+    return _slot_count_masses(starts.sum(axis=1), ids.shape[1])
 
 
 def global_rank_histogram(ids: np.ndarray, n_locations: int, top: int = 100) -> np.ndarray:
@@ -145,20 +198,30 @@ def global_rank_histogram(ids: np.ndarray, n_locations: int, top: int = 100) -> 
     return shares / shares.sum()
 
 
-def individual_rank_histogram(ids: np.ndarray, top: int = 100) -> np.ndarray:
+def individual_rank_histogram(ids: np.ndarray, top: int = 100,
+                              starts: np.ndarray | None = None) -> np.ndarray:
     """Average per-row rank-frequency profile, renormalized: entry ``r`` for
     rank ``r + 1``, as many entries as the most distinct ids in a row, up to
-    ``top``.
+    ``top``.  ``starts`` is :func:`sorted_run_starts` of ``ids`` (computed if
+    not given).
 
     A row's visit counts are the runs of the sorted row, placed at each
     run's start, so the work stays O(B·T) whatever the number of locations.
+    Each row block's rank shares go into one (B, min(top, T)) array whose
+    mean is taken once.
     """
-    starts = _run_starts(np.sort(ids, axis=1))
-    counts = np.zeros(ids.shape, dtype=np.int64)
-    counts[starts] = _run_lengths(starts)
-    ranked = -np.sort(-counts, axis=1)[:, :top]
-    width = min(top, int(starts.sum(axis=1).max()))
-    profile = (ranked[:, :width] / ranked.sum(axis=1, keepdims=True)).mean(axis=0)
+    starts = sorted_run_starts(ids) if starts is None else starts
+    shares = np.empty((len(ids), min(top, ids.shape[1])))
+    lo = 0
+    for block in _row_blocks(starts):
+        counts = np.zeros(block.shape, dtype=np.int64)
+        counts[block] = _run_lengths(block)
+        ranked = -np.sort(-counts, axis=1)[:, :top]
+        np.divide(ranked, ranked.sum(axis=1, keepdims=True), out=shares[lo:lo + len(block)])
+        lo += len(block)
+    # Ranks past a row's distinct count hold 0, so the columns past the
+    # widest row are 0 everywhere and drop out.
+    profile = shares[:, :min(top, int(starts.sum(axis=1).max()))].mean(axis=0)
     return profile / profile.sum()
 
 
@@ -186,7 +249,9 @@ def evaluate(real: Dataset, generated: np.ndarray, bins: int = 100, top: int = 1
     real coordinate table, and the generated length T must equal the real
     one, which also sizes the duration and daily-location masses.
     Continuous bin ranges come from the real data only.  Scoring costs
-    O(B·T) time and memory.
+    O(B·T) time and memory: the step family measures each visited pair of
+    locations once where that is cheaper than measuring each step (see
+    :func:`step_lengths`), and the row families run in row blocks.
     """
     coords = real.locations
     real_ids, gen_ids = (check_ids(ids, len(coords)) for ids in (real.trajectories.ids, generated))
@@ -194,23 +259,23 @@ def evaluate(real: Dataset, generated: np.ndarray, bins: int = 100, top: int = 1
         raise ValueError(f"generated trajectories hold {gen_ids.shape[1]} ids, "
                          f"real ones {real_ids.shape[1]}")
 
-    real_steps = step_distances(real_ids, coords)
-    gen_steps = step_distances(gen_ids, coords)
-    if not include_zero_steps:
-        real_steps = real_steps[real_steps > 0]
-        gen_steps = gen_steps[gen_steps > 0]
+    (real_steps, real_counts), (gen_steps, gen_counts) = (
+        step_lengths(ids, coords, include_zero_steps) for ids in (real_ids, gen_ids))
     real_rank = global_rank_histogram(real_ids, len(coords), top)
     gen_rank = global_rank_histogram(gen_ids, len(coords), top)
     ranked = (real_rank > 0) | (gen_rank > 0)
-    profiles = (individual_rank_histogram(real_ids, top), individual_rank_histogram(gen_ids, top))
+    starts = sorted_run_starts(real_ids), sorted_run_starts(gen_ids)
+    profiles = (individual_rank_histogram(real_ids, top, starts[0]),
+                individual_rank_histogram(gen_ids, top, starts[1]))
     width = max(len(profile) for profile in profiles)
 
     pairs = {
-        "distance": binned_masses(real_steps, gen_steps, bins),
+        "distance": binned_masses(real_steps, gen_steps, bins, (real_counts, gen_counts)),
         "radius": binned_masses(gyration_radii(real_ids, coords),
                                 gyration_radii(gen_ids, coords), bins),
         "duration": (duration_histogram(real_ids), duration_histogram(gen_ids)),
-        "daily_loc": (daily_locations_histogram(real_ids), daily_locations_histogram(gen_ids)),
+        "daily_loc": (daily_locations_histogram(real_ids, starts[0]),
+                      daily_locations_histogram(gen_ids, starts[1])),
         "g_rank": (real_rank[ranked], gen_rank[ranked]),
         "i_rank": tuple(np.pad(profile, (0, width - len(profile))) for profile in profiles),
     }

@@ -911,6 +911,27 @@ def test_commands_run_blas_on_one_thread(tmp_path, monkeypatch, outcome, code):
     assert get() == before
 
 
+def test_consecutive_commands_parse_independently(monkeypatch):
+    # main builds its parser once per process; each call still parses from
+    # the defaults, with no flag or value of an earlier call left over.
+    seen = []
+    for name in ("cmd_synth", "cmd_evaluate"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)))
+    evaluate = ["evaluate", "--real", "r", "--generated", "g", "--locations", "l",
+                "--out-dir", "e"]
+    argvs = [["synth", "--out-dir", "a", "--seed", "5", "--users", "3"],
+             evaluate + ["--bins", "7", "--exclude-zero-steps"],
+             ["synth", "--out-dir", "b"],
+             evaluate]
+    for argv in argvs:
+        assert main(argv) == 0
+    assert cli._parser() is cli._parser()
+    assert seen == [vars(build_parser().parse_args(argv)) for argv in argvs]
+    assert seen[2]["seed"] is None and seen[2]["users"] is None and "bins" not in seen[2]
+    assert seen[3]["bins"] == 100 and seen[3]["exclude_zero_steps"] is False
+    assert "seed" not in seen[3]
+
+
 class _Mallopt:
     def __init__(self):
         self.calls = []

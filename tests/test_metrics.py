@@ -17,6 +17,7 @@ from mobsim.metrics import (
     individual_rank_histogram,
     jsd,
     step_distances,
+    step_lengths,
     visit_grid,
 )
 from mobsim.records import Dataset, generated_trajectories
@@ -287,11 +288,52 @@ def test_distance_families_in_tiny_row_blocks_match_one_block(monkeypatch):
         _assert_reports_equal(evaluate(ds, fake), want[2])
 
 
+@pytest.mark.parametrize("block_bytes", [metrics._BLOCK_BYTES, 3 * 8 * 24, 1],
+                         ids=["default_blocks", "3_row_blocks", "1_row_blocks"])
+@pytest.mark.parametrize("n", [2, 3, 40, 3000])
+def test_step_family_matches_looped_oracle_on_both_paths(n, block_bytes, monkeypatch):
+    # The step family measures each visited location pair once when the V
+    # visited locations give V² <= B·(T-1), and each step otherwise; on both
+    # paths the masses must be the looped oracle's, bit for bit.  Half the
+    # locations share one coordinate, so some steps between distinct
+    # locations have length 0.
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(n)
+    coords = np.column_stack([rng.uniform(-60, 60, n), rng.uniform(-170, 170, n)])
+    coords[rng.choice(n, n // 2 + 1, replace=False)] = coords[0]
+    length = 3 if n < 40 else 24
+    few = rng.choice(n, min(n, 12), replace=False)
+    pairwise = few[_random_ids(rng, 200, length, len(few))]
+    stepwise = np.array([np.resize(rng.permutation(n), length) for _ in range(1 if n == 2 else 2)])
+    single = np.full((5, length), rng.integers(n))
+    assert step_lengths(pairwise, coords)[1] is not None
+    assert step_lengths(stepwise, coords)[1] is None
+    assert_array_equal(np.sort(np.repeat(*step_lengths(pairwise, coords))),
+                       np.sort(step_distances(pairwise, coords)), strict=True)
+    for real, fake in ((pairwise, stepwise), (stepwise, pairwise), (pairwise, single),
+                       (single, stepwise)):
+        ds = Dataset(table(real), coords)
+        for bins in (1, 7, 100):
+            for zero_steps in (True, False):
+                try:
+                    reference = evaluate_looped(ds, fake, bins=bins,
+                                                include_zero_steps=zero_steps)
+                except ValueError:        # no nonzero real step to bin
+                    assert not zero_steps
+                    with pytest.raises(ValueError, match="no values"):
+                        evaluate(ds, fake, bins=bins, include_zero_steps=zero_steps)
+                    continue
+                _assert_reports_equal(
+                    evaluate(ds, fake, bins=bins, include_zero_steps=zero_steps), reference)
+
+
 def test_evaluate_scores_a_population_in_bounded_memory():
     # 30,000 generated rows of 24 slots against a small real set.  Whole
     # (B, T, 2) coordinate arrays and their haversine temporaries peaked at
-    # 107 bytes a slot; in row blocks the peak is the sort-based families'
-    # few (B, T) int64 arrays beside the kept step lengths.
+    # 107 bytes a slot, and the sort-based families' (B, T) int64 arrays at
+    # 38; with every family in row blocks and the steps counted per visited
+    # location pair, the peak is about 12 bytes a slot, most of it the
+    # (B, T) float64 I-rank shares.
     rng = np.random.default_rng(3)
     n, b, length = 100, 30000, 24
     coords = np.column_stack([40 + rng.random(n), -74 + rng.random(n)])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mobsim
-from mobsim import generator, nn
+from mobsim import cli, generator, nn
 from mobsim.cli import main
 from mobsim.graphs import LocationGraph
 from mobsim.nn import Tensor
@@ -458,6 +458,8 @@ def test_every_nn_function_runs_in_a_command(tmp_path):
         if event == "call":
             entered.add(frame.f_code)
 
+    # As in a fresh process, where the first command builds the parser.
+    cli._parser.cache_clear()
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in commands]
