@@ -19,8 +19,9 @@ equal-width bins whose range the real values fix (out-of-range generated
 values fall into the edge bins); duration and daily-loc count 1..T; G-rank
 keeps the ids either side ranks in its top, in ascending order; I-rank pads
 the shorter profile with zeros.  Each family takes a (B, T) int64 id
-matrix, one row per trajectory, and ``evaluate`` scores a generated id
-matrix against a real :class:`~mobsim.records.Dataset`.
+matrix, one row per trajectory, except daily-loc and I-rank, which take its
+:func:`sorted_run_starts` mask; ``evaluate`` scores a generated id matrix
+against a real :class:`~mobsim.records.Dataset`.
 
 Scoring costs O(B·T) time and memory.  Where a side's V visited locations
 give V² ≤ B·(T−1), ``evaluate`` measures each visited location pair that a
@@ -156,12 +157,6 @@ def _run_lengths(starts: np.ndarray) -> np.ndarray:
     return np.diff(np.flatnonzero(starts), append=starts.size)
 
 
-def _slot_count_masses(values: np.ndarray, slots: int) -> np.ndarray:
-    """Masses of counts in 1..``slots``, entry ``i`` for count ``i + 1``."""
-    counts = np.bincount(values - 1, minlength=slots)
-    return counts / counts.sum()
-
-
 def duration_histogram(ids: np.ndarray) -> np.ndarray:
     """Masses of the lengths of the maximal runs of identical consecutive ids
     of a (B, T) id matrix, over 1..T.  Every row opens a run, so row blocks
@@ -180,12 +175,11 @@ def sorted_run_starts(ids: np.ndarray) -> np.ndarray:
     return np.concatenate([_run_starts(np.sort(block, axis=1)) for block in _row_blocks(ids)])
 
 
-def daily_locations_histogram(ids: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
-    """Masses of the distinct ids per row of a (B, T) id matrix, over 1..T:
-    the runs of the sorted row (``starts``, :func:`sorted_run_starts` of
-    ``ids`` if not given)."""
-    starts = sorted_run_starts(ids) if starts is None else starts
-    return _slot_count_masses(starts.sum(axis=1), ids.shape[1])
+def daily_locations_histogram(starts: np.ndarray) -> np.ndarray:
+    """Masses of the distinct ids per row over 1..T, from the (B, T) mask
+    ``starts`` of :func:`sorted_run_starts`: one run per distinct id."""
+    counts = np.bincount(starts.sum(axis=1) - 1, minlength=starts.shape[1])
+    return counts / counts.sum()
 
 
 def global_rank_histogram(ids: np.ndarray, n_locations: int, top: int = 100) -> np.ndarray:
@@ -198,20 +192,18 @@ def global_rank_histogram(ids: np.ndarray, n_locations: int, top: int = 100) -> 
     return shares / shares.sum()
 
 
-def individual_rank_histogram(ids: np.ndarray, top: int = 100,
-                              starts: np.ndarray | None = None) -> np.ndarray:
-    """Average per-row rank-frequency profile, renormalized: entry ``r`` for
-    rank ``r + 1``, as many entries as the most distinct ids in a row, up to
-    ``top``.  ``starts`` is :func:`sorted_run_starts` of ``ids`` (computed if
-    not given).
+def individual_rank_histogram(starts: np.ndarray, top: int = 100) -> np.ndarray:
+    """Average per-row rank-frequency profile, renormalized, from the (B, T)
+    mask ``starts`` of :func:`sorted_run_starts`: entry ``r`` for rank
+    ``r + 1``, as many entries as the most distinct ids in a row, up to
+    ``top``.
 
     A row's visit counts are the runs of the sorted row, placed at each
     run's start, so the work stays O(B·T) whatever the number of locations.
     Each row block's rank shares go into one (B, min(top, T)) array whose
     mean is taken once.
     """
-    starts = sorted_run_starts(ids) if starts is None else starts
-    shares = np.empty((len(ids), min(top, ids.shape[1])))
+    shares = np.empty((len(starts), min(top, starts.shape[1])))
     lo = 0
     for block in _row_blocks(starts):
         counts = np.zeros(block.shape, dtype=np.int64)
@@ -265,8 +257,7 @@ def evaluate(real: Dataset, generated: np.ndarray, bins: int = 100, top: int = 1
     gen_rank = global_rank_histogram(gen_ids, len(coords), top)
     ranked = (real_rank > 0) | (gen_rank > 0)
     starts = sorted_run_starts(real_ids), sorted_run_starts(gen_ids)
-    profiles = (individual_rank_histogram(real_ids, top, starts[0]),
-                individual_rank_histogram(gen_ids, top, starts[1]))
+    profiles = tuple(individual_rank_histogram(side, top) for side in starts)
     width = max(len(profile) for profile in profiles)
 
     pairs = {
@@ -274,8 +265,7 @@ def evaluate(real: Dataset, generated: np.ndarray, bins: int = 100, top: int = 1
         "radius": binned_masses(gyration_radii(real_ids, coords),
                                 gyration_radii(gen_ids, coords), bins),
         "duration": (duration_histogram(real_ids), duration_histogram(gen_ids)),
-        "daily_loc": (daily_locations_histogram(real_ids, starts[0]),
-                      daily_locations_histogram(gen_ids, starts[1])),
+        "daily_loc": tuple(daily_locations_histogram(side) for side in starts),
         "g_rank": (real_rank[ranked], gen_rank[ranked]),
         "i_rank": tuple(np.pad(profile, (0, width - len(profile))) for profile in profiles),
     }

@@ -7,8 +7,14 @@ returns one gradient per parent, in parent order.  ``backward()`` on a scalar
 walks the tape once and is the only place that accumulates those gradients,
 into the parents that require them.  A backward function closes over the op's
 inputs and arrays, never over its output tensor, so a tape holds no reference
-cycle and is freed as soon as its last reference goes.  Gradients persist
-across backward calls until ``zero_grad``.
+cycle and is freed as soon as its last reference goes.
+
+A node's first gradient is the array its child's backward returned, taken
+as it is; each later one makes a new sum, so no gradient array is written in
+place and an array one op hands to two parents (``add``, a ``reshape`` view)
+stays intact.  An interior node's ``.grad`` is dropped (set to None) once its
+own backward has run; the root and the leaves keep theirs, and a leaf's
+gradient persists across backward calls until ``zero_grad``.
 """
 
 from __future__ import annotations
@@ -54,9 +60,7 @@ class Tensor:
         return float(self.values)
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self):
         self.grad = np.zeros_like(self.values)
@@ -86,6 +90,8 @@ class Tensor:
                 for parent, g in zip(node._parents, node._backward(node.grad)):
                     if parent.requires_grad:
                         parent._accumulate(g)
+                if node is not self:
+                    node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

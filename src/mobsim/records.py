@@ -312,8 +312,10 @@ def filter_min_visits(trajectories: Trajectories, min_daily: int = 9) -> Traject
 def split(dataset: Dataset, ratios=(7, 1, 2), seed: int = 0):
     """Shuffle and partition into train/validation/test datasets.
 
-    Part sizes are ``floor(n * ratio / sum)`` for validation and test; the
-    remainder goes to train.  The shuffle is reproducible from ``seed``.
+    Part sizes are ``floor(n * ratio / sum)`` for validation and test,
+    raised to 1 where that is 0 and capped so that train, which takes the
+    remainder, keeps at least 1: no part is ever empty.  The shuffle is
+    reproducible from ``seed``.
     """
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ValueError(f"ratios must be 3 positive numbers, got {ratios}")
@@ -321,8 +323,8 @@ def split(dataset: Dataset, ratios=(7, 1, 2), seed: int = 0):
     if n < len(ratios):
         raise ValueError(f"cannot split {n} trajectories into {len(ratios)} parts")
     total = sum(ratios)
-    n_valid = int(n * ratios[1] // total)
-    n_test = int(n * ratios[2] // total)
+    n_valid = min(max(1, int(n * ratios[1] // total)), n - 2)
+    n_test = min(max(1, int(n * ratios[2] // total)), n - 1 - n_valid)
     n_train = n - n_valid - n_test
     order = stream(seed, "split").permutation(n)
     parts = (order[:n_train], order[n_train:n_train + n_valid], order[n_train + n_valid:])

@@ -53,8 +53,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 0.01
     rollouts: int = 16
-    g_steps: int = 1
-    d_steps: int = 1
     seed: int = 0
     baseline_decay: float = 0.9
     eval_count: int = 0            # trajectories generated per validation pass; 0 = |valid|
@@ -69,8 +67,6 @@ class TrainConfig:
             raise ValueError("lr must be non-negative")
         if self.rollouts < 1:
             raise ValueError("rollouts must be positive")
-        if self.g_steps < 1 or self.d_steps < 1:
-            raise ValueError("g_steps and d_steps must be positive")
         if not 0.0 <= self.baseline_decay < 1.0:
             raise ValueError("baseline_decay must lie in [0, 1)")
         if self.eval_count < 0:
@@ -268,8 +264,8 @@ def policy_gradient_step(gen: Generator, optimizer, batch_ids: np.ndarray,
 
 def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
                       valid: Dataset, config: TrainConfig):
-    """Alternate policy-gradient and discriminator steps, tracking the best
-    validation mean JSD.
+    """Alternate one policy-gradient step and one discriminator step per
+    iteration, tracking the best validation mean JSD.
 
     Returns ``(best_gen_params, best_disc_params, log_lines)``.  With zero
     adversarial epochs the current parameters are returned unchanged.
@@ -295,32 +291,32 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
         g_objective = d_objective = 0.0
         reward_mean = 0.0
         for step in range(per_epoch):
-            for g in range(config.g_steps):
-                tag = f"adv/e{epoch}/s{step}/g{g}"
-                streams = sample_streams(config.seed, f"{tag}/sample")
-                batch, fired = generate_batch(gen, config.batch_size, length, seed_dist,
-                                              streams, record=True)
-                rewards = compute_rewards(gen, disc, batch, config.rollouts,
-                                          config.seed, f"{tag}/reward")
-                mean_r = float(rewards.mean())
-                baseline = (mean_r if baseline is None
-                            else config.baseline_decay * baseline
-                            + (1.0 - config.baseline_decay) * mean_r)
-                g_objective += policy_gradient_step(gen, g_opt, batch, fired, rewards,
-                                                    baseline, rng=dropout_rng)
-                _check_finite(gen.params, f"policy gradient epoch {epoch} step {step}")
-                reward_mean += float(rewards[:, -1].mean())
-            for d in range(config.d_steps):
-                tag = f"adv/e{epoch}/s{step}/d{d}"
-                streams = sample_streams(config.seed, f"{tag}/sample")
-                fake = generate_batch(gen, config.batch_size, length, seed_dist, streams)
-                try:
-                    real = next(real_pool)
-                except StopIteration:
-                    real_pool = _minibatches(len(train_ids), config.batch_size, shuffle_rng)
-                    real = next(real_pool)
-                d_objective += _discriminator_step(disc, d_opt, train_ids[real], fake)
-                _check_finite(disc.params, f"discriminator epoch {epoch} step {step}")
+            # Each iteration takes one generator step (stream segment g0) and
+            # one discriminator step (d0).
+            tag = f"adv/e{epoch}/s{step}"
+            streams = sample_streams(config.seed, f"{tag}/g0/sample")
+            batch, fired = generate_batch(gen, config.batch_size, length, seed_dist,
+                                          streams, record=True)
+            rewards = compute_rewards(gen, disc, batch, config.rollouts,
+                                      config.seed, f"{tag}/g0/reward")
+            mean_r = float(rewards.mean())
+            baseline = (mean_r if baseline is None
+                        else config.baseline_decay * baseline
+                        + (1.0 - config.baseline_decay) * mean_r)
+            g_objective += policy_gradient_step(gen, g_opt, batch, fired, rewards,
+                                                baseline, rng=dropout_rng)
+            _check_finite(gen.params, f"policy gradient epoch {epoch} step {step}")
+            reward_mean += float(rewards[:, -1].mean())
+
+            streams = sample_streams(config.seed, f"{tag}/d0/sample")
+            fake = generate_batch(gen, config.batch_size, length, seed_dist, streams)
+            try:
+                real = next(real_pool)
+            except StopIteration:
+                real_pool = _minibatches(len(train_ids), config.batch_size, shuffle_rng)
+                real = next(real_pool)
+            d_objective += _discriminator_step(disc, d_opt, train_ids[real], fake)
+            _check_finite(disc.params, f"discriminator epoch {epoch} step {step}")
 
         eval_streams = sample_streams(config.seed, f"adv/eval/e{epoch}")
         generated = generate_batch(gen, eval_count, length, seed_dist, eval_streams)
@@ -336,7 +332,7 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
         log.append(
             f"phase=adv epoch={epoch} g_objective={g_objective / per_epoch!r} "
             f"d_loss={d_objective / per_epoch!r} "
-            f"reward={reward_mean / (per_epoch * config.g_steps)!r} "
+            f"reward={reward_mean / per_epoch!r} "
             f"baseline={baseline!r} jsd_mean={score!r} {per_metric} best={marker}"
         )
     return best_gen, best_disc, log

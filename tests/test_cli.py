@@ -556,7 +556,7 @@ PARENT_TRAIN_DEFAULTS = {
     "embed_dim": 32, "hidden_dim": 32, "layers": 1, "heads": 1,
     "channels": ("sdg", "ttg", "stg"), "dropout": 0.6, "beta": 1.0, "dwell": True,
     "epochs": 50, "pretrain_epochs": 10, "d_pretrain_epochs": 3, "batch_size": 32,
-    "lr": 0.01, "rollouts": 16, "g_steps": 1, "d_steps": 1, "seed": 0,
+    "lr": 0.01, "rollouts": 16, "seed": 0,
     "baseline_decay": 0.9, "eval_count": 0, "steps_per_epoch": 0,
 }
 ABLATION_DEFAULTS = {"k": 20, "edge_mode": "weighted"}
@@ -706,6 +706,8 @@ def test_ablation_bad_graph_option_in_config_is_exit_1(pipeline, tmp_path, capsy
     cfg = tmp_path / "abl.cfg"
     for line, message in (("edge_mode=dense", "unknown edge_mode 'dense'"),
                           ("metric=haversine", "field 'metric': unknown config key"),
+                          ("g_steps=2", f"{cfg}:1: field 'g_steps': unknown config key"),
+                          ("d_steps=2", f"{cfg}:1: field 'd_steps': unknown config key"),
                           ("channels=sdg,xyz", "no graph supplied for channels ['xyz']")):
         cfg.write_text(line + "\n")
         assert main(["ablation", "--train", str(data / "train.txt"),

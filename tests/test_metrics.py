@@ -16,6 +16,7 @@ from mobsim.metrics import (
     gyration_radii,
     individual_rank_histogram,
     jsd,
+    sorted_run_starts,
     step_distances,
     step_lengths,
     visit_grid,
@@ -169,7 +170,7 @@ def test_duration_histogram():
 
 
 def test_daily_locations_histogram():
-    h = daily_locations_histogram(np.array([[0, 0, 1], [2, 2, 2]]))
+    h = daily_locations_histogram(sorted_run_starts(np.array([[0, 0, 1], [2, 2, 2]])))
     assert h.tolist() == [0.5, 0.5, 0.0]
 
 
@@ -188,13 +189,13 @@ def test_global_rank_disjoint_vocabularies_score_ln2():
 
 def test_individual_rank_average():
     # Trajectory A: 3:1 split; trajectory B: single location.
-    h = individual_rank_histogram(np.array([[0, 0, 0, 1], [5, 5, 5, 5]]))
+    h = individual_rank_histogram(sorted_run_starts(np.array([[0, 0, 0, 1], [5, 5, 5, 5]])))
     # Profiles (0.75, 0.25) and (1.0, 0.0); mean (0.875, 0.125), already normal.
     assert np.allclose(h, [0.875, 0.125])
 
 
 def test_individual_rank_top_truncates():
-    h = individual_rank_histogram(np.arange(10)[None, :], top=4)
+    h = individual_rank_histogram(sorted_run_starts(np.arange(10)[None, :]), top=4)
     assert len(h) == 4
     assert h.sum() == pytest.approx(1.0)
 

@@ -36,6 +36,28 @@ def test_backward_accumulates_through_shared_node():
     assert x.grad[0] == pytest.approx(5.0)
 
 
+def test_gradient_handed_to_two_parents_is_not_written_in_place():
+    x = _t([1.0, -2.0, 0.5])
+    w = _t([3.0, 0.25, -7.0], requires_grad=False)
+    doubled = nn.add(x, x)            # its backward hands one array to both parents
+    handed = []
+    add_backward = doubled._backward
+
+    def spy(g):
+        handed.append((g, g.copy()))
+        return add_backward(g)
+
+    doubled._backward = spy
+    weighted = nn.mul(doubled, w)
+    root = tsum(weighted)
+    root.backward()
+    (g, before), = handed
+    np.testing.assert_array_equal(g, before)
+    np.testing.assert_array_equal(x.grad, 2.0 * w.values)
+    assert doubled.grad is None and weighted.grad is None      # interior nodes
+    assert root.grad == 1.0
+
+
 def test_grads_accumulate_until_zeroed():
     x = _t([1.0])
     tsum(nn.mul(x, _t([3.0], requires_grad=False))).backward()

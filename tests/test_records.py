@@ -279,6 +279,20 @@ def test_split_sizes_and_partition():
     assert sorted(users) == sorted(ds.trajectories.users.tolist())
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("ratios", [(7, 1, 2), (1, 1, 1000), (1, 1000, 1)])
+def test_split_never_writes_an_empty_part(n, ratios):
+    ds = _dataset(n)
+    parts = records.split(ds, ratios, seed=0)
+    sizes = [len(part) for part in parts]
+    assert min(sizes) >= 1 and sum(sizes) == n
+    if ratios == (7, 1, 2):             # a floor share of 0 becomes 1
+        valid, test = (max(1, n * r // 10) for r in ratios[1:])
+        assert sizes == [n - valid - test, valid, test]
+    users = [user for part in parts for user in part.trajectories.users.tolist()]
+    assert sorted(users) == sorted(ds.trajectories.users.tolist())
+
+
 def test_split_deterministic_and_seed_sensitive():
     ds = _dataset(40)
     a = records.split(ds, seed=5)[0]

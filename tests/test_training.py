@@ -56,7 +56,6 @@ def _sticky_ids(n_locations=8, rows=48, length=24, stay=0.8, seed=0):
     dict(batch_size=0),
     dict(lr=-0.1),
     dict(rollouts=0),
-    dict(g_steps=0),
     dict(baseline_decay=1.0),
     dict(eval_count=-1),
     dict(steps_per_epoch=-1),
