@@ -44,7 +44,6 @@ from mobsim.generator import (  # noqa: E402
     Generator,
     GeneratorConfig,
     generate_batch,
-    sample_streams,
     seed_distribution,
 )
 from mobsim.records import (  # noqa: E402
@@ -138,8 +137,7 @@ def sample(n: int, path: str) -> dict:
     gen, ids, coords = _load(n, path)
     rss_before, faults = _peak_rss_mb(), _minflt()
     start = time.perf_counter()
-    sampled = generate_batch(gen, SAMPLED, SLOTS, seed_distribution(ids, n),
-                             sample_streams(0, "sample"))
+    sampled = generate_batch(gen, SAMPLED, SLOTS, seed_distribution(ids, n), 0, "sample")
     report = {"sample_s": time.perf_counter() - start, "rows": SAMPLED,
               "peak_rss_mb_before": rss_before, "peak_rss_mb": _peak_rss_mb(),
               "minflt": _minflt() - faults}

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__, blas, graphs, metrics, persist, records, synth, training
 from .discriminator import Discriminator
-from .generator import Generator, GeneratorConfig, generate_batch, sample_streams, seed_distribution
+from .generator import Generator, GeneratorConfig, generate_batch, seed_distribution
 from .records import Dataset
 
 
@@ -340,7 +340,6 @@ def cmd_generate(args) -> None:
         channel_graphs = _load_graphs(args.graphs_dir, channels, len(coords), inputs)
         with _rejected(persist.CheckpointError):
             gen, seed_dist = persist.load_generator(args.model, channel_graphs, meta)
-    streams = sample_streams(args.seed, "generate")
     # Sampling holds count x slots int64 ids at once: a size past NumPy's
     # index range, or one the allocator refuses, is the flags' fault.
     too_large = CliValidationError(f"--count {args.count} trajectories of --slots {slots} ids "
@@ -348,7 +347,7 @@ def cmd_generate(args) -> None:
     if args.count * slots > np.iinfo(np.intp).max // 8:
         raise too_large
     try:
-        ids = generate_batch(gen, args.count, slots, seed_dist, streams)
+        ids = generate_batch(gen, args.count, slots, seed_dist, args.seed, "generate")
     except MemoryError:
         raise too_large from None
     os.makedirs(args.out_dir, exist_ok=True)
@@ -423,9 +422,9 @@ def cmd_ablation(args) -> None:
 def _run_variant(config, channel_graphs, train: Dataset, valid: Dataset, test: Dataset):
     gen, _, _ = _fit(config, channel_graphs, train, valid)
     ids = train.trajectories.ids
-    streams = sample_streams(config["seed"], "ablation/final_eval")
     generated = generate_batch(gen, len(test), ids.shape[1],
-                               seed_distribution(ids, train.n_locations), streams)
+                               seed_distribution(ids, train.n_locations), config["seed"],
+                               "ablation/final_eval")
     return metrics.evaluate(test, generated)
 
 

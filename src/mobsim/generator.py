@@ -8,9 +8,10 @@ over all locations and a dwell head whose stay probability is
     sigmoid(h . w + b) * exp(-beta * C)
 
 with C the number of times the current location already appears in the
-prefix (itself included), counted by ``visit_counts``.  Sampling draws the
-dwell Bernoulli first (only once the prefix is longer than one) and falls
-back to the exploration softmax when it does not fire.
+prefix (itself included).  Sampling draws the dwell Bernoulli first (only
+once the prefix is longer than one) and falls back to the exploration
+softmax when it does not fire; ``Generator.sequence_log_prob`` scores what
+it drew, with the same count C.
 
 A teacher-forced pass runs the GRU over the whole id matrix as one tape op,
 ``nn.gru_unroll``, and the heads score the stacked states of every step at
@@ -167,7 +168,7 @@ class Generator:
 
     def stay_probs(self, hidden: Tensor, visits: np.ndarray) -> Tensor:
         """Damped stay probability sigmoid(h . w + b) * exp(-beta * C) per row,
-        with C the row's entry of ``visits`` (see ``visit_counts``)."""
+        with C the row's entry of ``visits``, counted by ``_visit_counts``."""
         return nn.mul(self.dwell_sigmoid(hidden), nn.constant(np.exp(-self.config.beta * visits)))
 
     def zero_hidden(self, batch: int) -> np.ndarray:
@@ -180,6 +181,15 @@ class Generator:
         x = nn.gather_rows(table, batch_ids.T)
         return nn.gru_unroll(x, nn.constant(self.zero_hidden(len(batch_ids))), self.gru)
 
+    def _teacher_forced(self, table: Tensor, batch_ids: np.ndarray):
+        """The shared start of a teacher-forced pass over a (B, L) id matrix,
+        L >= 2: the checked ids, the (L - 1) * B stacked states, step-major,
+        and the exploration cross-entropy of each next location."""
+        batch_ids = check_ids(batch_ids, self.config.n_locations)
+        hidden = nn.reshape(self.unroll(table, batch_ids[:, :-1]), (-1, self.config.hidden_dim))
+        return batch_ids, hidden, nn.cross_entropy(self.explore_logits(hidden),
+                                                   batch_ids[:, 1:].T.ravel())
+
     def sequence_nll(self, table: Tensor, batch_ids: np.ndarray):
         """Teacher-forced losses over a (B, L) id matrix, L >= 2, against the
         location ``table`` of :meth:`embed_locations`.
@@ -190,23 +200,47 @@ class Generator:
         sigmoid against the stay indicator of each step.  The heads score
         the (L - 1) * B stacked states, step-major, at once.
         """
-        batch_ids = check_ids(batch_ids, self.config.n_locations)
-        hidden = nn.reshape(self.unroll(table, batch_ids[:, :-1]), (-1, self.config.hidden_dim))
+        batch_ids, hidden, nll = self._teacher_forced(table, batch_ids)
         nxt, cur = batch_ids[:, 1:].T.ravel(), batch_ids[:, :-1].T.ravel()
-        nll = nn.cross_entropy(self.explore_logits(hidden), nxt)
         bce = nn.binary_cross_entropy(self.dwell_sigmoid(hidden), (nxt == cur).astype(np.float64))
         # The batch mean of per-trajectory sums over L - 1 steps.
         steps = batch_ids.shape[1] - 1
         return nn.mul(nn.tmean(nll), steps), nn.mul(nn.tmean(bce), steps)
 
+    def sequence_log_prob(self, table: Tensor, batch_ids: np.ndarray, fired: np.ndarray,
+                          weights: np.ndarray):
+        """Weighted sum of per-step log probabilities of the realized branches
+        of a (B, L) id matrix, against the location ``table`` of
+        :meth:`embed_locations`: the log-probability REINFORCE differentiates,
+        so it counts the dwell damping's C as :func:`complete_batch` does.
 
-def visit_counts(prefix: np.ndarray) -> np.ndarray:
-    """The C of the dwell damping exp(-beta * C) for each row of a (B, l)
-    prefix: how often its current location, the last column, appears in it."""
-    return _visit_counts(prefix)
+        For the step that produced position l+1: log of the dwell stay
+        probability when the dwell Bernoulli fired, log of the exploration
+        softmax entry of the chosen location otherwise.  ``fired`` and
+        ``weights`` are (B, L-1), one flag and one coefficient per step; returns
+        the batch-mean weighted sum.  The heads score the (L - 1) * B stacked
+        states, step-major, at once.
+        """
+        batch_ids, hidden, explore_nll = self._teacher_forced(table, batch_ids)
+        b, length = batch_ids.shape
+        for name, array in (("fired", fired), ("weights", weights)):
+            if np.shape(array) != (b, length - 1):
+                raise ValueError(f"{name} must be (B, L-1) = {(b, length - 1)}, "
+                                 f"got {np.shape(array)}")
+        explore_lp = nn.neg(explore_nll)
+        visits = np.concatenate([_visit_counts(batch_ids[:, :l + 1]) for l in range(length - 1)])
+        dwell_lp = nn.neg(nn.binary_cross_entropy(self.stay_probs(hidden, visits),
+                                                  np.ones(len(visits))))
+        mask = np.asarray(fired, dtype=np.float64).T.ravel()
+        step_lp = nn.add(nn.mul(dwell_lp, mask), nn.mul(explore_lp, 1.0 - mask))
+        terms = nn.mul(step_lp, np.asarray(weights, dtype=np.float64).T.ravel())
+        # The batch mean of per-trajectory sums over L - 1 steps.
+        return nn.mul(nn.tmean(terms), length - 1)
 
 
 def _visit_counts(prefix: np.ndarray) -> np.ndarray:
+    """The C of the dwell damping exp(-beta * C) for each row of a (B, l)
+    prefix: how often its current location, the last column, appears in it."""
     return (prefix == prefix[:, -1:]).sum(axis=1)
 
 
@@ -215,23 +249,6 @@ def _stay_values(gen: Generator, hidden: np.ndarray, visits: np.ndarray) -> np.n
     so the same values bit for bit."""
     dwell = hidden @ gen.params["dwell/weight"].values + gen.params["dwell/bias"].values
     return sigmoid_values(dwell[:, 0]) * np.exp(-gen.config.beta * visits)
-
-
-@dataclass
-class SampleStreams:
-    """The independent random streams one sampling pass consumes."""
-
-    explore: np.random.Generator
-    dwell: np.random.Generator
-    seed: np.random.Generator
-
-
-def sample_streams(master_seed: int, tag: str) -> SampleStreams:
-    return SampleStreams(
-        explore=stream(master_seed, f"{tag}/explore"),
-        dwell=stream(master_seed, f"{tag}/dwell"),
-        seed=stream(master_seed, f"{tag}/seed"),
-    )
 
 
 def _explore_draw(gen: Generator, hidden: np.ndarray, rows: np.ndarray, uniforms: np.ndarray,
@@ -253,26 +270,28 @@ def _explore_draw(gen: Generator, hidden: np.ndarray, rows: np.ndarray, uniforms
 
 
 def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length: int,
-                   streams: list, hidden: np.ndarray, starts: np.ndarray, record: bool = False):
+                   master_seed: int, tags: list, hidden: np.ndarray, starts: np.ndarray,
+                   record: bool = False):
     """Extend each row of a (B, w) prefix batch, B >= 1, to ``length`` slots
     by sampling from the location ``table`` of :meth:`Generator.embed_locations`.
 
     Rows may join the pass at their own position.  ``starts`` gives each
     row's prefix length, non-decreasing down the batch; the columns of
     ``prefix_ids`` past a row's start are ignored but must hold valid ids.
-    The rows sharing a start form a block, and ``streams`` holds one
-    ``SampleStreams`` per block in order.  At step ``pos`` the active rows
-    are the leading blocks whose start is at most ``pos``.  A block joins
-    with its rows of ``hidden``, the (B, H) GRU state after all but the last
-    column of each row's prefix (zeros for a one-slot prefix).  A joined
-    pass samples what one call per block would, draw for draw.
+    The rows sharing a start form a block, and ``tags`` holds one stream
+    tag per block in order.  At step ``pos`` the active rows are the leading
+    blocks whose start is at most ``pos``.  A block joins with its rows of
+    ``hidden``, the (B, H) GRU state after all but the last column of each
+    row's prefix (zeros for a one-slot prefix).  A joined pass samples what
+    one call per block would, draw for draw.
 
-    Each block consumes its dwell stream only at steps where the dwell branch
-    is active; its exploration stream gives one uniform to every row at every
-    step, so disabling the dwell branch leaves the exploration draws
-    untouched.  Each block draws all its uniforms before the first step,
-    one ``random((steps, rows))`` call per stream, which gives the values
-    that one call per step would.  The rows then run in chunks of
+    A block tagged ``t`` draws from the streams ``t/explore`` and ``t/dwell``
+    of ``master_seed``.  It consumes its dwell stream only at steps where the
+    dwell branch is active; its exploration stream gives one uniform to every
+    row at every step, so disabling the dwell branch leaves the exploration
+    draws untouched.  Each block draws all its uniforms before the first
+    step, one ``random((steps, rows))`` call per stream, which gives the
+    values that one call per step would.  The rows then run in chunks of
     ``chunk_rows(N)``, each chunk taking every step before the next starts,
     so that sampling holds one (chunk, N) logits buffer and no (B, N) array.
     A pass of more than one such chunk, given more than one CPU, runs chunks
@@ -296,20 +315,22 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
                          "non-decreasing down the batch")
     block_starts, block_lo = np.unique(starts, return_index=True)
     block_hi = np.append(block_lo[1:], b)
-    if len(streams) != len(block_starts):
-        raise ValueError(f"{len(block_starts)} blocks of rows need as many streams, "
-                         f"got {len(streams)}")
+    if len(tags) != len(block_starts):
+        raise ValueError(f"{len(block_starts)} blocks of rows need as many stream tags, "
+                         f"got {len(tags)}")
     out = np.empty((b, length), dtype=np.int64)
     out[:, :width] = prefix_ids
     first = starts[0]
     fired = np.zeros((b, length - first), dtype=bool)
     # Row r's uniforms for the step that fills position pos sit at [pos, r].
     explore_u, dwell_u = np.empty((length, b)), np.empty((length, b))
-    for start, lo, hi, s in zip(block_starts, block_lo, block_hi, streams):
-        explore_u[start:, lo:hi] = s.explore.random((length - start, hi - lo))
+    for start, lo, hi, tag in zip(block_starts, block_lo, block_hi, tags):
+        explore_u[start:, lo:hi] = stream(master_seed, f"{tag}/explore").random(
+            (length - start, hi - lo))
         if gen.config.dwell:
             gated = max(start, 2)
-            dwell_u[gated:, lo:hi] = s.dwell.random((length - gated, hi - lo))
+            dwell_u[gated:, lo:hi] = stream(master_seed, f"{tag}/dwell").random(
+                (length - gated, hi - lo))
     n_locations = gen.config.n_locations
     rows = chunk_rows(n_locations)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -363,12 +384,13 @@ def seed_distribution(batch_ids: np.ndarray, n_locations: int) -> np.ndarray:
 
 
 def generate_batch(gen: Generator, count: int, length: int, seed_dist: np.ndarray,
-                   streams: SampleStreams, record: bool = False):
+                   master_seed: int, tag: str, record: bool = False):
     """Sample ``count`` trajectories from scratch, seeding the first slot from
-    the given distribution: one block of one-slot prefixes, each joining the
-    pass from the zero state."""
+    the given distribution with the stream ``tag/seed`` of ``master_seed``:
+    one block of one-slot prefixes with tag ``tag``, each joining the pass
+    from the zero state."""
     with no_grad():
         table = gen.embed_locations()
-    seeds = categorical(np.cumsum(seed_dist), streams.seed.random(count))
-    return complete_batch(gen, table, seeds[:, None], length, [streams],
+    seeds = categorical(np.cumsum(seed_dist), stream(master_seed, f"{tag}/seed").random(count))
+    return complete_batch(gen, table, seeds[:, None], length, master_seed, [tag],
                           gen.zero_hidden(count), np.ones(count, dtype=np.int64), record=record)

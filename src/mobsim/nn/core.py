@@ -13,8 +13,10 @@ A node's first gradient is the array its child's backward returned, taken
 as it is; each later one makes a new sum, so no gradient array is written in
 place and an array one op hands to two parents (``add``, a ``reshape`` view)
 stays intact.  An interior node's ``.grad`` is dropped (set to None) once its
-own backward has run; the root and the leaves keep theirs, and a leaf's
-gradient persists across backward calls until ``zero_grad``.
+own backward has run; the root and the leaves keep theirs.  A leaf's
+gradient persists across backward calls until ``zero_grad``, while an
+interior root's is reset to ones at each call, so a second walk from it
+adds the same gradients to the leaves as the first.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
+        if self._backward is not None:
+            self.grad = None        # each walk starts from ones, not an earlier walk's sum
         self._accumulate(np.ones_like(self.values))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:

@@ -124,10 +124,14 @@ class Dataset:
 def check_ids(ids, n_locations: int, min_slots: int = 2) -> np.ndarray:
     """``ids`` as an int64 (B, T) id matrix with B >= 1, T >= ``min_slots``
     and every id in [0, ``n_locations``); the one check of an in-memory id
-    matrix.  Anything else raises ValueError."""
-    ids = np.asarray(ids, dtype=np.int64)
+    matrix.  Anything else, a float or bool matrix included, raises
+    ValueError."""
+    ids = np.asarray(ids)
     if ids.ndim != 2 or not len(ids) or ids.shape[1] < min_slots:
         raise ValueError(f"need a (B >= 1, T >= {min_slots}) id matrix, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"location ids must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
     if ids.min() < 0 or ids.max() >= n_locations:
         raise ValueError(f"location ids outside [0, {n_locations})")
     return ids

@@ -5,12 +5,12 @@ head's binary cross-entropy against the stay indicator) and then refined
 with REINFORCE: per-step rewards are the discriminator's scores of Monte
 Carlo completions of each prefix, an exponential moving average serves as
 the baseline, and each step's realized branch (dwell Bernoulli when it
-fired, exploration softmax entry otherwise) receives the credit.  The
-completions of several prefix lengths are sampled and scored in one pass,
-each length's rows joining at its own position, so a reward table takes a
-few large passes instead of one small pass per prefix length.  The
-discriminator ascends mean log D(real) + mean log(1 - D(fake)).  Every phase
-steps its parameters with Adam.
+fired, exploration softmax entry otherwise) receives the credit through
+``Generator.sequence_log_prob``.  The completions of several prefix lengths
+are sampled and scored in one pass, each length's rows joining at its own
+position, so a reward table takes a few large passes instead of one small
+pass per prefix length.  The discriminator ascends mean log D(real) + mean
+log(1 - D(fake)).  Every phase steps its parameters with Adam.
 
 Each teacher-forced pass (the pretraining losses, the policy-gradient
 log-probability and the discriminator's scores) runs its GRU over the whole
@@ -27,15 +27,7 @@ import numpy as np
 
 from . import nn
 from .discriminator import Discriminator, d_loss
-from .generator import (
-    Generator,
-    block_rows,
-    complete_batch,
-    generate_batch,
-    sample_streams,
-    seed_distribution,
-    visit_counts,
-)
+from .generator import Generator, block_rows, complete_batch, generate_batch, seed_distribution
 from .metrics import evaluate
 from .records import Dataset, check_ids
 from .rng import stream
@@ -151,8 +143,8 @@ def pretrain_discriminator(disc: Discriminator, gen: Generator, train_ids: np.nd
         loss_sum = 0.0
         batches = 0
         for batch_index in _minibatches(len(train_ids), config.batch_size, shuffle_rng):
-            streams = sample_streams(config.seed, f"pretrain_d/e{epoch}/b{batches}")
-            fake = generate_batch(gen, len(batch_index), length, seed_dist, streams)
+            fake = generate_batch(gen, len(batch_index), length, seed_dist, config.seed,
+                                  f"pretrain_d/e{epoch}/b{batches}")
             loss_sum += _discriminator_step(disc, optimizer, train_ids[batch_index], fake)
             _check_finite(disc.params, f"discriminator pretraining epoch {epoch}")
             batches += 1
@@ -173,6 +165,12 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
     block of rows per length joining at its own position, with as many
     blocks per pass as fit in ``block_rows(N)`` rows; the discriminator steps
     over the same joined rows.
+
+    Column 0 is read only through the mean reward that ``adversarial_train``
+    folds into its baseline: ``policy_gradient_step`` credits columns 1 to
+    L-1.  Yet its rollouts, of the length-1 prefix, are the longest block:
+    L-1 of the L(L-1)/2 positions each rollout row samples (23 of 276 at
+    L=24).
     """
     batch_ids = check_ids(batch_ids, gen.config.n_locations)
     b, length = batch_ids.shape
@@ -197,8 +195,7 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
             prefix = np.tile(np.repeat(batch_ids[:, :lengths[-1]], n_rollouts, axis=0),
                              (len(lengths), 1))
             completed = complete_batch(
-                gen, table, prefix, length,
-                [sample_streams(master_seed, f"{tag}/l{l}") for l in lengths],
+                gen, table, prefix, length, master_seed, [f"{tag}/l{l}" for l in lengths],
                 hidden=np.concatenate([tiled(gen_states[l - 1]) for l in lengths]),
                 starts=np.repeat(lengths, rows))
             # The block of length l joins the discriminator after l columns.
@@ -213,37 +210,6 @@ def compute_rewards(gen: Generator, disc: Discriminator, batch_ids: np.ndarray,
     return rewards
 
 
-def sequence_log_prob(gen: Generator, table: nn.Tensor, batch_ids: np.ndarray,
-                      fired: np.ndarray, weights: np.ndarray):
-    """Weighted sum of per-step log probabilities of the realized branches
-    of a (B, L) id matrix, against the location ``table`` of
-    ``gen.embed_locations``.
-
-    For the step that produced position l+1: log of the dwell stay
-    probability when the dwell Bernoulli fired, log of the exploration
-    softmax entry of the chosen location otherwise.  ``fired`` and
-    ``weights`` are (B, L-1), one flag and one coefficient per step; returns
-    the batch-mean weighted sum.  The heads score the (L - 1) * B stacked
-    states, step-major, at once.
-    """
-    batch_ids = check_ids(batch_ids, gen.config.n_locations)
-    b, length = batch_ids.shape
-    for name, array in (("fired", fired), ("weights", weights)):
-        if np.shape(array) != (b, length - 1):
-            raise ValueError(f"{name} must be (B, L-1) = {(b, length - 1)}, "
-                             f"got {np.shape(array)}")
-    hidden = nn.reshape(gen.unroll(table, batch_ids[:, :-1]), (-1, gen.config.hidden_dim))
-    explore_lp = nn.neg(nn.cross_entropy(gen.explore_logits(hidden), batch_ids[:, 1:].T.ravel()))
-    visits = np.concatenate([visit_counts(batch_ids[:, :l + 1]) for l in range(length - 1)])
-    dwell_lp = nn.neg(nn.binary_cross_entropy(gen.stay_probs(hidden, visits),
-                                              np.ones(len(visits))))
-    mask = np.asarray(fired, dtype=np.float64).T.ravel()
-    step_lp = nn.add(nn.mul(dwell_lp, mask), nn.mul(explore_lp, 1.0 - mask))
-    terms = nn.mul(step_lp, np.asarray(weights, dtype=np.float64).T.ravel())
-    # The batch mean of per-trajectory sums over L - 1 steps.
-    return nn.mul(nn.tmean(terms), length - 1)
-
-
 def policy_gradient_step(gen: Generator, optimizer, batch_ids: np.ndarray,
                          fired: np.ndarray, rewards: np.ndarray, baseline: float,
                          rng) -> float:
@@ -252,10 +218,12 @@ def policy_gradient_step(gen: Generator, optimizer, batch_ids: np.ndarray,
 
     The step that produced position l+1 is credited with the reward of the
     prefix that includes its outcome (column l of the reward table), minus
-    the baseline.  Returns the mean weighted log-probability objective.
+    the baseline, so column 0 credits no step; it enters only the mean
+    reward behind ``baseline``.  Returns the mean weighted log-probability
+    objective.
     """
     weights = rewards[:, 1:] - baseline
-    objective = sequence_log_prob(gen, gen.embed_locations(rng), batch_ids, fired, weights)
+    objective = gen.sequence_log_prob(gen.embed_locations(rng), batch_ids, fired, weights)
     optimizer.zero_grad()
     nn.neg(objective).backward()
     optimizer.step()
@@ -294,9 +262,8 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
             # Each iteration takes one generator step (stream segment g0) and
             # one discriminator step (d0).
             tag = f"adv/e{epoch}/s{step}"
-            streams = sample_streams(config.seed, f"{tag}/g0/sample")
             batch, fired = generate_batch(gen, config.batch_size, length, seed_dist,
-                                          streams, record=True)
+                                          config.seed, f"{tag}/g0/sample", record=True)
             rewards = compute_rewards(gen, disc, batch, config.rollouts,
                                       config.seed, f"{tag}/g0/reward")
             mean_r = float(rewards.mean())
@@ -308,8 +275,8 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
             _check_finite(gen.params, f"policy gradient epoch {epoch} step {step}")
             reward_mean += float(rewards[:, -1].mean())
 
-            streams = sample_streams(config.seed, f"{tag}/d0/sample")
-            fake = generate_batch(gen, config.batch_size, length, seed_dist, streams)
+            fake = generate_batch(gen, config.batch_size, length, seed_dist, config.seed,
+                                  f"{tag}/d0/sample")
             try:
                 real = next(real_pool)
             except StopIteration:
@@ -318,8 +285,8 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
             d_objective += _discriminator_step(disc, d_opt, train_ids[real], fake)
             _check_finite(disc.params, f"discriminator epoch {epoch} step {step}")
 
-        eval_streams = sample_streams(config.seed, f"adv/eval/e{epoch}")
-        generated = generate_batch(gen, eval_count, length, seed_dist, eval_streams)
+        generated = generate_batch(gen, eval_count, length, seed_dist, config.seed,
+                                   f"adv/eval/e{epoch}")
         report = evaluate(valid, generated)
         score = report.mean_jsd
         marker = 0

@@ -312,11 +312,12 @@ def teacher_forced_start(gen, table, prefix_ids):
 
 def compute_rewards_replayed(gen, disc, batch_ids, n_rollouts, master_seed, tag):
     """Monte Carlo rewards with every completion replayed from slot 0: the
-    generator re-runs each tiled prefix and the discriminator scores each
-    whole completed sequence.  The reference for ``training.compute_rewards``,
-    which starts both from cached prefix states."""
+    generator re-runs each tiled prefix, the full-explore sampler below
+    completes it from the streams ``{tag}/l{l}/explore`` and ``/dwell``, and
+    the discriminator scores each whole completed sequence.  The reference
+    for ``training.compute_rewards``, which starts both from cached prefix
+    states and names its streams through ``generator.complete_batch``."""
     from mobsim import nn
-    from mobsim.generator import complete_batch, sample_streams
 
     batch_ids = np.asarray(batch_ids, dtype=np.int64)
     b, length = batch_ids.shape
@@ -324,26 +325,29 @@ def compute_rewards_replayed(gen, disc, batch_ids, n_rollouts, master_seed, tag)
     with nn.no_grad():
         table = gen.embed_locations()
         for l in range(1, length):
-            streams = sample_streams(master_seed, f"{tag}/l{l}")
             tiled = np.repeat(batch_ids[:, :l], n_rollouts, axis=0)
-            completed = complete_batch(gen, table, tiled, length, [streams],
-                                       *teacher_forced_start(gen, table, tiled))
+            hidden, _ = teacher_forced_start(gen, table, tiled)
+            completed = complete_batch_full_explore(gen, table, tiled, length, master_seed,
+                                                    f"{tag}/l{l}", hidden)
             scores = disc.classify(completed).values.reshape(b, n_rollouts)
             rewards[:, l - 1] = scores.mean(axis=1)
         rewards[:, length - 1] = disc.classify(batch_ids).values
     return rewards
 
 
-def complete_batch_full_explore(gen, table, prefix_ids, length, streams, hidden,
+def complete_batch_full_explore(gen, table, prefix_ids, length, master_seed, tag, hidden,
                                 record=False):
     """The sampler with the exploration softmax and draw run on every row at
     every step, a fired dwell gate then overriding the draw, every row
-    starting from all its prefix columns and its row of ``hidden``.  The
-    reference for ``generator.complete_batch``, which draws only for the
-    rows whose gate did not fire."""
+    starting from all its prefix columns and its row of ``hidden``.  It
+    draws one uniform per row and step from the streams ``{tag}/explore``
+    and ``{tag}/dwell`` of ``master_seed``, named here.  The reference for
+    ``generator.complete_batch``, which draws only for the rows whose gate
+    did not fire."""
     from mobsim import nn
-    from mobsim.rng import categorical
 
+    explore = stream(master_seed, f"{tag}/explore")
+    dwell = stream(master_seed, f"{tag}/dwell")
     prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
     b, start = prefix_ids.shape
     out = np.empty((b, length), dtype=np.int64)
@@ -358,8 +362,8 @@ def complete_batch_full_explore(gen, table, prefix_ids, length, streams, hidden,
             if gen.config.dwell and pos > 1:
                 visits = (out[:, :pos] == current[:, None]).sum(axis=1)
                 dwell_y = gen.stay_probs(hidden, visits).values
-                stay = streams.dwell.random(b) < dwell_y
-            drawn = categorical(cdf, streams.explore.random(b))
+                stay = dwell.random(b) < dwell_y
+            drawn = categorical(cdf, explore.random(b))
             chosen = np.where(stay, current, drawn)
             out[:, pos] = chosen
             fired[:, pos - start] = stay

@@ -19,8 +19,7 @@ import pytest
 from mobsim import nn
 from mobsim.cli import main
 from mobsim.discriminator import Discriminator, d_loss
-from mobsim.generator import (Generator, GeneratorConfig, generate_batch,
-                              sample_streams, seed_distribution)
+from mobsim.generator import Generator, GeneratorConfig, generate_batch, seed_distribution
 from mobsim.graphs import (LocationGraph, binarize, build_sdg, build_stg,
                            build_ttg, visit_profile_matrix)
 from mobsim.metrics import evaluate, jsd
@@ -305,8 +304,7 @@ def _planted_generator(planted_data, seed, dwell=True):
 
 
 def _planted_report(planted_data, gen, seed, tag, count=400):
-    ids = generate_batch(gen, count, 24, planted_data["seed_dist"],
-                         sample_streams(seed, tag))
+    ids = generate_batch(gen, count, 24, planted_data["seed_dist"], seed, tag)
     return evaluate(planted_data["test"], ids)
 
 
@@ -474,7 +472,6 @@ def test_criterion_9_ablation_parity(planted, tmp_path):
             pretrain_generator(gen, planted["train_ids"], config)
         for name in gen_w.params.names():
             assert gen_w.params[name].values.tobytes() == gen_v.params[name].values.tobytes()
-        ids_w, ids_v = (generate_batch(gen, 50, 24, planted["seed_dist"],
-                                       sample_streams(11, "accept/parity"))
+        ids_w, ids_v = (generate_batch(gen, 50, 24, planted["seed_dist"], 11, "accept/parity")
                         for gen in (gen_w, gen_v))
         assert np.array_equal(ids_w, ids_v)

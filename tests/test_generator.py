@@ -14,11 +14,11 @@ from mobsim.generator import (
     GeneratorConfig,
     complete_batch,
     generate_batch,
-    sample_streams,
     seed_distribution,
-    visit_counts,
 )
+from mobsim.rng import stream
 from gradcheck import grad_check
+import oracles
 from oracles import complete_batch_full_explore, teacher_forced_start, tsum
 
 
@@ -209,9 +209,9 @@ def test_sequence_nll_gradients():
 # batch completion
 
 
-def _complete(gen, table, prefix, length, streams, record=False):
+def _complete(gen, table, prefix, length, master_seed, tag, record=False):
     """``complete_batch`` of one block, from every column of ``prefix``."""
-    return complete_batch(gen, table, prefix, length, [streams],
+    return complete_batch(gen, table, prefix, length, master_seed, [tag],
                           *teacher_forced_start(gen, table, prefix), record=record)
 
 
@@ -220,7 +220,7 @@ def test_complete_batch_preserves_prefix():
     with nn.no_grad():
         table = gen.embed_locations()
     prefix = np.array([[1, 2, 3], [4, 5, 6]])
-    out = _complete(gen, table, prefix, 10, sample_streams(0, "t"))
+    out = _complete(gen, table, prefix, 10, 0, "t")
     assert out.shape == (2, 10)
     assert np.array_equal(out[:, :3], prefix)
     assert out.min() >= 0 and out.max() < 8
@@ -231,9 +231,9 @@ def test_complete_batch_deterministic():
     with nn.no_grad():
         table = gen.embed_locations()
     prefix = np.array([[0], [7]])
-    a = _complete(gen, table, prefix, 24, sample_streams(5, "t"))
-    b = _complete(gen, table, prefix, 24, sample_streams(5, "t"))
-    c = _complete(gen, table, prefix, 24, sample_streams(6, "t"))
+    a = _complete(gen, table, prefix, 24, 5, "t")
+    b = _complete(gen, table, prefix, 24, 5, "t")
+    c = _complete(gen, table, prefix, 24, 6, "t")
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -244,7 +244,7 @@ def test_fired_flags_mark_repeats():
     with nn.no_grad():
         table = gen.embed_locations()
     prefix = np.zeros((64, 1), dtype=np.int64)
-    out, fired = _complete(gen, table, prefix, 24, sample_streams(9, "t"), record=True)
+    out, fired = _complete(gen, table, prefix, 24, 9, "t", record=True)
     assert fired.shape == (64, 23)
     assert fired.any()
     stays = out[:, 1:] == out[:, :-1]
@@ -263,8 +263,8 @@ def test_disabling_dwell_keeps_exploration_draws():
         t_active = active.embed_locations()
         t_inert = inert.embed_locations()
     prefix = np.array([[2], [6], [1]])
-    a = _complete(active, t_active, prefix, 24, sample_streams(1, "x"))
-    b = _complete(inert, t_inert, prefix, 24, sample_streams(1, "x"))
+    a = _complete(active, t_active, prefix, 24, 1, "x")
+    b = _complete(inert, t_inert, prefix, 24, 1, "x")
     assert np.array_equal(a, b)
 
 
@@ -273,7 +273,7 @@ def test_rollout_returns_prefix_copy_at_full_length():
     with nn.no_grad():
         table = gen.embed_locations()
     prefix = np.array([[3, 1, 4]])
-    out = _complete(gen, table, prefix, 3, sample_streams(0, "r"))
+    out = _complete(gen, table, prefix, 3, 0, "r")
     assert np.array_equal(out, prefix)
     out[0, 0] = 7
     assert prefix[0, 0] == 3                     # caller's array untouched
@@ -283,7 +283,7 @@ def test_rollout_extends():
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
-    out = _complete(gen, table, [[3, 1]], 8, sample_streams(0, "r"))
+    out = _complete(gen, table, [[3, 1]], 8, 0, "r")
     assert out.shape == (1, 8)
     assert out[0, 0] == 3 and out[0, 1] == 1
 
@@ -295,8 +295,8 @@ def test_complete_batch_is_pure():
     prefix = np.array([[1, 4], [6, 6]])
     before = prefix.copy()
     table_before = table.values.copy()
-    a = _complete(gen, table, prefix, 9, sample_streams(2, "p"))
-    b = _complete(gen, table, prefix, 9, sample_streams(2, "p"))
+    a = _complete(gen, table, prefix, 9, 2, "p")
+    b = _complete(gen, table, prefix, 9, 2, "p")
     assert np.array_equal(prefix, before)
     assert np.array_equal(table.values, table_before)
     assert np.array_equal(a, b)
@@ -304,8 +304,7 @@ def test_complete_batch_is_pure():
 
 def test_state_from_prefix_counts_everything(monkeypatch):
     # The damping count C of the first sampled step covers every prefix slot,
-    # the newest one included.  The sampler counts through the private array
-    # helper behind visit_counts.
+    # the newest one included.
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
@@ -317,10 +316,10 @@ def test_state_from_prefix_counts_everything(monkeypatch):
         return count(prefix)
 
     monkeypatch.setattr(generator, "_visit_counts", spy)
-    _complete(gen, table, np.array([[2, 2, 5]]), 4, sample_streams(0, "c"))
+    _complete(gen, table, np.array([[2, 2, 5]]), 4, 0, "c")
     assert_array_equal(seen[0], [[2, 2, 5]])
-    assert visit_counts(seen[0]).tolist() == [1]
-    assert visit_counts(np.array([[5, 2, 2]])).tolist() == [2]
+    assert count(seen[0]).tolist() == [1]
+    assert count(np.array([[5, 2, 2]])).tolist() == [2]
 
 
 def test_next_location_gate():
@@ -328,14 +327,13 @@ def test_next_location_gate():
     gen.params["dwell/bias"].values[:] = 1e9     # certain dwell: the sigmoid is exactly 1
     with nn.no_grad():
         table = gen.embed_locations()
-    streams = sample_streams(0, "gate")
-    out, fired = _complete(gen, table, np.arange(8)[:, None], 6, streams, record=True)
+    out, fired = _complete(gen, table, np.arange(8)[:, None], 6, 0, "gate", record=True)
     # A length-1 prefix keeps the gate closed: the first step explores.
     assert not fired[:, 0].any()
     # Once the prefix is longer, a certain dwell stays at every step.
     assert fired[:, 1:].all()
     assert np.all(out[:, 2:] == out[:, 1:2])
-    out, fired = _complete(gen, table, np.array([[3, 5]]), 5, streams, record=True)
+    out, fired = _complete(gen, table, np.array([[3, 5]]), 5, 0, "gate", record=True)
     assert fired.all() and np.all(out[0, 2:] == 5)
 
 
@@ -365,10 +363,9 @@ def test_complete_batch_matches_full_explore_oracle(gate, start, given_hidden):
     hidden, starts = teacher_forced_start(gen, table, prefix)
     if given_hidden:
         hidden = rng.normal(size=(64, 4))
-    out, fired = complete_batch(gen, table, prefix, 10, [sample_streams(7, "o")], hidden,
-                                starts, record=True)
-    want, want_fired = complete_batch_full_explore(gen, table, prefix, 10,
-                                                   sample_streams(7, "o"), hidden, record=True)
+    out, fired = complete_batch(gen, table, prefix, 10, 7, ["o"], hidden, starts, record=True)
+    want, want_fired = complete_batch_full_explore(gen, table, prefix, 10, 7, "o", hidden,
+                                                   record=True)
     assert_array_equal(out, want)
     assert_array_equal(fired, want_fired)
     live = fired[:, max(0, 2 - start):]          # the gate is live from position 2
@@ -377,9 +374,24 @@ def test_complete_batch_matches_full_explore_oracle(gate, start, given_hidden):
                 "some": 0 < live.mean() < 1}[fires]
 
 
+def _record_streams(monkeypatch, module):
+    """The streams ``module`` builds from now on, by name: the sampler builds
+    its own, so a test reads where a pass left them from here."""
+    built = {}
+
+    def build(master_seed, name):
+        built[name] = stream(master_seed, name)
+        return built[name]
+
+    monkeypatch.setattr(module, "stream", build)
+    return built
+
+
 def _assert_next_draws_equal(got, expected):
-    for kind in ("explore", "dwell", "seed"):
-        assert getattr(got, kind).random() == getattr(expected, kind).random(), kind
+    # Every stream ``got`` holds is left where ``expected`` leaves it.
+    assert got and set(got) <= set(expected)
+    for name, rng in got.items():
+        assert rng.random() == expected[name].random(), name
 
 
 @pytest.mark.parametrize("given_hidden", [False, True], ids=["unrolled", "given_hidden"])
@@ -399,12 +411,12 @@ def test_chunked_pass_matches_full_explore_oracle(monkeypatch, gate, start, give
     hidden, starts = teacher_forced_start(gen, table, prefix)
     if given_hidden:
         hidden = rng.normal(size=(40, 4))
-    want_streams = sample_streams(7, "c")
-    want, want_fired = complete_batch_full_explore(gen, table, prefix, 10, want_streams,
-                                                   hidden, record=True)
+    want_streams = _record_streams(monkeypatch, oracles)
+    want, want_fired = complete_batch_full_explore(gen, table, prefix, 10, 7, "c", hidden,
+                                                   record=True)
     monkeypatch.setattr(generator, "chunk_rows", lambda n: 7)
-    streams = sample_streams(7, "c")
-    out, fired = complete_batch(gen, table, prefix, 10, [streams], hidden, starts, record=True)
+    streams = _record_streams(monkeypatch, generator)
+    out, fired = complete_batch(gen, table, prefix, 10, 7, ["c"], hidden, starts, record=True)
     assert_array_equal(out, want)
     assert_array_equal(fired, want_fired)
     _assert_next_draws_equal(streams, want_streams)
@@ -439,18 +451,18 @@ def test_joined_pass_matches_one_call_per_block(monkeypatch, gate, given_hidden,
             return hidden[lo:hi]
         return teacher_forced_start(gen, table, prefix[lo:hi, :start])[0]
 
-    want_streams = [sample_streams(7, f"o/l{start}") for start in starts]
-    want = [complete_batch(gen, table, prefix[lo:hi, :start], length, [streams],
+    want_streams = _record_streams(monkeypatch, generator)
+    want = [complete_batch(gen, table, prefix[lo:hi, :start], length, 7, [f"o/l{start}"],
                            given(lo, hi, start), np.full(hi - lo, start), record=True)
-            for (lo, hi, start), streams in zip(blocks, want_streams)]
+            for lo, hi, start in blocks]
     if draw_rows:
         monkeypatch.setattr(generator, "chunk_rows", lambda n: draw_rows)
-    joined_streams = [sample_streams(7, f"o/l{start}") for start in starts]
-    out, fired = complete_batch(gen, table, prefix, length, joined_streams,
+    joined_streams = _record_streams(monkeypatch, generator)
+    out, fired = complete_batch(gen, table, prefix, length, 7,
+                                [f"o/l{start}" for start in starts],
                                 np.concatenate([given(*b) for b in blocks]),
                                 np.repeat(starts, sizes), record=True)
-    for got, expected in zip(joined_streams, want_streams):
-        _assert_next_draws_equal(got, expected)
+    _assert_next_draws_equal(joined_streams, want_streams)
     assert fired.shape == (edges[-1], length - 1)
     for (block_out, block_fired), lo, hi, start in zip(want, edges, edges[1:], starts):
         assert_array_equal(out[lo:hi], block_out)
@@ -493,8 +505,9 @@ def test_two_thread_pass_matches_one_thread_pass(monkeypatch, gate):
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             drawing_threads.clear()
-            streams = [sample_streams(7, f"t/l{start}") for start in starts]
-            out, fired = complete_batch(gen, table, prefix, length, streams, hidden,
+            streams = _record_streams(monkeypatch, generator)
+            out, fired = complete_batch(gen, table, prefix, length, 7,
+                                        [f"t/l{start}" for start in starts], hidden,
                                         np.repeat(starts, sizes), record=True)
             passes[cpus] = out, fired, streams
             assert len(drawing_threads) == cpus
@@ -503,8 +516,7 @@ def test_two_thread_pass_matches_one_thread_pass(monkeypatch, gate):
     (want, want_fired, want_streams), (out, fired, streams) = passes[1], passes[2]
     assert_array_equal(out, want)
     assert_array_equal(fired, want_fired)
-    for got, expected in zip(streams, want_streams):
-        _assert_next_draws_equal(got, expected)
+    _assert_next_draws_equal(streams, want_streams)
 
 
 def test_two_thread_pass_runs_blas_on_one_thread(monkeypatch):
@@ -529,27 +541,27 @@ def test_two_thread_pass_runs_blas_on_one_thread(monkeypatch):
     put(2)
     try:
         threads = get()
-        generate_batch(gen, 40, 6, np.full(8, 1 / 8), sample_streams(0, "blas"))
+        generate_batch(gen, 40, 6, np.full(8, 1 / 8), 0, "blas")
         assert seen == {1}
         assert get() == threads
     finally:
         put(before)
 
 
-@pytest.mark.parametrize("starts, n_streams", [
+@pytest.mark.parametrize("starts, n_tags", [
     ([2, 1, 1], 2),                              # not non-decreasing
     ([1, 1, 4], 2),                              # a start past the prefix width
     ([0, 1, 1], 2),                              # an empty prefix
     ([1, 1], 1),                                 # not one start per row
-    ([1, 2, 2], 1),                              # two blocks, one stream
+    ([1, 2, 2], 1),                              # two blocks, one stream tag
 ])
-def test_complete_batch_rejects_bad_starts(starts, n_streams):
+def test_complete_batch_rejects_bad_starts(starts, n_tags):
     gen = _gen()
     with nn.no_grad():
         table = gen.embed_locations()
     with pytest.raises(ValueError):
         complete_batch(gen, table, np.zeros((3, 3), dtype=np.int64), 6,
-                       [sample_streams(0, f"s{i}") for i in range(n_streams)],
+                       0, [f"s{i}" for i in range(n_tags)],
                        gen.zero_hidden(3), np.array(starts))
 
 
@@ -559,7 +571,7 @@ def _sampling_peak(b, n, length, **overrides):
     gen = _gen(n=n, **overrides)
     tracemalloc.start()
     try:
-        generate_batch(gen, b, length, np.full(n, 1 / n), sample_streams(0, "m"))
+        generate_batch(gen, b, length, np.full(n, 1 / n), 0, "m")
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -604,7 +616,7 @@ def test_seed_distribution_counts_first_slots():
 def test_generate_batch_seeds_follow_distribution():
     gen = _zeroed(_gen())                        # uniform dynamics
     seed_dist = np.array([0.5, 0.5, 0, 0, 0, 0, 0, 0])
-    out = generate_batch(gen, 4000, 4, seed_dist, sample_streams(2, "g"))
+    out = generate_batch(gen, 4000, 4, seed_dist, 2, "g")
     counts = np.bincount(out[:, 0], minlength=8)
     assert counts[2:].sum() == 0
     assert abs(counts[0] / 4000 - 0.5) < 0.03
@@ -613,6 +625,6 @@ def test_generate_batch_seeds_follow_distribution():
 def test_generate_batch_deterministic():
     gen = _gen(seed=8)
     seed_dist = np.full(8, 1 / 8)
-    a = generate_batch(gen, 10, 24, seed_dist, sample_streams(4, "g"))
-    b = generate_batch(gen, 10, 24, seed_dist, sample_streams(4, "g"))
+    a = generate_batch(gen, 10, 24, seed_dist, 4, "g")
+    b = generate_batch(gen, 10, 24, seed_dist, 4, "g")
     assert np.array_equal(a, b)

@@ -65,6 +65,18 @@ def test_grads_accumulate_until_zeroed():
     assert x.grad[0] == pytest.approx(7.0)
 
 
+def test_a_second_backward_from_one_root_adds_the_same_gradient():
+    # The root's gradient from the first walk used to seed the second, so
+    # the leaves got 2x the gradient: 1.5 then 4.5 instead of 3.0.
+    x = _t([1.0, 2.0])
+    root = nn.tmean(nn.mul(x, 3.0))
+    root.backward()
+    np.testing.assert_array_equal(x.grad, [1.5, 1.5])
+    root.backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+    assert root.grad == 1.0
+
+
 def test_backward_requires_scalar():
     x = _t([1.0, 2.0])
     with pytest.raises(ValueError):
@@ -514,8 +526,7 @@ def test_sampling_helper_thread_enters_no_public_function(monkeypatch):
 
     threading.setprofile(profile)
     try:
-        generator.generate_batch(gen, 100, 6, np.full(n, 1 / n),
-                                 generator.sample_streams(0, "helper"))
+        generator.generate_batch(gen, 100, 6, np.full(n, 1 / n), 0, "helper")
     finally:
         threading.setprofile(None)
     assert generator._explore_draw.__code__ in entered          # the helper sampled

@@ -3,7 +3,7 @@ import pytest
 
 from mobsim import nn, persist, records
 from mobsim.discriminator import Discriminator
-from mobsim.generator import Generator, GeneratorConfig, generate_batch, sample_streams
+from mobsim.generator import Generator, GeneratorConfig, generate_batch
 
 
 def _gen(small_graphs, **overrides):
@@ -128,6 +128,6 @@ def test_meta_with_the_retired_attn_slope_line_still_loads(tmp_path, small_graph
     (tmp_path / "old.meta").write_text(GEN_META.replace("dwell=1\n", "dwell=1\nattn_slope=0.2\n"))
     loaded, dist = _load_gen(old, small_graphs)
     assert loaded.config == gen.config
-    ids = [generate_batch(model, 40, 12, dist, sample_streams(5, "compat"))
+    ids = [generate_batch(model, 40, 12, dist, 5, "compat")
            for model in (gen, loaded)]
     assert ids[0].tobytes() == ids[1].tobytes()

@@ -7,7 +7,7 @@ import pytest
 
 from mobsim import generator, graphs, nn, synth, training
 from mobsim.discriminator import Discriminator, d_loss
-from mobsim.generator import Generator, GeneratorConfig, generate_batch, sample_streams
+from mobsim.generator import Generator, GeneratorConfig, generate_batch
 from mobsim.training import (
     TrainConfig,
     TrainingDiverged,
@@ -17,7 +17,6 @@ from mobsim.training import (
     policy_gradient_step,
     pretrain_discriminator,
     pretrain_generator,
-    sequence_log_prob,
 )
 from oracles import compute_rewards_replayed
 
@@ -193,7 +192,7 @@ class _CountingDisc:
 def test_compute_rewards_shape_range_and_final_column():
     gen = _gen(seed=4)
     disc = _disc(seed=4)
-    batch = generate_batch(gen, 6, 10, np.full(8, 1 / 8), sample_streams(0, "s"))
+    batch = generate_batch(gen, 6, 10, np.full(8, 1 / 8), 0, "s")
     rewards = compute_rewards(gen, disc, batch, n_rollouts=3, master_seed=0, tag="r")
     assert rewards.shape == (6, 10)
     assert np.all((rewards >= 0.0) & (rewards <= 1.0))
@@ -205,7 +204,7 @@ def test_compute_rewards_shape_range_and_final_column():
 def test_compute_rewards_is_deterministic():
     gen = _gen(seed=5)
     disc = _disc(seed=5)
-    batch = generate_batch(gen, 4, 8, np.full(8, 1 / 8), sample_streams(1, "s"))
+    batch = generate_batch(gen, 4, 8, np.full(8, 1 / 8), 1, "s")
     a = compute_rewards(gen, disc, batch, 4, master_seed=2, tag="r")
     b = compute_rewards(gen, disc, batch, 4, master_seed=2, tag="r")
     c = compute_rewards(gen, disc, batch, 4, master_seed=3, tag="r")
@@ -237,7 +236,7 @@ def test_compute_rewards_matches_replayed_rollouts(small_graphs, dwell, length, 
     gen = Generator(GeneratorConfig(n_locations=16, embed_dim=8, hidden_dim=8,
                                     dwell=dwell), small_graphs, seed=3)
     disc = Discriminator(n_locations=16, embed_dim=8, hidden_dim=8, seed=3)
-    batch = generate_batch(gen, 5, length, np.full(16, 1 / 16), sample_streams(0, "s"))
+    batch = generate_batch(gen, 5, length, np.full(16, 1 / 16), 0, "s")
     cached = compute_rewards(gen, disc, batch, rollouts, master_seed=1, tag="r")
     replayed = compute_rewards_replayed(gen, disc, batch, rollouts, 1, "r")
     np.testing.assert_array_equal(cached, replayed)
@@ -251,7 +250,7 @@ def test_compute_rewards_does_not_depend_on_the_pass_size(small_graphs, monkeypa
     gen = Generator(GeneratorConfig(n_locations=16, embed_dim=8, hidden_dim=8), small_graphs,
                     seed=3)
     disc = _disc(n=16)
-    batch = generate_batch(gen, 5, 24, np.full(16, 1 / 16), sample_streams(0, "s"))
+    batch = generate_batch(gen, 5, 24, np.full(16, 1 / 16), 0, "s")
     stacked = compute_rewards(gen, disc, batch, 4, master_seed=1, tag="r")
     monkeypatch.setattr(generator, "_BLOCK_BYTES", 8 * 16 * 5 * 4 * blocks_per_pass)
     assert generator.block_rows(16) // 20 == blocks_per_pass
@@ -264,7 +263,7 @@ def test_compute_rewards_holds_a_bounded_pass():
     # 8 MB here; passes capped at block_rows(N) rows stay under 3 MB.
     gen = _gen(n=100)
     disc = _disc(n=100)
-    batch = generate_batch(gen, 32, 24, np.full(100, 1 / 100), sample_streams(0, "s"))
+    batch = generate_batch(gen, 32, 24, np.full(100, 1 / 100), 0, "s")
     tracemalloc.start()
     try:
         compute_rewards(gen, disc, batch, 4, master_seed=0, tag="r")
@@ -305,7 +304,7 @@ def test_bandit_gradient_matches_per_sample_formula():
     baseline = 0.37
     weights = (reward_of[actions] - baseline)[:, None]
 
-    objective = sequence_log_prob(gen, gen.embed_locations(), batch, fired, weights)
+    objective = gen.sequence_log_prob(gen.embed_locations(), batch, fired, weights)
     gen.params.zero_grad()
     objective.backward()
     got = gen.params["explore/bias"].grad
@@ -331,12 +330,11 @@ def test_bandit_estimator_is_unbiased_within_three_se():
     grad_sum = np.zeros(2)
     sq_sum = np.zeros(2)
     for i in range(total // chunk):
-        batch = generate_batch(gen, chunk, 2, np.array([1.0, 0.0]),
-                               sample_streams(i, "bandit"))
+        batch = generate_batch(gen, chunk, 2, np.array([1.0, 0.0]), i, "bandit")
         actions = batch[:, 1]
         weights = (reward_of[actions] - baseline)[:, None]
         fired = np.zeros((chunk, 1), dtype=bool)
-        objective = sequence_log_prob(gen, gen.embed_locations(), batch, fired, weights)
+        objective = gen.sequence_log_prob(gen.embed_locations(), batch, fired, weights)
         gen.params.zero_grad()
         objective.backward()
         grad_sum += gen.params["explore/bias"].grad * chunk
@@ -355,8 +353,7 @@ def test_bandit_estimator_is_unbiased_within_three_se():
 def test_policy_step_with_equal_rewards_and_matching_baseline_is_noop():
     gen = _gen(seed=8)
     before = gen.params.copy()
-    batch = generate_batch(gen, 6, 6, np.full(8, 1 / 8),
-                           sample_streams(0, "s"), record=True)
+    batch = generate_batch(gen, 6, 6, np.full(8, 1 / 8), 0, "s", record=True)
     ids, fired = batch
     rewards = np.full((6, 6), 0.5)
     opt = nn.Adam(gen.params, lr=0.5)
@@ -368,8 +365,7 @@ def test_policy_step_with_equal_rewards_and_matching_baseline_is_noop():
 def test_policy_step_zero_lr_is_noop():
     gen = _gen(seed=9)
     before = gen.params.copy()
-    ids, fired = generate_batch(gen, 4, 6, np.full(8, 1 / 8),
-                                sample_streams(1, "s"), record=True)
+    ids, fired = generate_batch(gen, 4, 6, np.full(8, 1 / 8), 1, "s", record=True)
     rewards = np.random.default_rng(0).random((4, 6))
     opt = nn.Adam(gen.params, lr=0.0)
     policy_gradient_step(gen, opt, ids, fired, rewards, 0.0, np.random.default_rng(0))
@@ -385,14 +381,14 @@ def test_dwell_credit_goes_to_dwell_branch():
     weights = np.array([[1.0, 1.0]])
 
     fired_dwell = np.array([[False, True]])
-    objective = sequence_log_prob(gen, gen.embed_locations(), batch, fired_dwell, weights)
+    objective = gen.sequence_log_prob(gen.embed_locations(), batch, fired_dwell, weights)
     gen.params.zero_grad()
     objective.backward()
     dwell_grad = np.abs(gen.params["dwell/weight"].grad).sum()
     assert dwell_grad > 0.0
 
     fired_none = np.array([[False, False]])
-    objective = sequence_log_prob(gen, gen.embed_locations(), batch, fired_none, weights)
+    objective = gen.sequence_log_prob(gen.embed_locations(), batch, fired_none, weights)
     gen.params.zero_grad()
     objective.backward()
     assert np.abs(gen.params["dwell/weight"].grad).sum() == 0.0
@@ -403,11 +399,10 @@ def test_log_prob_without_dwell_equals_negative_nll():
     # With no dwell step fired and unit weights the policy objective is the
     # teacher-forced explore log-likelihood: both losses share one unroll.
     gen = _gen(seed=13)
-    ids, _ = generate_batch(gen, 5, 7, np.full(8, 1 / 8), sample_streams(3, "a"),
-                            record=True)
+    ids, _ = generate_batch(gen, 5, 7, np.full(8, 1 / 8), 3, "a", record=True)
     fired = np.zeros((5, 6), dtype=bool)
     table = gen.embed_locations()
-    objective = sequence_log_prob(gen, table, ids, fired, np.ones((5, 6)))
+    objective = gen.sequence_log_prob(table, ids, fired, np.ones((5, 6)))
     nll, _ = gen.sequence_nll(table, ids)
     np.testing.assert_array_equal(-objective.values, nll.values)
 
@@ -415,19 +410,19 @@ def test_log_prob_without_dwell_equals_negative_nll():
 def test_log_prob_damping_counts_every_prefix_slot(monkeypatch):
     # Step l is damped by the count of its current location over slots 0..l,
     # counted by the function the sampler uses.
-    assert training.visit_counts is generator.visit_counts
     gen = _gen(seed=14)
     ids = np.array([[2, 2, 5, 2]])
     seen = []
+    count = generator._visit_counts
 
     def spy(prefix):
-        counts = generator.visit_counts(prefix)
+        counts = count(prefix)
         seen.extend(counts.tolist())
         return counts
 
-    monkeypatch.setattr(training, "visit_counts", spy)
-    sequence_log_prob(gen, gen.embed_locations(), ids, np.zeros((1, 3), dtype=bool),
-                      np.ones((1, 3)))
+    monkeypatch.setattr(generator, "_visit_counts", spy)
+    gen.sequence_log_prob(gen.embed_locations(), ids, np.zeros((1, 3), dtype=bool),
+                          np.ones((1, 3)))
     assert seen == [1, 2, 1]
 
 
@@ -440,7 +435,7 @@ def test_log_prob_rejects_a_per_step_matrix_of_the_wrong_shape(name, shape):
     args = {"fired": np.zeros((2, 3), dtype=bool), "weights": np.ones((2, 3))}
     args[name] = np.ones(shape, dtype=args[name].dtype)
     with pytest.raises(ValueError, match=name):
-        sequence_log_prob(gen, gen.embed_locations(), ids, **args)
+        gen.sequence_log_prob(gen.embed_locations(), ids, **args)
 
 
 def _tape_nodes(root):
@@ -464,8 +459,8 @@ def test_teacher_forced_tapes_do_not_grow_with_the_length():
         ids = rng.integers(0, 8, size=(6, length))
         table = gen.embed_locations()
         nll, bce = gen.sequence_nll(table, ids)
-        log_prob = sequence_log_prob(gen, table, ids, rng.random((6, length - 1)) < 0.5,
-                                     np.ones((6, length - 1)))
+        log_prob = gen.sequence_log_prob(table, ids, rng.random((6, length - 1)) < 0.5,
+                                         np.ones((6, length - 1)))
         nodes[length] = (_tape_nodes(nn.add(nll, bce)), _tape_nodes(log_prob),
                          _tape_nodes(d_loss(disc, ids, ids[::-1])))
     assert nodes[4] == nodes[24]
