@@ -5,7 +5,8 @@ Commands: ``preprocess``, ``synth``, ``build-graphs``, ``pretrain``,
 its outputs under ``--out-dir`` together with a ``manifest.json`` recording
 its parsed flags with the options resolved (the master seed among them),
 tool versions, and SHA-256 digests of the inputs, so a run is reproducible
-from its manifest alone.
+from its manifest alone.  ``pretrain`` fits the generator alone; ``train``
+and ``ablation`` add the adversarial phase, which fits the discriminator.
 
 The options of ``synth``, ``build-graphs``, ``pretrain``, ``train`` and
 ``ablation`` are the fields of their config dataclasses, each resolved as:
@@ -32,13 +33,12 @@ import sys
 import numpy as np
 
 from . import __version__, blas, graphs, metrics, persist, records, synth, training
-from .discriminator import Discriminator
 from .generator import Generator, GeneratorConfig, generate_batch, seed_distribution
 from .records import Dataset
 
 
-# The configs whose options pretrain and train take; the discriminator takes
-# the generator's dims.
+# The configs whose options pretrain and train take; the discriminator that
+# train fits takes the generator's dims.
 MODEL_CONFIGS = (GeneratorConfig, training.TrainConfig)
 
 
@@ -278,24 +278,18 @@ def _load_graphs(graphs_dir, channels, n, inputs: list) -> dict:
 
 
 def _fit(config, channel_graphs, train: Dataset, valid: Dataset | None):
-    """The generator and discriminator of the resolved options and their
-    training log: pretrained on ``train`` and, given ``valid``, trained
-    adversarially with the best checkpoint kept."""
-    n = train.n_locations
+    """The generator of the resolved options, pretrained on ``train``; given
+    ``valid``, trained adversarially with the best checkpoint kept.  Returns
+    it with the discriminator (None without ``valid``) and the log."""
     with _rejected():
-        gen = Generator(_make_config(GeneratorConfig, config, n_locations=n), channel_graphs,
-                        seed=config["seed"])
-    disc = Discriminator(n, gen.config.embed_dim, gen.config.hidden_dim, seed=config["seed"])
+        gen = Generator(_make_config(GeneratorConfig, config, n_locations=train.n_locations),
+                        channel_graphs, seed=config["seed"])
     tc = _make_config(training.TrainConfig, config)
-    ids = train.trajectories.ids
-    log = training.pretrain_generator(gen, ids, tc)
-    log += training.pretrain_discriminator(disc, gen, ids, tc)
-    if valid is not None:
-        best_gen, best_disc, adv_log = training.adversarial_train(gen, disc, train, valid, tc)
-        gen.params.load_values(best_gen)
-        disc.params.load_values(best_disc)
-        log += adv_log
-    return gen, disc, log
+    log = training.pretrain_generator(gen, train.trajectories.ids, tc)
+    if valid is None:
+        return gen, None, log
+    disc, adv_log = training.adversarial_train(gen, train, valid, tc)
+    return gen, disc, log + adv_log
 
 
 def cmd_train(args) -> None:
@@ -314,7 +308,8 @@ def cmd_train(args) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     persist.save_generator(os.path.join(args.out_dir, "gen"), gen,
                            seed_distribution(ids, len(coords)), ids.shape[1])
-    persist.save_discriminator(os.path.join(args.out_dir, "disc"), disc)
+    if disc is not None:
+        persist.save_discriminator(os.path.join(args.out_dir, "disc"), disc)
     with open(os.path.join(args.out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(log) + "\n")
     write_manifest(args, config, inputs)

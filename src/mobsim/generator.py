@@ -93,6 +93,8 @@ class GeneratorConfig:
             raise ConfigError("hidden_dim", "hidden_dim must be positive")
         if not self.channels:
             raise ConfigError("channels", "at least one graph channel is required")
+        if len(set(self.channels)) < len(self.channels):
+            raise ConfigError("channels", f"channels must be distinct, got {self.channels}")
         if self.layers not in _ALLOWED_LAYERS:
             raise ConfigError("layers", f"layers must be one of {_ALLOWED_LAYERS}")
         if self.heads not in _ALLOWED_HEADS:

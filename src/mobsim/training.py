@@ -9,8 +9,9 @@ fired, exploration softmax entry otherwise) receives the credit through
 ``Generator.sequence_log_prob``.  The completions of several prefix lengths
 are sampled and scored in one pass, each length's rows joining at its own
 position, so a reward table takes a few large passes instead of one small
-pass per prefix length.  The discriminator ascends mean log D(real) + mean
-log(1 - D(fake)).  Every phase steps its parameters with Adam.
+pass per prefix length.  The discriminator lives only in ``adversarial_train``,
+which sizes it by the generator, fits it and returns it; it ascends
+mean log D(real) + mean log(1 - D(fake)).  Every phase steps with Adam.
 
 Each teacher-forced pass (the pretraining losses, the policy-gradient
 log-probability and the discriminator's scores) runs its GRU over the whole
@@ -230,15 +231,15 @@ def policy_gradient_step(gen: Generator, optimizer, batch_ids: np.ndarray,
     return objective.item()
 
 
-def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
-                      valid: Dataset, config: TrainConfig):
-    """Alternate one policy-gradient step and one discriminator step per
-    iteration, tracking the best validation mean JSD.
-
-    Returns ``(best_gen_params, best_disc_params, log_lines)``.  With zero
-    adversarial epochs the current parameters are returned unchanged.
-    """
+def adversarial_train(gen: Generator, train: Dataset, valid: Dataset, config: TrainConfig):
+    """Fit a discriminator sized by ``gen``, then alternate one policy-gradient
+    step and one discriminator step per iteration.  Both end with the
+    parameters of the epoch of best validation mean JSD (``gen`` unchanged
+    after zero epochs).  Returns ``(discriminator, log_lines)``."""
+    disc = Discriminator(gen.config.n_locations, gen.config.embed_dim, gen.config.hidden_dim,
+                         seed=config.seed)
     train_ids = train.trajectories.ids
+    log = pretrain_discriminator(disc, gen, train_ids, config)
     length = train_ids.shape[1]
     seed_dist = seed_distribution(train_ids, gen.config.n_locations)
     eval_count = config.eval_count or len(valid)
@@ -252,7 +253,6 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
     best_disc = disc.params.copy()
     best_score = math.inf
     baseline = None                 # the EMA of the mean reward, from the first batch on
-    log = []
 
     real_pool = iter(())
     for epoch in range(1, config.epochs + 1):
@@ -302,4 +302,6 @@ def adversarial_train(gen: Generator, disc: Discriminator, train: Dataset,
             f"reward={reward_mean / per_epoch!r} "
             f"baseline={baseline!r} jsd_mean={score!r} {per_metric} best={marker}"
         )
-    return best_gen, best_disc, log
+    gen.params.load_values(best_gen)
+    disc.params.load_values(best_disc)
+    return disc, log

@@ -25,8 +25,7 @@ from mobsim.graphs import (LocationGraph, binarize, build_sdg, build_stg,
 from mobsim.metrics import evaluate, jsd
 from mobsim.records import split, write_locations, write_observed, write_trajectories
 from mobsim.synth import SynthConfig, synth_generate
-from mobsim.training import (TrainConfig, adversarial_train, mean_nll,
-                             pretrain_discriminator, pretrain_generator)
+from mobsim.training import TrainConfig, adversarial_train, mean_nll, pretrain_generator
 from oracles import exp, leakyrelu, log, relu, softmax, tanh
 
 from gradcheck import grad_check
@@ -348,11 +347,7 @@ def test_criterion_7_learning_signal(planted):
                 f"seed {seed}: pretraining cut NLL only "
                 f"{(nll_start - nll_end) / nll_start:.1%}")
 
-            disc = Discriminator(100, embed_dim=16, hidden_dim=16, seed=seed)
-            pretrain_discriminator(disc, gen, planted["train_ids"], config)
-            best_gen, _, _ = adversarial_train(gen, disc, planted["train"],
-                                               planted["valid"], config)
-            gen.params.load_values(best_gen)
+            adversarial_train(gen, planted["train"], planted["valid"], config)
             jsd_best = _planted_report(planted, gen, seed, "accept/adv", count=300).mean_jsd
             wins += jsd_best < jsd_init
         assert wins >= 4, f"adversarial checkpoint won only {wins}/5 seeds"

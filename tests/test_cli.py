@@ -10,8 +10,9 @@ import types
 import numpy as np
 import pytest
 
-from mobsim import blas, cli
+from mobsim import blas, cli, persist
 from mobsim.cli import CliValidationError, build_parser, main, resolve_config
+from mobsim.discriminator import Discriminator
 
 
 def _read(path):
@@ -184,13 +185,34 @@ def test_build_graphs_bad_k_is_exit_1(pipeline, tmp_path):
 
 
 def test_pretrain_saves_models_and_log(pipeline):
+    # Only the adversarial phase fits a discriminator, so pretrain saves none.
     model = pipeline / "model"
-    for name in ("gen.ckpt", "gen.meta", "disc.ckpt", "disc.meta",
-                 "train_log.txt", "manifest.json"):
+    for name in ("gen.ckpt", "gen.meta", "train_log.txt", "manifest.json"):
         assert (model / name).exists()
+    assert not list(model.glob("disc.*"))
     log = (model / "train_log.txt").read_text()
     assert "phase=pretrain_g epoch=0" in log
-    assert "phase=pretrain_d epoch=1" in log
+    assert "phase=pretrain_d" not in log
+
+
+def test_pretrain_never_builds_a_discriminator(pipeline, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pretrain built a discriminator")
+
+    monkeypatch.setattr(Discriminator, "__init__", refuse)
+    assert main(_pretrain_args(pipeline, tmp_path) + ["--d-pretrain-epochs", "2"]) == 0
+    assert (tmp_path / "gen.ckpt").exists()
+
+
+def test_train_without_epochs_saves_the_pretrained_generator(pipeline, tmp_path):
+    # Fitting the discriminator never touches the generator.
+    flags = ["--epochs", "0", "--d-pretrain-epochs", "2", "--dropout", "0.3"]
+    assert main(_pretrain_args(pipeline, tmp_path / "pre") + flags) == 0
+    assert main(["train", "--valid", str(pipeline / "data" / "valid.txt"),
+                 *_pretrain_args(pipeline, tmp_path / "adv")[1:], *flags]) == 0
+    for name in ("gen.ckpt", "gen.meta"):
+        assert _read(tmp_path / "adv" / name) == _read(tmp_path / "pre" / name)
+    assert (tmp_path / "adv" / "disc.ckpt").exists()
 
 
 def test_generate_is_byte_deterministic(pipeline, tmp_path):
@@ -505,9 +527,10 @@ def test_duplicate_graph_edge_is_exit_1(pipeline, tmp_path, capsys, command):
     ({"hidden_dim": "hidden_dim=0"}, "hidden_dim"),
     ({"n_locations": "n_locations=13",
       "seed_distribution": "seed_distribution=1.0" + ",0.0" * 12}, "n_locations"),
+    ({"channels": "channels=sdg,sdg"}, "channels"),
 ], ids=["bad_int", "missing_field", "short_seed_distribution", "negative_seed_probability",
         "nan_seed_probability", "no_equals_sign", "unsupported_heads", "zero_hidden_dim",
-        "n_locations_not_the_locations_file"])
+        "n_locations_not_the_locations_file", "repeated_channel"])
 def test_generate_bad_meta_is_exit_1(pipeline, tmp_path, capsys, edits, field):
     # Each edit replaces the line of its key (None drops it); the error names
     # the line of the first edited key.
@@ -527,9 +550,13 @@ def test_generate_bad_meta_is_exit_1(pipeline, tmp_path, capsys, edits, field):
 @pytest.mark.parametrize("ckpt", ["truncated", "discriminator", "appended_byte"])
 def test_generate_bad_checkpoint_is_exit_1(pipeline, tmp_path, capsys, ckpt):
     model = pipeline / "model"
-    data = {"truncated": _read(model / "gen.ckpt")[:100],
-            "discriminator": _read(model / "disc.ckpt"),
-            "appended_byte": _read(model / "gen.ckpt") + b"\0"}[ckpt]
+    if ckpt == "discriminator":
+        # A checkpoint of the other model, sized like the pipeline's generator.
+        persist.save_discriminator(str(tmp_path / "disc"), Discriminator(12, 6, 6))
+        data = _read(tmp_path / "disc.ckpt")
+    else:
+        data = {"truncated": _read(model / "gen.ckpt")[:100],
+                "appended_byte": _read(model / "gen.ckpt") + b"\0"}[ckpt]
     meta = (model / "gen.meta").read_text().splitlines()
     assert _generate_from(pipeline, tmp_path, meta, data) == 1
     assert f"{tmp_path / 'gen.ckpt'}: " in capsys.readouterr().err
@@ -646,8 +673,9 @@ def _pretrain_args(pipeline, out):
     (["--dwell", "2"], "argument --dwell: not a bool: '2'"),
     (["--heads", "x"], "argument --heads: not an integer: 'x'"),
     (["--channels", "sdg,"], "argument --channels: an empty item in 'sdg,'"),
+    (["--channels", "sdg,sdg"], "channels must be distinct"),
 ], ids=["lr_nan", "lr_inf", "beta_nan", "baseline_decay_minus_inf", "dwell_2", "heads_x",
-        "channels_empty_item"])
+        "channels_empty_item", "channels_repeated"])
 def test_bad_model_flag_is_exit_1_naming_it(pipeline, tmp_path, capsys, extra, message):
     assert main(_pretrain_args(pipeline, tmp_path / "m") + extra) == 1
     assert message in capsys.readouterr().err

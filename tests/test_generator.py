@@ -57,6 +57,7 @@ def _zeroed(gen):
     dict(n_locations=1),
     dict(embed_dim=0),
     dict(hidden_dim=0),
+    dict(channels=("sdg", "ttg", "sdg")),
 ])
 def test_config_rejects(kwargs):
     base = dict(n_locations=8, embed_dim=4, hidden_dim=4)

@@ -154,9 +154,11 @@ def test_previous_step_tape_is_freed_before_the_next_forward(monkeypatch, loop):
                                    TrainConfig(d_pretrain_epochs=1, batch_size=16))
         else:
             train, valid, _ = _tiny_datasets()
-            adversarial_train(gen, disc, train, valid,
-                              TrainConfig(epochs=1, batch_size=8, rollouts=2, eval_count=4,
-                                          steps_per_epoch=3))
+            # No discriminator pretraining, so the three watched calls are
+            # the adversarial steps'.
+            adversarial_train(gen, train, valid,
+                              TrainConfig(epochs=1, d_pretrain_epochs=0, batch_size=8,
+                                          rollouts=2, eval_count=4, steps_per_epoch=3))
     finally:
         gc.enable()
     assert len(alive) == 3
@@ -480,29 +482,30 @@ def _tiny_datasets(seed=12):
 def test_adversarial_zero_epochs_returns_current_params():
     train, valid, _ = _tiny_datasets()
     gen = _gen(seed=13)
-    disc = _disc(seed=13)
-    config = TrainConfig(epochs=0, seed=0)
-    best_gen, best_disc, log = adversarial_train(gen, disc, train, valid, config)
-    assert log == []
+    start = gen.params.copy()
+    config = TrainConfig(epochs=0, d_pretrain_epochs=2, seed=0)
+    disc, log = adversarial_train(gen, train, valid, config)
+    assert [line.split()[:2] for line in log] == [["phase=pretrain_d", "epoch=1"],
+                                                  ["phase=pretrain_d", "epoch=2"]]
     for name, tensor in gen.params.items():
-        assert np.array_equal(best_gen[name].values, tensor.values)
-    for name, tensor in disc.params.items():
-        assert np.array_equal(best_disc[name].values, tensor.values)
+        assert np.array_equal(start[name].values, tensor.values)
+    # Sized by the generator it judges.
+    assert (disc.n_locations, disc.embed_dim, disc.hidden_dim) == (8, 4, 4)
 
 
 def test_adversarial_epoch_runs_and_logs():
     train, valid, _ = _tiny_datasets()
     gen = _gen(seed=14)
-    disc = _disc(seed=14)
-    config = TrainConfig(epochs=2, batch_size=8, rollouts=2, eval_count=4,
-                         steps_per_epoch=2, lr=0.005, seed=3)
-    best_gen, best_disc, log = adversarial_train(gen, disc, train, valid, config)
-    assert len(log) == 2
-    for line in log:
+    config = TrainConfig(epochs=2, d_pretrain_epochs=1, batch_size=8, rollouts=2,
+                         eval_count=4, steps_per_epoch=2, lr=0.005, seed=3)
+    disc, log = adversarial_train(gen, train, valid, config)
+    assert len(log) == 3
+    assert log[0].startswith("phase=pretrain_d epoch=1 ")
+    for line in log[1:]:
         assert "jsd_mean=" in line and "reward=" in line and "best=" in line
-    assert "best=1" in log[0]                     # first epoch always improves on inf
-    gen.params.load_values(best_gen)              # loadable snapshot
+    assert "best=1" in log[1]                     # first epoch always improves on inf
     assert gen.params.first_nonfinite() is None
+    assert disc.params.first_nonfinite() is None
 
 
 def test_adversarial_is_deterministic():
@@ -510,11 +513,10 @@ def test_adversarial_is_deterministic():
     for _ in range(2):
         train, valid, _ = _tiny_datasets(seed=20)
         gen = _gen(seed=21)
-        disc = _disc(seed=21)
-        config = TrainConfig(epochs=1, batch_size=8, rollouts=2, eval_count=4,
-                             steps_per_epoch=2, lr=0.005, seed=4)
-        best_gen, _, log = adversarial_train(gen, disc, train, valid, config)
-        results.append((log, {name: t.values.copy() for name, t in best_gen.items()}))
+        config = TrainConfig(epochs=1, d_pretrain_epochs=1, batch_size=8, rollouts=2,
+                             eval_count=4, steps_per_epoch=2, lr=0.005, seed=4)
+        _, log = adversarial_train(gen, train, valid, config)
+        results.append((log, {name: t.values.copy() for name, t in gen.params.items()}))
     assert results[0][0] == results[1][0]
     for name in results[0][1]:
         assert np.array_equal(results[0][1][name], results[1][1][name])
