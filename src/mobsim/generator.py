@@ -11,15 +11,18 @@ with C the number of times the current location already appears in the
 prefix (itself included).  Sampling draws the dwell Bernoulli first (only
 once the prefix is longer than one) and falls back to the exploration
 softmax when it does not fire; ``Generator.sequence_log_prob`` scores what
-it drew, with the same count C.
+it drew, with the same count C.  The exploration draw never normalises a
+row: it passes the exponentials of the logits less their row maximum to
+``rng.categorical``, which scales each uniform by the row's total and
+cumsums only the block of columns that holds it.
 
 A teacher-forced pass runs the GRU over the whole id matrix as one tape op,
 ``nn.gru_unroll``, and the heads score the stacked states of every step at
 once, so its tape has the same few nodes whatever the sequence length.  The
 sampler takes one GRU step per position on plain arrays, recording nothing.
 A large sampling pass runs its row chunks on two threads; a chunk calls only
-this package's private array helpers, so no public function (and no span of
-a tracer that wraps them) ever runs off the calling thread.
+this package's private array helpers and ``rng``'s draw, so no public
+function a tracer wraps (and no span of it) ever runs off the calling thread.
 """
 
 from __future__ import annotations
@@ -260,15 +263,19 @@ def _explore_draw(gen: Generator, hidden: np.ndarray, rows: np.ndarray, uniforms
 
     The logits, the values of ``gen.explore_logits(hidden)``, are written
     into the (len(hidden), N) buffer ``logits``, which ``complete_batch``
-    allocates once per thread of a pass rather than at every step.  The
-    matmul stays over every row of ``hidden``: a row-subset matmul is not
-    always bit-identical to the full one, while the row-wise softmax, cumsum
-    and compare are.
+    allocates once per thread of a pass rather than at every step.  The draw
+    reads the unnormalised exponentials ``exp(logit - row max)``: the
+    softmax's divide by the row total moves into the draw's target, and
+    :func:`rng.categorical` cumsums only the block of columns that holds it.
+    The matmul stays over every row of ``hidden``: a row-subset matmul is
+    not always bit-identical to the full one, while the row-wise max, exp,
+    block sums and search are.
     """
     np.matmul(hidden, gen.params["explore/weight"].values, out=logits)
     logits += gen.params["explore/bias"].values
-    probs = nn.softmax_values(logits[rows])
-    return categorical(np.cumsum(probs, axis=-1, out=probs), uniforms)
+    masses = logits[rows]
+    masses -= masses.max(axis=-1, keepdims=True)
+    return categorical(np.exp(masses, out=masses), uniforms)
 
 
 def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length: int,
@@ -301,8 +308,8 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     lives for the pass, with OpenBLAS on one thread: every chunk's result is
     fixed by its rows and their uniforms, and the two threads write disjoint
     rows of the output, so the samples are those of one thread.  A chunk
-    runs on plain arrays through private helpers only.  Only the rows whose
-    dwell gate did not fire run the exploration softmax and draw.  With
+    runs on plain arrays through private helpers and ``rng``'s draw only.
+    Only the rows whose dwell gate did not fire run the exploration draw.  With
     ``record`` the (B, length - first start) matrix of dwell-fired flags is
     returned as well, False before each row's start.
     """
@@ -393,6 +400,6 @@ def generate_batch(gen: Generator, count: int, length: int, seed_dist: np.ndarra
     from the zero state."""
     with no_grad():
         table = gen.embed_locations()
-    seeds = categorical(np.cumsum(seed_dist), stream(master_seed, f"{tag}/seed").random(count))
+    seeds = categorical(seed_dist, stream(master_seed, f"{tag}/seed").random(count))
     return complete_batch(gen, table, seeds[:, None], length, master_seed, [tag],
                           gen.zero_hidden(count), np.ones(count, dtype=np.int64), record=record)

@@ -10,7 +10,6 @@ from .core import (
     mul,
     neg,
     sigmoid,
-    softmax_values,
     concat,
     gather_rows,
     reshape,

@@ -173,14 +173,6 @@ def sigmoid(a) -> Tensor:
     return _result(values, (a,), lambda g: (g * values * (1.0 - values),))
 
 
-def softmax_values(x: np.ndarray) -> np.ndarray:
-    """Row-stable softmax over the last axis of an array."""
-    values = x - x.max(axis=-1, keepdims=True)
-    np.exp(values, out=values)
-    values /= values.sum(axis=-1, keepdims=True)
-    return values
-
-
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]

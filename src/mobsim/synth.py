@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import Dataset, Trajectories
-from .rng import categorical, stream
+from .rng import block_totals, categorical, stream
 
 _FIRST_DAY = np.datetime64("2012-01-02")
 _ORIGIN = (40.0, -74.0)             # south-west corner of the location grid
@@ -92,12 +92,12 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
     kernel = make_kernel(config.kernel, n, rng)
     m = config.users * config.days
     t_slots = config.slots
-    kernel_cdf = np.cumsum(kernel, axis=1)
+    totals = block_totals(kernel)
     states = np.empty((m, t_slots), dtype=np.int64)
     states[:, 0] = rng.integers(0, n, size=m)
     for t in range(1, t_slots):
         stay = rng.random(m) < config.stay_prob
-        drawn = categorical(kernel_cdf[states[:, t - 1]], rng.random(m))
+        drawn = categorical(kernel, rng.random(m), rows=states[:, t - 1], totals=totals)
         states[:, t] = np.where(stay, states[:, t - 1], drawn)
     # Row u * days + d is user u on day d; every slot is an observation.
     trajectories = Trajectories(

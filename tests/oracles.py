@@ -7,7 +7,11 @@ routes is meaningful.  The exception is the reference for an optimized path
 replaced, built from the package's own primitives.  The tape ops that only
 those references and the gradient checks use are defined here: ``sub``,
 ``matmul``, ``narrow``, ``exp``, ``log``, ``tanh``, ``relu``, ``leakyrelu``,
-``softmax``, ``tsum`` and the one-step ``gru_cell``.  So is the first-order Markov
+``softmax``, ``tsum`` and the one-step ``gru_cell``, with ``softmax_values``,
+the array softmax that the tape ``softmax`` and the counted draw use.  So is the
+inverse-CDF draw that counts the cumulative entries at or below the uniform
+over a whole normalised row, which the two-level draw of ``rng`` replaced,
+and the exploration draw built on it.  So is the first-order Markov
 baseline the tests fit to planted chains, and the per-value writers that
 the token-table writers of ``synth`` and ``graphs`` replaced, and the
 per-line trajectory and observed readers that the one-call NumPy parse of
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mobsim.nn.core import _as_tensor, _result, _unbroadcast, softmax_values
+from mobsim.nn.core import _as_tensor, _result, _unbroadcast
 from mobsim.records import (HOURS_PER_DAY, CheckinFormatError, Trajectories, _day_column,
                             _fields, _float_field, _int_field, _user_day_lines)
-from mobsim.rng import categorical, stream
+from mobsim.rng import stream
 
 
 def transport_cost_greedy(pa, pb, positions):
@@ -112,6 +116,30 @@ def haversine_naive(lat1, lon1, lat2, lon2, radius=6371.0):
     return radius * np.arctan2(np.hypot(across, along), central)
 
 
+def softmax_values(x):
+    """Row-stable softmax over the last axis of an array."""
+    values = x - x.max(axis=-1, keepdims=True)
+    np.exp(values, out=values)
+    values /= values.sum(axis=-1, keepdims=True)
+    return values
+
+
+def categorical_counted(cdf, uniforms):
+    """Inverse-CDF draw per row of a (B, N) cumulative-probability matrix (or
+    one (N,) row shared by all B draws): draw b takes the first index whose
+    cumulative mass exceeds ``uniforms[b]``, clipped to N - 1.  A shared
+    row is binary-searched."""
+    if cdf.ndim == 1:
+        return np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
+    return np.clip((uniforms[:, None] >= cdf).sum(axis=-1), 0, cdf.shape[-1] - 1)
+
+
+def explore_draw_counted(logits, uniforms):
+    """The exploration draw over whole rows: the softmax, its cumsum and the
+    counted draw of each row of (B, N) ``logits``."""
+    return categorical_counted(np.cumsum(softmax_values(logits), axis=-1), uniforms)
+
+
 def markov_counts(matrix, n):
     """First-order transition counts done with a plain double loop."""
     counts = np.zeros((n, n), dtype=np.int64)
@@ -147,9 +175,9 @@ class MarkovBaseline:
         length = self.slots_per_day
         cdf = np.cumsum(self.transitions, axis=1)
         states = np.empty((count, length), dtype=np.int64)
-        states[:, 0] = categorical(np.cumsum(self.initial), rng.random(count))
+        states[:, 0] = categorical_counted(np.cumsum(self.initial), rng.random(count))
         for t in range(1, length):
-            states[:, t] = categorical(cdf[states[:, t - 1]], rng.random(count))
+            states[:, t] = categorical_counted(cdf[states[:, t - 1]], rng.random(count))
         return states
 
 
@@ -343,7 +371,8 @@ def complete_batch_full_explore(gen, table, prefix_ids, length, master_seed, tag
     draws one uniform per row and step from the streams ``{tag}/explore``
     and ``{tag}/dwell`` of ``master_seed``, named here.  The reference for
     ``generator.complete_batch``, which draws only for the rows whose gate
-    did not fire."""
+    did not fire, with the two-level draw of ``rng``; here every draw is the
+    counted one over whole rows."""
     from mobsim import nn
 
     explore = stream(master_seed, f"{tag}/explore")
@@ -357,13 +386,13 @@ def complete_batch_full_explore(gen, table, prefix_ids, length, master_seed, tag
         current = out[:, start - 1]
         for pos in range(start, length):
             hidden = nn.gru_cell(table.values[current], hidden, gen.gru)
-            cdf = np.cumsum(softmax_values(gen.explore_logits(hidden).values), axis=-1)
+            logits = gen.explore_logits(hidden).values
             stay = np.zeros(b, dtype=bool)
             if gen.config.dwell and pos > 1:
                 visits = (out[:, :pos] == current[:, None]).sum(axis=1)
                 dwell_y = gen.stay_probs(hidden, visits).values
                 stay = dwell.random(b) < dwell_y
-            drawn = categorical(cdf, explore.random(b))
+            drawn = explore_draw_counted(logits, explore.random(b))
             chosen = np.where(stay, current, drawn)
             out[:, pos] = chosen
             fired[:, pos - start] = stay

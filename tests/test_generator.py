@@ -147,10 +147,48 @@ def test_explore_softmax_rows_sum_to_one():
     with nn.no_grad():
         table = gen.embed_locations()
         hidden = nn.gru_cell(table.values[[0, 3, 5]], gen.zero_hidden(3), gen.gru)
-        probs = nn.softmax_values(gen.explore_logits(hidden).values)
+        probs = oracles.softmax_values(gen.explore_logits(hidden).values)
     assert probs.shape == (3, 8)
     assert np.allclose(probs.sum(axis=1), 1.0)
     assert np.all(probs > 0)
+
+
+def _logit_rows(kind, rows, n, rng):
+    if kind == "random":
+        return rng.normal(0.0, rng.choice([0.1, 1.0, 5.0, 30.0], (rows, 1)), (rows, n))
+    if kind == "tied":
+        return rng.integers(-2, 1, (rows, n)) * np.where(rng.random((rows, 1)) < 0.5, 0.0, 1.0)
+    if kind == "underflow":           # gaps beyond 745: exp(gap) is 0 in float64
+        return rng.normal(0.0, 1.0, (rows, n)) - 800.0 * (rng.random((rows, n)) < 0.6)
+    hot = rng.integers(0, n, rows)    # one-hot
+    logits = np.full((rows, n), -1e4)
+    logits[np.arange(rows), hot] = 0.0
+    return logits
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "underflow", "one-hot"])
+@pytest.mark.parametrize("n", [3, 100, 400, 5000])
+def test_explore_draw_matches_the_counted_draw(n, kind):
+    # The two-level draw over unnormalised exponentials against the softmax,
+    # full cumsum and count it replaced.  An identity hidden state puts each
+    # row of logits into the draw exactly; at N=5,000 the last of the
+    # 70-column blocks is narrower.
+    rng = np.random.default_rng(n)
+    rows = 1000 if n <= 400 else 300
+    logits = _logit_rows(kind, rows, n, rng)
+    gen = type("Explore", (), {"params": {"explore/weight": nn.Tensor(logits),
+                                          "explore/bias": nn.Tensor(np.zeros(n))}})
+    picked = np.flatnonzero(rng.random(rows) < 0.8)
+    u = rng.random(len(picked))
+    u[:2] = 0.0, np.nextafter(1.0, 0.0)
+    drawn = generator._explore_draw(gen, np.eye(rows), picked, u, np.empty((rows, n)))
+    want = oracles.explore_draw_counted(logits[picked], u)
+    # Where the counted draw clips to N - 1 and that entry has no mass, the
+    # new draw takes the row's last entry of positive mass.
+    positive = oracles.softmax_values(logits[picked]) > 0
+    clipped = ~positive[np.arange(len(picked)), want]
+    want[clipped] = n - 1 - np.argmax(positive[clipped, ::-1], axis=1)
+    assert np.array_equal(drawn, want)
 
 
 def _stay_probs(gen, counts):
@@ -580,7 +618,7 @@ def _sampling_peak(b, n, length, **overrides):
 
 def test_complete_batch_draws_in_bounded_memory():
     # The rows run in chunks of chunk_rows(N), so the (rows, N) arrays are
-    # the chunk's logits buffer and the softmax's two copies of it; the rest
+    # the chunk's logits buffer and the draw's exponentials of it; the rest
     # is per row (ids, uniforms, flags, hidden state).  Sampling 4,096 rows
     # at N=400 peaks under four chunk budgets and 64 bytes per slot.
     b, n, length = 4096, 400, 4
@@ -597,7 +635,7 @@ def test_population_at_large_n_samples_in_bounded_memory():
 def test_sampling_from_scratch_holds_one_start_state():
     # A pass holds per row its two uniform tables and ``out`` (24 bytes a
     # slot), its fired flags (1 byte a slot) and one (B, H) start state, and
-    # per chunk the logits buffer, the softmax's copy of it and the GRU's
+    # per chunk the logits buffer, the draw's exponentials of it and the GRU's
     # (chunk, 3H) products, within four chunk budgets at H=32 and N=100.
     b, n, length, h = 30000, 100, 24, 32
     per_row = b * length * (24 + 1) + 8 * b * h
