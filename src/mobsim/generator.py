@@ -259,7 +259,7 @@ def _stay_values(gen: Generator, hidden: np.ndarray, visits: np.ndarray) -> np.n
 def _explore_draw(gen: Generator, hidden: np.ndarray, rows: np.ndarray, uniforms: np.ndarray,
                   logits: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws from the exploration softmax for ``rows`` of
-    ``hidden``, one uniform per row.
+    ``hidden`` (a boolean mask or indices), one uniform per row.
 
     The logits, the values of ``gen.explore_logits(hidden)``, are written
     into the (len(hidden), N) buffer ``logits``, which ``complete_batch``
@@ -366,10 +366,13 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
                 if gen.config.dwell and pos > 1:
                     stay_y = _stay_values(gen, state, _visit_counts(ids[:n, :pos]))
                     stay = dwell_u[pos, lo:lo + n] < stay_y
-                explore = np.flatnonzero(~stay)
-                ids[:n, pos] = ids[:n, pos - 1]          # where the gate fired, the row stays
-                ids[explore, pos] = _explore_draw(gen, state, explore,
-                                                  explore_u[pos, lo + explore], logits[:n])
+                # A boolean mask gathers the exploring rows without holding
+                # the GIL, which the other thread of a pass is waiting for.
+                explore = ~stay
+                drawn = ids[:n, pos]
+                drawn[:] = ids[:n, pos - 1]              # where the gate fired, the row stays
+                drawn[explore] = _explore_draw(gen, state, explore,
+                                               explore_u[pos, lo:lo + n][explore], logits[:n])
                 fired[lo:lo + n, pos - first] = stay
 
     chunk_starts = range(0, b, rows)

@@ -73,13 +73,18 @@ def categorical(masses: np.ndarray, uniforms: np.ndarray, rows: np.ndarray = Non
     # A uniform below 1 puts the target below its row's total, so the block
     # found is one whose total rises, one of positive mass.
     target = uniforms * totals[:, -1]
-    block = (totals <= target[:, None]).sum(axis=1) - 1
+    block = (totals[:, 1:] <= target[:, None]).sum(axis=1)
     start = block * width
     # The block's columns run down axis 0, so each reduction adds whole rows.
+    # They are gathered by indexing the raveled masses, which releases the
+    # GIL; np.take holds it, and the other thread of a two-thread sampling
+    # pass waits for it.
     cols = np.arange(width)[:, None] + start
-    cum = np.take(masses, np.minimum(cols, n - 1) + rows * n)
     if n % width:                                  # a narrower last block
+        cum = masses.ravel()[np.minimum(cols, n - 1) + rows * n]
         cum[cols >= n] = 0.0
+    else:
+        cum = masses.ravel()[cols + rows * n]
     np.cumsum(cum, axis=0, out=cum)
     # The block's cumsum, summed in another order than its total, can end
     # below a target the total exceeds: such a draw takes the first column
