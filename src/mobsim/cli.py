@@ -6,7 +6,7 @@ its outputs under ``--out-dir`` together with a ``manifest.json`` recording
 its parsed flags with the options resolved (the master seed among them),
 tool versions, and SHA-256 digests of the inputs, so a run is reproducible
 from its manifest alone.  ``pretrain`` fits the generator alone; ``train``
-and ``ablation`` add the adversarial phase, which fits the discriminator.
+and ``ablation`` add the adversarial phase, whose discriminator is never saved.
 
 The options of ``synth``, ``build-graphs``, ``pretrain``, ``train`` and
 ``ablation`` are the fields of their config dataclasses, each resolved as:
@@ -280,16 +280,15 @@ def _load_graphs(graphs_dir, channels, n, inputs: list) -> dict:
 def _fit(config, channel_graphs, train: Dataset, valid: Dataset | None):
     """The generator of the resolved options, pretrained on ``train``; given
     ``valid``, trained adversarially with the best checkpoint kept.  Returns
-    it with the discriminator (None without ``valid``) and the log."""
+    it with the log."""
     with _rejected():
         gen = Generator(_make_config(GeneratorConfig, config, n_locations=train.n_locations),
                         channel_graphs, seed=config["seed"])
     tc = _make_config(training.TrainConfig, config)
     log = training.pretrain_generator(gen, train.trajectories.ids, tc)
-    if valid is None:
-        return gen, None, log
-    disc, adv_log = training.adversarial_train(gen, train, valid, tc)
-    return gen, disc, log + adv_log
+    if valid is not None:
+        log += training.adversarial_train(gen, train, valid, tc)
+    return gen, log
 
 
 def cmd_train(args) -> None:
@@ -304,12 +303,10 @@ def cmd_train(args) -> None:
         valid = _load_split(args.valid, "valid", coords, ids.shape[1])
         inputs.append(args.valid)
     channel_graphs = _load_graphs(args.graphs_dir, config["channels"], len(coords), inputs)
-    gen, disc, log = _fit(config, channel_graphs, train, valid)
+    gen, log = _fit(config, channel_graphs, train, valid)
     os.makedirs(args.out_dir, exist_ok=True)
     persist.save_generator(os.path.join(args.out_dir, "gen"), gen,
                            seed_distribution(ids, len(coords)), ids.shape[1])
-    if disc is not None:
-        persist.save_discriminator(os.path.join(args.out_dir, "disc"), disc)
     with open(os.path.join(args.out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(log) + "\n")
     write_manifest(args, config, inputs)
@@ -326,7 +323,7 @@ def cmd_generate(args) -> None:
     with _input_file(meta_path, "model meta"):
         if not os.path.isfile(ckpt_path):
             raise CliValidationError(f"model checkpoint file not found: {ckpt_path}")
-        meta = persist.read_model_meta(meta_path, "generator")
+        meta = persist.read_model_meta(meta_path)
         trained_slots = meta.field("slots", records._int_field)
         slots = args.slots if args.slots is not None else trained_slots
         if slots < 2:
@@ -415,7 +412,7 @@ def cmd_ablation(args) -> None:
 
 
 def _run_variant(config, channel_graphs, train: Dataset, valid: Dataset, test: Dataset):
-    gen, _, _ = _fit(config, channel_graphs, train, valid)
+    gen, _ = _fit(config, channel_graphs, train, valid)
     ids = train.trajectories.ids
     generated = generate_batch(gen, len(test), ids.shape[1],
                                seed_distribution(ids, train.n_locations), config["seed"],

@@ -346,7 +346,7 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     threads = 2 if b > rows and cpus > 1 else 1
     rows = max(1, rows // threads)
     embed = table.values
-    weights = [t.values for t in gen.gru.tensors()]
+    weights = [t.values for t in gen.gru]
 
     def sample_chunks(chunk_starts):
         """Sample the chunks of ``rows`` rows from each of ``chunk_starts``,

@@ -18,7 +18,7 @@ from .core import (
     cross_entropy,
     binary_cross_entropy,
 )
-from .layers import linear, GruParams, gru_cell, gru_unroll, init_gru
+from .layers import linear, gru_cell, gru_unroll, init_gru
 from .attention import GraphEdges, HeadParams, graph_attention, graph_edges, init_heads
 from .optim import Adam
 from .checkpoint import save_checkpoint, load_checkpoint

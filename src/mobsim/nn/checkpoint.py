@@ -17,6 +17,7 @@ Round-trips bit-exactly at double precision.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -40,10 +41,11 @@ def save_checkpoint(path, params: ParamSet):
 
 
 def _read(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"truncated: wanted {size} more bytes, got {len(data)}")
-    return data
+    # Checked before reading, so a corrupted size field allocates nothing.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ValueError(f"truncated: wanted {size} more bytes, got {left}")
+    return fh.read(size)
 
 
 def load_checkpoint(path) -> ParamSet:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ParamSet, Tensor, _as_tensor, _result, _unbroadcast, sigmoid_values
@@ -27,35 +25,16 @@ def glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
 
 
-@dataclass
-class GruParams:
-    """The nine tensors of one GRU cell, in update/reset/candidate order."""
-
-    w_update: Tensor
-    u_update: Tensor
-    b_update: Tensor
-    w_reset: Tensor
-    u_reset: Tensor
-    b_reset: Tensor
-    w_cand: Tensor
-    u_cand: Tensor
-    b_cand: Tensor
-
-    def tensors(self):
-        return (self.w_update, self.u_update, self.b_update,
-                self.w_reset, self.u_reset, self.b_reset,
-                self.w_cand, self.u_cand, self.b_cand)
-
-
-def init_gru(params: ParamSet, prefix: str, in_dim: int, hidden_dim: int, rng) -> GruParams:
-    """Register a GRU cell's parameters under ``prefix`` and return them."""
+def init_gru(params: ParamSet, prefix: str, in_dim: int, hidden_dim: int, rng) -> tuple:
+    """Register a GRU cell's parameters under ``prefix`` and return its nine
+    tensors, (W, U, b) per gate in update/reset/candidate order."""
     def gate(name):
         w = params.register(f"{prefix}/w_{name}", glorot(rng, in_dim, hidden_dim))
         u = params.register(f"{prefix}/u_{name}", glorot(rng, hidden_dim, hidden_dim))
         b = params.register(f"{prefix}/b_{name}", np.zeros(hidden_dim))
         return w, u, b
 
-    return GruParams(*gate("update"), *gate("reset"), *gate("cand"))
+    return (*gate("update"), *gate("reset"), *gate("cand"))
 
 
 def _gru_gates(xv: np.ndarray, z: np.ndarray, weights):
@@ -69,7 +48,7 @@ def _gru_gates(xv: np.ndarray, z: np.ndarray, weights):
     return u, r, rz, c, (1.0 - u) * z + u * c
 
 
-def gru_cell(x: np.ndarray, z_prev: np.ndarray, p: GruParams) -> np.ndarray:
+def gru_cell(x: np.ndarray, z_prev: np.ndarray, p: tuple) -> np.ndarray:
     """One GRU step on arrays, recording nothing: the rollouts'
     discriminator step.  The sampler calls ``_gru_gates`` on plain arrays.
 
@@ -77,10 +56,10 @@ def gru_cell(x: np.ndarray, z_prev: np.ndarray, p: GruParams) -> np.ndarray:
     candidate = tanh(x Wc + (r * z) Uc + bc),
     z_new = (1 - u) * z + u * candidate.
     """
-    return _gru_gates(x, z_prev, [t.values for t in p.tensors()])[-1]
+    return _gru_gates(x, z_prev, [t.values for t in p])[-1]
 
 
-def gru_unroll(x: Tensor, h0: Tensor, p: GruParams) -> Tensor:
+def gru_unroll(x: Tensor, h0: Tensor, p: tuple) -> Tensor:
     """A GRU over (L, B, E) inputs from the (B, H) state ``h0``, recorded as
     one tape op: the (L, B, H) states, entry l after input l.
 
@@ -91,8 +70,7 @@ def gru_unroll(x: Tensor, h0: Tensor, p: GruParams) -> Tensor:
     """
     if x.ndim != 3 or x.shape[0] == 0:
         raise ValueError(f"gru_unroll needs (L, B, E) inputs with L >= 1, got shape {x.shape}")
-    tensors = p.tensors()
-    weights = [t.values for t in tensors]
+    weights = [t.values for t in p]
     wu, uu, bu, wr, ur, br, wc, uc, bc = weights
     xv = x.values
     steps, batch = xv.shape[:2]
@@ -138,4 +116,4 @@ def gru_unroll(x: Tensor, h0: Tensor, p: GruParams) -> Tensor:
                 dw[:, reset], du[:, reset], db[reset],
                 dw[:, cand], rz.reshape(rows, hidden).T @ d[:, cand], db[cand])
 
-    return _result(states[1:], (x, h0, *tensors), backward)
+    return _result(states[1:], (x, h0, *p), backward)

@@ -1,10 +1,9 @@
-"""Saving and restoring trained models.
+"""Saving and restoring the trained generator, the one model a run keeps.
 
 A model is a parameter checkpoint (see :mod:`mobsim.nn.checkpoint`) plus a
-``.meta`` sidecar of key=value lines: for the generator, one per field of
+``.meta`` sidecar of key=value lines: ``kind=generator``, one per field of
 its config dataclass, the trajectory length it was trained on and the
-training-split seed distribution needed to start new trajectories; for the
-discriminator, its three sizes.
+training-split seed distribution needed to start new trajectories.
 Floats are written with repr and round-trip exactly, bools as 0/1.
 """
 
@@ -14,7 +13,6 @@ import dataclasses
 
 import numpy as np
 
-from .discriminator import Discriminator
 from .generator import ConfigError, Generator, GeneratorConfig
 from .nn import load_checkpoint, save_checkpoint
 from .records import (CheckinFormatError, _bool_field, _fields, _float_field, _int_field,
@@ -70,12 +68,12 @@ def read_meta(path) -> Meta:
     return meta
 
 
-def read_model_meta(path, kind: str) -> Meta:
-    """The fields of a model's ``.meta`` sidecar, which must be of ``kind``."""
+def read_model_meta(path) -> Meta:
+    """The fields of a generator's ``.meta`` sidecar; ``kind`` must be ``generator``."""
     meta = read_meta(path)
-    if meta.field("kind") != kind:
+    if meta.field("kind") != "generator":
         raise CheckinFormatError(meta.lines["kind"], "kind",
-                                 f"expected {kind!r}, got {meta['kind']!r}")
+                                 f"expected 'generator', got {meta['kind']!r}")
     return meta
 
 
@@ -88,13 +86,6 @@ def _distribution(line_no: int, name: str, text: str, size: int) -> np.ndarray:
                                  f"{float(dist.sum())!r}; expected {size} non-negative "
                                  "ones summing to 1")
     return dist
-
-
-def _load_params(params, path):
-    try:
-        params.load_values(load_checkpoint(path))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def save_generator(prefix, gen: Generator, seed_dist: np.ndarray, slots: int):
@@ -121,13 +112,9 @@ def load_generator(prefix, graphs: dict, meta: Meta):
         gen = Generator(config, graphs)
     except ConfigError as exc:
         raise CheckinFormatError(meta.lines[exc.field], exc.field, str(exc)) from None
-    _load_params(gen.params, f"{prefix}.ckpt")
+    path = f"{prefix}.ckpt"
+    try:
+        gen.params.load_values(load_checkpoint(path))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return gen, seed_dist
-
-
-def save_discriminator(prefix, disc: Discriminator):
-    """Write ``<prefix>.ckpt`` and ``<prefix>.meta``, the meta holding the
-    discriminator's sizes."""
-    save_checkpoint(f"{prefix}.ckpt", disc.params)
-    _write_meta(f"{prefix}.meta", {"kind": "discriminator", "n_locations": disc.n_locations,
-                                   "embed_dim": disc.embed_dim, "hidden_dim": disc.hidden_dim})

@@ -10,7 +10,7 @@ fired, exploration softmax entry otherwise) receives the credit through
 are sampled and scored in one pass, each length's rows joining at its own
 position, so a reward table takes a few large passes instead of one small
 pass per prefix length.  The discriminator lives only in ``adversarial_train``,
-which sizes it by the generator, fits it and returns it; it ascends
+which sizes it by the generator, fits it and drops it; it ascends
 mean log D(real) + mean log(1 - D(fake)).  Every phase steps with Adam.
 
 Each teacher-forced pass (the pretraining losses, the policy-gradient
@@ -233,9 +233,9 @@ def policy_gradient_step(gen: Generator, optimizer, batch_ids: np.ndarray,
 
 def adversarial_train(gen: Generator, train: Dataset, valid: Dataset, config: TrainConfig):
     """Fit a discriminator sized by ``gen``, then alternate one policy-gradient
-    step and one discriminator step per iteration.  Both end with the
-    parameters of the epoch of best validation mean JSD (``gen`` unchanged
-    after zero epochs).  Returns ``(discriminator, log_lines)``."""
+    step and one discriminator step per iteration.  ``gen`` ends with the
+    parameters of the epoch of best validation mean JSD (unchanged after
+    zero epochs); the discriminator is dropped.  Returns the log lines."""
     disc = Discriminator(gen.config.n_locations, gen.config.embed_dim, gen.config.hidden_dim,
                          seed=config.seed)
     train_ids = train.trajectories.ids
@@ -250,7 +250,6 @@ def adversarial_train(gen: Generator, train: Dataset, valid: Dataset, config: Tr
     dropout_rng = stream(config.seed, "adv/dropout")
 
     best_gen = gen.params.copy()
-    best_disc = disc.params.copy()
     best_score = math.inf
     baseline = None                 # the EMA of the mean reward, from the first batch on
 
@@ -293,7 +292,6 @@ def adversarial_train(gen: Generator, train: Dataset, valid: Dataset, config: Tr
         if score < best_score:
             best_score = score
             best_gen = gen.params.copy()
-            best_disc = disc.params.copy()
             marker = 1
         per_metric = " ".join(f"jsd_{k}={v!r}" for k, v in report.scores.items())
         log.append(
@@ -303,5 +301,4 @@ def adversarial_train(gen: Generator, train: Dataset, valid: Dataset, config: Tr
             f"baseline={baseline!r} jsd_mean={score!r} {per_metric} best={marker}"
         )
     gen.params.load_values(best_gen)
-    disc.params.load_values(best_disc)
-    return disc, log
+    return log

@@ -287,8 +287,7 @@ def gru_cell(x, z_prev, p):
     """
     from mobsim.nn.core import sigmoid_values
 
-    weights = p.tensors()
-    wu, uu, bu, wr, ur, br, wc, uc, bc = (t.values for t in weights)
+    wu, uu, bu, wr, ur, br, wc, uc, bc = (t.values for t in p)
     xv, z = x.values, z_prev.values
     u = sigmoid_values(xv @ wu + z @ uu + bu)
     r = sigmoid_values(xv @ wr + z @ ur + br)
@@ -309,7 +308,7 @@ def gru_cell(x, z_prev, p):
                 xv.T @ dar, z.T @ dar, dar.sum(axis=0),
                 xv.T @ dac, rz.T @ dac, dac.sum(axis=0))
 
-    return _result((1.0 - u) * z + u * c, (x, z_prev, *weights), backward)
+    return _result((1.0 - u) * z + u * c, (x, z_prev, *p), backward)
 
 
 def gru_cell_composed(x, z_prev, p):
@@ -317,9 +316,10 @@ def gru_cell_composed(x, z_prev, p):
     reference for the fused ``gru_cell``."""
     from mobsim.nn import add, mul, sigmoid
 
-    u = sigmoid(add(add(matmul(x, p.w_update), matmul(z_prev, p.u_update)), p.b_update))
-    r = sigmoid(add(add(matmul(x, p.w_reset), matmul(z_prev, p.u_reset)), p.b_reset))
-    cand = tanh(add(add(matmul(x, p.w_cand), matmul(mul(r, z_prev), p.u_cand)), p.b_cand))
+    w_update, u_update, b_update, w_reset, u_reset, b_reset, w_cand, u_cand, b_cand = p
+    u = sigmoid(add(add(matmul(x, w_update), matmul(z_prev, u_update)), b_update))
+    r = sigmoid(add(add(matmul(x, w_reset), matmul(z_prev, u_reset)), b_reset))
+    cand = tanh(add(add(matmul(x, w_cand), matmul(mul(r, z_prev), u_cand)), b_cand))
     return add(mul(sub(1.0, u), z_prev), mul(u, cand))
 
 

@@ -273,7 +273,7 @@ def test_edge_dropout_matches_the_dense_oracle():
 def test_gru_zero_params_halves_hidden():
     params = ParamSet()
     gru = init_gru(params, "g", 3, 4, np.random.default_rng(8))
-    for tensor in gru.tensors():
+    for tensor in gru:
         tensor.values[:] = 0.0
     z = np.random.default_rng(9).standard_normal((2, 4))
     out = nn.gru_cell(np.zeros((2, 3)), z, gru)
@@ -290,7 +290,7 @@ def test_gru_gradients():
     def op(*tensors):
         return gru_unroll(tensors[0], tensors[1], gru)
 
-    assert grad_check(op, [x, z, *gru.tensors()]) < 1e-6
+    assert grad_check(op, [x, z, *gru]) < 1e-6
 
 
 def test_gru_state_stays_bounded():
@@ -310,18 +310,18 @@ def test_fused_gru_matches_composed_cell(batch, in_dim, hidden, x_grad):
     rng = np.random.default_rng(batch * 100 + in_dim * 10 + hidden)
     params = ParamSet()
     gru = init_gru(params, "g", in_dim, hidden, rng)
-    for tensor in gru.tensors():
+    for tensor in gru:
         tensor.values[:] = rng.standard_normal(tensor.shape)
     x = Tensor(rng.standard_normal((batch, in_dim)), requires_grad=x_grad)
     z = Tensor(rng.standard_normal((batch, hidden)), requires_grad=True)
     probe = Tensor(rng.standard_normal((batch, hidden)))
     results = []
     for cell in (gru_cell, gru_cell_composed):
-        for tensor in (x, z, *gru.tensors()):
+        for tensor in (x, z, *gru):
             tensor.grad = None
         out = cell(x, z, gru)
         tsum(nn.mul(out, probe)).backward()
-        results.append((out.values, [t.grad for t in (x, z, *gru.tensors())]))
+        results.append((out.values, [t.grad for t in (x, z, *gru)]))
     (fused, fused_grads), (composed, composed_grads) = results
     np.testing.assert_array_equal(fused, composed)
     for got, want in zip(fused_grads, composed_grads):
@@ -353,13 +353,13 @@ def test_gru_unroll_matches_a_chain_of_cells(steps, batch, in_dim, hidden):
     rng = np.random.default_rng(steps * 1000 + batch)
     params = ParamSet()
     gru = init_gru(params, "g", in_dim, hidden, rng)
-    for tensor in gru.tensors():
+    for tensor in gru:
         tensor.values[:] = rng.standard_normal(tensor.shape)
     table = Tensor(rng.standard_normal((3, in_dim)), requires_grad=True)
     h0 = Tensor(rng.standard_normal((batch, hidden)), requires_grad=True)
     ids = rng.integers(0, 3, size=(batch, steps))
     probe = rng.standard_normal((steps, batch, hidden))
-    leaves = (table, h0, *gru.tensors())
+    leaves = (table, h0, *gru)
 
     def grads(loss):
         for tensor in leaves:

@@ -5,12 +5,13 @@ import math
 import os
 import re
 import shlex
+import struct
 import types
 
 import numpy as np
 import pytest
 
-from mobsim import blas, cli, persist
+from mobsim import blas, cli, nn
 from mobsim.cli import CliValidationError, build_parser, main, resolve_config
 from mobsim.discriminator import Discriminator
 
@@ -212,7 +213,30 @@ def test_train_without_epochs_saves_the_pretrained_generator(pipeline, tmp_path)
                  *_pretrain_args(pipeline, tmp_path / "adv")[1:], *flags]) == 0
     for name in ("gen.ckpt", "gen.meta"):
         assert _read(tmp_path / "adv" / name) == _read(tmp_path / "pre" / name)
-    assert (tmp_path / "adv" / "disc.ckpt").exists()
+    assert not list((tmp_path / "adv").glob("disc.*"))
+
+
+def test_train_saves_the_generator_alone(pipeline, tmp_path):
+    # The discriminator is a training signal: train writes no disc.* file.
+    assert main(["train", "--valid", str(pipeline / "data" / "valid.txt"),
+                 *_pretrain_args(pipeline, tmp_path)[1:], "--epochs", "1",
+                 "--steps-per-epoch", "1", "--rollouts", "2", "--eval-count", "4"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["gen.ckpt", "gen.meta", "manifest.json",
+                                            "train_log.txt"]
+    assert "phase=adv epoch=1 " in (tmp_path / "train_log.txt").read_text()
+
+
+def test_generate_rejects_an_older_runs_discriminator(pipeline, tmp_path, capsys):
+    # The disc.meta and disc.ckpt that train wrote before it stopped saving one.
+    (tmp_path / "disc.meta").write_text("kind=discriminator\nn_locations=12\n"
+                                        "embed_dim=6\nhidden_dim=6\n")
+    nn.save_checkpoint(tmp_path / "disc.ckpt", Discriminator(12, 6, 6).params)
+    assert main(["generate", "--model", str(tmp_path / "disc"),
+                 "--graphs-dir", str(pipeline / "graphs"),
+                 "--locations", str(pipeline / "data" / "locations.csv"),
+                 "--count", "3", "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{tmp_path / 'disc.meta'}:1: field 'kind'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_generate_is_byte_deterministic(pipeline, tmp_path):
@@ -547,16 +571,26 @@ def test_generate_bad_meta_is_exit_1(pipeline, tmp_path, capsys, edits, field):
     assert f"{prefix}field '{field}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ckpt", ["truncated", "discriminator", "appended_byte"])
+def _with_embed_rows(ckpt: bytes, rows: int) -> bytes:
+    """``ckpt`` with the first dim of its ``embed`` tensor set to ``rows``."""
+    at = ckpt.index(b"\x05\x00embed\x02") + 8
+    return ckpt[:at] + struct.pack("<Q", rows) + ckpt[at + 8:]
+
+
+@pytest.mark.parametrize("ckpt", ["truncated", "discriminator", "appended_byte",
+                                  "embed_rows_2e40", "embed_rows_2e63"])
 def test_generate_bad_checkpoint_is_exit_1(pipeline, tmp_path, capsys, ckpt):
     model = pipeline / "model"
     if ckpt == "discriminator":
         # A checkpoint of the other model, sized like the pipeline's generator.
-        persist.save_discriminator(str(tmp_path / "disc"), Discriminator(12, 6, 6))
+        nn.save_checkpoint(tmp_path / "disc.ckpt", Discriminator(12, 6, 6).params)
         data = _read(tmp_path / "disc.ckpt")
     else:
+        # A shape field past the file's size is caught before it is allocated.
         data = {"truncated": _read(model / "gen.ckpt")[:100],
-                "appended_byte": _read(model / "gen.ckpt") + b"\0"}[ckpt]
+                "appended_byte": _read(model / "gen.ckpt") + b"\0",
+                "embed_rows_2e40": _with_embed_rows(_read(model / "gen.ckpt"), 2 ** 40),
+                "embed_rows_2e63": _with_embed_rows(_read(model / "gen.ckpt"), 2 ** 63)}[ckpt]
     meta = (model / "gen.meta").read_text().splitlines()
     assert _generate_from(pipeline, tmp_path, meta, data) == 1
     assert f"{tmp_path / 'gen.ckpt'}: " in capsys.readouterr().err

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from mobsim import nn, persist, records
-from mobsim.discriminator import Discriminator
+from mobsim import nn, persist
 from mobsim.generator import Generator, GeneratorConfig, generate_batch
 
 
@@ -15,21 +14,7 @@ def _gen(small_graphs, **overrides):
 
 
 def _load_gen(prefix, graphs):
-    return persist.load_generator(prefix, graphs,
-                                  persist.read_model_meta(f"{prefix}.meta", "generator"))
-
-
-def _sizes(disc):
-    return disc.n_locations, disc.embed_dim, disc.hidden_dim
-
-
-def _load_disc(prefix):
-    """The discriminator saved under ``prefix``; no command reads one back."""
-    meta = persist.read_model_meta(f"{prefix}.meta", "discriminator")
-    disc = Discriminator(*(meta.field(key, records._int_field)
-                           for key in ("n_locations", "embed_dim", "hidden_dim")))
-    disc.params.load_values(nn.load_checkpoint(f"{prefix}.ckpt"))
-    return disc
+    return persist.load_generator(prefix, graphs, persist.read_model_meta(f"{prefix}.meta"))
 
 
 def test_generator_roundtrip(tmp_path, small_graphs):
@@ -63,22 +48,13 @@ def test_generator_roundtrip_after_training_step(tmp_path, small_graphs):
         assert loaded.params[name].values.tobytes() == tensor.values.tobytes()
 
 
-def test_discriminator_roundtrip(tmp_path):
-    disc = Discriminator(n_locations=9, embed_dim=5, hidden_dim=7, seed=11)
-    prefix = tmp_path / "disc"
-    persist.save_discriminator(prefix, disc)
-    loaded = _load_disc(prefix)
-    assert _sizes(loaded) == _sizes(disc)
-    for name, tensor in disc.params.items():
-        assert loaded.params[name].values.tobytes() == tensor.values.tobytes()
-
-
 def test_kind_mismatch_rejected(tmp_path, small_graphs):
-    disc = Discriminator(n_locations=16, embed_dim=32, hidden_dim=32, seed=0)
-    prefix = tmp_path / "model"
-    persist.save_discriminator(prefix, disc)
-    with pytest.raises(ValueError):
-        _load_gen(prefix, small_graphs)
+    # The meta an older ``train`` wrote for its discriminator.
+    persist.save_generator(tmp_path / "model", _gen(small_graphs), np.full(16, 1 / 16), 12)
+    (tmp_path / "model.meta").write_text(
+        "kind=discriminator\nn_locations=16\nembed_dim=32\nhidden_dim=32\n")
+    with pytest.raises(ValueError, match="field 'kind'"):
+        _load_gen(tmp_path / "model", small_graphs)
 
 
 def test_load_generator_needs_its_channels(tmp_path, small_graphs):
@@ -97,24 +73,18 @@ def test_read_meta_value_keeps_further_equals_signs(tmp_path):
     assert meta.lines == {"out_dir": 2, "seed": 4}
 
 
-# The meta lines of a generator and a discriminator: for the generator, one
-# per config field, in field order, then its trained length and seed
-# distribution; for the discriminator, its three sizes.
+# The meta lines of a generator: one per config field, in field order, then
+# its trained length and seed distribution.
 GEN_META = ("kind=generator\nn_locations=16\nembed_dim=8\nhidden_dim=6\nlayers=2\nheads=2\n"
             "channels=sdg,stg\ndropout=0.25\nbeta=0.5\ndwell=1\nslots=12\n"
             "seed_distribution=" + ",".join(["0.0625"] * 16) + "\n")
-DISC_META = "kind=discriminator\nn_locations=9\nembed_dim=5\nhidden_dim=7\n"
 
 
 def test_meta_lines_are_the_config_fields(tmp_path, small_graphs):
     gen = _gen(small_graphs, dwell=True)
     persist.save_generator(tmp_path / "gen", gen, np.full(16, 1 / 16), 12)
-    disc = Discriminator(n_locations=9, embed_dim=5, hidden_dim=7)
-    persist.save_discriminator(tmp_path / "disc", disc)
     assert (tmp_path / "gen.meta").read_text() == GEN_META
-    assert (tmp_path / "disc.meta").read_text() == DISC_META
     assert _load_gen(tmp_path / "gen", small_graphs)[0].config == gen.config
-    assert _sizes(_load_disc(tmp_path / "disc")) == _sizes(disc)
 
 
 def test_meta_with_the_retired_attn_slope_line_still_loads(tmp_path, small_graphs):

@@ -479,32 +479,50 @@ def _tiny_datasets(seed=12):
     return split(planted.dataset, seed=seed)
 
 
-def test_adversarial_zero_epochs_returns_current_params():
+def _spy_discriminators(monkeypatch):
+    """The list that collects every discriminator ``adversarial_train``
+    builds; it returns none."""
+    built = []
+
+    class Spy(Discriminator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(training, "Discriminator", Spy)
+    return built
+
+
+def test_adversarial_zero_epochs_returns_current_params(monkeypatch):
     train, valid, _ = _tiny_datasets()
     gen = _gen(seed=13)
     start = gen.params.copy()
     config = TrainConfig(epochs=0, d_pretrain_epochs=2, seed=0)
-    disc, log = adversarial_train(gen, train, valid, config)
+    built = _spy_discriminators(monkeypatch)
+    log = adversarial_train(gen, train, valid, config)
     assert [line.split()[:2] for line in log] == [["phase=pretrain_d", "epoch=1"],
                                                   ["phase=pretrain_d", "epoch=2"]]
     for name, tensor in gen.params.items():
         assert np.array_equal(start[name].values, tensor.values)
-    # Sized by the generator it judges.
+    # One discriminator, sized by the generator it judges.
+    [disc] = built
     assert (disc.n_locations, disc.embed_dim, disc.hidden_dim) == (8, 4, 4)
 
 
-def test_adversarial_epoch_runs_and_logs():
+def test_adversarial_epoch_runs_and_logs(monkeypatch):
     train, valid, _ = _tiny_datasets()
     gen = _gen(seed=14)
     config = TrainConfig(epochs=2, d_pretrain_epochs=1, batch_size=8, rollouts=2,
                          eval_count=4, steps_per_epoch=2, lr=0.005, seed=3)
-    disc, log = adversarial_train(gen, train, valid, config)
+    built = _spy_discriminators(monkeypatch)
+    log = adversarial_train(gen, train, valid, config)
     assert len(log) == 3
     assert log[0].startswith("phase=pretrain_d epoch=1 ")
     for line in log[1:]:
         assert "jsd_mean=" in line and "reward=" in line and "best=" in line
     assert "best=1" in log[1]                     # first epoch always improves on inf
     assert gen.params.first_nonfinite() is None
+    [disc] = built
     assert disc.params.first_nonfinite() is None
 
 
@@ -515,8 +533,10 @@ def test_adversarial_is_deterministic():
         gen = _gen(seed=21)
         config = TrainConfig(epochs=1, d_pretrain_epochs=1, batch_size=8, rollouts=2,
                              eval_count=4, steps_per_epoch=2, lr=0.005, seed=4)
-        _, log = adversarial_train(gen, train, valid, config)
+        log = adversarial_train(gen, train, valid, config)
         results.append((log, {name: t.values.copy() for name, t in gen.params.items()}))
+    # The pretrain_d line and the one epoch's line.
+    assert [len(log) for log, _ in results] == [2, 2]
     assert results[0][0] == results[1][0]
     for name in results[0][1]:
         assert np.array_equal(results[0][1][name], results[1][1][name])
