@@ -204,11 +204,9 @@ def cmd_preprocess(args) -> None:
 def cmd_synth(args) -> None:
     config = resolve_config(args)
     ratios = _parse_ratios(config["ratios"])
-    planted = synth.synth_generate(_make_config(synth.SynthConfig, config))
+    dataset = synth.synth_generate(_make_config(synth.SynthConfig, config))
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_split_outputs(args.out_dir, planted.dataset, ratios, config["seed"])
-    synth.write_kernel(os.path.join(args.out_dir, "kernel.csv"), planted.kernel)
-    config["stay_prob_truth"] = planted.stay_prob
+    _write_split_outputs(args.out_dir, dataset, ratios, config["seed"])
     write_manifest(args, config, [])
 
 

@@ -101,20 +101,34 @@ def load_generator(prefix, graphs: dict, meta: Meta):
     ``<prefix>.meta`` as :func:`read_model_meta` reads them; ``graphs`` must
     contain the channels the meta names.  Returns ``(generator,
     seed_distribution)``.  Every meta field is required: a missing or
-    malformed one, or one that builds no model with ``graphs``, raises
-    :class:`CheckinFormatError` naming it, and a checkpoint that does not
-    fit raises :class:`CheckpointError`.
+    malformed one, one that builds no model with ``graphs``, or a width that
+    the checkpoint's tensors do not have raises :class:`CheckinFormatError`
+    naming it, and a checkpoint that does not fit raises
+    :class:`CheckpointError`.  The widths are checked before the generator
+    is built, so a meta cannot make it allocate more than the file holds.
     """
+    path = f"{prefix}.ckpt"
+    try:
+        params = load_checkpoint(path)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     try:
         config = GeneratorConfig(**{f.name: meta.field(f.name, READERS[f.type])
                                     for f in dataclasses.fields(GeneratorConfig)})
         seed_dist = meta.field("seed_distribution", _distribution, config.n_locations)
+        # (field, tensor, axis): the meta field that sizes that axis of the tensor.
+        for field, name, axis in (("embed_dim", "embed", 1), ("hidden_dim", "explore/weight", 0)):
+            if name not in params.names():
+                raise CheckpointError(f"{path}: no tensor {name!r}")
+            size = getattr(config, field)
+            if params[name].shape[axis:axis + 1] != (size,):
+                raise ConfigError(field, f"{field}={size} but tensor {name!r} of {path} "
+                                  f"has shape {params[name].shape}")
         gen = Generator(config, graphs)
     except ConfigError as exc:
         raise CheckinFormatError(meta.lines[exc.field], exc.field, str(exc)) from None
-    path = f"{prefix}.ckpt"
     try:
-        gen.params.load_values(load_checkpoint(path))
+        gen.params.load_values(params)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return gen, seed_dist

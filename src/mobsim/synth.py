@@ -3,8 +3,8 @@
 Each user-day is an independent chain: the first slot is uniform over the
 locations, and every later slot either repeats the previous location (with
 probability ``stay_prob``) or draws from the transition kernel row of the
-previous location.  The ground truth used to generate a dataset is kept next
-to it so estimators can be checked against it.
+previous location.  The config fixes the chain: :func:`make_kernel` rebuilds
+the ground truth from its ``kernel``, ``n_locations`` and ``seed``.
 """
 
 from __future__ import annotations
@@ -52,19 +52,11 @@ class SynthConfig:
                              "locations leaves [-90, 90] x [-180, 180]")
 
 
-@dataclass
-class SynthDataset:
-    """A generated dataset together with the dynamics that produced it."""
-
-    dataset: Dataset
-    kernel: np.ndarray
-    stay_prob: float
-
-
 def make_kernel(kind: str, n: int, rng) -> np.ndarray:
-    """Build a row-stochastic transition kernel of the requested kind."""
+    """Build a row-stochastic transition kernel of the requested kind; the
+    ``uniform`` kind is the one (N,) row that every location shares."""
     if kind == "uniform":
-        return np.full((n, n), 1.0 / n)
+        return np.full(n, 1.0 / n)
     if kind == "uniform_offdiag":
         kernel = np.full((n, n), 1.0 / (n - 1))
         np.fill_diagonal(kernel, 0.0)
@@ -85,19 +77,21 @@ def grid_coordinates(n: int, step_deg: float, origin) -> np.ndarray:
     return np.column_stack([lat, lon]).astype(np.float64)
 
 
-def synth_generate(config: SynthConfig) -> SynthDataset:
+def synth_generate(config: SynthConfig) -> Dataset:
     """Generate a dataset from the planted chain; reproducible from the seed."""
     n = config.n_locations
     rng = stream(config.seed, "synth")
     kernel = make_kernel(config.kernel, n, rng)
     m = config.users * config.days
     t_slots = config.slots
-    totals = block_totals(kernel)
+    totals = None if kernel.ndim == 1 else block_totals(kernel)
     states = np.empty((m, t_slots), dtype=np.int64)
     states[:, 0] = rng.integers(0, n, size=m)
     for t in range(1, t_slots):
         stay = rng.random(m) < config.stay_prob
-        drawn = categorical(kernel, rng.random(m), rows=states[:, t - 1], totals=totals)
+        u = rng.random(m)
+        drawn = (categorical(kernel, u) if totals is None
+                 else categorical(kernel, u, rows=states[:, t - 1], totals=totals))
         states[:, t] = np.where(stay, states[:, t - 1], drawn)
     # Row u * days + d is user u on day d; every slot is an observation.
     trajectories = Trajectories(
@@ -108,17 +102,4 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
         slot=np.tile(np.arange(t_slots, dtype=np.int64), m),
         loc=states.ravel(),
     )
-    coords = grid_coordinates(n, config.grid_step, _ORIGIN)
-    dataset = Dataset(trajectories, coords)
-    return SynthDataset(dataset, kernel, config.stay_prob)
-
-
-def write_kernel(path, kernel: np.ndarray):
-    # Each distinct value is formatted once: a token table over the values'
-    # bit patterns, so that -0.0 and 0.0 keep their own repr.
-    bits = np.ascontiguousarray(kernel, dtype=np.float64).view(np.int64)
-    keys, index = np.unique(bits, return_inverse=True)
-    tokens = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
-    lines = [",".join(row) + "\n" for row in tokens[index.reshape(bits.shape)].tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    return Dataset(trajectories, grid_coordinates(n, config.grid_step, _ORIGIN))

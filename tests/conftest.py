@@ -18,7 +18,7 @@ def small_synth():
 
 @pytest.fixture(scope="session")
 def small_graphs(small_synth):
-    ds = small_synth.dataset
+    ds = small_synth
     profiles = graphs.visit_profile_matrix(ds.trajectories, ds.n_locations)
     return {
         "sdg": graphs.build_sdg(ds.locations, k=5),

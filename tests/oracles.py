@@ -12,8 +12,9 @@ the array softmax that the tape ``softmax`` and the counted draw use.  So is the
 inverse-CDF draw that counts the cumulative entries at or below the uniform
 over a whole normalised row, which the two-level draw of ``rng`` replaced,
 and the exploration draw built on it.  So is the first-order Markov
-baseline the tests fit to planted chains, and the per-value writers that
-the token-table writers of ``synth`` and ``graphs`` replaced, and the
+baseline the tests fit to planted chains, the dense-kernel replay of the
+``uniform`` chain that ``synth``'s shared row replaced, and the per-value
+writer that the token-table writer of ``graphs`` replaced, and the
 per-line trajectory and observed readers that the one-call NumPy parse of
 ``records`` replaced, and the per-record check-in reader, coordinate table
 and bucketing that its columnar check-in table replaced.
@@ -28,7 +29,7 @@ import numpy as np
 from mobsim.nn.core import _as_tensor, _result, _unbroadcast
 from mobsim.records import (HOURS_PER_DAY, CheckinFormatError, Trajectories, _day_column,
                             _fields, _float_field, _int_field, _user_day_lines)
-from mobsim.rng import stream
+from mobsim.rng import block_totals, categorical, stream
 
 
 def transport_cost_greedy(pa, pb, positions):
@@ -138,6 +139,24 @@ def explore_draw_counted(logits, uniforms):
     """The exploration draw over whole rows: the softmax, its cumsum and the
     counted draw of each row of (B, N) ``logits``."""
     return categorical_counted(np.cumsum(softmax_values(logits), axis=-1), uniforms)
+
+
+def synth_uniform_dense(config):
+    """The (users * days, slots) ids of the ``uniform`` chain of ``config``,
+    drawn with the ``rows=``/``totals=`` draw from the dense kernel
+    ``np.full((n, n), 1 / n)`` on the same ``synth`` stream: the reference
+    for ``synth_generate``'s shared row."""
+    n, m = config.n_locations, config.users * config.days
+    kernel = np.full((n, n), 1 / n)
+    totals = block_totals(kernel)
+    rng = stream(config.seed, "synth")
+    states = np.empty((m, config.slots), dtype=np.int64)
+    states[:, 0] = rng.integers(0, n, size=m)
+    for t in range(1, config.slots):
+        stay = rng.random(m) < config.stay_prob
+        drawn = categorical(kernel, rng.random(m), rows=states[:, t - 1], totals=totals)
+        states[:, t] = np.where(stay, states[:, t - 1], drawn)
+    return states
 
 
 def markov_counts(matrix, n):
@@ -560,23 +579,6 @@ def read_id_map(path):
                 original, dense = line.rstrip("\n").split(",")
                 id_map[original] = int(dense)
     return id_map
-
-
-def read_kernel(path):
-    """The transition kernel written by ``synth.write_kernel``."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append([float(tok) for tok in line.strip().split(",")])
-    return np.array(rows, dtype=np.float64)
-
-
-def write_kernel_looped(path, kernel):
-    """One repr per kernel entry: the reference for ``synth.write_kernel``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in kernel:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def save_graph_looped(path, graph):

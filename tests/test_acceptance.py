@@ -24,7 +24,7 @@ from mobsim.graphs import (LocationGraph, binarize, build_sdg, build_stg,
                            build_ttg, visit_profile_matrix)
 from mobsim.metrics import evaluate, jsd
 from mobsim.records import split, write_locations, write_observed, write_trajectories
-from mobsim.synth import SynthConfig, synth_generate
+from mobsim.synth import SynthConfig, make_kernel, synth_generate
 from mobsim.training import TrainConfig, adversarial_train, mean_nll, pretrain_generator
 from oracles import exp, leakyrelu, log, relu, softmax, tanh
 
@@ -221,12 +221,12 @@ def test_criterion_3_jsd_suite():
 
 def test_criterion_4_graph_invariants():
     with criterion(4, "graph-invariants"):
-        synth = synth_generate(SynthConfig(n_locations=200, users=30, days=8,
-                                           stay_prob=0.3, kernel="random", seed=77))
-        trajectories = synth.dataset.trajectories
+        dataset = synth_generate(SynthConfig(n_locations=200, users=30, days=8,
+                                             stay_prob=0.3, kernel="random", seed=77))
+        trajectories = dataset.trajectories
         k = 10
 
-        sdg = build_sdg(synth.dataset.locations, k=k)
+        sdg = build_sdg(dataset.locations, k=k)
         stg = build_stg(visit_profile_matrix(trajectories, 200), k=k)
         for graph in (sdg, stg):
             assert np.all(np.bincount(graph.src, minlength=200) == min(k, 199))
@@ -262,13 +262,14 @@ def test_criterion_5_markov_oracle():
         n = 10
         config = SynthConfig(n_locations=n, users=120, days=40, stay_prob=0.5,
                              kernel="uniform_offdiag", seed=909)
-        synth = synth_generate(config)
-        ids = synth.dataset.trajectories.ids
+        ids = synth_generate(config).trajectories.ids
         counts = np.zeros((n, n))
         np.add.at(counts, (ids[:, :-1].ravel(), ids[:, 1:].ravel()), 1.0)
         assert counts.sum(axis=1).min() >= 1e4, "not enough transitions per source"
 
-        effective = config.stay_prob * np.eye(n) + (1 - config.stay_prob) * synth.kernel
+        # The config fixes the planted kernel; this kind draws nothing from a stream.
+        kernel = make_kernel(config.kernel, n, None)
+        effective = config.stay_prob * np.eye(n) + (1 - config.stay_prob) * kernel
         baseline = MarkovBaseline(ids, n)
         error = np.abs(baseline.transitions - effective).max()
         assert error < 0.02, f"max transition error {error:.4f}"
@@ -280,17 +281,17 @@ def test_criterion_5_markov_oracle():
 
 @pytest.fixture(scope="module")
 def planted():
-    synth = synth_generate(SynthConfig(n_locations=100, users=25, days=20,
-                                       stay_prob=0.7, kernel="random", seed=424))
-    train, valid, test = split(synth.dataset, seed=424)
+    dataset = synth_generate(SynthConfig(n_locations=100, users=25, days=20,
+                                         stay_prob=0.7, kernel="random", seed=424))
+    train, valid, test = split(dataset, seed=424)
     graphs = {
-        "sdg": build_sdg(synth.dataset.locations, k=10),
+        "sdg": build_sdg(dataset.locations, k=10),
         "ttg": build_ttg(train.trajectories.ids, 100),
         "stg": build_stg(visit_profile_matrix(train.trajectories, 100), k=10),
     }
     train_ids = train.trajectories.ids
     return {
-        "dataset": synth.dataset, "train": train, "valid": valid, "test": test,
+        "dataset": dataset, "train": train, "valid": valid, "test": test,
         "graphs": graphs, "train_ids": train_ids,
         "seed_dist": seed_distribution(train_ids, 100),
     }

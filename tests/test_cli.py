@@ -11,7 +11,7 @@ import types
 import numpy as np
 import pytest
 
-from mobsim import blas, cli, nn
+from mobsim import blas, cli, nn, persist
 from mobsim.cli import CliValidationError, build_parser, main, resolve_config
 from mobsim.discriminator import Discriminator
 
@@ -116,16 +116,16 @@ def test_bad_flag_value_is_exit_1(tmp_path, capsys):
                  "--stay-prob", "1.5"]) == 1
 
 
-def test_synth_deterministic_and_kernel_saved(tmp_path):
+def test_synth_is_deterministic(tmp_path):
+    # The config fixes the planted kernel, so no file of it is written.
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["synth", "--n-locations", "9", "--users", "4", "--days", "3",
             "--stay-prob", "0.4", "--seed", "11"]
     for out in (a, b):
         assert main(args + ["--out-dir", str(out)]) == 0
     assert _tree_bytes(a) == _tree_bytes(b)
-    kernel = np.loadtxt(a / "kernel.csv", delimiter=",")
-    assert kernel.shape == (9, 9)
-    assert np.allclose(kernel.sum(axis=1), 1.0)
+    assert set(_tree_bytes(a)) == {"train.txt", "valid.txt", "test.txt", "observed_train.txt",
+                                   "locations.csv", "manifest.json"}
 
 
 def test_synth_config_file_and_flag_precedence(tmp_path):
@@ -571,6 +571,23 @@ def test_generate_bad_meta_is_exit_1(pipeline, tmp_path, capsys, edits, field):
     assert f"{prefix}field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["embed_dim", "hidden_dim"])
+def test_generate_meta_width_past_the_checkpoint_is_exit_1(pipeline, tmp_path, capsys,
+                                                           monkeypatch, field):
+    # A generator of this width would take over 100 GiB; the meta is checked
+    # against the checkpoint's tensors before one is built.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("Generator built before the meta was checked")
+
+    monkeypatch.setattr(persist, "Generator", unreachable)
+    model = pipeline / "model"
+    lines = (model / "gen.meta").read_text().splitlines()
+    line_no = next(i for i, text in enumerate(lines, start=1) if text.startswith(f"{field}="))
+    lines[line_no - 1] = f"{field}=1000000000"
+    assert _generate_from(pipeline, tmp_path, lines, _read(model / "gen.ckpt")) == 1
+    assert f"{tmp_path / 'gen.meta'}:{line_no}: field '{field}'" in capsys.readouterr().err
+
+
 def _with_embed_rows(ckpt: bytes, rows: int) -> bytes:
     """``ckpt`` with the first dim of its ``embed`` tensor set to ``rows``."""
     at = ckpt.index(b"\x05\x00embed\x02") + 8
@@ -667,9 +684,7 @@ def _listed(defaults):
 
 def test_synth_without_flags_resolves_to_the_defaults(tmp_path):
     assert main(["synth", "--out-dir", str(tmp_path)]) == 0
-    config = _manifest_config(tmp_path)
-    assert config.pop("stay_prob_truth") == 0.0
-    assert config == PARENT_SYNTH_DEFAULTS
+    assert _manifest_config(tmp_path) == PARENT_SYNTH_DEFAULTS
 
 
 def test_pretrain_without_flags_resolves_to_the_defaults(pipeline, tmp_path):
@@ -1048,8 +1063,7 @@ def _command_argv(command, pipeline, checkin_file, out):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_manifest_config_is_the_parsed_flags(pipeline, checkin_file, tmp_path, command):
     # Each flag's value as parsed, or as resolved for the options of config
-    # dataclasses and generate's trained length; synth adds the stay
-    # probability it measured.
+    # dataclasses and generate's trained length.
     argv = _command_argv(command, pipeline, checkin_file, tmp_path / "o")
     assert main(argv) == 0
     args = build_parser().parse_args(argv)
@@ -1057,10 +1071,8 @@ def test_manifest_config_is_the_parsed_flags(pipeline, checkin_file, tmp_path, c
     expected = {d: getattr(args, d) for d in dests - {"help", "out_dir", "config"}}
     if hasattr(args, "configs"):
         expected.update(resolve_config(args))
-    config = _manifest_config(tmp_path / "o")
-    resolved = {"synth": {"stay_prob_truth": config.get("stay_prob_truth")},
-                "generate": {"slots": 24}}
-    assert config == _listed(dict(expected, **resolved.get(command, {})))
+    resolved = {"generate": {"slots": 24}}
+    assert _manifest_config(tmp_path / "o") == _listed(dict(expected, **resolved.get(command, {})))
 
 
 @pytest.mark.parametrize("command", ["synth", "build-graphs", "pretrain", "train", "ablation"])

@@ -65,6 +65,19 @@ def test_load_generator_needs_its_channels(tmp_path, small_graphs):
         _load_gen(prefix, {"sdg": small_graphs["sdg"]})
 
 
+@pytest.mark.parametrize("missing", ["embed", "explore/weight"])
+def test_load_generator_needs_the_sized_tensors(tmp_path, small_graphs, missing):
+    gen = _gen(small_graphs)
+    kept = nn.ParamSet()
+    for name, tensor in gen.params.items():
+        if name != missing:
+            kept.register(name, tensor.values)
+    persist.save_generator(tmp_path / "gen", gen, np.full(16, 1 / 16), 12)
+    nn.save_checkpoint(tmp_path / "gen.ckpt", kept)
+    with pytest.raises(persist.CheckpointError, match=f"no tensor '{missing}'"):
+        _load_gen(tmp_path / "gen", small_graphs)
+
+
 def test_read_meta_value_keeps_further_equals_signs(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# settings\nout_dir = runs/k=4\n\nseed=3\n")

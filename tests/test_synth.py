@@ -1,18 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mobsim import synth
 from mobsim.synth import SynthConfig
-from oracles import read_kernel, write_kernel_looped
+from oracles import synth_uniform_dense
 
 
 def test_kernel_kinds_are_stochastic():
+    # The uniform kind is the one (12,) row that every location shares.
     rng = np.random.default_rng(0)
-    for kind in ("uniform", "uniform_offdiag", "random"):
+    for kind, shape in (("uniform", (12,)), ("uniform_offdiag", (12, 12)),
+                        ("random", (12, 12))):
         kernel = synth.make_kernel(kind, 12, rng)
-        assert kernel.shape == (12, 12)
+        assert kernel.shape == shape
         assert (kernel >= 0).all()
-        assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(kernel.sum(axis=-1) - 1.0).max() <= 1e-9
 
 
 def test_uniform_offdiag_has_zero_diagonal():
@@ -27,8 +31,7 @@ def test_grid_coordinates_are_distinct():
 
 
 def test_generate_shapes_and_vocabulary():
-    planted = synth.synth_generate(SynthConfig(n_locations=9, users=4, days=3, seed=1))
-    ds = planted.dataset
+    ds = synth.synth_generate(SynthConfig(n_locations=9, users=4, days=3, seed=1))
     assert len(ds.trajectories) == 12
     assert ds.locations.shape == (9, 2)
     for i, slots in enumerate(ds.trajectories.ids):
@@ -40,9 +43,9 @@ def test_generate_shapes_and_vocabulary():
 def test_generate_deterministic():
     a = synth.synth_generate(SynthConfig(seed=7, users=3, days=2))
     b = synth.synth_generate(SynthConfig(seed=7, users=3, days=2))
-    assert np.array_equal(a.dataset.trajectories.ids, b.dataset.trajectories.ids)
+    assert np.array_equal(a.trajectories.ids, b.trajectories.ids)
     c = synth.synth_generate(SynthConfig(seed=8, users=3, days=2))
-    assert not np.array_equal(a.dataset.trajectories.ids, c.dataset.trajectories.ids)
+    assert not np.array_equal(a.trajectories.ids, c.trajectories.ids)
 
 
 def test_stay_prob_increases_repeats():
@@ -53,36 +56,36 @@ def test_stay_prob_increases_repeats():
         mat = ds.trajectories.ids
         return float((mat[:, 1:] == mat[:, :-1]).mean())
 
-    assert repeat_rate(still.dataset) > 0.8
-    assert repeat_rate(mobile.dataset) < 0.1
+    assert repeat_rate(still) > 0.8
+    assert repeat_rate(mobile) < 0.1
 
 
 def test_stay_prob_observed_frequency():
     # With a zero-diagonal kernel every repeat comes from the stay gate alone.
-    planted = synth.synth_generate(SynthConfig(
+    mat = synth.synth_generate(SynthConfig(
         n_locations=25, users=40, days=10, stay_prob=0.3,
-        kernel="uniform_offdiag", seed=3))
-    mat = planted.dataset.trajectories.ids
+        kernel="uniform_offdiag", seed=3)).trajectories.ids
     repeats = float((mat[:, 1:] == mat[:, :-1]).mean())
     assert abs(repeats - 0.3) < 0.02
 
 
-def test_kernel_roundtrip(tmp_path):
-    kernel = synth.make_kernel("random", 6, np.random.default_rng(4))
-    path = tmp_path / "k.csv"
-    synth.write_kernel(path, kernel)
-    assert np.array_equal(read_kernel(path), kernel)
+@pytest.mark.parametrize("n", [9, 100, 400])
+@pytest.mark.parametrize("stay_prob", [0.0, 0.7])
+def test_uniform_shared_row_draws_the_dense_kernels_ids(n, stay_prob):
+    config = SynthConfig(n_locations=n, users=7, days=3, stay_prob=stay_prob, seed=n)
+    assert np.array_equal(synth.synth_generate(config).trajectories.ids,
+                          synth_uniform_dense(config))
 
 
-@pytest.mark.parametrize("kernel", [
-    *(synth.make_kernel(kind, 7, np.random.default_rng(5))
-      for kind in ("uniform", "uniform_offdiag", "random")),
-    np.array([[0.25, -0.0, 0.25, 0.5], [0.0, 0.5, 0.5, -0.0], [1 / 3, 1 / 3, 1 / 3, 0.0]]),
-], ids=["uniform", "uniform_offdiag", "random", "repeats_and_negative_zero"])
-def test_write_kernel_writes_the_looped_bytes(tmp_path, kernel):
-    synth.write_kernel(tmp_path / "fast.csv", kernel)
-    write_kernel_looped(tmp_path / "looped.csv", kernel)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "looped.csv").read_bytes()
+def test_uniform_kind_allocates_no_n_by_n_table():
+    # A (5000, 5000) float64 kernel alone is 200 MB.
+    tracemalloc.start()
+    try:
+        synth.synth_generate(SynthConfig(n_locations=5000, users=2, days=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_config_validation():

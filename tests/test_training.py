@@ -40,10 +40,9 @@ def _disc(n=8, seed=0):
 
 
 def _sticky_ids(n_locations=8, rows=48, length=24, stay=0.8, seed=0):
-    planted = synth.synth_generate(synth.SynthConfig(
+    return synth.synth_generate(synth.SynthConfig(
         n_locations=n_locations, users=rows // 4, days=4, stay_prob=stay,
-        seed=seed, slots=length))
-    return planted.dataset.trajectories.ids
+        seed=seed, slots=length)).trajectories.ids
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +475,7 @@ def _tiny_datasets(seed=12):
     planted = synth.synth_generate(synth.SynthConfig(
         n_locations=8, users=6, days=4, stay_prob=0.6, seed=seed))
     from mobsim.records import split
-    return split(planted.dataset, seed=seed)
+    return split(planted, seed=seed)
 
 
 def _spy_discriminators(monkeypatch):
