@@ -10,10 +10,10 @@ k=10, embedding and hidden size 32, 2 heads, the three channels, dropout
 came back equal, weights bit for bit).  The sample phase times
 ``generate_batch`` of 30,000 trajectories of 24 slots from the untrained
 generator, then writes them with ``records.write_trajectories`` and reads
-them back with ``records.read_trajectories`` (``write_s``, ``read_s``, and
-whether the table came back equal), and times ``metrics.evaluate`` of the
-sampled rows against the training rows (``evaluate_s``, with the peak RSS
-before and after it).  The graph build, the steps and the sample each run
+them back with ``records.read_trajectories`` (``write_s``, the peak RSS
+after the write as ``write_peak_rss_mb``, ``read_s``, and whether the table
+came back equal), and times ``metrics.evaluate`` of the sampled rows against
+the training rows (``evaluate_s``, with the peak RSS before and after it).  The graph build, the steps and the sample each run
 in a fresh process, so each reports its own peak RSS, and next to it the
 minor page faults of its timed work (``minflt``).  Prints one JSON object:
 
@@ -147,6 +147,7 @@ def sample(n: int, path: str) -> dict:
         start = time.perf_counter()
         write_trajectories(path, table)
         report["write_s"] = time.perf_counter() - start
+        report["write_peak_rss_mb"] = _peak_rss_mb()
         start = time.perf_counter()
         back = read_trajectories(path, n, SLOTS)
         report["read_s"] = time.perf_counter() - start

@@ -23,6 +23,8 @@ sampler takes one GRU step per position on plain arrays, recording nothing.
 A large sampling pass runs its row chunks on two threads; a chunk calls only
 this package's private array helpers and ``rng``'s draw, so no public
 function a tracer wraps (and no span of it) ever runs off the calling thread.
+A chunk draws only its own rows' uniforms: PCG64 jumps ahead past the other
+rows of a block, so sampling memory grows with the output alone.
 """
 
 from __future__ import annotations
@@ -278,6 +280,38 @@ def _explore_draw(gen: Generator, hidden: np.ndarray, rows: np.ndarray, uniforms
     return categorical(np.exp(masses, out=masses), uniforms)
 
 
+def _block_draws(rng: np.random.Generator, first: int, lo: int, hi: int, length: int):
+    """``(first, lo, hi, state)`` of the block of rows lo..hi that draws one
+    ``random((length - first, hi - lo))`` table from the stream ``rng``:
+    ``state`` is the stream's state before it, and ``rng`` is advanced to
+    where that call leaves it, one 64-bit PCG64 output per float64."""
+    first, lo, hi = int(first), int(lo), int(hi)     # advance takes Python ints only
+    state = rng.bit_generator.state
+    rng.bit_generator.advance(max(0, length - first) * (hi - lo))
+    return first, lo, hi, state
+
+
+def _draw_uniforms(rng: np.random.Generator, table: np.ndarray, blocks: list, lo: int):
+    """Fill the (length, rows) ``table`` with the uniforms of a pass's rows
+    lo..lo + rows from the :func:`_block_draws` of its ``blocks``, row lo + r's
+    for position pos at [pos, r], setting ``rng`` to each block's state in
+    turn.  A whole block takes one call; part of one jumps past the block's
+    rows before its own, and past its other rows after each position."""
+    rows = table.shape[1]
+    for first, block_lo, block_hi, state in blocks:
+        a, z = max(block_lo, lo), min(block_hi, lo + rows)
+        if a >= z or first >= len(table):
+            continue
+        rng.bit_generator.state = state
+        if z - a == block_hi - block_lo:
+            table[first:, a - lo:z - lo] = rng.random((len(table) - first, z - a))
+            continue
+        rng.bit_generator.advance(a - block_lo)
+        for row in table[first:]:
+            rng.random(out=row[a - lo:z - lo])
+            rng.bit_generator.advance(block_hi - block_lo - (z - a))
+
+
 def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length: int,
                    master_seed: int, tags: list, hidden: np.ndarray, starts: np.ndarray,
                    record: bool = False):
@@ -298,11 +332,17 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     of ``master_seed``.  It consumes its dwell stream only at steps where the
     dwell branch is active; its exploration stream gives one uniform to every
     row at every step, so disabling the dwell branch leaves the exploration
-    draws untouched.  Each block draws all its uniforms before the first
-    step, one ``random((steps, rows))`` call per stream, which gives the
-    values that one call per step would.  The rows then run in chunks of
-    ``chunk_rows(N)``, each chunk taking every step before the next starts,
-    so that sampling holds one (chunk, N) logits buffer and no (B, N) array.
+    draws untouched.  A block's uniforms are those of one
+    ``random((steps, rows))`` call per stream, which gives the values that one
+    call per step would, and each stream ends where that call leaves it.  The
+    rows run in chunks of ``chunk_rows(N)``, each chunk taking every step
+    before the next starts, so that sampling holds one (chunk, N) logits
+    buffer and no (B, N) array.  A chunk draws the uniforms of its own rows
+    before its first step: with one such call where it holds a whole block
+    (every rollout pass and every training batch is one chunk), and
+    otherwise from a copy of the block's stream that jumps ahead past the
+    block's other rows (PCG64's ``advance``), so no uniform table outgrows
+    the chunk.  The streams are built on the calling thread.
     A pass of more than one such chunk, given more than one CPU, runs chunks
     of half as many rows on two threads, the caller's and a helper that
     lives for the pass, with OpenBLAS on one thread: every chunk's result is
@@ -311,7 +351,7 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     runs on plain arrays through private helpers and ``rng``'s draw only.
     Only the rows whose dwell gate did not fire run the exploration draw.  With
     ``record`` the (B, length - first start) matrix of dwell-fired flags is
-    returned as well, False before each row's start.
+    kept and returned as well, False before each row's start.
     """
     prefix_ids = check_ids(prefix_ids, gen.config.n_locations, min_slots=1)
     b, width = prefix_ids.shape
@@ -330,16 +370,14 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
     out = np.empty((b, length), dtype=np.int64)
     out[:, :width] = prefix_ids
     first = starts[0]
-    fired = np.zeros((b, length - first), dtype=bool)
-    # Row r's uniforms for the step that fills position pos sit at [pos, r].
-    explore_u, dwell_u = np.empty((length, b)), np.empty((length, b))
+    fired = np.zeros((b, length - first), dtype=bool) if record else None
+    explore_draws, dwell_draws = [], []
     for start, lo, hi, tag in zip(block_starts, block_lo, block_hi, tags):
-        explore_u[start:, lo:hi] = stream(master_seed, f"{tag}/explore").random(
-            (length - start, hi - lo))
+        explore_draws.append(_block_draws(stream(master_seed, f"{tag}/explore"),
+                                          start, lo, hi, length))
         if gen.config.dwell:
-            gated = max(start, 2)
-            dwell_u[gated:, lo:hi] = stream(master_seed, f"{tag}/dwell").random(
-                (length - gated, hi - lo))
+            dwell_draws.append(_block_draws(stream(master_seed, f"{tag}/dwell"),
+                                            max(start, 2), lo, hi, length))
     n_locations = gen.config.n_locations
     rows = chunk_rows(n_locations)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -352,9 +390,15 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
         """Sample the chunks of ``rows`` rows from each of ``chunk_starts``,
         one after another, into ``out`` and ``fired``."""
         logits = np.empty((min(b, rows), n_locations))
+        # Row lo + r's uniforms for the step that fills position pos sit at
+        # [pos, r], drawn by this thread's own bit generator.
+        explore_u, dwell_u = np.empty((2, length, min(b, rows)))
+        uniforms = np.random.Generator(np.random.PCG64(0))
         for lo in chunk_starts:
             span = slice(lo, lo + rows)
             ids, rows_starts, rows_hidden = out[span], starts[span], hidden[span]
+            _draw_uniforms(uniforms, explore_u[:, :len(ids)], explore_draws, lo)
+            _draw_uniforms(uniforms, dwell_u[:, :len(ids)], dwell_draws, lo)
             state, joined = rows_hidden[:0], 0
             for pos in range(rows_starts[0], length):
                 n = np.searchsorted(rows_starts, pos, side="right")
@@ -365,15 +409,16 @@ def complete_batch(gen: Generator, table: Tensor, prefix_ids: np.ndarray, length
                 stay = np.zeros(n, dtype=bool)
                 if gen.config.dwell and pos > 1:
                     stay_y = _stay_values(gen, state, _visit_counts(ids[:n, :pos]))
-                    stay = dwell_u[pos, lo:lo + n] < stay_y
+                    stay = dwell_u[pos, :n] < stay_y
                 # A boolean mask gathers the exploring rows without holding
                 # the GIL, which the other thread of a pass is waiting for.
                 explore = ~stay
                 drawn = ids[:n, pos]
                 drawn[:] = ids[:n, pos - 1]              # where the gate fired, the row stays
                 drawn[explore] = _explore_draw(gen, state, explore,
-                                               explore_u[pos, lo:lo + n][explore], logits[:n])
-                fired[lo:lo + n, pos - first] = stay
+                                               explore_u[pos, :n][explore], logits[:n])
+                if record:
+                    fired[lo:lo + n, pos - first] = stay
 
     chunk_starts = range(0, b, rows)
     if threads == 1:
@@ -400,9 +445,10 @@ def generate_batch(gen: Generator, count: int, length: int, seed_dist: np.ndarra
     """Sample ``count`` trajectories from scratch, seeding the first slot from
     the given distribution with the stream ``tag/seed`` of ``master_seed``:
     one block of one-slot prefixes with tag ``tag``, each joining the pass
-    from the zero state."""
+    from the zero state, one (H,) row that every row's view shares."""
     with no_grad():
         table = gen.embed_locations()
     seeds = categorical(seed_dist, stream(master_seed, f"{tag}/seed").random(count))
     return complete_batch(gen, table, seeds[:, None], length, master_seed, [tag],
-                          gen.zero_hidden(count), np.ones(count, dtype=np.int64), record=record)
+                          np.broadcast_to(gen.zero_hidden(1), (count, gen.config.hidden_dim)),
+                          np.ones(count, dtype=np.int64), record=record)

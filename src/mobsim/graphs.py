@@ -37,9 +37,15 @@ def haversine_km(lat1, lon1, lat2, lon2):
     """Great-circle distance in km between coordinate pairs in degrees."""
     lat1, lon1, lat2, lon2 = (np.radians(np.asarray(x, dtype=np.float64))
                               for x in (lat1, lon1, lat2, lon2))
+    return _haversine_radians(lat1, lon1, np.cos(lat1), lat2, lon2, np.cos(lat2))
+
+
+def _haversine_radians(lat1, lon1, cos_lat1, lat2, lon2, cos_lat2):
+    """:func:`haversine_km` of coordinates in radians, given the cosines of
+    their latitudes."""
     dlat = lat2 - lat1
     dlon = lon2 - lon1
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    a = np.sin(dlat / 2.0) ** 2 + cos_lat1 * cos_lat2 * np.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import haversine_km
+from .graphs import _haversine_radians, haversine_km
 from .records import Dataset, check_ids
 
 # Bytes of one (rows, T) float64 array: the row families run their rows in
@@ -135,11 +135,27 @@ def step_lengths(ids: np.ndarray, coords: np.ndarray, include_zero_steps: bool =
 
 
 def gyration_radii(ids: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Per-row RMS distance from the row's mean visited coordinate."""
+    """Per-row RMS distance from the row's mean visited coordinate.
+
+    Each location's latitude, longitude, their radians and the latitude's
+    cosine are gathered by column.  The centre adds a slot-major copy of the
+    block slot by slot, the order in which ``coords[block].mean(axis=1)``
+    adds them, so the radii are those of that expression to the bit."""
+    lat, lon = coords[:, 0], coords[:, 1]
+    rad_lat, rad_lon = np.radians(lat), np.radians(lon)
+    cos_lat = np.cos(rad_lat)
+
     def block_radii(block):
-        points = coords[block]
-        center = points.mean(axis=1)
-        d = haversine_km(points[..., 0], points[..., 1], center[:, :1], center[:, 1:])
+        by_slot = np.ascontiguousarray(block.T)
+
+        def center(degrees):
+            # Added slot by slot in a loop: NumPy sums a one-row block pairwise.
+            values = degrees[by_slot]
+            return np.radians(sum(values[1:], values[0]) / block.shape[1])[:, None]
+
+        center_lat, center_lon = center(lat), center(lon)
+        d = _haversine_radians(rad_lat[block], rad_lon[block], cos_lat[block],
+                               center_lat, center_lon, np.cos(center_lat))
         return np.sqrt((d ** 2).mean(axis=1))
 
     return np.concatenate([block_radii(block) for block in _row_blocks(ids)])

@@ -40,6 +40,10 @@ HOURS_PER_DAY = 24
 _DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _UNIX_EPOCH = dt.date(1970, 1, 1).toordinal()
 _LOCAL_END = (dt.date.max.toordinal() + 1 - _UNIX_EPOCH) * 86400    # 10000-01-01
+# Bytes of one (rows, T) int64 id block: write_trajectories formats and
+# writes its rows in blocks of this size, so that its strings and lists
+# stay those of one block whatever B is.
+_BLOCK_BYTES = 1 << 19
 
 
 class CheckinFormatError(ValueError):
@@ -335,10 +339,10 @@ def split(dataset: Dataset, ratios=(7, 1, 2), seed: int = 0):
     return tuple(Dataset(dataset.trajectories.take(part), dataset.locations) for part in parts)
 
 
-def _labels(trajectories: Trajectories):
-    """Each row's ``user,day`` prefix."""
-    days = np.datetime_as_string(trajectories.days, unit="D").tolist()
-    return [f"{user},{day}" for user, day in zip(trajectories.users.tolist(), days)]
+def _labels(trajectories: Trajectories, rows=slice(None)):
+    """The ``user,day`` prefix of each of ``rows`` (default: every row)."""
+    days = np.datetime_as_string(trajectories.days[rows], unit="D").tolist()
+    return [f"{user},{day}" for user, day in zip(trajectories.users[rows].tolist(), days)]
 
 
 def _user_day_lines(path, third: str):
@@ -386,14 +390,16 @@ def _parse_ints(texts, delimiter: str | None = None, dtype=np.int64, ndmin: int 
 
 def write_trajectories(path, trajectories: Trajectories):
     # Each distinct id is formatted once: a token table over [min, max],
-    # indexed by id - min.
+    # indexed by id - min.  The rows go out in blocks of _BLOCK_BYTES of ids.
     ids = trajectories.ids
     low, high = (int(ids.min()), int(ids.max())) if ids.size else (0, -1)
     tokens = np.array([str(i) for i in range(low, high + 1)], dtype=object)
-    lines = [f"{label},{' '.join(row)}\n"
-             for label, row in zip(_labels(trajectories), tokens[ids - low].tolist())]
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, ids.shape[1])))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        for lo in range(0, len(ids), rows):
+            block = slice(lo, lo + rows)
+            fh.write("".join([f"{label},{' '.join(row)}\n" for label, row in
+                              zip(_labels(trajectories, block), tokens[ids[block] - low].tolist())]))
 
 
 def read_trajectories(path, n_locations: int, slots: int | None = None) -> Trajectories:

@@ -52,14 +52,16 @@ def categorical(masses: np.ndarray, uniforms: np.ndarray, rows: np.ndarray = Non
     An indexed search on two levels (Chen and Asau 1974): the block of
     ``isqrt(N)`` columns, from the :func:`block_totals` that a caller drawing
     often from fixed masses passes as ``totals``, then a cumsum of that block
-    alone.  A shared row draws as that row repeated, ``_SHARED_BYTES`` of
-    per-draw arrays at a time.
+    alone.  A shared row draws as that row repeated, whatever ``rows`` says,
+    ``_SHARED_BYTES`` of per-draw arrays at a time.
     """
     if masses.ndim == 1:
         masses = masses[None]
-        totals = block_totals(masses)
+        totals = block_totals(masses) if totals is None else totals.reshape(1, -1)
         step = max(1, _SHARED_BYTES // (8 * (totals.shape[-1] + math.isqrt(masses.shape[-1]))))
         rows = np.zeros(min(step, len(uniforms)), dtype=np.int64)
+        if len(uniforms) <= step:
+            return categorical(masses, uniforms, rows, totals)
         return np.concatenate([categorical(masses, part, rows[:len(part)], totals)
                                for part in np.split(uniforms, range(step, len(uniforms), step))])
     n = masses.shape[-1]

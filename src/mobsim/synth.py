@@ -84,14 +84,12 @@ def synth_generate(config: SynthConfig) -> Dataset:
     kernel = make_kernel(config.kernel, n, rng)
     m = config.users * config.days
     t_slots = config.slots
-    totals = None if kernel.ndim == 1 else block_totals(kernel)
+    totals = block_totals(kernel)
     states = np.empty((m, t_slots), dtype=np.int64)
     states[:, 0] = rng.integers(0, n, size=m)
     for t in range(1, t_slots):
         stay = rng.random(m) < config.stay_prob
-        u = rng.random(m)
-        drawn = (categorical(kernel, u) if totals is None
-                 else categorical(kernel, u, rows=states[:, t - 1], totals=totals))
+        drawn = categorical(kernel, rng.random(m), rows=states[:, t - 1], totals=totals)
         states[:, t] = np.where(stay, states[:, t - 1], drawn)
     # Row u * days + d is user u on day d; every slot is an observation.
     trajectories = Trajectories(

@@ -441,6 +441,18 @@ def run_lengths(slots):
     return np.diff(splits)
 
 
+def gyration_radii_gathered(ids, coords):
+    """``metrics.gyration_radii`` as the (B, T, 2) gather of every visited
+    coordinate and its mean over the slots: the reference for the
+    column-gathered radii, which must equal it to the bit."""
+    from mobsim.graphs import haversine_km
+
+    points = coords[ids]
+    center = points.mean(axis=1)
+    d = haversine_km(points[..., 0], points[..., 1], center[:, :1], center[:, 1:])
+    return np.sqrt((d ** 2).mean(axis=1))
+
+
 def evaluate_looped(real, generated, bins=100, top=100, include_zero_steps=True):
     """``metrics.evaluate`` with every family binned, counted and aligned by
     a loop over trajectories (id rows), one at a time: the reference for the

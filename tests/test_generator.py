@@ -633,13 +633,41 @@ def test_population_at_large_n_samples_in_bounded_memory():
 
 
 def test_sampling_from_scratch_holds_one_start_state():
-    # A pass holds per row its two uniform tables and ``out`` (24 bytes a
-    # slot), its fired flags (1 byte a slot) and one (B, H) start state, and
-    # per chunk the logits buffer, the draw's exponentials of it and the GRU's
-    # (chunk, 3H) products, within four chunk budgets at H=32 and N=100.
-    b, n, length, h = 30000, 100, 24, 32
-    per_row = b * length * (24 + 1) + 8 * b * h
-    assert _sampling_peak(b, n, length, hidden_dim=h) < per_row + 4 * generator._CHUNK_BYTES
+    # Sampling from scratch holds one (H,) zero state that every row's view
+    # shares, no fired flags unless asked, and only the uniforms of a chunk;
+    # per row it holds ``out`` (8 bytes a slot) and the seed draw's few
+    # arrays.  From 30,000 to 60,000 rows at N=100 and L=24 the peak grows by
+    # at most 10 bytes a slot.
+    n, length = 100, 24
+    grown = _sampling_peak(60000, n, length) - _sampling_peak(30000, n, length)
+    assert grown <= 10 * 30000 * length
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 7, 13, 65])
+def test_chunk_uniforms_equal_one_call_per_block(chunk):
+    # Chunks of rows, narrower than a block or with edges that straddle
+    # blocks, each draw their own rows' uniforms from the block's stream,
+    # jumping past the block's other rows: the values of one
+    # random((steps, rows)) call per block, from each block's start for
+    # exploration and from position 2 at the earliest for the dwell gate.
+    # Every stream ends where that call leaves it.
+    sizes, starts, length = (5, 17, 3, 40), (1, 2, 4, 9), 12
+    edges = np.cumsum((0,) + sizes)
+    for kind, firsts in (("explore", starts), ("dwell", [max(s, 2) for s in starts])):
+        want = np.full((length, edges[-1]), np.nan)
+        blocks, streams, want_streams = [], [], []
+        for i, (lo, hi, first) in enumerate(zip(edges, edges[1:], firsts)):
+            want_streams.append(stream(3, f"b{i}/{kind}"))
+            want[first:, lo:hi] = want_streams[-1].random((length - first, hi - lo))
+            streams.append(stream(3, f"b{i}/{kind}"))
+            blocks.append(generator._block_draws(streams[-1], first, lo, hi, length))
+        got = np.full_like(want, np.nan)
+        uniforms = np.random.Generator(np.random.PCG64(0))
+        for lo in range(0, edges[-1], chunk):
+            generator._draw_uniforms(uniforms, got[:, lo:lo + chunk], blocks, lo)
+        assert_array_equal(got, want)
+        for rng, want_rng in zip(streams, want_streams):
+            assert rng.random() == want_rng.random()
 
 
 # ---------------------------------------------------------------------------

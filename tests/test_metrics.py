@@ -23,8 +23,8 @@ from mobsim.metrics import (
 )
 from mobsim.records import Dataset, generated_trajectories
 from numpy.testing import assert_array_equal
-from oracles import (MarkovBaseline, evaluate_looped, haversine_naive, jsd_naive, markov_counts,
-                     run_lengths)
+from oracles import (MarkovBaseline, evaluate_looped, gyration_radii_gathered, haversine_naive,
+                     jsd_naive, markov_counts, run_lengths)
 from tables import table
 
 LN2 = math.log(2.0)
@@ -162,6 +162,22 @@ def test_gyration_radius_stationary_is_zero():
     coords = np.array([[40.0, -74.0], [41.0, -74.0]])
     (radius,) = gyration_radii(np.array([[1] * 24]), coords)
     assert radius == 0.0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_gyration_radii_equal_the_gathered_mean(seed):
+    # The column gathers and the slot-by-slot centre give the radii of the
+    # (B, T, 2) gather and its mean to the bit; a pairwise sum of the slots,
+    # which the mean of a (B, T) gather and the sum of a one-row block take,
+    # would not.
+    rng = np.random.default_rng(seed)
+    n, b, t = int(rng.integers(2, 400)), int(rng.integers(1, 300)), int(rng.integers(1, 50))
+    spread = 10.0 ** rng.integers(-3, 2)
+    coords = np.column_stack([rng.uniform(-60, 60) + spread * rng.random(n),
+                              rng.uniform(-170, 170) + spread * rng.random(n)])
+    ids = rng.integers(0, n, (b, t))
+    ids[::3] = ids[::3, :1]                      # rows that never move
+    assert np.array_equal(gyration_radii(ids, coords), gyration_radii_gathered(ids, coords))
 
 
 def test_duration_histogram():

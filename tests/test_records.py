@@ -1,6 +1,7 @@
 import datetime as dt
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -323,6 +324,21 @@ def test_write_trajectories_writes_each_id_as_str(tmp_path, ids):
     records.write_trajectories(path, traj)
     assert path.read_text() == "".join(f"u{i},2012-01-01,{' '.join(map(str, row))}\n"
                                        for i, row in enumerate(ids.tolist()))
+
+
+def test_write_trajectories_writes_in_row_blocks(tmp_path):
+    # The lines of 60,000 rows of 24 slots take 5 MB; they are formatted and
+    # written a block of rows at a time.
+    ids = np.random.default_rng(0).integers(0, 100, (60000, 24))
+    traj = records.generated_trajectories(ids)
+    tracemalloc.start()
+    try:
+        records.write_trajectories(tmp_path / "t.txt", traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert np.array_equal(records.read_trajectories(tmp_path / "t.txt", 100, 24).ids, ids)
 
 
 def test_observed_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mobsim import rng as rng_module
 from mobsim.rng import block_totals, categorical, stream
 from mobsim.synth import make_kernel
 
@@ -127,3 +128,23 @@ def test_categorical_rows_and_totals_draw_like_gathered_rows(n):
     u = rng.random(500)
     assert np.array_equal(categorical(masses, u, rows=rows, totals=block_totals(masses)),
                           categorical(masses[rows], u))
+
+
+@pytest.mark.parametrize("draws", [5, 40], ids=["one_part", "parts_of_16"])
+def test_categorical_reads_the_totals_it_is_passed(monkeypatch, draws):
+    # A caller drawing often from fixed masses passes their block totals,
+    # for a shared row too, and the draw builds none of its own.  The shared
+    # row draws 16 at a time here: 30 columns give blocks of 5, so 7 totals.
+    monkeypatch.setattr(rng_module, "_SHARED_BYTES", 16 * 8 * (7 + 5))
+    rng = np.random.default_rng(draws)
+    row, kernel = rng.random(30), rng.random((30, 30))
+    rows, u = rng.integers(0, 30, draws), rng.random(draws)
+    want = categorical(row, u), categorical(kernel, u, rows=rows)
+
+    def refuse(masses):
+        raise AssertionError("block totals built again")
+
+    monkeypatch.setattr(rng_module, "block_totals", refuse)
+    assert np.array_equal(categorical(row, u, totals=block_totals(row)), want[0])
+    assert np.array_equal(categorical(row, u, rows=rows, totals=block_totals(row)), want[0])
+    assert np.array_equal(categorical(kernel, u, rows=rows, totals=block_totals(kernel)), want[1])

@@ -17,3 +17,4 @@ def test_scale_step_runs_and_its_round_trips_hold():
     assert report["n"] == 50
     assert report["build"]["graph_round_trip_equal"] is True
     assert report["sample"]["round_trip_equal"] is True
+    assert report["sample"]["write_peak_rss_mb"] >= report["sample"]["peak_rss_mb"]

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mobsim import synth
+from mobsim import rng, synth
 from mobsim.synth import SynthConfig
 from oracles import synth_uniform_dense
 
@@ -75,6 +75,19 @@ def test_uniform_shared_row_draws_the_dense_kernels_ids(n, stay_prob):
     config = SynthConfig(n_locations=n, users=7, days=3, stay_prob=stay_prob, seed=n)
     assert np.array_equal(synth.synth_generate(config).trajectories.ids,
                           synth_uniform_dense(config))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "uniform_offdiag", "random"])
+def test_synth_draws_from_its_kernels_block_totals(monkeypatch, kind):
+    # The block totals of either kind of kernel are built once, by synth.
+    config = SynthConfig(n_locations=30, users=4, days=3, stay_prob=0.2, kernel=kind, seed=5)
+    want = synth.synth_generate(config).trajectories.ids
+
+    def refuse(masses):
+        raise AssertionError("block totals built by the draw")
+
+    monkeypatch.setattr(rng, "block_totals", refuse)
+    assert np.array_equal(synth.synth_generate(config).trajectories.ids, want)
 
 
 def test_uniform_kind_allocates_no_n_by_n_table():
